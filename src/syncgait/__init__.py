@@ -12,9 +12,9 @@ from .classify import (CentroidModel, OcSvmModel, Scaler, deserialize_model,
 from .errors import SyncGaitError
 from .features import (FEATURE_NAMES, FeatureVector, FisherReport,
                        compute_features, fisher_select)
-from .gait import (GaitCycle, SegmentationConfig, cycle_boundaries,
-                   cycle_feature_vector, gait_representation, normalize_cycle,
-                   segment_cycles)
+from .gait import (GaitCycle, ImuChain, SegmentationConfig, cycle_boundaries,
+                   cycle_feature_vector, gait_representation, imu_chain,
+                   normalize_cycle, segment_cycles)
 from .metrics import EvalReport, evaluate, fuse, roc_points_csv
 from .orientation import (EulerAngles, Quaternion, ahrs_stream, ahrs_update,
                           euler_to_quaternion, integrate_velocity,
@@ -27,8 +27,8 @@ from .posture import (AdctConfig, MjckfConfig, SpectralBand, adaptive_bandpass,
                       adct_cutoff, adct_smooth, estimate_band,
                       histogram_entropy, mjckf_correct)
 from .protocol import (ChannelModel, DecisionRecord, SessionConfig,
-                       SessionResult, SessionState, exchange_with_arq,
-                       inject_loss, run_session)
+                       SessionResult, SessionState, attempt_scores,
+                       exchange_with_arq, inject_loss, run_session)
 from .series import ImuSeries, KeypointFrame, KeypointSeries, Series1D
 from .syncing import (AlignedPair, ClockOffsetEstimate, align,
                       kalman_track_offset, two_way_offset)

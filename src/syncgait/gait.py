@@ -8,6 +8,7 @@ are interpolated to a fixed length.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.signal import find_peaks
@@ -54,6 +55,42 @@ def _denoise_imu(imu: ImuSeries, levels: int = 4) -> ImuSeries:
         return imu
     return ImuSeries(imu.t.copy(), den(imu.acc), den(imu.gyro), den(imu.mag),
                      imu.sample_rate)
+
+
+@dataclass(frozen=True)
+class ImuChain:
+    """One IMU stream prepared once: the wavelet-denoised samples and one
+    attitude quaternion per sample. The consistency and gait paths both
+    read it, so a session runs denoising and the AHRS once per stream."""
+
+    denoised: ImuSeries
+    quats: list[Quaternion]
+
+    def __len__(self) -> int:
+        return len(self.denoised)
+
+    @property
+    def sample_rate(self) -> float:
+        return self.denoised.sample_rate
+
+    @cached_property
+    def euler(self) -> np.ndarray:
+        """(n, 3) roll, pitch, yaw per sample."""
+        return np.array([[e.roll, e.pitch, e.yaw]
+                         for e in (quaternion_to_euler(q) for q in self.quats)])
+
+
+def imu_chain(imu: ImuSeries) -> ImuChain:
+    """Denoise the stream and run the attitude filter over it."""
+    if len(imu) < 3:
+        raise SeriesTooShort("need >= 3 IMU samples")
+    denoised = _denoise_imu(imu)
+    return ImuChain(denoised, ahrs_stream(denoised))
+
+
+def as_chain(imu: ImuSeries | ImuChain) -> ImuChain:
+    """The prepared chain of a raw stream; a prepared chain passes through."""
+    return imu if isinstance(imu, ImuChain) else imu_chain(imu)
 
 
 def vertical_acceleration(imu: ImuSeries, quats: list[Quaternion]) -> Series1D:
@@ -121,20 +158,20 @@ def _boundaries_from_vertical(vert: Series1D, cfg: SegmentationConfig) -> list[f
     return [float(vert.times[i]) for i in best[1]]
 
 
-def cycle_boundaries(imu: ImuSeries,
+def cycle_boundaries(imu: ImuSeries | ImuChain,
                      cfg: SegmentationConfig = SegmentationConfig()
                      ) -> list[float]:
     """Candidate cycle-cut instants: prominent vertical-acceleration minima."""
     duration = (len(imu) - 1) / imu.sample_rate if len(imu) else 0.0
     if duration < 2 * cfg.min_period:
         raise SeriesTooShort(f"{duration:.2f} s cannot hold a full cycle")
-    denoised = _denoise_imu(imu)
-    quats = ahrs_stream(denoised)
-    vert = vertical_acceleration(denoised, quats)
+    chain = as_chain(imu)
+    vert = vertical_acceleration(chain.denoised, chain.quats)
     return _boundaries_from_vertical(vert, cfg)
 
 
-def segment_cycles(imu: ImuSeries, cfg: SegmentationConfig = SegmentationConfig()
+def segment_cycles(imu: ImuSeries | ImuChain,
+                   cfg: SegmentationConfig = SegmentationConfig()
                    ) -> list[tuple[float, float]]:
     """Cycle boundaries from vertical-acceleration minima."""
     return _cycles_from_boundaries(cycle_boundaries(imu, cfg), cfg)
@@ -163,25 +200,23 @@ def normalize_cycle(raw: np.ndarray, length: int = CYCLE_LENGTH,
     return GaitCycle(channels=channels, t_start=t_start, t_end=t_end)
 
 
-def gait_representation(imu: ImuSeries,
+def gait_representation(imu: ImuSeries | ImuChain,
                         cfg: SegmentationConfig = SegmentationConfig(),
                         length: int = CYCLE_LENGTH) -> list[GaitCycle]:
     """Full IMU gait pipeline: denoise, orientation, segment, normalize."""
     if len(imu) < 2 * imu.sample_rate:
         raise SeriesTooShort("need >= 2 s of data")
-    denoised = _denoise_imu(imu)
-    quats = ahrs_stream(denoised)
-    vert = vertical_acceleration(denoised, quats)
+    chain = as_chain(imu)
+    denoised = chain.denoised
+    vert = vertical_acceleration(denoised, chain.quats)
     cycles = _cycles_from_boundaries(_boundaries_from_vertical(vert, cfg), cfg)
 
-    euler = np.array([[e.roll, e.pitch, e.yaw]
-                      for e in (quaternion_to_euler(q) for q in quats)])
     out = []
-    t = imu.t
+    t = denoised.t
     for t_start, t_end in cycles:
         i0 = int(np.searchsorted(t, t_start))
         i1 = int(np.searchsorted(t, t_end)) + 1
-        ang = np.unwrap(euler[i0:i1], axis=0)
+        ang = np.unwrap(chain.euler[i0:i1], axis=0)
         raw = np.vstack([denoised.acc[i0:i1].T, ang.T])
         out.append(normalize_cycle(raw, length, t_start, t_end))
     return out

@@ -36,8 +36,16 @@ def read_imu_csv(path: str | Path, sample_rate: float = 100.0) -> ImuSeries:
         raise IoFailure(str(exc)) from exc
     if not lines or lines[0].strip() != FORMAT_TAG:
         raise IoFailure(f"missing {FORMAT_TAG} header in {path}")
-    data = np.array([[float(x) for x in ln.split(",")]
-                     for ln in lines[2:] if ln.strip()])
+    rows = [ln.split(",") for ln in lines[2:] if ln.strip()]
+    if not rows:
+        raise IoFailure(f"no samples in {path}")
+    width = len(IMU_COLUMNS.split(","))
+    if any(len(row) != width for row in rows):
+        raise IoFailure(f"rows of {path} must hold {width} fields")
+    try:
+        data = np.array([[float(x) for x in row] for row in rows])
+    except ValueError as exc:
+        raise IoFailure(f"non-numeric field in {path}: {exc}") from exc
     return ImuSeries(t=data[:, 0], acc=data[:, 1:4], gyro=data[:, 4:7],
                      mag=data[:, 7:10], sample_rate=sample_rate)
 

@@ -9,7 +9,7 @@ v_world = q * v_phone * q^-1, with world z up and world x magnetic north.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -139,29 +139,19 @@ def _rot_inv(w, vx, vy, vz, rx, ry, rz):
             rz - 2 * w * cz + 2 * dz)
 
 
-def ahrs_update(state: AhrsState, sample: ImuSample, dt: float) -> AhrsState:
-    """Advance the orientation one step.
-
-    Gyro integration corrected by the normalized gradient of the combined
-    accelerometer + magnetometer objective; the angular error drives the
-    gyro-bias estimate (gain zeta). Zero accelerometer or magnetometer falls
-    back to gyro-only integration and flags the state.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    q = state.q
-    w, x, y, z = q.q0, q.q1, q.q2, q.q3
-    bx_b, by_b, bz_b = state.gyro_bias
-
-    a = np.asarray(sample.a, dtype=float)
-    m = np.asarray(sample.m, dtype=float)
-    na = math.sqrt(a[0] ** 2 + a[1] ** 2 + a[2] ** 2)
-    nm = math.sqrt(m[0] ** 2 + m[1] ** 2 + m[2] ** 2)
+def _ahrs_step(w, x, y, z, bx_b, by_b, bz_b, a, g, m, beta, zeta, dt):
+    """One filter step on plain floats: quaternion (w, x, y, z), gyro bias
+    and the a, g, m triples in; the next quaternion, bias and the gyro-only
+    flag out."""
+    a0, a1, a2 = a
+    m0, m1, m2 = m
+    na = math.sqrt(a0 ** 2 + a1 ** 2 + a2 ** 2)
+    nm = math.sqrt(m0 ** 2 + m1 ** 2 + m2 ** 2)
     gyro_only = na == 0.0 or nm == 0.0
 
     if not gyro_only:
-        ax, ay, az = a[0] / na, a[1] / na, a[2] / na
-        mx, my, mz = m[0] / nm, m[1] / nm, m[2] / nm
+        ax, ay, az = a0 / na, a1 / na, a2 / na
+        mx, my, mz = m0 / nm, m1 / nm, m2 / nm
         # world-frame field from the current estimate; reference keeps only
         # the horizontal magnitude and vertical component
         hx, hy, hz = _rot_inv(w, -x, -y, -z, mx, my, mz)  # R(q) m
@@ -174,7 +164,8 @@ def ahrs_update(state: AhrsState, sample: ImuSample, dt: float) -> AhrsState:
         umx, umy, umz = _rot_inv(w, x, y, z, brx, 0.0, brz)
         g_acc = _grad_term(w, x, y, z, 0.0, 0.0, 1.0, ugx - ax, ugy - ay, ugz - az)
         g_mag = _grad_term(w, x, y, z, brx, 0.0, brz, umx - mx, umy - my, umz - mz)
-        s0, s1, s2, s3 = (g_acc[i] + g_mag[i] for i in range(4))
+        s0, s1, s2, s3 = (g_acc[0] + g_mag[0], g_acc[1] + g_mag[1],
+                          g_acc[2] + g_mag[2], g_acc[3] + g_mag[3])
         ns = math.sqrt(s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3)
         if ns > 0:
             s0, s1, s2, s3 = s0 / ns, s1 / ns, s2 / ns, s3 / ns
@@ -184,17 +175,17 @@ def ahrs_update(state: AhrsState, sample: ImuSample, dt: float) -> AhrsState:
         we_x = 2.0 * (w * s1 - x * s0 - y * s3 + z * s2)
         we_y = 2.0 * (w * s2 + x * s3 - y * s0 - z * s1)
         we_z = 2.0 * (w * s3 - x * s2 + y * s1 - z * s0)
-        bx_b += state.zeta * we_x * dt
-        by_b += state.zeta * we_y * dt
-        bz_b += state.zeta * we_z * dt
+        bx_b += zeta * we_x * dt
+        by_b += zeta * we_y * dt
+        bz_b += zeta * we_z * dt
     else:
         s0 = s1 = s2 = s3 = 0.0
 
-    gx = float(sample.g[0]) - bx_b
-    gy = float(sample.g[1]) - by_b
-    gz = float(sample.g[2]) - bz_b
+    gx = float(g[0]) - bx_b
+    gy = float(g[1]) - by_b
+    gz = float(g[2]) - bz_b
 
-    beta = 0.0 if gyro_only else state.beta
+    beta = 0.0 if gyro_only else beta
     qd0 = 0.5 * (-x * gx - y * gy - z * gz) - beta * s0
     qd1 = 0.5 * (w * gx + y * gz - z * gy) - beta * s1
     qd2 = 0.5 * (w * gy - x * gz + z * gx) - beta * s2
@@ -205,8 +196,26 @@ def ahrs_update(state: AhrsState, sample: ImuSample, dt: float) -> AhrsState:
     y += qd2 * dt
     z += qd3 * dt
     n = math.sqrt(w * w + x * x + y * y + z * z)
-    return replace(state, q=Quaternion(w / n, x / n, y / n, z / n),
-                   gyro_bias=(bx_b, by_b, bz_b), gyro_only=gyro_only)
+    return w / n, x / n, y / n, z / n, bx_b, by_b, bz_b, gyro_only
+
+
+def ahrs_update(state: AhrsState, sample: ImuSample, dt: float) -> AhrsState:
+    """Advance the orientation one step.
+
+    Gyro integration corrected by the normalized gradient of the combined
+    accelerometer + magnetometer objective; the angular error drives the
+    gyro-bias estimate (gain zeta). Zero accelerometer or magnetometer falls
+    back to gyro-only integration and flags the state.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    q = state.q
+    w, x, y, z, bx_b, by_b, bz_b, gyro_only = _ahrs_step(
+        q.q0, q.q1, q.q2, q.q3, *state.gyro_bias,
+        np.asarray(sample.a, dtype=float), sample.g,
+        np.asarray(sample.m, dtype=float), state.beta, state.zeta, dt)
+    return AhrsState(q=Quaternion(w, x, y, z), gyro_bias=(bx_b, by_b, bz_b),
+                     beta=state.beta, zeta=state.zeta, gyro_only=gyro_only)
 
 
 def initial_orientation(a: np.ndarray, m: np.ndarray) -> Quaternion:
@@ -248,32 +257,32 @@ def ahrs_stream(imu: ImuSeries, beta: float = 0.1, zeta: float = 0.01,
     if init is None:
         init = AhrsState(q=initial_orientation(imu.acc[0], imu.mag[0]),
                          beta=beta, zeta=zeta)
-    state = init
+    q = init.q
+    w, x, y, z = q.q0, q.q1, q.q2, q.q3
+    bx_b, by_b, bz_b = init.gyro_bias
     dt = 1.0 / imu.sample_rate
     out = []
-    for i in range(len(imu)):
-        sample = ImuSample(float(imu.t[i]), imu.acc[i], imu.gyro[i], imu.mag[i])
-        state = ahrs_update(state, sample, dt)
-        out.append(state.q)
+    for a, g, m in zip(imu.acc.tolist(), imu.gyro.tolist(), imu.mag.tolist()):
+        w, x, y, z, bx_b, by_b, bz_b, _ = _ahrs_step(
+            w, x, y, z, bx_b, by_b, bz_b, a, g, m, init.beta, init.zeta, dt)
+        out.append(Quaternion(w, x, y, z))
     return out
 
 
 GRAVITY = 9.81
 
 
-def integrate_velocity(a_world: np.ndarray, f_s: float, i: int = 1) -> np.ndarray:
-    """Trapezoidal velocity integration with stride i, v[0] = 0.
+def integrate_velocity(a_world: np.ndarray, f_s: float) -> np.ndarray:
+    """Trapezoidal velocity integration, v[0] = 0.
 
-    Gravity must already be removed from a_world. Each chain advances as
-    v[k] = v[k-i] + (a[k-i] + a[k]) / (2 f_s); the trapezoid keeps the
+    Gravity must already be removed from a_world. The velocity advances as
+    v[k] = v[k-1] + (a[k-1] + a[k]) / (2 f_s); the trapezoid keeps the
     phase error second order in the sample period, which a one-sided
     rectangle rule does not.
     """
     a = np.atleast_2d(np.asarray(a_world, dtype=float))
     if f_s <= 0:
         raise ValueError("f_s must be positive")
-    if i < 1:
-        raise ValueError("stride must be >= 1")
     if a.shape[0] == 0:
         return a.copy()
     cum = np.cumsum(a, axis=0)

@@ -4,7 +4,9 @@ consistency features -> per-user models and signed decision scores.
 The video chain is calibrate (adaptive DCT smoothing + cooperative Kalman),
 differentiate the wrist, band-pass. The IMU chain is denoise, orientation,
 gravity removal, velocity integration with per-cycle drift resets,
-body-relative projection.
+body-relative projection. Every scoring entry point also takes prepared
+streams (an `ImuChain`, the speed channels), so a session computes each
+chain once and scores all three checks from it.
 """
 
 from __future__ import annotations
@@ -14,13 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import OcSvmModel, train_ocsvm, train_ocsvm_calibrated
-from .errors import SeriesTooShort, TooFewSamples
+from .errors import TooFewSamples
 from .features import (FeatureVector, FisherReport, compute_features,
                        fisher_select)
-from .gait import (SegmentationConfig, _denoise_imu, cycle_feature_vector,
-                   gait_representation)
-from .orientation import (GRAVITY, ahrs_stream, integrate_velocity,
-                          project_body_relative, quaternion_to_euler)
+from .gait import (ImuChain, SegmentationConfig, as_chain,
+                   cycle_feature_vector, gait_representation, imu_chain)
+from .orientation import GRAVITY, integrate_velocity, project_body_relative
 from .posture import (GAIT_BAND_HI, GAIT_BAND_LO, AdctConfig, MjckfConfig,
                       SpectralBand, adaptive_bandpass, adct_smooth,
                       mjckf_correct)
@@ -30,6 +31,11 @@ from .syncing import AlignedPair, ClockOffsetEstimate, align, imu_hand_speed
 
 HEADING_SMOOTH_S = 0.5
 _CHAIN_JOINTS = ("wrist", "elbow", "shoulder")
+
+# the scoring entry points take each stream raw or prepared
+VideoSpeed = tuple[Series1D, np.ndarray]      # video_speed_channel output
+ImuInput = ImuSeries | ImuChain | Series1D    # Series1D: imu_speed_channel
+VideoInput = KeypointSeries | VideoSpeed
 
 
 def _gait_band(rate: float) -> SpectralBand:
@@ -67,38 +73,39 @@ def _fill_gaps(t: np.ndarray, x: np.ndarray, conf: np.ndarray) -> np.ndarray:
 
 def calibrate_keypoints(kp: KeypointSeries, cfg: PipelineConfig) -> KeypointSeries:
     """Adaptive DCT smoothing of each chain-joint track, then the cooperative
-    Kalman correction pass (which also bridges low-confidence frames)."""
+    Kalman correction pass (which also bridges low-confidence frames).
+
+    Only the `cfg.side` arm is calibrated, the one the speed channel reads;
+    the sides are independent, so the other arm's joints pass through."""
+    side = cfg.side[0]
     smoothed = [KeypointFrame(f.t, dict(f.joints)) for f in kp.frames]
-    for side in ("l", "r"):
-        for joint in _CHAIN_JOINTS:
-            name = f"{joint}_{side}"
-            t, u, v, c = kp.joint_track(name)
-            u = _fill_gaps(t, u, c)
-            v = _fill_gaps(t, v, c)
-            if len(u) >= 4:
-                u = adct_smooth(Series1D(u, rate=kp.frame_rate), cfg.adct).values
-                v = adct_smooth(Series1D(v, rate=kp.frame_rate), cfg.adct).values
-            for i, frame in enumerate(smoothed):
-                frame.joints[name] = (float(u[i]), float(v[i]), c[i])
-    return mjckf_correct(KeypointSeries(smoothed, kp.frame_rate), cfg.mjckf)
+    for joint in _CHAIN_JOINTS:
+        name = f"{joint}_{side}"
+        t, u, v, c = kp.joint_track(name)
+        u = _fill_gaps(t, u, c)
+        v = _fill_gaps(t, v, c)
+        if len(u) >= 4:
+            u = adct_smooth(Series1D(u, rate=kp.frame_rate), cfg.adct).values
+            v = adct_smooth(Series1D(v, rate=kp.frame_rate), cfg.adct).values
+        for i, frame in enumerate(smoothed):
+            frame.joints[name] = (float(u[i]), float(v[i]), c[i])
+    return mjckf_correct(KeypointSeries(smoothed, kp.frame_rate), cfg.mjckf,
+                         side)
 
 
 def _torso_scale(kp: KeypointSeries) -> np.ndarray:
     """Smoothed per-frame torso length in pixels (shoulder midpoint to hip
     midpoint); the apparent-size reference that cancels perspective growth
     as the subject approaches the camera."""
-    mids = []
-    for upper, lower in (("shoulder", "hip"),):
-        pts = {}
-        for name in (f"{upper}_l", f"{upper}_r", f"{lower}_l", f"{lower}_r"):
-            t, u, v, c = kp.joint_track(name)
-            pts[name] = (_fill_gaps(t, u, c), _fill_gaps(t, v, c))
-        su = 0.5 * (pts[f"{upper}_l"][0] + pts[f"{upper}_r"][0])
-        sv = 0.5 * (pts[f"{upper}_l"][1] + pts[f"{upper}_r"][1])
-        hu = 0.5 * (pts[f"{lower}_l"][0] + pts[f"{lower}_r"][0])
-        hv = 0.5 * (pts[f"{lower}_l"][1] + pts[f"{lower}_r"][1])
-        mids.append(np.hypot(su - hu, sv - hv))
-    scale = mids[0]
+    pts = {}
+    for name in ("shoulder_l", "shoulder_r", "hip_l", "hip_r"):
+        t, u, v, c = kp.joint_track(name)
+        pts[name] = (_fill_gaps(t, u, c), _fill_gaps(t, v, c))
+    su = 0.5 * (pts["shoulder_l"][0] + pts["shoulder_r"][0])
+    sv = 0.5 * (pts["shoulder_l"][1] + pts["shoulder_r"][1])
+    hu = 0.5 * (pts["hip_l"][0] + pts["hip_r"][0])
+    hv = 0.5 * (pts["hip_l"][1] + pts["hip_r"][1])
+    scale = np.hypot(su - hu, sv - hv)
     if len(scale) >= 4:
         scale = adct_smooth(Series1D(scale, rate=kp.frame_rate),
                             AdctConfig(f_base=0.02, alpha=0.0)).values
@@ -107,7 +114,7 @@ def _torso_scale(kp: KeypointSeries) -> np.ndarray:
 
 def video_speed_channel(kp: KeypointSeries,
                         cfg: PipelineConfig = PipelineConfig()
-                        ) -> tuple[Series1D, np.ndarray]:
+                        ) -> VideoSpeed:
     """Wrist swing speed from calibrated keypoints plus a validity mask.
 
     Pixel velocities are divided by the smoothed torso scale (cancelling
@@ -130,7 +137,7 @@ def video_speed_channel(kp: KeypointSeries,
     return speed, valid
 
 
-def imu_speed_channel(imu: ImuSeries,
+def imu_speed_channel(imu: ImuSeries | ImuChain,
                       cfg: PipelineConfig = PipelineConfig()) -> Series1D:
     """Body-relative hand speed from the IMU alone.
 
@@ -139,22 +146,20 @@ def imu_speed_channel(imu: ImuSeries,
     band-passed in the gait band (which suppresses integration drift far
     more cleanly than hard velocity resets), and the result is projected
     into the body frame using the smoothed heading and reduced to a
-    z-scored speed magnitude.
+    z-scored speed magnitude. A prepared `ImuChain` is used as is.
     """
-    if len(imu) < 3:
-        raise SeriesTooShort("need >= 3 IMU samples")
-    denoised = _denoise_imu(imu)
-    quats = ahrs_stream(denoised)
+    chain = as_chain(imu)
+    denoised = chain.denoised
     n = len(denoised)
     a_world = np.empty((n, 3))
-    for k, q in enumerate(quats):
+    for k, q in enumerate(chain.quats):
         a_world[k] = q.to_matrix() @ denoised.acc[k]
     a_world[:, 2] -= GRAVITY
 
     v_world = integrate_velocity(a_world, denoised.sample_rate)
     v_world = _bandpass_components(v_world, denoised.sample_rate)
 
-    yaw = np.unwrap([quaternion_to_euler(q).yaw for q in quats])
+    yaw = np.unwrap(chain.euler[:, 2])
     win = max(int(HEADING_SMOOTH_S * denoised.sample_rate), 1)
     kernel = np.ones(win) / win
     pad = np.concatenate([np.full(win // 2, yaw[0]), yaw,
@@ -166,17 +171,25 @@ def imu_speed_channel(imu: ImuSeries,
                           t0=float(denoised.t[0]))
 
 
-def aligned_speeds(imu: ImuSeries, kp: KeypointSeries,
+def aligned_speeds(imu: ImuInput, kp: VideoInput,
                    offset: ClockOffsetEstimate,
                    cfg: PipelineConfig = PipelineConfig(),
                    imu_valid: np.ndarray | None = None) -> AlignedPair:
-    imu_speed = imu_speed_channel(imu, cfg)
-    video_speed, video_valid = video_speed_channel(kp, cfg)
+    """Both speed channels on one timeline.
+
+    Either stream may come prepared, so a session computes each chain once:
+    `imu` is an ImuSeries, its ImuChain or its imu_speed_channel output;
+    `kp` is a KeypointSeries or its video_speed_channel output.
+    """
+    imu_speed = (imu_speed_channel(imu, cfg)
+                 if isinstance(imu, (ImuSeries, ImuChain)) else imu)
+    video_speed, video_valid = (video_speed_channel(kp, cfg)
+                                if isinstance(kp, KeypointSeries) else kp)
     return align(imu_speed, video_speed, offset,
                  imu_valid=imu_valid, video_valid=video_valid)
 
 
-def consistency_vector(imu: ImuSeries, kp: KeypointSeries,
+def consistency_vector(imu: ImuInput, kp: VideoInput,
                        offset: ClockOffsetEstimate,
                        cfg: PipelineConfig = PipelineConfig(),
                        imu_valid: np.ndarray | None = None) -> FeatureVector:
@@ -231,7 +244,7 @@ def _shifted_pairs(pair: AlignedPair,
     return out
 
 
-def gait_vectors(imu: ImuSeries,
+def gait_vectors(imu: ImuSeries | ImuChain,
                  cfg: PipelineConfig = PipelineConfig()) -> np.ndarray:
     """Per-cycle gait feature rows for one session."""
     cycles = gait_representation(imu, cfg.segmentation)
@@ -266,10 +279,11 @@ def enroll(sessions: list[tuple[ImuSeries, KeypointSeries, ClockOffsetEstimate]]
     neg_vecs: list[FeatureVector] = []
     gaits = []
     for imu, kp, offset in sessions:
-        pair = aligned_speeds(imu, kp, offset, cfg)
+        chain = imu_chain(imu)
+        pair = aligned_speeds(chain, kp, offset, cfg)
         pos_vecs.extend(compute_features(p) for p in _window_pairs(pair))
         neg_vecs.extend(compute_features(p) for p in _shifted_pairs(pair))
-        gaits.append(gait_vectors(imu, cfg))
+        gaits.append(gait_vectors(chain, cfg))
     if len(pos_vecs) < 2 or len(neg_vecs) < 2:
         raise TooFewSamples("enrollment sessions yield too few feature "
                             "windows; record more or longer sessions")
@@ -291,15 +305,17 @@ def enroll(sessions: list[tuple[ImuSeries, KeypointSeries, ClockOffsetEstimate]]
                       feature_mask=mask, fisher=fisher)
 
 
-def consistency_score(enrollment: Enrollment, imu: ImuSeries,
-                      kp: KeypointSeries, offset: ClockOffsetEstimate,
+def consistency_score(enrollment: Enrollment, imu: ImuInput,
+                      kp: VideoInput, offset: ClockOffsetEstimate,
                       cfg: PipelineConfig = PipelineConfig(),
                       imu_valid: np.ndarray | None = None) -> float:
+    """Consistency decision value of one paired capture; the streams may
+    come prepared (see aligned_speeds)."""
     vec = consistency_vector(imu, kp, offset, cfg, imu_valid).as_array()
     return enrollment.consistency_model.score(vec[enrollment.feature_mask])
 
 
-def gait_score(enrollment: Enrollment, imu: ImuSeries,
+def gait_score(enrollment: Enrollment, imu: ImuSeries | ImuChain,
                cfg: PipelineConfig = PipelineConfig()) -> float:
     """Median per-cycle decision value for one session."""
     rows = gait_vectors(imu, cfg)

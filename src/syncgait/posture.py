@@ -215,47 +215,46 @@ class _ChainFilter:
         self.P = (np.eye(self.dim) - k @ h) @ self.P
 
 
-def mjckf_correct(kp: KeypointSeries, cfg: MjckfConfig = MjckfConfig()) -> KeypointSeries:
-    """Correct chain joints with a cooperative Kalman pass per side.
+def mjckf_correct(kp: KeypointSeries, cfg: MjckfConfig = MjckfConfig(),
+                  side: str = "r") -> KeypointSeries:
+    """Correct one arm's chain joints with a cooperative Kalman pass.
 
     Low-confidence measurements are skipped (predict-only), bridging
     occlusions; bridged frames are emitted with confidence = conf_gate.
+    The arms are independent filters; the other arm's joints pass through
+    unchanged.
     """
     if len(kp.frames) < 3:
         raise SeriesTooShort("need >= 3 frames")
+    names = _chain_names(cfg.joint_chain, side)
     present = set(kp.frames[0].joints)
-    for side in ("l", "r"):
-        for name in _chain_names(cfg.joint_chain, side):
-            if name not in present:
-                raise UnknownJoint(name)
+    for name in names:
+        if name not in present:
+            raise UnknownJoint(name)
 
     out = [KeypointFrame(f.t, dict(f.joints)) for f in kp.frames]
-    dt = 1.0 / kp.frame_rate
-
-    for side in ("l", "r"):
-        names = _chain_names(cfg.joint_chain, side)
-        first = np.array([kp.frames[0].joints[n][:2] for n in names])
-        filt = _ChainFilter(first, cfg, dt)
-        for idx, frame in enumerate(kp.frames):
-            if idx > 0:
-                filt.predict()
-            measured: dict[int, np.ndarray] = {}
-            for j, name in enumerate(names):
-                u, v, c = frame.joints[name]
-                if c >= cfg.conf_gate:
-                    measured[j] = np.array([u, v])
-            filt.update_positions(measured)
-            if len(measured) < filt.nj:
-                # limb-length coupling constrains only occluded frames;
-                # fully measured frames need no cooperative correction
-                filt.update_coupling()
-            for j in range(filt.nj - 1):
-                if j in measured and j + 1 in measured:
-                    filt.refresh_limb(j, float(np.linalg.norm(measured[j + 1] - measured[j])))
-            for j, name in enumerate(names):
-                u, v = filt.pos(j)
-                conf = frame.joints[name][2]
-                if conf < cfg.conf_gate:
-                    conf = cfg.conf_gate
-                out[idx].joints[name] = (float(u), float(v), conf)
+    first = np.array([kp.frames[0].joints[n][:2] for n in names])
+    filt = _ChainFilter(first, cfg, 1.0 / kp.frame_rate)
+    for idx, frame in enumerate(kp.frames):
+        if idx > 0:
+            filt.predict()
+        measured: dict[int, np.ndarray] = {}
+        for j, name in enumerate(names):
+            u, v, c = frame.joints[name]
+            if c >= cfg.conf_gate:
+                measured[j] = np.array([u, v])
+        filt.update_positions(measured)
+        if len(measured) < filt.nj:
+            # limb-length coupling constrains only occluded frames;
+            # fully measured frames need no cooperative correction
+            filt.update_coupling()
+        for j in range(filt.nj - 1):
+            if j in measured and j + 1 in measured:
+                filt.refresh_limb(j, float(np.linalg.norm(measured[j + 1] - measured[j])))
+        for j, name in enumerate(names):
+            u, v = filt.pos(j)
+            conf = frame.joints[name][2]
+            if conf < cfg.conf_gate:
+                conf = cfg.conf_gate
+            out[idx].joints[name] = (float(u), float(v), conf)
     return KeypointSeries(out, kp.frame_rate)

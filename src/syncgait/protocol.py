@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import enum
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import OcSvmModel
 from .errors import EnrollmentMissing, SyncGaitError
-from .pipeline import Enrollment, PipelineConfig, consistency_score, gait_score
+from .gait import imu_chain
+from .pipeline import (Enrollment, PipelineConfig, consistency_score,
+                       gait_score, imu_speed_channel, video_speed_channel)
 from .series import ImuSeries, KeypointFrame, KeypointSeries
 from .syncing import (SYNC_EXCHANGE_PERIOD, ClockOffsetEstimate,
                       kalman_track_offset, two_way_offset)
@@ -150,25 +150,27 @@ def exchange_with_arq(chunks: list, channel: ChannelModel,
     return delivered, used
 
 
-def _chunk_imu(imu: ImuSeries, chunk_s: float = CHUNK_S) -> list[np.ndarray]:
-    """Index arrays for consecutive fixed-length chunks."""
-    per = max(int(round(chunk_s * imu.sample_rate)), 1)
-    return [np.arange(a, min(a + per, len(imu)))
-            for a in range(0, len(imu), per)]
+def _chunks(n: int, rate: float, chunk_s: float = CHUNK_S) -> list[np.ndarray]:
+    """Index arrays for consecutive fixed-length chunks of an n-sample
+    stream at `rate` samples per second."""
+    per = max(int(round(chunk_s * rate)), 1)
+    return [np.arange(a, min(a + per, n)) for a in range(0, n, per)]
 
-def _chunk_frames(kp: KeypointSeries, chunk_s: float = CHUNK_S) -> list[np.ndarray]:
-    per = max(int(round(chunk_s * kp.frame_rate)), 1)
-    return [np.arange(a, min(a + per, len(kp.frames)))
-            for a in range(0, len(kp.frames), per)]
+
+def _delivered_mask(n: int, kept: set[int],
+                    chunks: list[np.ndarray]) -> np.ndarray:
+    valid = np.zeros(n, dtype=bool)
+    for i in kept:
+        valid[chunks[i]] = True
+    return valid
 
 
 def _received_imu(imu: ImuSeries, kept: set[int],
                   chunks: list[np.ndarray]) -> tuple[ImuSeries, np.ndarray]:
     """Reassemble the receiver's view: full timeline with lost spans linearly
-    interpolated, plus a per-sample validity mask."""
-    valid = np.zeros(len(imu), dtype=bool)
-    for i in kept:
-        valid[chunks[i]] = True
+    interpolated, plus a per-sample validity mask. With nothing lost the
+    view is the sender's series itself."""
+    valid = _delivered_mask(len(imu), kept, chunks)
     if valid.all():
         return imu, valid
     t = imu.t
@@ -186,10 +188,11 @@ def _received_imu(imu: ImuSeries, kept: set[int],
 def _received_keypoints(kp: KeypointSeries, kept: set[int],
                         chunks: list[np.ndarray]) -> KeypointSeries:
     """Receiver's view: lost frames stay on the timeline with confidence 0,
-    so the calibration stage bridges them like any occlusion."""
-    valid = np.zeros(len(kp.frames), dtype=bool)
-    for i in kept:
-        valid[chunks[i]] = True
+    so the calibration stage bridges them like any occlusion. With nothing
+    lost the view is the sender's series itself."""
+    valid = _delivered_mask(len(kp.frames), kept, chunks)
+    if valid.all():
+        return kp
     frames = []
     for k, f in enumerate(kp.frames):
         if valid[k]:
@@ -198,6 +201,35 @@ def _received_keypoints(kp: KeypointSeries, kept: set[int],
             frames.append(KeypointFrame(
                 f.t, {n: (u, v, 0.0) for n, (u, v, _) in f.joints.items()}))
     return KeypointSeries(frames, kp.frame_rate)
+
+
+def attempt_scores(enrollment: Enrollment, cfg: PipelineConfig,
+                   offset: ClockOffsetEstimate, imu: ImuSeries,
+                   kp: KeypointSeries, imu_at_drone: ImuSeries,
+                   imu_valid: np.ndarray, kp_at_phone: KeypointSeries
+                   ) -> tuple[float, float, float]:
+    """Drone consistency, phone consistency and gait scores of one attempt,
+    each stream prepared once.
+
+    The drone scores the phone's IMU as it arrived (`imu_at_drone`, with its
+    validity mask) against its own keypoints `kp`; the phone scores its own
+    `imu` against the keypoints as they arrived (`kp_at_phone`) and checks
+    the gait on `imu`. A view that is the sender's own object (nothing was
+    lost) reuses the sender's prepared stream. The scores equal
+    consistency_score and gait_score on the raw views.
+    """
+    chain = imu_chain(imu_at_drone)
+    imu_speed = imu_speed_channel(chain, cfg)
+    video = video_speed_channel(kp, cfg)
+    s_drone = consistency_score(enrollment, imu_speed, video, offset, cfg,
+                                imu_valid=imu_valid)
+    if imu_at_drone is not imu:
+        chain = imu_chain(imu)
+        imu_speed = imu_speed_channel(chain, cfg)
+    if kp_at_phone is not kp:
+        video = video_speed_channel(kp_at_phone, cfg)
+    s_phone = consistency_score(enrollment, imu_speed, video, offset, cfg)
+    return s_drone, s_phone, gait_score(enrollment, chain, cfg)
 
 
 def _time_sync(cfg: SessionConfig, rng: np.random.Generator,
@@ -264,8 +296,8 @@ def run_session(cfg: SessionConfig, enrollment: Enrollment,
                 offset=round(offset.offset, 6))
 
         log.log(t, "phone", "state", state=SessionState.EXCHANGE.value)
-        imu_chunks = _chunk_imu(imu)
-        kp_chunks = _chunk_frames(kp)
+        imu_chunks = _chunks(len(imu), imu.sample_rate)
+        kp_chunks = _chunks(len(kp.frames), kp.frame_rate)
         got_imu, imu_rounds = exchange_with_arq(imu_chunks, cfg.channel, rng)
         got_kp, kp_rounds = exchange_with_arq(kp_chunks, cfg.channel, rng)
         log.log(t, "drone", "imu_received", chunks=len(got_imu),
@@ -277,12 +309,9 @@ def run_session(cfg: SessionConfig, enrollment: Enrollment,
 
         log.log(t, "phone", "state", state=SessionState.VERIFY.value)
         try:
-            s_drone = consistency_score(enrollment, imu_at_drone, kp,
-                                        offset, cfg.pipeline,
-                                        imu_valid=imu_valid)
-            s_phone = consistency_score(enrollment, imu, kp_at_phone,
-                                        offset, cfg.pipeline)
-            s_gait = gait_score(enrollment, imu, cfg.pipeline)
+            s_drone, s_phone, s_gait = attempt_scores(
+                enrollment, cfg.pipeline, offset, imu, kp, imu_at_drone,
+                imu_valid, kp_at_phone)
         except SyncGaitError as exc:
             log.log(t, "phone", "attempt_failed",
                     reason=type(exc).__name__)

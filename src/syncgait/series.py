@@ -155,11 +155,12 @@ def _dwt_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _idwt_step(approx: np.ndarray, detail: np.ndarray) -> np.ndarray:
-    n = 2 * len(approx)
-    out = np.zeros(n)
-    for k in range(len(approx)):
-        pos = (2 * k + np.arange(4)) % n
-        out[pos] += approx[k] * _DB2_LO + detail[k] * _DB2_HI
+    """Transpose of _dwt_step: coefficient k spreads its 4 taps onto
+    samples 2k..2k+3 (periodized), so each sample sums two taps."""
+    taps = approx[:, None] * _DB2_LO + detail[:, None] * _DB2_HI
+    out = np.empty(2 * len(approx))
+    out[0::2] = taps[:, 0] + np.roll(taps[:, 2], 1)
+    out[1::2] = taps[:, 1] + np.roll(taps[:, 3], 1)
     return out
 
 

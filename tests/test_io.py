@@ -52,6 +52,19 @@ def test_missing_header_rejected(tmp_path):
         read_keypoint_jsonl(bad)
 
 
+@pytest.mark.parametrize("body", [
+    "",
+    "0,1,2,3,4,5,6,7,8,9\n0.01,1,2,3\n",
+    "0,1,2,3,4,5,6,7,8\n",
+    "0,1,2,3,4,5,6,7,8,x\n",
+], ids=["header_only", "ragged_row", "short_rows", "non_numeric"])
+def test_malformed_imu_rows_raise_io_failure(tmp_path, body):
+    path = tmp_path / "imu.csv"
+    path.write_text(f"{FORMAT_TAG}\n{IMU_COLUMNS}\n{body}")
+    with pytest.raises(IoFailure):
+        read_imu_csv(path)
+
+
 def test_missing_file_raises_io_failure(tmp_path):
     with pytest.raises(IoFailure):
         read_imu_csv(tmp_path / "nope.csv")

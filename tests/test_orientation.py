@@ -124,8 +124,6 @@ def test_integrate_velocity_starts_at_zero():
 def test_integrate_velocity_validates_args():
     with pytest.raises(ValueError):
         integrate_velocity(np.ones((4, 3)), 0.0)
-    with pytest.raises(ValueError):
-        integrate_velocity(np.ones((4, 3)), 100.0, i=0)
 
 
 def test_project_body_relative_quarter_turn():

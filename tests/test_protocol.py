@@ -7,9 +7,11 @@ import pytest
 
 from syncgait.errors import EnrollmentMissing
 from syncgait.protocol import (ARQ_ROUNDS, ChannelModel, SessionConfig,
-                               SessionState, exchange_with_arq, inject_loss,
-                               run_session)
-from syncgait.pipeline import Enrollment, enroll
+                               SessionState, _chunks, _received_imu,
+                               _received_keypoints, attempt_scores,
+                               exchange_with_arq, inject_loss, run_session)
+from syncgait.pipeline import (Enrollment, PipelineConfig, consistency_score,
+                               enroll, gait_score)
 from syncgait.syncing import ClockOffsetEstimate
 from syncgait.synth import SubjectParams, generate_session
 
@@ -108,6 +110,46 @@ def test_impostor_gait_rejected(enrolled_subject):
     result = run_session(cfg, enrollment, imu_src, kp_src, seed=3)
     assert result.state == SessionState.FAILED
     assert result.record is not None and not result.record.gait_pass
+
+
+def test_complete_views_are_the_senders_streams(enrolled_subject):
+    subject, _ = enrolled_subject
+    imu, kp, _ = generate_session(subject, clock_offset=OFFSET,
+                                  seed_offset=505)
+    imu_chunks = _chunks(len(imu), imu.sample_rate)
+    kp_chunks = _chunks(len(kp.frames), kp.frame_rate)
+    view, valid = _received_imu(imu, set(range(len(imu_chunks))), imu_chunks)
+    assert view is imu and valid.all()
+    assert _received_keypoints(kp, set(range(len(kp_chunks))),
+                               kp_chunks) is kp
+
+
+def test_one_pass_scores_equal_per_view_scores_on_partial_views(
+        enrolled_subject):
+    subject, enrollment = enrolled_subject
+    est = ClockOffsetEstimate(OFFSET, 1e-6, 0.005)
+    imu, kp, _ = generate_session(subject, clock_offset=OFFSET,
+                                  seed_offset=506)
+    imu_chunks = _chunks(len(imu), imu.sample_rate)
+    kp_chunks = _chunks(len(kp.frames), kp.frame_rate)
+    imu_at_drone, imu_valid = _received_imu(
+        imu, set(range(len(imu_chunks))) - {20}, imu_chunks)
+    kp_at_phone = _received_keypoints(
+        kp, set(range(len(kp_chunks))) - {30, 31}, kp_chunks)
+    assert not imu_valid.all() and imu_at_drone is not imu
+    assert kp_at_phone is not kp
+
+    drone, phone, gait = attempt_scores(
+        enrollment, PipelineConfig(), est, imu, kp, imu_at_drone, imu_valid,
+        kp_at_phone)
+    assert drone.hex() == consistency_score(
+        enrollment, imu_at_drone, kp, est, imu_valid=imu_valid).hex()
+    assert phone.hex() == consistency_score(
+        enrollment, imu, kp_at_phone, est).hex()
+    assert gait.hex() == gait_score(enrollment, imu).hex()
+    # the lost chunks do reach the scores
+    full = consistency_score(enrollment, imu, kp, est)
+    assert drone != full and phone != full
 
 
 def test_session_requires_enrollment():
