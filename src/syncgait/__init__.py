@@ -6,9 +6,8 @@ signature), exercised by a lossy-channel protocol simulator against a
 parametric synthetic cohort with relay / hijack / mimicry attack generators.
 """
 
-from .classify import (CentroidModel, OcSvmModel, Scaler, deserialize_model,
-                       fit_ocsvm_fixed, serialize_model, train_centroid,
-                       train_ocsvm, train_ocsvm_calibrated)
+from .classify import (OcSvmModel, Scaler, deserialize_model, fit_ocsvm_fixed,
+                       serialize_model, train_ocsvm, train_ocsvm_calibrated)
 from .errors import SyncGaitError
 from .features import (FEATURE_NAMES, FeatureVector, FisherReport,
                        compute_features, fisher_select)
@@ -29,7 +28,7 @@ from .posture import (AdctConfig, MjckfConfig, SpectralBand, adaptive_bandpass,
 from .protocol import (ChannelModel, DecisionRecord, SessionConfig,
                        SessionResult, SessionState, attempt_scores,
                        exchange_with_arq, inject_loss, run_session)
-from .series import ImuSeries, KeypointFrame, KeypointSeries, Series1D
+from .series import JOINT_INDEX, ImuSeries, KeypointSeries, Series1D
 from .syncing import (AlignedPair, ClockOffsetEstimate, align,
                       kalman_track_offset, two_way_offset)
 from .synth import (CameraModel, GroundTruth, HijackAttack, MimicryAttack,

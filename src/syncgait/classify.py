@@ -1,4 +1,4 @@
-"""One-class classifiers: OC-SVM (dual solver), centroid, decision-tree stub.
+"""One-class classifier: OC-SVM (dual solver) and its model file format.
 
 The OC-SVM dual  min 1/2 a'Ka  s.t. 0 <= a_i <= 1/(nu n), sum a = 1  is solved
 by SMO-style pairwise coordinate updates to a KKT tolerance. Hyperparameters
@@ -66,25 +66,6 @@ class OcSvmModel:
         z = self.scaler.transform(np.asarray(x, dtype=float))
         k = _rbf(self.support_vectors, z, self.gamma)
         return self.dual_coef @ k - self.rho
-
-
-@dataclass
-class CentroidModel:
-    centroid: np.ndarray
-    threshold: float
-    scaler: Scaler
-
-    def __post_init__(self):
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
-
-    def score(self, x: np.ndarray) -> float:
-        z = self.scaler.transform(np.asarray(x, dtype=float))[0]
-        return float(self.threshold - np.linalg.norm(z - self.centroid))
-
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        z = self.scaler.transform(np.asarray(x, dtype=float))
-        return self.threshold - np.linalg.norm(z - self.centroid, axis=1)
 
 
 def _solve_ocsvm_dual(k: np.ndarray, nu: float, tol: float = KKT_TOL,
@@ -205,71 +186,20 @@ def train_ocsvm_calibrated(positives: np.ndarray, negatives: np.ndarray,
     return model
 
 
-def train_centroid(train: np.ndarray, quantile: float = 0.95) -> CentroidModel:
-    """Centroid with threshold at the given quantile of training distances."""
-    x = np.atleast_2d(np.asarray(train, dtype=float))
-    if len(x) < 2:
-        raise TooFewSamples("need >= 2 training vectors")
-    scaler = Scaler.fit(x)
-    z = scaler.transform(x)
-    centroid = z.mean(axis=0)
-    dists = np.linalg.norm(z - centroid, axis=1)
-    thr = float(np.quantile(dists, quantile)) * 1.1
-    return CentroidModel(centroid=centroid, threshold=max(thr, 1e-6),
-                         scaler=scaler)
-
-
-@dataclass
-class AxisTreeModel:
-    """Depth-limited axis-aligned box learned against uniform-outlier
-    surrogate labels; baseline only, same score interface."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-    scaler: Scaler
-    margin: float = 0.0
-
-    def score(self, x: np.ndarray) -> float:
-        z = self.scaler.transform(np.asarray(x, dtype=float))[0]
-        slack = np.minimum(z - self.lo, self.hi - z)
-        return float(slack.min() + self.margin)
-
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        z = self.scaler.transform(np.asarray(x, dtype=float))
-        slack = np.minimum(z - self.lo, self.hi - z)
-        return slack.min(axis=1) + self.margin
-
-
-def train_tree(train: np.ndarray, quantile: float = 0.02) -> AxisTreeModel:
-    x = np.atleast_2d(np.asarray(train, dtype=float))
-    if len(x) < 2:
-        raise TooFewSamples("need >= 2 training vectors")
-    scaler = Scaler.fit(x)
-    z = scaler.transform(x)
-    lo = np.quantile(z, quantile, axis=0) - 0.25
-    hi = np.quantile(z, 1 - quantile, axis=0) + 0.25
-    return AxisTreeModel(lo=lo, hi=hi, scaler=scaler)
-
-
 # --- serialization -----------------------------------------------------------
 
 _MODEL_TAG = b"SGMODEL1"
+_KIND_OCSVM = 1
 
 
-def serialize_model(model) -> bytes:
-    """Versioned binary blob for OC-SVM or centroid models."""
-    if isinstance(model, OcSvmModel):
-        kind = 1
-        arrays = [model.support_vectors, model.dual_coef,
-                  model.scaler.mean, model.scaler.std]
-        params = (model.rho, model.nu, model.gamma)
-    elif isinstance(model, CentroidModel):
-        kind = 2
-        arrays = [model.centroid, model.scaler.mean, model.scaler.std]
-        params = (model.threshold, 0.0, 0.0)
-    else:
+def serialize_model(model: OcSvmModel) -> bytes:
+    """Versioned binary blob of an OC-SVM model."""
+    if not isinstance(model, OcSvmModel):
         raise TypeError(f"cannot serialize {type(model).__name__}")
-    out = [_MODEL_TAG, struct.pack("<B3d", kind, *params),
+    arrays = [model.support_vectors, model.dual_coef,
+              model.scaler.mean, model.scaler.std]
+    out = [_MODEL_TAG,
+           struct.pack("<B3d", _KIND_OCSVM, model.rho, model.nu, model.gamma),
            struct.pack("<B", len(arrays))]
     for a in arrays:
         a = np.ascontiguousarray(a, dtype="<f8")
@@ -279,27 +209,30 @@ def serialize_model(model) -> bytes:
     return b"".join(out)
 
 
-def deserialize_model(blob: bytes):
+def deserialize_model(blob: bytes) -> OcSvmModel:
+    """Inverse of serialize_model; a truncated or mistagged blob raises
+    ValueError."""
     if blob[:8] != _MODEL_TAG:
         raise ValueError("bad model tag")
     off = 8
-    kind, p0, p1, p2 = struct.unpack_from("<B3d", blob, off)
-    off += struct.calcsize("<B3d")
-    (n_arr,) = struct.unpack_from("<B", blob, off)
-    off += 1
-    arrays = []
-    for _ in range(n_arr):
-        ndim, d0, d1 = struct.unpack_from("<BII", blob, off)
-        off += struct.calcsize("<BII")
-        count = d0 * (d1 if ndim == 2 else 1)
-        a = np.frombuffer(blob, dtype="<f8", offset=off, count=count).copy()
-        off += count * 8
-        arrays.append(a.reshape(d0, d1) if ndim == 2 else a)
-    if kind == 1:
-        sv, coef, mean, std = arrays
-        return OcSvmModel(sv, coef, rho=p0, nu=p1, gamma=p2,
-                          scaler=Scaler(mean, std))
-    if kind == 2:
-        centroid, mean, std = arrays
-        return CentroidModel(centroid, threshold=p0, scaler=Scaler(mean, std))
-    raise ValueError(f"unknown model kind {kind}")
+    try:
+        kind, rho, nu, gamma = struct.unpack_from("<B3d", blob, off)
+        off += struct.calcsize("<B3d")
+        (n_arr,) = struct.unpack_from("<B", blob, off)
+        off += 1
+        arrays = []
+        for _ in range(n_arr):
+            ndim, d0, d1 = struct.unpack_from("<BII", blob, off)
+            off += struct.calcsize("<BII")
+            count = d0 * (d1 if ndim == 2 else 1)
+            a = np.frombuffer(blob, dtype="<f8", offset=off,
+                              count=count).copy()
+            off += count * 8
+            arrays.append(a.reshape(d0, d1) if ndim == 2 else a)
+    except struct.error as exc:
+        raise ValueError(f"truncated model blob: {exc}") from exc
+    if kind != _KIND_OCSVM:
+        raise ValueError(f"unknown model kind {kind}")
+    sv, coef, mean, std = arrays
+    return OcSvmModel(sv, coef, rho=rho, nu=nu, gamma=gamma,
+                      scaler=Scaler(mean, std))

@@ -172,11 +172,15 @@ def cmd_synth(cfg: ExperimentConfig, out: Path) -> int:
 
 def _load_manifest(data_dir: Path) -> dict:
     try:
-        return json.loads((data_dir / "manifest.json").read_text())
+        manifest = json.loads((data_dir / "manifest.json").read_text())
     except OSError as exc:
         raise IoFailure(f"cannot read manifest: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise IoFailure(f"manifest is not valid JSON: {exc}") from exc
+    if not (isinstance(manifest, dict)
+            and isinstance(manifest.get("subjects", []), list)):
+        raise IoFailure("manifest must be a JSON object with a subjects list")
+    return manifest
 
 
 def cmd_enroll(cfg: ExperimentConfig, data_dir: Path, subject: int,
@@ -186,18 +190,26 @@ def cmd_enroll(cfg: ExperimentConfig, data_dir: Path, subject: int,
     if not 0 <= subject < len(subjects):
         raise ValueError(f"subject index {subject} outside cohort of "
                          f"{len(subjects)}")
-    imu_rate = float(manifest.get("imu_rate", 100.0))
-    fps = float(manifest.get("config", {}).get("fps", 60.0))
+    try:
+        imu_rate = float(manifest.get("imu_rate", 100.0))
+        fps = float(manifest.get("config", {}).get("fps", 60.0))
+        entries = [(data_dir / sess["imu"], data_dir / sess["keypoints"],
+                    float(sess["clock_offset"]))
+                   for sess in subjects[subject]["sessions"]]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise IoFailure(f"malformed manifest: {exc!r}") from exc
     sessions = []
-    for sess in subjects[subject]["sessions"]:
-        imu = read_imu_csv(data_dir / sess["imu"], sample_rate=imu_rate)
-        kp = read_keypoint_jsonl(data_dir / sess["keypoints"], frame_rate=fps)
-        offset = ClockOffsetEstimate(float(sess["clock_offset"]),
-                                     1e-6, 0.005)
-        sessions.append((imu, kp, offset))
+    for imu_path, kp_path, clock_offset in entries:
+        imu = read_imu_csv(imu_path, sample_rate=imu_rate)
+        kp = read_keypoint_jsonl(kp_path, frame_rate=fps)
+        sessions.append((imu, kp,
+                         ClockOffsetEstimate(clock_offset, 1e-6, 0.005)))
     enrollment = enroll(sessions, PipelineConfig(), seed=cfg.seed)
 
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
     cons_path = out / f"subject{subject:02d}_consistency.model"
     gait_path = out / f"subject{subject:02d}_gait.model"
     try:
@@ -226,9 +238,10 @@ def load_enrollment(out: Path, subject: int) -> Enrollment:
         meta = json.loads(meta_path.read_text())
         cons = deserialize_model((out / meta["consistency_model"]).read_bytes())
         gait = deserialize_model((out / meta["gait_model"]).read_bytes())
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    mask = np.array(meta["feature_mask"], dtype=bool)
+        mask = np.array(meta["feature_mask"], dtype=bool)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise IoFailure(f"cannot load enrollment of subject {subject}: "
+                        f"{exc!r}") from exc
     return Enrollment(consistency_model=cons, gait_model=gait,
                       feature_mask=mask)
 

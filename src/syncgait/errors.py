@@ -17,10 +17,6 @@ class NonUnitQuaternion(SyncGaitError):
     pass
 
 
-class ZeroReferenceVector(SyncGaitError):
-    pass
-
-
 class LengthMismatch(SyncGaitError):
     pass
 
@@ -30,10 +26,6 @@ class InvalidBand(SyncGaitError):
 
 
 class UnknownJoint(SyncGaitError):
-    pass
-
-
-class InsufficientFrames(SyncGaitError):
     pass
 
 
@@ -74,10 +66,6 @@ class EmptyScores(SyncGaitError):
 
 
 class EnrollmentMissing(SyncGaitError):
-    pass
-
-
-class UnknownSubject(SyncGaitError):
     pass
 
 

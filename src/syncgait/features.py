@@ -37,9 +37,6 @@ class FeatureVector:
                          self.sync_lag_score, self.coherence_mean,
                          self.spectral_diff])
 
-    def to_csv_row(self) -> str:
-        return ",".join(f"{x:.9g}" for x in self.as_array())
-
 
 @dataclass(frozen=True)
 class FisherReport:
@@ -135,8 +132,3 @@ def fisher_select(genuine: list[FeatureVector], impostor: list[FeatureVector],
     return FisherReport(names=names, raw_scores=raw, normalized=normalized,
                         selected=normalized > FISHER_SELECT_THRESHOLD)
 
-
-def features_to_csv(rows: list[FeatureVector]) -> str:
-    lines = [",".join(FEATURE_NAMES)]
-    lines.extend(r.to_csv_row() for r in rows)
-    return "\n".join(lines) + "\n"

@@ -25,7 +25,7 @@ from .orientation import GRAVITY, integrate_velocity, project_body_relative
 from .posture import (GAIT_BAND_HI, GAIT_BAND_LO, AdctConfig, MjckfConfig,
                       SpectralBand, adaptive_bandpass, adct_smooth,
                       mjckf_correct)
-from .series import (MISSING_CONF, ImuSeries, KeypointFrame, KeypointSeries,
+from .series import (JOINT_INDEX, MISSING_CONF, ImuSeries, KeypointSeries,
                      Series1D, normalize_or_flag)
 from .syncing import AlignedPair, ClockOffsetEstimate, align, imu_hand_speed
 
@@ -78,7 +78,7 @@ def calibrate_keypoints(kp: KeypointSeries, cfg: PipelineConfig) -> KeypointSeri
     Only the `cfg.side` arm is calibrated, the one the speed channel reads;
     the sides are independent, so the other arm's joints pass through."""
     side = cfg.side[0]
-    smoothed = [KeypointFrame(f.t, dict(f.joints)) for f in kp.frames]
+    uv = kp.uv.copy()
     for joint in _CHAIN_JOINTS:
         name = f"{joint}_{side}"
         t, u, v, c = kp.joint_track(name)
@@ -87,10 +87,10 @@ def calibrate_keypoints(kp: KeypointSeries, cfg: PipelineConfig) -> KeypointSeri
         if len(u) >= 4:
             u = adct_smooth(Series1D(u, rate=kp.frame_rate), cfg.adct).values
             v = adct_smooth(Series1D(v, rate=kp.frame_rate), cfg.adct).values
-        for i, frame in enumerate(smoothed):
-            frame.joints[name] = (float(u[i]), float(v[i]), c[i])
-    return mjckf_correct(KeypointSeries(smoothed, kp.frame_rate), cfg.mjckf,
-                         side)
+        uv[:, JOINT_INDEX[name], 0] = u
+        uv[:, JOINT_INDEX[name], 1] = v
+    return mjckf_correct(KeypointSeries(kp.t, uv, kp.conf, kp.frame_rate),
+                         cfg.mjckf, side)
 
 
 def _torso_scale(kp: KeypointSeries) -> np.ndarray:

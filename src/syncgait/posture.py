@@ -15,7 +15,7 @@ from scipy.fft import dct, idct
 from scipy.signal import butter, filtfilt
 
 from .errors import InvalidBand, SeriesTooShort, UnknownJoint
-from .series import KeypointFrame, KeypointSeries, Series1D
+from .series import JOINT_INDEX, KeypointSeries, Series1D
 
 GAIT_BAND_LO = 0.3
 GAIT_BAND_HI = 5.0
@@ -224,25 +224,23 @@ def mjckf_correct(kp: KeypointSeries, cfg: MjckfConfig = MjckfConfig(),
     The arms are independent filters; the other arm's joints pass through
     unchanged.
     """
-    if len(kp.frames) < 3:
+    if len(kp) < 3:
         raise SeriesTooShort("need >= 3 frames")
     names = _chain_names(cfg.joint_chain, side)
-    present = set(kp.frames[0].joints)
     for name in names:
-        if name not in present:
+        if name not in JOINT_INDEX:
             raise UnknownJoint(name)
+    cols = [JOINT_INDEX[n] for n in names]
+    track = kp.uv[:, cols]
+    conf = kp.conf[:, cols]
 
-    out = [KeypointFrame(f.t, dict(f.joints)) for f in kp.frames]
-    first = np.array([kp.frames[0].joints[n][:2] for n in names])
-    filt = _ChainFilter(first, cfg, 1.0 / kp.frame_rate)
-    for idx, frame in enumerate(kp.frames):
+    filtered = np.empty_like(track)
+    filt = _ChainFilter(track[0], cfg, 1.0 / kp.frame_rate)
+    for idx in range(len(kp)):
         if idx > 0:
             filt.predict()
-        measured: dict[int, np.ndarray] = {}
-        for j, name in enumerate(names):
-            u, v, c = frame.joints[name]
-            if c >= cfg.conf_gate:
-                measured[j] = np.array([u, v])
+        measured = {j: track[idx, j] for j in range(filt.nj)
+                    if conf[idx, j] >= cfg.conf_gate}
         filt.update_positions(measured)
         if len(measured) < filt.nj:
             # limb-length coupling constrains only occluded frames;
@@ -251,10 +249,10 @@ def mjckf_correct(kp: KeypointSeries, cfg: MjckfConfig = MjckfConfig(),
         for j in range(filt.nj - 1):
             if j in measured and j + 1 in measured:
                 filt.refresh_limb(j, float(np.linalg.norm(measured[j + 1] - measured[j])))
-        for j, name in enumerate(names):
-            u, v = filt.pos(j)
-            conf = frame.joints[name][2]
-            if conf < cfg.conf_gate:
-                conf = cfg.conf_gate
-            out[idx].joints[name] = (float(u), float(v), conf)
-    return KeypointSeries(out, kp.frame_rate)
+        for j in range(filt.nj):
+            filtered[idx, j] = filt.pos(j)
+    uv = kp.uv.copy()
+    uv[:, cols] = filtered
+    out_conf = kp.conf.copy()
+    out_conf[:, cols] = np.maximum(conf, cfg.conf_gate)
+    return KeypointSeries(kp.t, uv, out_conf, kp.frame_rate)

@@ -20,7 +20,7 @@ from .errors import EnrollmentMissing, SyncGaitError
 from .gait import imu_chain
 from .pipeline import (Enrollment, PipelineConfig, consistency_score,
                        gait_score, imu_speed_channel, video_speed_channel)
-from .series import ImuSeries, KeypointFrame, KeypointSeries
+from .series import ImuSeries, KeypointSeries
 from .syncing import (SYNC_EXCHANGE_PERIOD, ClockOffsetEstimate,
                       kalman_track_offset, two_way_offset)
 
@@ -190,17 +190,12 @@ def _received_keypoints(kp: KeypointSeries, kept: set[int],
     """Receiver's view: lost frames stay on the timeline with confidence 0,
     so the calibration stage bridges them like any occlusion. With nothing
     lost the view is the sender's series itself."""
-    valid = _delivered_mask(len(kp.frames), kept, chunks)
+    valid = _delivered_mask(len(kp), kept, chunks)
     if valid.all():
         return kp
-    frames = []
-    for k, f in enumerate(kp.frames):
-        if valid[k]:
-            frames.append(KeypointFrame(f.t, dict(f.joints)))
-        else:
-            frames.append(KeypointFrame(
-                f.t, {n: (u, v, 0.0) for n, (u, v, _) in f.joints.items()}))
-    return KeypointSeries(frames, kp.frame_rate)
+    conf = kp.conf.copy()
+    conf[~valid] = 0.0
+    return KeypointSeries(kp.t, kp.uv, conf, kp.frame_rate)
 
 
 def attempt_scores(enrollment: Enrollment, cfg: PipelineConfig,
@@ -297,7 +292,7 @@ def run_session(cfg: SessionConfig, enrollment: Enrollment,
 
         log.log(t, "phone", "state", state=SessionState.EXCHANGE.value)
         imu_chunks = _chunks(len(imu), imu.sample_rate)
-        kp_chunks = _chunks(len(kp.frames), kp.frame_rate)
+        kp_chunks = _chunks(len(kp), kp.frame_rate)
         got_imu, imu_rounds = exchange_with_arq(imu_chunks, cfg.channel, rng)
         got_kp, kp_rounds = exchange_with_arq(kp_chunks, cfg.channel, rng)
         log.log(t, "drone", "imu_received", chunks=len(got_imu),

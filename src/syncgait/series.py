@@ -1,8 +1,9 @@
 """Core time-series containers and generic preprocessing.
 
 IMU streams are 9-axis (accelerometer, gyroscope, magnetometer) in the phone
-frame; keypoint streams are named 2D joints in pixel coordinates. Series1D is
-the uniform per-channel carrier used by every downstream stage.
+frame; keypoint streams are columnar 2D joint positions in pixel coordinates
+with per-joint confidences. Series1D is the uniform per-channel carrier used
+by every downstream stage.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ REQUIRED_JOINTS = (
     "knee_l", "knee_r",
     "ankle_l", "ankle_r",
 )
+JOINT_INDEX = {name: j for j, name in enumerate(REQUIRED_JOINTS)}
 
 # Confidence below this is treated as a missing detection downstream.
 MISSING_CONF = 0.3
@@ -54,16 +56,19 @@ class ImuSeries:
         self.mag = np.asarray(self.mag, dtype=float)
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
-        if len(self.t) > 1 and not np.all(np.diff(self.t) > 0):
+        n = len(self.t)
+        if self.t.ndim != 1 or any(a.shape != (n, 3)
+                                   for a in (self.acc, self.gyro, self.mag)):
+            raise ValueError("need t of shape (n,) and acc, gyro, mag of "
+                             "shape (n, 3)")
+        if not all(np.isfinite(a).all()
+                   for a in (self.t, self.acc, self.gyro, self.mag)):
+            raise ValueError("IMU samples must be finite")
+        if n > 1 and not np.all(np.diff(self.t) > 0):
             raise ValueError("timestamps must be strictly increasing")
 
     def __len__(self) -> int:
         return len(self.t)
-
-    @property
-    def samples(self) -> list[ImuSample]:
-        return [ImuSample(float(self.t[i]), self.acc[i], self.gyro[i], self.mag[i])
-                for i in range(len(self.t))]
 
     def channel(self, name: str) -> "Series1D":
         """Extract one axis ('ax'..'mz') as a Series1D at the nominal rate."""
@@ -73,43 +78,45 @@ class ImuSeries:
 
 
 @dataclass
-class KeypointFrame:
-    """One video frame of named 2D joints: name -> (u, v, confidence)."""
-
-    t: float
-    joints: dict[str, tuple[float, float, float]]
-
-    def __post_init__(self):
-        for name in REQUIRED_JOINTS:
-            if name not in self.joints:
-                self.joints[name] = (0.0, 0.0, 0.0)
-        for name, (u, v, c) in self.joints.items():
-            if not 0.0 <= c <= 1.0:
-                raise ValueError(f"confidence out of [0,1] for joint {name}")
-
-
-@dataclass
 class KeypointSeries:
-    """Ordered keypoint frames at a nominal frame rate."""
+    """Keypoint frames at a nominal frame rate, held by column: frame times
+    t (n,), pixel positions uv (n, J, 2) and detection confidences conf
+    (n, J), with joint j = JOINT_INDEX[name] in REQUIRED_JOINTS order.
 
-    frames: list[KeypointFrame]
+    The arrays may be shared between series; copy one before writing to it.
+    """
+
+    t: np.ndarray
+    uv: np.ndarray
+    conf: np.ndarray
     frame_rate: float = 60.0
 
     def __post_init__(self):
-        ts = [f.t for f in self.frames]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
+        self.t = np.asarray(self.t, dtype=float)
+        self.uv = np.asarray(self.uv, dtype=float)
+        self.conf = np.asarray(self.conf, dtype=float)
+        if self.frame_rate <= 0:
+            raise ValueError("frame_rate must be positive")
+        n, nj = len(self.t), len(REQUIRED_JOINTS)
+        if (self.t.ndim != 1 or self.uv.shape != (n, nj, 2)
+                or self.conf.shape != (n, nj)):
+            raise ValueError(f"need t (n,), uv (n, {nj}, 2) and conf "
+                             f"(n, {nj}) for n frames")
+        if not (np.isfinite(self.t).all() and np.isfinite(self.uv).all()):
+            raise ValueError("frame times and joint positions must be finite")
+        if not ((self.conf >= 0.0) & (self.conf <= 1.0)).all():
+            raise ValueError("joint confidence out of [0,1]")
+        if n > 1 and not np.all(np.diff(self.t) > 0):
             raise ValueError("frame timestamps must be strictly increasing")
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return len(self.t)
 
     def joint_track(self, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Return (t, u, v, conf) arrays for one joint."""
-        t = np.array([f.t for f in self.frames])
-        u = np.array([f.joints[name][0] for f in self.frames])
-        v = np.array([f.joints[name][1] for f in self.frames])
-        c = np.array([f.joints[name][2] for f in self.frames])
-        return t, u, v, c
+        """Return fresh (t, u, v, conf) arrays for one joint."""
+        j = JOINT_INDEX[name]
+        return (self.t.copy(), self.uv[:, j, 0].copy(),
+                self.uv[:, j, 1].copy(), self.conf[:, j].copy())
 
 
 @dataclass
@@ -229,16 +236,3 @@ def normalize_or_flag(s: Series1D, mode: str = "zscore") -> Series1D:
     except DegenerateSeries:
         return Series1D(np.zeros(len(s)), s.t0, s.rate, degenerate=True)
 
-
-def resample(s: Series1D, target_rate: float) -> Series1D:
-    """Linear-interpolation resampling onto the same time span."""
-    if target_rate <= 0:
-        raise ValueError("target_rate must be positive")
-    if len(s) < 2:
-        raise SeriesTooShort("need >= 2 samples to resample")
-    if target_rate == s.rate:
-        return Series1D(s.values.copy(), s.t0, s.rate)
-    t_old = s.times
-    n_new = int(math.floor((t_old[-1] - s.t0) * target_rate)) + 1
-    t_new = s.t0 + np.arange(n_new) / target_rate
-    return Series1D(np.interp(t_new, t_old, s.values), s.t0, target_rate)

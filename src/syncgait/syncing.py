@@ -1,8 +1,8 @@
 """Temporal co-registration of the two modalities.
 
-Two-way clock-offset estimation with Kalman drift tracking, hand-speed
-extraction from keypoints and from body-relative IMU velocities, and
-alignment of both speed channels onto one timeline.
+Two-way clock-offset estimation with Kalman drift tracking, hand speed from
+body-relative IMU velocities, and alignment of both speed channels onto one
+timeline.
 """
 
 from __future__ import annotations
@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InsufficientFrames, InsufficientOverlap,
-                     NegativeRoundTrip)
-from .series import KeypointSeries, Series1D, normalize_or_flag
+from .errors import InsufficientOverlap, NegativeRoundTrip
+from .series import Series1D, normalize_or_flag
 
 DEFAULT_COMMON_RATE = 50.0
 MIN_OVERLAP_S = 2.0
@@ -87,21 +86,6 @@ def kalman_track_offset(estimates: list[ClockOffsetEstimate],
         p = (np.eye(2) - np.outer(k, h.ravel())) @ p
         out.append(ClockOffsetEstimate(float(x[0]), float(p[0, 0]), est.round_trip))
     return out
-
-
-def video_hand_speed(kp: KeypointSeries, side: str = "r") -> Series1D:
-    """Central-difference wrist speed in px/s, z-score normalized.
-
-    A static wrist yields a zero series flagged as degenerate.
-    """
-    if len(kp.frames) < 3:
-        raise InsufficientFrames("need >= 3 frames")
-    side = side[0].lower()
-    t, u, v, _ = kp.joint_track(f"wrist_{side}")
-    du = np.gradient(u, t)
-    dv = np.gradient(v, t)
-    speed = np.hypot(du, dv)
-    return normalize_or_flag(Series1D(speed, t0=float(t[0]), rate=kp.frame_rate))
 
 
 def imu_hand_speed(v_body: np.ndarray, rate: float = 100.0, t0: float = 0.0) -> Series1D:

@@ -18,7 +18,8 @@ import numpy as np
 from .errors import InvalidDuration
 from .gait import cycle_boundaries
 from .orientation import EulerAngles, Quaternion, euler_to_quaternion
-from .series import ImuSeries, KeypointFrame, KeypointSeries, Series1D
+from .series import (JOINT_INDEX, REQUIRED_JOINTS, ImuSeries, KeypointSeries,
+                     Series1D)
 
 WALK_SPEED = 1.2          # m/s, default approach speed
 MAG_WORLD = np.array([22.0, 0.0, -43.0])   # microtesla, mid-latitude field
@@ -296,19 +297,22 @@ def _render_keypoints(p, cam, arm, duration, clock_offset, walk_speed,
     up = np.cross(right, fwd)
 
     w_px, h_px = cam.resolution
-    frames = []
-    for k in range(n_frames):
-        joints = {}
-        for name, traj in joints_world.items():
-            d = traj[k] - c
+    # one noise draw per (frame, joint, axis) in the joints_world order
+    noise = rng.normal(0.0, p.kp_noise, (n_frames, len(joints_world), 2))
+    uv = np.empty((n_frames, len(REQUIRED_JOINTS), 2))
+    for j, (name, traj) in enumerate(joints_world.items()):
+        col = JOINT_INDEX[name]
+        rel = traj - c
+        for k in range(n_frames):
+            d = rel[k]
             depth = float(d @ fwd)
-            u = w_px / 2 + cam.focal * float(d @ right) / depth
-            v = h_px / 2 - cam.focal * float(d @ up) / depth
-            u += rng.normal(0.0, p.kp_noise)
-            v += rng.normal(0.0, p.kp_noise)
-            joints[name] = (u, v, 1.0)
-        frames.append(KeypointFrame(t=float(tf[k] + clock_offset), joints=joints))
-    return KeypointSeries(frames, frame_rate=cam.fps)
+            uv[k, col, 0] = (w_px / 2 + cam.focal * float(d @ right) / depth
+                             + noise[k, j, 0])
+            uv[k, col, 1] = (h_px / 2 - cam.focal * float(d @ up) / depth
+                             + noise[k, j, 1])
+    return KeypointSeries(tf + clock_offset, uv,
+                          np.ones((n_frames, len(REQUIRED_JOINTS))),
+                          frame_rate=cam.fps)
 
 
 def generate_attack(spec, cam: CameraModel = CameraModel(),

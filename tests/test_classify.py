@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syncgait.classify import (CentroidModel, OcSvmModel, Scaler,
-                               deserialize_model, fit_ocsvm_fixed,
-                               serialize_model, train_centroid, train_ocsvm,
+from syncgait.classify import (OcSvmModel, Scaler, deserialize_model,
+                               fit_ocsvm_fixed, serialize_model, train_ocsvm,
                                train_ocsvm_calibrated)
 from syncgait.errors import TooFewSamples
 
@@ -100,13 +99,6 @@ def test_calibrated_validation():
         train_ocsvm_calibrated(pos, pos, balance=1.0)
 
 
-def test_centroid_model_scores():
-    x = _blob(n=50, seed=2)
-    model = train_centroid(x)
-    assert np.mean(model.scores(x) >= 0) > 0.9
-    assert model.score(x.mean(axis=0) + 100.0) < 0
-
-
 # --- serialization --------------------------------------------------------------
 
 def test_ocsvm_serialization_round_trip_exact():
@@ -122,19 +114,19 @@ def test_ocsvm_serialization_round_trip_exact():
     assert np.array_equal(back.scores(probe), model.scores(probe))
 
 
-def test_centroid_serialization_round_trip():
-    model = train_centroid(_blob(n=30, seed=6))
-    back = deserialize_model(serialize_model(model))
-    assert isinstance(back, CentroidModel)
-    assert back.threshold == model.threshold
-    assert np.array_equal(back.centroid, model.centroid)
-
-
 def test_serialized_blob_is_tagged_and_versioned():
     blob = serialize_model(fit_ocsvm_fixed(_blob(), nu=0.1, gamma=0.5))
     assert blob[:8] == b"SGMODEL1"
     with pytest.raises(ValueError):
         deserialize_model(b"NOTATAG!" + blob[8:])
+
+
+@pytest.mark.parametrize("keep", [4, 8, 20, 33, 34, 40, 60, -1])
+def test_truncated_blob_raises_value_error(keep):
+    # cuts in the tag, the parameters, an array header and an array payload
+    blob = serialize_model(fit_ocsvm_fixed(_blob(), nu=0.1, gamma=0.5))
+    with pytest.raises(ValueError):
+        deserialize_model(blob[:keep])
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))

@@ -3,10 +3,13 @@ reproducibility of on-disk artifacts."""
 
 import json
 
+import numpy as np
 import pytest
 
+from syncgait.classify import fit_ocsvm_fixed, serialize_model
 from syncgait.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, ExperimentConfig,
                           load_enrollment, main)
+from syncgait.errors import IoFailure
 
 FAST_SYNTH = {"cohort_size": 2, "sessions_per_subject": 2, "duration": 4.0}
 FAST_ENROLL = {"cohort_size": 2, "sessions_per_subject": 4, "duration": 8.0}
@@ -127,6 +130,46 @@ def test_enroll_bad_subject_index(tmp_path):
     main(["synth", "--config", cfg, "--out", str(data)])
     assert main(["enroll", "--data", str(data), "--subject", "9",
                  "--out", str(tmp_path / "m")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("field", ["clock_offset", "imu", "keypoints"])
+def test_enroll_manifest_session_without_field_is_io_error(tmp_path, field):
+    cfg = _write_config(tmp_path, FAST_SYNTH)
+    data = tmp_path / "data"
+    main(["synth", "--config", cfg, "--out", str(data)])
+    manifest = json.loads((data / "manifest.json").read_text())
+    del manifest["subjects"][0]["sessions"][1][field]
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["enroll", "--data", str(data), "--subject", "0",
+                 "--out", str(tmp_path / "m")]) == EXIT_IO
+
+
+def test_enroll_unwritable_output_is_io_error(tmp_path):
+    cfg = _write_config(tmp_path, FAST_ENROLL)
+    data = tmp_path / "data"
+    main(["synth", "--config", cfg, "--seed", "5", "--out", str(data)])
+    out = data / "manifest.json" / "models"    # a path below a file
+    assert main(["enroll", "--config", cfg, "--seed", "5", "--data",
+                 str(data), "--subject", "0", "--out", str(out)]) == EXIT_IO
+
+
+@pytest.mark.parametrize("meta, truncate", [
+    ("{not json", False),
+    ('{"consistency_model": "c.model", "gait_model": "c.model"}', False),
+    ('["c.model"]', False),
+    ('{"consistency_model": "c.model", "gait_model": "absent.model", '
+     '"feature_mask": [1, 1]}', False),
+    ('{"consistency_model": "c.model", "gait_model": "c.model", '
+     '"feature_mask": [1, 1]}', True),
+], ids=["bad_json", "no_mask", "not_an_object", "missing_model",
+        "truncated_model"])
+def test_load_enrollment_failures_are_io_failures(tmp_path, meta, truncate):
+    blob = serialize_model(fit_ocsvm_fixed(
+        np.random.default_rng(0).normal(size=(20, 2)), nu=0.1, gamma=0.5))
+    (tmp_path / "c.model").write_bytes(blob[:50] if truncate else blob)
+    (tmp_path / "subject00_enrollment.json").write_text(meta)
+    with pytest.raises(IoFailure):
+        load_enrollment(tmp_path, 0)
 
 
 def test_missing_config_file_is_io_error(tmp_path):

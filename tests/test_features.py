@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from syncgait.errors import DegenerateChannel, PairTooShort
 from syncgait.features import (FEATURE_NAMES, FeatureVector, compute_features,
-                               features_to_csv, fisher_select)
+                               fisher_select)
 from syncgait.series import Series1D
 from syncgait.syncing import AlignedPair
 
@@ -74,12 +74,6 @@ def test_feature_vector_array_order_matches_names():
     assert list(f.as_array()) == [1, 2, 3, 4, 5, 6]
     assert FEATURE_NAMES == ("pcc", "spearman", "mae", "sync", "coh",
                              "specdiff")
-
-
-def test_features_to_csv_header():
-    f = FeatureVector(1, 2, 3, 4, 5, 6)
-    out = features_to_csv([f])
-    assert out.splitlines()[0] == ",".join(FEATURE_NAMES)
 
 
 # --- Fisher selection ----------------------------------------------------------

@@ -1,12 +1,17 @@
-"""On-disk formats: versioned CSV/JSONL round trips and the cycle record."""
+"""On-disk formats: versioned CSV/JSONL round trips and malformed input."""
+
+import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from syncgait.errors import IoFailure
-from syncgait.io import (FORMAT_TAG, IMU_COLUMNS, pack_cycle, read_imu_csv,
-                         read_keypoint_jsonl, unpack_cycle, write_imu_csv,
+from syncgait.io import (FORMAT_TAG, IMU_COLUMNS, read_imu_csv,
+                         read_keypoint_jsonl, write_imu_csv,
                          write_keypoint_jsonl)
+from syncgait.series import KeypointSeries
 from syncgait.synth import SubjectParams, generate_session
 
 
@@ -35,12 +40,11 @@ def test_keypoint_jsonl_round_trip(tmp_path, session):
     write_keypoint_jsonl(path, kp)
     assert path.read_text().splitlines()[0] == FORMAT_TAG
     back = read_keypoint_jsonl(path)
-    assert len(back.frames) == len(kp.frames)
-    for a, b in zip(kp.frames[:10], back.frames[:10]):
-        assert a.t == pytest.approx(b.t)
-        for name, (u, v, c) in a.joints.items():
-            bu, bv, bc = b.joints[name]
-            assert (u, v, c) == (bu, bv, bc)
+    assert np.array_equal(back.t, kp.t)
+    assert np.array_equal(back.uv, kp.uv)
+    assert np.array_equal(back.conf, kp.conf)
+    write_keypoint_jsonl(tmp_path / "again.jsonl", back)
+    assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
 
 
 def test_missing_header_rejected(tmp_path):
@@ -57,7 +61,10 @@ def test_missing_header_rejected(tmp_path):
     "0,1,2,3,4,5,6,7,8,9\n0.01,1,2,3\n",
     "0,1,2,3,4,5,6,7,8\n",
     "0,1,2,3,4,5,6,7,8,x\n",
-], ids=["header_only", "ragged_row", "short_rows", "non_numeric"])
+    "0,1,2,3,4,5,6,7,8,9\n0.01,1,2,nan,4,5,6,7,8,9\n",
+    "0,1,2,3,4,5,6,7,8,9\n0,1,2,3,4,5,6,7,8,9\n",
+], ids=["header_only", "ragged_row", "short_rows", "non_numeric",
+        "non_finite", "repeated_time"])
 def test_malformed_imu_rows_raise_io_failure(tmp_path, body):
     path = tmp_path / "imu.csv"
     path.write_text(f"{FORMAT_TAG}\n{IMU_COLUMNS}\n{body}")
@@ -74,12 +81,51 @@ def test_missing_file_raises_io_failure(tmp_path):
                                        duration=4.0)[0])
 
 
-def test_cycle_record_round_trip_exact():
-    rng = np.random.default_rng(3)
-    channels = rng.normal(size=(6, 150))
-    blob = pack_cycle(channels, 1.25, 2.75)
-    back, t0, t1 = unpack_cycle(blob)
-    assert np.array_equal(back, channels)
-    assert (t0, t1) == (1.25, 2.75)
-    # fixed header layout: u32 length, u32 channels, two f64 timestamps
-    assert len(blob) == 24 + 6 * 150 * 8
+def _frame(t=0.0, **joints):
+    return json.dumps({"t": t, "joints": joints or {"wrist_r": [1, 2, 0.5]}})
+
+
+@pytest.mark.parametrize("body", [
+    "",
+    "{not json\n",
+    json.dumps({"t": 0.0}) + "\n",
+    json.dumps({"joints": {}}) + "\n",
+    _frame(wrist_r=[1.0, 2.0]) + "\n",
+    _frame(wrist_r=[1.0, "x", 0.5]) + "\n",
+    _frame(wrist_r=[float("nan"), 2.0, 0.5]) + "\n",
+    _frame(wrist_r=[1.0, 2.0, 1.5]) + "\n",
+    _frame(spine=[1.0, 2.0, 0.5]) + "\n",
+    _frame(0.1) + "\n" + _frame(0.1) + "\n",
+    "[1, 2, 3]\n",
+    "[" * 100000 + "\n",
+], ids=["no_frames", "bad_json", "no_joints", "no_t", "two_element_joint",
+        "non_numeric", "nan_coordinate", "bad_confidence", "unknown_joint",
+        "repeated_time", "not_an_object", "deep_nesting"])
+def test_malformed_keypoint_frames_raise_io_failure(tmp_path, body):
+    path = tmp_path / "kp.jsonl"
+    path.write_text(f"{FORMAT_TAG}\n{body}")
+    with pytest.raises(IoFailure):
+        read_keypoint_jsonl(path)
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)))
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["t", "joints", "wrist_r", "spine"]) | _TEXT,
+        inner, max_size=4),
+    max_leaves=12)
+
+
+@given(st.lists(_TEXT | _JSON.map(json.dumps) | st.floats().map(_frame),
+                max_size=4))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_keypoint_text_reads_or_raises_io_failure(tmp_path, lines):
+    path = tmp_path / "kp.jsonl"
+    path.write_text("\n".join([FORMAT_TAG, *lines]), encoding="utf-8")
+    try:
+        kp = read_keypoint_jsonl(path)
+    except IoFailure:
+        return
+    assert isinstance(kp, KeypointSeries) and len(kp) >= 1

@@ -12,7 +12,8 @@ from syncgait.errors import InvalidBand, SeriesTooShort, UnknownJoint
 from syncgait.posture import (AdctConfig, MjckfConfig, SpectralBand,
                               adaptive_bandpass, adct_cutoff, adct_smooth,
                               estimate_band, histogram_entropy, mjckf_correct)
-from syncgait.series import KeypointFrame, KeypointSeries, Series1D
+from syncgait.series import (JOINT_INDEX, REQUIRED_JOINTS, KeypointSeries,
+                             Series1D)
 
 
 # --- histogram entropy ---------------------------------------------------------
@@ -157,27 +158,28 @@ def _arm_series(n=240, fps=60.0, occlude=(), seed=0):
                              np.cos(2 * np.pi * 0.7 * t) * 0.1 + 0.9], axis=1)
     wr = el + 55 * np.stack([np.sin(2 * np.pi * 0.7 * t) * 0.8 + 0.1,
                              np.cos(2 * np.pi * 0.7 * t) * 0.2 + 0.9], axis=1)
-    frames = []
-    for i in range(n):
-        joints = {}
-        for side in ("l", "r"):
-            conf = 0.05 if (side == "r" and i in occlude) else 1.0
-            joints[f"shoulder_{side}"] = (float(sh[i, 0]), float(sh[i, 1]), 1.0)
-            joints[f"elbow_{side}"] = (float(el[i, 0]), float(el[i, 1]), 1.0)
-            joints[f"wrist_{side}"] = (float(wr[i, 0] + rng.normal(0, 0.5)),
-                                       float(wr[i, 1] + rng.normal(0, 0.5)),
-                                       conf)
-        frames.append(KeypointFrame(t=float(t[i]), joints=joints))
-    return KeypointSeries(frames, frame_rate=fps), wr
+    noise = rng.normal(0, 0.5, (n, 2, 2))      # frame, side (l, r), axis
+    uv = np.zeros((n, len(REQUIRED_JOINTS), 2))
+    conf = np.zeros((n, len(REQUIRED_JOINTS)))
+    for k, side in enumerate("lr"):
+        for joint, track in (("shoulder", sh), ("elbow", el),
+                             ("wrist", wr + noise[:, k])):
+            uv[:, JOINT_INDEX[f"{joint}_{side}"]] = track
+            conf[:, JOINT_INDEX[f"{joint}_{side}"]] = 1.0
+    conf[sorted(occlude), JOINT_INDEX["wrist_r"]] = 0.05
+    return KeypointSeries(t, uv, conf, frame_rate=fps), wr
+
+
+def _wrist_errors(kp, truth, frames):
+    frames = sorted(frames)
+    d = kp.uv[frames, JOINT_INDEX["wrist_r"]] - truth[frames]
+    return np.hypot(d[:, 0], d[:, 1])
 
 
 def test_mjckf_bridges_occlusion():
     occluded = set(range(100, 112))
     kp, truth = _arm_series(occlude=occluded)
-    out = mjckf_correct(kp)
-    errs = [np.hypot(out.frames[i].joints["wrist_r"][0] - truth[i, 0],
-                     out.frames[i].joints["wrist_r"][1] - truth[i, 1])
-            for i in occluded]
+    errs = _wrist_errors(mjckf_correct(kp), truth, occluded)
     assert max(errs) < 25.0          # bridged, not teleported to (0,0)
     assert np.mean(errs) < 12.0
 
@@ -185,22 +187,21 @@ def test_mjckf_bridges_occlusion():
 def test_mjckf_marks_bridged_confidence():
     kp, _ = _arm_series(occlude={50})
     out = mjckf_correct(kp)
-    assert out.frames[50].joints["wrist_r"][2] == pytest.approx(
+    assert out.conf[50, JOINT_INDEX["wrist_r"]] == pytest.approx(
         MjckfConfig().conf_gate)
 
 
 def test_mjckf_leaves_clean_tracks_close():
     kp, truth = _arm_series()
-    out = mjckf_correct(kp)
-    errs = [np.hypot(out.frames[i].joints["wrist_r"][0] - truth[i, 0],
-                     out.frames[i].joints["wrist_r"][1] - truth[i, 1])
-            for i in range(20, len(truth))]
+    errs = _wrist_errors(mjckf_correct(kp), truth, range(20, len(truth)))
     assert np.mean(errs) < 3.0
 
 
 def test_mjckf_unknown_joint():
-    frames = [KeypointFrame(t=i / 60.0, joints={}) for i in range(10)]
-    kp = KeypointSeries(frames, frame_rate=60.0)
+    n = 10
+    kp = KeypointSeries(np.arange(n) / 60.0,
+                        np.zeros((n, len(REQUIRED_JOINTS), 2)),
+                        np.zeros((n, len(REQUIRED_JOINTS))), frame_rate=60.0)
     with pytest.raises(UnknownJoint):
         mjckf_correct(kp, MjckfConfig(joint_chain=("wrist", "elbow", "spine")))
 

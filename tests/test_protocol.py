@@ -117,7 +117,7 @@ def test_complete_views_are_the_senders_streams(enrolled_subject):
     imu, kp, _ = generate_session(subject, clock_offset=OFFSET,
                                   seed_offset=505)
     imu_chunks = _chunks(len(imu), imu.sample_rate)
-    kp_chunks = _chunks(len(kp.frames), kp.frame_rate)
+    kp_chunks = _chunks(len(kp), kp.frame_rate)
     view, valid = _received_imu(imu, set(range(len(imu_chunks))), imu_chunks)
     assert view is imu and valid.all()
     assert _received_keypoints(kp, set(range(len(kp_chunks))),
@@ -131,7 +131,7 @@ def test_one_pass_scores_equal_per_view_scores_on_partial_views(
     imu, kp, _ = generate_session(subject, clock_offset=OFFSET,
                                   seed_offset=506)
     imu_chunks = _chunks(len(imu), imu.sample_rate)
-    kp_chunks = _chunks(len(kp.frames), kp.frame_rate)
+    kp_chunks = _chunks(len(kp), kp.frame_rate)
     imu_at_drone, imu_valid = _received_imu(
         imu, set(range(len(imu_chunks))) - {20}, imu_chunks)
     kp_at_phone = _received_keypoints(

@@ -1,4 +1,6 @@
-"""Series containers, db2 wavelet transform, normalization, resampling."""
+"""Series containers, db2 wavelet transform, normalization."""
+
+import json
 
 import numpy as np
 import pytest
@@ -6,10 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syncgait.errors import DegenerateSeries, SeriesTooShort
-from syncgait.series import (ImuSeries, KeypointFrame, KeypointSeries,
-                             Series1D, normalize, normalize_or_flag, resample,
-                             wavelet_decompose, wavelet_denoise,
-                             wavelet_reconstruct, _DB2_HI, _DB2_LO)
+from syncgait.io import FORMAT_TAG, read_keypoint_jsonl
+from syncgait.series import (JOINT_INDEX, REQUIRED_JOINTS, ImuSeries,
+                             KeypointSeries, Series1D, normalize,
+                             normalize_or_flag, wavelet_decompose,
+                             wavelet_denoise, wavelet_reconstruct, _DB2_HI,
+                             _DB2_LO)
+
+NJ = len(REQUIRED_JOINTS)
 
 
 def test_series1d_times_and_duration():
@@ -36,20 +42,78 @@ def test_imu_channel_extraction():
     assert np.allclose(imu.channel("ay").values, acc[:, 1])
 
 
-def test_keypoint_frame_fills_required_joints():
-    f = KeypointFrame(t=0.0, joints={"wrist_r": (1.0, 2.0, 0.9)})
-    assert f.joints["ankle_l"] == (0.0, 0.0, 0.0)
+def test_imu_series_rejects_nonfinite_and_bad_shapes():
+    t = np.arange(4) / 100.0
+    good = np.zeros((4, 3))
+    for k in range(4):
+        arrays = [t.copy(), good.copy(), good.copy(), good.copy()]
+        arrays[k][1] = np.nan if k else np.inf
+        with pytest.raises(ValueError):
+            ImuSeries(*arrays)
+    with pytest.raises(ValueError):
+        ImuSeries(t, np.zeros((3, 3)), good, good)
+    with pytest.raises(ValueError):
+        ImuSeries(t, good, np.zeros((4, 2)), good)
+
+
+def _keypoints(t, conf=None):
+    t = np.asarray(t, dtype=float)
+    if conf is None:
+        conf = np.ones((len(t), NJ))
+    uv = np.arange(len(t) * NJ * 2, dtype=float).reshape(len(t), NJ, 2)
+    return KeypointSeries(t, uv, conf)
+
+
+def test_keypoint_frame_fills_required_joints(tmp_path):
+    # the reader gives a joint a frame does not list confidence 0
+    path = tmp_path / "kp.jsonl"
+    rec = {"t": 0.0, "joints": {"wrist_r": [1.0, 2.0, 0.9]}}
+    path.write_text(f"{FORMAT_TAG}\n{json.dumps(rec)}\n")
+    kp = read_keypoint_jsonl(path)
+    assert [c[0] for c in kp.joint_track("ankle_l")[1:]] == [0.0, 0.0, 0.0]
+    assert [c[0] for c in kp.joint_track("wrist_r")[1:]] == [1.0, 2.0, 0.9]
 
 
 def test_keypoint_frame_rejects_bad_confidence():
-    with pytest.raises(ValueError):
-        KeypointFrame(t=0.0, joints={"wrist_r": (1.0, 2.0, 1.5)})
+    for bad in (1.5, -0.1, np.nan):
+        conf = np.ones((3, NJ))
+        conf[1, JOINT_INDEX["wrist_r"]] = bad
+        with pytest.raises(ValueError):
+            _keypoints([0.0, 0.1, 0.2], conf)
 
 
 def test_keypoint_series_rejects_non_monotone():
-    frames = [KeypointFrame(t=0.1, joints={}), KeypointFrame(t=0.1, joints={})]
     with pytest.raises(ValueError):
-        KeypointSeries(frames)
+        _keypoints([0.1, 0.1])
+    with pytest.raises(ValueError):
+        _keypoints([0.2, 0.1])
+
+
+def test_keypoint_series_rejects_bad_shapes_and_nonfinite():
+    kp = _keypoints([0.0, 0.1, 0.2])
+    with pytest.raises(ValueError):
+        KeypointSeries(kp.t, kp.uv[:, :-1], kp.conf[:, :-1])
+    with pytest.raises(ValueError):
+        KeypointSeries(kp.t[:2], kp.uv, kp.conf)
+    with pytest.raises(ValueError):
+        KeypointSeries(kp.t, kp.uv, kp.conf, frame_rate=0.0)
+    for field in ("t", "uv"):
+        arrays = {"t": kp.t.copy(), "uv": kp.uv.copy(), "conf": kp.conf}
+        arrays[field].flat[1] = np.nan
+        with pytest.raises(ValueError):
+            KeypointSeries(**arrays)
+
+
+def test_keypoint_joint_track_returns_fresh_columns():
+    kp = _keypoints([0.0, 0.1, 0.2])
+    t, u, v, c = kp.joint_track("elbow_l")
+    j = JOINT_INDEX["elbow_l"]
+    assert REQUIRED_JOINTS[j] == "elbow_l"
+    assert np.array_equal(u, kp.uv[:, j, 0])
+    assert np.array_equal(v, kp.uv[:, j, 1])
+    t[0] = u[0] = v[0] = c[0] = -1.0
+    assert kp.t[0] == 0.0 and kp.uv[0, j, 0] != -1.0
+    assert kp.uv[0, j, 1] != -1.0 and kp.conf[0, j] == 1.0
 
 
 # --- db2 wavelet: filter identities and perfect reconstruction ---------------
@@ -100,7 +164,7 @@ def test_wavelet_denoise_too_short():
         wavelet_denoise(Series1D(np.zeros(8), rate=100.0), levels=4)
 
 
-# --- normalization / resampling ----------------------------------------------
+# --- normalization ----------------------------------------------------------
 
 def test_normalize_zscore_moments():
     rng = np.random.default_rng(0)
@@ -121,11 +185,3 @@ def test_normalize_constant_raises_and_flag_variant():
     flagged = normalize_or_flag(const)
     assert flagged.degenerate and np.all(flagged.values == 0.0)
 
-
-def test_resample_identity_and_downsample():
-    s = Series1D(np.sin(np.arange(200) / 10.0), rate=100.0)
-    same = resample(s, 100.0)
-    assert np.array_equal(same.values, s.values)
-    half = resample(s, 50.0)
-    assert half.rate == 50.0
-    assert np.allclose(half.values, s.values[::2], atol=1e-12)

@@ -16,7 +16,8 @@ def test_generation_is_deterministic():
     a2, k2, g2 = generate_session(p, seed_offset=3)
     assert np.array_equal(a1.acc, a2.acc)
     assert np.array_equal(a1.gyro, a2.gyro)
-    assert k1.frames[10].joints == k2.frames[10].joints
+    assert np.array_equal(k1.uv, k2.uv)
+    assert np.array_equal(k1.conf, k2.conf)
     assert g1.cycle_boundaries == g2.cycle_boundaries
 
 
@@ -33,9 +34,9 @@ def test_streams_have_consistent_geometry():
     p = SubjectParams(seed=2)
     imu, kp, gt = generate_session(p, duration=6.0)
     assert len(imu) == 600
-    assert len(kp.frames) == 360        # 60 fps
-    for name in REQUIRED_JOINTS:
-        assert name in kp.frames[0].joints
+    assert len(kp) == 360        # 60 fps
+    assert kp.uv.shape == (360, len(REQUIRED_JOINTS), 2)
+    assert np.array_equal(kp.conf, np.ones((360, len(REQUIRED_JOINTS))))
     assert gt.base_path.shape == (600, 3)
 
 
@@ -43,7 +44,7 @@ def test_keypoints_run_on_drone_clock():
     p = SubjectParams(seed=2)
     offset = 0.25
     _, kp, gt = generate_session(p, clock_offset=offset)
-    assert kp.frames[0].t == pytest.approx(offset)
+    assert kp.t[0] == pytest.approx(offset)
     assert gt.clock_offset == offset
 
 
@@ -91,7 +92,7 @@ def test_relay_mixes_two_subjects():
     v_imu, _, _ = generate_session(victim, seed_offset=0)
     _, d_kp, _ = generate_session(decoy, seed_offset=1)
     assert np.array_equal(imu.acc, v_imu.acc)          # victim's IMU
-    assert kp.frames[30].joints == d_kp.frames[30].joints  # decoy's video
+    assert np.array_equal(kp.uv, d_kp.uv)               # decoy's video
 
 
 def test_hijack_is_self_consistent_attacker():
@@ -99,7 +100,7 @@ def test_hijack_is_self_consistent_attacker():
     imu, kp, _ = generate_attack(HijackAttack(attacker), seed_offset=4)
     a_imu, a_kp, _ = generate_session(attacker, seed_offset=4)
     assert np.array_equal(imu.acc, a_imu.acc)
-    assert kp.frames[5].joints == a_kp.frames[5].joints
+    assert np.array_equal(kp.uv, a_kp.uv)
 
 
 def test_mimicry_fidelity_blends_parameters():
