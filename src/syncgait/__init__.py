@@ -11,18 +11,17 @@ from .classify import (OcSvmModel, Scaler, deserialize_model, fit_ocsvm_fixed,
 from .errors import SyncGaitError
 from .features import (FEATURE_NAMES, FeatureVector, FisherReport,
                        compute_features, fisher_select)
-from .gait import (GaitCycle, ImuChain, SegmentationConfig, cycle_boundaries,
+from .gait import (GaitCycle, ImuChain, cycle_boundaries,
                    cycle_feature_vector, gait_representation, imu_chain,
                    normalize_cycle, segment_cycles)
 from .metrics import EvalReport, evaluate, fuse, roc_points_csv
-from .orientation import (EulerAngles, Quaternion, ahrs_stream, ahrs_update,
+from .orientation import (EulerAngles, Quaternion, ahrs_stream,
                           euler_to_quaternion, integrate_velocity,
                           project_body_relative, quaternion_to_euler)
-from .pipeline import (Enrollment, PipelineConfig, aligned_speeds,
-                       consistency_score, consistency_vector, enroll,
-                       gait_score, gait_vectors, imu_speed_channel,
-                       video_speed_channel)
-from .posture import (AdctConfig, MjckfConfig, SpectralBand, adaptive_bandpass,
+from .pipeline import (Enrollment, aligned_speeds, consistency_score,
+                       consistency_vector, enroll, gait_score, gait_vectors,
+                       imu_speed_channel, video_speed_channel)
+from .posture import (AdctConfig, SpectralBand, adaptive_bandpass,
                       adct_cutoff, adct_smooth, estimate_band,
                       histogram_entropy, mjckf_correct)
 from .protocol import (ChannelModel, DecisionRecord, SessionConfig,

@@ -16,9 +16,12 @@ import numpy as np
 from .errors import TooFewSamples
 
 KKT_TOL = 1e-4
+MAX_ITER = 20000
 NU_GRID = (0.01, 0.05, 0.1, 0.2)
 GAMMA_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
 OUTLIER_REJECTION_TARGET = 0.95
+CALIBRATED_NU = 0.1      # train_ocsvm_calibrated hyperparameters
+CALIBRATED_GAMMA = 0.1
 
 
 def _rbf(x: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
@@ -68,22 +71,22 @@ class OcSvmModel:
         return self.dual_coef @ k - self.rho
 
 
-def _solve_ocsvm_dual(k: np.ndarray, nu: float, tol: float = KKT_TOL,
-                      max_iter: int = 20000) -> np.ndarray:
-    """Pairwise coordinate descent on the OC-SVM dual (sum alpha = 1)."""
+def _solve_ocsvm_dual(k: np.ndarray, nu: float) -> np.ndarray:
+    """Pairwise coordinate descent on the OC-SVM dual (sum alpha = 1), to a
+    KKT gap of KKT_TOL or MAX_ITER steps."""
     n = len(k)
     c = 1.0 / (nu * n)
     alpha = np.full(n, 1.0 / n)
     if alpha[0] > c:  # infeasible start cannot happen for nu <= 1, guard anyway
         alpha = np.full(n, min(c, 1.0 / n))
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         grad = k @ alpha
         up_mask = alpha < c - 1e-15
         dn_mask = alpha > 1e-15
         i = int(np.argmax(np.where(dn_mask, grad, -np.inf)))   # donate from
         j = int(np.argmin(np.where(up_mask, grad, np.inf)))    # receive to
         gap = grad[i] - grad[j]
-        if gap < tol:
+        if gap < KKT_TOL:
             break
         denom = k[i, i] + k[j, j] - 2.0 * k[i, j]
         step = gap / denom if denom > 1e-12 else alpha[i]
@@ -123,17 +126,15 @@ def fit_ocsvm_fixed(x: np.ndarray, nu: float, gamma: float,
                       nu=nu, gamma=gamma, scaler=scaler)
 
 
-def train_ocsvm(train: np.ndarray,
-                nu_grid: tuple[float, ...] = NU_GRID,
-                gamma_grid: tuple[float, ...] = GAMMA_GRID,
-                seed: int = 0, std_floor: float = 0.0) -> OcSvmModel:
-    """Grid search: maximize held-out genuine acceptance subject to a fixed
-    rejection rate on synthetic uniform outliers over the feature hypercube."""
+def train_ocsvm(train: np.ndarray, seed: int = 0) -> OcSvmModel:
+    """Grid search over NU_GRID x GAMMA_GRID: maximize held-out genuine
+    acceptance subject to a fixed rejection rate on synthetic uniform
+    outliers over the feature hypercube."""
     x = np.atleast_2d(np.asarray(train, dtype=float))
     if len(x) < 10:
         raise TooFewSamples(f"need >= 10 training vectors, got {len(x)}")
     rng = np.random.default_rng(seed)
-    scaler = Scaler.fit(x, std_floor=std_floor)
+    scaler = Scaler.fit(x)
     z_all = scaler.transform(x)
 
     n_hold = max(2, len(x) // 5)
@@ -145,8 +146,8 @@ def train_ocsvm(train: np.ndarray,
     outliers = rng.uniform(lo, hi, size=(200, x.shape[1]))
 
     best = None
-    for nu in nu_grid:
-        for gamma in gamma_grid:
+    for nu in NU_GRID:
+        for gamma in GAMMA_GRID:
             model = fit_ocsvm_fixed(x[fit_idx], nu, gamma, scaler=scaler)
             accept = float(np.mean(model.scores(x[hold]) >= 0))
             reject = float(np.mean(model.scores(scaler.mean
@@ -160,15 +161,14 @@ def train_ocsvm(train: np.ndarray,
 
 
 def train_ocsvm_calibrated(positives: np.ndarray, negatives: np.ndarray,
-                           nu: float = 0.1, gamma: float = 0.1,
                            std_floor: float = 0.0,
                            balance: float = 0.5) -> OcSvmModel:
-    """OC-SVM fit on positives with the threshold calibrated against known
-    negatives: rho sits between the low quantile of positive decision values
-    and the high quantile of negative ones (balance 0 = hug the negatives,
-    1 = hug the positives). Used when a surrogate negative class is cheap to
-    synthesize and the boundary should not key on incidental positive-cloud
-    tightness."""
+    """OC-SVM fit on positives (nu CALIBRATED_NU, gamma CALIBRATED_GAMMA)
+    with the threshold calibrated against known negatives: rho sits between
+    the low quantile of positive decision values and the high quantile of
+    negative ones (balance 0 = hug the negatives, 1 = hug the positives).
+    Used when a surrogate negative class is cheap to synthesize and the
+    boundary should not key on incidental positive-cloud tightness."""
     pos = np.atleast_2d(np.asarray(positives, dtype=float))
     neg = np.atleast_2d(np.asarray(negatives, dtype=float))
     if len(pos) < 10:
@@ -178,7 +178,8 @@ def train_ocsvm_calibrated(positives: np.ndarray, negatives: np.ndarray,
     if not 0.0 < balance < 1.0:
         raise ValueError("balance must lie in (0, 1)")
     scaler = Scaler.fit(pos, std_floor=std_floor)
-    model = fit_ocsvm_fixed(pos, nu, gamma, scaler=scaler)
+    model = fit_ocsvm_fixed(pos, CALIBRATED_NU, CALIBRATED_GAMMA,
+                            scaler=scaler)
     d_pos = model.scores(pos) + model.rho
     d_neg = model.scores(neg) + model.rho
     model.rho = float(balance * np.quantile(d_pos, 0.05)
@@ -210,8 +211,9 @@ def serialize_model(model: OcSvmModel) -> bytes:
 
 
 def deserialize_model(blob: bytes) -> OcSvmModel:
-    """Inverse of serialize_model; a truncated or mistagged blob raises
-    ValueError."""
+    """Inverse of serialize_model. Anything but exactly one model raises
+    ValueError: it holds support vectors (m, d), dual coefficients (m,) and
+    scaler mean and std (d,), every value finite and every std positive."""
     if blob[:8] != _MODEL_TAG:
         raise ValueError("bad model tag")
     off = 8
@@ -224,15 +226,25 @@ def deserialize_model(blob: bytes) -> OcSvmModel:
         for _ in range(n_arr):
             ndim, d0, d1 = struct.unpack_from("<BII", blob, off)
             off += struct.calcsize("<BII")
+            if ndim not in (1, 2):
+                raise ValueError(f"array of {ndim} dimensions")
             count = d0 * (d1 if ndim == 2 else 1)
             a = np.frombuffer(blob, dtype="<f8", offset=off,
                               count=count).copy()
             off += count * 8
             arrays.append(a.reshape(d0, d1) if ndim == 2 else a)
-    except struct.error as exc:
+    except (struct.error, OverflowError) as exc:
         raise ValueError(f"truncated model blob: {exc}") from exc
     if kind != _KIND_OCSVM:
         raise ValueError(f"unknown model kind {kind}")
+    if off != len(blob) or len(arrays) != 4:
+        raise ValueError("model blob must hold exactly four arrays")
     sv, coef, mean, std = arrays
+    m, d = sv.shape if sv.ndim == 2 else (0, 0)
+    if not (m and d and coef.shape == (m,) and mean.shape == std.shape == (d,)):
+        raise ValueError("inconsistent model array shapes")
+    if not (np.isfinite([rho, nu, gamma]).all()
+            and all(np.isfinite(a).all() for a in arrays) and (std > 0).all()):
+        raise ValueError("model parameters must be finite, scales positive")
     return OcSvmModel(sv, coef, rho=rho, nu=nu, gamma=gamma,
                       scaler=Scaler(mean, std))

@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,9 +25,9 @@ from .io import read_imu_csv, read_keypoint_jsonl, write_imu_csv, \
     write_keypoint_jsonl
 from .metrics import evaluate as score_evaluate
 from .metrics import roc_points_csv
-from .pipeline import PipelineConfig, enroll
 from .classify import deserialize_model, serialize_model
-from .pipeline import Enrollment
+from .features import FEATURE_NAMES
+from .pipeline import Enrollment, enroll
 from .protocol import ChannelModel, SessionConfig, SessionState, run_session
 from .synth import (CameraModel, HijackAttack, MimicryAttack, RelayAttack,
                     generate_attack, generate_session, make_cohort)
@@ -60,6 +61,10 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if not _has_type(getattr(self, f.name), f.type):
+                raise ValueError(f"{f.name} must be "
+                                 + _TYPE_NAMES.get(f.type, "a list of strings"))
         if self.cohort_size < 2:
             raise ValueError("cohort_size must be >= 2")
         if self.sessions_per_subject < 1 or self.enroll_sessions < 1:
@@ -83,8 +88,8 @@ class ExperimentConfig:
                 data = json.loads(Path(path).read_text())
             except OSError as exc:
                 raise IoFailure(str(exc)) from exc
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"config is not valid JSON: {exc}") from exc
+            except (ValueError, RecursionError) as exc:
+                raise ValueError(f"config is not valid JSON: {exc!r}") from exc
             if not isinstance(data, dict):
                 raise ValueError("config must be a JSON object")
             known = {f.name for f in dataclasses.fields(cls)}
@@ -107,6 +112,23 @@ class ExperimentConfig:
     def digest(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
+
+
+_TYPE_NAMES = {"int": "an integer", "float": "a finite number"}
+
+
+def _has_type(value, name: str) -> bool:
+    """Whether a config value has its field's JSON type, without coercion:
+    an int is not a bool, a float is finite and may be an int, attacks are
+    strings."""
+    if isinstance(value, bool):
+        return False
+    if name == "int":
+        return isinstance(value, int)
+    if name == "float":   # abs() < inf: finite, and exact for big ints
+        return isinstance(value, (int, float)) and abs(value) < math.inf
+    return (isinstance(value, (list, tuple))
+            and all(isinstance(a, str) for a in value))
 
 
 def _json_ready(obj):
@@ -175,8 +197,8 @@ def _load_manifest(data_dir: Path) -> dict:
         manifest = json.loads((data_dir / "manifest.json").read_text())
     except OSError as exc:
         raise IoFailure(f"cannot read manifest: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise IoFailure(f"manifest is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise IoFailure(f"manifest is not valid JSON: {exc!r}") from exc
     if not (isinstance(manifest, dict)
             and isinstance(manifest.get("subjects", []), list)):
         raise IoFailure("manifest must be a JSON object with a subjects list")
@@ -196,7 +218,8 @@ def cmd_enroll(cfg: ExperimentConfig, data_dir: Path, subject: int,
         entries = [(data_dir / sess["imu"], data_dir / sess["keypoints"],
                     float(sess["clock_offset"]))
                    for sess in subjects[subject]["sessions"]]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError,
+            OverflowError) as exc:
         raise IoFailure(f"malformed manifest: {exc!r}") from exc
     sessions = []
     for imu_path, kp_path, clock_offset in entries:
@@ -204,7 +227,7 @@ def cmd_enroll(cfg: ExperimentConfig, data_dir: Path, subject: int,
         kp = read_keypoint_jsonl(kp_path, frame_rate=fps)
         sessions.append((imu, kp,
                          ClockOffsetEstimate(clock_offset, 1e-6, 0.005)))
-    enrollment = enroll(sessions, PipelineConfig(), seed=cfg.seed)
+    enrollment = enroll(sessions, seed=cfg.seed)
 
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -232,14 +255,22 @@ def cmd_enroll(cfg: ExperimentConfig, data_dir: Path, subject: int,
 
 
 def load_enrollment(out: Path, subject: int) -> Enrollment:
-    """Read back the model files written by the enroll command."""
+    """Read back the model files written by the enroll command. The feature
+    mask must hold one 0/1 entry per consistency feature and keep as many
+    as the consistency model is wide."""
     meta_path = out / f"subject{subject:02d}_enrollment.json"
     try:
         meta = json.loads(meta_path.read_text())
         cons = deserialize_model((out / meta["consistency_model"]).read_bytes())
         gait = deserialize_model((out / meta["gait_model"]).read_bytes())
-        mask = np.array(meta["feature_mask"], dtype=bool)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+        mask = meta["feature_mask"]
+        if not (isinstance(mask, list) and len(mask) == len(FEATURE_NAMES)
+                and all(type(v) is int and v in (0, 1) for v in mask)
+                and sum(mask) == cons.support_vectors.shape[1]):
+            raise ValueError(f"feature mask {mask!r} does not fit the "
+                             "consistency model")
+        mask = np.array(mask, dtype=bool)
+    except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise IoFailure(f"cannot load enrollment of subject {subject}: "
                         f"{exc!r}") from exc
     return Enrollment(consistency_model=cons, gait_model=gait,
@@ -289,7 +320,7 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
                                           cfg.clock_offset,
                                           seed_offset=10 + k)
             sessions.append((imu, kp, offset))
-        enrollments[si] = enroll(sessions, PipelineConfig(), seed=cfg.seed)
+        enrollments[si] = enroll(sessions, seed=cfg.seed)
 
     genuine = []
     for si in range(cfg.cohort_size):

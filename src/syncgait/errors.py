@@ -25,10 +25,6 @@ class InvalidBand(SyncGaitError):
     pass
 
 
-class UnknownJoint(SyncGaitError):
-    pass
-
-
 class InsufficientOverlap(SyncGaitError):
     pass
 

@@ -13,7 +13,8 @@ import numpy as np
 from scipy.signal import coherence, welch
 from scipy.stats import pearsonr, spearmanr
 
-from .errors import DegenerateChannel, DegenerateClass, PairTooShort
+from .errors import (DegenerateChannel, DegenerateClass, PairTooShort,
+                     SyncGaitError)
 from .posture import GAIT_BAND_HI, GAIT_BAND_LO, SpectralBand, estimate_band
 from .series import Series1D
 from .syncing import AlignedPair
@@ -64,8 +65,9 @@ def _band_bins(freqs: np.ndarray, band: SpectralBand) -> np.ndarray:
     return mask
 
 
-def compute_features(pair: AlignedPair, band: SpectralBand | None = None) -> FeatureVector:
-    """The 6 consistency features on one aligned speed pair."""
+def compute_features(pair: AlignedPair) -> FeatureVector:
+    """The 6 consistency features on one aligned speed pair, the spectral
+    ones in the band estimated from the IMU channel."""
     a = pair.imu_speed.values
     b = pair.video_speed.values
     if len(a) < 100:
@@ -73,11 +75,10 @@ def compute_features(pair: AlignedPair, band: SpectralBand | None = None) -> Fea
     if a.std() == 0 or b.std() == 0:
         raise DegenerateChannel("zero-variance channel")
     rate = pair.common_rate
-    if band is None:
-        try:
-            band = estimate_band(Series1D(a, rate=rate))
-        except Exception:
-            band = SpectralBand(GAIT_BAND_LO, GAIT_BAND_HI)
+    try:
+        band = estimate_band(Series1D(a, rate=rate))
+    except SyncGaitError:
+        band = SpectralBand(GAIT_BAND_LO, GAIT_BAND_HI)
 
     pcc = float(pearsonr(a, b)[0])
     rho = float(spearmanr(a, b)[0])
@@ -107,8 +108,8 @@ def compute_features(pair: AlignedPair, band: SpectralBand | None = None) -> Fea
                          coherence_mean=coh_mean, spectral_diff=spec_diff)
 
 
-def fisher_select(genuine: list[FeatureVector], impostor: list[FeatureVector],
-                  names: tuple[str, ...] = FEATURE_NAMES) -> FisherReport:
+def fisher_select(genuine: list[FeatureVector],
+                  impostor: list[FeatureVector]) -> FisherReport:
     """Per-feature Fisher score (mu_g - mu_i)^2 / (var_g + var_i), normalized
     by the maximum; features above the selection threshold are kept."""
     if len(genuine) < 2 or len(impostor) < 2:
@@ -123,12 +124,12 @@ def fisher_select(genuine: list[FeatureVector], impostor: list[FeatureVector],
             if num[k] == 0:
                 raw[k] = 0.0
             else:
-                raise DegenerateClass(f"feature {names[k]}: zero variance, "
+                raise DegenerateClass(f"feature {FEATURE_NAMES[k]}: zero variance, "
                                       "distinct means")
         else:
             raw[k] = num[k] / den[k]
     peak = raw.max()
     normalized = raw / peak if peak > 0 else raw.copy()
-    return FisherReport(names=names, raw_scores=raw, normalized=normalized,
+    return FisherReport(names=FEATURE_NAMES, raw_scores=raw, normalized=normalized,
                         selected=normalized > FISHER_SELECT_THRESHOLD)
 

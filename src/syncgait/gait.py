@@ -15,20 +15,12 @@ from scipy.signal import find_peaks
 
 from .errors import CycleTooShort, NoCyclesFound, SeriesTooShort
 from .orientation import GRAVITY, Quaternion, ahrs_stream, quaternion_to_euler
-from .series import ImuSeries, Series1D, wavelet_denoise
+from .series import DENOISE_LEVELS, ImuSeries, Series1D, wavelet_denoise
 
 CYCLE_LENGTH = 150  # samples; 1.5 s at 100 Hz
-
-
-@dataclass(frozen=True)
-class SegmentationConfig:
-    min_period: float = 0.8
-    max_period: float = 2.5
-    prominence: float = 0.5   # fraction of signal std
-
-    def __post_init__(self):
-        if not 0 < self.min_period < self.max_period:
-            raise ValueError("need 0 < min_period < max_period")
+MIN_PERIOD_S = 0.8  # cycle-period bounds
+MAX_PERIOD_S = 2.5
+PROMINENCE = 0.5    # cut-minimum prominence, fraction of signal std
 
 
 @dataclass
@@ -45,13 +37,13 @@ class GaitCycle:
             raise ValueError("t_end must exceed t_start")
 
 
-def _denoise_imu(imu: ImuSeries, levels: int = 4) -> ImuSeries:
+def _denoise_imu(imu: ImuSeries) -> ImuSeries:
     def den(block: np.ndarray) -> np.ndarray:
-        cols = [wavelet_denoise(Series1D(block[:, k], rate=imu.sample_rate), levels).values
+        cols = [wavelet_denoise(Series1D(block[:, k], rate=imu.sample_rate)).values
                 for k in range(3)]
         return np.column_stack(cols)
 
-    if len(imu) < 2 ** levels:
+    if len(imu) < 2 ** DENOISE_LEVELS:
         return imu
     return ImuSeries(imu.t.copy(), den(imu.acc), den(imu.gyro), den(imu.mag),
                      imu.sample_rate)
@@ -102,7 +94,7 @@ def vertical_acceleration(imu: ImuSeries, quats: list[Quaternion]) -> Series1D:
     return Series1D(vz, t0=float(imu.t[0]), rate=imu.sample_rate)
 
 
-def _boundaries_from_vertical(vert: Series1D, cfg: SegmentationConfig) -> list[float]:
+def _boundaries_from_vertical(vert: Series1D) -> list[float]:
     """Period-locked extremum comb.
 
     The cycle length comes from the autocorrelation peak inside the period
@@ -119,8 +111,8 @@ def _boundaries_from_vertical(vert: Series1D, cfg: SegmentationConfig) -> list[f
     rate = vert.rate
     x = v - v.mean()
     ac = np.correlate(x, x, "full")[len(x) - 1:]
-    lo = max(int(cfg.min_period * rate), 1)
-    hi = min(int(cfg.max_period * rate), len(ac) - 1)
+    lo = max(int(MIN_PERIOD_S * rate), 1)
+    hi = min(int(MAX_PERIOD_S * rate), len(ac) - 1)
     if hi <= lo:
         raise NoCyclesFound("series shorter than one cycle")
     # the period must be a local autocorrelation maximum; a bare argmax can
@@ -131,7 +123,7 @@ def _boundaries_from_vertical(vert: Series1D, cfg: SegmentationConfig) -> list[f
     else:
         period = lo + int(np.argmax(ac[lo:hi + 1]))
 
-    cands, _ = find_peaks(-x, prominence=cfg.prominence * std)
+    cands, _ = find_peaks(-x, prominence=PROMINENCE * std)
     if len(cands) == 0:
         raise NoCyclesFound("no prominent minima")
     tol = max(int(0.06 * period), 1)
@@ -158,58 +150,51 @@ def _boundaries_from_vertical(vert: Series1D, cfg: SegmentationConfig) -> list[f
     return [float(vert.times[i]) for i in best[1]]
 
 
-def cycle_boundaries(imu: ImuSeries | ImuChain,
-                     cfg: SegmentationConfig = SegmentationConfig()
-                     ) -> list[float]:
+def cycle_boundaries(imu: ImuSeries | ImuChain) -> list[float]:
     """Candidate cycle-cut instants: prominent vertical-acceleration minima."""
     duration = (len(imu) - 1) / imu.sample_rate if len(imu) else 0.0
-    if duration < 2 * cfg.min_period:
+    if duration < 2 * MIN_PERIOD_S:
         raise SeriesTooShort(f"{duration:.2f} s cannot hold a full cycle")
     chain = as_chain(imu)
     vert = vertical_acceleration(chain.denoised, chain.quats)
-    return _boundaries_from_vertical(vert, cfg)
+    return _boundaries_from_vertical(vert)
 
 
-def segment_cycles(imu: ImuSeries | ImuChain,
-                   cfg: SegmentationConfig = SegmentationConfig()
-                   ) -> list[tuple[float, float]]:
+def segment_cycles(imu: ImuSeries | ImuChain) -> list[tuple[float, float]]:
     """Cycle boundaries from vertical-acceleration minima."""
-    return _cycles_from_boundaries(cycle_boundaries(imu, cfg), cfg)
+    return _cycles_from_boundaries(cycle_boundaries(imu))
 
 
-def _cycles_from_boundaries(times: list[float], cfg: SegmentationConfig
-                            ) -> list[tuple[float, float]]:
+def _cycles_from_boundaries(times: list[float]) -> list[tuple[float, float]]:
     cycles = []
     for a, b in zip(times, times[1:]):
-        if cfg.min_period <= b - a <= cfg.max_period:
+        if MIN_PERIOD_S <= b - a <= MAX_PERIOD_S:
             cycles.append((a, b))
     if not cycles:
         raise NoCyclesFound("no extrema spaced within the period bounds")
     return cycles
 
 
-def normalize_cycle(raw: np.ndarray, length: int = CYCLE_LENGTH,
-                    t_start: float = 0.0, t_end: float = 1.5) -> GaitCycle:
-    """Per-channel linear interpolation onto `length` equally spaced points."""
+def normalize_cycle(raw: np.ndarray, t_start: float = 0.0,
+                    t_end: float = 1.5) -> GaitCycle:
+    """Per-channel linear interpolation onto CYCLE_LENGTH equal steps."""
     raw = np.asarray(raw, dtype=float)
     if raw.shape[1] < 2:
         raise CycleTooShort("need >= 2 samples per cycle")
     x_old = np.linspace(0.0, 1.0, raw.shape[1])
-    x_new = np.linspace(0.0, 1.0, length)
+    x_new = np.linspace(0.0, 1.0, CYCLE_LENGTH)
     channels = np.vstack([np.interp(x_new, x_old, row) for row in raw])
     return GaitCycle(channels=channels, t_start=t_start, t_end=t_end)
 
 
-def gait_representation(imu: ImuSeries | ImuChain,
-                        cfg: SegmentationConfig = SegmentationConfig(),
-                        length: int = CYCLE_LENGTH) -> list[GaitCycle]:
+def gait_representation(imu: ImuSeries | ImuChain) -> list[GaitCycle]:
     """Full IMU gait pipeline: denoise, orientation, segment, normalize."""
     if len(imu) < 2 * imu.sample_rate:
         raise SeriesTooShort("need >= 2 s of data")
     chain = as_chain(imu)
     denoised = chain.denoised
     vert = vertical_acceleration(denoised, chain.quats)
-    cycles = _cycles_from_boundaries(_boundaries_from_vertical(vert, cfg), cfg)
+    cycles = _cycles_from_boundaries(_boundaries_from_vertical(vert))
 
     out = []
     t = denoised.t
@@ -218,11 +203,11 @@ def gait_representation(imu: ImuSeries | ImuChain,
         i1 = int(np.searchsorted(t, t_end)) + 1
         ang = np.unwrap(chain.euler[i0:i1], axis=0)
         raw = np.vstack([denoised.acc[i0:i1].T, ang.T])
-        out.append(normalize_cycle(raw, length, t_start, t_end))
+        out.append(normalize_cycle(raw, t_start, t_end))
     return out
 
 
-def cycle_feature_vector(cycle: GaitCycle, rate: float = 100.0) -> np.ndarray:
+def cycle_feature_vector(cycle: GaitCycle) -> np.ndarray:
     """Per-channel (mean, std, min, max, dominant frequency): 30 dims."""
     feats = []
     length = cycle.channels.shape[1]

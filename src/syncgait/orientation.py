@@ -9,14 +9,16 @@ v_world = q * v_phone * q^-1, with world z up and world x magnetic north.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import LengthMismatch, NonUnitQuaternion
-from .series import ImuSample, ImuSeries
+from .series import ImuSeries
 
 UNIT_NORM_TOL = 1e-3
+AHRS_BETA = 0.1     # gradient-correction gain
+AHRS_ZETA = 0.01    # gyro-bias feedback gain
 
 
 @dataclass(frozen=True)
@@ -46,9 +48,6 @@ class Quaternion:
             a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
         )
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.q0, self.q1, self.q2, self.q3])
-
     def to_matrix(self) -> np.ndarray:
         """3x3 rotation matrix R with v_world = R v_phone."""
         w, x, y, z = self.q0, self.q1, self.q2, self.q3
@@ -64,15 +63,6 @@ class EulerAngles:
     roll: float
     pitch: float
     yaw: float
-
-
-@dataclass(frozen=True)
-class AhrsState:
-    q: Quaternion = field(default_factory=Quaternion)
-    gyro_bias: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    beta: float = 0.1
-    zeta: float = 0.01
-    gyro_only: bool = False   # last step fell back to gyro integration
 
 
 def _check_unit(q: Quaternion) -> None:
@@ -139,10 +129,17 @@ def _rot_inv(w, vx, vy, vz, rx, ry, rz):
             rz - 2 * w * cz + 2 * dz)
 
 
-def _ahrs_step(w, x, y, z, bx_b, by_b, bz_b, a, g, m, beta, zeta, dt):
+def _ahrs_step(w, x, y, z, bx_b, by_b, bz_b, a, g, m, dt):
     """One filter step on plain floats: quaternion (w, x, y, z), gyro bias
     and the a, g, m triples in; the next quaternion, bias and the gyro-only
-    flag out."""
+    flag out.
+
+    Gyro integration corrected by the normalized gradient of the combined
+    accelerometer + magnetometer objective (gain AHRS_BETA); the angular
+    error drives the gyro-bias estimate (gain AHRS_ZETA). A zero
+    accelerometer or magnetometer falls back to gyro-only integration and
+    raises the flag.
+    """
     a0, a1, a2 = a
     m0, m1, m2 = m
     na = math.sqrt(a0 ** 2 + a1 ** 2 + a2 ** 2)
@@ -175,9 +172,9 @@ def _ahrs_step(w, x, y, z, bx_b, by_b, bz_b, a, g, m, beta, zeta, dt):
         we_x = 2.0 * (w * s1 - x * s0 - y * s3 + z * s2)
         we_y = 2.0 * (w * s2 + x * s3 - y * s0 - z * s1)
         we_z = 2.0 * (w * s3 - x * s2 + y * s1 - z * s0)
-        bx_b += zeta * we_x * dt
-        by_b += zeta * we_y * dt
-        bz_b += zeta * we_z * dt
+        bx_b += AHRS_ZETA * we_x * dt
+        by_b += AHRS_ZETA * we_y * dt
+        bz_b += AHRS_ZETA * we_z * dt
     else:
         s0 = s1 = s2 = s3 = 0.0
 
@@ -185,7 +182,7 @@ def _ahrs_step(w, x, y, z, bx_b, by_b, bz_b, a, g, m, beta, zeta, dt):
     gy = float(g[1]) - by_b
     gz = float(g[2]) - bz_b
 
-    beta = 0.0 if gyro_only else beta
+    beta = 0.0 if gyro_only else AHRS_BETA
     qd0 = 0.5 * (-x * gx - y * gy - z * gz) - beta * s0
     qd1 = 0.5 * (w * gx + y * gz - z * gy) - beta * s1
     qd2 = 0.5 * (w * gy - x * gz + z * gx) - beta * s2
@@ -197,25 +194,6 @@ def _ahrs_step(w, x, y, z, bx_b, by_b, bz_b, a, g, m, beta, zeta, dt):
     z += qd3 * dt
     n = math.sqrt(w * w + x * x + y * y + z * z)
     return w / n, x / n, y / n, z / n, bx_b, by_b, bz_b, gyro_only
-
-
-def ahrs_update(state: AhrsState, sample: ImuSample, dt: float) -> AhrsState:
-    """Advance the orientation one step.
-
-    Gyro integration corrected by the normalized gradient of the combined
-    accelerometer + magnetometer objective; the angular error drives the
-    gyro-bias estimate (gain zeta). Zero accelerometer or magnetometer falls
-    back to gyro-only integration and flags the state.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    q = state.q
-    w, x, y, z, bx_b, by_b, bz_b, gyro_only = _ahrs_step(
-        q.q0, q.q1, q.q2, q.q3, *state.gyro_bias,
-        np.asarray(sample.a, dtype=float), sample.g,
-        np.asarray(sample.m, dtype=float), state.beta, state.zeta, dt)
-    return AhrsState(q=Quaternion(w, x, y, z), gyro_bias=(bx_b, by_b, bz_b),
-                     beta=state.beta, zeta=state.zeta, gyro_only=gyro_only)
 
 
 def initial_orientation(a: np.ndarray, m: np.ndarray) -> Quaternion:
@@ -251,20 +229,17 @@ def _matrix_to_quaternion(r: np.ndarray) -> Quaternion:
     return Quaternion(*q).normalized()
 
 
-def ahrs_stream(imu: ImuSeries, beta: float = 0.1, zeta: float = 0.01,
-                init: AhrsState | None = None) -> list[Quaternion]:
-    """Run the AHRS over a whole series, one quaternion per sample."""
-    if init is None:
-        init = AhrsState(q=initial_orientation(imu.acc[0], imu.mag[0]),
-                         beta=beta, zeta=zeta)
-    q = init.q
+def ahrs_stream(imu: ImuSeries) -> list[Quaternion]:
+    """Run the AHRS over a whole series, one quaternion per sample, from the
+    TRIAD attitude of the first sample and zero gyro bias."""
+    q = initial_orientation(imu.acc[0], imu.mag[0])
     w, x, y, z = q.q0, q.q1, q.q2, q.q3
-    bx_b, by_b, bz_b = init.gyro_bias
+    bx_b = by_b = bz_b = 0.0
     dt = 1.0 / imu.sample_rate
     out = []
     for a, g, m in zip(imu.acc.tolist(), imu.gyro.tolist(), imu.mag.tolist()):
         w, x, y, z, bx_b, by_b, bz_b, _ = _ahrs_step(
-            w, x, y, z, bx_b, by_b, bz_b, a, g, m, init.beta, init.zeta, dt)
+            w, x, y, z, bx_b, by_b, bz_b, a, g, m, dt)
         out.append(Quaternion(w, x, y, z))
     return out
 

@@ -3,15 +3,21 @@ consistency features -> per-user models and signed decision scores.
 
 The video chain is calibrate (adaptive DCT smoothing + cooperative Kalman),
 differentiate the wrist, band-pass. The IMU chain is denoise, orientation,
-gravity removal, velocity integration with per-cycle drift resets,
+gravity removal, velocity integration, gait-band band-pass,
 body-relative projection. Every scoring entry point also takes prepared
 streams (an `ImuChain`, the speed channels), so a session computes each
 chain once and scores all three checks from it.
+
+The pipeline takes no settings: each stage reads its module's constants
+(`posture.ARM_CHAIN` and the MJCKF noise levels, the AHRS gains in
+`orientation`, `series.DENOISE_LEVELS`, the `gait` period bounds,
+`syncing.COMMON_RATE`, the OC-SVM grids in `classify`) and the enrollment
+constants below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,10 +25,10 @@ from .classify import OcSvmModel, train_ocsvm, train_ocsvm_calibrated
 from .errors import TooFewSamples
 from .features import (FeatureVector, FisherReport, compute_features,
                        fisher_select)
-from .gait import (ImuChain, SegmentationConfig, as_chain,
-                   cycle_feature_vector, gait_representation, imu_chain)
+from .gait import (ImuChain, as_chain, cycle_feature_vector,
+                   gait_representation, imu_chain)
 from .orientation import GRAVITY, integrate_velocity, project_body_relative
-from .posture import (GAIT_BAND_HI, GAIT_BAND_LO, AdctConfig, MjckfConfig,
+from .posture import (ARM_CHAIN, GAIT_BAND_HI, GAIT_BAND_LO, AdctConfig,
                       SpectralBand, adaptive_bandpass, adct_smooth,
                       mjckf_correct)
 from .series import (JOINT_INDEX, MISSING_CONF, ImuSeries, KeypointSeries,
@@ -30,7 +36,11 @@ from .series import (JOINT_INDEX, MISSING_CONF, ImuSeries, KeypointSeries,
 from .syncing import AlignedPair, ClockOffsetEstimate, align, imu_hand_speed
 
 HEADING_SMOOTH_S = 0.5
-_CHAIN_JOINTS = ("wrist", "elbow", "shoulder")
+WINDOW_S = 3.0                        # enrollment sub-window length
+MISALIGN_SHIFTS_S = (0.3, 0.55, 0.8)  # surrogate-negative video shifts
+CONSISTENCY_STD_FLOOR = 0.2
+CONSISTENCY_BALANCE = 0.3
+GAIT_RHO_MARGIN = 0.05
 
 # the scoring entry points take each stream raw or prepared
 VideoSpeed = tuple[Series1D, np.ndarray]      # video_speed_channel output
@@ -53,14 +63,6 @@ def _bandpass_components(comps: np.ndarray, rate: float) -> np.ndarray:
     return out
 
 
-@dataclass
-class PipelineConfig:
-    adct: AdctConfig = field(default_factory=AdctConfig)
-    mjckf: MjckfConfig = field(default_factory=MjckfConfig)
-    segmentation: SegmentationConfig = field(default_factory=SegmentationConfig)
-    side: str = "r"
-
-
 def _fill_gaps(t: np.ndarray, x: np.ndarray, conf: np.ndarray) -> np.ndarray:
     """Interpolate coordinates across missing detections before smoothing."""
     ok = conf >= MISSING_CONF
@@ -71,26 +73,24 @@ def _fill_gaps(t: np.ndarray, x: np.ndarray, conf: np.ndarray) -> np.ndarray:
     return np.interp(t, t[ok], x[ok])
 
 
-def calibrate_keypoints(kp: KeypointSeries, cfg: PipelineConfig) -> KeypointSeries:
-    """Adaptive DCT smoothing of each chain-joint track, then the cooperative
-    Kalman correction pass (which also bridges low-confidence frames).
+def calibrate_keypoints(kp: KeypointSeries) -> KeypointSeries:
+    """Adaptive DCT smoothing of each ARM_CHAIN joint track, then the
+    cooperative Kalman correction pass (which also bridges low-confidence
+    frames).
 
-    Only the `cfg.side` arm is calibrated, the one the speed channel reads;
+    Only the phone's arm is calibrated, the one the speed channel reads;
     the sides are independent, so the other arm's joints pass through."""
-    side = cfg.side[0]
     uv = kp.uv.copy()
-    for joint in _CHAIN_JOINTS:
-        name = f"{joint}_{side}"
+    for name in ARM_CHAIN:
         t, u, v, c = kp.joint_track(name)
         u = _fill_gaps(t, u, c)
         v = _fill_gaps(t, v, c)
         if len(u) >= 4:
-            u = adct_smooth(Series1D(u, rate=kp.frame_rate), cfg.adct).values
-            v = adct_smooth(Series1D(v, rate=kp.frame_rate), cfg.adct).values
+            u = adct_smooth(Series1D(u, rate=kp.frame_rate)).values
+            v = adct_smooth(Series1D(v, rate=kp.frame_rate)).values
         uv[:, JOINT_INDEX[name], 0] = u
         uv[:, JOINT_INDEX[name], 1] = v
-    return mjckf_correct(KeypointSeries(kp.t, uv, kp.conf, kp.frame_rate),
-                         cfg.mjckf, side)
+    return mjckf_correct(KeypointSeries(kp.t, uv, kp.conf, kp.frame_rate))
 
 
 def _torso_scale(kp: KeypointSeries) -> np.ndarray:
@@ -112,9 +112,7 @@ def _torso_scale(kp: KeypointSeries) -> np.ndarray:
     return np.maximum(scale, 1e-6)
 
 
-def video_speed_channel(kp: KeypointSeries,
-                        cfg: PipelineConfig = PipelineConfig()
-                        ) -> VideoSpeed:
+def video_speed_channel(kp: KeypointSeries) -> VideoSpeed:
     """Wrist swing speed from calibrated keypoints plus a validity mask.
 
     Pixel velocities are divided by the smoothed torso scale (cancelling
@@ -124,21 +122,21 @@ def video_speed_channel(kp: KeypointSeries,
     fell below the missing-confidence level are marked invalid (bridged,
     not measured).
     """
-    corrected = calibrate_keypoints(kp, cfg)
-    t, u, v, _ = corrected.joint_track(f"wrist_{cfg.side[0]}")
+    wrist = ARM_CHAIN[0]
+    corrected = calibrate_keypoints(kp)
+    t, u, v, _ = corrected.joint_track(wrist)
     scale = _torso_scale(kp)
     vel = np.column_stack([np.gradient(u, t) / scale,
                            np.gradient(v, t) / scale])
     vel = _bandpass_components(vel, kp.frame_rate)
     speed = normalize_or_flag(Series1D(np.hypot(vel[:, 0], vel[:, 1]),
                                        t0=float(t[0]), rate=kp.frame_rate))
-    _, _, _, conf = kp.joint_track(f"wrist_{cfg.side[0]}")
+    _, _, _, conf = kp.joint_track(wrist)
     valid = conf >= MISSING_CONF
     return speed, valid
 
 
-def imu_speed_channel(imu: ImuSeries | ImuChain,
-                      cfg: PipelineConfig = PipelineConfig()) -> Series1D:
+def imu_speed_channel(imu: ImuSeries | ImuChain) -> Series1D:
     """Body-relative hand speed from the IMU alone.
 
     Orientation comes from the attitude filter; the world-frame acceleration
@@ -173,7 +171,6 @@ def imu_speed_channel(imu: ImuSeries | ImuChain,
 
 def aligned_speeds(imu: ImuInput, kp: VideoInput,
                    offset: ClockOffsetEstimate,
-                   cfg: PipelineConfig = PipelineConfig(),
                    imu_valid: np.ndarray | None = None) -> AlignedPair:
     """Both speed channels on one timeline.
 
@@ -181,9 +178,9 @@ def aligned_speeds(imu: ImuInput, kp: VideoInput,
     `imu` is an ImuSeries, its ImuChain or its imu_speed_channel output;
     `kp` is a KeypointSeries or its video_speed_channel output.
     """
-    imu_speed = (imu_speed_channel(imu, cfg)
+    imu_speed = (imu_speed_channel(imu)
                  if isinstance(imu, (ImuSeries, ImuChain)) else imu)
-    video_speed, video_valid = (video_speed_channel(kp, cfg)
+    video_speed, video_valid = (video_speed_channel(kp)
                                 if isinstance(kp, KeypointSeries) else kp)
     return align(imu_speed, video_speed, offset,
                  imu_valid=imu_valid, video_valid=video_valid)
@@ -191,18 +188,17 @@ def aligned_speeds(imu: ImuInput, kp: VideoInput,
 
 def consistency_vector(imu: ImuInput, kp: VideoInput,
                        offset: ClockOffsetEstimate,
-                       cfg: PipelineConfig = PipelineConfig(),
                        imu_valid: np.ndarray | None = None) -> FeatureVector:
     """The 6-feature cross-modal consistency vector for one session."""
-    return compute_features(aligned_speeds(imu, kp, offset, cfg, imu_valid))
+    return compute_features(aligned_speeds(imu, kp, offset, imu_valid))
 
 
-def _window_pairs(pair: AlignedPair, window_s: float = 3.0) -> list[AlignedPair]:
+def _window_pairs(pair: AlignedPair) -> list[AlignedPair]:
     """The full aligned pair plus half-overlapping sub-windows; enrollment
     trains on all of them so the boundary covers short-window variance."""
     out = [pair]
     n = len(pair.imu_speed)
-    w = int(window_s * pair.common_rate)
+    w = int(WINDOW_S * pair.common_rate)
     step = max(w // 2, 1)
     if n >= w + step:
         for a in range(0, n - w + 1, step):
@@ -219,20 +215,12 @@ def _window_pairs(pair: AlignedPair, window_s: float = 3.0) -> list[AlignedPair]
     return out
 
 
-MISALIGN_SHIFTS_S = (0.3, 0.55, 0.8)
-CONSISTENCY_STD_FLOOR = 0.2
-CONSISTENCY_BALANCE = 0.3
-GAIT_RHO_MARGIN = 0.05
-
-
-def _shifted_pairs(pair: AlignedPair,
-                   shifts_s: tuple[float, ...] = MISALIGN_SHIFTS_S
-                   ) -> list[AlignedPair]:
+def _shifted_pairs(pair: AlignedPair) -> list[AlignedPair]:
     """Misaligned surrogate negatives: the video channel circularly shifted
     by a fraction of a gait cycle, breaking the cross-modal phase lock while
     keeping every marginal statistic of both channels."""
     out = []
-    for s in shifts_s:
+    for s in MISALIGN_SHIFTS_S:
         k = int(s * pair.common_rate)
         out.append(AlignedPair(
             imu_speed=pair.imu_speed,
@@ -244,10 +232,9 @@ def _shifted_pairs(pair: AlignedPair,
     return out
 
 
-def gait_vectors(imu: ImuSeries | ImuChain,
-                 cfg: PipelineConfig = PipelineConfig()) -> np.ndarray:
+def gait_vectors(imu: ImuSeries | ImuChain) -> np.ndarray:
     """Per-cycle gait feature rows for one session."""
-    cycles = gait_representation(imu, cfg.segmentation)
+    cycles = gait_representation(imu)
     return np.array([cycle_feature_vector(c) for c in cycles])
 
 
@@ -267,7 +254,7 @@ class Enrollment:
 
 
 def enroll(sessions: list[tuple[ImuSeries, KeypointSeries, ClockOffsetEstimate]],
-           cfg: PipelineConfig = PipelineConfig(), seed: int = 0) -> Enrollment:
+           seed: int = 0) -> Enrollment:
     """Train both one-class models from genuine enrollment sessions.
 
     The consistency model is calibrated against misaligned surrogate
@@ -280,10 +267,10 @@ def enroll(sessions: list[tuple[ImuSeries, KeypointSeries, ClockOffsetEstimate]]
     gaits = []
     for imu, kp, offset in sessions:
         chain = imu_chain(imu)
-        pair = aligned_speeds(chain, kp, offset, cfg)
+        pair = aligned_speeds(chain, kp, offset)
         pos_vecs.extend(compute_features(p) for p in _window_pairs(pair))
         neg_vecs.extend(compute_features(p) for p in _shifted_pairs(pair))
-        gaits.append(gait_vectors(chain, cfg))
+        gaits.append(gait_vectors(chain))
     if len(pos_vecs) < 2 or len(neg_vecs) < 2:
         raise TooFewSamples("enrollment sessions yield too few feature "
                             "windows; record more or longer sessions")
@@ -307,16 +294,14 @@ def enroll(sessions: list[tuple[ImuSeries, KeypointSeries, ClockOffsetEstimate]]
 
 def consistency_score(enrollment: Enrollment, imu: ImuInput,
                       kp: VideoInput, offset: ClockOffsetEstimate,
-                      cfg: PipelineConfig = PipelineConfig(),
                       imu_valid: np.ndarray | None = None) -> float:
     """Consistency decision value of one paired capture; the streams may
     come prepared (see aligned_speeds)."""
-    vec = consistency_vector(imu, kp, offset, cfg, imu_valid).as_array()
+    vec = consistency_vector(imu, kp, offset, imu_valid).as_array()
     return enrollment.consistency_model.score(vec[enrollment.feature_mask])
 
 
-def gait_score(enrollment: Enrollment, imu: ImuSeries | ImuChain,
-               cfg: PipelineConfig = PipelineConfig()) -> float:
+def gait_score(enrollment: Enrollment, imu: ImuSeries | ImuChain) -> float:
     """Median per-cycle decision value for one session."""
-    rows = gait_vectors(imu, cfg)
+    rows = gait_vectors(imu)
     return float(np.median(enrollment.gait_model.scores(rows)))

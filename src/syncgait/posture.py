@@ -8,17 +8,27 @@ correction for occlusion bridging.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dct, idct
 from scipy.signal import butter, filtfilt
 
-from .errors import InvalidBand, SeriesTooShort, UnknownJoint
+from .errors import InvalidBand, SeriesTooShort
 from .series import JOINT_INDEX, KeypointSeries, Series1D
 
 GAIT_BAND_LO = 0.3
 GAIT_BAND_HI = 5.0
+BAND_ENERGY_FRAC = 0.9    # spectral energy share the estimated band holds
+BUTTER_ORDER = 4
+
+# The calibrated arm: the phone rides on the right wrist. Joints run from the
+# wrist up, the order of the cooperative Kalman chain.
+ARM_CHAIN = ("wrist_r", "elbow_r", "shoulder_r")
+PROCESS_NOISE = 2.0        # px^2, velocity random walk per frame
+MEASUREMENT_NOISE = 4.0    # px^2
+CONF_GATE = 0.3            # detections below are bridged, not measured
+COUPLING_NOISE_FACTOR = 4.0
 
 
 @dataclass(frozen=True)
@@ -44,21 +54,6 @@ class AdctConfig:
             raise ValueError("need alpha >= 0 and f_base + alpha <= 1")
         if self.bins < 1:
             raise ValueError("bins must be positive")
-
-
-@dataclass
-class MjckfConfig:
-    joint_chain: tuple[str, ...] = ("wrist", "elbow", "shoulder")
-    process_noise: float = 2.0      # px^2, velocity random walk per frame
-    measurement_noise: float = 4.0  # px^2
-    conf_gate: float = 0.3
-    coupling_noise_factor: float = 4.0
-
-    def __post_init__(self):
-        if self.process_noise <= 0 or self.measurement_noise <= 0:
-            raise ValueError("noise variances must be positive")
-        if not 0 <= self.conf_gate <= 1:
-            raise ValueError("conf_gate must lie in [0,1]")
 
 
 def histogram_entropy(values: np.ndarray, bins: int) -> float:
@@ -89,14 +84,12 @@ def adct_smooth(s: Series1D, cfg: AdctConfig = AdctConfig()) -> Series1D:
     return Series1D(idct(coeffs, norm="ortho"), s.t0, s.rate)
 
 
-def estimate_band(s: Series1D, energy_frac: float = 0.9) -> SpectralBand:
-    """Smallest contiguous non-DC FFT interval holding >= energy_frac of the
-    spectral energy, clamped to the plausible gait range."""
+def estimate_band(s: Series1D) -> SpectralBand:
+    """Smallest contiguous non-DC FFT interval holding >= BAND_ENERGY_FRAC of
+    the spectral energy, clamped to the plausible gait range."""
     n = len(s)
     if n < 64:
         raise SeriesTooShort("need >= 64 samples")
-    if not 0 < energy_frac < 1:
-        raise ValueError("energy_frac must lie in (0,1)")
     spectrum = np.abs(np.fft.rfft(s.values - s.values.mean())) ** 2
     power = spectrum[1:]  # DC excluded
     freqs = np.fft.rfftfreq(n, d=1.0 / s.rate)[1:]
@@ -105,7 +98,7 @@ def estimate_band(s: Series1D, energy_frac: float = 0.9) -> SpectralBand:
     if total <= 0:
         return SpectralBand(GAIT_BAND_LO, GAIT_BAND_HI)
 
-    target = energy_frac * total
+    target = BAND_ENERGY_FRAC * total
     # two-pointer scan for the minimal window with enough energy
     best = (0, len(power) - 1)
     acc = 0.0
@@ -124,30 +117,24 @@ def estimate_band(s: Series1D, energy_frac: float = 0.9) -> SpectralBand:
     return SpectralBand(f_lo, f_hi)
 
 
-def adaptive_bandpass(s: Series1D, band: SpectralBand, order: int = 4) -> Series1D:
+def adaptive_bandpass(s: Series1D, band: SpectralBand) -> Series1D:
     """Zero-phase Butterworth band-pass (forward-backward)."""
     nyq = s.rate / 2
     if not 0 < band.f_lo < band.f_hi < nyq:
         raise InvalidBand(f"band [{band.f_lo}, {band.f_hi}] vs Nyquist {nyq}")
-    if not 2 <= order <= 8:
-        raise ValueError("order must lie in [2, 8]")
-    b, a = butter(order, [band.f_lo / nyq, band.f_hi / nyq], btype="band")
+    b, a = butter(BUTTER_ORDER, [band.f_lo / nyq, band.f_hi / nyq],
+                  btype="band")
     return Series1D(filtfilt(b, a, s.values), s.t0, s.rate)
 
 
 # --- multi-joint cooperative Kalman filtering --------------------------------
 
 
-def _chain_names(chain: tuple[str, ...], side: str) -> list[str]:
-    return [f"{j}_{side}" for j in chain]
-
-
 class _ChainFilter:
     """Constant-velocity EKF over one joint chain with inter-joint distance
     pseudo-measurements as the cooperative coupling."""
 
-    def __init__(self, positions: np.ndarray, cfg: MjckfConfig, dt: float):
-        self.cfg = cfg
+    def __init__(self, positions: np.ndarray, dt: float):
         self.nj = len(positions)
         self.dim = 4 * self.nj
         self.x = np.zeros(self.dim)
@@ -159,7 +146,7 @@ class _ChainFilter:
         self.F = np.kron(np.eye(self.nj), f)
         # white-acceleration discretization; the acceleration PSD scales with
         # the cube of the frame rate so tracking stiffness is fps-independent
-        qa = cfg.process_noise / dt ** 3
+        qa = PROCESS_NOISE / dt ** 3
         qb = np.array([[dt ** 4 / 4, 0, dt ** 3 / 2, 0],
                        [0, dt ** 4 / 4, 0, dt ** 3 / 2],
                        [dt ** 3 / 2, 0, dt ** 2, 0],
@@ -188,7 +175,7 @@ class _ChainFilter:
                 z.append(uv[k])
         h = np.array(rows)
         z = np.array(z)
-        r = np.eye(len(z)) * self.cfg.measurement_noise
+        r = np.eye(len(z)) * MEASUREMENT_NOISE
         self._kalman_update(h, z - h @ self.x, r)
 
     def update_coupling(self):
@@ -202,7 +189,7 @@ class _ChainFilter:
             h = np.zeros((1, self.dim))
             h[0, 4 * j:4 * j + 2] = -grad
             h[0, 4 * (j + 1):4 * (j + 1) + 2] = grad
-            r = np.array([[self.cfg.measurement_noise * self.cfg.coupling_noise_factor]])
+            r = np.array([[MEASUREMENT_NOISE * COUPLING_NOISE_FACTOR]])
             self._kalman_update(h, np.array([self.limb[j] - dist]), r)
 
     def refresh_limb(self, j: int, dist: float, alpha: float = 0.05):
@@ -215,32 +202,27 @@ class _ChainFilter:
         self.P = (np.eye(self.dim) - k @ h) @ self.P
 
 
-def mjckf_correct(kp: KeypointSeries, cfg: MjckfConfig = MjckfConfig(),
-                  side: str = "r") -> KeypointSeries:
-    """Correct one arm's chain joints with a cooperative Kalman pass.
+def mjckf_correct(kp: KeypointSeries) -> KeypointSeries:
+    """Correct the ARM_CHAIN joints with a cooperative Kalman pass.
 
     Low-confidence measurements are skipped (predict-only), bridging
-    occlusions; bridged frames are emitted with confidence = conf_gate.
-    The arms are independent filters; the other arm's joints pass through
+    occlusions; bridged frames are emitted with confidence = CONF_GATE.
+    The arms are independent filters; the other joints pass through
     unchanged.
     """
     if len(kp) < 3:
         raise SeriesTooShort("need >= 3 frames")
-    names = _chain_names(cfg.joint_chain, side)
-    for name in names:
-        if name not in JOINT_INDEX:
-            raise UnknownJoint(name)
-    cols = [JOINT_INDEX[n] for n in names]
+    cols = [JOINT_INDEX[n] for n in ARM_CHAIN]
     track = kp.uv[:, cols]
     conf = kp.conf[:, cols]
 
     filtered = np.empty_like(track)
-    filt = _ChainFilter(track[0], cfg, 1.0 / kp.frame_rate)
+    filt = _ChainFilter(track[0], 1.0 / kp.frame_rate)
     for idx in range(len(kp)):
         if idx > 0:
             filt.predict()
         measured = {j: track[idx, j] for j in range(filt.nj)
-                    if conf[idx, j] >= cfg.conf_gate}
+                    if conf[idx, j] >= CONF_GATE}
         filt.update_positions(measured)
         if len(measured) < filt.nj:
             # limb-length coupling constrains only occluded frames;
@@ -254,5 +236,5 @@ def mjckf_correct(kp: KeypointSeries, cfg: MjckfConfig = MjckfConfig(),
     uv = kp.uv.copy()
     uv[:, cols] = filtered
     out_conf = kp.conf.copy()
-    out_conf[:, cols] = np.maximum(conf, cfg.conf_gate)
+    out_conf[:, cols] = np.maximum(conf, CONF_GATE)
     return KeypointSeries(kp.t, uv, out_conf, kp.frame_rate)

@@ -18,14 +18,16 @@ import numpy as np
 
 from .errors import EnrollmentMissing, SyncGaitError
 from .gait import imu_chain
-from .pipeline import (Enrollment, PipelineConfig, consistency_score,
-                       gait_score, imu_speed_channel, video_speed_channel)
+from .pipeline import (Enrollment, consistency_score, gait_score,
+                       imu_speed_channel, video_speed_channel)
 from .series import ImuSeries, KeypointSeries
 from .syncing import (SYNC_EXCHANGE_PERIOD, ClockOffsetEstimate,
                       kalman_track_offset, two_way_offset)
 
 CHUNK_S = 0.1          # stream exchange chunk length
 ARQ_ROUNDS = 20        # bounded selective-repeat retransmission rounds
+DELAY_MEAN_S = 0.004   # one-way message delay, the same both ways
+DELAY_JITTER_S = 0.001
 
 
 class SessionState(enum.Enum):
@@ -41,19 +43,13 @@ class SessionState(enum.Enum):
 @dataclass(frozen=True)
 class ChannelModel:
     loss_rate: float = 0.0
-    delay_mean: float = 0.004    # seconds one way
-    delay_jitter: float = 0.001
-    asymmetry: float = 1.0       # return-path delay multiplier
 
     def __post_init__(self):
         if not 0.0 <= self.loss_rate <= 0.6:
             raise ValueError("loss_rate must lie in [0, 0.6]")
-        if self.delay_mean < 0 or self.delay_jitter < 0:
-            raise ValueError("delays must be non-negative")
 
-    def delay(self, rng: np.random.Generator, reverse: bool = False) -> float:
-        d = self.delay_mean * (self.asymmetry if reverse else 1.0)
-        return max(0.0, d + self.delay_jitter * rng.normal())
+    def delay(self, rng: np.random.Generator) -> float:
+        return max(0.0, DELAY_MEAN_S + DELAY_JITTER_S * rng.normal())
 
     def dropped(self, rng: np.random.Generator) -> bool:
         return bool(rng.random() < self.loss_rate)
@@ -65,7 +61,6 @@ class SessionConfig:
     sample_duration: float = 8.0
     channel: ChannelModel = field(default_factory=ChannelModel)
     clock_offset: float = 0.0    # true drone clock minus phone clock
-    pipeline: PipelineConfig = field(default_factory=PipelineConfig)
 
     def __post_init__(self):
         if self.max_attempts < 1:
@@ -150,10 +145,10 @@ def exchange_with_arq(chunks: list, channel: ChannelModel,
     return delivered, used
 
 
-def _chunks(n: int, rate: float, chunk_s: float = CHUNK_S) -> list[np.ndarray]:
-    """Index arrays for consecutive fixed-length chunks of an n-sample
+def _chunks(n: int, rate: float) -> list[np.ndarray]:
+    """Index arrays for consecutive CHUNK_S-long chunks of an n-sample
     stream at `rate` samples per second."""
-    per = max(int(round(chunk_s * rate)), 1)
+    per = max(int(round(CHUNK_S * rate)), 1)
     return [np.arange(a, min(a + per, n)) for a in range(0, n, per)]
 
 
@@ -198,8 +193,7 @@ def _received_keypoints(kp: KeypointSeries, kept: set[int],
     return KeypointSeries(kp.t, kp.uv, conf, kp.frame_rate)
 
 
-def attempt_scores(enrollment: Enrollment, cfg: PipelineConfig,
-                   offset: ClockOffsetEstimate, imu: ImuSeries,
+def attempt_scores(enrollment: Enrollment, offset: ClockOffsetEstimate, imu: ImuSeries,
                    kp: KeypointSeries, imu_at_drone: ImuSeries,
                    imu_valid: np.ndarray, kp_at_phone: KeypointSeries
                    ) -> tuple[float, float, float]:
@@ -214,17 +208,17 @@ def attempt_scores(enrollment: Enrollment, cfg: PipelineConfig,
     consistency_score and gait_score on the raw views.
     """
     chain = imu_chain(imu_at_drone)
-    imu_speed = imu_speed_channel(chain, cfg)
-    video = video_speed_channel(kp, cfg)
-    s_drone = consistency_score(enrollment, imu_speed, video, offset, cfg,
+    imu_speed = imu_speed_channel(chain)
+    video = video_speed_channel(kp)
+    s_drone = consistency_score(enrollment, imu_speed, video, offset,
                                 imu_valid=imu_valid)
     if imu_at_drone is not imu:
         chain = imu_chain(imu)
-        imu_speed = imu_speed_channel(chain, cfg)
+        imu_speed = imu_speed_channel(chain)
     if kp_at_phone is not kp:
-        video = video_speed_channel(kp_at_phone, cfg)
-    s_phone = consistency_score(enrollment, imu_speed, video, offset, cfg)
-    return s_drone, s_phone, gait_score(enrollment, chain, cfg)
+        video = video_speed_channel(kp_at_phone)
+    s_phone = consistency_score(enrollment, imu_speed, video, offset)
+    return s_drone, s_phone, gait_score(enrollment, chain)
 
 
 def _time_sync(cfg: SessionConfig, rng: np.random.Generator,
@@ -246,7 +240,7 @@ def _time_sync(cfg: SessionConfig, rng: np.random.Generator,
         if ch.dropped(rng):
             log.log(t1, "drone", "sync_reply_lost", seq=seq)
             continue
-        t4 = t3 - cfg.clock_offset + ch.delay(rng, reverse=True)
+        t4 = t3 - cfg.clock_offset + ch.delay(rng)
         try:
             est = two_way_offset(t1, t2, t3, t4)
         except SyncGaitError:
@@ -305,8 +299,8 @@ def run_session(cfg: SessionConfig, enrollment: Enrollment,
         log.log(t, "phone", "state", state=SessionState.VERIFY.value)
         try:
             s_drone, s_phone, s_gait = attempt_scores(
-                enrollment, cfg.pipeline, offset, imu, kp, imu_at_drone,
-                imu_valid, kp_at_phone)
+                enrollment, offset, imu, kp, imu_at_drone, imu_valid,
+                kp_at_phone)
         except SyncGaitError as exc:
             log.log(t, "phone", "attempt_failed",
                     reason=type(exc).__name__)

@@ -27,16 +27,7 @@ JOINT_INDEX = {name: j for j, name in enumerate(REQUIRED_JOINTS)}
 
 # Confidence below this is treated as a missing detection downstream.
 MISSING_CONF = 0.3
-
-
-@dataclass(frozen=True)
-class ImuSample:
-    """One 9-axis sensor sample in the phone frame (SI units)."""
-
-    t: float                 # seconds since session start
-    a: np.ndarray            # accelerometer, m/s^2
-    g: np.ndarray            # gyroscope, rad/s
-    m: np.ndarray            # magnetometer, microtesla
+DENOISE_LEVELS = 4   # wavelet levels of wavelet_denoise
 
 
 @dataclass
@@ -69,12 +60,6 @@ class ImuSeries:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def channel(self, name: str) -> "Series1D":
-        """Extract one axis ('ax'..'mz') as a Series1D at the nominal rate."""
-        group = {"a": self.acc, "g": self.gyro, "m": self.mag}[name[0]]
-        axis = "xyz".index(name[1])
-        return Series1D(group[:, axis].copy(), t0=float(self.t[0]), rate=self.sample_rate)
 
 
 @dataclass
@@ -190,17 +175,17 @@ def wavelet_reconstruct(approx: np.ndarray, details: list[np.ndarray]) -> np.nda
     return out
 
 
-def wavelet_denoise(s: Series1D, levels: int = 4) -> Series1D:
+def wavelet_denoise(s: Series1D) -> Series1D:
     """Soft universal-threshold wavelet denoising (db2, periodized).
 
     The noise scale is estimated from the finest-scale detail coefficients
-    via MAD / 0.6745; all detail levels are soft-thresholded by
-    sigma * sqrt(2 ln n).
+    via MAD / 0.6745; the detail levels, up to DENOISE_LEVELS, are
+    soft-thresholded by sigma * sqrt(2 ln n).
     """
     n = len(s)
-    if n < 2 ** levels:
-        raise SeriesTooShort(f"need >= {2 ** levels} samples, got {n}")
-    approx, details = wavelet_decompose(s.values, levels)
+    if n < 2 ** DENOISE_LEVELS:
+        raise SeriesTooShort(f"need >= {2 ** DENOISE_LEVELS} samples, got {n}")
+    approx, details = wavelet_decompose(s.values, DENOISE_LEVELS)
     if not details:
         return Series1D(s.values.copy(), s.t0, s.rate)
     sigma = np.median(np.abs(details[0])) / 0.6745
@@ -209,30 +194,21 @@ def wavelet_denoise(s: Series1D, levels: int = 4) -> Series1D:
     return Series1D(wavelet_reconstruct(approx, shrunk), s.t0, s.rate)
 
 
-def normalize(s: Series1D, mode: str = "zscore") -> Series1D:
-    """Map a channel to a common numerical range (zscore or minmax)."""
+def normalize(s: Series1D) -> Series1D:
+    """Z-score a channel: zero mean, unit variance."""
     if len(s) == 0:
         raise DegenerateSeries("empty series")
     v = s.values
-    if mode == "zscore":
-        std = v.std()
-        if std <= 0:
-            raise DegenerateSeries("zero variance")
-        out = (v - v.mean()) / std
-    elif mode == "minmax":
-        lo, hi = v.min(), v.max()
-        if hi <= lo:
-            raise DegenerateSeries("constant series")
-        out = (v - lo) / (hi - lo)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return Series1D(out, s.t0, s.rate)
+    std = v.std()
+    if std <= 0:
+        raise DegenerateSeries("zero variance")
+    return Series1D((v - v.mean()) / std, s.t0, s.rate)
 
 
-def normalize_or_flag(s: Series1D, mode: str = "zscore") -> Series1D:
+def normalize_or_flag(s: Series1D) -> Series1D:
     """normalize(), but degenerate input maps to a zero series with a flag."""
     try:
-        return normalize(s, mode)
+        return normalize(s)
     except DegenerateSeries:
         return Series1D(np.zeros(len(s)), s.t0, s.rate, degenerate=True)
 

@@ -14,9 +14,10 @@ import numpy as np
 from .errors import InsufficientOverlap, NegativeRoundTrip
 from .series import Series1D, normalize_or_flag
 
-DEFAULT_COMMON_RATE = 50.0
+COMMON_RATE = 50.0           # Hz, the aligned channels' grid
 MIN_OVERLAP_S = 2.0
 SYNC_EXCHANGE_PERIOD = 0.5   # seconds between two-way exchanges
+DRIFT_NOISE = 1e-8           # drift-rate process noise of the offset track
 
 
 @dataclass(frozen=True)
@@ -60,10 +61,10 @@ def two_way_offset(t1: float, t2: float, t3: float, t4: float) -> ClockOffsetEst
                                round_trip=rtt)
 
 
-def kalman_track_offset(estimates: list[ClockOffsetEstimate],
-                        drift_noise: float = 1e-8,
-                        dt: float = SYNC_EXCHANGE_PERIOD) -> list[ClockOffsetEstimate]:
-    """Scalar Kalman filter over (offset, drift rate) with constant drift."""
+def kalman_track_offset(estimates: list[ClockOffsetEstimate]
+                        ) -> list[ClockOffsetEstimate]:
+    """Kalman filter over (offset, drift rate) with constant drift, one
+    estimate per SYNC_EXCHANGE_PERIOD."""
     if not estimates:
         raise ValueError("need at least one estimate")
     if len(estimates) == 1:
@@ -71,8 +72,9 @@ def kalman_track_offset(estimates: list[ClockOffsetEstimate],
 
     x = np.array([estimates[0].offset, 0.0])
     p = np.diag([max(estimates[0].variance, 1e-12), 1e-6])
+    dt = SYNC_EXCHANGE_PERIOD
     f = np.array([[1.0, dt], [0.0, 1.0]])
-    q = drift_noise * np.array([[dt ** 3 / 3, dt ** 2 / 2], [dt ** 2 / 2, dt]])
+    q = DRIFT_NOISE * np.array([[dt ** 3 / 3, dt ** 2 / 2], [dt ** 2 / 2, dt]])
     h = np.array([[1.0, 0.0]])
 
     out = [ClockOffsetEstimate(float(x[0]), float(p[0, 0]), estimates[0].round_trip)]
@@ -96,11 +98,10 @@ def imu_hand_speed(v_body: np.ndarray, rate: float = 100.0, t0: float = 0.0) -> 
 
 
 def align(imu: Series1D, video: Series1D, offset: ClockOffsetEstimate,
-          common_rate: float = DEFAULT_COMMON_RATE,
           imu_valid: np.ndarray | None = None,
           video_valid: np.ndarray | None = None) -> AlignedPair:
     """Shift the video timeline by the tracked offset and co-register both
-    channels on a common grid; grid points without a valid source sample
+    channels on a COMMON_RATE grid; grid points without a valid source sample
     within half a sample period on both sides are dropped.
     """
     t_imu = imu.times
@@ -110,13 +111,13 @@ def align(imu: Series1D, video: Series1D, offset: ClockOffsetEstimate,
     if hi - lo < MIN_OVERLAP_S:
         raise InsufficientOverlap(f"overlap {hi - lo:.3f} s")
 
-    n = int(np.floor((hi - lo) * common_rate)) + 1
-    grid = lo + np.arange(n) / common_rate
+    n = int(np.floor((hi - lo) * COMMON_RATE)) + 1
+    grid = lo + np.arange(n) / COMMON_RATE
     imu_g = np.interp(grid, t_imu, imu.values)
     vid_g = np.interp(grid, t_video, video.values)
 
     keep = np.ones(n, dtype=bool)
-    half = 0.5 / common_rate
+    half = 0.5 / COMMON_RATE
     for t_src, valid in ((t_imu, imu_valid), (t_video, video_valid)):
         if valid is None:
             continue
@@ -129,12 +130,12 @@ def align(imu: Series1D, video: Series1D, offset: ClockOffsetEstimate,
         right = np.abs(t_ok[np.clip(idx, 0, len(t_ok) - 1)] - grid)
         src_period = np.median(np.diff(t_src)) if len(t_src) > 1 else half
         keep &= np.minimum(left, right) <= max(half, src_period)
-    if keep.sum() < MIN_OVERLAP_S * common_rate:
+    if keep.sum() < MIN_OVERLAP_S * COMMON_RATE:
         raise InsufficientOverlap("too few temporally matched pairs")
 
     return AlignedPair(
-        imu_speed=Series1D(imu_g[keep], t0=float(grid[0]), rate=common_rate),
-        video_speed=Series1D(vid_g[keep], t0=float(grid[0]), rate=common_rate),
-        common_rate=common_rate,
+        imu_speed=Series1D(imu_g[keep], t0=float(grid[0]), rate=COMMON_RATE),
+        video_speed=Series1D(vid_g[keep], t0=float(grid[0]), rate=COMMON_RATE),
+        common_rate=COMMON_RATE,
         window=float(hi - lo),
     )

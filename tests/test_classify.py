@@ -129,6 +129,51 @@ def test_truncated_blob_raises_value_error(keep):
         deserialize_model(blob[:keep])
 
 
+def _model(sv, coef, mean, std, rho=0.1):
+    return OcSvmModel(np.asarray(sv, dtype=float), np.asarray(coef, dtype=float),
+                      rho=rho, nu=0.1, gamma=0.5,
+                      scaler=Scaler(np.asarray(mean, dtype=float),
+                                    np.asarray(std, dtype=float)))
+
+
+_SV = np.zeros((4, 3))
+_COEF = np.full(4, 0.25)
+
+
+@pytest.mark.parametrize("blob", [
+    serialize_model(_model(_SV, _COEF, np.zeros(2), np.ones(2))),
+    serialize_model(_model(_SV, _COEF[:3], np.zeros(3), np.ones(3))),
+    serialize_model(_model(_SV[0], _COEF[:1], np.zeros(3), np.ones(3))),
+    serialize_model(_model(_SV, _COEF, np.zeros(3), np.ones(3), rho=np.nan)),
+    serialize_model(_model(_SV + np.inf, _COEF, np.zeros(3), np.ones(3))),
+    serialize_model(_model(_SV, _COEF, np.zeros(3), np.zeros(3))),
+    serialize_model(_model(_SV, _COEF, np.zeros(3), np.ones(3))) + b"\0",
+], ids=["scaler_narrower", "coef_shorter", "one_dim_vectors", "nan_rho",
+        "inf_vector", "zero_std", "trailing_byte"])
+def test_inconsistent_blob_raises_value_error(blob):
+    with pytest.raises(ValueError):
+        deserialize_model(blob)
+
+
+_GOOD_BLOB = serialize_model(fit_ocsvm_fixed(_blob(n=12, dim=2), nu=0.2,
+                                             gamma=1.0))
+
+
+@given(st.binary(max_size=200)
+       | st.binary(max_size=200).map(lambda b: _GOOD_BLOB[:8] + b)
+       | st.tuples(st.integers(0, len(_GOOD_BLOB) - 1),
+                   st.integers(0, 255)).map(
+           lambda p: _GOOD_BLOB[:p[0]] + bytes([p[1]])
+           + _GOOD_BLOB[p[0] + 1:]))
+@settings(max_examples=300, deadline=None)
+def test_any_bytes_load_as_model_or_raise_value_error(blob):
+    try:
+        model = deserialize_model(blob)
+    except ValueError:
+        return
+    assert isinstance(model, OcSvmModel)
+
+
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
 @settings(max_examples=15, deadline=None)
 def test_serialization_round_trip_property(seed):

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from syncgait.classify import fit_ocsvm_fixed, serialize_model
 from syncgait.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, ExperimentConfig,
@@ -30,6 +32,32 @@ def test_experiment_config_validation():
         ExperimentConfig(fidelity=2.0)
     with pytest.raises(ValueError):
         ExperimentConfig(attacks=("teleport",))
+
+
+@pytest.mark.parametrize("text", [
+    '{"cohort_size": "3"}', '{"duration": "8"}', '{"seed": 1.5}',
+    '{"loss_rate": null}', '{"attacks": 5}', '{"attacks": "relay"}',
+    '{"attacks": ["relay", 1]}', '{"cohort_size": true}',
+    '{"duration": NaN}', '{"fps": Infinity}', "[" * 100000,
+], ids=["str_int", "str_float", "float_int", "null_float", "int_attacks",
+        "str_attacks", "int_attack", "bool_int", "nan_float", "inf_float",
+        "deep_nesting"])
+def test_ill_typed_config_is_config_error(tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["synth", "--config", str(path),
+                 "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert not (tmp_path / "x").exists()
+
+
+def test_config_values_are_not_coerced(tmp_path):
+    cfg = _write_config(tmp_path, dict(FAST_SYNTH, duration=4))
+    out = tmp_path / "data"
+    assert main(["synth", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert type(manifest["config"]["duration"]) is int
+    assert manifest["config_sha256"] == ExperimentConfig(
+        **dict(FAST_SYNTH, duration=4)).digest()
 
 
 def test_config_digest_is_stable_and_sensitive():
@@ -144,6 +172,39 @@ def test_enroll_manifest_session_without_field_is_io_error(tmp_path, field):
                  "--out", str(tmp_path / "m")]) == EXIT_IO
 
 
+def test_enroll_deeply_nested_manifest_is_io_error(tmp_path):
+    (tmp_path / "manifest.json").write_text("[" * 100000)
+    assert main(["enroll", "--data", str(tmp_path), "--subject", "0",
+                 "--out", str(tmp_path / "m")]) == EXIT_IO
+
+
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.integers(min_value=2 ** 1024) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8)
+_SESSION = st.fixed_dictionaries({}, optional={
+    "imu": st.sampled_from(["", "manifest.json", "absent.csv"]) | _ANY_JSON,
+    "keypoints": _ANY_JSON, "clock_offset": _ANY_JSON})
+_MANIFEST = st.fixed_dictionaries({}, optional={
+    "imu_rate": _ANY_JSON,
+    "config": st.fixed_dictionaries({"fps": _ANY_JSON}) | _ANY_JSON,
+    "subjects": st.lists(st.fixed_dictionaries(
+        {"sessions": st.lists(_SESSION, max_size=2) | _ANY_JSON})
+        | _ANY_JSON, max_size=2) | _ANY_JSON})
+
+
+@given(st.binary(max_size=200)
+       | _MANIFEST.map(lambda m: json.dumps(m).encode()))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_manifest_bytes_exit_config_or_io(tmp_path, blob):
+    (tmp_path / "manifest.json").write_bytes(blob)
+    assert main(["enroll", "--data", str(tmp_path), "--subject", "0",
+                 "--out", str(tmp_path / "m")]) in (EXIT_CONFIG, EXIT_IO)
+
+
 def test_enroll_unwritable_output_is_io_error(tmp_path):
     cfg = _write_config(tmp_path, FAST_ENROLL)
     data = tmp_path / "data"
@@ -161,8 +222,16 @@ def test_enroll_unwritable_output_is_io_error(tmp_path):
      '"feature_mask": [1, 1]}', False),
     ('{"consistency_model": "c.model", "gait_model": "c.model", '
      '"feature_mask": [1, 1]}', True),
+    ('{"consistency_model": "c.model", "gait_model": "c.model", '
+     '"feature_mask": [1, 1]}', False),
+    ('{"consistency_model": "c.model", "gait_model": "c.model", '
+     '"feature_mask": [1, 1, 1, 0, 0, 0]}', False),
+    ('{"consistency_model": "c.model", "gait_model": "c.model", '
+     '"feature_mask": [1, "1", 0, 0, 0, 0]}', False),
+    ("[" * 100000, False),
 ], ids=["bad_json", "no_mask", "not_an_object", "missing_model",
-        "truncated_model"])
+        "truncated_model", "short_mask", "mask_wider_than_model",
+        "non_integer_mask", "deep_nesting"])
 def test_load_enrollment_failures_are_io_failures(tmp_path, meta, truncate):
     blob = serialize_model(fit_ocsvm_fixed(
         np.random.default_rng(0).normal(size=(20, 2)), nu=0.1, gamma=0.5))
@@ -170,6 +239,17 @@ def test_load_enrollment_failures_are_io_failures(tmp_path, meta, truncate):
     (tmp_path / "subject00_enrollment.json").write_text(meta)
     with pytest.raises(IoFailure):
         load_enrollment(tmp_path, 0)
+
+
+def test_load_enrollment_accepts_mask_of_model_width(tmp_path):
+    blob = serialize_model(fit_ocsvm_fixed(
+        np.random.default_rng(0).normal(size=(20, 2)), nu=0.1, gamma=0.5))
+    (tmp_path / "c.model").write_bytes(blob)
+    (tmp_path / "subject00_enrollment.json").write_text(json.dumps(
+        {"consistency_model": "c.model", "gait_model": "c.model",
+         "feature_mask": [0, 1, 0, 0, 1, 0]}))
+    mask = load_enrollment(tmp_path, 0).feature_mask
+    assert mask.tolist() == [False, True, False, False, True, False]
 
 
 def test_missing_config_file_is_io_error(tmp_path):

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from syncgait.errors import CycleTooShort, NoCyclesFound, SeriesTooShort
-from syncgait.gait import (CYCLE_LENGTH, GaitCycle, SegmentationConfig,
-                           _boundaries_from_vertical, cycle_feature_vector,
-                           gait_representation, normalize_cycle,
-                           segment_cycles)
+from syncgait.gait import (CYCLE_LENGTH, GaitCycle, _boundaries_from_vertical,
+                           cycle_feature_vector, gait_representation,
+                           normalize_cycle, segment_cycles)
 from syncgait.series import ImuSeries, Series1D
 from syncgait.synth import SubjectParams, generate_session
 
@@ -62,13 +61,7 @@ def test_segmentation_too_short():
 
 def test_boundaries_flat_channel_raises():
     with pytest.raises(NoCyclesFound):
-        _boundaries_from_vertical(Series1D(np.zeros(1000), rate=100.0),
-                                  SegmentationConfig())
-
-
-def test_segmentation_config_validation():
-    with pytest.raises(ValueError):
-        SegmentationConfig(min_period=2.0, max_period=1.0)
+        _boundaries_from_vertical(Series1D(np.zeros(1000), rate=100.0))
 
 
 def test_normalize_cycle_fixed_length_and_endpoints():

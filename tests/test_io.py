@@ -11,7 +11,7 @@ from syncgait.errors import IoFailure
 from syncgait.io import (FORMAT_TAG, IMU_COLUMNS, read_imu_csv,
                          read_keypoint_jsonl, write_imu_csv,
                          write_keypoint_jsonl)
-from syncgait.series import KeypointSeries
+from syncgait.series import ImuSeries, KeypointSeries
 from syncgait.synth import SubjectParams, generate_session
 
 
@@ -129,3 +129,21 @@ def test_any_keypoint_text_reads_or_raises_io_failure(tmp_path, lines):
     except IoFailure:
         return
     assert isinstance(kp, KeypointSeries) and len(kp) >= 1
+
+
+_FIELD = st.floats().map(repr) | st.integers().map(str) | st.text(max_size=4)
+
+
+@given(st.lists(_TEXT | st.lists(_FIELD, max_size=11).map(",".join),
+                max_size=5))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_imu_text_reads_or_raises_io_failure(tmp_path, lines):
+    path = tmp_path / "imu.csv"
+    path.write_text("\n".join([FORMAT_TAG, IMU_COLUMNS, *lines]),
+                    encoding="utf-8")
+    try:
+        imu = read_imu_csv(path)
+    except IoFailure:
+        return
+    assert isinstance(imu, ImuSeries) and len(imu) >= 1

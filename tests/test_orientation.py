@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syncgait.errors import NonUnitQuaternion
-from syncgait.orientation import (AhrsState, EulerAngles, Quaternion,
-                                  ahrs_stream, ahrs_update,
-                                  euler_to_quaternion, initial_orientation,
-                                  integrate_velocity, project_body_relative,
-                                  quaternion_to_euler, rotate_to_world)
-from syncgait.series import ImuSample, ImuSeries
+from syncgait.orientation import (EulerAngles, Quaternion, _ahrs_step,
+                                  ahrs_stream, euler_to_quaternion,
+                                  initial_orientation, integrate_velocity,
+                                  project_body_relative, quaternion_to_euler,
+                                  rotate_to_world)
+from syncgait.series import ImuSeries
 
 
 def rodrigues(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -165,19 +165,14 @@ def test_ahrs_recovers_static_orientation():
 
 
 def test_ahrs_gyro_only_fallback_flags_state():
-    state = AhrsState()
-    sample = ImuSample(0.0, np.zeros(3), np.array([0.0, 0.0, 1.0]),
-                       np.zeros(3))
-    nxt = ahrs_update(state, sample, 0.01)
-    assert nxt.gyro_only
+    # identity attitude, zero bias, a zero accelerometer
+    *q, bx, by, bz, gyro_only = _ahrs_step(
+        1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+        [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0], 0.01)
+    assert gyro_only
     # pure gyro integration about z advances yaw by w*dt
-    assert quaternion_to_euler(nxt.q).yaw == pytest.approx(0.01, abs=1e-6)
-
-
-def test_ahrs_update_rejects_bad_dt():
-    sample = ImuSample(0.0, GRAVITY_WORLD, np.zeros(3), MAG_WORLD)
-    with pytest.raises(ValueError):
-        ahrs_update(AhrsState(), sample, 0.0)
+    assert quaternion_to_euler(Quaternion(*q)).yaw == pytest.approx(
+        0.01, abs=1e-6)
 
 
 def test_initial_orientation_identity_case():

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from syncgait.errors import TooFewSamples
-from syncgait.pipeline import (PipelineConfig, aligned_speeds,
-                               consistency_score, consistency_vector, enroll,
-                               gait_score, imu_speed_channel,
-                               video_speed_channel)
+from syncgait.pipeline import (aligned_speeds, consistency_score,
+                               consistency_vector, enroll, gait_score,
+                               imu_speed_channel, video_speed_channel)
 from syncgait.syncing import ClockOffsetEstimate
 from syncgait.synth import (HijackAttack, RelayAttack, SubjectParams,
                             generate_attack, generate_session, make_cohort)
@@ -112,8 +111,3 @@ def test_enroll_requires_enough_windows(subject):
     imu, kp, _ = generate_session(subject, clock_offset=OFFSET, duration=3.5)
     with pytest.raises(TooFewSamples):
         enroll([(imu, kp, EST)])
-
-
-def test_pipeline_config_defaults():
-    cfg = PipelineConfig()
-    assert cfg.side == "r"

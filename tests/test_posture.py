@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syncgait.errors import InvalidBand, SeriesTooShort, UnknownJoint
-from syncgait.posture import (AdctConfig, MjckfConfig, SpectralBand,
+from syncgait.errors import InvalidBand, SeriesTooShort
+from syncgait.posture import (CONF_GATE, AdctConfig, SpectralBand,
                               adaptive_bandpass, adct_cutoff, adct_smooth,
                               estimate_band, histogram_entropy, mjckf_correct)
 from syncgait.series import (JOINT_INDEX, REQUIRED_JOINTS, KeypointSeries,
@@ -187,23 +187,13 @@ def test_mjckf_bridges_occlusion():
 def test_mjckf_marks_bridged_confidence():
     kp, _ = _arm_series(occlude={50})
     out = mjckf_correct(kp)
-    assert out.conf[50, JOINT_INDEX["wrist_r"]] == pytest.approx(
-        MjckfConfig().conf_gate)
+    assert out.conf[50, JOINT_INDEX["wrist_r"]] == pytest.approx(CONF_GATE)
 
 
 def test_mjckf_leaves_clean_tracks_close():
     kp, truth = _arm_series()
     errs = _wrist_errors(mjckf_correct(kp), truth, range(20, len(truth)))
     assert np.mean(errs) < 3.0
-
-
-def test_mjckf_unknown_joint():
-    n = 10
-    kp = KeypointSeries(np.arange(n) / 60.0,
-                        np.zeros((n, len(REQUIRED_JOINTS), 2)),
-                        np.zeros((n, len(REQUIRED_JOINTS))), frame_rate=60.0)
-    with pytest.raises(UnknownJoint):
-        mjckf_correct(kp, MjckfConfig(joint_chain=("wrist", "elbow", "spine")))
 
 
 def test_adct_config_validation():
