@@ -27,10 +27,12 @@ from .metrics import evaluate as score_evaluate
 from .metrics import roc_points_csv
 from .classify import deserialize_model, serialize_model
 from .features import FEATURE_NAMES
+from .gait import CYCLE_FEATURE_COUNT
 from .pipeline import Enrollment, enroll
 from .protocol import ChannelModel, SessionConfig, SessionState, run_session
-from .synth import (CameraModel, HijackAttack, MimicryAttack, RelayAttack,
-                    generate_attack, generate_session, make_cohort)
+from .synth import (IMU_RATE, CameraModel, HijackAttack, MimicryAttack,
+                    RelayAttack, generate_attack, generate_session,
+                    make_cohort)
 from .syncing import ClockOffsetEstimate
 
 EXIT_OK = 0
@@ -165,7 +167,7 @@ def cmd_synth(cfg: ExperimentConfig, out: Path) -> int:
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
     manifest = {"format": "gaitsync-v1", "config": cfg.to_dict(),
-                "config_sha256": cfg.digest(), "imu_rate": 100.0,
+                "config_sha256": cfg.digest(), "imu_rate": IMU_RATE,
                 "subjects": []}
     for si, subject in enumerate(cohort):
         entry = {"index": si, "cycle_period": subject.cycle_period,
@@ -213,7 +215,7 @@ def cmd_enroll(cfg: ExperimentConfig, data_dir: Path, subject: int,
         raise ValueError(f"subject index {subject} outside cohort of "
                          f"{len(subjects)}")
     try:
-        imu_rate = float(manifest.get("imu_rate", 100.0))
+        imu_rate = float(manifest.get("imu_rate", IMU_RATE))
         fps = float(manifest.get("config", {}).get("fps", 60.0))
         entries = [(data_dir / sess["imu"], data_dir / sess["keypoints"],
                     float(sess["clock_offset"]))
@@ -257,7 +259,8 @@ def cmd_enroll(cfg: ExperimentConfig, data_dir: Path, subject: int,
 def load_enrollment(out: Path, subject: int) -> Enrollment:
     """Read back the model files written by the enroll command. The feature
     mask must hold one 0/1 entry per consistency feature and keep as many
-    as the consistency model is wide."""
+    as the consistency model is wide; the gait model must be as wide as
+    the per-cycle gait feature vector."""
     meta_path = out / f"subject{subject:02d}_enrollment.json"
     try:
         meta = json.loads(meta_path.read_text())
@@ -269,6 +272,8 @@ def load_enrollment(out: Path, subject: int) -> Enrollment:
                 and sum(mask) == cons.support_vectors.shape[1]):
             raise ValueError(f"feature mask {mask!r} does not fit the "
                              "consistency model")
+        if gait.support_vectors.shape[1] != CYCLE_FEATURE_COUNT:
+            raise ValueError("gait model does not fit the cycle features")
         mask = np.array(mask, dtype=bool)
     except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise IoFailure(f"cannot load enrollment of subject {subject}: "

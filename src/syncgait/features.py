@@ -17,7 +17,7 @@ from .errors import (DegenerateChannel, DegenerateClass, PairTooShort,
                      SyncGaitError)
 from .posture import GAIT_BAND_HI, GAIT_BAND_LO, SpectralBand, estimate_band
 from .series import Series1D
-from .syncing import AlignedPair
+from .syncing import COMMON_RATE, AlignedPair
 
 MAX_LAG_S = 0.5
 FISHER_SELECT_THRESHOLD = 0.7
@@ -47,8 +47,8 @@ class FisherReport:
     selected: np.ndarray
 
 
-def _sync_lag_score(a: np.ndarray, b: np.ndarray, rate: float) -> float:
-    max_lag = max(int(round(MAX_LAG_S * rate)), 1)
+def _sync_lag_score(a: np.ndarray, b: np.ndarray) -> float:
+    max_lag = max(int(round(MAX_LAG_S * COMMON_RATE)), 1)
     az = a - a.mean()
     bz = b - b.mean()
     full = np.correlate(az, bz, mode="full")
@@ -68,13 +68,13 @@ def _band_bins(freqs: np.ndarray, band: SpectralBand) -> np.ndarray:
 def compute_features(pair: AlignedPair) -> FeatureVector:
     """The 6 consistency features on one aligned speed pair, the spectral
     ones in the band estimated from the IMU channel."""
-    a = pair.imu_speed.values
-    b = pair.video_speed.values
+    a = pair.imu_speed
+    b = pair.video_speed
     if len(a) < 100:
         raise PairTooShort(f"{len(a)} samples")
     if a.std() == 0 or b.std() == 0:
         raise DegenerateChannel("zero-variance channel")
-    rate = pair.common_rate
+    rate = COMMON_RATE
     try:
         band = estimate_band(Series1D(a, rate=rate))
     except SyncGaitError:
@@ -83,7 +83,7 @@ def compute_features(pair: AlignedPair) -> FeatureVector:
     pcc = float(pearsonr(a, b)[0])
     rho = float(spearmanr(a, b)[0])
     mae = float(np.mean(np.abs(a - b)))
-    sync = _sync_lag_score(a, b, rate)
+    sync = _sync_lag_score(a, b)
 
     nper = min(int(2 * rate), len(a))
     freqs_c, coh = coherence(a, b, fs=rate, nperseg=nper, noverlap=nper // 2)

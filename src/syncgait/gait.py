@@ -193,22 +193,21 @@ def gait_representation(imu: ImuSeries | ImuChain) -> list[GaitCycle]:
         raise SeriesTooShort("need >= 2 s of data")
     chain = as_chain(imu)
     denoised = chain.denoised
-    vert = vertical_acceleration(denoised, chain.quats)
-    cycles = _cycles_from_boundaries(_boundaries_from_vertical(vert))
-
     out = []
-    t = denoised.t
-    for t_start, t_end in cycles:
-        i0 = int(np.searchsorted(t, t_start))
-        i1 = int(np.searchsorted(t, t_end)) + 1
+    for t_start, t_end in segment_cycles(chain):
+        i0 = int(np.searchsorted(denoised.t, t_start))
+        i1 = int(np.searchsorted(denoised.t, t_end)) + 1
         ang = np.unwrap(chain.euler[i0:i1], axis=0)
         raw = np.vstack([denoised.acc[i0:i1].T, ang.T])
         out.append(normalize_cycle(raw, t_start, t_end))
     return out
 
 
+CYCLE_FEATURE_COUNT = 30  # 6 channels x 5 statistics
+
+
 def cycle_feature_vector(cycle: GaitCycle) -> np.ndarray:
-    """Per-channel (mean, std, min, max, dominant frequency): 30 dims."""
+    """Per-channel (mean, std, min, max, dominant frequency), 6 x 5 dims."""
     feats = []
     length = cycle.channels.shape[1]
     eff_rate = length / (cycle.t_end - cycle.t_start)

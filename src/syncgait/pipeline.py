@@ -33,7 +33,8 @@ from .posture import (ARM_CHAIN, GAIT_BAND_HI, GAIT_BAND_LO, AdctConfig,
                       mjckf_correct)
 from .series import (JOINT_INDEX, MISSING_CONF, ImuSeries, KeypointSeries,
                      Series1D, normalize_or_flag)
-from .syncing import AlignedPair, ClockOffsetEstimate, align, imu_hand_speed
+from .syncing import (COMMON_RATE, AlignedPair, ClockOffsetEstimate, align,
+                      imu_hand_speed)
 
 HEADING_SMOOTH_S = 0.5
 WINDOW_S = 3.0                        # enrollment sub-window length
@@ -66,9 +67,7 @@ def _bandpass_components(comps: np.ndarray, rate: float) -> np.ndarray:
 def _fill_gaps(t: np.ndarray, x: np.ndarray, conf: np.ndarray) -> np.ndarray:
     """Interpolate coordinates across missing detections before smoothing."""
     ok = conf >= MISSING_CONF
-    if ok.all():
-        return x
-    if not ok.any():
+    if ok.all() or not ok.any():
         return x
     return np.interp(t, t[ok], x[ok])
 
@@ -198,20 +197,12 @@ def _window_pairs(pair: AlignedPair) -> list[AlignedPair]:
     trains on all of them so the boundary covers short-window variance."""
     out = [pair]
     n = len(pair.imu_speed)
-    w = int(WINDOW_S * pair.common_rate)
+    w = int(WINDOW_S * COMMON_RATE)
     step = max(w // 2, 1)
     if n >= w + step:
         for a in range(0, n - w + 1, step):
-            out.append(AlignedPair(
-                imu_speed=Series1D(pair.imu_speed.values[a:a + w],
-                                   t0=pair.imu_speed.t0 + a / pair.common_rate,
-                                   rate=pair.common_rate),
-                video_speed=Series1D(pair.video_speed.values[a:a + w],
-                                     t0=pair.video_speed.t0 + a / pair.common_rate,
-                                     rate=pair.common_rate),
-                common_rate=pair.common_rate,
-                window=w / pair.common_rate,
-            ))
+            out.append(AlignedPair(pair.imu_speed[a:a + w],
+                                   pair.video_speed[a:a + w]))
     return out
 
 
@@ -219,17 +210,9 @@ def _shifted_pairs(pair: AlignedPair) -> list[AlignedPair]:
     """Misaligned surrogate negatives: the video channel circularly shifted
     by a fraction of a gait cycle, breaking the cross-modal phase lock while
     keeping every marginal statistic of both channels."""
-    out = []
-    for s in MISALIGN_SHIFTS_S:
-        k = int(s * pair.common_rate)
-        out.append(AlignedPair(
-            imu_speed=pair.imu_speed,
-            video_speed=Series1D(np.roll(pair.video_speed.values, k),
-                                 pair.video_speed.t0, pair.common_rate),
-            common_rate=pair.common_rate,
-            window=pair.window,
-        ))
-    return out
+    return [AlignedPair(pair.imu_speed,
+                        np.roll(pair.video_speed, int(s * COMMON_RATE)))
+            for s in MISALIGN_SHIFTS_S]
 
 
 def gait_vectors(imu: ImuSeries | ImuChain) -> np.ndarray:

@@ -29,6 +29,7 @@ PROCESS_NOISE = 2.0        # px^2, velocity random walk per frame
 MEASUREMENT_NOISE = 4.0    # px^2
 CONF_GATE = 0.3            # detections below are bridged, not measured
 COUPLING_NOISE_FACTOR = 4.0
+LIMB_ADAPT_RATE = 0.05     # per-frame weight of a measured limb length
 
 
 @dataclass(frozen=True)
@@ -118,12 +119,16 @@ def estimate_band(s: Series1D) -> SpectralBand:
 
 
 def adaptive_bandpass(s: Series1D, band: SpectralBand) -> Series1D:
-    """Zero-phase Butterworth band-pass (forward-backward)."""
+    """Zero-phase Butterworth band-pass (forward-backward); a series no
+    longer than the forward-backward edge padding is SeriesTooShort."""
     nyq = s.rate / 2
     if not 0 < band.f_lo < band.f_hi < nyq:
         raise InvalidBand(f"band [{band.f_lo}, {band.f_hi}] vs Nyquist {nyq}")
     b, a = butter(BUTTER_ORDER, [band.f_lo / nyq, band.f_hi / nyq],
                   btype="band")
+    padlen = 3 * max(len(b), len(a))   # filtfilt's edge padding
+    if len(s) <= padlen:
+        raise SeriesTooShort(f"need > {padlen} samples")
     return Series1D(filtfilt(b, a, s.values), s.t0, s.rate)
 
 
@@ -140,7 +145,8 @@ class _ChainFilter:
         self.x = np.zeros(self.dim)
         for j, (u, v) in enumerate(positions):
             self.x[4 * j:4 * j + 2] = (u, v)
-        self.P = np.eye(self.dim) * 25.0
+        self.eye = np.eye(self.dim)
+        self.P = self.eye * 25.0
         f = np.array([[1, 0, dt, 0], [0, 1, 0, dt], [0, 0, 1, 0], [0, 0, 0, 1]],
                      dtype=float)
         self.F = np.kron(np.eye(self.nj), f)
@@ -165,16 +171,9 @@ class _ChainFilter:
     def update_positions(self, measured: dict[int, np.ndarray]):
         if not measured:
             return
-        rows = []
-        z = []
-        for j, uv in measured.items():
-            for k in range(2):
-                row = np.zeros(self.dim)
-                row[4 * j + k] = 1.0
-                rows.append(row)
-                z.append(uv[k])
-        h = np.array(rows)
-        z = np.array(z)
+        rows = [4 * j + k for j in measured for k in range(2)]
+        h = self.eye[rows]
+        z = np.concatenate(list(measured.values()))
         r = np.eye(len(z)) * MEASUREMENT_NOISE
         self._kalman_update(h, z - h @ self.x, r)
 
@@ -192,14 +191,15 @@ class _ChainFilter:
             r = np.array([[MEASUREMENT_NOISE * COUPLING_NOISE_FACTOR]])
             self._kalman_update(h, np.array([self.limb[j] - dist]), r)
 
-    def refresh_limb(self, j: int, dist: float, alpha: float = 0.05):
-        self.limb[j] = (1 - alpha) * self.limb[j] + alpha * dist
+    def refresh_limb(self, j: int, dist: float):
+        self.limb[j] = ((1 - LIMB_ADAPT_RATE) * self.limb[j]
+                        + LIMB_ADAPT_RATE * dist)
 
     def _kalman_update(self, h: np.ndarray, innov: np.ndarray, r: np.ndarray):
         s = h @ self.P @ h.T + r
         k = self.P @ h.T @ np.linalg.inv(s)
         self.x = self.x + k @ innov
-        self.P = (np.eye(self.dim) - k @ h) @ self.P
+        self.P = (self.eye - k @ h) @ self.P
 
 
 def mjckf_correct(kp: KeypointSeries) -> KeypointSeries:

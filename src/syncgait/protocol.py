@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import EnrollmentMissing, SyncGaitError
 from .gait import imu_chain
+from .metrics import fuse
 from .pipeline import (Enrollment, consistency_score, gait_score,
                        imu_speed_channel, video_speed_channel)
 from .series import ImuSeries, KeypointSeries
@@ -31,7 +32,6 @@ DELAY_JITTER_S = 0.001
 
 
 class SessionState(enum.Enum):
-    IDLE = "idle"
     HELLO = "hello"
     TIME_SYNC = "time_sync"
     EXCHANGE = "exchange"
@@ -76,7 +76,10 @@ class DecisionRecord:
     consistency_score_phone: float
     gait_score: float
     offset_estimate: float
-    accepted: bool
+
+    @property
+    def accepted(self) -> bool:
+        return fuse(self.consistency_pass, self.gait_pass)
 
     @property
     def consistency_pass(self) -> bool:
@@ -312,7 +315,6 @@ def run_session(cfg: SessionConfig, enrollment: Enrollment,
             consistency_score_phone=s_phone,
             gait_score=s_gait,
             offset_estimate=offset.offset,
-            accepted=s_drone >= 0 and s_phone >= 0 and s_gait >= 0,
         )
         log.log(t, "drone", "decision", score=round(s_drone, 6),
                 passed=s_drone >= 0)

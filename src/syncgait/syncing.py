@@ -35,10 +35,10 @@ class ClockOffsetEstimate:
 
 @dataclass
 class AlignedPair:
-    imu_speed: Series1D
-    video_speed: Series1D
-    common_rate: float
-    window: float
+    """Both speed channels, sample for sample on the COMMON_RATE grid."""
+
+    imu_speed: np.ndarray
+    video_speed: np.ndarray
 
     def __post_init__(self):
         if len(self.imu_speed) != len(self.video_speed):
@@ -133,9 +133,4 @@ def align(imu: Series1D, video: Series1D, offset: ClockOffsetEstimate,
     if keep.sum() < MIN_OVERLAP_S * COMMON_RATE:
         raise InsufficientOverlap("too few temporally matched pairs")
 
-    return AlignedPair(
-        imu_speed=Series1D(imu_g[keep], t0=float(grid[0]), rate=COMMON_RATE),
-        video_speed=Series1D(vid_g[keep], t0=float(grid[0]), rate=COMMON_RATE),
-        common_rate=COMMON_RATE,
-        window=float(hi - lo),
-    )
+    return AlignedPair(imu_g[keep], vid_g[keep])

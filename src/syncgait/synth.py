@@ -18,10 +18,12 @@ import numpy as np
 from .errors import InvalidDuration
 from .gait import cycle_boundaries
 from .orientation import EulerAngles, Quaternion, euler_to_quaternion
-from .series import (JOINT_INDEX, REQUIRED_JOINTS, ImuSeries, KeypointSeries,
-                     Series1D)
+from .series import JOINT_INDEX, REQUIRED_JOINTS, ImuSeries, KeypointSeries
 
-WALK_SPEED = 1.2          # m/s, default approach speed
+WALK_SPEED = 1.2          # m/s, approach speed
+IMU_RATE = 100.0          # Hz, phone IMU sample rate
+FOCAL_PX = 2000.0         # camera focal length, px
+RESOLUTION = (2704, 1520)  # camera image width, height, px
 MAG_WORLD = np.array([22.0, 0.0, -43.0])   # microtesla, mid-latitude field
 GRAVITY_WORLD = np.array([0.0, 0.0, 9.81])
 
@@ -69,8 +71,6 @@ class CameraModel:
     hover_height: float = 4.0
     horizontal_distance: float = 18.0
     horizontal_angle: float = 0.0   # degrees, path deviation from camera axis
-    focal: float = 2000.0           # px
-    resolution: tuple[int, int] = (2704, 1520)
     fps: float = 60.0
 
     def __post_init__(self):
@@ -104,14 +104,13 @@ class MimicryAttack:
 
 @dataclass
 class GroundTruth:
-    wrist_speed: Series1D          # body-relative hand speed, m/s, 100 Hz
     cycle_boundaries: list[float]  # seconds, phone clock
     clock_offset: float            # drone clock minus phone clock, s
     base_path: np.ndarray          # (n, 3) body base positions, world frame
 
 
 class _ArmModel:
-    """Analytic swing kinematics: angle, angular rate, wrist pos/vel/acc."""
+    """Analytic swing kinematics: angle, angular rate, wrist acceleration."""
 
     def __init__(self, p: SubjectParams, heading: float):
         self.p = p
@@ -128,30 +127,24 @@ class _ArmModel:
         th_dd = -a * w * w * np.sin(w * t + ph)
         return th, th_d, th_dd
 
-    def _seg(self, th, th_d, th_dd, length, extra):
-        """Position/velocity/acceleration of one arm segment endpoint offset."""
+    def _seg_acc(self, th, th_d, th_dd, length, extra):
+        """Acceleration of one arm segment's endpoint offset."""
         ang = th + extra
         ch, sh = math.cos(self.h), math.sin(self.h)
         s, c = np.sin(ang), np.cos(ang)
-        pos = length * np.stack([s * ch, s * sh, -c], axis=1)
-        vel = length * th_d[:, None] * np.stack([c * ch, c * sh, s], axis=1)
-        acc = length * (th_dd[:, None] * np.stack([c * ch, c * sh, s], axis=1)
-                        + th_d[:, None] ** 2 * np.stack([-s * ch, -s * sh, c], axis=1))
-        return pos, vel, acc
+        return length * (th_dd[:, None] * np.stack([c * ch, c * sh, s], axis=1)
+                         + th_d[:, None] ** 2 * np.stack([-s * ch, -s * sh, c], axis=1))
 
-    def wrist_relative(self, t: np.ndarray):
-        """Wrist pos/vel/acc relative to the shoulder (bob excluded)."""
-        th, th_d, th_dd = self.theta(t)
-        p1, v1, a1 = self._seg(th, th_d, th_dd, self.lu, 0.0)
-        p2, v2, a2 = self._seg(th, th_d, th_dd, self.lf, self.p.elbow_flexion)
-        return p1 + p2, v1 + v2, a1 + a2
+    def wrist_acceleration(self, th, th_d, th_dd):
+        """Wrist acceleration relative to the shoulder (bob excluded)."""
+        return (self._seg_acc(th, th_d, th_dd, self.lu, 0.0)
+                + self._seg_acc(th, th_d, th_dd, self.lf, self.p.elbow_flexion))
 
     def bob(self, t: np.ndarray):
         w = self.omega
         z = self.bob_amp * np.sin(w * t)
-        z_d = self.bob_amp * w * np.cos(w * t)
         z_dd = -self.bob_amp * w * w * np.sin(w * t)
-        return z, z_d, z_dd
+        return z, z_dd
 
 
 def _phone_quaternions(p: SubjectParams, heading: float,
@@ -164,8 +157,6 @@ def _phone_quaternions(p: SubjectParams, heading: float,
 
 def generate_session(p: SubjectParams, cam: CameraModel = CameraModel(),
                      duration: float = 8.0, clock_offset: float = 0.0,
-                     walk_speed: float = WALK_SPEED,
-                     imu_rate: float = 100.0,
                      seed_offset: int = 0) -> tuple[ImuSeries, KeypointSeries, GroundTruth]:
     """One walking session: paired IMU and keypoint streams + ground truth.
 
@@ -178,27 +169,25 @@ def generate_session(p: SubjectParams, cam: CameraModel = CameraModel(),
     heading = math.radians(cam.horizontal_angle)
     arm = _ArmModel(p, heading)
 
-    n = int(round(duration * imu_rate))
-    t = np.arange(n) / imu_rate
+    n = int(round(duration * IMU_RATE))
+    t = np.arange(n) / IMU_RATE
 
     # body base walks toward the camera; camera sits at the world origin
     direction = np.array([math.cos(heading), math.sin(heading), 0.0])
     start = -direction * cam.horizontal_distance
     shoulder_h = 0.82 * p.height
-    base = start[None, :] + direction[None, :] * (walk_speed * t)[:, None]
-    bob_z, bob_zd, bob_zdd = arm.bob(t)
+    base = start[None, :] + direction[None, :] * (WALK_SPEED * t)[:, None]
+    _, bob_zdd = arm.bob(t)
 
-    rel_p, rel_v, rel_a = arm.wrist_relative(t)
-    a_world = rel_a.copy()
+    th, th_d, th_dd = arm.theta(t)
+    a_world = arm.wrist_acceleration(th, th_d, th_dd)
     a_world[:, 2] += bob_zdd
 
-    th, _, _ = arm.theta(t)
     quats = _phone_quaternions(p, arm.h, th)
 
     acc = np.empty((n, 3))
     gyro = np.empty((n, 3))
     mag = np.empty((n, 3))
-    _, th_d, _ = arm.theta(t)
     omega_world = np.stack([-th_d * math.sin(arm.h),
                             th_d * math.cos(arm.h),
                             np.zeros(n)], axis=1)
@@ -208,22 +197,19 @@ def generate_session(p: SubjectParams, cam: CameraModel = CameraModel(),
         gyro[k] = r.T @ omega_world[k]
         mag[k] = r.T @ MAG_WORLD
     clean = ImuSeries(t=t.copy(), acc=acc.copy(), gyro=gyro.copy(),
-                      mag=mag.copy(), sample_rate=imu_rate)
+                      mag=mag.copy(), sample_rate=IMU_RATE)
     acc += rng.normal(0.0, p.imu_noise, acc.shape)
     gyro += rng.normal(0.0, p.imu_noise * 0.05, gyro.shape)
     mag += rng.normal(0.0, p.imu_noise * 2.0, mag.shape)
-    imu = ImuSeries(t=t, acc=acc, gyro=gyro, mag=mag, sample_rate=imu_rate)
+    imu = ImuSeries(t=t, acc=acc, gyro=gyro, mag=mag, sample_rate=IMU_RATE)
 
-    kp = _render_keypoints(p, cam, arm, duration, clock_offset, walk_speed,
+    kp = _render_keypoints(p, cam, arm, duration, clock_offset,
                            start, direction, shoulder_h, rng)
 
-    speed = np.linalg.norm(rel_v + np.stack(
-        [np.zeros(n), np.zeros(n), bob_zd], axis=1), axis=1)
     # true boundaries: the cycle cuts of the noise-free twin stream, so the
     # ground truth pins the instants a perfect sensor would segment and any
     # deviation on the noisy stream measures noise robustness
     gt = GroundTruth(
-        wrist_speed=Series1D(speed, t0=0.0, rate=imu_rate),
         cycle_boundaries=cycle_boundaries(clean),
         clock_offset=clock_offset,
         base_path=base,
@@ -231,13 +217,13 @@ def generate_session(p: SubjectParams, cam: CameraModel = CameraModel(),
     return imu, kp, gt
 
 
-def _render_keypoints(p, cam, arm, duration, clock_offset, walk_speed,
+def _render_keypoints(p, cam, arm, duration, clock_offset,
                       start, direction, shoulder_h, rng) -> KeypointSeries:
     n_frames = int(round(duration * cam.fps))
     tf = np.arange(n_frames) / cam.fps      # phone-clock sampling instants
-    base = start[None, :] + direction[None, :] * (walk_speed * tf)[:, None]
-    bob_z, _, _ = arm.bob(tf)
-    th, th_d, th_dd = arm.theta(tf)
+    base = start[None, :] + direction[None, :] * (WALK_SPEED * tf)[:, None]
+    bob_z, _ = arm.bob(tf)
+    th, _, _ = arm.theta(tf)
 
     lat = np.array([-direction[1], direction[0], 0.0])  # body left
     half_shoulder = 0.13 * p.height
@@ -296,7 +282,7 @@ def _render_keypoints(p, cam, arm, duration, clock_offset, walk_speed,
     right /= np.linalg.norm(right)
     up = np.cross(right, fwd)
 
-    w_px, h_px = cam.resolution
+    w_px, h_px = RESOLUTION
     # one noise draw per (frame, joint, axis) in the joints_world order
     noise = rng.normal(0.0, p.kp_noise, (n_frames, len(joints_world), 2))
     uv = np.empty((n_frames, len(REQUIRED_JOINTS), 2))
@@ -306,9 +292,9 @@ def _render_keypoints(p, cam, arm, duration, clock_offset, walk_speed,
         for k in range(n_frames):
             d = rel[k]
             depth = float(d @ fwd)
-            uv[k, col, 0] = (w_px / 2 + cam.focal * float(d @ right) / depth
+            uv[k, col, 0] = (w_px / 2 + FOCAL_PX * float(d @ right) / depth
                              + noise[k, j, 0])
-            uv[k, col, 1] = (h_px / 2 - cam.focal * float(d @ up) / depth
+            uv[k, col, 1] = (h_px / 2 - FOCAL_PX * float(d @ up) / depth
                              + noise[k, j, 1])
     return KeypointSeries(tf + clock_offset, uv,
                           np.ones((n_frames, len(REQUIRED_JOINTS))),

@@ -229,9 +229,11 @@ def test_enroll_unwritable_output_is_io_error(tmp_path):
     ('{"consistency_model": "c.model", "gait_model": "c.model", '
      '"feature_mask": [1, "1", 0, 0, 0, 0]}', False),
     ("[" * 100000, False),
+    ('{"consistency_model": "c.model", "gait_model": "c.model", '
+     '"feature_mask": [1, 1, 0, 0, 0, 0]}', False),
 ], ids=["bad_json", "no_mask", "not_an_object", "missing_model",
         "truncated_model", "short_mask", "mask_wider_than_model",
-        "non_integer_mask", "deep_nesting"])
+        "non_integer_mask", "deep_nesting", "gait_model_not_30_wide"])
 def test_load_enrollment_failures_are_io_failures(tmp_path, meta, truncate):
     blob = serialize_model(fit_ocsvm_fixed(
         np.random.default_rng(0).normal(size=(20, 2)), nu=0.1, gamma=0.5))
@@ -242,11 +244,12 @@ def test_load_enrollment_failures_are_io_failures(tmp_path, meta, truncate):
 
 
 def test_load_enrollment_accepts_mask_of_model_width(tmp_path):
-    blob = serialize_model(fit_ocsvm_fixed(
-        np.random.default_rng(0).normal(size=(20, 2)), nu=0.1, gamma=0.5))
-    (tmp_path / "c.model").write_bytes(blob)
+    rng = np.random.default_rng(0)
+    for name, width in (("c.model", 2), ("g.model", 30)):
+        (tmp_path / name).write_bytes(serialize_model(fit_ocsvm_fixed(
+            rng.normal(size=(20, width)), nu=0.1, gamma=0.5)))
     (tmp_path / "subject00_enrollment.json").write_text(json.dumps(
-        {"consistency_model": "c.model", "gait_model": "c.model",
+        {"consistency_model": "c.model", "gait_model": "g.model",
          "feature_mask": [0, 1, 0, 0, 1, 0]}))
     mask = load_enrollment(tmp_path, 0).feature_mask
     assert mask.tolist() == [False, True, False, False, True, False]

@@ -8,13 +8,7 @@ from hypothesis import strategies as st
 from syncgait.errors import DegenerateChannel, PairTooShort
 from syncgait.features import (FEATURE_NAMES, FeatureVector, compute_features,
                                fisher_select)
-from syncgait.series import Series1D
 from syncgait.syncing import AlignedPair
-
-
-def _pair(a: np.ndarray, b: np.ndarray, rate=50.0) -> AlignedPair:
-    return AlignedPair(Series1D(a, rate=rate), Series1D(b, rate=rate),
-                       common_rate=rate, window=len(a) / rate)
 
 
 def _gait_like(n=400, rate=50.0, f=1.4, seed=0, noise=0.05):
@@ -26,7 +20,7 @@ def _gait_like(n=400, rate=50.0, f=1.4, seed=0, noise=0.05):
 
 def test_identical_pair_is_maximally_consistent():
     x = _gait_like()
-    f = compute_features(_pair(x, x.copy()))
+    f = compute_features(AlignedPair(x, x.copy()))
     assert f.pcc == pytest.approx(1.0)
     assert f.spearman == pytest.approx(1.0)
     assert f.mae == pytest.approx(0.0, abs=1e-12)
@@ -38,8 +32,8 @@ def test_identical_pair_is_maximally_consistent():
 def test_shifted_pair_scores_worse_everywhere():
     x = _gait_like(noise=0.02)
     y = np.roll(x, 18)  # 0.36 s at 50 Hz, half a gait cycle
-    aligned = compute_features(_pair(x, x.copy()))
-    shifted = compute_features(_pair(x, y))
+    aligned = compute_features(AlignedPair(x, x.copy()))
+    shifted = compute_features(AlignedPair(x, y))
     assert shifted.pcc < aligned.pcc
     assert shifted.sync_lag_score < aligned.sync_lag_score
     assert shifted.mae > aligned.mae
@@ -48,25 +42,25 @@ def test_shifted_pair_scores_worse_everywhere():
 def test_independent_pair_low_correlation():
     a = _gait_like(seed=1, f=1.3)
     b = _gait_like(seed=2, f=1.9)
-    f = compute_features(_pair(a, b))
+    f = compute_features(AlignedPair(a, b))
     assert abs(f.pcc) < 0.5
 
 
 def test_sync_lag_score_detects_small_lag():
     x = _gait_like(noise=0.0)
-    f = compute_features(_pair(x, np.roll(x, 5)))   # 0.1 s at 50 Hz
+    f = compute_features(AlignedPair(x, np.roll(x, 5)))   # 0.1 s at 50 Hz
     # max lag window is 0.5 s: score 1 - 5/25
     assert f.sync_lag_score == pytest.approx(0.8)
 
 
 def test_pair_too_short():
     with pytest.raises(PairTooShort):
-        compute_features(_pair(np.zeros(50), np.zeros(50)))
+        compute_features(AlignedPair(np.zeros(50), np.zeros(50)))
 
 
 def test_degenerate_channel():
     with pytest.raises(DegenerateChannel):
-        compute_features(_pair(np.ones(400), _gait_like()))
+        compute_features(AlignedPair(np.ones(400), _gait_like()))
 
 
 def test_feature_vector_array_order_matches_names():

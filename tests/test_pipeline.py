@@ -51,7 +51,7 @@ def test_imu_speed_channel_is_periodic_at_gait_rate(session, subject):
 def test_video_speed_channel_matches_imu_channel(session):
     imu, kp, _ = session
     pair = aligned_speeds(imu, kp, EST)
-    r = np.corrcoef(pair.imu_speed.values, pair.video_speed.values)[0, 1]
+    r = np.corrcoef(pair.imu_speed, pair.video_speed)[0, 1]
     assert r > 0.6
 
 

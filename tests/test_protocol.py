@@ -12,6 +12,7 @@ from syncgait.protocol import (ARQ_ROUNDS, ChannelModel, SessionConfig,
                                exchange_with_arq, inject_loss, run_session)
 from syncgait.pipeline import (Enrollment, consistency_score, enroll,
                                gait_score)
+from syncgait.series import ImuSeries, KeypointSeries
 from syncgait.syncing import ClockOffsetEstimate
 from syncgait.synth import SubjectParams, generate_session
 
@@ -108,6 +109,28 @@ def test_impostor_gait_rejected(enrolled_subject):
     result = run_session(cfg, enrollment, imu_src, kp_src, seed=3)
     assert result.state == SessionState.FAILED
     assert result.record is not None and not result.record.gait_pass
+
+
+@pytest.mark.parametrize("n", [3, 16, 20, 27, 28])
+@pytest.mark.parametrize("stream", ["imu", "keypoints"])
+def test_short_stream_fails_the_session_with_a_named_reason(
+        enrolled_subject, stream, n):
+    # too short to band-pass: the attempt fails on a SyncGaitError, never
+    # on a raw scipy ValueError that run_session would not catch
+    subject, enrollment = enrolled_subject
+    imu, kp, _ = generate_session(subject, clock_offset=OFFSET,
+                                  seed_offset=503)
+    if stream == "imu":
+        imu = ImuSeries(imu.t[:n], imu.acc[:n], imu.gyro[:n], imu.mag[:n],
+                        imu.sample_rate)
+    else:
+        kp = KeypointSeries(kp.t[:n], kp.uv[:n], kp.conf[:n], kp.frame_rate)
+    cfg = SessionConfig(clock_offset=OFFSET, max_attempts=1)
+    result = run_session(cfg, enrollment, lambda a: imu, lambda a: kp, seed=5)
+    assert result.state == SessionState.FAILED
+    failed = [e for e in result.transcript if e["event"] == "attempt_failed"]
+    assert [e["detail"]["reason"] for e in failed] in (
+        ["SeriesTooShort"], ["InsufficientOverlap"])
 
 
 def test_complete_views_are_the_senders_streams(enrolled_subject):

@@ -100,7 +100,7 @@ def test_align_compensates_clock_offset():
     a, b = _pair_with_offset(offset)
     pair = align(a, b, ClockOffsetEstimate(offset, 1e-6, 0.004))
     # after compensation the two sinusoids coincide sample for sample
-    r = np.corrcoef(pair.imu_speed.values, pair.video_speed.values)[0, 1]
+    r = np.corrcoef(pair.imu_speed, pair.video_speed)[0, 1]
     assert r > 0.999
     assert len(pair.imu_speed) == len(pair.video_speed)
 
@@ -109,7 +109,7 @@ def test_align_without_compensation_misaligns():
     offset = 0.35
     a, b = _pair_with_offset(offset)
     pair = align(a, b, ClockOffsetEstimate(0.0, 1e-6, 0.004))
-    r = np.corrcoef(pair.imu_speed.values, pair.video_speed.values)[0, 1]
+    r = np.corrcoef(pair.imu_speed, pair.video_speed)[0, 1]
     assert r < 0.5
 
 
@@ -132,7 +132,7 @@ def test_align_drops_invalid_spans():
 
 def test_aligned_pair_length_check():
     with pytest.raises(ValueError):
-        AlignedPair(Series1D(np.zeros(5)), Series1D(np.zeros(4)), 50.0, 1.0)
+        AlignedPair(np.zeros(5), np.zeros(4))
 
 
 def test_imu_hand_speed_normalizes():
