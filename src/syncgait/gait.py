@@ -8,14 +8,14 @@ are interpolated to a fixed length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.signal import find_peaks
 
 from .errors import CycleTooShort, NoCyclesFound, SeriesTooShort
-from .orientation import GRAVITY, Quaternion, ahrs_stream, quaternion_to_euler
-from .series import DENOISE_LEVELS, ImuSeries, Series1D, wavelet_denoise
+from .orientation import GRAVITY, ahrs_stream, euler_angles, rotation_matrices
+from .series import (DENOISE_LEVELS, ImuSeries, Series1D, require_squarable,
+                     wavelet_denoise)
 
 CYCLE_LENGTH = 150  # samples; 1.5 s at 100 Hz
 MIN_PERIOD_S = 0.8  # cycle-period bounds
@@ -51,47 +51,31 @@ def _denoise_imu(imu: ImuSeries) -> ImuSeries:
 
 @dataclass(frozen=True)
 class ImuChain:
-    """One IMU stream prepared once: the wavelet-denoised samples and one
-    attitude quaternion per sample. The consistency and gait paths both
-    read it, so a session runs denoising and the AHRS once per stream."""
+    """One IMU stream prepared once: the wavelet-denoised samples, the AHRS
+    attitude's (n, 3) roll, pitch, yaw and the (n, 3) world-frame
+    acceleration less gravity. The consistency and gait paths both read it,
+    so a session denoises, runs the AHRS and rotates once per stream."""
 
     denoised: ImuSeries
-    quats: list[Quaternion]
-
-    def __len__(self) -> int:
-        return len(self.denoised)
-
-    @property
-    def sample_rate(self) -> float:
-        return self.denoised.sample_rate
-
-    @cached_property
-    def euler(self) -> np.ndarray:
-        """(n, 3) roll, pitch, yaw per sample."""
-        return np.array([[e.roll, e.pitch, e.yaw]
-                         for e in (quaternion_to_euler(q) for q in self.quats)])
+    euler: np.ndarray
+    a_world: np.ndarray
 
 
 def imu_chain(imu: ImuSeries) -> ImuChain:
-    """Denoise the stream and run the attitude filter over it."""
+    """Denoise the stream, run the AHRS and rotate it into the world frame."""
     if len(imu) < 3:
         raise SeriesTooShort("need >= 3 IMU samples")
+    require_squarable("IMU", imu.acc, imu.gyro, imu.mag)
     denoised = _denoise_imu(imu)
-    return ImuChain(denoised, ahrs_stream(denoised))
+    q = ahrs_stream(denoised)
+    a_world = (rotation_matrices(q) @ denoised.acc[:, :, None])[:, :, 0]
+    a_world[:, 2] -= GRAVITY
+    return ImuChain(denoised, euler_angles(q), a_world)
 
 
 def as_chain(imu: ImuSeries | ImuChain) -> ImuChain:
     """The prepared chain of a raw stream; a prepared chain passes through."""
     return imu if isinstance(imu, ImuChain) else imu_chain(imu)
-
-
-def vertical_acceleration(imu: ImuSeries, quats: list[Quaternion]) -> Series1D:
-    """World-frame z acceleration minus gravity."""
-    vz = np.empty(len(imu))
-    for k, q in enumerate(quats):
-        r = q.to_matrix()
-        vz[k] = r[2] @ imu.acc[k] - GRAVITY
-    return Series1D(vz, t0=float(imu.t[0]), rate=imu.sample_rate)
 
 
 def _boundaries_from_vertical(vert: Series1D) -> list[float]:
@@ -152,12 +136,13 @@ def _boundaries_from_vertical(vert: Series1D) -> list[float]:
 
 def cycle_boundaries(imu: ImuSeries | ImuChain) -> list[float]:
     """Candidate cycle-cut instants: prominent vertical-acceleration minima."""
-    duration = (len(imu) - 1) / imu.sample_rate if len(imu) else 0.0
+    chain = as_chain(imu)
+    t, rate = chain.denoised.t, chain.denoised.sample_rate
+    duration = (len(t) - 1) / rate
     if duration < 2 * MIN_PERIOD_S:
         raise SeriesTooShort(f"{duration:.2f} s cannot hold a full cycle")
-    chain = as_chain(imu)
-    vert = vertical_acceleration(chain.denoised, chain.quats)
-    return _boundaries_from_vertical(vert)
+    return _boundaries_from_vertical(
+        Series1D(chain.a_world[:, 2], t0=float(t[0]), rate=rate))
 
 
 def segment_cycles(imu: ImuSeries | ImuChain) -> list[tuple[float, float]]:
@@ -189,10 +174,10 @@ def normalize_cycle(raw: np.ndarray, t_start: float = 0.0,
 
 def gait_representation(imu: ImuSeries | ImuChain) -> list[GaitCycle]:
     """Full IMU gait pipeline: denoise, orientation, segment, normalize."""
-    if len(imu) < 2 * imu.sample_rate:
-        raise SeriesTooShort("need >= 2 s of data")
     chain = as_chain(imu)
     denoised = chain.denoised
+    if len(denoised) < 2 * denoised.sample_rate:
+        raise SeriesTooShort("need >= 2 s of data")
     out = []
     for t_start, t_end in segment_cycles(chain):
         i0 = int(np.searchsorted(denoised.t, t_start))

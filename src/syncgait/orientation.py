@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, NonUnitQuaternion
+from .errors import DegenerateSeries, LengthMismatch, NonUnitQuaternion
 from .series import ImuSeries
 
 UNIT_NORM_TOL = 1e-3
@@ -48,15 +48,6 @@ class Quaternion:
             a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
         )
 
-    def to_matrix(self) -> np.ndarray:
-        """3x3 rotation matrix R with v_world = R v_phone."""
-        w, x, y, z = self.q0, self.q1, self.q2, self.q3
-        return np.array([
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ])
-
 
 @dataclass(frozen=True)
 class EulerAngles:
@@ -73,11 +64,28 @@ def _check_unit(q: Quaternion) -> None:
 def quaternion_to_euler(q: Quaternion) -> EulerAngles:
     """Roll/pitch/yaw with pitch = asin(2(q1*q3 - q0*q2))."""
     _check_unit(q)
-    w, x, y, z = q.q0, q.q1, q.q2, q.q3
-    roll = math.atan2(2 * (y * z + w * x), 1 - 2 * (x * x + y * y))
-    pitch = math.asin(max(-1.0, min(1.0, 2 * (x * z - w * y))))
-    yaw = math.atan2(2 * (x * y + w * z), 1 - 2 * (y * y + z * z))
-    return EulerAngles(roll, pitch, yaw)
+    row = euler_angles(np.array([[q.q0, q.q1, q.q2, q.q3]]))[0]
+    return EulerAngles(*row.tolist())
+
+
+def euler_angles(q: np.ndarray) -> np.ndarray:
+    """(n, 3) roll, pitch, yaw of (n, 4) unit quaternions, on math floats:
+    numpy's arctan2 and arcsin differ from math's by an ulp."""
+    return np.array([(math.atan2(2 * (y * z + w * x), 1 - 2 * (x * x + y * y)),
+                      math.asin(max(-1.0, min(1.0, 2 * (x * z - w * y)))),
+                      math.atan2(2 * (x * y + w * z), 1 - 2 * (y * y + z * z)))
+                     for w, x, y, z in q.tolist()])
+
+
+def rotation_matrices(q: np.ndarray) -> np.ndarray:
+    """(n, 3, 3) rotation matrices R, v_world = R v_phone, of (n, 4) unit
+    quaternions (q0, q1, q2, q3)."""
+    w, x, y, z = np.asarray(q, dtype=float).T
+    return np.stack([
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    ], axis=-1).reshape(-1, 3, 3)
 
 
 def euler_to_quaternion(e: EulerAngles) -> Quaternion:
@@ -197,12 +205,21 @@ def _ahrs_step(w, x, y, z, bx_b, by_b, bz_b, a, g, m, dt):
 
 
 def initial_orientation(a: np.ndarray, m: np.ndarray) -> Quaternion:
-    """TRIAD alignment from one stationary accelerometer/magnetometer pair."""
-    up = np.asarray(a, dtype=float)
-    up = up / np.linalg.norm(up)
-    mn = np.asarray(m, dtype=float)
+    """TRIAD alignment from one stationary accelerometer/magnetometer pair;
+    on gravity alone, at yaw 0, when the field is zero or parallel to it.
+    Zero gravity or a norm that is not finite is DegenerateSeries."""
+    up, mn = np.asarray(a, dtype=float), np.asarray(m, dtype=float)
+    with np.errstate(over="ignore"):
+        na, nm = np.linalg.norm(up), np.linalg.norm(mn)
+    if not (0 < na < math.inf and nm < math.inf):
+        raise DegenerateSeries(f"no attitude from |a| = {na}, |m| = {nm}")
+    up = up / na
     east = np.cross(up, mn)
-    east = east / np.linalg.norm(east)
+    ne = np.linalg.norm(east)
+    if ne <= 1e-12 * nm:   # no heading: roll and pitch of the up vector
+        pitch = math.asin(max(-1.0, min(1.0, up[0])))
+        return euler_to_quaternion(EulerAngles(math.atan2(up[1], up[2]), pitch, 0.0))
+    east = east / ne
     north = np.cross(east, up)
     r = np.vstack([north, east, up])  # phone -> world
     return _matrix_to_quaternion(r)
@@ -229,9 +246,9 @@ def _matrix_to_quaternion(r: np.ndarray) -> Quaternion:
     return Quaternion(*q).normalized()
 
 
-def ahrs_stream(imu: ImuSeries) -> list[Quaternion]:
-    """Run the AHRS over a whole series, one quaternion per sample, from the
-    TRIAD attitude of the first sample and zero gyro bias."""
+def ahrs_stream(imu: ImuSeries) -> np.ndarray:
+    """(n, 4) quaternions (q0, q1, q2, q3), one per sample: the AHRS run from
+    the TRIAD attitude of the first sample and zero gyro bias."""
     q = initial_orientation(imu.acc[0], imu.mag[0])
     w, x, y, z = q.q0, q.q1, q.q2, q.q3
     bx_b = by_b = bz_b = 0.0
@@ -240,8 +257,8 @@ def ahrs_stream(imu: ImuSeries) -> list[Quaternion]:
     for a, g, m in zip(imu.acc.tolist(), imu.gyro.tolist(), imu.mag.tolist()):
         w, x, y, z, bx_b, by_b, bz_b, _ = _ahrs_step(
             w, x, y, z, bx_b, by_b, bz_b, a, g, m, dt)
-        out.append(Quaternion(w, x, y, z))
-    return out
+        out.append((w, x, y, z))
+    return np.array(out)
 
 
 GRAVITY = 9.81

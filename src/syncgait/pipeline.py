@@ -27,12 +27,12 @@ from .features import (FeatureVector, FisherReport, compute_features,
                        fisher_select)
 from .gait import (ImuChain, as_chain, cycle_feature_vector,
                    gait_representation, imu_chain)
-from .orientation import GRAVITY, integrate_velocity, project_body_relative
+from .orientation import integrate_velocity, project_body_relative
 from .posture import (ARM_CHAIN, GAIT_BAND_HI, GAIT_BAND_LO, AdctConfig,
                       SpectralBand, adaptive_bandpass, adct_smooth,
                       mjckf_correct)
 from .series import (JOINT_INDEX, MISSING_CONF, ImuSeries, KeypointSeries,
-                     Series1D, normalize_or_flag)
+                     Series1D, normalize_or_flag, require_squarable)
 from .syncing import (COMMON_RATE, AlignedPair, ClockOffsetEstimate, align,
                       imu_hand_speed)
 
@@ -79,6 +79,7 @@ def calibrate_keypoints(kp: KeypointSeries) -> KeypointSeries:
 
     Only the phone's arm is calibrated, the one the speed channel reads;
     the sides are independent, so the other arm's joints pass through."""
+    require_squarable("keypoint", kp.uv)
     uv = kp.uv.copy()
     for name in ARM_CHAIN:
         t, u, v, c = kp.joint_track(name)
@@ -147,21 +148,13 @@ def imu_speed_channel(imu: ImuSeries | ImuChain) -> Series1D:
     """
     chain = as_chain(imu)
     denoised = chain.denoised
-    n = len(denoised)
-    a_world = np.empty((n, 3))
-    for k, q in enumerate(chain.quats):
-        a_world[k] = q.to_matrix() @ denoised.acc[k]
-    a_world[:, 2] -= GRAVITY
-
-    v_world = integrate_velocity(a_world, denoised.sample_rate)
+    v_world = integrate_velocity(chain.a_world, denoised.sample_rate)
     v_world = _bandpass_components(v_world, denoised.sample_rate)
 
     yaw = np.unwrap(chain.euler[:, 2])
     win = max(int(HEADING_SMOOTH_S * denoised.sample_rate), 1)
-    kernel = np.ones(win) / win
-    pad = np.concatenate([np.full(win // 2, yaw[0]), yaw,
-                          np.full(win - 1 - win // 2, yaw[-1])])
-    heading = np.convolve(pad, kernel, mode="valid")
+    pad = np.pad(yaw, (win // 2, win - 1 - win // 2), mode="edge")
+    heading = np.convolve(pad, np.ones(win) / win, mode="valid")
 
     v_body = project_body_relative(v_world, heading)
     return imu_hand_speed(v_body, rate=denoised.sample_rate,

@@ -194,6 +194,14 @@ def wavelet_denoise(s: Series1D) -> Series1D:
     return Series1D(wavelet_reconstruct(approx, shrunk), s.t0, s.rate)
 
 
+def require_squarable(name: str, *blocks: np.ndarray) -> None:
+    """DegenerateSeries unless the summed squares of each block are finite,
+    so that no norm, variance or energy downstream overflows."""
+    for b in blocks:
+        if b.size and np.abs(b).max() > math.sqrt(np.finfo(float).max / b.size):
+            raise DegenerateSeries(f"{name} samples too large to square")
+
+
 def normalize(s: Series1D) -> Series1D:
     """Z-score a channel: zero mean, unit variance."""
     if len(s) == 0:

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import InvalidDuration
 from .gait import cycle_boundaries
-from .orientation import EulerAngles, Quaternion, euler_to_quaternion
+from .orientation import (EulerAngles, Quaternion, euler_to_quaternion,
+                          rotation_matrices)
 from .series import JOINT_INDEX, REQUIRED_JOINTS, ImuSeries, KeypointSeries
 
 WALK_SPEED = 1.2          # m/s, approach speed
@@ -148,11 +149,12 @@ class _ArmModel:
 
 
 def _phone_quaternions(p: SubjectParams, heading: float,
-                       th: np.ndarray) -> list[Quaternion]:
+                       th: np.ndarray) -> np.ndarray:
     qz = Quaternion(math.cos(heading / 2), 0, 0, math.sin(heading / 2))
     q_tilt = euler_to_quaternion(p.phone_tilt)
-    return [qz * Quaternion(math.cos(a / 2), 0, math.sin(a / 2), 0) * q_tilt
-            for a in th]
+    return np.array([(q.q0, q.q1, q.q2, q.q3) for q in (
+        qz * Quaternion(math.cos(a / 2), 0, math.sin(a / 2), 0) * q_tilt
+        for a in th)])
 
 
 def generate_session(p: SubjectParams, cam: CameraModel = CameraModel(),
@@ -183,19 +185,13 @@ def generate_session(p: SubjectParams, cam: CameraModel = CameraModel(),
     a_world = arm.wrist_acceleration(th, th_d, th_dd)
     a_world[:, 2] += bob_zdd
 
-    quats = _phone_quaternions(p, arm.h, th)
-
-    acc = np.empty((n, 3))
-    gyro = np.empty((n, 3))
-    mag = np.empty((n, 3))
+    r_t = rotation_matrices(_phone_quaternions(p, arm.h, th)).transpose(0, 2, 1)
     omega_world = np.stack([-th_d * math.sin(arm.h),
                             th_d * math.cos(arm.h),
                             np.zeros(n)], axis=1)
-    for k, q in enumerate(quats):
-        r = q.to_matrix()
-        acc[k] = r.T @ (a_world[k] + GRAVITY_WORLD)
-        gyro[k] = r.T @ omega_world[k]
-        mag[k] = r.T @ MAG_WORLD
+    acc = (r_t @ (a_world + GRAVITY_WORLD)[:, :, None])[:, :, 0]
+    gyro = (r_t @ omega_world[:, :, None])[:, :, 0]
+    mag = r_t @ MAG_WORLD
     clean = ImuSeries(t=t.copy(), acc=acc.copy(), gyro=gyro.copy(),
                       mag=mag.copy(), sample_rate=IMU_RATE)
     acc += rng.normal(0.0, p.imu_noise, acc.shape)

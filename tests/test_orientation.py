@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syncgait.errors import NonUnitQuaternion
+from syncgait.errors import DegenerateSeries, NonUnitQuaternion
 from syncgait.orientation import (EulerAngles, Quaternion, _ahrs_step,
                                   ahrs_stream, euler_to_quaternion,
                                   initial_orientation, integrate_velocity,
                                   project_body_relative, quaternion_to_euler,
-                                  rotate_to_world)
+                                  rotate_to_world, rotation_matrices)
 from syncgait.series import ImuSeries
 
 
@@ -31,8 +31,17 @@ def axis_angle_quaternion(axis: np.ndarray, angle: float) -> Quaternion:
     return Quaternion(math.cos(angle / 2), k[0] * s, k[1] * s, k[2] * s)
 
 
+def _as_array(*quats: Quaternion) -> np.ndarray:
+    return np.array([(q.q0, q.q1, q.q2, q.q3) for q in quats])
+
+
+def _matrix(q: Quaternion) -> np.ndarray:
+    return rotation_matrices(_as_array(q))[0]
+
+
 def test_quaternion_rotation_matches_rodrigues_oracle():
     rng = np.random.default_rng(42)
+    quats, oracles = [], []
     for _ in range(1000):
         axis = rng.normal(size=3)
         angle = rng.uniform(-math.pi, math.pi)
@@ -40,7 +49,11 @@ def test_quaternion_rotation_matches_rodrigues_oracle():
         q = axis_angle_quaternion(axis, angle)
         r = rodrigues(axis, angle)
         assert np.allclose(rotate_to_world(q, v), r @ v, atol=1e-9)
-        assert np.allclose(q.to_matrix(), r, atol=1e-9)
+        assert np.allclose(_matrix(q), r, atol=1e-9)
+        quats.append(q)
+        oracles.append(r)
+    # the whole batch at once equals the oracle too
+    assert np.allclose(rotation_matrices(_as_array(*quats)), oracles, atol=1e-9)
 
 
 def test_quaternion_multiplication_composes_rotations():
@@ -50,7 +63,7 @@ def test_quaternion_multiplication_composes_rotations():
         t1, t2 = rng.uniform(-3, 3, 2)
         q = axis_angle_quaternion(a1, t1) * axis_angle_quaternion(a2, t2)
         r = rodrigues(a1, t1) @ rodrigues(a2, t2)
-        assert np.allclose(q.to_matrix(), r, atol=1e-9)
+        assert np.allclose(_matrix(q), r, atol=1e-9)
 
 
 def test_rotate_rejects_non_unit_quaternion():
@@ -143,7 +156,7 @@ MAG_WORLD = np.array([22.0, 0.0, -43.0])
 def _static_imu(q: Quaternion, n: int, rate: float = 100.0,
                 noise: float = 0.0, seed: int = 0) -> ImuSeries:
     rng = np.random.default_rng(seed)
-    r = q.to_matrix()
+    r = _matrix(q)
     acc = np.tile(r.T @ GRAVITY_WORLD, (n, 1))
     mag = np.tile(r.T @ MAG_WORLD, (n, 1))
     gyro = np.zeros((n, 3))
@@ -157,7 +170,8 @@ def test_ahrs_recovers_static_orientation():
     true_q = euler_to_quaternion(EulerAngles(0.3, -0.2, 0.9))
     imu = _static_imu(true_q, 400)
     quats = ahrs_stream(imu)
-    e_est = quaternion_to_euler(quats[-1])
+    assert quats.shape == (400, 4)
+    e_est = quaternion_to_euler(Quaternion(*quats[-1]))
     e_true = quaternion_to_euler(true_q)
     assert e_est.roll == pytest.approx(e_true.roll, abs=0.02)
     assert e_est.pitch == pytest.approx(e_true.pitch, abs=0.02)
@@ -177,4 +191,25 @@ def test_ahrs_gyro_only_fallback_flags_state():
 
 def test_initial_orientation_identity_case():
     q = initial_orientation(GRAVITY_WORLD, MAG_WORLD)
-    assert np.allclose(q.to_matrix(), np.eye(3), atol=1e-9)
+    assert np.allclose(_matrix(q), np.eye(3), atol=1e-9)
+
+
+@pytest.mark.parametrize("field", ["zero", "parallel"])
+def test_initial_orientation_without_a_heading_aligns_on_gravity(field):
+    e_true = EulerAngles(0.3, -0.2, 0.9)
+    r = _matrix(euler_to_quaternion(e_true))
+    a = r.T @ GRAVITY_WORLD
+    m = np.zeros(3) if field == "zero" else -2.0 * a
+    e = quaternion_to_euler(initial_orientation(a, m))
+    assert (e.roll, e.pitch) == pytest.approx((e_true.roll, e_true.pitch),
+                                              abs=1e-9)
+    assert e.yaw == 0.0
+
+
+@pytest.mark.parametrize("a, m", [(np.zeros(3), MAG_WORLD),
+                                  (np.full(3, 1e-200), MAG_WORLD),
+                                  (np.full(3, 1e200), MAG_WORLD),
+                                  (GRAVITY_WORLD, np.full(3, 1e200))])
+def test_initial_orientation_rejects_degenerate_gravity_or_norms(a, m):
+    with pytest.raises(DegenerateSeries):
+        initial_orientation(a, m)

@@ -1,11 +1,14 @@
 """Lossy-channel model, retransmission, and the session state machine."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from syncgait.errors import EnrollmentMissing
+from syncgait.errors import EnrollmentMissing, SyncGaitError
 from syncgait.protocol import (ARQ_ROUNDS, ChannelModel, SessionConfig,
                                SessionState, _chunks, _received_imu,
                                _received_keypoints, attempt_scores,
@@ -14,7 +17,7 @@ from syncgait.pipeline import (Enrollment, consistency_score, enroll,
                                gait_score)
 from syncgait.series import ImuSeries, KeypointSeries
 from syncgait.syncing import ClockOffsetEstimate
-from syncgait.synth import SubjectParams, generate_session
+from syncgait.synth import SubjectParams, generate_session, make_cohort
 
 
 def test_channel_model_validation():
@@ -207,3 +210,112 @@ def test_session_config_validation():
         SessionConfig(max_attempts=0)
     with pytest.raises(ValueError):
         SessionConfig(sample_duration=1.0)
+
+
+# --- degenerate and degraded streams -----------------------------------------
+
+# an attempt fails on a rejected decision, on no sync exchange or on a
+# SyncGaitError, which it names; never on a raw exception or a warning
+_FAILURE_REASONS = ({"verification", "no sync exchange"}
+                    | {c.__name__ for c in SyncGaitError.__subclasses__()})
+
+
+@pytest.fixture(scope="module")
+def capture():
+    """One genuine capture and its subject's enrollment from 6 sessions."""
+    subject = make_cohort(2, seed=21)[0]
+    est = ClockOffsetEstimate(OFFSET, 1e-6, 0.005)
+    sessions = [generate_session(subject, clock_offset=OFFSET,
+                                 seed_offset=100 + k)[:2] + (est,)
+                for k in range(6)]
+    imu, kp, _ = generate_session(subject, clock_offset=OFFSET,
+                                  seed_offset=503)
+    return enroll(sessions, seed=0), imu, kp
+
+
+def _one_attempt(enrollment, imu, kp):
+    cfg = SessionConfig(clock_offset=OFFSET, max_attempts=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_session(cfg, enrollment, lambda a: imu, lambda a: kp,
+                             seed=5)
+    reasons = [e["detail"]["reason"] for e in result.transcript
+               if e["event"] == "attempt_failed"]
+    assert set(reasons) <= _FAILURE_REASONS
+    return result, reasons
+
+
+@pytest.mark.parametrize("block, factor", [
+    ("acc", 0.0), ("acc", 1e-200), ("acc", 1e200),
+    ("mag", 0.0), ("mag", 1e-200), ("mag", 1e200), ("gyro", 1e200),
+    ("uv", 1e200)])
+def test_degenerate_stream_fails_the_session_with_a_named_reason(
+        capture, block, factor):
+    # no gravity, no field or values whose squares overflow: the attempt
+    # fails on a named reason; with no field the attitude is gravity-only
+    enrollment, imu, kp = capture
+    if block == "uv":
+        kp = KeypointSeries(kp.t, kp.uv * factor, kp.conf, kp.frame_rate)
+    else:
+        blocks = {"acc": imu.acc, "gyro": imu.gyro, "mag": imu.mag}
+        blocks[block] = blocks[block] * factor
+        imu = ImuSeries(imu.t, sample_rate=imu.sample_rate, **blocks)
+    result, reasons = _one_attempt(enrollment, imu, kp)
+    assert result.state == SessionState.FAILED
+    assert reasons == ["verification" if block == "mag" and factor < 1
+                       else "DegenerateSeries"]
+
+
+_FACTOR = (st.sampled_from([0.0, "constant"])
+           | st.integers(-300, 300).map(lambda k: 10.0 ** k))
+_STEP = st.one_of(
+    st.tuples(st.just("channel"), st.sampled_from(["acc", "gyro", "mag", "uv"]),
+              st.sampled_from([0, 1, 2, None]), _FACTOR),
+    st.tuples(st.just("truncate"), st.sampled_from(["imu", "kp"]),
+              st.integers(3, 800)),
+    st.tuples(st.just("shift"), st.sampled_from(["imu", "kp"]),
+              st.floats(-100.0, 100.0)),
+    st.tuples(st.just("occlude"), st.sets(st.integers(0, 11), min_size=1),
+              st.integers(0, 479), st.integers(1, 480)))
+
+
+def _degraded(imu, kp, steps):
+    """The capture with each step applied in turn: a channel (one axis or
+    every axis) zeroed, held constant or scaled; a stream truncated or
+    shifted in time; joints occluded over a span of frames."""
+    a = {"imu_t": imu.t, "acc": imu.acc, "gyro": imu.gyro, "mag": imu.mag,
+         "kp_t": kp.t, "uv": kp.uv, "conf": kp.conf}
+    a = {k: v.copy() for k, v in a.items()}
+    for kind, *arg in steps:
+        if kind == "channel":
+            block, axis, factor = arg
+            cols = slice(None) if axis is None else axis % a[block].shape[-1]
+            x = a[block][..., cols]
+            with np.errstate(over="ignore"):   # two scalings may overflow
+                a[block][..., cols] = (x[:1] if factor == "constant"
+                                       else x * factor)
+        elif kind == "truncate":
+            stream, n = arg
+            keys = (("imu_t", "acc", "gyro", "mag") if stream == "imu"
+                    else ("kp_t", "uv", "conf"))
+            a.update({k: a[k][:n] for k in keys})
+        elif kind == "shift":
+            a[arg[0] + "_t"] = a[arg[0] + "_t"] + arg[1]
+        else:
+            joints, i0, i1 = arg
+            a["conf"][i0:i1, sorted(joints)] = 0.0
+    assume(all(np.isfinite(v).all() for v in a.values()))
+    return (ImuSeries(a["imu_t"], a["acc"], a["gyro"], a["mag"],
+                      imu.sample_rate),
+            KeypointSeries(a["kp_t"], a["uv"], a["conf"], kp.frame_rate))
+
+
+@given(st.lists(_STEP, min_size=1, max_size=2))
+@settings(max_examples=30, deadline=None)
+def test_degraded_capture_yields_a_result_with_named_failures(capture, steps):
+    # zeroed, constant or 10^k-scaled channels of both streams, truncation,
+    # occluded joints and time shifts: run_session returns, with no
+    # warning, and every failed attempt names its reason
+    enrollment, imu, kp = capture
+    result, _ = _one_attempt(enrollment, *_degraded(imu, kp, steps))
+    assert result.state in (SessionState.ACCEPTED, SessionState.FAILED)
