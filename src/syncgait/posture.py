@@ -7,6 +7,7 @@ correction for occlusion bridging.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -139,7 +140,7 @@ class _ChainFilter:
     """Constant-velocity EKF over one joint chain with inter-joint distance
     pseudo-measurements as the cooperative coupling."""
 
-    def __init__(self, positions: np.ndarray, dt: float):
+    def __init__(self, positions: np.ndarray, limb: np.ndarray, dt: float):
         self.nj = len(positions)
         self.dim = 4 * self.nj
         self.x = np.zeros(self.dim)
@@ -158,8 +159,7 @@ class _ChainFilter:
                        [dt ** 3 / 2, 0, dt ** 2, 0],
                        [0, dt ** 3 / 2, 0, dt ** 2]]) * qa
         self.Q = np.kron(np.eye(self.nj), qb)
-        self.limb = np.array([np.linalg.norm(positions[j + 1] - positions[j])
-                              for j in range(self.nj - 1)])
+        self.limb = limb.copy()
 
     def pos(self, j: int) -> np.ndarray:
         return self.x[4 * j:4 * j + 2]
@@ -168,14 +168,15 @@ class _ChainFilter:
         self.x = self.F @ self.x
         self.P = self.F @ self.P @ self.F.T + self.Q
 
-    def update_positions(self, measured: dict[int, np.ndarray]):
+    def update_positions(self, measured: dict[int, np.ndarray]) -> np.ndarray | None:
+        """Update on the measured joints' positions; returns the gain."""
         if not measured:
-            return
+            return None
         rows = [4 * j + k for j in measured for k in range(2)]
         h = self.eye[rows]
         z = np.concatenate(list(measured.values()))
         r = np.eye(len(z)) * MEASUREMENT_NOISE
-        self._kalman_update(h, z - h @ self.x, r)
+        return self._kalman_update(h, z - h @ self.x, r)
 
     def update_coupling(self):
         """EKF update on inter-joint distances toward the limb-length estimate."""
@@ -195,11 +196,46 @@ class _ChainFilter:
         self.limb[j] = ((1 - LIMB_ADAPT_RATE) * self.limb[j]
                         + LIMB_ADAPT_RATE * dist)
 
-    def _kalman_update(self, h: np.ndarray, innov: np.ndarray, r: np.ndarray):
+    def _kalman_update(self, h: np.ndarray, innov: np.ndarray,
+                       r: np.ndarray) -> np.ndarray:
         s = h @ self.P @ h.T + r
         k = self.P @ h.T @ np.linalg.inv(s)
         self.x = self.x + k @ innov
         self.P = (self.eye - k @ h) @ self.P
+        return k
+
+
+# Longest gain table; at every frame rate from 5 to 1000 fps the table ends
+# at its fixed point after 50-180 entries.
+GAIN_TABLE_MAX = 1024
+
+
+@functools.lru_cache(maxsize=4)
+def _measured_gains(dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gain K (m, 12, 6) and covariance P (m, 12, 12) after the update of
+    each fully measured frame, starting from P0 = 25 I.
+
+    With every joint measured, the covariance recursion does not depend on
+    the measurements, so all streams at one frame interval share it. The
+    table ends at the first covariance that repeats its predecessor bit for
+    bit; every later frame has the last entry. A table GAIN_TABLE_MAX long
+    never reached that fixed point. The arrays are shared: read-only.
+    """
+    nj = len(ARM_CHAIN)
+    filt = _ChainFilter(np.zeros((nj, 2)), np.zeros(nj - 1), dt)
+    all_measured = dict.fromkeys(range(nj), np.zeros(2))
+    gains, covs = [], []
+    for idx in range(GAIN_TABLE_MAX):
+        if idx > 0:
+            filt.predict()
+        gains.append(filt.update_positions(all_measured))
+        covs.append(filt.P)
+        if idx > 0 and covs[-1].tobytes() == covs[-2].tobytes():
+            break
+    table = np.stack(gains), np.stack(covs)
+    for a in table:
+        a.flags.writeable = False
+    return table
 
 
 def mjckf_correct(kp: KeypointSeries) -> KeypointSeries:
@@ -210,31 +246,60 @@ def mjckf_correct(kp: KeypointSeries) -> KeypointSeries:
     The arms are independent filters; the other joints pass through
     unchanged.
     """
-    if len(kp) < 3:
+    n = len(kp)
+    if n < 3:
         raise SeriesTooShort("need >= 3 frames")
-    cols = [JOINT_INDEX[n] for n in ARM_CHAIN]
+    cols = [JOINT_INDEX[name] for name in ARM_CHAIN]
     track = kp.uv[:, cols]
     conf = kp.conf[:, cols]
+    ok = conf >= CONF_GATE
+    seg = track[:, 1:] - track[:, :-1]
+    # the matmul form equals np.linalg.norm of each segment bit for bit
+    limbs = np.sqrt((seg[..., None, :] @ seg[..., :, None])[..., 0, 0])
+    dt = 1.0 / kp.frame_rate
+    filt = _ChainFilter(track[0], limbs[0], dt)
+    states = np.empty((n, filt.dim))
 
-    filtered = np.empty_like(track)
-    filt = _ChainFilter(track[0], 1.0 / kp.frame_rate)
-    for idx in range(len(kp)):
+    # The fully measured prefix needs only the state update: its gains are
+    # the frame interval's shared table (the same products as the full
+    # update, with H x = x[rows]).
+    gains, covs = _measured_gains(dt)
+    gated = ~ok.all(axis=1)
+    head = int(gated.argmax()) if gated.any() else n
+    if len(gains) == GAIN_TABLE_MAX:   # never settled: the full update past it
+        head = min(head, len(gains))
+    rows = np.array([4 * j + k for j in range(filt.nj) for k in range(2)])
+    z = track.reshape(n, -1)
+    x = filt.x
+    for idx in range(head):
+        if idx > 0:
+            x = filt.F @ x
+        x = x + gains[min(idx, len(gains) - 1)] @ (z[idx] - x[rows])
+        states[idx] = x
+    filt.x = x
+    if head > 0:
+        filt.P = covs[min(head, len(covs)) - 1]
+    if head < n:
+        # the limb lengths steer only the coupling of gated frames
+        for idx in range(head):
+            for j in range(filt.nj - 1):
+                filt.refresh_limb(j, limbs[idx, j])
+
+    for idx in range(head, n):
         if idx > 0:
             filt.predict()
-        measured = {j: track[idx, j] for j in range(filt.nj)
-                    if conf[idx, j] >= CONF_GATE}
+        measured = {j: track[idx, j] for j in range(filt.nj) if ok[idx, j]}
         filt.update_positions(measured)
         if len(measured) < filt.nj:
             # limb-length coupling constrains only occluded frames;
             # fully measured frames need no cooperative correction
             filt.update_coupling()
         for j in range(filt.nj - 1):
-            if j in measured and j + 1 in measured:
-                filt.refresh_limb(j, float(np.linalg.norm(measured[j + 1] - measured[j])))
-        for j in range(filt.nj):
-            filtered[idx, j] = filt.pos(j)
+            if ok[idx, j] and ok[idx, j + 1]:
+                filt.refresh_limb(j, limbs[idx, j])
+        states[idx] = filt.x
     uv = kp.uv.copy()
-    uv[:, cols] = filtered
+    uv[:, cols] = states.reshape(n, filt.nj, 4)[:, :, :2]
     out_conf = kp.conf.copy()
     out_conf[:, cols] = np.maximum(conf, CONF_GATE)
     return KeypointSeries(kp.t, uv, out_conf, kp.frame_rate)

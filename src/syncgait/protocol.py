@@ -207,14 +207,19 @@ def attempt_scores(enrollment: Enrollment, offset: ClockOffsetEstimate, imu: Imu
     validity mask) against its own keypoints `kp`; the phone scores its own
     `imu` against the keypoints as they arrived (`kp_at_phone`) and checks
     the gait on `imu`. A view that is the sender's own object (nothing was
-    lost) reuses the sender's prepared stream. The scores equal
-    consistency_score and gait_score on the raw views.
+    lost) reuses the sender's prepared stream, and when both views are the
+    senders' own and every IMU sample is valid, the phone's score is the
+    drone's: on the uniform IMU speed grid an all-valid mask drops no
+    aligned point. The scores equal consistency_score and gait_score on the
+    raw views.
     """
     chain = imu_chain(imu_at_drone)
     imu_speed = imu_speed_channel(chain)
     video = video_speed_channel(kp)
     s_drone = consistency_score(enrollment, imu_speed, video, offset,
                                 imu_valid=imu_valid)
+    if imu_at_drone is imu and kp_at_phone is kp and imu_valid.all():
+        return s_drone, s_drone, gait_score(enrollment, chain)
     if imu_at_drone is not imu:
         chain = imu_chain(imu)
         imu_speed = imu_speed_channel(chain)

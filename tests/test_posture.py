@@ -9,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syncgait.errors import InvalidBand, SeriesTooShort
-from syncgait.posture import (CONF_GATE, AdctConfig, SpectralBand,
-                              adaptive_bandpass, adct_cutoff, adct_smooth,
-                              estimate_band, histogram_entropy, mjckf_correct)
+from syncgait import posture
+from syncgait.posture import (ARM_CHAIN, CONF_GATE, GAIN_TABLE_MAX,
+                              AdctConfig, SpectralBand, _ChainFilter,
+                              _measured_gains, adaptive_bandpass, adct_cutoff,
+                              adct_smooth, estimate_band, histogram_entropy,
+                              mjckf_correct)
 from syncgait.series import (JOINT_INDEX, REQUIRED_JOINTS, KeypointSeries,
                              Series1D)
 
@@ -194,6 +197,94 @@ def test_mjckf_leaves_clean_tracks_close():
     kp, truth = _arm_series()
     errs = _wrist_errors(mjckf_correct(kp), truth, range(20, len(truth)))
     assert np.mean(errs) < 3.0
+
+
+def _per_frame_mjckf(kp):
+    """Reference: the full predict/update per frame, no shared gains."""
+    cols = [JOINT_INDEX[name] for name in ARM_CHAIN]
+    track = kp.uv[:, cols]
+    conf = kp.conf[:, cols]
+    limb = np.array([np.linalg.norm(track[0, j + 1] - track[0, j])
+                     for j in range(len(cols) - 1)])
+    filt = _ChainFilter(track[0], limb, 1.0 / kp.frame_rate)
+    uv = kp.uv.copy()
+    for idx in range(len(kp)):
+        if idx > 0:
+            filt.predict()
+        measured = {j: track[idx, j] for j in range(filt.nj)
+                    if conf[idx, j] >= CONF_GATE}
+        filt.update_positions(measured)
+        if len(measured) < filt.nj:
+            filt.update_coupling()
+        for j in range(filt.nj - 1):
+            if j in measured and j + 1 in measured:
+                filt.refresh_limb(j, float(np.linalg.norm(
+                    measured[j + 1] - measured[j])))
+        for j in range(filt.nj):
+            uv[idx, cols[j]] = filt.pos(j)
+    return uv
+
+
+def _gate(kp, frames, joints=("wrist_r", "elbow_r", "shoulder_r")):
+    conf = kp.conf.copy()
+    for joint in joints:
+        conf[frames, JOINT_INDEX[joint]] = 0.1
+    return KeypointSeries(kp.t, kp.uv, conf, kp.frame_rate)
+
+
+def _scattered(kp, share=0.3, seed=4):
+    conf = kp.conf.copy()
+    cols = [JOINT_INDEX[name] for name in ARM_CHAIN]
+    drop = np.random.default_rng(seed).random((len(kp), len(cols))) < share
+    conf[:, cols] = np.where(drop, 0.1, conf[:, cols])
+    return KeypointSeries(kp.t, kp.uv, conf, kp.frame_rate)
+
+
+MJCKF_CASES = {
+    "fully_measured": lambda: _arm_series(n=300)[0],
+    "gated_at_frame_0": lambda: _gate(_arm_series(n=300)[0], slice(0, 4)),
+    "wrist_gap_before_fixed_point": lambda: _gate(
+        _arm_series(n=300)[0], slice(30, 60), ("wrist_r",)),
+    "shoulder_gap_at_88": lambda: _gate(
+        _arm_series(n=300)[0], slice(88, 91), ("shoulder_r",)),
+    "whole_arm_gap_after_fixed_point": lambda: _gate(
+        _arm_series(n=300)[0], slice(200, 260)),
+    "scattered_30pct": lambda: _scattered(_arm_series(n=300)[0]),
+    "30_fps": lambda: _arm_series(n=200, fps=30.0)[0],
+    "3_frames": lambda: _arm_series(n=3)[0],
+}
+
+
+@pytest.mark.parametrize("case", MJCKF_CASES)
+def test_mjckf_equals_per_frame_filter_bit_for_bit(case):
+    kp = MJCKF_CASES[case]()
+    assert mjckf_correct(kp).uv.tobytes() == _per_frame_mjckf(kp).tobytes()
+
+
+@pytest.fixture
+def short_gain_table(monkeypatch):
+    _measured_gains.cache_clear()
+    monkeypatch.setattr(posture, "GAIN_TABLE_MAX", 20)
+    yield
+    _measured_gains.cache_clear()
+
+
+def test_mjckf_past_an_unsettled_gain_table_runs_the_full_update(
+        short_gain_table):
+    kp = _arm_series(n=120)[0]
+    assert len(_measured_gains(1.0 / kp.frame_rate)[0]) == 20
+    assert mjckf_correct(kp).uv.tobytes() == _per_frame_mjckf(kp).tobytes()
+
+
+@pytest.mark.parametrize("fps", [5.0, 30.0, 60.0, 1000.0])
+def test_measured_gains_reach_a_fixed_point_and_are_read_only(fps):
+    gains, covs = _measured_gains(1.0 / fps)
+    assert 2 <= len(gains) == len(covs) < GAIN_TABLE_MAX
+    assert covs[-1].tobytes() == covs[-2].tobytes()
+    assert gains.shape[1:] == (12, 6) and covs.shape[1:] == (12, 12)
+    for table in (gains, covs):
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 0.0
 
 
 def test_adct_config_validation():

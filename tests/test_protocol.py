@@ -175,6 +175,22 @@ def test_one_pass_scores_equal_per_view_scores_on_partial_views(
     assert drone != full and phone != full
 
 
+def test_one_pass_scores_equal_per_view_scores_on_complete_views(
+        enrolled_subject):
+    # nothing lost: the phone's score is the drone's, computed once
+    subject, enrollment = enrolled_subject
+    est = ClockOffsetEstimate(OFFSET, 1e-6, 0.005)
+    imu, kp, _ = generate_session(subject, clock_offset=OFFSET,
+                                  seed_offset=506)
+    imu_valid = np.ones(len(imu), dtype=bool)
+    drone, phone, gait = attempt_scores(
+        enrollment, est, imu, kp, imu, imu_valid, kp)
+    assert drone.hex() == consistency_score(
+        enrollment, imu, kp, est, imu_valid=imu_valid).hex()
+    assert phone.hex() == consistency_score(enrollment, imu, kp, est).hex()
+    assert gait.hex() == gait_score(enrollment, imu).hex()
+
+
 def test_session_requires_enrollment():
     cfg = SessionConfig()
     with pytest.raises(EnrollmentMissing):
