@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidDuration
 from .gait import cycle_boundaries
-from .orientation import (EulerAngles, Quaternion, euler_to_quaternion,
-                          rotation_matrices)
+from .orientation import EulerAngles, euler_to_quaternion, rotation_matrices
 from .series import JOINT_INDEX, REQUIRED_JOINTS, ImuSeries, KeypointSeries
 
 WALK_SPEED = 1.2          # m/s, approach speed
@@ -105,9 +105,23 @@ class MimicryAttack:
 
 @dataclass
 class GroundTruth:
-    cycle_boundaries: list[float]  # seconds, phone clock
-    clock_offset: float            # drone clock minus phone clock, s
-    base_path: np.ndarray          # (n, 3) body base positions, world frame
+    """What the generator knows about a session.
+
+    `clean` is the noise-free twin of the IMU stream. `cycle_boundaries`
+    (seconds, phone clock) are its cycle cuts, computed on first read and
+    then kept: the instants a perfect sensor would segment, so any
+    deviation on the noisy stream measures noise robustness. A twin that
+    cannot be segmented raises its `SyncGaitError` where the cuts are read,
+    not when the session is generated.
+    """
+
+    clean: ImuSeries        # noise-free twin of the IMU stream
+    clock_offset: float     # drone clock minus phone clock, s
+    base_path: np.ndarray   # (n, 3) body base positions, world frame
+
+    @cached_property
+    def cycle_boundaries(self) -> list[float]:
+        return cycle_boundaries(self.clean)
 
 
 class _ArmModel:
@@ -150,11 +164,29 @@ class _ArmModel:
 
 def _phone_quaternions(p: SubjectParams, heading: float,
                        th: np.ndarray) -> np.ndarray:
-    qz = Quaternion(math.cos(heading / 2), 0, 0, math.sin(heading / 2))
-    q_tilt = euler_to_quaternion(p.phone_tilt)
-    return np.array([(q.q0, q.q1, q.q2, q.q3) for q in (
-        qz * Quaternion(math.cos(a / 2), 0, math.sin(a / 2), 0) * q_tilt
-        for a in th)])
+    """(n, 4) phone attitudes qz(heading) * qy(th) * q_tilt: the Hamilton
+    products of `Quaternion.__mul__`, term for term, on arrays, with zero
+    arrays for the zero components (so every signed zero matches)."""
+    z0, z3 = math.cos(heading / 2), math.sin(heading / 2)
+    half = [a / 2 for a in th.tolist()]
+    y0 = np.array([math.cos(h) for h in half])
+    y2 = np.array([math.sin(h) for h in half])
+    zero = np.zeros(len(half))
+    # qz * qy: a = (z0, 0, 0, z3), b = (y0, 0, y2, 0)
+    a0, a1, a2, a3 = z0, 0.0, 0.0, z3
+    b0, b1, b2, b3 = y0, zero, y2, zero
+    c0 = a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
+    c1 = a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
+    c2 = a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
+    c3 = a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
+    t = euler_to_quaternion(p.phone_tilt)
+    b0, b1, b2, b3 = t.q0, t.q1, t.q2, t.q3
+    return np.stack([
+        c0 * b0 - c1 * b1 - c2 * b2 - c3 * b3,
+        c0 * b1 + c1 * b0 + c2 * b3 - c3 * b2,
+        c0 * b2 - c1 * b3 + c2 * b0 + c3 * b1,
+        c0 * b3 + c1 * b2 - c2 * b1 + c3 * b0,
+    ], axis=1)
 
 
 def generate_session(p: SubjectParams, cam: CameraModel = CameraModel(),
@@ -163,7 +195,9 @@ def generate_session(p: SubjectParams, cam: CameraModel = CameraModel(),
     """One walking session: paired IMU and keypoint streams + ground truth.
 
     Keypoint timestamps run on the drone clock (phone clock + clock_offset).
-    seed_offset varies the noise stream without changing the subject.
+    seed_offset varies the noise stream without changing the subject. The
+    ground truth keeps the noise-free twin stream and segments it only when
+    its `cycle_boundaries` are first read, so this runs no AHRS.
     """
     if duration < 3.0:
         raise InvalidDuration("duration must be >= 3 s")
@@ -202,15 +236,7 @@ def generate_session(p: SubjectParams, cam: CameraModel = CameraModel(),
     kp = _render_keypoints(p, cam, arm, duration, clock_offset,
                            start, direction, shoulder_h, rng)
 
-    # true boundaries: the cycle cuts of the noise-free twin stream, so the
-    # ground truth pins the instants a perfect sensor would segment and any
-    # deviation on the noisy stream measures noise robustness
-    gt = GroundTruth(
-        cycle_boundaries=cycle_boundaries(clean),
-        clock_offset=clock_offset,
-        base_path=base,
-    )
-    return imu, kp, gt
+    return imu, kp, GroundTruth(clean, clock_offset, base)
 
 
 def _render_keypoints(p, cam, arm, duration, clock_offset,
@@ -278,23 +304,33 @@ def _render_keypoints(p, cam, arm, duration, clock_offset,
     right /= np.linalg.norm(right)
     up = np.cross(right, fwd)
 
-    w_px, h_px = RESOLUTION
     # one noise draw per (frame, joint, axis) in the joints_world order
     noise = rng.normal(0.0, p.kp_noise, (n_frames, len(joints_world), 2))
-    uv = np.empty((n_frames, len(REQUIRED_JOINTS), 2))
-    for j, (name, traj) in enumerate(joints_world.items()):
-        col = JOINT_INDEX[name]
-        rel = traj - c
-        for k in range(n_frames):
-            d = rel[k]
-            depth = float(d @ fwd)
-            uv[k, col, 0] = (w_px / 2 + FOCAL_PX * float(d @ right) / depth
-                             + noise[k, j, 0])
-            uv[k, col, 1] = (h_px / 2 - FOCAL_PX * float(d @ up) / depth
-                             + noise[k, j, 1])
-    return KeypointSeries(tf + clock_offset, uv,
+    return KeypointSeries(tf + clock_offset,
+                          _project(joints_world, c, fwd, right, up, noise),
                           np.ones((n_frames, len(REQUIRED_JOINTS))),
                           frame_rate=cam.fps)
+
+
+def _project(joints_world: dict[str, np.ndarray], c: np.ndarray,
+             fwd: np.ndarray, right: np.ndarray, up: np.ndarray,
+             noise: np.ndarray) -> np.ndarray:
+    """(n, J, 2) pixels, joints in `REQUIRED_JOINTS` order, of the (n, 3)
+    world trajectories seen by the pinhole camera at `c` with unit axes
+    `fwd`, `right`, `up`, plus `noise[:, j]` on the j-th trajectory."""
+    w_px, h_px = RESOLUTION
+    uv = np.empty((len(noise), len(REQUIRED_JOINTS), 2))
+    for j, (name, traj) in enumerate(joints_world.items()):
+        col = JOINT_INDEX[name]
+        # (n, 1, 3) @ (3, 1) is each frame's own 3-term dot product, bit for
+        # bit; einsum or (n, 3) @ (3,) may sum in another order
+        rel = (traj - c)[:, None, :]
+        depth = (rel @ fwd[:, None])[:, 0, 0]
+        uv[:, col, 0] = (w_px / 2 + FOCAL_PX * (rel @ right[:, None])[:, 0, 0]
+                         / depth + noise[:, j, 0])
+        uv[:, col, 1] = (h_px / 2 - FOCAL_PX * (rel @ up[:, None])[:, 0, 0]
+                         / depth + noise[:, j, 1])
+    return uv
 
 
 def generate_attack(spec, cam: CameraModel = CameraModel(),
@@ -334,6 +370,8 @@ def make_cohort(size: int, seed: int = 0) -> list[SubjectParams]:
     draws routinely produce near-identical cadences, which makes mismatched
     stream pairings spuriously correlated over a short sample window.
     """
+    if size < 1:
+        raise ValueError("cohort size must be >= 1")
     rng = np.random.default_rng(seed)
     if size == 1:
         bases = np.array([1.5])

@@ -1,11 +1,18 @@
 """Synthetic paired-stream generator and attack stream generators."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
+from syncgait import gait, protocol, synth
+from syncgait.cli import main
 from syncgait.errors import InvalidDuration
-from syncgait.series import REQUIRED_JOINTS
-from syncgait.synth import (CameraModel, HijackAttack, MimicryAttack,
+from syncgait.gait import cycle_boundaries
+from syncgait.orientation import Quaternion, euler_to_quaternion
+from syncgait.series import JOINT_INDEX, REQUIRED_JOINTS
+from syncgait.synth import (IMU_RATE, CameraModel, HijackAttack, MimicryAttack,
                             RelayAttack, SubjectParams, generate_attack,
                             generate_session, make_cohort)
 
@@ -133,3 +140,137 @@ def test_cohort_guarantees_cadence_separation():
     gaps = np.diff(periods)
     assert gaps.min() > 0.02     # no two subjects share a cadence
     assert all(0.8 <= p <= 2.5 for p in periods)
+
+
+@pytest.mark.parametrize("size", [0, -1])
+def test_cohort_rejects_sizes_below_one(size):
+    with pytest.raises(ValueError, match="cohort size must be >= 1"):
+        make_cohort(size)
+
+
+# --- batched synthesis against per-sample references ---------------------------
+
+def _project_per_frame(joints_world, c, fwd, right, up, noise):
+    """Reference: one scalar dot product per (frame, joint, axis)."""
+    w_px, h_px = synth.RESOLUTION
+    uv = np.empty((len(noise), len(REQUIRED_JOINTS), 2))
+    for j, (name, traj) in enumerate(joints_world.items()):
+        col = JOINT_INDEX[name]
+        rel = traj - c
+        for k in range(len(noise)):
+            d = rel[k]
+            depth = float(d @ fwd)
+            uv[k, col, 0] = (w_px / 2 + synth.FOCAL_PX * float(d @ right)
+                             / depth + noise[k, j, 0])
+            uv[k, col, 1] = (h_px / 2 - synth.FOCAL_PX * float(d @ up)
+                             / depth + noise[k, j, 1])
+    return uv
+
+
+def _phone_quaternions_per_sample(p, heading, th):
+    """Reference: one `Quaternion` product per sample."""
+    qz = Quaternion(math.cos(heading / 2), 0, 0, math.sin(heading / 2))
+    q_tilt = euler_to_quaternion(p.phone_tilt)
+    return np.array([(q.q0, q.q1, q.q2, q.q3) for q in (
+        qz * Quaternion(math.cos(a / 2), 0, math.sin(a / 2), 0) * q_tilt
+        for a in th)])
+
+
+def _with_references(monkeypatch, make):
+    """make() as shipped and with the per-sample references swapped in."""
+    fast = make()
+    with monkeypatch.context() as m:
+        m.setattr(synth, "_project", _project_per_frame)
+        m.setattr(synth, "_phone_quaternions", _phone_quaternions_per_sample)
+        ref = make()
+    return fast, ref
+
+
+def _assert_same_bytes(fast, ref):
+    (imu, kp, _), (imu_r, kp_r, _) = fast, ref
+    assert kp.uv.tobytes() == kp_r.uv.tobytes()
+    for a, b in ((imu.acc, imu_r.acc), (imu.gyro, imu_r.gyro),
+                 (imu.mag, imu_r.mag)):
+        assert a.tobytes() == b.tobytes()
+
+
+CAMERAS = [CameraModel(horizontal_angle=angle, fps=fps,
+                       horizontal_distance=dist)
+           for angle in (0.0, 30.0, 90.0, 180.0)
+           for fps in (30.0, 60.0) for dist in (10.0, 18.0)]
+
+
+@pytest.mark.parametrize("cam", CAMERAS, ids=lambda c: (
+    f"{c.horizontal_angle:g}deg-{c.fps:g}fps-{c.horizontal_distance:g}m"))
+def test_batched_synthesis_equals_per_sample_references(monkeypatch, cam):
+    for si, p in enumerate(make_cohort(5)):
+        _assert_same_bytes(*_with_references(monkeypatch, lambda: (
+            generate_session(p, cam, 3.0, 0.05, seed_offset=si))))
+        # the phone attitudes themselves, as generate_session forms them
+        arm = synth._ArmModel(p, math.radians(cam.horizontal_angle))
+        th, _, _ = arm.theta(np.arange(300) / IMU_RATE)
+        assert (synth._phone_quaternions(p, arm.h, th).tobytes()
+                == _phone_quaternions_per_sample(p, arm.h, th).tobytes())
+
+
+@pytest.mark.parametrize("kind", ["relay", "hijack", "mimicry"])
+def test_batched_attacks_equal_per_sample_references(monkeypatch, kind):
+    a, b = make_cohort(2, seed=9)
+    spec = {"relay": RelayAttack(a, b), "hijack": HijackAttack(b),
+            "mimicry": MimicryAttack(b, a, 0.5)}[kind]
+    _assert_same_bytes(*_with_references(monkeypatch, lambda: (
+        generate_attack(spec, CameraModel(horizontal_angle=30.0), 3.0,
+                        seed_offset=4))))
+
+
+# --- ground truth is segmented only when read ------------------------------------
+
+@pytest.fixture
+def ahrs_calls(monkeypatch):
+    """Counts the AHRS runs of the gait chain, the one caller of ahrs_stream."""
+    calls = []
+    real = gait.ahrs_stream
+
+    def counted(imu):
+        calls.append(len(imu))
+        return real(imu)
+    monkeypatch.setattr(gait, "ahrs_stream", counted)
+    return calls
+
+
+def test_synthesis_runs_no_ahrs(ahrs_calls):
+    a, b = make_cohort(2, seed=3)
+    generate_session(a, duration=4.0)
+    for spec in (RelayAttack(a, b), HijackAttack(b), MimicryAttack(b, a)):
+        generate_attack(spec, duration=4.0)
+    assert ahrs_calls == []
+
+
+def test_ground_truth_cuts_are_computed_once_on_first_read(ahrs_calls):
+    _, _, gt = generate_session(SubjectParams(seed=3), duration=6.0)
+    assert ahrs_calls == []
+    cuts = gt.cycle_boundaries
+    assert len(ahrs_calls) == 1
+    assert gt.cycle_boundaries is cuts
+    assert len(ahrs_calls) == 1
+    assert cuts == cycle_boundaries(gt.clean)
+
+
+def test_evaluate_runs_the_ahrs_once_per_scored_view(tmp_path, monkeypatch,
+                                                     ahrs_calls):
+    config = {"cohort_size": 2, "enroll_sessions": 4, "genuine_trials": 1,
+              "attack_trials": 1, "loss_rate": 0.3}
+    attempts = []
+    real = protocol.attempt_scores
+
+    def spy(enrollment, offset, imu, kp, imu_at_drone, *rest):
+        attempts.append(imu_at_drone is imu)
+        return real(enrollment, offset, imu, kp, imu_at_drone, *rest)
+    monkeypatch.setattr(protocol, "attempt_scores", spy)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["evaluate", "--config", str(cfg), "--seed", "5",
+                 "--out", str(tmp_path / "out")]) == 0
+    # one attempt per trial, each scoring one IMU view (nothing stayed lost)
+    assert attempts == [True] * (2 * (1 + 3))
+    assert len(ahrs_calls) == 2 * 4 + len(attempts)
