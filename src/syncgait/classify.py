@@ -9,7 +9,7 @@ at a fixed synthetic-outlier rejection rate.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,8 @@ GAMMA_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
 OUTLIER_REJECTION_TARGET = 0.95
 CALIBRATED_NU = 0.1      # train_ocsvm_calibrated hyperparameters
 CALIBRATED_GAMMA = 0.1
+CALIBRATED_STD_FLOOR = 0.2   # Scaler.fit std_floor of the positives
+CALIBRATED_BALANCE = 0.3     # rho: 0 hugs the negatives, 1 the positives
 
 
 def _rbf(x: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
@@ -160,14 +162,13 @@ def train_ocsvm(train: np.ndarray, seed: int = 0) -> OcSvmModel:
     return fit_ocsvm_fixed(x, nu, gamma, scaler=scaler)
 
 
-def train_ocsvm_calibrated(positives: np.ndarray, negatives: np.ndarray,
-                           std_floor: float = 0.0,
-                           balance: float = 0.5) -> OcSvmModel:
-    """OC-SVM fit on positives (nu CALIBRATED_NU, gamma CALIBRATED_GAMMA)
-    with the threshold calibrated against known negatives: rho sits between
-    the low quantile of positive decision values and the high quantile of
-    negative ones (balance 0 = hug the negatives, 1 = hug the positives).
-    Used when a surrogate negative class is cheap to synthesize and the
+def train_ocsvm_calibrated(positives: np.ndarray,
+                           negatives: np.ndarray) -> OcSvmModel:
+    """OC-SVM fit on positives (nu CALIBRATED_NU, gamma CALIBRATED_GAMMA,
+    scaled with CALIBRATED_STD_FLOOR) with the threshold calibrated against
+    known negatives: rho sits CALIBRATED_BALANCE of the way from the high
+    quantile of negative decision values to the low quantile of positive
+    ones. Used when a surrogate negative class is cheap to synthesize and the
     boundary should not key on incidental positive-cloud tightness."""
     pos = np.atleast_2d(np.asarray(positives, dtype=float))
     neg = np.atleast_2d(np.asarray(negatives, dtype=float))
@@ -175,15 +176,13 @@ def train_ocsvm_calibrated(positives: np.ndarray, negatives: np.ndarray,
         raise TooFewSamples(f"need >= 10 positive vectors, got {len(pos)}")
     if len(neg) < 2:
         raise TooFewSamples(f"need >= 2 negative vectors, got {len(neg)}")
-    if not 0.0 < balance < 1.0:
-        raise ValueError("balance must lie in (0, 1)")
-    scaler = Scaler.fit(pos, std_floor=std_floor)
+    scaler = Scaler.fit(pos, std_floor=CALIBRATED_STD_FLOOR)
     model = fit_ocsvm_fixed(pos, CALIBRATED_NU, CALIBRATED_GAMMA,
                             scaler=scaler)
     d_pos = model.scores(pos) + model.rho
     d_neg = model.scores(neg) + model.rho
-    model.rho = float(balance * np.quantile(d_pos, 0.05)
-                      + (1.0 - balance) * np.quantile(d_neg, 0.95))
+    model.rho = float(CALIBRATED_BALANCE * np.quantile(d_pos, 0.05)
+                      + (1.0 - CALIBRATED_BALANCE) * np.quantile(d_neg, 0.95))
     return model
 
 

@@ -15,12 +15,12 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import IoFailure, SyncGaitError
+from .errors import IoFailure, SyncGaitError, TooFewSamples
 from .io import read_imu_csv, read_keypoint_jsonl, write_imu_csv, \
     write_keypoint_jsonl
 from .metrics import evaluate as score_evaluate
@@ -325,7 +325,11 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
                                           cfg.clock_offset,
                                           seed_offset=10 + k)
             sessions.append((imu, kp, offset))
-        enrollments[si] = enroll(sessions, seed=cfg.seed)
+        try:
+            enrollments[si] = enroll(sessions, seed=cfg.seed)
+        except TooFewSamples as exc:
+            raise ValueError(f"enroll_sessions {cfg.enroll_sessions} is too "
+                             f"few to enroll subject {si}: {exc}") from exc
 
     genuine = []
     for si in range(cfg.cohort_size):

@@ -42,7 +42,6 @@ class FeatureVector:
 @dataclass(frozen=True)
 class FisherReport:
     names: tuple[str, ...]
-    raw_scores: np.ndarray
     normalized: np.ndarray
     selected: np.ndarray
 
@@ -130,6 +129,6 @@ def fisher_select(genuine: list[FeatureVector],
             raw[k] = num[k] / den[k]
     peak = raw.max()
     normalized = raw / peak if peak > 0 else raw.copy()
-    return FisherReport(names=FEATURE_NAMES, raw_scores=raw, normalized=normalized,
+    return FisherReport(names=FEATURE_NAMES, normalized=normalized,
                         selected=normalized > FISHER_SELECT_THRESHOLD)
 

@@ -23,6 +23,10 @@ AHRS_ZETA = 0.01    # gyro-bias feedback gain
 
 @dataclass(frozen=True)
 class Quaternion:
+    """q0 + q1 i + q2 j + q3 k. The fields may also hold equal-shape arrays
+    (or floats mixed with them): `*` then multiplies element-wise, one
+    Hamilton product per element."""
+
     q0: float = 1.0
     q1: float = 0.0
     q2: float = 0.0

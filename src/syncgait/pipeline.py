@@ -11,8 +11,8 @@ chain once and scores all three checks from it.
 The pipeline takes no settings: each stage reads its module's constants
 (`posture.ARM_CHAIN` and the MJCKF noise levels, the AHRS gains in
 `orientation`, `series.DENOISE_LEVELS`, the `gait` period bounds,
-`syncing.COMMON_RATE`, the OC-SVM grids in `classify`) and the enrollment
-constants below.
+`syncing.COMMON_RATE`, the OC-SVM grids and calibration in `classify`) and
+the enrollment constants below.
 """
 
 from __future__ import annotations
@@ -32,15 +32,12 @@ from .posture import (ARM_CHAIN, GAIT_BAND_HI, GAIT_BAND_LO, AdctConfig,
                       SpectralBand, adaptive_bandpass, adct_smooth,
                       mjckf_correct)
 from .series import (JOINT_INDEX, MISSING_CONF, ImuSeries, KeypointSeries,
-                     Series1D, normalize_or_flag, require_squarable)
-from .syncing import (COMMON_RATE, AlignedPair, ClockOffsetEstimate, align,
-                      imu_hand_speed)
+                     Series1D, normalize, require_squarable)
+from .syncing import COMMON_RATE, AlignedPair, ClockOffsetEstimate, align
 
 HEADING_SMOOTH_S = 0.5
 WINDOW_S = 3.0                        # enrollment sub-window length
 MISALIGN_SHIFTS_S = (0.3, 0.55, 0.8)  # surrogate-negative video shifts
-CONSISTENCY_STD_FLOOR = 0.2
-CONSISTENCY_BALANCE = 0.3
 GAIT_RHO_MARGIN = 0.05
 
 # the scoring entry points take each stream raw or prepared
@@ -64,12 +61,15 @@ def _bandpass_components(comps: np.ndarray, rate: float) -> np.ndarray:
     return out
 
 
-def _fill_gaps(t: np.ndarray, x: np.ndarray, conf: np.ndarray) -> np.ndarray:
-    """Interpolate coordinates across missing detections before smoothing."""
-    ok = conf >= MISSING_CONF
+def _fill_gaps(kp: KeypointSeries, name: str, k: int) -> np.ndarray:
+    """Pixel coordinate k of one joint's track, interpolated across missing
+    detections before smoothing."""
+    j = JOINT_INDEX[name]
+    x = kp.uv[:, j, k]
+    ok = kp.conf[:, j] >= MISSING_CONF
     if ok.all() or not ok.any():
         return x
-    return np.interp(t, t[ok], x[ok])
+    return np.interp(kp.t, kp.t[ok], x[ok])
 
 
 def calibrate_keypoints(kp: KeypointSeries) -> KeypointSeries:
@@ -82,14 +82,11 @@ def calibrate_keypoints(kp: KeypointSeries) -> KeypointSeries:
     require_squarable("keypoint", kp.uv)
     uv = kp.uv.copy()
     for name in ARM_CHAIN:
-        t, u, v, c = kp.joint_track(name)
-        u = _fill_gaps(t, u, c)
-        v = _fill_gaps(t, v, c)
-        if len(u) >= 4:
-            u = adct_smooth(Series1D(u, rate=kp.frame_rate)).values
-            v = adct_smooth(Series1D(v, rate=kp.frame_rate)).values
-        uv[:, JOINT_INDEX[name], 0] = u
-        uv[:, JOINT_INDEX[name], 1] = v
+        for k in (0, 1):
+            x = _fill_gaps(kp, name, k)
+            if len(x) >= 4:
+                x = adct_smooth(Series1D(x, rate=kp.frame_rate)).values
+            uv[:, JOINT_INDEX[name], k] = x
     return mjckf_correct(KeypointSeries(kp.t, uv, kp.conf, kp.frame_rate))
 
 
@@ -97,14 +94,9 @@ def _torso_scale(kp: KeypointSeries) -> np.ndarray:
     """Smoothed per-frame torso length in pixels (shoulder midpoint to hip
     midpoint); the apparent-size reference that cancels perspective growth
     as the subject approaches the camera."""
-    pts = {}
-    for name in ("shoulder_l", "shoulder_r", "hip_l", "hip_r"):
-        t, u, v, c = kp.joint_track(name)
-        pts[name] = (_fill_gaps(t, u, c), _fill_gaps(t, v, c))
-    su = 0.5 * (pts["shoulder_l"][0] + pts["shoulder_r"][0])
-    sv = 0.5 * (pts["shoulder_l"][1] + pts["shoulder_r"][1])
-    hu = 0.5 * (pts["hip_l"][0] + pts["hip_r"][0])
-    hv = 0.5 * (pts["hip_l"][1] + pts["hip_r"][1])
+    su, sv, hu, hv = (0.5 * (_fill_gaps(kp, f"{part}_l", k)
+                             + _fill_gaps(kp, f"{part}_r", k))
+                      for part in ("shoulder", "hip") for k in (0, 1))
     scale = np.hypot(su - hu, sv - hv)
     if len(scale) >= 4:
         scale = adct_smooth(Series1D(scale, rate=kp.frame_rate),
@@ -122,18 +114,16 @@ def video_speed_channel(kp: KeypointSeries) -> VideoSpeed:
     fell below the missing-confidence level are marked invalid (bridged,
     not measured).
     """
-    wrist = ARM_CHAIN[0]
-    corrected = calibrate_keypoints(kp)
-    t, u, v, _ = corrected.joint_track(wrist)
+    wrist = JOINT_INDEX[ARM_CHAIN[0]]
+    uv = calibrate_keypoints(kp).uv[:, wrist]
+    t = kp.t
     scale = _torso_scale(kp)
-    vel = np.column_stack([np.gradient(u, t) / scale,
-                           np.gradient(v, t) / scale])
+    vel = np.column_stack([np.gradient(uv[:, 0], t) / scale,
+                           np.gradient(uv[:, 1], t) / scale])
     vel = _bandpass_components(vel, kp.frame_rate)
-    speed = normalize_or_flag(Series1D(np.hypot(vel[:, 0], vel[:, 1]),
-                                       t0=float(t[0]), rate=kp.frame_rate))
-    _, _, _, conf = kp.joint_track(wrist)
-    valid = conf >= MISSING_CONF
-    return speed, valid
+    speed = normalize(Series1D(np.hypot(vel[:, 0], vel[:, 1]),
+                               t0=float(t[0]), rate=kp.frame_rate))
+    return speed, kp.conf[:, wrist] >= MISSING_CONF
 
 
 def imu_speed_channel(imu: ImuSeries | ImuChain) -> Series1D:
@@ -157,8 +147,8 @@ def imu_speed_channel(imu: ImuSeries | ImuChain) -> Series1D:
     heading = np.convolve(pad, np.ones(win) / win, mode="valid")
 
     v_body = project_body_relative(v_world, heading)
-    return imu_hand_speed(v_body, rate=denoised.sample_rate,
-                          t0=float(denoised.t[0]))
+    return normalize(Series1D(np.linalg.norm(v_body, axis=1),
+                              float(denoised.t[0]), denoised.sample_rate))
 
 
 def aligned_speeds(imu: ImuInput, kp: VideoInput,
@@ -256,9 +246,7 @@ def enroll(sessions: list[tuple[ImuSeries, KeypointSeries, ClockOffsetEstimate]]
         mask = fisher.normalized >= np.sort(fisher.normalized)[-2]
     pos = np.array([v.as_array() for v in pos_vecs])[:, mask]
     neg = np.array([v.as_array() for v in neg_vecs])[:, mask]
-    cons = train_ocsvm_calibrated(pos, neg,
-                                  std_floor=CONSISTENCY_STD_FLOOR,
-                                  balance=CONSISTENCY_BALANCE)
+    cons = train_ocsvm_calibrated(pos, neg)
     gait = train_ocsvm(np.vstack(gaits), seed=seed)
     # fresh-session cycles sit slightly outside the enrollment cloud while
     # other subjects score far below; widen the boundary by a fixed margin

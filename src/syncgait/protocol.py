@@ -75,7 +75,6 @@ class DecisionRecord:
     consistency_score_drone: float
     consistency_score_phone: float
     gait_score: float
-    offset_estimate: float
 
     @property
     def accepted(self) -> bool:
@@ -319,7 +318,6 @@ def run_session(cfg: SessionConfig, enrollment: Enrollment,
             consistency_score_drone=s_drone,
             consistency_score_phone=s_phone,
             gait_score=s_gait,
-            offset_estimate=offset.offset,
         )
         log.log(t, "drone", "decision", score=round(s_drone, 6),
                 passed=s_drone >= 0)

@@ -9,7 +9,7 @@ by every downstream stage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,12 +97,6 @@ class KeypointSeries:
     def __len__(self) -> int:
         return len(self.t)
 
-    def joint_track(self, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Return fresh (t, u, v, conf) arrays for one joint."""
-        j = JOINT_INDEX[name]
-        return (self.t.copy(), self.uv[:, j, 0].copy(),
-                self.uv[:, j, 1].copy(), self.conf[:, j].copy())
-
 
 @dataclass
 class Series1D:
@@ -111,7 +105,6 @@ class Series1D:
     values: np.ndarray
     t0: float = 0.0
     rate: float = 100.0
-    degenerate: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -126,10 +119,6 @@ class Series1D:
     @property
     def times(self) -> np.ndarray:
         return self.t0 + np.arange(len(self.values)) / self.rate
-
-    @property
-    def duration(self) -> float:
-        return max(len(self.values) - 1, 0) / self.rate
 
 
 # --- Daubechies db2 wavelet (4-tap, orthonormal, periodized) ---------------
@@ -211,12 +200,3 @@ def normalize(s: Series1D) -> Series1D:
     if std <= 0:
         raise DegenerateSeries("zero variance")
     return Series1D((v - v.mean()) / std, s.t0, s.rate)
-
-
-def normalize_or_flag(s: Series1D) -> Series1D:
-    """normalize(), but degenerate input maps to a zero series with a flag."""
-    try:
-        return normalize(s)
-    except DegenerateSeries:
-        return Series1D(np.zeros(len(s)), s.t0, s.rate, degenerate=True)
-

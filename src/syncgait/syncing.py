@@ -1,8 +1,7 @@
 """Temporal co-registration of the two modalities.
 
-Two-way clock-offset estimation with Kalman drift tracking, hand speed from
-body-relative IMU velocities, and alignment of both speed channels onto one
-timeline.
+Two-way clock-offset estimation with Kalman drift tracking, and alignment
+of both speed channels onto one timeline.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientOverlap, NegativeRoundTrip
-from .series import Series1D, normalize_or_flag
+from .series import Series1D
 
 COMMON_RATE = 50.0           # Hz, the aligned channels' grid
 MIN_OVERLAP_S = 2.0
@@ -88,13 +87,6 @@ def kalman_track_offset(estimates: list[ClockOffsetEstimate]
         p = (np.eye(2) - np.outer(k, h.ravel())) @ p
         out.append(ClockOffsetEstimate(float(x[0]), float(p[0, 0]), est.round_trip))
     return out
-
-
-def imu_hand_speed(v_body: np.ndarray, rate: float = 100.0, t0: float = 0.0) -> Series1D:
-    """Euclidean norm of body-relative velocities, z-score normalized."""
-    v = np.atleast_2d(np.asarray(v_body, dtype=float))
-    speed = np.linalg.norm(v, axis=1)
-    return normalize_or_flag(Series1D(speed, t0=t0, rate=rate))
 
 
 def align(imu: Series1D, video: Series1D, offset: ClockOffsetEstimate,

@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import InvalidDuration
 from .gait import cycle_boundaries
-from .orientation import EulerAngles, euler_to_quaternion, rotation_matrices
+from .orientation import (EulerAngles, Quaternion, euler_to_quaternion,
+                          rotation_matrices)
 from .series import JOINT_INDEX, REQUIRED_JOINTS, ImuSeries, KeypointSeries
 
 WALK_SPEED = 1.2          # m/s, approach speed
@@ -117,7 +118,6 @@ class GroundTruth:
 
     clean: ImuSeries        # noise-free twin of the IMU stream
     clock_offset: float     # drone clock minus phone clock, s
-    base_path: np.ndarray   # (n, 3) body base positions, world frame
 
     @cached_property
     def cycle_boundaries(self) -> list[float]:
@@ -164,29 +164,16 @@ class _ArmModel:
 
 def _phone_quaternions(p: SubjectParams, heading: float,
                        th: np.ndarray) -> np.ndarray:
-    """(n, 4) phone attitudes qz(heading) * qy(th) * q_tilt: the Hamilton
-    products of `Quaternion.__mul__`, term for term, on arrays, with zero
-    arrays for the zero components (so every signed zero matches)."""
-    z0, z3 = math.cos(heading / 2), math.sin(heading / 2)
+    """(n, 4) phone attitudes qz(heading) * qy(th) * q_tilt, one
+    `Quaternion` product over arrays; the zero components of qy are zero
+    arrays, so every signed zero matches the per-sample product."""
+    qz = Quaternion(math.cos(heading / 2), 0.0, 0.0, math.sin(heading / 2))
     half = [a / 2 for a in th.tolist()]
-    y0 = np.array([math.cos(h) for h in half])
-    y2 = np.array([math.sin(h) for h in half])
     zero = np.zeros(len(half))
-    # qz * qy: a = (z0, 0, 0, z3), b = (y0, 0, y2, 0)
-    a0, a1, a2, a3 = z0, 0.0, 0.0, z3
-    b0, b1, b2, b3 = y0, zero, y2, zero
-    c0 = a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
-    c1 = a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
-    c2 = a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
-    c3 = a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
-    t = euler_to_quaternion(p.phone_tilt)
-    b0, b1, b2, b3 = t.q0, t.q1, t.q2, t.q3
-    return np.stack([
-        c0 * b0 - c1 * b1 - c2 * b2 - c3 * b3,
-        c0 * b1 + c1 * b0 + c2 * b3 - c3 * b2,
-        c0 * b2 - c1 * b3 + c2 * b0 + c3 * b1,
-        c0 * b3 + c1 * b2 - c2 * b1 + c3 * b0,
-    ], axis=1)
+    qy = Quaternion(np.array([math.cos(h) for h in half]), zero,
+                    np.array([math.sin(h) for h in half]), zero)
+    q = qz * qy * euler_to_quaternion(p.phone_tilt)
+    return np.stack([q.q0, q.q1, q.q2, q.q3], axis=1)
 
 
 def generate_session(p: SubjectParams, cam: CameraModel = CameraModel(),
@@ -212,7 +199,6 @@ def generate_session(p: SubjectParams, cam: CameraModel = CameraModel(),
     direction = np.array([math.cos(heading), math.sin(heading), 0.0])
     start = -direction * cam.horizontal_distance
     shoulder_h = 0.82 * p.height
-    base = start[None, :] + direction[None, :] * (WALK_SPEED * t)[:, None]
     _, bob_zdd = arm.bob(t)
 
     th, th_d, th_dd = arm.theta(t)
@@ -236,7 +222,7 @@ def generate_session(p: SubjectParams, cam: CameraModel = CameraModel(),
     kp = _render_keypoints(p, cam, arm, duration, clock_offset,
                            start, direction, shoulder_h, rng)
 
-    return imu, kp, GroundTruth(clean, clock_offset, base)
+    return imu, kp, GroundTruth(clean, clock_offset)
 
 
 def _render_keypoints(p, cam, arm, duration, clock_offset,

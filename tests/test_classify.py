@@ -74,19 +74,9 @@ def test_calibrated_threshold_sits_between_classes():
     rng = np.random.default_rng(11)
     pos = rng.normal(0, 0.5, size=(60, 3))
     neg = rng.normal(4, 0.5, size=(30, 3))
-    model = train_ocsvm_calibrated(pos, neg, balance=0.5)
+    model = train_ocsvm_calibrated(pos, neg)
     assert np.mean(model.scores(pos) >= 0) > 0.9
     assert np.mean(model.scores(neg) < 0) > 0.9
-
-
-def test_calibrated_balance_moves_threshold_monotonically():
-    rng = np.random.default_rng(12)
-    pos = rng.normal(0, 0.5, size=(60, 3))
-    neg = rng.normal(2.0, 0.5, size=(30, 3))
-    rhos = [train_ocsvm_calibrated(pos, neg, balance=b).rho
-            for b in (0.2, 0.5, 0.8)]
-    # larger balance hugs the positives: rho increases
-    assert rhos[0] <= rhos[1] <= rhos[2]
 
 
 def test_calibrated_validation():
@@ -95,8 +85,6 @@ def test_calibrated_validation():
         train_ocsvm_calibrated(pos[:5], pos)
     with pytest.raises(TooFewSamples):
         train_ocsvm_calibrated(pos, pos[:1])
-    with pytest.raises(ValueError):
-        train_ocsvm_calibrated(pos, pos, balance=1.0)
 
 
 # --- serialization --------------------------------------------------------------

@@ -269,6 +269,17 @@ def test_cli_flag_overrides_config(tmp_path):
     assert manifest["config"]["fps"] == 30.0
 
 
+@pytest.mark.parametrize("sessions, seed", [(1, 1), (2, 3)])
+def test_evaluate_names_enroll_sessions_too_few_to_train(tmp_path, capsys,
+                                                         sessions, seed):
+    cfg = _write_config(tmp_path, {"cohort_size": 2, "seed": seed,
+                                   "enroll_sessions": sessions})
+    assert main(["evaluate", "--config", cfg,
+                 "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert (f"enroll_sessions {sessions} is too few to enroll subject 0"
+            in capsys.readouterr().err)
+
+
 def test_invalid_loss_rate_flag(tmp_path):
     assert main(["evaluate", "--loss-rate", "0.9",
                  "--out", str(tmp_path / "x")]) == EXIT_CONFIG

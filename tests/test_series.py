@@ -11,9 +11,8 @@ from syncgait.errors import DegenerateSeries, SeriesTooShort
 from syncgait.io import FORMAT_TAG, read_keypoint_jsonl
 from syncgait.series import (JOINT_INDEX, REQUIRED_JOINTS, ImuSeries,
                              KeypointSeries, Series1D, normalize,
-                             normalize_or_flag, wavelet_decompose,
-                             wavelet_denoise, wavelet_reconstruct, _DB2_HI,
-                             _DB2_LO)
+                             wavelet_decompose, wavelet_denoise,
+                             wavelet_reconstruct, _DB2_HI, _DB2_LO)
 
 NJ = len(REQUIRED_JOINTS)
 
@@ -21,7 +20,7 @@ NJ = len(REQUIRED_JOINTS)
 def test_series1d_times_and_duration():
     s = Series1D(np.zeros(5), t0=1.0, rate=10.0)
     assert np.allclose(s.times, [1.0, 1.1, 1.2, 1.3, 1.4])
-    assert s.duration == pytest.approx(0.4)
+    assert s.times[-1] - s.times[0] == pytest.approx(0.4)
 
 
 def test_series1d_rejects_nonfinite():
@@ -63,8 +62,10 @@ def test_keypoint_frame_fills_required_joints(tmp_path):
     rec = {"t": 0.0, "joints": {"wrist_r": [1.0, 2.0, 0.9]}}
     path.write_text(f"{FORMAT_TAG}\n{json.dumps(rec)}\n")
     kp = read_keypoint_jsonl(path)
-    assert [c[0] for c in kp.joint_track("ankle_l")[1:]] == [0.0, 0.0, 0.0]
-    assert [c[0] for c in kp.joint_track("wrist_r")[1:]] == [1.0, 2.0, 0.9]
+    for name, expected in (("ankle_l", [0.0, 0.0, 0.0]),
+                           ("wrist_r", [1.0, 2.0, 0.9])):
+        j = JOINT_INDEX[name]
+        assert [*kp.uv[0, j], kp.conf[0, j]] == expected
 
 
 def test_keypoint_frame_rejects_bad_confidence():
@@ -95,18 +96,6 @@ def test_keypoint_series_rejects_bad_shapes_and_nonfinite():
         arrays[field].flat[1] = np.nan
         with pytest.raises(ValueError):
             KeypointSeries(**arrays)
-
-
-def test_keypoint_joint_track_returns_fresh_columns():
-    kp = _keypoints([0.0, 0.1, 0.2])
-    t, u, v, c = kp.joint_track("elbow_l")
-    j = JOINT_INDEX["elbow_l"]
-    assert REQUIRED_JOINTS[j] == "elbow_l"
-    assert np.array_equal(u, kp.uv[:, j, 0])
-    assert np.array_equal(v, kp.uv[:, j, 1])
-    t[0] = u[0] = v[0] = c[0] = -1.0
-    assert kp.t[0] == 0.0 and kp.uv[0, j, 0] != -1.0
-    assert kp.uv[0, j, 1] != -1.0 and kp.conf[0, j] == 1.0
 
 
 # --- db2 wavelet: filter identities and perfect reconstruction ---------------
@@ -166,10 +155,7 @@ def test_normalize_zscore_moments():
     assert np.isclose(s.values.std(), 1.0)
 
 
-def test_normalize_constant_raises_and_flag_variant():
-    const = Series1D(np.full(10, 7.0))
+def test_normalize_constant_raises():
     with pytest.raises(DegenerateSeries):
-        normalize(const)
-    flagged = normalize_or_flag(const)
-    assert flagged.degenerate and np.all(flagged.values == 0.0)
+        normalize(Series1D(np.full(10, 7.0)))
 

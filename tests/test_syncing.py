@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from syncgait.errors import InsufficientOverlap, NegativeRoundTrip
 from syncgait.series import Series1D
+from syncgait.pipeline import imu_speed_channel
 from syncgait.syncing import (AlignedPair, ClockOffsetEstimate, align,
-                              imu_hand_speed, kalman_track_offset,
-                              two_way_offset)
+                              kalman_track_offset, two_way_offset)
+from syncgait.synth import SubjectParams, generate_session
 
 
 def test_two_way_offset_exact_under_symmetric_delay():
@@ -136,8 +137,8 @@ def test_aligned_pair_length_check():
 
 
 def test_imu_hand_speed_normalizes():
-    rng = np.random.default_rng(1)
-    v = rng.normal(size=(500, 3))
-    s = imu_hand_speed(v)
+    imu, _, _ = generate_session(SubjectParams(seed=1), duration=4.0)
+    s = imu_speed_channel(imu)
+    assert len(s) == len(imu) and s.t0 == imu.t[0]
     assert abs(s.values.mean()) < 1e-9
     assert np.isclose(s.values.std(), 1.0)
