@@ -296,12 +296,12 @@ def _run_trial(cfg: ExperimentConfig, enrollment: Enrollment,
                          lambda attempt: imu, lambda attempt: kp, seed=seed)
     if result.record is None:
         return {"accepted": False, "consistency": -1.0, "gait": -1.0,
-                "fused": -1.0, "completed": False}
+                "fused": -1.0}
     rec = result.record
     cons = min(rec.consistency_score_drone, rec.consistency_score_phone)
     return {"accepted": result.state == SessionState.ACCEPTED,
             "consistency": cons, "gait": rec.gait_score,
-            "fused": min(cons, rec.gait_score), "completed": True}
+            "fused": min(cons, rec.gait_score)}
 
 
 def _attack_spec(kind: str, victim, attacker, fidelity: float):

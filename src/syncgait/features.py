@@ -13,11 +13,10 @@ import numpy as np
 from scipy.signal import coherence, welch
 from scipy.stats import pearsonr, spearmanr
 
-from .errors import (DegenerateChannel, DegenerateClass, PairTooShort,
-                     SyncGaitError)
-from .posture import GAIT_BAND_HI, GAIT_BAND_LO, SpectralBand, estimate_band
+from .errors import DegenerateChannel, DegenerateClass, PairTooShort
+from .posture import SpectralBand, estimate_band
 from .series import Series1D
-from .syncing import COMMON_RATE, AlignedPair
+from .syncing import COMMON_RATE, MIN_OVERLAP_S, AlignedPair
 
 MAX_LAG_S = 0.5
 FISHER_SELECT_THRESHOLD = 0.7
@@ -69,15 +68,12 @@ def compute_features(pair: AlignedPair) -> FeatureVector:
     ones in the band estimated from the IMU channel."""
     a = pair.imu_speed
     b = pair.video_speed
-    if len(a) < 100:
+    if len(a) < int(MIN_OVERLAP_S * COMMON_RATE):
         raise PairTooShort(f"{len(a)} samples")
     if a.std() == 0 or b.std() == 0:
         raise DegenerateChannel("zero-variance channel")
     rate = COMMON_RATE
-    try:
-        band = estimate_band(Series1D(a, rate=rate))
-    except SyncGaitError:
-        band = SpectralBand(GAIT_BAND_LO, GAIT_BAND_HI)
+    band = estimate_band(Series1D(a, rate=rate))
 
     pcc = float(pearsonr(a, b)[0])
     rho = float(spearmanr(a, b)[0])

@@ -32,11 +32,11 @@ from .posture import (ARM_CHAIN, GAIT_BAND_HI, GAIT_BAND_LO, AdctConfig,
                       SpectralBand, adaptive_bandpass, adct_smooth,
                       mjckf_correct)
 from .series import (JOINT_INDEX, MISSING_CONF, ImuSeries, KeypointSeries,
-                     Series1D, normalize, require_squarable)
-from .syncing import COMMON_RATE, AlignedPair, ClockOffsetEstimate, align
+                     Series1D, fill_gaps, normalize, require_squarable)
+from .syncing import (COMMON_RATE, MIN_OVERLAP_S, AlignedPair,
+                      ClockOffsetEstimate, align)
 
 HEADING_SMOOTH_S = 0.5
-WINDOW_S = 3.0                        # enrollment sub-window length
 MISALIGN_SHIFTS_S = (0.3, 0.55, 0.8)  # surrogate-negative video shifts
 GAIT_RHO_MARGIN = 0.05
 
@@ -65,11 +65,7 @@ def _fill_gaps(kp: KeypointSeries, name: str, k: int) -> np.ndarray:
     """Pixel coordinate k of one joint's track, interpolated across missing
     detections before smoothing."""
     j = JOINT_INDEX[name]
-    x = kp.uv[:, j, k]
-    ok = kp.conf[:, j] >= MISSING_CONF
-    if ok.all() or not ok.any():
-        return x
-    return np.interp(kp.t, kp.t[ok], x[ok])
+    return fill_gaps(kp.t, kp.uv[:, j, k], kp.conf[:, j] >= MISSING_CONF)
 
 
 def calibrate_keypoints(kp: KeypointSeries) -> KeypointSeries:
@@ -176,11 +172,12 @@ def consistency_vector(imu: ImuInput, kp: VideoInput,
 
 
 def _window_pairs(pair: AlignedPair) -> list[AlignedPair]:
-    """The full aligned pair plus half-overlapping sub-windows; enrollment
-    trains on all of them so the boundary covers short-window variance."""
+    """The full aligned pair plus half-overlapping sub-windows of the
+    shortest overlap a verification accepts; enrollment trains on all of
+    them so the boundary covers short-window variance."""
     out = [pair]
     n = len(pair.imu_speed)
-    w = int(WINDOW_S * COMMON_RATE)
+    w = int(MIN_OVERLAP_S * COMMON_RATE)
     step = max(w // 2, 1)
     if n >= w + step:
         for a in range(0, n - w + 1, step):

@@ -16,7 +16,7 @@ from scipy.fft import dct, idct
 from scipy.signal import butter, filtfilt
 
 from .errors import InvalidBand, SeriesTooShort
-from .series import JOINT_INDEX, KeypointSeries, Series1D
+from .series import JOINT_INDEX, MISSING_CONF, KeypointSeries, Series1D
 
 GAIT_BAND_LO = 0.3
 GAIT_BAND_HI = 5.0
@@ -28,7 +28,6 @@ BUTTER_ORDER = 4
 ARM_CHAIN = ("wrist_r", "elbow_r", "shoulder_r")
 PROCESS_NOISE = 2.0        # px^2, velocity random walk per frame
 MEASUREMENT_NOISE = 4.0    # px^2
-CONF_GATE = 0.3            # detections below are bridged, not measured
 COUPLING_NOISE_FACTOR = 4.0
 LIMB_ADAPT_RATE = 0.05     # per-frame weight of a measured limb length
 
@@ -242,7 +241,7 @@ def mjckf_correct(kp: KeypointSeries) -> KeypointSeries:
     """Correct the ARM_CHAIN joints with a cooperative Kalman pass.
 
     Low-confidence measurements are skipped (predict-only), bridging
-    occlusions; bridged frames are emitted with confidence = CONF_GATE.
+    occlusions; bridged frames are emitted with confidence = MISSING_CONF.
     The arms are independent filters; the other joints pass through
     unchanged.
     """
@@ -252,7 +251,7 @@ def mjckf_correct(kp: KeypointSeries) -> KeypointSeries:
     cols = [JOINT_INDEX[name] for name in ARM_CHAIN]
     track = kp.uv[:, cols]
     conf = kp.conf[:, cols]
-    ok = conf >= CONF_GATE
+    ok = conf >= MISSING_CONF
     seg = track[:, 1:] - track[:, :-1]
     # the matmul form equals np.linalg.norm of each segment bit for bit
     limbs = np.sqrt((seg[..., None, :] @ seg[..., :, None])[..., 0, 0])
@@ -301,5 +300,5 @@ def mjckf_correct(kp: KeypointSeries) -> KeypointSeries:
     uv = kp.uv.copy()
     uv[:, cols] = states.reshape(n, filt.nj, 4)[:, :, :2]
     out_conf = kp.conf.copy()
-    out_conf[:, cols] = np.maximum(conf, CONF_GATE)
+    out_conf[:, cols] = np.maximum(conf, MISSING_CONF)
     return KeypointSeries(kp.t, uv, out_conf, kp.frame_rate)

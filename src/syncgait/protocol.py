@@ -21,7 +21,7 @@ from .gait import imu_chain
 from .metrics import fuse
 from .pipeline import (Enrollment, consistency_score, gait_score,
                        imu_speed_channel, video_speed_channel)
-from .series import ImuSeries, KeypointSeries
+from .series import ImuSeries, KeypointSeries, fill_gaps
 from .syncing import (SYNC_EXCHANGE_PERIOD, ClockOffsetEstimate,
                       kalman_track_offset, two_way_offset)
 
@@ -113,117 +113,87 @@ class _Transcript:
         self.events.append(entry)
 
 
-def inject_loss(chunks: list, channel: ChannelModel,
-                rng: np.random.Generator) -> list[tuple[int, float]]:
-    """Which chunks survive the channel and when they arrive.
+def inject_loss(n: int, channel: ChannelModel,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Which of n chunks survive the channel and when they arrive.
 
-    Returns (index, arrival_delay) for delivered chunks; arrival order is
-    monotone (a transport with in-order delivery), drops are independent.
+    Returns the (n,) delivered mask and the arrival delays of the delivered
+    chunks in index order; arrival order is monotone (a transport with
+    in-order delivery), drops are independent.
     """
-    delivered = []
+    got = np.zeros(n, dtype=bool)
+    arrivals = []
     t_arr = 0.0
-    for i in range(len(chunks)):
+    for i in range(n):
         if channel.dropped(rng):
             continue
         t_arr = max(t_arr, channel.delay(rng))
-        delivered.append((i, t_arr))
-    return delivered
+        got[i] = True
+        arrivals.append(t_arr)
+    return got, np.array(arrivals)
 
 
-def exchange_with_arq(chunks: list, channel: ChannelModel,
+def exchange_with_arq(n: int, channel: ChannelModel,
                       rng: np.random.Generator,
-                      rounds: int = ARQ_ROUNDS) -> tuple[set[int], int]:
-    """Selective-repeat transfer: the initial burst plus up to `rounds`
-    retransmission rounds for whatever is still missing. Returns the set of
-    delivered chunk indices and the number of rounds actually used."""
-    delivered = {i for i, _ in inject_loss(chunks, channel, rng)}
+                      rounds: int = ARQ_ROUNDS) -> tuple[np.ndarray, int]:
+    """Selective-repeat transfer of n chunks: the initial burst plus up to
+    `rounds` retransmission rounds for whatever is still missing, in index
+    order. Returns the (n,) delivered mask and the rounds actually used."""
+    got, _ = inject_loss(n, channel, rng)
     used = 0
-    missing = [i for i in range(len(chunks)) if i not in delivered]
-    while missing and used < rounds:
+    while not got.all() and used < rounds:
         used += 1
-        again = inject_loss(missing, channel, rng)
-        delivered.update(missing[j] for j, _ in again)
-        missing = [i for i in range(len(chunks)) if i not in delivered]
-    return delivered, used
+        missing = np.flatnonzero(~got)
+        got[missing[inject_loss(len(missing), channel, rng)[0]]] = True
+    return got, used
 
 
-def _chunks(n: int, rate: float) -> list[np.ndarray]:
-    """Index arrays for consecutive CHUNK_S-long chunks of an n-sample
-    stream at `rate` samples per second."""
-    per = max(int(round(CHUNK_S * rate)), 1)
-    return [np.arange(a, min(a + per, n)) for a in range(0, n, per)]
+def _received_imu(imu: ImuSeries, valid: np.ndarray) -> ImuSeries:
+    """The receiver's view: the full timeline with the samples that are not
+    valid linearly interpolated."""
+    return ImuSeries(imu.t, *(fill_gaps(imu.t, b, valid)
+                              for b in (imu.acc, imu.gyro, imu.mag)),
+                     imu.sample_rate)
 
 
-def _delivered_mask(n: int, kept: set[int],
-                    chunks: list[np.ndarray]) -> np.ndarray:
-    valid = np.zeros(n, dtype=bool)
-    for i in kept:
-        valid[chunks[i]] = True
-    return valid
-
-
-def _received_imu(imu: ImuSeries, kept: set[int],
-                  chunks: list[np.ndarray]) -> tuple[ImuSeries, np.ndarray]:
-    """Reassemble the receiver's view: full timeline with lost spans linearly
-    interpolated, plus a per-sample validity mask. With nothing lost the
-    view is the sender's series itself."""
-    valid = _delivered_mask(len(imu), kept, chunks)
-    if valid.all():
-        return imu, valid
-    t = imu.t
-
-    def fill(block: np.ndarray) -> np.ndarray:
-        out = block.copy()
-        for k in range(block.shape[1]):
-            out[~valid, k] = np.interp(t[~valid], t[valid], block[valid, k])
-        return out
-
-    return (ImuSeries(t.copy(), fill(imu.acc), fill(imu.gyro), fill(imu.mag),
-                      imu.sample_rate), valid)
-
-
-def _received_keypoints(kp: KeypointSeries, kept: set[int],
-                        chunks: list[np.ndarray]) -> KeypointSeries:
-    """Receiver's view: lost frames stay on the timeline with confidence 0,
-    so the calibration stage bridges them like any occlusion. With nothing
-    lost the view is the sender's series itself."""
-    valid = _delivered_mask(len(kp), kept, chunks)
-    if valid.all():
-        return kp
+def _received_keypoints(kp: KeypointSeries,
+                        valid: np.ndarray) -> KeypointSeries:
+    """The receiver's view: lost frames stay on the timeline with confidence
+    0, so the calibration stage bridges them like any occlusion."""
     conf = kp.conf.copy()
     conf[~valid] = 0.0
     return KeypointSeries(kp.t, kp.uv, conf, kp.frame_rate)
 
 
-def attempt_scores(enrollment: Enrollment, offset: ClockOffsetEstimate, imu: ImuSeries,
-                   kp: KeypointSeries, imu_at_drone: ImuSeries,
-                   imu_valid: np.ndarray, kp_at_phone: KeypointSeries
-                   ) -> tuple[float, float, float]:
+def attempt_scores(enrollment: Enrollment, offset: ClockOffsetEstimate,
+                   imu: ImuSeries, kp: KeypointSeries, imu_valid: np.ndarray,
+                   kp_valid: np.ndarray) -> tuple[float, float, float]:
     """Drone consistency, phone consistency and gait scores of one attempt,
     each stream prepared once.
 
-    The drone scores the phone's IMU as it arrived (`imu_at_drone`, with its
-    validity mask) against its own keypoints `kp`; the phone scores its own
-    `imu` against the keypoints as they arrived (`kp_at_phone`) and checks
-    the gait on `imu`. A view that is the sender's own object (nothing was
-    lost) reuses the sender's prepared stream, and when both views are the
-    senders' own and every IMU sample is valid, the phone's score is the
-    drone's: on the uniform IMU speed grid an all-valid mask drops no
-    aligned point. The scores equal consistency_score and gait_score on the
-    raw views.
+    `imu_valid` and `kp_valid` mark the samples of the phone's `imu` and the
+    drone's `kp` that reached the other peer. The drone scores the IMU as it
+    arrived against its own `kp`; the phone scores its own `imu` against the
+    keypoints as they arrived and checks the gait on `imu`. A receiver's
+    view is built only for a stream that lost samples; a complete view is
+    the sender's stream and shares its preparation, and when both are
+    complete the phone's score is the drone's: on the uniform IMU speed grid
+    an all-valid mask drops no aligned point. The scores equal
+    consistency_score and gait_score on the views.
     """
-    chain = imu_chain(imu_at_drone)
+    imu_whole, kp_whole = imu_valid.all(), kp_valid.all()
+    chain = imu_chain(imu if imu_whole else _received_imu(imu, imu_valid))
     imu_speed = imu_speed_channel(chain)
     video = video_speed_channel(kp)
     s_drone = consistency_score(enrollment, imu_speed, video, offset,
                                 imu_valid=imu_valid)
-    if imu_at_drone is imu and kp_at_phone is kp and imu_valid.all():
+    if imu_whole and kp_whole:
         return s_drone, s_drone, gait_score(enrollment, chain)
-    if imu_at_drone is not imu:
+    if not imu_whole:
         chain = imu_chain(imu)
         imu_speed = imu_speed_channel(chain)
-    if kp_at_phone is not kp:
-        video = video_speed_channel(kp_at_phone)
+    if not kp_whole:
+        video = video_speed_channel(_received_keypoints(kp, kp_valid))
     s_phone = consistency_score(enrollment, imu_speed, video, offset)
     return s_drone, s_phone, gait_score(enrollment, chain)
 
@@ -292,22 +262,20 @@ def run_session(cfg: SessionConfig, enrollment: Enrollment,
                 offset=round(offset.offset, 6))
 
         log.log(t, "phone", "state", state=SessionState.EXCHANGE.value)
-        imu_chunks = _chunks(len(imu), imu.sample_rate)
-        kp_chunks = _chunks(len(kp), kp.frame_rate)
-        got_imu, imu_rounds = exchange_with_arq(imu_chunks, cfg.channel, rng)
-        got_kp, kp_rounds = exchange_with_arq(kp_chunks, cfg.channel, rng)
-        log.log(t, "drone", "imu_received", chunks=len(got_imu),
-                sent=len(imu_chunks), retransmit_rounds=imu_rounds)
-        log.log(t, "phone", "keypoints_received", chunks=len(got_kp),
-                sent=len(kp_chunks), retransmit_rounds=kp_rounds)
-        imu_at_drone, imu_valid = _received_imu(imu, got_imu, imu_chunks)
-        kp_at_phone = _received_keypoints(kp, got_kp, kp_chunks)
+        valid = []
+        for actor, event, n, rate in (
+                ("drone", "imu_received", len(imu), imu.sample_rate),
+                ("phone", "keypoints_received", len(kp), kp.frame_rate)):
+            per = max(int(round(CHUNK_S * rate)), 1)
+            got, rounds = exchange_with_arq(-(-n // per), cfg.channel, rng)
+            valid.append(np.repeat(got, per)[:n])
+            log.log(t, actor, event, chunks=int(got.sum()), sent=len(got),
+                    retransmit_rounds=rounds)
 
         log.log(t, "phone", "state", state=SessionState.VERIFY.value)
         try:
             s_drone, s_phone, s_gait = attempt_scores(
-                enrollment, offset, imu, kp, imu_at_drone, imu_valid,
-                kp_at_phone)
+                enrollment, offset, imu, kp, *valid)
         except SyncGaitError as exc:
             log.log(t, "phone", "attempt_failed",
                     reason=type(exc).__name__)

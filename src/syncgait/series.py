@@ -183,6 +183,19 @@ def wavelet_denoise(s: Series1D) -> Series1D:
     return Series1D(wavelet_reconstruct(approx, shrunk), s.t0, s.rate)
 
 
+def fill_gaps(t: np.ndarray, x: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """x (n,) or (n, ...) with each column linearly interpolated over t
+    across the samples that are not valid; x itself when every sample or no
+    sample is valid. Valid samples keep their values bit for bit."""
+    if valid.all() or not valid.any():
+        return x
+    lost = ~valid
+    out = x.copy()
+    for col in np.ndindex(x.shape[1:]):
+        out[(lost, *col)] = np.interp(t[lost], t[valid], x[(valid, *col)])
+    return out
+
+
 def require_squarable(name: str, *blocks: np.ndarray) -> None:
     """DegenerateSeries unless the summed squares of each block are finite,
     so that no norm, variance or energy downstream overflows."""

@@ -14,7 +14,9 @@ from .errors import InsufficientOverlap, NegativeRoundTrip
 from .series import Series1D
 
 COMMON_RATE = 50.0           # Hz, the aligned channels' grid
-MIN_OVERLAP_S = 2.0
+# The shortest aligned overlap, in seconds, that is scored: enrollment's
+# sub-window length, so no verification is shorter than what the model saw.
+MIN_OVERLAP_S = 3.0
 SYNC_EXCHANGE_PERIOD = 0.5   # seconds between two-way exchanges
 DRIFT_NOISE = 1e-8           # drift-rate process noise of the offset track
 

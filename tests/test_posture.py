@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 
 from syncgait.errors import InvalidBand, SeriesTooShort
 from syncgait import posture
-from syncgait.posture import (ARM_CHAIN, CONF_GATE, GAIN_TABLE_MAX,
-                              AdctConfig, SpectralBand, _ChainFilter,
-                              _measured_gains, adaptive_bandpass, adct_cutoff,
-                              adct_smooth, estimate_band, histogram_entropy,
-                              mjckf_correct)
-from syncgait.series import (JOINT_INDEX, REQUIRED_JOINTS, KeypointSeries,
-                             Series1D)
+from syncgait.posture import (ARM_CHAIN, GAIN_TABLE_MAX, AdctConfig,
+                              SpectralBand, _ChainFilter, _measured_gains,
+                              adaptive_bandpass, adct_cutoff, adct_smooth,
+                              estimate_band, histogram_entropy, mjckf_correct)
+from syncgait.series import (JOINT_INDEX, MISSING_CONF, REQUIRED_JOINTS,
+                             KeypointSeries, Series1D)
 
 
 # --- histogram entropy ---------------------------------------------------------
@@ -190,7 +189,7 @@ def test_mjckf_bridges_occlusion():
 def test_mjckf_marks_bridged_confidence():
     kp, _ = _arm_series(occlude={50})
     out = mjckf_correct(kp)
-    assert out.conf[50, JOINT_INDEX["wrist_r"]] == pytest.approx(CONF_GATE)
+    assert out.conf[50, JOINT_INDEX["wrist_r"]] == pytest.approx(MISSING_CONF)
 
 
 def test_mjckf_leaves_clean_tracks_close():
@@ -212,7 +211,7 @@ def _per_frame_mjckf(kp):
         if idx > 0:
             filt.predict()
         measured = {j: track[idx, j] for j in range(filt.nj)
-                    if conf[idx, j] >= CONF_GATE}
+                    if conf[idx, j] >= MISSING_CONF}
         filt.update_positions(measured)
         if len(measured) < filt.nj:
             filt.update_coupling()

@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 
 from syncgait.errors import EnrollmentMissing, SyncGaitError
 from syncgait.protocol import (ARQ_ROUNDS, ChannelModel, SessionConfig,
-                               SessionState, _chunks, _received_imu,
+                               SessionState, _received_imu,
                                _received_keypoints, attempt_scores,
                                exchange_with_arq, inject_loss, run_session)
 from syncgait.pipeline import (Enrollment, consistency_score, enroll,
                                gait_score)
 from syncgait.series import ImuSeries, KeypointSeries
 from syncgait.syncing import ClockOffsetEstimate
-from syncgait.synth import SubjectParams, generate_session, make_cohort
+from syncgait.synth import (RelayAttack, SubjectParams, generate_attack,
+                            generate_session, make_cohort)
 
 
 def test_channel_model_validation():
@@ -30,33 +31,31 @@ def test_channel_model_validation():
 def test_inject_loss_binomial_delivery():
     # 1000 chunks at loss 0.5: delivered count within 500 +/- 50
     rng = np.random.default_rng(77)
-    delivered = inject_loss(list(range(1000)), ChannelModel(loss_rate=0.5),
-                            rng)
-    assert 450 <= len(delivered) <= 550
+    got, arrivals = inject_loss(1000, ChannelModel(loss_rate=0.5), rng)
+    assert got.shape == (1000,) and got.dtype == bool
+    assert 450 <= got.sum() <= 550
+    assert len(arrivals) == got.sum()
 
 
 def test_inject_loss_lossless_keeps_everything_in_order():
     rng = np.random.default_rng(0)
-    delivered = inject_loss(list(range(100)), ChannelModel(loss_rate=0.0), rng)
-    assert [i for i, _ in delivered] == list(range(100))
-    arrivals = [t for _, t in delivered]
-    assert arrivals == sorted(arrivals)          # in-order delivery
-    assert all(t >= 0 for t in arrivals)
+    got, arrivals = inject_loss(100, ChannelModel(loss_rate=0.0), rng)
+    assert got.all() and len(arrivals) == 100
+    assert (np.diff(arrivals) >= 0).all()        # in-order delivery
+    assert (arrivals >= 0).all()
 
 
 def test_exchange_with_arq_completes_under_heavy_loss():
     rng = np.random.default_rng(5)
-    chunks = list(range(200))
-    got, rounds = exchange_with_arq(chunks, ChannelModel(loss_rate=0.6), rng)
-    assert got == set(range(200))
+    got, rounds = exchange_with_arq(200, ChannelModel(loss_rate=0.6), rng)
+    assert got.shape == (200,) and got.all()
     assert 1 <= rounds <= ARQ_ROUNDS
 
 
 def test_exchange_with_arq_no_loss_uses_no_rounds():
     rng = np.random.default_rng(5)
-    got, rounds = exchange_with_arq(list(range(50)),
-                                    ChannelModel(loss_rate=0.0), rng)
-    assert got == set(range(50))
+    got, rounds = exchange_with_arq(50, ChannelModel(loss_rate=0.0), rng)
+    assert got.shape == (50,) and got.all()
     assert rounds == 0
 
 
@@ -138,39 +137,25 @@ def test_short_stream_fails_the_session_with_a_named_reason(
         ["SeriesTooShort"], ["InsufficientOverlap"])
 
 
-def test_complete_views_are_the_senders_streams(enrolled_subject):
-    subject, _ = enrolled_subject
-    imu, kp, _ = generate_session(subject, clock_offset=OFFSET,
-                                  seed_offset=505)
-    imu_chunks = _chunks(len(imu), imu.sample_rate)
-    kp_chunks = _chunks(len(kp), kp.frame_rate)
-    view, valid = _received_imu(imu, set(range(len(imu_chunks))), imu_chunks)
-    assert view is imu and valid.all()
-    assert _received_keypoints(kp, set(range(len(kp_chunks))),
-                               kp_chunks) is kp
-
-
 def test_one_pass_scores_equal_per_view_scores_on_partial_views(
         enrolled_subject):
     subject, enrollment = enrolled_subject
     est = ClockOffsetEstimate(OFFSET, 1e-6, 0.005)
     imu, kp, _ = generate_session(subject, clock_offset=OFFSET,
                                   seed_offset=506)
-    imu_chunks = _chunks(len(imu), imu.sample_rate)
-    kp_chunks = _chunks(len(kp), kp.frame_rate)
-    imu_at_drone, imu_valid = _received_imu(
-        imu, set(range(len(imu_chunks))) - {20}, imu_chunks)
-    kp_at_phone = _received_keypoints(
-        kp, set(range(len(kp_chunks))) - {30, 31}, kp_chunks)
-    assert not imu_valid.all() and imu_at_drone is not imu
-    assert kp_at_phone is not kp
+    # IMU chunk 20 and keypoint chunks 30-31 (0.1 s each) lost
+    imu_valid = np.ones(len(imu), dtype=bool)
+    imu_valid[200:210] = False
+    kp_valid = np.ones(len(kp), dtype=bool)
+    kp_valid[180:192] = False
 
     drone, phone, gait = attempt_scores(
-        enrollment, est, imu, kp, imu_at_drone, imu_valid, kp_at_phone)
+        enrollment, est, imu, kp, imu_valid, kp_valid)
     assert drone.hex() == consistency_score(
-        enrollment, imu_at_drone, kp, est, imu_valid=imu_valid).hex()
+        enrollment, _received_imu(imu, imu_valid), kp, est,
+        imu_valid=imu_valid).hex()
     assert phone.hex() == consistency_score(
-        enrollment, imu, kp_at_phone, est).hex()
+        enrollment, imu, _received_keypoints(kp, kp_valid), est).hex()
     assert gait.hex() == gait_score(enrollment, imu).hex()
     # the lost chunks do reach the scores
     full = consistency_score(enrollment, imu, kp, est)
@@ -186,7 +171,7 @@ def test_one_pass_scores_equal_per_view_scores_on_complete_views(
                                   seed_offset=506)
     imu_valid = np.ones(len(imu), dtype=bool)
     drone, phone, gait = attempt_scores(
-        enrollment, est, imu, kp, imu, imu_valid, kp)
+        enrollment, est, imu, kp, imu_valid, np.ones(len(kp), dtype=bool))
     assert drone.hex() == consistency_score(
         enrollment, imu, kp, est, imu_valid=imu_valid).hex()
     assert phone.hex() == consistency_score(enrollment, imu, kp, est).hex()
@@ -338,3 +323,47 @@ def test_degraded_capture_yields_a_result_with_named_failures(capture, steps):
     enrollment, imu, kp = capture
     result, _ = _one_attempt(enrollment, *_degraded(imu, kp, steps))
     assert result.state in (SessionState.ACCEPTED, SessionState.FAILED)
+
+
+def test_imu_stream_lost_in_every_round_fails_with_a_named_reason(capture):
+    # a 10-sample IMU stream is one chunk; at loss 0.6 this seed loses it in
+    # every ARQ round of an attempt, and the drone's empty view ends that
+    # attempt on a named reason, not a raw ValueError from the gap filler
+    enrollment, imu, kp = capture
+    imu = ImuSeries(imu.t[:10], imu.acc[:10], imu.gyro[:10], imu.mag[:10],
+                    imu.sample_rate)
+    cfg = SessionConfig(clock_offset=OFFSET,
+                        channel=ChannelModel(loss_rate=0.6))
+    result = run_session(cfg, enrollment, lambda a: imu, lambda a: kp,
+                         seed=15180)
+    assert any(e["event"] == "imu_received" and e["detail"]["chunks"] == 0
+               for e in result.transcript)
+    assert result.state == SessionState.FAILED
+    assert [e["detail"]["reason"] for e in result.transcript
+            if e["event"] == "attempt_failed"] == ["SeriesTooShort"] * 3
+
+
+@pytest.mark.parametrize("relay_offset, frames, outcome", [
+    *[(s, n, "failed") for s in (900, 901, 902) for n in (120, 135, 140, 480)],
+    *[(None, n, "InsufficientOverlap") for n in (100, 125, 128, 150, 180)],
+    (None, 190, "accepted")])
+def test_video_shorter_than_the_minimum_overlap_is_never_accepted(
+        capture, relay_offset, frames, outcome):
+    # the genuine capture, or a relay of its subject's IMU with the other
+    # cohort member's video, cut to `frames` at 60 fps; MIN_OVERLAP_S (3 s)
+    # is enrollment's window, and relays cut to 2.25-2.33 s and genuine
+    # captures cut to about 2.1 s were accepted under a 2 s minimum
+    enrollment, imu, kp = capture
+    if relay_offset is not None:
+        victim, decoy = make_cohort(2, seed=21)
+        imu, kp, _ = generate_attack(RelayAttack(victim, decoy),
+                                     clock_offset=OFFSET,
+                                     seed_offset=relay_offset)
+    kp = KeypointSeries(kp.t[:frames], kp.uv[:frames], kp.conf[:frames],
+                        kp.frame_rate)
+    result, reasons = _one_attempt(enrollment, imu, kp)
+    if outcome == "accepted":
+        assert result.state == SessionState.ACCEPTED
+    else:
+        assert result.state == SessionState.FAILED
+        assert outcome == "failed" or reasons == [outcome]

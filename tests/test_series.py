@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from syncgait.errors import DegenerateSeries, SeriesTooShort
 from syncgait.io import FORMAT_TAG, read_keypoint_jsonl
 from syncgait.series import (JOINT_INDEX, REQUIRED_JOINTS, ImuSeries,
-                             KeypointSeries, Series1D, normalize,
+                             KeypointSeries, Series1D, fill_gaps, normalize,
                              wavelet_decompose, wavelet_denoise,
                              wavelet_reconstruct, _DB2_HI, _DB2_LO)
 
@@ -159,3 +159,39 @@ def test_normalize_constant_raises():
     with pytest.raises(DegenerateSeries):
         normalize(Series1D(np.full(10, 7.0)))
 
+
+
+# --- gap filling --------------------------------------------------------------
+
+def test_fill_gaps_interpolates_each_column_across_invalid_samples():
+    t = np.arange(6) * 0.1
+    x = np.column_stack([np.arange(6.0), 10.0 * np.arange(6.0) ** 2])
+    before = x.copy()
+    valid = np.array([True, False, False, True, True, False])
+    out = fill_gaps(t, x, valid)
+    # linear between valid neighbours, held past the last valid sample
+    assert np.allclose(out, [[0, 0], [1, 30], [2, 60], [3, 90], [4, 160],
+                             [4, 160]])
+    assert np.array_equal(x, before)               # the input is not written
+    assert np.array_equal(fill_gaps(t, x[:, 1], valid), out[:, 1])   # 1-D
+
+
+def test_fill_gaps_returns_the_input_when_all_or_no_samples_are_valid():
+    t = np.arange(5.0)
+    x = np.ones((5, 3))
+    assert fill_gaps(t, x, np.ones(5, dtype=bool)) is x
+    assert fill_gaps(t, x, np.zeros(5, dtype=bool)) is x
+    col = x[:, 0]
+    assert fill_gaps(t, col, np.zeros(5, dtype=bool)) is col
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fill_gaps_equals_interpolating_the_whole_timeline_bit_for_bit(seed):
+    # valid samples are knots of np.interp, which returns them exactly
+    rng = np.random.default_rng(seed)
+    t = np.cumsum(rng.uniform(0.01, 0.1, 200))
+    x = rng.normal(0.0, 1e3, 200)
+    valid = rng.random(200) < 0.6
+    out = fill_gaps(t, x, valid)
+    assert out.tobytes() == np.interp(t, t[valid], x[valid]).tobytes()
+    assert out[valid].tobytes() == x[valid].tobytes()

@@ -1,0 +1,36 @@
+"""Source hygiene: every name a module imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "syncgait"
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names bound by the imports of `source` that no expression reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).split(".")[0]
+                         for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_unused_import_check_finds_only_unread_names():
+    source = ("from __future__ import annotations\n"
+              "import os.path\nimport sys\nfrom math import pi, tau as t\n"
+              "def f(x: pi) -> None:\n    return os.path.join(t)\n")
+    assert _unused_imports(source) == ["sys"]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
+                                        if p.name != "__init__.py"),
+                         ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(path):
+    assert _unused_imports(path.read_text()) == []
