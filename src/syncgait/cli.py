@@ -33,7 +33,7 @@ from .protocol import ChannelModel, SessionConfig, SessionState, run_session
 from .synth import (IMU_RATE, CameraModel, HijackAttack, MimicryAttack,
                     RelayAttack, generate_attack, generate_session,
                     make_cohort)
-from .syncing import ClockOffsetEstimate
+from .syncing import MIN_SESSION_S, ClockOffsetEstimate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -67,6 +67,8 @@ class ExperimentConfig:
             if not _has_type(getattr(self, f.name), f.type):
                 raise ValueError(f"{f.name} must be "
                                  + _TYPE_NAMES.get(f.type, "a list of strings"))
+        if self.duration < MIN_SESSION_S:
+            raise ValueError(f"duration must be >= {MIN_SESSION_S} s")
         if self.cohort_size < 2:
             raise ValueError("cohort_size must be >= 2")
         if self.sessions_per_subject < 1 or self.enroll_sessions < 1:

@@ -2,18 +2,20 @@
 
 Four time-domain features (Pearson, Spearman, MAE, synchronization-lag
 score) and two frequency-domain features (band-limited coherence mean,
-spectral difference) computed on an aligned speed pair.
+spectral difference) of each aligned speed pair in a batch.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import coherence, welch
+from scipy.signal import csd, welch
 from scipy.stats import pearsonr, spearmanr
 
-from .errors import DegenerateChannel, DegenerateClass, PairTooShort
+from .errors import (DegenerateChannel, DegenerateClass, PairTooShort,
+                     SyncGaitError)
 from .posture import SpectralBand, estimate_band
 from .series import Series1D
 from .syncing import COMMON_RATE, MIN_OVERLAP_S, AlignedPair
@@ -63,44 +65,84 @@ def _band_bins(freqs: np.ndarray, band: SpectralBand) -> np.ndarray:
     return mask
 
 
-def compute_features(pair: AlignedPair) -> FeatureVector:
-    """The 6 consistency features on one aligned speed pair, the spectral
-    ones in the band estimated from the IMU channel."""
-    a = pair.imu_speed
-    b = pair.video_speed
+def _pair_error(pair: AlignedPair) -> SyncGaitError | None:
+    """The error a pair too short or too flat to score raises, else None."""
+    a, b = pair.imu_speed, pair.video_speed
     if len(a) < int(MIN_OVERLAP_S * COMMON_RATE):
-        raise PairTooShort(f"{len(a)} samples")
+        return PairTooShort(f"{len(a)} samples")
     if a.std() == 0 or b.std() == 0:
-        raise DegenerateChannel("zero-variance channel")
-    rate = COMMON_RATE
-    band = estimate_band(Series1D(a, rate=rate))
+        return DegenerateChannel("zero-variance channel")
+    return None
 
-    pcc = float(pearsonr(a, b)[0])
-    rho = float(spearmanr(a, b)[0])
-    mae = float(np.mean(np.abs(a - b)))
-    sync = _sync_lag_score(a, b)
 
-    nper = min(int(2 * rate), len(a))
-    freqs_c, coh = coherence(a, b, fs=rate, nperseg=nper, noverlap=nper // 2)
-    _, pxx = welch(a, fs=rate, nperseg=nper, noverlap=nper // 2)
+def _spectra(a: np.ndarray, b: np.ndarray) -> list[tuple]:
+    """Per row of the equal-length rows a, b (m, n): Pearson r, the Welch
+    frequencies, coherence and IMU power, and both centred FFT magnitudes.
+
+    One Welch pass per side, one cross-spectrum, one Pearson call and one
+    FFT per side cover every row. Coherence is scipy's own
+    |Pxy|^2 / Pxx / Pyy, so its power weights come from the same Pxx."""
+    nper = min(int(2 * COMMON_RATE), a.shape[1])
+    kw = dict(fs=COMMON_RATE, nperseg=nper, noverlap=nper // 2)
+    freqs, pxx = welch(a, **kw)
+    _, pyy = welch(b, **kw)
+    _, pxy = csd(a, b, **kw)
+    coh = np.abs(pxy) ** 2 / pxx / pyy
+    pcc = pearsonr(a, b, axis=-1)[0]
+    spec_a = np.abs(np.fft.rfft(a - a.mean(axis=1, keepdims=True)))
+    spec_b = np.abs(np.fft.rfft(b - b.mean(axis=1, keepdims=True)))
+    return [(pcc[r], freqs, coh[r], pxx[r], spec_a[r], spec_b[r])
+            for r in range(len(a))]
+
+
+def _features(pair: AlignedPair, pcc: float, freqs_c: np.ndarray,
+              coh: np.ndarray, pxx: np.ndarray, spec_a: np.ndarray,
+              spec_b: np.ndarray) -> FeatureVector:
+    """One pair's features from its row of _spectra."""
+    a, b = pair.imu_speed, pair.video_speed
+    band = estimate_band(Series1D(a, rate=COMMON_RATE))
     cb = _band_bins(freqs_c, band)
     # power-weighted so empty bins inside the band cannot dilute the score
     w = pxx[cb]
     coh_mean = float((coh[cb] * w).sum() / w.sum()) if w.sum() > 0 \
         else float(np.mean(coh[cb]))
 
-    spec_a = np.abs(np.fft.rfft(a - a.mean()))
-    spec_b = np.abs(np.fft.rfft(b - b.mean()))
-    freqs = np.fft.rfftfreq(len(a), d=1.0 / rate)
-    bins = _band_bins(freqs, band)
+    bins = _band_bins(np.fft.rfftfreq(len(a), d=1.0 / COMMON_RATE), band)
     sa, sb = spec_a[bins], spec_b[bins]
     na, nb = np.linalg.norm(sa), np.linalg.norm(sb)
     if na == 0 or nb == 0:
         raise DegenerateChannel("empty spectrum in gait band")
     spec_diff = float(np.linalg.norm(sa / na - sb / nb))
 
-    return FeatureVector(pcc=pcc, spearman=rho, mae=mae, sync_lag_score=sync,
+    return FeatureVector(pcc=float(pcc), spearman=float(spearmanr(a, b)[0]),
+                         mae=float(np.mean(np.abs(a - b))),
+                         sync_lag_score=_sync_lag_score(a, b),
                          coherence_mean=coh_mean, spectral_diff=spec_diff)
+
+
+def compute_features(pairs: Sequence[AlignedPair]) -> list[FeatureVector]:
+    """The 6 consistency features of each aligned speed pair, in order, the
+    spectral ones in the band estimated from the pair's IMU channel.
+
+    The pairs of one length are stacked into rows that share one Welch pass
+    per side, one cross-spectrum, one Pearson call and one FFT per side
+    (_spectra); the band, Spearman, sync lag, MAE and band sums are per
+    pair. Each vector is bit for bit what its pair gives alone, and a
+    batch raises the error of its first pair that cannot be scored.
+    """
+    pairs = list(pairs)
+    bad = next((i for i, p in enumerate(pairs) if _pair_error(p)),
+               len(pairs))
+    rows: dict[int, tuple] = {}
+    for n in {len(p.imu_speed) for p in pairs[:bad]}:
+        idx = [i for i in range(bad) if len(pairs[i].imu_speed) == n]
+        rows.update(zip(idx, _spectra(
+            np.stack([pairs[i].imu_speed for i in idx]),
+            np.stack([pairs[i].video_speed for i in idx]))))
+    out = [_features(pairs[i], *rows[i]) for i in range(bad)]
+    if bad < len(pairs):
+        raise _pair_error(pairs[bad])
+    return out
 
 
 def fisher_select(genuine: list[FeatureVector],

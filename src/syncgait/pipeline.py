@@ -50,17 +50,6 @@ def _gait_band(rate: float) -> SpectralBand:
     return SpectralBand(GAIT_BAND_LO, min(GAIT_BAND_HI, 0.45 * rate))
 
 
-def _bandpass_components(comps: np.ndarray, rate: float) -> np.ndarray:
-    """Band-pass each velocity component in the gait band; the residual
-    oscillation isolates the limb swing from translation and drift."""
-    band = _gait_band(rate)
-    out = np.empty_like(comps)
-    for k in range(comps.shape[1]):
-        out[:, k] = adaptive_bandpass(Series1D(comps[:, k], rate=rate),
-                                      band).values
-    return out
-
-
 def _fill_gaps(kp: KeypointSeries, name: str, k: int) -> np.ndarray:
     """Pixel coordinate k of one joint's track, interpolated across missing
     detections before smoothing."""
@@ -116,7 +105,8 @@ def video_speed_channel(kp: KeypointSeries) -> VideoSpeed:
     scale = _torso_scale(kp)
     vel = np.column_stack([np.gradient(uv[:, 0], t) / scale,
                            np.gradient(uv[:, 1], t) / scale])
-    vel = _bandpass_components(vel, kp.frame_rate)
+    vel = adaptive_bandpass(Series1D(vel, rate=kp.frame_rate),
+                            _gait_band(kp.frame_rate)).values
     speed = normalize(Series1D(np.hypot(vel[:, 0], vel[:, 1]),
                                t0=float(t[0]), rate=kp.frame_rate))
     return speed, kp.conf[:, wrist] >= MISSING_CONF
@@ -135,7 +125,8 @@ def imu_speed_channel(imu: ImuSeries | ImuChain) -> Series1D:
     chain = as_chain(imu)
     denoised = chain.denoised
     v_world = integrate_velocity(chain.a_world, denoised.sample_rate)
-    v_world = _bandpass_components(v_world, denoised.sample_rate)
+    v_world = adaptive_bandpass(Series1D(v_world, rate=denoised.sample_rate),
+                                _gait_band(denoised.sample_rate)).values
 
     yaw = np.unwrap(chain.euler[:, 2])
     win = max(int(HEADING_SMOOTH_S * denoised.sample_rate), 1)
@@ -168,7 +159,7 @@ def consistency_vector(imu: ImuInput, kp: VideoInput,
                        offset: ClockOffsetEstimate,
                        imu_valid: np.ndarray | None = None) -> FeatureVector:
     """The 6-feature cross-modal consistency vector for one session."""
-    return compute_features(aligned_speeds(imu, kp, offset, imu_valid))
+    return compute_features([aligned_speeds(imu, kp, offset, imu_valid)])[0]
 
 
 def _window_pairs(pair: AlignedPair) -> list[AlignedPair]:
@@ -225,15 +216,18 @@ def enroll(sessions: list[tuple[ImuSeries, KeypointSeries, ClockOffsetEstimate]]
     threshold separates "streams agree" from "streams disagree" rather than
     hugging this user's training cloud.
     """
-    pos_vecs: list[FeatureVector] = []
-    neg_vecs: list[FeatureVector] = []
+    pos_pairs: list[AlignedPair] = []
+    neg_pairs: list[AlignedPair] = []
     gaits = []
     for imu, kp, offset in sessions:
         chain = imu_chain(imu)
         pair = aligned_speeds(chain, kp, offset)
-        pos_vecs.extend(compute_features(p) for p in _window_pairs(pair))
-        neg_vecs.extend(compute_features(p) for p in _shifted_pairs(pair))
+        pos_pairs += _window_pairs(pair)
+        neg_pairs += _shifted_pairs(pair)
         gaits.append(gait_vectors(chain))
+    # one batch: the pairs of one length share their spectral passes
+    vecs = compute_features(pos_pairs + neg_pairs)
+    pos_vecs, neg_vecs = vecs[:len(pos_pairs)], vecs[len(pos_pairs):]
     if len(pos_vecs) < 2 or len(neg_vecs) < 2:
         raise TooFewSamples("enrollment sessions yield too few feature "
                             "windows; record more or longer sessions")

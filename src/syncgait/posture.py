@@ -118,18 +118,32 @@ def estimate_band(s: Series1D) -> SpectralBand:
     return SpectralBand(f_lo, f_hi)
 
 
+@functools.lru_cache(maxsize=8)
+def _butter_band(band: SpectralBand, rate: float) -> tuple[np.ndarray, ...]:
+    """The BUTTER_ORDER band-pass design (b, a) of one band at one rate;
+    shared by every call: read-only."""
+    nyq = rate / 2
+    design = butter(BUTTER_ORDER, [band.f_lo / nyq, band.f_hi / nyq],
+                    btype="band")
+    for c in design:
+        c.flags.writeable = False
+    return design
+
+
 def adaptive_bandpass(s: Series1D, band: SpectralBand) -> Series1D:
-    """Zero-phase Butterworth band-pass (forward-backward); a series no
-    longer than the forward-backward edge padding is SeriesTooShort."""
+    """Zero-phase Butterworth band-pass (forward-backward) along axis 0 of
+    the (n,) or (n, k) values: all columns in one pass, each bit for bit
+    what filtering it alone gives. The filter is designed once per (band,
+    rate). A series no longer than the forward-backward edge padding is
+    SeriesTooShort."""
     nyq = s.rate / 2
     if not 0 < band.f_lo < band.f_hi < nyq:
         raise InvalidBand(f"band [{band.f_lo}, {band.f_hi}] vs Nyquist {nyq}")
-    b, a = butter(BUTTER_ORDER, [band.f_lo / nyq, band.f_hi / nyq],
-                  btype="band")
+    b, a = _butter_band(band, s.rate)
     padlen = 3 * max(len(b), len(a))   # filtfilt's edge padding
     if len(s) <= padlen:
         raise SeriesTooShort(f"need > {padlen} samples")
-    return Series1D(filtfilt(b, a, s.values), s.t0, s.rate)
+    return Series1D(filtfilt(b, a, s.values, axis=0), s.t0, s.rate)
 
 
 # --- multi-joint cooperative Kalman filtering --------------------------------

@@ -22,8 +22,9 @@ from .metrics import fuse
 from .pipeline import (Enrollment, consistency_score, gait_score,
                        imu_speed_channel, video_speed_channel)
 from .series import ImuSeries, KeypointSeries, fill_gaps
-from .syncing import (SYNC_EXCHANGE_PERIOD, ClockOffsetEstimate,
-                      kalman_track_offset, two_way_offset)
+from .syncing import (MIN_SESSION_S, SYNC_EXCHANGE_PERIOD,
+                      ClockOffsetEstimate, kalman_track_offset,
+                      two_way_offset)
 
 CHUNK_S = 0.1          # stream exchange chunk length
 ARQ_ROUNDS = 20        # bounded selective-repeat retransmission rounds
@@ -65,8 +66,8 @@ class SessionConfig:
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.sample_duration < 3.0:
-            raise ValueError("sample_duration must be >= 3 s")
+        if self.sample_duration < MIN_SESSION_S:
+            raise ValueError(f"sample_duration must be >= {MIN_SESSION_S} s")
 
 
 @dataclass

@@ -100,7 +100,8 @@ class KeypointSeries:
 
 @dataclass
 class Series1D:
-    """Uniformly sampled scalar channel."""
+    """Uniformly sampled scalar channel; values (n,), or (n, k) for k
+    channels on one grid (adaptive_bandpass filters each column)."""
 
     values: np.ndarray
     t0: float = 0.0

@@ -17,6 +17,9 @@ COMMON_RATE = 50.0           # Hz, the aligned channels' grid
 # The shortest aligned overlap, in seconds, that is scored: enrollment's
 # sub-window length, so no verification is shorter than what the model saw.
 MIN_OVERLAP_S = 3.0
+# The shortest session, in seconds, that a capture, a synthesized session
+# or an experiment config may ask for.
+MIN_SESSION_S = 3.0
 SYNC_EXCHANGE_PERIOD = 0.5   # seconds between two-way exchanges
 DRIFT_NOISE = 1e-8           # drift-rate process noise of the offset track
 

@@ -21,6 +21,7 @@ from .gait import cycle_boundaries
 from .orientation import (EulerAngles, Quaternion, euler_to_quaternion,
                           rotation_matrices)
 from .series import JOINT_INDEX, REQUIRED_JOINTS, ImuSeries, KeypointSeries
+from .syncing import MIN_SESSION_S
 
 WALK_SPEED = 1.2          # m/s, approach speed
 IMU_RATE = 100.0          # Hz, phone IMU sample rate
@@ -186,8 +187,8 @@ def generate_session(p: SubjectParams, cam: CameraModel = CameraModel(),
     ground truth keeps the noise-free twin stream and segments it only when
     its `cycle_boundaries` are first read, so this runs no AHRS.
     """
-    if duration < 3.0:
-        raise InvalidDuration("duration must be >= 3 s")
+    if duration < MIN_SESSION_S:
+        raise InvalidDuration(f"duration must be >= {MIN_SESSION_S} s")
     rng = np.random.default_rng((p.seed, seed_offset))
     heading = math.radians(cam.horizontal_angle)
     arm = _ArmModel(p, heading)

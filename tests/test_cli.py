@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 from syncgait.classify import fit_ocsvm_fixed, serialize_model
 from syncgait.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, ExperimentConfig,
                           load_enrollment, main)
-from syncgait.errors import IoFailure
+from syncgait.errors import InvalidDuration, IoFailure
+from syncgait.protocol import SessionConfig
+from syncgait.synth import SubjectParams, generate_session
+from syncgait.syncing import MIN_SESSION_S
 
 FAST_SYNTH = {"cohort_size": 2, "sessions_per_subject": 2, "duration": 4.0}
 FAST_ENROLL = {"cohort_size": 2, "sessions_per_subject": 4, "duration": 8.0}
@@ -32,6 +35,25 @@ def test_experiment_config_validation():
         ExperimentConfig(fidelity=2.0)
     with pytest.raises(ValueError):
         ExperimentConfig(attacks=("teleport",))
+
+
+def test_one_session_length_floor(tmp_path):
+    assert MIN_SESSION_S == 3.0
+    with pytest.raises(InvalidDuration):
+        generate_session(SubjectParams(), duration=2.9)
+    with pytest.raises(ValueError):
+        SessionConfig(sample_duration=2.9)
+    with pytest.raises(ValueError):
+        ExperimentConfig(duration=2.9)
+    cfg = _write_config(tmp_path, dict(FAST_SYNTH, duration=2.9))
+    assert main(["synth", "--config", cfg,
+                 "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert not (tmp_path / "x").exists()
+
+    imu, _, _ = generate_session(SubjectParams(), duration=3.0)
+    assert len(imu) == 300
+    assert SessionConfig(sample_duration=3.0).sample_duration == 3.0
+    assert ExperimentConfig(duration=3.0).duration == 3.0
 
 
 @pytest.mark.parametrize("text", [

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from syncgait import features, posture
 from syncgait.errors import TooFewSamples
 from syncgait.pipeline import (aligned_speeds, consistency_score,
                                consistency_vector, enroll, gait_score,
@@ -111,3 +112,33 @@ def test_enroll_requires_enough_windows(subject):
     imu, kp, _ = generate_session(subject, clock_offset=OFFSET, duration=3.5)
     with pytest.raises(TooFewSamples):
         enroll([(imu, kp, EST)])
+
+
+def test_enroll_designs_each_filter_once_and_batches_the_spectra(
+        subject, monkeypatch):
+    sessions = [generate_session(subject, duration=6.0 + 2 * (k % 2),
+                                 clock_offset=OFFSET,
+                                 seed_offset=300 + k)[:2] + (EST,)
+                for k in range(4)]
+    calls = {"butter": [], "welch": [], "csd": []}
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name].append(tuple(args[1]) if name == "butter"
+                               else np.shape(args[0]))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    spy(posture, "butter")
+    spy(features, "welch")
+    spy(features, "csd")
+    posture._butter_band.cache_clear()
+    enroll(sessions, seed=0)
+    # one design per (band, rate): the IMU's 100 Hz and the video's 60 fps
+    assert len(calls["butter"]) == len(set(calls["butter"])) == 2
+    # one cross-spectrum per pair length, one Welch pass per length and side
+    lengths = [shape[-1] for shape in calls["csd"]]
+    assert len(lengths) == len(set(lengths)) <= 1 + len(sessions)
+    assert sorted(shape[-1] for shape in calls["welch"]) == sorted(2 * lengths)
+    assert calls["welch"][:2] == calls["csd"][:1] * 2

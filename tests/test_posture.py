@@ -143,6 +143,30 @@ def test_adaptive_bandpass_zero_phase():
     assert lag == 0
 
 
+def test_adaptive_bandpass_filters_columns_as_each_alone_bit_for_bit():
+    # integrated-velocity-like columns: a random walk per axis
+    rng = np.random.default_rng(4)
+    v = rng.normal(size=(800, 3)).cumsum(axis=0)
+    band = SpectralBand(0.3, 5.0)
+    together = adaptive_bandpass(Series1D(v, rate=100.0), band).values
+    assert together.shape == v.shape
+    for k in range(3):
+        alone = adaptive_bandpass(Series1D(v[:, k], rate=100.0), band).values
+        assert together[:, k].tobytes() == alone.tobytes()
+
+
+def test_adaptive_bandpass_designs_each_filter_once():
+    band = SpectralBand(0.7, 3.5)
+    x = Series1D(np.sin(np.arange(300) / 7.0), rate=60.0)
+    posture._butter_band.cache_clear()
+    adaptive_bandpass(x, band)
+    adaptive_bandpass(Series1D(np.cos(np.arange(300) / 5.0), rate=60.0), band)
+    info = posture._butter_band.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    b, a = posture._butter_band(band, 60.0)
+    assert not b.flags.writeable and not a.flags.writeable
+
+
 def test_adaptive_bandpass_rejects_band_beyond_nyquist():
     with pytest.raises(InvalidBand):
         adaptive_bandpass(Series1D(np.zeros(100), rate=10.0),
