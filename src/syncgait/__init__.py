@@ -17,7 +17,7 @@ from .gait import (GaitCycle, ImuChain, cycle_boundaries,
 from .metrics import EvalReport, evaluate, fuse, roc_points_csv
 from .orientation import (EulerAngles, Quaternion, ahrs_stream,
                           euler_to_quaternion, integrate_velocity,
-                          project_body_relative, quaternion_to_euler)
+                          quaternion_to_euler)
 from .pipeline import (Enrollment, aligned_speeds, consistency_score,
                        consistency_vector, enroll, gait_score, gait_vectors,
                        imu_speed_channel, video_speed_channel)

@@ -33,7 +33,7 @@ from .protocol import ChannelModel, SessionConfig, SessionState, run_session
 from .synth import (IMU_RATE, CameraModel, HijackAttack, MimicryAttack,
                     RelayAttack, generate_attack, generate_session,
                     make_cohort)
-from .syncing import MIN_SESSION_S, ClockOffsetEstimate
+from .syncing import ClockOffsetEstimate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -44,7 +44,12 @@ ATTACK_KINDS = ("relay", "hijack", "mimicry")
 
 @dataclass
 class ExperimentConfig:
-    """Resolved knobs for one experiment; file values then flag overrides."""
+    """Resolved knobs for one experiment; file values then flag overrides.
+
+    Construction also builds the session settings each trial runs with
+    (`session`) and the camera the sessions are synthesized through
+    (`camera`); their own checks reject a bad duration, loss rate or
+    camera."""
 
     cohort_size: int = 5
     sessions_per_subject: int = 1     # synth output sessions
@@ -67,22 +72,25 @@ class ExperimentConfig:
             if not _has_type(getattr(self, f.name), f.type):
                 raise ValueError(f"{f.name} must be "
                                  + _TYPE_NAMES.get(f.type, "a list of strings"))
-        if self.duration < MIN_SESSION_S:
-            raise ValueError(f"duration must be >= {MIN_SESSION_S} s")
         if self.cohort_size < 2:
             raise ValueError("cohort_size must be >= 2")
         if self.sessions_per_subject < 1 or self.enroll_sessions < 1:
             raise ValueError("session counts must be >= 1")
         if self.genuine_trials < 1 or self.attack_trials < 1:
             raise ValueError("trial counts must be >= 1")
-        if not 0.0 <= self.loss_rate <= 0.6:
-            raise ValueError("loss_rate must lie in [0, 0.6]")
         if not 0.0 <= self.fidelity <= 1.0:
             raise ValueError("fidelity must lie in [0, 1]")
         self.attacks = tuple(self.attacks)
         for a in self.attacks:
             if a not in ATTACK_KINDS:
                 raise ValueError(f"unknown attack kind {a!r}")
+        self.session = SessionConfig(
+            max_attempts=1, sample_duration=self.duration,
+            channel=ChannelModel(loss_rate=self.loss_rate),
+            clock_offset=self.clock_offset)
+        self.camera = CameraModel(hover_height=self.hover_height,
+                                  horizontal_distance=self.distance,
+                                  horizontal_angle=self.angle, fps=self.fps)
 
     @classmethod
     def load(cls, path: str | None, overrides: dict) -> "ExperimentConfig":
@@ -102,11 +110,6 @@ class ExperimentConfig:
                 raise ValueError(f"unknown config keys: {sorted(unknown)}")
         data.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**data)
-
-    def camera(self) -> CameraModel:
-        return CameraModel(hover_height=self.hover_height,
-                           horizontal_distance=self.distance,
-                           horizontal_angle=self.angle, fps=self.fps)
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -163,7 +166,6 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def cmd_synth(cfg: ExperimentConfig, out: Path) -> int:
     cohort = make_cohort(cfg.cohort_size, seed=cfg.seed)
-    cam = cfg.camera()
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -175,8 +177,8 @@ def cmd_synth(cfg: ExperimentConfig, out: Path) -> int:
         entry = {"index": si, "cycle_period": subject.cycle_period,
                  "sessions": []}
         for k in range(cfg.sessions_per_subject):
-            imu, kp, gt = generate_session(
-                subject, cam, cfg.duration, cfg.clock_offset, seed_offset=k)
+            imu, kp, gt = generate_session(subject, cfg.camera, cfg.duration,
+                                           cfg.clock_offset, seed_offset=k)
             stem = f"subject{si:02d}_session{k:02d}"
             write_imu_csv(out / f"{stem}_imu.csv", imu)
             write_keypoint_jsonl(out / f"{stem}_keypoints.jsonl", kp)
@@ -288,13 +290,7 @@ def load_enrollment(out: Path, subject: int) -> Enrollment:
 
 def _run_trial(cfg: ExperimentConfig, enrollment: Enrollment,
                imu, kp, seed: int) -> dict:
-    session_cfg = SessionConfig(
-        max_attempts=1,
-        sample_duration=cfg.duration,
-        channel=ChannelModel(loss_rate=cfg.loss_rate),
-        clock_offset=cfg.clock_offset,
-    )
-    result = run_session(session_cfg, enrollment,
+    result = run_session(cfg.session, enrollment,
                          lambda attempt: imu, lambda attempt: kp, seed=seed)
     if result.record is None:
         return {"accepted": False, "consistency": -1.0, "gait": -1.0,
@@ -316,14 +312,13 @@ def _attack_spec(kind: str, victim, attacker, fidelity: float):
 
 def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
     cohort = make_cohort(cfg.cohort_size, seed=cfg.seed)
-    cam = cfg.camera()
     offset = ClockOffsetEstimate(cfg.clock_offset, 1e-6, 0.005)
 
     enrollments = {}
     for si, subject in enumerate(cohort):
         sessions = []
         for k in range(cfg.enroll_sessions):
-            imu, kp, _ = generate_session(subject, cam, cfg.duration,
+            imu, kp, _ = generate_session(subject, cfg.camera, cfg.duration,
                                           cfg.clock_offset,
                                           seed_offset=10 + k)
             sessions.append((imu, kp, offset))
@@ -336,8 +331,8 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
     genuine = []
     for si in range(cfg.cohort_size):
         for k in range(cfg.genuine_trials):
-            imu, kp, _ = generate_session(cohort[si], cam, cfg.duration,
-                                          cfg.clock_offset,
+            imu, kp, _ = generate_session(cohort[si], cfg.camera,
+                                          cfg.duration, cfg.clock_offset,
                                           seed_offset=60 + k)
             genuine.append(_run_trial(cfg, enrollments[si], imu, kp,
                                       seed=cfg.seed * 100000 + si * 100 + k))
@@ -349,7 +344,7 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
             for kind in cfg.attacks:
                 spec = _attack_spec(kind, cohort[si], cohort[ai],
                                     cfg.fidelity)
-                imu, kp, _ = generate_attack(spec, cam, cfg.duration,
+                imu, kp, _ = generate_attack(spec, cfg.camera, cfg.duration,
                                              cfg.clock_offset,
                                              seed_offset=900 + 10 * si + k)
                 attacks[kind].append(
@@ -402,6 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="experiment seed")
         p.add_argument("--out", required=True, help="output directory")
+
+    def camera(p):   # enroll reads the frame rate from the manifest
         p.add_argument("--fps", type=float, help="camera frame rate")
         p.add_argument("--distance", type=float,
                        help="initial subject-to-camera distance, m")
@@ -412,6 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="write a synthetic cohort")
     common(p_synth)
+    camera(p_synth)
 
     p_enroll = sub.add_parser("enroll", help="train per-user models")
     common(p_enroll)
@@ -423,6 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate",
                             help="genuine + attack experiment with report")
     common(p_eval)
+    camera(p_eval)
     p_eval.add_argument("--loss-rate", type=float, dest="loss_rate",
                         help="channel loss probability in [0, 0.6]")
     p_eval.add_argument("--attack", choices=ATTACK_KINDS,

@@ -17,10 +17,6 @@ class NonUnitQuaternion(SyncGaitError):
     pass
 
 
-class LengthMismatch(SyncGaitError):
-    pass
-
-
 class InvalidBand(SyncGaitError):
     pass
 

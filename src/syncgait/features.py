@@ -81,13 +81,16 @@ def _spectra(a: np.ndarray, b: np.ndarray) -> list[tuple]:
 
     One Welch pass per side, one cross-spectrum, one Pearson call and one
     FFT per side cover every row. Coherence is scipy's own
-    |Pxy|^2 / Pxx / Pyy, so its power weights come from the same Pxx."""
+    |Pxy|^2 / Pxx / Pyy, so its power weights come from the same Pxx; a bin
+    where either side has no Welch power has coherence 0, not 0 / 0."""
     nper = min(int(2 * COMMON_RATE), a.shape[1])
     kw = dict(fs=COMMON_RATE, nperseg=nper, noverlap=nper // 2)
     freqs, pxx = welch(a, **kw)
     _, pyy = welch(b, **kw)
     _, pxy = csd(a, b, **kw)
-    coh = np.abs(pxy) ** 2 / pxx / pyy
+    power = (pxx > 0) & (pyy > 0)
+    coh = np.zeros_like(pxx)
+    coh[power] = np.abs(pxy[power]) ** 2 / pxx[power] / pyy[power]
     pcc = pearsonr(a, b, axis=-1)[0]
     spec_a = np.abs(np.fft.rfft(a - a.mean(axis=1, keepdims=True)))
     spec_b = np.abs(np.fft.rfft(b - b.mean(axis=1, keepdims=True)))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSeries, LengthMismatch, NonUnitQuaternion
+from .errors import DegenerateSeries, NonUnitQuaternion
 from .series import ImuSeries
 
 UNIT_NORM_TOL = 1e-3
@@ -284,16 +284,3 @@ def integrate_velocity(a_world: np.ndarray, f_s: float) -> np.ndarray:
     cum = np.cumsum(a, axis=0)
     return (cum - 0.5 * a - 0.5 * a[0:1]) / f_s
 
-
-def project_body_relative(v_world: np.ndarray, heading: np.ndarray) -> np.ndarray:
-    """Rotate velocities by -heading about world z; forward progress -> +x."""
-    v = np.asarray(v_world, dtype=float)
-    h = np.asarray(heading, dtype=float)
-    if len(v) != len(h):
-        raise LengthMismatch(f"{len(v)} velocities vs {len(h)} headings")
-    c, s = np.cos(h), np.sin(h)
-    out = np.empty_like(v)
-    out[:, 0] = c * v[:, 0] + s * v[:, 1]
-    out[:, 1] = -s * v[:, 0] + c * v[:, 1]
-    out[:, 2] = v[:, 2]
-    return out

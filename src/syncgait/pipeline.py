@@ -3,10 +3,10 @@ consistency features -> per-user models and signed decision scores.
 
 The video chain is calibrate (adaptive DCT smoothing + cooperative Kalman),
 differentiate the wrist, band-pass. The IMU chain is denoise, orientation,
-gravity removal, velocity integration, gait-band band-pass,
-body-relative projection. Every scoring entry point also takes prepared
-streams (an `ImuChain`, the speed channels), so a session computes each
-chain once and scores all three checks from it.
+gravity removal, velocity integration, gait-band band-pass, magnitude.
+Every scoring entry point also takes prepared streams (an `ImuChain`, the
+speed channels), so a session computes each chain once and scores all
+three checks from it.
 
 The pipeline takes no settings: each stage reads its module's constants
 (`posture.ARM_CHAIN` and the MJCKF noise levels, the AHRS gains in
@@ -27,7 +27,7 @@ from .features import (FeatureVector, FisherReport, compute_features,
                        fisher_select)
 from .gait import (ImuChain, as_chain, cycle_feature_vector,
                    gait_representation, imu_chain)
-from .orientation import integrate_velocity, project_body_relative
+from .orientation import integrate_velocity
 from .posture import (ARM_CHAIN, GAIT_BAND_HI, GAIT_BAND_LO, AdctConfig,
                       SpectralBand, adaptive_bandpass, adct_smooth,
                       mjckf_correct)
@@ -36,7 +36,6 @@ from .series import (JOINT_INDEX, MISSING_CONF, ImuSeries, KeypointSeries,
 from .syncing import (COMMON_RATE, MIN_OVERLAP_S, AlignedPair,
                       ClockOffsetEstimate, align)
 
-HEADING_SMOOTH_S = 0.5
 MISALIGN_SHIFTS_S = (0.3, 0.55, 0.8)  # surrogate-negative video shifts
 GAIT_RHO_MARGIN = 0.05
 
@@ -113,29 +112,22 @@ def video_speed_channel(kp: KeypointSeries) -> VideoSpeed:
 
 
 def imu_speed_channel(imu: ImuSeries | ImuChain) -> Series1D:
-    """Body-relative hand speed from the IMU alone.
+    """Hand speed from the IMU alone.
 
     Orientation comes from the attitude filter; the world-frame acceleration
     (gravity removed) is integrated to velocity, the components are
     band-passed in the gait band (which suppresses integration drift far
-    more cleanly than hard velocity resets), and the result is projected
-    into the body frame using the smoothed heading and reduced to a
-    z-scored speed magnitude. A prepared `ImuChain` is used as is.
+    more cleanly than hard velocity resets), and the result is reduced to a
+    z-scored speed magnitude, which a turn about the vertical leaves
+    unchanged. A prepared `ImuChain` is used as is.
     """
     chain = as_chain(imu)
-    denoised = chain.denoised
-    v_world = integrate_velocity(chain.a_world, denoised.sample_rate)
-    v_world = adaptive_bandpass(Series1D(v_world, rate=denoised.sample_rate),
-                                _gait_band(denoised.sample_rate)).values
-
-    yaw = np.unwrap(chain.euler[:, 2])
-    win = max(int(HEADING_SMOOTH_S * denoised.sample_rate), 1)
-    pad = np.pad(yaw, (win // 2, win - 1 - win // 2), mode="edge")
-    heading = np.convolve(pad, np.ones(win) / win, mode="valid")
-
-    v_body = project_body_relative(v_world, heading)
-    return normalize(Series1D(np.linalg.norm(v_body, axis=1),
-                              float(denoised.t[0]), denoised.sample_rate))
+    rate = chain.denoised.sample_rate
+    v_world = integrate_velocity(chain.a_world, rate)
+    v_world = adaptive_bandpass(Series1D(v_world, rate=rate),
+                                _gait_band(rate)).values
+    return normalize(Series1D(np.linalg.norm(v_world, axis=1),
+                              float(chain.denoised.t[0]), rate))
 
 
 def aligned_speeds(imu: ImuInput, kp: VideoInput,

@@ -67,7 +67,7 @@ class SessionConfig:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if self.sample_duration < MIN_SESSION_S:
-            raise ValueError(f"sample_duration must be >= {MIN_SESSION_S} s")
+            raise ValueError(f"session duration must be >= {MIN_SESSION_S} s")
 
 
 @dataclass

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidDuration
-from .gait import cycle_boundaries
+from .gait import MAX_PERIOD_S, MIN_PERIOD_S, cycle_boundaries
 from .orientation import (EulerAngles, Quaternion, euler_to_quaternion,
                           rotation_matrices)
 from .series import JOINT_INDEX, REQUIRED_JOINTS, ImuSeries, KeypointSeries
@@ -46,8 +46,9 @@ class SubjectParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.8 <= self.cycle_period <= 2.5:
-            raise ValueError("cycle_period outside [0.8, 2.5]")
+        if not MIN_PERIOD_S <= self.cycle_period <= MAX_PERIOD_S:
+            raise ValueError(f"cycle_period outside [{MIN_PERIOD_S}, "
+                             f"{MAX_PERIOD_S}]")
         if self.imu_noise < 0 or self.kp_noise < 0:
             raise ValueError("noise std must be non-negative")
 

@@ -291,6 +291,14 @@ def test_cli_flag_overrides_config(tmp_path):
     assert manifest["config"]["fps"] == 30.0
 
 
+def test_enroll_takes_no_camera_flags(tmp_path):
+    # enroll reads the frame rate from the manifest, so it has no --fps
+    with pytest.raises(SystemExit) as exc:
+        main(["enroll", "--fps", "30", "--data", str(tmp_path),
+              "--subject", "0", "--out", str(tmp_path / "x")])
+    assert exc.value.code == EXIT_CONFIG
+
+
 @pytest.mark.parametrize("sessions, seed", [(1, 1), (2, 3)])
 def test_evaluate_names_enroll_sessions_too_few_to_train(tmp_path, capsys,
                                                          sessions, seed):

@@ -1,5 +1,7 @@
 """Consistency features and Fisher-score feature selection."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,9 +91,21 @@ def test_batch_equals_one_pair_at_a_time_bit_for_bit():
 
 def _flat_in_band(n=400):
     """A pair whose IMU channel has no power in the gait band: it
-    alternates at the Nyquist rate, so every in-band FFT bin is 0 (and its
-    coherence divides 0 by 0, a RuntimeWarning the test below ignores)."""
+    alternates at the Nyquist rate, so every in-band FFT bin is 0."""
     return AlignedPair((-1.0) ** np.arange(n), _gait_like(n))
+
+
+def test_a_bin_without_welch_power_has_coherence_zero():
+    # Welch's 100-sample segments stop at sample 150, so a video channel
+    # still until then and moving after has no Welch power in any bin
+    # while its FFT band is not empty
+    x = _gait_like(170)
+    still_then_moving = np.where(np.arange(170) < 150, 0.0, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        [f] = compute_features([AlignedPair(x, still_then_moving)])
+    assert f.coherence_mean == 0.0
+    assert np.all(np.isfinite(f.as_array()))
 
 
 @pytest.mark.parametrize("bad, error", [
@@ -99,7 +113,6 @@ def _flat_in_band(n=400):
     (AlignedPair(np.ones(400), _gait_like()), DegenerateChannel),
     (_flat_in_band(), DegenerateChannel),
 ], ids=["short", "flat", "empty_spectrum"])
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_a_bad_pair_mid_batch_raises_what_the_loop_raises(bad, error):
     pairs = _session_pairs()
     batch = pairs[:3] + [bad] + pairs[3:]

@@ -13,8 +13,8 @@ from syncgait.errors import DegenerateSeries, NonUnitQuaternion
 from syncgait.orientation import (EulerAngles, Quaternion, _ahrs_step,
                                   ahrs_stream, euler_to_quaternion,
                                   initial_orientation, integrate_velocity,
-                                  project_body_relative, quaternion_to_euler,
-                                  rotate_to_world, rotation_matrices)
+                                  quaternion_to_euler, rotate_to_world,
+                                  rotation_matrices)
 from syncgait.series import ImuSeries
 
 
@@ -137,14 +137,6 @@ def test_integrate_velocity_starts_at_zero():
 def test_integrate_velocity_validates_args():
     with pytest.raises(ValueError):
         integrate_velocity(np.ones((4, 3)), 0.0)
-
-
-def test_project_body_relative_quarter_turn():
-    v = np.array([[1.0, 0.0, 2.0]])
-    out = project_body_relative(v, np.array([np.pi / 2]))
-    # a world +x velocity seen from a heading of +90 deg points body -y... the
-    # rotation moves forward progress onto +x: here v is orthogonal to heading
-    assert np.allclose(out, [[0.0, -1.0, 2.0]], atol=1e-12)
 
 
 # --- attitude filter -----------------------------------------------------------

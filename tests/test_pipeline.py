@@ -1,10 +1,13 @@
 """End-to-end pipeline: speed channels, enrollment, and scoring."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from syncgait import features, posture
 from syncgait.errors import TooFewSamples
+from syncgait.gait import imu_chain
 from syncgait.pipeline import (aligned_speeds, consistency_score,
                                consistency_vector, enroll, gait_score,
                                imu_speed_channel, video_speed_channel)
@@ -47,6 +50,19 @@ def test_imu_speed_channel_is_periodic_at_gait_rate(session, subject):
     freqs = np.fft.rfftfreq(len(s), d=1.0 / s.rate)
     dom = freqs[np.argmax(spec[1:]) + 1]
     assert dom == pytest.approx(2.0 / subject.cycle_period, abs=0.15)
+
+
+@pytest.mark.parametrize("psi", [0.3, 1.5, 3.0])
+def test_imu_speed_channel_ignores_a_turn_about_the_vertical(session, psi):
+    chain = imu_chain(session[0])
+    c, s = np.cos(psi), np.sin(psi)
+    rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    turned = dataclasses.replace(chain, a_world=chain.a_world @ rz.T)
+    # exact in exact arithmetic; the band-pass's transfer-function form
+    # turns the turn's rounding into about 3e-6 of the z-scored speed
+    np.testing.assert_allclose(imu_speed_channel(turned).values,
+                               imu_speed_channel(chain).values,
+                               rtol=0, atol=1e-5)
 
 
 def test_video_speed_channel_matches_imu_channel(session):

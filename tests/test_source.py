@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module, and
+every error class is raised somewhere."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,34 @@ def test_unused_import_check_finds_only_unread_names():
                          ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _constructed_names(source: str) -> set[str]:
+    """Names that `source` calls or raises bare, as in `X(...)`, `m.X(...)`
+    or `raise X`."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        target = (node.func if isinstance(node, ast.Call)
+                  else node.exc if isinstance(node, ast.Raise) else None)
+        if isinstance(target, ast.Name):
+            names.add(target.id)
+        elif isinstance(target, ast.Attribute):
+            names.add(target.attr)
+    return names
+
+
+def test_constructed_names_finds_calls_and_bare_raises():
+    source = ("import errors\nfrom errors import A, B, C\n"
+              "def f():\n    raise A('x')\n"
+              "def g():\n    raise errors.B\n"
+              "try:\n    pass\nexcept C:\n    raise\n")
+    assert _constructed_names(source) & {"A", "B", "C"} == {"A", "B"}
+
+
+def test_every_error_class_is_constructed_outside_errors():
+    tree = ast.parse((SRC / "errors.py").read_text())
+    errors = {n.name for n in tree.body if isinstance(n, ast.ClassDef)}
+    constructed = set().union(*(_constructed_names(p.read_text())
+                                for p in SRC.glob("*.py")
+                                if p.name != "errors.py"))
+    assert sorted(errors - {"SyncGaitError"} - constructed) == []
