@@ -41,7 +41,10 @@ def _read_lines(path: str | Path) -> list[str]:
 
 
 def read_imu_csv(path: str | Path, sample_rate: float = 100.0) -> ImuSeries:
-    rows = [ln.split(",") for ln in _read_lines(path)[1:] if ln.strip()]
+    lines = _read_lines(path)
+    if not lines or lines[0].strip() != IMU_COLUMNS:
+        raise IoFailure(f"missing {IMU_COLUMNS} header in {path}")
+    rows = [ln.split(",") for ln in lines[1:] if ln.strip()]
     if not rows:
         raise IoFailure(f"no samples in {path}")
     width = len(IMU_COLUMNS.split(","))

@@ -142,9 +142,10 @@ def _rot_inv(w, vx, vy, vz, rx, ry, rz):
 
 
 def _ahrs_step(w, x, y, z, bx_b, by_b, bz_b, a, g, m, dt):
-    """One filter step on plain floats: quaternion (w, x, y, z), gyro bias
-    and the a, g, m triples in; the next quaternion, bias and the gyro-only
-    flag out.
+    """One filter step on plain Python floats: quaternion (w, x, y, z), gyro
+    bias and the a, g, m triples in; the next quaternion, bias and the
+    gyro-only flag out. A numpy scalar among the arguments would carry
+    through all of the step's arithmetic at about 3x the cost.
 
     Gyro integration corrected by the normalized gradient of the combined
     accelerometer + magnetometer objective (gain AHRS_BETA); the angular
@@ -190,9 +191,9 @@ def _ahrs_step(w, x, y, z, bx_b, by_b, bz_b, a, g, m, dt):
     else:
         s0 = s1 = s2 = s3 = 0.0
 
-    gx = float(g[0]) - bx_b
-    gy = float(g[1]) - by_b
-    gz = float(g[2]) - bz_b
+    gx = g[0] - bx_b
+    gy = g[1] - by_b
+    gz = g[2] - bz_b
 
     beta = 0.0 if gyro_only else AHRS_BETA
     qd0 = 0.5 * (-x * gx - y * gy - z * gz) - beta * s0
@@ -230,33 +231,33 @@ def initial_orientation(a: np.ndarray, m: np.ndarray) -> Quaternion:
 
 
 def _matrix_to_quaternion(r: np.ndarray) -> Quaternion:
-    tr = r[0, 0] + r[1, 1] + r[2, 2]
+    """Read as nested Python floats, so the AHRS state starts as floats."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r.tolist()
+    tr = r00 + r11 + r22
     if tr > 0:
         s = math.sqrt(tr + 1.0) * 2
-        q = (0.25 * s, (r[2, 1] - r[1, 2]) / s, (r[0, 2] - r[2, 0]) / s,
-             (r[1, 0] - r[0, 1]) / s)
-    elif r[0, 0] > r[1, 1] and r[0, 0] > r[2, 2]:
-        s = math.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2]) * 2
-        q = ((r[2, 1] - r[1, 2]) / s, 0.25 * s, (r[0, 1] + r[1, 0]) / s,
-             (r[0, 2] + r[2, 0]) / s)
-    elif r[1, 1] > r[2, 2]:
-        s = math.sqrt(1.0 + r[1, 1] - r[0, 0] - r[2, 2]) * 2
-        q = ((r[0, 2] - r[2, 0]) / s, (r[0, 1] + r[1, 0]) / s, 0.25 * s,
-             (r[1, 2] + r[2, 1]) / s)
+        q = (0.25 * s, (r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s)
+    elif r00 > r11 and r00 > r22:
+        s = math.sqrt(1.0 + r00 - r11 - r22) * 2
+        q = ((r21 - r12) / s, 0.25 * s, (r01 + r10) / s, (r02 + r20) / s)
+    elif r11 > r22:
+        s = math.sqrt(1.0 + r11 - r00 - r22) * 2
+        q = ((r02 - r20) / s, (r01 + r10) / s, 0.25 * s, (r12 + r21) / s)
     else:
-        s = math.sqrt(1.0 + r[2, 2] - r[0, 0] - r[1, 1]) * 2
-        q = ((r[1, 0] - r[0, 1]) / s, (r[0, 2] + r[2, 0]) / s,
-             (r[1, 2] + r[2, 1]) / s, 0.25 * s)
+        s = math.sqrt(1.0 + r22 - r00 - r11) * 2
+        q = ((r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s)
     return Quaternion(*q).normalized()
 
 
 def ahrs_stream(imu: ImuSeries) -> np.ndarray:
     """(n, 4) quaternions (q0, q1, q2, q3), one per sample: the AHRS run from
-    the TRIAD attitude of the first sample and zero gyro bias."""
+    the TRIAD attitude of the first sample and zero gyro bias. The state
+    stays Python floats from the first sample: a numpy scalar anywhere in it
+    makes every step's arithmetic numpy-scalar, about 3x slower."""
     q = initial_orientation(imu.acc[0], imu.mag[0])
     w, x, y, z = q.q0, q.q1, q.q2, q.q3
     bx_b = by_b = bz_b = 0.0
-    dt = 1.0 / imu.sample_rate
+    dt = 1.0 / float(imu.sample_rate)
     out = []
     for a, g, m in zip(imu.acc.tolist(), imu.gyro.tolist(), imu.mag.tolist()):
         w, x, y, z, bx_b, by_b, bz_b, _ = _ahrs_step(

@@ -99,15 +99,17 @@ def estimate_band(s: Series1D) -> SpectralBand:
     if total <= 0:
         return SpectralBand(GAIT_BAND_LO, GAIT_BAND_HI)
 
-    target = BAND_ENERGY_FRAC * total
-    # two-pointer scan for the minimal window with enough energy
-    best = (0, len(power) - 1)
+    target = BAND_ENERGY_FRAC * float(total)
+    # two-pointer scan for the minimal window with enough energy, on Python
+    # floats: numpy-scalar arithmetic would slow every step of the loop
+    p = power.tolist()
+    best = (0, len(p) - 1)
     acc = 0.0
     lo = 0
-    for hi in range(len(power)):
-        acc += power[hi]
-        while acc - power[lo] >= target:
-            acc -= power[lo]
+    for hi in range(len(p)):
+        acc += p[hi]
+        while acc - p[lo] >= target:
+            acc -= p[lo]
             lo += 1
         if acc >= target and hi - lo < best[1] - best[0]:
             best = (lo, hi)

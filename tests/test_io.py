@@ -72,6 +72,21 @@ def test_malformed_imu_rows_raise_io_failure(tmp_path, body):
         read_imu_csv(path)
 
 
+@pytest.mark.parametrize("header", [
+    "t,gx,gy,gz,ax,ay,az,mx,my,mz\n",   # would load acc and gyro swapped
+    "",                                  # would lose the first sample
+], ids=["gyro_before_acc", "no_header"])
+def test_wrong_imu_header_raises_io_failure_naming_the_path(tmp_path, header):
+    path = tmp_path / "imu.csv"
+    body = "".join(f"{k / 100},1,2,3,4,5,6,7,8,9\n" for k in range(3))
+    path.write_text(f"{FORMAT_TAG}\n{header}{body}")
+    with pytest.raises(IoFailure) as exc:
+        read_imu_csv(path)
+    assert str(path) in str(exc.value)
+    path.write_text(f"{FORMAT_TAG}\n{IMU_COLUMNS}\n{body}")
+    assert len(read_imu_csv(path)) == 3
+
+
 def test_missing_file_raises_io_failure(tmp_path):
     with pytest.raises(IoFailure):
         read_imu_csv(tmp_path / "nope.csv")

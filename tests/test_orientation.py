@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from syncgait import orientation
 from syncgait.errors import DegenerateSeries, NonUnitQuaternion
 from syncgait.orientation import (EulerAngles, Quaternion, _ahrs_step,
                                   ahrs_stream, euler_to_quaternion,
@@ -192,7 +193,9 @@ def test_initial_orientation_without_a_heading_aligns_on_gravity(field):
     r = _matrix(euler_to_quaternion(e_true))
     a = r.T @ GRAVITY_WORLD
     m = np.zeros(3) if field == "zero" else -2.0 * a
-    e = quaternion_to_euler(initial_orientation(a, m))
+    q = initial_orientation(a, m)
+    assert [type(v) for v in (q.q0, q.q1, q.q2, q.q3)] == [float] * 4
+    e = quaternion_to_euler(q)
     assert (e.roll, e.pitch) == pytest.approx((e_true.roll, e_true.pitch),
                                               abs=1e-9)
     assert e.yaw == 0.0
@@ -205,3 +208,35 @@ def test_initial_orientation_without_a_heading_aligns_on_gravity(field):
 def test_initial_orientation_rejects_degenerate_gravity_or_norms(a, m):
     with pytest.raises(DegenerateSeries):
         initial_orientation(a, m)
+
+
+# --- the filter state stays Python floats -------------------------------------
+
+@pytest.mark.parametrize("q", [
+    euler_to_quaternion(EulerAngles(0.3, -0.2, 0.9)),       # trace > 0
+    axis_angle_quaternion(np.array([1.0, 0, 0]), 2.8),      # r00 largest
+    axis_angle_quaternion(np.array([0, 1.0, 0]), 2.8),      # r11 largest
+    axis_angle_quaternion(np.array([0, 0, 1.0]), 2.8),      # r22 largest
+], ids=["trace", "r00", "r11", "r22"])
+def test_initial_orientation_returns_python_floats(q):
+    r = _matrix(q)
+    q0 = initial_orientation(r.T @ GRAVITY_WORLD, r.T @ MAG_WORLD)
+    assert np.allclose(_matrix(q0), r, atol=1e-9)
+    assert [type(v) for v in (q0.q0, q0.q1, q0.q2, q0.q3)] == [float] * 4
+
+
+@pytest.mark.parametrize("rate", [100.0, np.float64(100.0)],
+                         ids=["float_rate", "numpy_rate"])
+def test_every_ahrs_step_runs_on_python_floats(monkeypatch, rate):
+    types = []
+
+    def spy(*args):
+        types.append({type(v) for v in (*args[:7], args[-1])})
+        return _ahrs_step(*args)
+
+    monkeypatch.setattr(orientation, "_ahrs_step", spy)
+    imu = _static_imu(axis_angle_quaternion(np.array([1.0, 2, 3]), 2.5), 20,
+                      noise=0.1)
+    imu = ImuSeries(imu.t, imu.acc, imu.gyro + 0.05, imu.mag, sample_rate=rate)
+    ahrs_stream(imu)
+    assert types == [{float}] * 20
