@@ -1,8 +1,9 @@
 """IMU gait segmentation and the 6-channel cycle representation.
 
 Cycles are cut at prominent local minima of the world-frame vertical
-acceleration, then each cycle's (a_x, a_y, a_z, roll, pitch, yaw) channels
-are interpolated to a fixed length.
+acceleration, then each cycle's phone-frame (a_x, a_y, a_z, ω_x, ω_y, ω_z)
+channels are interpolated to a fixed length. The channels read no attitude,
+so a cycle does not depend on the walking direction's compass heading.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 from scipy.signal import find_peaks
 
 from .errors import CycleTooShort, NoCyclesFound, SeriesTooShort
-from .orientation import GRAVITY, ahrs_stream, euler_angles, rotation_matrices
+from .orientation import GRAVITY, ahrs_stream, rotation_matrices
 from .series import (DENOISE_LEVELS, ImuSeries, Series1D, require_squarable,
                      wavelet_denoise)
 
@@ -25,7 +26,7 @@ PROMINENCE = 0.5    # cut-minimum prominence, fraction of signal std
 
 @dataclass
 class GaitCycle:
-    channels: np.ndarray   # (6, L): a_x, a_y, a_z, roll, pitch, yaw
+    channels: np.ndarray   # (6, L): a_x, a_y, a_z, ω_x, ω_y, ω_z (phone frame)
     t_start: float
     t_end: float
 
@@ -51,13 +52,13 @@ def _denoise_imu(imu: ImuSeries) -> ImuSeries:
 
 @dataclass(frozen=True)
 class ImuChain:
-    """One IMU stream prepared once: the wavelet-denoised samples, the AHRS
-    attitude's (n, 3) roll, pitch, yaw and the (n, 3) world-frame
-    acceleration less gravity. The consistency and gait paths both read it,
-    so a session denoises, runs the AHRS and rotates once per stream."""
+    """One IMU stream prepared once: the wavelet-denoised samples and the
+    (n, 3) world-frame acceleration less gravity. The gait cycles read the
+    phone-frame (a_x, a_y, a_z, ω_x, ω_y, ω_z) of `denoised`; the speed
+    channel and the cycle cuts read `a_world`. So a session denoises, runs
+    the AHRS and rotates once per stream."""
 
     denoised: ImuSeries
-    euler: np.ndarray
     a_world: np.ndarray
 
 
@@ -70,7 +71,7 @@ def imu_chain(imu: ImuSeries) -> ImuChain:
     q = ahrs_stream(denoised)
     a_world = (rotation_matrices(q) @ denoised.acc[:, :, None])[:, :, 0]
     a_world[:, 2] -= GRAVITY
-    return ImuChain(denoised, euler_angles(q), a_world)
+    return ImuChain(denoised, a_world)
 
 
 def as_chain(imu: ImuSeries | ImuChain) -> ImuChain:
@@ -173,7 +174,8 @@ def normalize_cycle(raw: np.ndarray, t_start: float = 0.0,
 
 
 def gait_representation(imu: ImuSeries | ImuChain) -> list[GaitCycle]:
-    """Full IMU gait pipeline: denoise, orientation, segment, normalize."""
+    """Full IMU gait pipeline: denoise, segment on the world-frame vertical,
+    normalize the phone-frame acceleration and angular rate of each cycle."""
     chain = as_chain(imu)
     denoised = chain.denoised
     if len(denoised) < 2 * denoised.sample_rate:
@@ -182,8 +184,7 @@ def gait_representation(imu: ImuSeries | ImuChain) -> list[GaitCycle]:
     for t_start, t_end in segment_cycles(chain):
         i0 = int(np.searchsorted(denoised.t, t_start))
         i1 = int(np.searchsorted(denoised.t, t_end)) + 1
-        ang = np.unwrap(chain.euler[i0:i1], axis=0)
-        raw = np.vstack([denoised.acc[i0:i1].T, ang.T])
+        raw = np.vstack([denoised.acc[i0:i1].T, denoised.gyro[i0:i1].T])
         out.append(normalize_cycle(raw, t_start, t_end))
     return out
 

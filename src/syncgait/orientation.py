@@ -1,9 +1,10 @@
 """Quaternion attitude estimation and frame transformations.
 
 The AHRS is a gradient-descent corrector on the joint gravity + magnetic
-field objective with explicit gyroscope bias feedback. Conventions: the
-quaternion q maps phone-frame vectors into the world frame,
-v_world = q * v_phone * q^-1, with world z up and world x magnetic north.
+field objective, or on gravity alone when the field reads zero, with
+explicit gyroscope bias feedback. Conventions: the quaternion q maps
+phone-frame vectors into the world frame, v_world = q * v_phone * q^-1,
+with world z up and world x magnetic north.
 """
 
 from __future__ import annotations
@@ -68,17 +69,10 @@ def _check_unit(q: Quaternion) -> None:
 def quaternion_to_euler(q: Quaternion) -> EulerAngles:
     """Roll/pitch/yaw with pitch = asin(2(q1*q3 - q0*q2))."""
     _check_unit(q)
-    row = euler_angles(np.array([[q.q0, q.q1, q.q2, q.q3]]))[0]
-    return EulerAngles(*row.tolist())
-
-
-def euler_angles(q: np.ndarray) -> np.ndarray:
-    """(n, 3) roll, pitch, yaw of (n, 4) unit quaternions, on math floats:
-    numpy's arctan2 and arcsin differ from math's by an ulp."""
-    return np.array([(math.atan2(2 * (y * z + w * x), 1 - 2 * (x * x + y * y)),
-                      math.asin(max(-1.0, min(1.0, 2 * (x * z - w * y)))),
-                      math.atan2(2 * (x * y + w * z), 1 - 2 * (y * y + z * z)))
-                     for w, x, y, z in q.tolist()])
+    w, x, y, z = q.q0, q.q1, q.q2, q.q3
+    return EulerAngles(math.atan2(2 * (y * z + w * x), 1 - 2 * (x * x + y * y)),
+                       math.asin(max(-1.0, min(1.0, 2 * (x * z - w * y)))),
+                       math.atan2(2 * (x * y + w * z), 1 - 2 * (y * y + z * z)))
 
 
 def rotation_matrices(q: np.ndarray) -> np.ndarray:
@@ -93,7 +87,9 @@ def rotation_matrices(q: np.ndarray) -> np.ndarray:
 
 
 def euler_to_quaternion(e: EulerAngles) -> Quaternion:
-    """Inverse of quaternion_to_euler on the principal domain (test helper)."""
+    """Inverse of quaternion_to_euler on the principal domain; the phone
+    tilt of `synth` and the gravity-only start of `initial_orientation`
+    are built with it."""
     qx = Quaternion(math.cos(e.roll / 2), math.sin(e.roll / 2), 0, 0)
     qy = Quaternion(math.cos(-e.pitch / 2), 0, math.sin(-e.pitch / 2), 0)
     qz = Quaternion(math.cos(e.yaw / 2), 0, 0, math.sin(e.yaw / 2))
@@ -150,32 +146,34 @@ def _ahrs_step(w, x, y, z, bx_b, by_b, bz_b, a, g, m, dt):
     Gyro integration corrected by the normalized gradient of the combined
     accelerometer + magnetometer objective (gain AHRS_BETA); the angular
     error drives the gyro-bias estimate (gain AHRS_ZETA). A zero
-    accelerometer or magnetometer falls back to gyro-only integration and
+    magnetometer drops the field term and keeps the gravity step (the 6-axis
+    form of Madgwick et al. 2011). Only a zero accelerometer, with no
+    gravity to correct against, falls back to gyro-only integration and
     raises the flag.
     """
     a0, a1, a2 = a
-    m0, m1, m2 = m
     na = math.sqrt(a0 ** 2 + a1 ** 2 + a2 ** 2)
-    nm = math.sqrt(m0 ** 2 + m1 ** 2 + m2 ** 2)
-    gyro_only = na == 0.0 or nm == 0.0
-
+    gyro_only = na == 0.0
+    s0 = s1 = s2 = s3 = 0.0
     if not gyro_only:
+        # error terms e = R^T(q) r - measurement: gravity, then the field
         ax, ay, az = a0 / na, a1 / na, a2 / na
-        mx, my, mz = m0 / nm, m1 / nm, m2 / nm
-        # world-frame field from the current estimate; reference keeps only
-        # the horizontal magnitude and vertical component
-        hx, hy, hz = _rot_inv(w, -x, -y, -z, mx, my, mz)  # R(q) m
-        bh = math.sqrt(hx * hx + hy * hy)
-        nb = math.sqrt(bh * bh + hz * hz)
-        brx, brz = bh / nb, hz / nb
-
-        # error terms e = R^T(q) r - measurement
         ugx, ugy, ugz = _rot_inv(w, x, y, z, 0.0, 0.0, 1.0)
-        umx, umy, umz = _rot_inv(w, x, y, z, brx, 0.0, brz)
-        g_acc = _grad_term(w, x, y, z, 0.0, 0.0, 1.0, ugx - ax, ugy - ay, ugz - az)
-        g_mag = _grad_term(w, x, y, z, brx, 0.0, brz, umx - mx, umy - my, umz - mz)
-        s0, s1, s2, s3 = (g_acc[0] + g_mag[0], g_acc[1] + g_mag[1],
-                          g_acc[2] + g_mag[2], g_acc[3] + g_mag[3])
+        grad = _grad_term(w, x, y, z, 0.0, 0.0, 1.0, ugx - ax, ugy - ay, ugz - az)
+        m0, m1, m2 = m
+        nm = math.sqrt(m0 ** 2 + m1 ** 2 + m2 ** 2)
+        if nm > 0:
+            mx, my, mz = m0 / nm, m1 / nm, m2 / nm
+            # world-frame field from the current estimate; reference keeps
+            # only the horizontal magnitude and vertical component
+            hx, hy, hz = _rot_inv(w, -x, -y, -z, mx, my, mz)  # R(q) m
+            bh = math.sqrt(hx * hx + hy * hy)
+            nb = math.sqrt(bh * bh + hz * hz)
+            brx, brz = bh / nb, hz / nb
+            umx, umy, umz = _rot_inv(w, x, y, z, brx, 0.0, brz)
+            gm = _grad_term(w, x, y, z, brx, 0.0, brz, umx - mx, umy - my, umz - mz)
+            grad = grad[0] + gm[0], grad[1] + gm[1], grad[2] + gm[2], grad[3] + gm[3]
+        s0, s1, s2, s3 = grad
         ns = math.sqrt(s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3)
         if ns > 0:
             s0, s1, s2, s3 = s0 / ns, s1 / ns, s2 / ns, s3 / ns
@@ -188,18 +186,15 @@ def _ahrs_step(w, x, y, z, bx_b, by_b, bz_b, a, g, m, dt):
         bx_b += AHRS_ZETA * we_x * dt
         by_b += AHRS_ZETA * we_y * dt
         bz_b += AHRS_ZETA * we_z * dt
-    else:
-        s0 = s1 = s2 = s3 = 0.0
 
+    # with no gravity s is zero, and subtracting 0.0 changes no value
     gx = g[0] - bx_b
     gy = g[1] - by_b
     gz = g[2] - bz_b
-
-    beta = 0.0 if gyro_only else AHRS_BETA
-    qd0 = 0.5 * (-x * gx - y * gy - z * gz) - beta * s0
-    qd1 = 0.5 * (w * gx + y * gz - z * gy) - beta * s1
-    qd2 = 0.5 * (w * gy - x * gz + z * gx) - beta * s2
-    qd3 = 0.5 * (w * gz + x * gy - y * gx) - beta * s3
+    qd0 = 0.5 * (-x * gx - y * gy - z * gz) - AHRS_BETA * s0
+    qd1 = 0.5 * (w * gx + y * gz - z * gy) - AHRS_BETA * s1
+    qd2 = 0.5 * (w * gy - x * gz + z * gx) - AHRS_BETA * s2
+    qd3 = 0.5 * (w * gz + x * gy - y * gx) - AHRS_BETA * s3
 
     w += qd0 * dt
     x += qd1 * dt

@@ -23,7 +23,7 @@ SUBJECT = SubjectParams(seed=21)
 IMPOSTOR = SubjectParams(cycle_period=1.1, swing_amplitude=0.55, seed=99)
 
 ENROLLMENT_SHA256 = (
-    "841571df8f01445e8fea86f42a54a71b1d90fef2e8df199f0a3e24e448a3bf36")
+    "a3d0035461180f7cbb63217fd29195d6eab771688febf8aa41f1d51749469593")
 
 # name -> (subject, capture seed_offset base, loss rate, session seed,
 #          retransmission rounds or None for the default,
@@ -32,24 +32,24 @@ SESSIONS = {
     "genuine_loss0": (
         SUBJECT, 500, 0.0, 1, None, "accepted", 1,
         ("0x1.b9ef62be44409p-2", "0x1.b9ef62be44409p-2",
-         "0x1.15a3a555ec140p-4"),
-        "2d15c59b691871d90f9c75cf0fb247a45d8b771cadc77883a116d50a23ab74f1"),
+         "0x1.c40d2ad6c85c0p-5"),
+        "5d119abd4da2a9c674e33007c65e289f6697f192adc88b8f9a607fb9f0d27efb"),
     "genuine_loss03": (
         SUBJECT, 510, 0.3, 2, None, "accepted", 1,
         ("0x1.baf4b1e1c68dbp-2", "0x1.baf4b1e1c68dbp-2",
-         "0x1.1dda4c50a3cd0p-4"),
-        "f8a2f615fa67d1ebe4915790ba637998a57e7771504db9de36e41820d785cf39"),
+         "0x1.c9ac1386875f0p-5"),
+        "e27b3f782534b20019f03be10824e8feaac8624e9dc2df807424610f7ab12fb1"),
     # no retransmission: both receivers hold a view with lost chunks
     "genuine_partial_views": (
         SUBJECT, 520, 0.3, 3, 0, "accepted", 1,
         ("0x1.b9c2e89b17fd5p-2", "0x1.f9d9e922ed486p-3",
-         "0x1.1fa320930ad28p-4"),
-        "a761fa9cd495a5030d08939b1fd3fa861130e6228d8c9f5ebf74bdfb201f7b70"),
+         "0x1.36650d75513d0p-5"),
+        "85c6485563d0c038f0e8d5c7f6be6bef5e036466cf7c504297fc01980b2e05f9"),
     "impostor_three_attempts": (
         IMPOSTOR, 530, 0.3, 4, None, "failed", 3,
         ("0x1.962061e879903p-2", "0x1.962061e879903p-2",
-         "-0x1.764075f8c9e47p-1"),
-        "2f01463f0da6359a5a4c299376d5874826c38752602359b2d1b348cfb4bed28e"),
+         "-0x1.7c445ac01a910p-1"),
+        "0b83f5053b48b329565da83531909755736026f24fac47be52416167f5a756be"),
 }
 
 

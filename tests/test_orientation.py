@@ -182,6 +182,20 @@ def test_ahrs_gyro_only_fallback_flags_state():
         0.01, abs=1e-6)
 
 
+def test_ahrs_keeps_the_gravity_correction_without_a_field():
+    # a tilted start, a level phone at rest and a zero magnetometer: the
+    # gravity-only step levels roll and pitch; gyro-only integration would
+    # hold the starting tilt
+    q = euler_to_quaternion(EulerAngles(0.3, -0.2, 0.9))
+    state = (q.q0, q.q1, q.q2, q.q3, 0.0, 0.0, 0.0)
+    for _ in range(400):
+        *state, gyro_only = _ahrs_step(*state, [0.0, 0.0, 9.81],
+                                       [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], 0.01)
+        assert not gyro_only
+    e = quaternion_to_euler(Quaternion(*state[:4]))
+    assert (e.roll, e.pitch) == pytest.approx((0.0, 0.0), abs=0.01)
+
+
 def test_initial_orientation_identity_case():
     q = initial_orientation(GRAVITY_WORLD, MAG_WORLD)
     assert np.allclose(_matrix(q), np.eye(3), atol=1e-9)

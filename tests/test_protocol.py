@@ -17,8 +17,8 @@ from syncgait.pipeline import (Enrollment, consistency_score, enroll,
                                gait_score)
 from syncgait.series import ImuSeries, KeypointSeries
 from syncgait.syncing import ClockOffsetEstimate
-from syncgait.synth import (RelayAttack, SubjectParams, generate_attack,
-                            generate_session, make_cohort)
+from syncgait.synth import (CameraModel, RelayAttack, SubjectParams,
+                            generate_attack, generate_session, make_cohort)
 
 
 def test_channel_model_validation():
@@ -249,14 +249,12 @@ def _one_attempt(enrollment, imu, kp):
 
 
 @pytest.mark.parametrize("block, factor", [
-    ("acc", 0.0), ("acc", 1e-200), ("acc", 1e200),
-    ("mag", 0.0), ("mag", 1e-200), ("mag", 1e200), ("gyro", 1e200),
-    ("uv", 0.0), ("uv", 1e200)])
+    ("acc", 0.0), ("acc", 1e-200), ("acc", 1e200), ("mag", 1e200),
+    ("gyro", 1e200), ("uv", 0.0), ("uv", 1e200)])
 def test_degenerate_stream_fails_the_session_with_a_named_reason(
         capture, block, factor):
-    # no gravity, no field, frozen keypoints (a flat speed channel) or
-    # values whose squares overflow: the attempt fails on a named reason;
-    # with no field the attitude is gravity-only
+    # no gravity, frozen keypoints (a flat speed channel) or values whose
+    # squares overflow: the attempt fails on a named reason
     enrollment, imu, kp = capture
     if block == "uv":
         kp = KeypointSeries(kp.t, kp.uv * factor, kp.conf, kp.frame_rate)
@@ -266,8 +264,32 @@ def test_degenerate_stream_fails_the_session_with_a_named_reason(
         imu = ImuSeries(imu.t, sample_rate=imu.sample_rate, **blocks)
     result, reasons = _one_attempt(enrollment, imu, kp)
     assert result.state == SessionState.FAILED
-    assert reasons == ["verification" if block == "mag" and factor < 1
-                       else "DegenerateSeries"]
+    assert reasons == ["DegenerateSeries"]
+
+
+@pytest.mark.parametrize("source, angle, field", [
+    *[("genuine", a, 1.0) for a in (0, 30, 90, 180)],
+    ("genuine", 0, 0.0), ("genuine", 0, 1e-200), ("relay", 30, 1.0)])
+def test_genuine_capture_is_accepted_from_any_approach_and_without_a_field(
+        capture, source, angle, field):
+    # the enrollment walked at angle 0 with a working magnetometer; the gait
+    # check reads phone-frame channels and the AHRS keeps its gravity step
+    # when the field reads zero, so neither the compass heading nor the
+    # magnetometer decides a genuine capture; a relay is still rejected
+    enrollment, _, _ = capture
+    victim, decoy = make_cohort(2, seed=21)
+    cam = CameraModel(horizontal_angle=angle)
+    if source == "relay":
+        imu, kp, _ = generate_attack(RelayAttack(victim, decoy), cam,
+                                     clock_offset=OFFSET, seed_offset=503)
+    else:
+        imu, kp, _ = generate_session(victim, cam, clock_offset=OFFSET,
+                                      seed_offset=503)
+    imu = ImuSeries(imu.t, imu.acc, imu.gyro, imu.mag * field,
+                    imu.sample_rate)
+    result, _ = _one_attempt(enrollment, imu, kp)
+    assert result.state == (SessionState.ACCEPTED if source == "genuine"
+                            else SessionState.FAILED)
 
 
 _FACTOR = (st.sampled_from([0.0, "constant"])
