@@ -248,13 +248,25 @@ def _one_attempt(enrollment, imu, kp):
     return result, reasons
 
 
-@pytest.mark.parametrize("block, factor", [
-    ("acc", 0.0), ("acc", 1e-200), ("acc", 1e200), ("mag", 1e200),
-    ("gyro", 1e200), ("uv", 0.0), ("uv", 1e200)])
+_DEGENERATE = (SessionState.FAILED, ["DegenerateSeries"])
+_NO_FIELD = (SessionState.ACCEPTED, [])
+
+
+@pytest.mark.parametrize("block, factor, outcome", [
+    pytest.param(block, factor, outcome, id=f"{block}-{factor}")
+    for block, factor, outcome in [
+        ("acc", 0.0, _DEGENERATE), ("acc", 1e-200, _DEGENERATE),
+        ("acc", 1e200, _DEGENERATE), ("mag", 0.0, _NO_FIELD),
+        ("mag", 1e-200, _NO_FIELD), ("mag", 1e200, _DEGENERATE),
+        ("gyro", 1e200, _DEGENERATE), ("uv", 0.0, _DEGENERATE),
+        ("uv", 1e200, _DEGENERATE)]])
 def test_degenerate_stream_fails_the_session_with_a_named_reason(
-        capture, block, factor):
+        capture, block, factor, outcome):
     # no gravity, frozen keypoints (a flat speed channel) or values whose
-    # squares overflow: the attempt fails on a named reason
+    # squares overflow: the attempt fails on a named reason; a field that
+    # reads zero (or whose squares underflow) is not degenerate, since the
+    # AHRS keeps its gravity step and the gait check reads no heading, so
+    # that capture is accepted
     enrollment, imu, kp = capture
     if block == "uv":
         kp = KeypointSeries(kp.t, kp.uv * factor, kp.conf, kp.frame_rate)
@@ -263,19 +275,17 @@ def test_degenerate_stream_fails_the_session_with_a_named_reason(
         blocks[block] = blocks[block] * factor
         imu = ImuSeries(imu.t, sample_rate=imu.sample_rate, **blocks)
     result, reasons = _one_attempt(enrollment, imu, kp)
-    assert result.state == SessionState.FAILED
-    assert reasons == ["DegenerateSeries"]
+    assert (result.state, reasons) == outcome
 
 
-@pytest.mark.parametrize("source, angle, field", [
-    *[("genuine", a, 1.0) for a in (0, 30, 90, 180)],
-    ("genuine", 0, 0.0), ("genuine", 0, 1e-200), ("relay", 30, 1.0)])
-def test_genuine_capture_is_accepted_from_any_approach_and_without_a_field(
-        capture, source, angle, field):
-    # the enrollment walked at angle 0 with a working magnetometer; the gait
-    # check reads phone-frame channels and the AHRS keeps its gravity step
-    # when the field reads zero, so neither the compass heading nor the
-    # magnetometer decides a genuine capture; a relay is still rejected
+@pytest.mark.parametrize("source, angle", [
+    *[("genuine", a) for a in (0, 30, 90, 180)], ("relay", 30)])
+def test_genuine_capture_is_accepted_from_any_approach(capture, source,
+                                                       angle):
+    # the enrollment walked at angle 0; the gait check reads phone-frame
+    # channels, so the compass heading does not decide a genuine capture;
+    # a relay is still rejected (the zero-field capture is a case of the
+    # degenerate-stream test above)
     enrollment, _, _ = capture
     victim, decoy = make_cohort(2, seed=21)
     cam = CameraModel(horizontal_angle=angle)
@@ -285,8 +295,6 @@ def test_genuine_capture_is_accepted_from_any_approach_and_without_a_field(
     else:
         imu, kp, _ = generate_session(victim, cam, clock_offset=OFFSET,
                                       seed_offset=503)
-    imu = ImuSeries(imu.t, imu.acc, imu.gyro, imu.mag * field,
-                    imu.sample_rate)
     result, _ = _one_attempt(enrollment, imu, kp)
     assert result.state == (SessionState.ACCEPTED if source == "genuine"
                             else SessionState.FAILED)
