@@ -39,14 +39,12 @@ class GaitCycle:
 
 
 def _denoise_imu(imu: ImuSeries) -> ImuSeries:
-    def den(block: np.ndarray) -> np.ndarray:
-        cols = [wavelet_denoise(Series1D(block[:, k], rate=imu.sample_rate)).values
-                for k in range(3)]
-        return np.column_stack(cols)
-
+    """The acc | gyro | mag columns wavelet-denoised in one call."""
     if len(imu) < 2 ** DENOISE_LEVELS:
         return imu
-    return ImuSeries(imu.t.copy(), den(imu.acc), den(imu.gyro), den(imu.mag),
+    block = np.hstack([imu.acc, imu.gyro, imu.mag])
+    den = wavelet_denoise(Series1D(block, rate=imu.sample_rate)).values
+    return ImuSeries(imu.t.copy(), den[:, 0:3], den[:, 3:6], den[:, 6:9],
                      imu.sample_rate)
 
 
@@ -193,14 +191,15 @@ CYCLE_FEATURE_COUNT = 30  # 6 channels x 5 statistics
 
 
 def cycle_feature_vector(cycle: GaitCycle) -> np.ndarray:
-    """Per-channel (mean, std, min, max, dominant frequency), 6 x 5 dims."""
-    feats = []
-    length = cycle.channels.shape[1]
+    """Per-channel (mean, std, min, max, dominant frequency), 6 x 5 dims,
+    each statistic taken along axis 1 of all six channels at once."""
+    ch = cycle.channels
+    length = ch.shape[1]
     eff_rate = length / (cycle.t_end - cycle.t_start)
-    for row in cycle.channels:
-        spec = np.abs(np.fft.rfft(row - row.mean()))
-        dom = np.argmax(spec[1:]) + 1 if len(spec) > 1 else 0
-        freqs = np.fft.rfftfreq(length, d=1.0 / eff_rate)
-        feats.extend([row.mean(), row.std(), row.min(), row.max(),
-                      float(freqs[dom])])
-    return np.array(feats)
+    mean = ch.mean(axis=1)
+    spec = np.abs(np.fft.rfft(ch - mean[:, None], axis=1))
+    dom = (spec[:, 1:].argmax(axis=1) + 1 if spec.shape[1] > 1
+           else np.zeros(len(ch), dtype=int))
+    freqs = np.fft.rfftfreq(length, d=1.0 / eff_rate)
+    return np.column_stack([mean, ch.std(axis=1), ch.min(axis=1),
+                            ch.max(axis=1), freqs[dom]]).ravel()

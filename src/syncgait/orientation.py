@@ -156,10 +156,17 @@ def _ahrs_step(w, x, y, z, bx_b, by_b, bz_b, a, g, m, dt):
     gyro_only = na == 0.0
     s0 = s1 = s2 = s3 = 0.0
     if not gyro_only:
-        # error terms e = R^T(q) r - measurement: gravity, then the field
-        ax, ay, az = a0 / na, a1 / na, a2 / na
-        ugx, ugy, ugz = _rot_inv(w, x, y, z, 0.0, 0.0, 1.0)
-        grad = _grad_term(w, x, y, z, 0.0, 0.0, 1.0, ugx - ax, ugy - ay, ugz - az)
+        # error terms e = R^T(q) r - measurement: gravity, then the field.
+        # The gravity reference r = (0, 0, 1) is folded into _rot_inv and
+        # _grad_term: the dropped terms are exact zeros, so the sums match.
+        ex = 2.0 * (x * z - w * y) - a0 / na
+        ey = 2.0 * (w * x + y * z) - a1 / na
+        ez = 1.0 - 2.0 * (x * x + y * y) - a2 / na
+        ve = x * ex + y * ey + z * ez
+        grad = (-2.0 * (y * ex - x * ey),
+                2.0 * w * ey + 2.0 * (z * ex - 2.0 * ez * x),
+                -2.0 * w * ex + 2.0 * (z * ey - 2.0 * ez * y),
+                2.0 * (ve + z * ez - 2.0 * ez * z))
         m0, m1, m2 = m
         nm = math.sqrt(m0 ** 2 + m1 ** 2 + m2 ** 2)
         if nm > 0:

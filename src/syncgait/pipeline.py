@@ -49,28 +49,27 @@ def _gait_band(rate: float) -> SpectralBand:
     return SpectralBand(GAIT_BAND_LO, min(GAIT_BAND_HI, 0.45 * rate))
 
 
-def _fill_gaps(kp: KeypointSeries, name: str, k: int) -> np.ndarray:
-    """Pixel coordinate k of one joint's track, interpolated across missing
+def _fill_gaps(kp: KeypointSeries, name: str) -> np.ndarray:
+    """One joint's (n, 2) pixel track, interpolated across missing
     detections before smoothing."""
     j = JOINT_INDEX[name]
-    return fill_gaps(kp.t, kp.uv[:, j, k], kp.conf[:, j] >= MISSING_CONF)
+    return fill_gaps(kp.t, kp.uv[:, j], kp.conf[:, j] >= MISSING_CONF)
 
 
 def calibrate_keypoints(kp: KeypointSeries) -> KeypointSeries:
-    """Adaptive DCT smoothing of each ARM_CHAIN joint track, then the
-    cooperative Kalman correction pass (which also bridges low-confidence
-    frames).
+    """Adaptive DCT smoothing of the ARM_CHAIN joint tracks (their six
+    pixel columns in one call), then the cooperative Kalman correction
+    pass (which also bridges low-confidence frames).
 
     Only the phone's arm is calibrated, the one the speed channel reads;
     the sides are independent, so the other arm's joints pass through."""
     require_squarable("keypoint", kp.uv)
+    arm = np.hstack([_fill_gaps(kp, name) for name in ARM_CHAIN])
+    if len(arm) >= 4:
+        arm = adct_smooth(Series1D(arm, rate=kp.frame_rate)).values
     uv = kp.uv.copy()
-    for name in ARM_CHAIN:
-        for k in (0, 1):
-            x = _fill_gaps(kp, name, k)
-            if len(x) >= 4:
-                x = adct_smooth(Series1D(x, rate=kp.frame_rate)).values
-            uv[:, JOINT_INDEX[name], k] = x
+    uv[:, [JOINT_INDEX[name] for name in ARM_CHAIN]] = arm.reshape(
+        len(kp), len(ARM_CHAIN), 2)
     return mjckf_correct(KeypointSeries(kp.t, uv, kp.conf, kp.frame_rate))
 
 
@@ -78,10 +77,11 @@ def _torso_scale(kp: KeypointSeries) -> np.ndarray:
     """Smoothed per-frame torso length in pixels (shoulder midpoint to hip
     midpoint); the apparent-size reference that cancels perspective growth
     as the subject approaches the camera."""
-    su, sv, hu, hv = (0.5 * (_fill_gaps(kp, f"{part}_l", k)
-                             + _fill_gaps(kp, f"{part}_r", k))
-                      for part in ("shoulder", "hip") for k in (0, 1))
-    scale = np.hypot(su - hu, sv - hv)
+    shoulder, hip = (0.5 * (_fill_gaps(kp, f"{part}_l")
+                            + _fill_gaps(kp, f"{part}_r"))
+                     for part in ("shoulder", "hip"))
+    torso = shoulder - hip
+    scale = np.hypot(torso[:, 0], torso[:, 1])
     if len(scale) >= 4:
         scale = adct_smooth(Series1D(scale, rate=kp.frame_rate),
                             AdctConfig(f_base=0.02, alpha=0.0)).values

@@ -74,15 +74,19 @@ def adct_cutoff(n: int, entropy_bits: float, cfg: AdctConfig) -> int:
 
 
 def adct_smooth(s: Series1D, cfg: AdctConfig = AdctConfig()) -> Series1D:
-    """Entropy-adaptive DCT truncation smoothing."""
+    """Entropy-adaptive DCT truncation smoothing of the (n,) or (n, k)
+    values: each column keeps its own cutoff, and one DCT and one inverse
+    run along axis 0, each column bit for bit what smoothing it alone
+    gives."""
     n = len(s)
     if n < 4:
         raise SeriesTooShort("need >= 4 samples")
-    h = histogram_entropy(s.values, cfg.bins)
-    k = adct_cutoff(n, h, cfg)
-    coeffs = dct(s.values, norm="ortho")
-    coeffs[k:] = 0.0
-    return Series1D(idct(coeffs, norm="ortho"), s.t0, s.rate)
+    v = s.values.reshape(n, -1)
+    k = [adct_cutoff(n, histogram_entropy(c, cfg.bins), cfg) for c in v.T]
+    coeffs = dct(v, norm="ortho", axis=0)
+    coeffs[np.arange(n)[:, None] >= k] = 0.0
+    smooth = idct(coeffs, norm="ortho", axis=0)
+    return Series1D(smooth.reshape(s.values.shape), s.t0, s.rate)
 
 
 def estimate_band(s: Series1D) -> SpectralBand:
@@ -273,26 +277,39 @@ def mjckf_correct(kp: KeypointSeries) -> KeypointSeries:
     limbs = np.sqrt((seg[..., None, :] @ seg[..., :, None])[..., 0, 0])
     dt = 1.0 / kp.frame_rate
     filt = _ChainFilter(track[0], limbs[0], dt)
-    states = np.empty((n, filt.dim))
+    rows = np.array([4 * j + k for j in range(filt.nj) for k in range(2)])
+    pos = np.empty((n, len(rows)))
 
-    # The fully measured prefix needs only the state update: its gains are
-    # the frame interval's shared table (the same products as the full
-    # update, with H x = x[rows]).
+    # The fully measured prefix needs only the state update, with the frame
+    # interval's shared gain table. Each gain couples one position only to
+    # itself and its velocity, so the prefix runs as six scalar (position,
+    # velocity) recursions on Python floats: the same sums as F @ x and
+    # K @ (z - H x), whose other terms are exact zeros.
     gains, covs = _measured_gains(dt)
     gated = ~ok.all(axis=1)
     head = int(gated.argmax()) if gated.any() else n
     if len(gains) == GAIN_TABLE_MAX:   # never settled: the full update past it
         head = min(head, len(gains))
-    rows = np.array([4 * j + k for j in range(filt.nj) for k in range(2)])
-    z = track.reshape(n, -1)
-    x = filt.x
-    for idx in range(head):
-        if idx > 0:
-            x = filt.F @ x
-        x = x + gains[min(idx, len(gains) - 1)] @ (z[idx] - x[rows])
-        states[idx] = x
-    filt.x = x
     if head > 0:
+        steps = np.minimum(np.arange(head), len(gains) - 1)
+        chan = np.arange(len(rows))
+        gain_p = gains[:, rows, chan][steps].T.tolist()
+        gain_v = gains[:, rows + 2, chan][steps].T.tolist()
+        meas = track[:head].reshape(head, -1).T.tolist()
+        x = filt.x.tolist()
+        for c, r in enumerate(rows.tolist()):
+            p, v = x[r], x[r + 2]
+            out = []
+            for idx, (z, gp, gv) in enumerate(zip(meas[c], gain_p[c], gain_v[c])):
+                if idx > 0:
+                    p += dt * v
+                e = z - p
+                p += gp * e
+                v += gv * e
+                out.append(p)
+            pos[:head, c] = out
+            x[r], x[r + 2] = p, v
+        filt.x = np.array(x)
         filt.P = covs[min(head, len(covs)) - 1]
     if head < n:
         # the limb lengths steer only the coupling of gated frames
@@ -312,9 +329,9 @@ def mjckf_correct(kp: KeypointSeries) -> KeypointSeries:
         for j in range(filt.nj - 1):
             if ok[idx, j] and ok[idx, j + 1]:
                 filt.refresh_limb(j, limbs[idx, j])
-        states[idx] = filt.x
+        pos[idx] = filt.x[rows]
     uv = kp.uv.copy()
-    uv[:, cols] = states.reshape(n, filt.nj, 4)[:, :, :2]
+    uv[:, cols] = pos.reshape(n, filt.nj, 2)
     out_conf = kp.conf.copy()
     out_conf[:, cols] = np.maximum(conf, MISSING_CONF)
     return KeypointSeries(kp.t, uv, out_conf, kp.frame_rate)

@@ -101,7 +101,9 @@ class KeypointSeries:
 @dataclass
 class Series1D:
     """Uniformly sampled scalar channel; values (n,), or (n, k) for k
-    channels on one grid (adaptive_bandpass filters each column)."""
+    channels on one grid. Three stages take (n, k) values and treat each
+    column as a channel of its own in one array pass: wavelet_denoise,
+    posture.adct_smooth and posture.adaptive_bandpass."""
 
     values: np.ndarray
     t0: float = 0.0
@@ -130,24 +132,30 @@ _DB2_HI = np.array([_DB2_LO[3], -_DB2_LO[2], _DB2_LO[1], -_DB2_LO[0]])
 
 
 def _dwt_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One db2 level along axis 0 of (n,) or (n, k) values. The taps are
+    gathered into 4-wide rows of one 2-D product: the 3-D (k, m, 4) @ (4,)
+    form and einsum round differently from a column alone."""
     n = len(x)
     idx = (2 * np.arange(n // 2)[:, None] + np.arange(4)[None, :]) % n
-    win = x[idx]
-    return win @ _DB2_LO, win @ _DB2_HI
+    win = np.moveaxis(x[idx], 1, -1)   # (n // 2, ..., 4)
+    rows = win.reshape(-1, 4)
+    return ((rows @ _DB2_LO).reshape(win.shape[:-1]),
+            (rows @ _DB2_HI).reshape(win.shape[:-1]))
 
 
 def _idwt_step(approx: np.ndarray, detail: np.ndarray) -> np.ndarray:
     """Transpose of _dwt_step: coefficient k spreads its 4 taps onto
     samples 2k..2k+3 (periodized), so each sample sums two taps."""
-    taps = approx[:, None] * _DB2_LO + detail[:, None] * _DB2_HI
-    out = np.empty(2 * len(approx))
-    out[0::2] = taps[:, 0] + np.roll(taps[:, 2], 1)
-    out[1::2] = taps[:, 1] + np.roll(taps[:, 3], 1)
+    taps = approx[..., None] * _DB2_LO + detail[..., None] * _DB2_HI
+    out = np.empty((2 * len(approx), *approx.shape[1:]))
+    out[0::2] = taps[..., 0] + np.roll(taps[..., 2], 1, axis=0)
+    out[1::2] = taps[..., 1] + np.roll(taps[..., 3], 1, axis=0)
     return out
 
 
 def wavelet_decompose(x: np.ndarray, levels: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Multilevel periodized db2 DWT; stops early if a level has odd length."""
+    """Multilevel periodized db2 DWT along axis 0; stops early if a level
+    has odd length."""
     approx = x.astype(float)
     details: list[np.ndarray] = []
     for _ in range(levels):
@@ -166,11 +174,16 @@ def wavelet_reconstruct(approx: np.ndarray, details: list[np.ndarray]) -> np.nda
 
 
 def wavelet_denoise(s: Series1D) -> Series1D:
-    """Soft universal-threshold wavelet denoising (db2, periodized).
+    """Soft universal-threshold wavelet denoising (db2, periodized) of the
+    (n,) or (n, k) values, each column bit for bit what denoising it alone
+    gives.
 
-    The noise scale is estimated from the finest-scale detail coefficients
-    via MAD / 0.6745; the detail levels, up to DENOISE_LEVELS, are
-    soft-thresholded by sigma * sqrt(2 ln n).
+    Each column's noise scale is estimated from its finest-scale detail
+    coefficients via MAD / 0.6745; its detail levels are soft-thresholded
+    by sigma * sqrt(2 ln n). The decomposition stops at the first level of
+    odd length, before DENOISE_LEVELS: 800 and 1200 samples get 4 levels,
+    500 get 2, 350 get 1, and an odd length such as 801 gets none and is
+    returned undenoised.
     """
     n = len(s)
     if n < 2 ** DENOISE_LEVELS:
@@ -178,7 +191,7 @@ def wavelet_denoise(s: Series1D) -> Series1D:
     approx, details = wavelet_decompose(s.values, DENOISE_LEVELS)
     if not details:
         return Series1D(s.values.copy(), s.t0, s.rate)
-    sigma = np.median(np.abs(details[0])) / 0.6745
+    sigma = np.median(np.abs(details[0]), axis=0) / 0.6745
     thr = sigma * math.sqrt(2.0 * math.log(max(n, 2)))
     shrunk = [np.sign(d) * np.maximum(np.abs(d) - thr, 0.0) for d in details]
     return Series1D(wavelet_reconstruct(approx, shrunk), s.t0, s.rate)

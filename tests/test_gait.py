@@ -93,6 +93,31 @@ def test_cycle_feature_vector_shape_and_stats():
     assert feats[2] == pytest.approx(cyc.channels[0].min())
 
 
+def _per_row_features(cycle):
+    """Reference: the statistics of one channel at a time."""
+    feats = []
+    length = cycle.channels.shape[1]
+    eff_rate = length / (cycle.t_end - cycle.t_start)
+    for row in cycle.channels:
+        spec = np.abs(np.fft.rfft(row - row.mean()))
+        dom = np.argmax(spec[1:]) + 1 if len(spec) > 1 else 0
+        freqs = np.fft.rfftfreq(length, d=1.0 / eff_rate)
+        feats.extend([row.mean(), row.std(), row.min(), row.max(),
+                      float(freqs[dom])])
+    return np.array(feats)
+
+
+def test_cycle_feature_vector_equals_the_per_row_statistics_bit_for_bit():
+    cycles = [c for seed in range(3)
+              for c in gait_representation(generate_session(
+                  SubjectParams(seed=seed), seed_offset=seed)[0])]
+    rng = np.random.default_rng(5)
+    cycles += [GaitCycle(rng.normal(size=(6, n)), 0.0, 1.0 + n / 100)
+               for n in (1, 2, 3, 149, 150)]
+    for c in cycles:
+        assert cycle_feature_vector(c).tobytes() == _per_row_features(c).tobytes()
+
+
 def test_gait_representation_on_synthetic_subject():
     imu, _, gt = generate_session(SubjectParams(seed=9), duration=8.0)
     cycles = gait_representation(imu)

@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from syncgait import orientation
 from syncgait.errors import DegenerateSeries, NonUnitQuaternion
-from syncgait.orientation import (EulerAngles, Quaternion, _ahrs_step,
+from syncgait.orientation import (AHRS_BETA, AHRS_ZETA, EulerAngles,
+                                  Quaternion, _ahrs_step, _grad_term, _rot_inv,
                                   ahrs_stream, euler_to_quaternion,
                                   initial_orientation, integrate_velocity,
                                   quaternion_to_euler, rotate_to_world,
                                   rotation_matrices)
 from syncgait.series import ImuSeries
+from syncgait.synth import CameraModel, SubjectParams, generate_session
 
 
 def rodrigues(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -194,6 +196,91 @@ def test_ahrs_keeps_the_gravity_correction_without_a_field():
         assert not gyro_only
     e = quaternion_to_euler(Quaternion(*state[:4]))
     assert (e.roll, e.pitch) == pytest.approx((0.0, 0.0), abs=0.01)
+
+
+def _general_form_step(w, x, y, z, bx_b, by_b, bz_b, a, g, m, dt):
+    """Reference: the step with the gravity reference (0, 0, 1) passed
+    through the general _rot_inv and _grad_term, as the field's is."""
+    a0, a1, a2 = a
+    na = math.sqrt(a0 ** 2 + a1 ** 2 + a2 ** 2)
+    gyro_only = na == 0.0
+    s0 = s1 = s2 = s3 = 0.0
+    if not gyro_only:
+        ax, ay, az = a0 / na, a1 / na, a2 / na
+        ugx, ugy, ugz = _rot_inv(w, x, y, z, 0.0, 0.0, 1.0)
+        grad = _grad_term(w, x, y, z, 0.0, 0.0, 1.0,
+                          ugx - ax, ugy - ay, ugz - az)
+        m0, m1, m2 = m
+        nm = math.sqrt(m0 ** 2 + m1 ** 2 + m2 ** 2)
+        if nm > 0:
+            mx, my, mz = m0 / nm, m1 / nm, m2 / nm
+            hx, hy, hz = _rot_inv(w, -x, -y, -z, mx, my, mz)
+            bh = math.sqrt(hx * hx + hy * hy)
+            nb = math.sqrt(bh * bh + hz * hz)
+            brx, brz = bh / nb, hz / nb
+            umx, umy, umz = _rot_inv(w, x, y, z, brx, 0.0, brz)
+            gm = _grad_term(w, x, y, z, brx, 0.0, brz,
+                            umx - mx, umy - my, umz - mz)
+            grad = (grad[0] + gm[0], grad[1] + gm[1], grad[2] + gm[2],
+                    grad[3] + gm[3])
+        s0, s1, s2, s3 = grad
+        ns = math.sqrt(s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3)
+        if ns > 0:
+            s0, s1, s2, s3 = s0 / ns, s1 / ns, s2 / ns, s3 / ns
+        else:
+            s0 = s1 = s2 = s3 = 0.0
+        we_x = 2.0 * (w * s1 - x * s0 - y * s3 + z * s2)
+        we_y = 2.0 * (w * s2 + x * s3 - y * s0 - z * s1)
+        we_z = 2.0 * (w * s3 - x * s2 + y * s1 - z * s0)
+        bx_b += AHRS_ZETA * we_x * dt
+        by_b += AHRS_ZETA * we_y * dt
+        bz_b += AHRS_ZETA * we_z * dt
+    gx = g[0] - bx_b
+    gy = g[1] - by_b
+    gz = g[2] - bz_b
+    qd0 = 0.5 * (-x * gx - y * gy - z * gz) - AHRS_BETA * s0
+    qd1 = 0.5 * (w * gx + y * gz - z * gy) - AHRS_BETA * s1
+    qd2 = 0.5 * (w * gy - x * gz + z * gx) - AHRS_BETA * s2
+    qd3 = 0.5 * (w * gz + x * gy - y * gx) - AHRS_BETA * s3
+    w += qd0 * dt
+    x += qd1 * dt
+    y += qd2 * dt
+    z += qd3 * dt
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    return w / n, x / n, y / n, z / n, bx_b, by_b, bz_b, gyro_only
+
+
+def _zero_field(imu: ImuSeries) -> ImuSeries:
+    return ImuSeries(imu.t, imu.acc, imu.gyro, np.zeros_like(imu.mag))
+
+
+AHRS_STREAMS = {
+    "tilted_at_rest": lambda: _static_imu(
+        euler_to_quaternion(EulerAngles(0.3, -0.2, 0.9)), 300, noise=0.05),
+    "upside_down": lambda: _static_imu(
+        axis_angle_quaternion(np.array([1.0, 2, 3]), 2.5), 300, noise=0.05),
+    "level_exact": lambda: _static_imu(Quaternion(), 100),
+    **{f"walk_heading_{angle}": (lambda angle=angle: generate_session(
+        SubjectParams(seed=3), CameraModel(horizontal_angle=angle),
+        duration=4.0)[0]) for angle in (0, 90, 180)},
+    "walk_zero_field": lambda: _zero_field(generate_session(
+        SubjectParams(seed=3), duration=4.0)[0]),
+    "tilted_zero_field": lambda: _zero_field(_static_imu(
+        euler_to_quaternion(EulerAngles(-0.4, 0.5, 2.0)), 300, noise=0.05)),
+    "level_zero_field": lambda: _zero_field(_static_imu(Quaternion(), 100)),
+}
+
+
+@pytest.mark.parametrize("stream", AHRS_STREAMS)
+def test_ahrs_step_equals_the_general_form_step_bit_for_bit(stream):
+    imu = AHRS_STREAMS[stream]()
+    q = initial_orientation(imu.acc[0], imu.mag[0])
+    folded = general = (q.q0, q.q1, q.q2, q.q3, 0.0, 0.0, 0.0)
+    for a, g, m in zip(imu.acc.tolist(), imu.gyro.tolist(), imu.mag.tolist()):
+        *folded, flag = _ahrs_step(*folded, a, g, m, 0.01)
+        *general, ref_flag = _general_form_step(*general, a, g, m, 0.01)
+        assert flag == ref_flag
+        assert [v.hex() for v in folded] == [v.hex() for v in general]
 
 
 def test_initial_orientation_identity_case():

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from syncgait import features, posture
+from syncgait import features, gait, pipeline, posture
 from syncgait.errors import TooFewSamples
 from syncgait.gait import imu_chain
 from syncgait.pipeline import (aligned_speeds, consistency_score,
@@ -128,6 +128,28 @@ def test_enroll_requires_enough_windows(subject):
     imu, kp, _ = generate_session(subject, clock_offset=OFFSET, duration=3.5)
     with pytest.raises(TooFewSamples):
         enroll([(imu, kp, EST)])
+
+
+def test_each_stream_makes_one_call_per_column_wise_stage(session,
+                                                          monkeypatch):
+    imu, kp, _ = session
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(s, *args):
+            calls.append((name, s.values.shape))
+            return real(s, *args)
+        monkeypatch.setattr(module, name, counted)
+    spy(gait, "wavelet_denoise")
+    spy(pipeline, "adct_smooth")
+    imu_chain(imu)
+    assert calls == [("wavelet_denoise", (len(imu), 9))]
+    calls.clear()
+    video_speed_channel(kp)
+    # the six arm columns, then the torso scale
+    assert calls == [("adct_smooth", (len(kp), 6)), ("adct_smooth", (len(kp),))]
 
 
 def test_enroll_designs_each_filter_once_and_batches_the_spectra(

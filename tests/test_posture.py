@@ -96,6 +96,22 @@ def test_adct_smooth_removes_high_frequency():
     assert np.mean((out - slow) ** 2) < 0.1 * np.mean(fast ** 2)
 
 
+@pytest.mark.parametrize("n", [4, 120, 479, 480])
+def test_adct_smooth_of_a_block_equals_each_column_alone(n):
+    # a flat, a smooth, a random-walk and a noise column: different
+    # entropies, so different cutoffs
+    rng = np.random.default_rng(n)
+    t = np.arange(n) / 60.0
+    x = np.column_stack([np.full(n, 3.0), 40 * np.sin(2 * np.pi * 0.9 * t),
+                         rng.normal(size=n).cumsum(), rng.normal(size=n),
+                         rng.uniform(size=n) ** 4, 500 + 30 * t])
+    together = adct_smooth(Series1D(x, rate=60.0)).values
+    assert together.shape == (n, 6)
+    for c in range(6):
+        alone = adct_smooth(Series1D(x[:, c].copy(), rate=60.0)).values
+        assert together[:, c].tobytes() == alone.tobytes()
+
+
 def test_adct_smooth_too_short():
     with pytest.raises(SeriesTooShort):
         adct_smooth(Series1D(np.zeros(3), rate=100.0))
@@ -308,6 +324,19 @@ def test_measured_gains_reach_a_fixed_point_and_are_read_only(fps):
     for table in (gains, covs):
         with pytest.raises(ValueError):
             table[0, 0, 0] = 0.0
+
+
+@pytest.mark.parametrize("fps", [5.0, 30.0, 60.0, 1000.0])
+def test_measured_gains_couple_each_position_only_to_itself(fps):
+    # position (j, k) feeds state rows 4j+k (position) and 4j+2+k
+    # (velocity) alone: the fully measured frames are six scalar filters
+    gains, _ = _measured_gains(1.0 / fps)
+    coupled = np.zeros(gains.shape[1:], dtype=bool)
+    for j in range(len(ARM_CHAIN)):
+        for k in range(2):
+            coupled[4 * j + k, 2 * j + k] = True
+            coupled[4 * j + 2 + k, 2 * j + k] = True
+    assert (gains[:, ~coupled] == 0.0).all()
 
 
 def test_adct_config_validation():

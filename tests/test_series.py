@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from syncgait.errors import DegenerateSeries, SeriesTooShort
 from syncgait.io import FORMAT_TAG, read_keypoint_jsonl
-from syncgait.series import (JOINT_INDEX, REQUIRED_JOINTS, ImuSeries,
-                             KeypointSeries, Series1D, fill_gaps, normalize,
+from syncgait.series import (DENOISE_LEVELS, JOINT_INDEX, REQUIRED_JOINTS,
+                             ImuSeries, KeypointSeries, Series1D, fill_gaps, normalize,
                              wavelet_decompose, wavelet_denoise,
                              wavelet_reconstruct, _DB2_HI, _DB2_LO)
 
@@ -139,6 +139,30 @@ def test_wavelet_denoise_reduces_noise():
     noisy = clean + rng.normal(0, 0.4, len(t))
     den = wavelet_denoise(Series1D(noisy, rate=100.0)).values
     assert np.mean((den - clean) ** 2) < 0.5 * np.mean((noisy - clean) ** 2)
+
+
+@pytest.mark.parametrize("k", [1, 3, 9])
+@pytest.mark.parametrize("n", [16, 350, 500, 800, 801, 1200])
+def test_wavelet_denoise_of_a_block_equals_each_column_alone(n, k):
+    # columns of different scales, so each has its own noise estimate
+    rng = np.random.default_rng(n + k)
+    t = np.arange(n) / 100.0
+    x = (np.sin(2 * np.pi * 1.1 * t)[:, None]
+         + rng.normal(size=(n, k)) * rng.uniform(0.05, 5.0, k))
+    together = wavelet_denoise(Series1D(x, rate=100.0)).values
+    assert together.shape == (n, k)
+    for c in range(k):
+        alone = wavelet_denoise(Series1D(x[:, c].copy(), rate=100.0)).values
+        assert together[:, c].tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("n, levels", [(350, 1), (500, 2), (800, 4),
+                                       (801, 0), (1200, 4)])
+def test_wavelet_decomposition_stops_at_the_first_odd_level(n, levels):
+    x = np.random.default_rng(n).normal(size=n)
+    assert len(wavelet_decompose(x, DENOISE_LEVELS)[1]) == levels
+    if levels == 0:   # returned as it came
+        assert wavelet_denoise(Series1D(x)).values.tobytes() == x.tobytes()
 
 
 def test_wavelet_denoise_too_short():
