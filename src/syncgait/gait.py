@@ -39,12 +39,13 @@ class GaitCycle:
 
 
 def _denoise_imu(imu: ImuSeries) -> ImuSeries:
-    """The acc | gyro | mag columns wavelet-denoised in one call."""
+    """The acc | gyro columns wavelet-denoised in one call; `mag` passes
+    through as recorded, since no stage reads it."""
     if len(imu) < 2 ** DENOISE_LEVELS:
         return imu
-    block = np.hstack([imu.acc, imu.gyro, imu.mag])
+    block = np.hstack([imu.acc, imu.gyro])
     den = wavelet_denoise(Series1D(block, rate=imu.sample_rate)).values
-    return ImuSeries(imu.t.copy(), den[:, 0:3], den[:, 3:6], den[:, 6:9],
+    return ImuSeries(imu.t.copy(), den[:, 0:3], den[:, 3:6], imu.mag,
                      imu.sample_rate)
 
 
@@ -64,7 +65,7 @@ def imu_chain(imu: ImuSeries) -> ImuChain:
     """Denoise the stream, run the AHRS and rotate it into the world frame."""
     if len(imu) < 3:
         raise SeriesTooShort("need >= 3 IMU samples")
-    require_squarable("IMU", imu.acc, imu.gyro, imu.mag)
+    require_squarable("IMU", imu.acc, imu.gyro)
     denoised = _denoise_imu(imu)
     q = ahrs_stream(denoised)
     a_world = (rotation_matrices(q) @ denoised.acc[:, :, None])[:, :, 0]

@@ -1,10 +1,11 @@
 """Quaternion attitude estimation and frame transformations.
 
-The AHRS is a gradient-descent corrector on the joint gravity + magnetic
-field objective, or on gravity alone when the field reads zero, with
-explicit gyroscope bias feedback. Conventions: the quaternion q maps
-phone-frame vectors into the world frame, v_world = q * v_phone * q^-1,
-with world z up and world x magnetic north.
+The AHRS is the 6-axis (IMU) form of Madgwick, Harrison & Vaidyanathan
+(2011): gyro integration corrected toward gravity by gradient descent, with
+explicit gyroscope bias feedback. Gravity fixes roll and pitch only, so the
+heading is relative. Conventions: the quaternion q maps phone-frame vectors
+into the world frame, v_world = q * v_phone * q^-1, with world z up and
+yaw 0 at the first sample.
 """
 
 from __future__ import annotations
@@ -104,83 +105,33 @@ def rotate_to_world(q: Quaternion, v_phone: np.ndarray) -> np.ndarray:
     return np.array([r.q1, r.q2, r.q3])
 
 
-def _grad_term(w, vx, vy, vz, rx, ry, rz, ex, ey, ez):
-    """J^T e for the objective component u(q) = R^T(q) r, plain floats."""
-    # v x r
-    cx = vy * rz - vz * ry
-    cy = vz * rx - vx * rz
-    cz = vx * ry - vy * rx
-    g0 = -2.0 * (cx * ex + cy * ey + cz * ez)
-    # r x e
-    rex = ry * ez - rz * ey
-    rey = rz * ex - rx * ez
-    rez = rx * ey - ry * ex
-    ve = vx * ex + vy * ey + vz * ez
-    vr = vx * rx + vy * ry + vz * rz
-    re = rx * ex + ry * ey + rz * ez
-    g1 = -2.0 * w * rex + 2.0 * (ve * rx + vr * ex - 2.0 * re * vx)
-    g2 = -2.0 * w * rey + 2.0 * (ve * ry + vr * ey - 2.0 * re * vy)
-    g3 = -2.0 * w * rez + 2.0 * (ve * rz + vr * ez - 2.0 * re * vz)
-    return g0, g1, g2, g3
-
-
-def _rot_inv(w, vx, vy, vz, rx, ry, rz):
-    """R^T(q) r = r - 2w (v x r) + 2 v x (v x r), plain floats."""
-    cx = vy * rz - vz * ry
-    cy = vz * rx - vx * rz
-    cz = vx * ry - vy * rx
-    dx = vy * cz - vz * cy
-    dy = vz * cx - vx * cz
-    dz = vx * cy - vy * cx
-    return (rx - 2 * w * cx + 2 * dx,
-            ry - 2 * w * cy + 2 * dy,
-            rz - 2 * w * cz + 2 * dz)
-
-
-def _ahrs_step(w, x, y, z, bx_b, by_b, bz_b, a, g, m, dt):
+def _ahrs_step(w, x, y, z, bx_b, by_b, bz_b, a, g, dt):
     """One filter step on plain Python floats: quaternion (w, x, y, z), gyro
-    bias and the a, g, m triples in; the next quaternion, bias and the
+    bias and the a, g triples in; the next quaternion, bias and the
     gyro-only flag out. A numpy scalar among the arguments would carry
     through all of the step's arithmetic at about 3x the cost.
 
-    Gyro integration corrected by the normalized gradient of the combined
-    accelerometer + magnetometer objective (gain AHRS_BETA); the angular
-    error drives the gyro-bias estimate (gain AHRS_ZETA). A zero
-    magnetometer drops the field term and keeps the gravity step (the 6-axis
-    form of Madgwick et al. 2011). Only a zero accelerometer, with no
-    gravity to correct against, falls back to gyro-only integration and
-    raises the flag.
+    Gyro integration corrected by the normalized gradient of the gravity
+    objective R^T(q) (0, 0, 1) - a / |a| (gain AHRS_BETA); the angular error
+    drives the gyro-bias estimate (gain AHRS_ZETA). Only a zero
+    accelerometer, with no gravity to correct against, falls back to
+    gyro-only integration and raises the flag.
     """
     a0, a1, a2 = a
     na = math.sqrt(a0 ** 2 + a1 ** 2 + a2 ** 2)
     gyro_only = na == 0.0
     s0 = s1 = s2 = s3 = 0.0
     if not gyro_only:
-        # error terms e = R^T(q) r - measurement: gravity, then the field.
-        # The gravity reference r = (0, 0, 1) is folded into _rot_inv and
-        # _grad_term: the dropped terms are exact zeros, so the sums match.
+        # error e = R^T(q) r - a / |a| and its gradient J^T e, written out
+        # for the constant reference r = (0, 0, 1)
         ex = 2.0 * (x * z - w * y) - a0 / na
         ey = 2.0 * (w * x + y * z) - a1 / na
         ez = 1.0 - 2.0 * (x * x + y * y) - a2 / na
         ve = x * ex + y * ey + z * ez
-        grad = (-2.0 * (y * ex - x * ey),
-                2.0 * w * ey + 2.0 * (z * ex - 2.0 * ez * x),
-                -2.0 * w * ex + 2.0 * (z * ey - 2.0 * ez * y),
-                2.0 * (ve + z * ez - 2.0 * ez * z))
-        m0, m1, m2 = m
-        nm = math.sqrt(m0 ** 2 + m1 ** 2 + m2 ** 2)
-        if nm > 0:
-            mx, my, mz = m0 / nm, m1 / nm, m2 / nm
-            # world-frame field from the current estimate; reference keeps
-            # only the horizontal magnitude and vertical component
-            hx, hy, hz = _rot_inv(w, -x, -y, -z, mx, my, mz)  # R(q) m
-            bh = math.sqrt(hx * hx + hy * hy)
-            nb = math.sqrt(bh * bh + hz * hz)
-            brx, brz = bh / nb, hz / nb
-            umx, umy, umz = _rot_inv(w, x, y, z, brx, 0.0, brz)
-            gm = _grad_term(w, x, y, z, brx, 0.0, brz, umx - mx, umy - my, umz - mz)
-            grad = grad[0] + gm[0], grad[1] + gm[1], grad[2] + gm[2], grad[3] + gm[3]
-        s0, s1, s2, s3 = grad
+        s0 = -2.0 * (y * ex - x * ey)
+        s1 = 2.0 * w * ey + 2.0 * (z * ex - 2.0 * ez * x)
+        s2 = -2.0 * w * ex + 2.0 * (z * ey - 2.0 * ez * y)
+        s3 = 2.0 * (ve + z * ez - 2.0 * ez * z)
         ns = math.sqrt(s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3)
         if ns > 0:
             s0, s1, s2, s3 = s0 / ns, s1 / ns, s2 / ns, s3 / ns
@@ -211,59 +162,34 @@ def _ahrs_step(w, x, y, z, bx_b, by_b, bz_b, a, g, m, dt):
     return w / n, x / n, y / n, z / n, bx_b, by_b, bz_b, gyro_only
 
 
-def initial_orientation(a: np.ndarray, m: np.ndarray) -> Quaternion:
-    """TRIAD alignment from one stationary accelerometer/magnetometer pair;
-    on gravity alone, at yaw 0, when the field is zero or parallel to it.
-    Zero gravity or a norm that is not finite is DegenerateSeries."""
-    up, mn = np.asarray(a, dtype=float), np.asarray(m, dtype=float)
+def initial_orientation(a: np.ndarray) -> Quaternion:
+    """The roll and pitch of one stationary accelerometer sample, at yaw 0,
+    with Python float fields. Zero gravity or a norm that is not finite is
+    DegenerateSeries."""
+    up = np.asarray(a, dtype=float)
     with np.errstate(over="ignore"):
-        na, nm = np.linalg.norm(up), np.linalg.norm(mn)
-    if not (0 < na < math.inf and nm < math.inf):
-        raise DegenerateSeries(f"no attitude from |a| = {na}, |m| = {nm}")
+        na = np.linalg.norm(up)
+    if not 0 < na < math.inf:
+        raise DegenerateSeries(f"no attitude from |a| = {na}")
     up = up / na
-    east = np.cross(up, mn)
-    ne = np.linalg.norm(east)
-    if ne <= 1e-12 * nm:   # no heading: roll and pitch of the up vector
-        pitch = math.asin(max(-1.0, min(1.0, up[0])))
-        return euler_to_quaternion(EulerAngles(math.atan2(up[1], up[2]), pitch, 0.0))
-    east = east / ne
-    north = np.cross(east, up)
-    r = np.vstack([north, east, up])  # phone -> world
-    return _matrix_to_quaternion(r)
-
-
-def _matrix_to_quaternion(r: np.ndarray) -> Quaternion:
-    """Read as nested Python floats, so the AHRS state starts as floats."""
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r.tolist()
-    tr = r00 + r11 + r22
-    if tr > 0:
-        s = math.sqrt(tr + 1.0) * 2
-        q = (0.25 * s, (r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s)
-    elif r00 > r11 and r00 > r22:
-        s = math.sqrt(1.0 + r00 - r11 - r22) * 2
-        q = ((r21 - r12) / s, 0.25 * s, (r01 + r10) / s, (r02 + r20) / s)
-    elif r11 > r22:
-        s = math.sqrt(1.0 + r11 - r00 - r22) * 2
-        q = ((r02 - r20) / s, (r01 + r10) / s, 0.25 * s, (r12 + r21) / s)
-    else:
-        s = math.sqrt(1.0 + r22 - r00 - r11) * 2
-        q = ((r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s)
-    return Quaternion(*q).normalized()
+    pitch = math.asin(max(-1.0, min(1.0, up[0])))
+    return euler_to_quaternion(EulerAngles(math.atan2(up[1], up[2]), pitch, 0.0))
 
 
 def ahrs_stream(imu: ImuSeries) -> np.ndarray:
-    """(n, 4) quaternions (q0, q1, q2, q3), one per sample: the AHRS run from
-    the TRIAD attitude of the first sample and zero gyro bias. The state
-    stays Python floats from the first sample: a numpy scalar anywhere in it
-    makes every step's arithmetic numpy-scalar, about 3x slower."""
-    q = initial_orientation(imu.acc[0], imu.mag[0])
+    """(n, 4) quaternions (q0, q1, q2, q3), one per sample: the AHRS run on
+    the accelerometer and gyro from the gravity attitude of the first sample
+    and zero gyro bias; the recorded field is not read. The state stays
+    Python floats from the first sample: a numpy scalar anywhere in it makes
+    every step's arithmetic numpy-scalar, about 3x slower."""
+    q = initial_orientation(imu.acc[0])
     w, x, y, z = q.q0, q.q1, q.q2, q.q3
     bx_b = by_b = bz_b = 0.0
     dt = 1.0 / float(imu.sample_rate)
     out = []
-    for a, g, m in zip(imu.acc.tolist(), imu.gyro.tolist(), imu.mag.tolist()):
+    for a, g in zip(imu.acc.tolist(), imu.gyro.tolist()):
         w, x, y, z, bx_b, by_b, bz_b, _ = _ahrs_step(
-            w, x, y, z, bx_b, by_b, bz_b, a, g, m, dt)
+            w, x, y, z, bx_b, by_b, bz_b, a, g, dt)
         out.append((w, x, y, z))
     return np.array(out)
 

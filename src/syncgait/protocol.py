@@ -150,10 +150,11 @@ def exchange_with_arq(n: int, channel: ChannelModel,
 
 
 def _received_imu(imu: ImuSeries, valid: np.ndarray) -> ImuSeries:
-    """The receiver's view: the full timeline with the samples that are not
-    valid linearly interpolated."""
-    return ImuSeries(imu.t, *(fill_gaps(imu.t, b, valid)
-                              for b in (imu.acc, imu.gyro, imu.mag)),
+    """The receiver's view: the full timeline with the acc and gyro samples
+    that are not valid linearly interpolated; `mag`, which no stage reads,
+    is carried as recorded."""
+    return ImuSeries(imu.t, fill_gaps(imu.t, imu.acc, valid),
+                     fill_gaps(imu.t, imu.gyro, valid), imu.mag,
                      imu.sample_rate)
 
 

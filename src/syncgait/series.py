@@ -1,7 +1,8 @@
 """Core time-series containers and generic preprocessing.
 
-IMU streams are 9-axis (accelerometer, gyroscope, magnetometer) in the phone
-frame; keypoint streams are columnar 2D joint positions in pixel coordinates
+IMU streams are recorded 9-axis (accelerometer, gyroscope, magnetometer) in
+the phone frame; the magnetometer is carried as recorded and no stage reads
+it. Keypoint streams are columnar 2D joint positions in pixel coordinates
 with per-joint confidences. Series1D is the uniform per-channel carrier used
 by every downstream stage.
 """
@@ -32,7 +33,9 @@ DENOISE_LEVELS = 4   # wavelet levels of wavelet_denoise
 
 @dataclass
 class ImuSeries:
-    """Uniformly sampled 9-axis stream backed by (n,) / (n, 3) arrays."""
+    """Uniformly sampled 9-axis stream backed by (n,) / (n, 3) arrays. `mag`
+    is the recorded-data format's field, carried as recorded: the AHRS is
+    6-axis and no stage reads it."""
 
     t: np.ndarray
     acc: np.ndarray

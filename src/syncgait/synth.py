@@ -27,7 +27,7 @@ WALK_SPEED = 1.2          # m/s, approach speed
 IMU_RATE = 100.0          # Hz, phone IMU sample rate
 FOCAL_PX = 2000.0         # camera focal length, px
 RESOLUTION = (2704, 1520)  # camera image width, height, px
-MAG_WORLD = np.array([22.0, 0.0, -43.0])   # microtesla, mid-latitude field
+MAG_WORLD = np.array([22.0, 0.0, -43.0])   # microtesla; recorded, read by no stage
 GRAVITY_WORLD = np.array([0.0, 0.0, 9.81])
 
 

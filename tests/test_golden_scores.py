@@ -1,9 +1,11 @@
 """Golden outputs: session scores and enrollment models, bit for bit.
 
 The constants were recorded from the pipeline that recomputed every stream
-chain per score. Restructuring how the chains are computed and shared must
-reproduce them exactly: the float.hex() of each score, the session state
-and attempt count, the transcript, and the serialized models.
+chain per score, and the consistency scores, models and transcripts were
+re-captured when the AHRS became 6-axis. Restructuring how the chains are
+computed and shared must reproduce them exactly: the float.hex() of each
+score, the session state and attempt count, the transcript, and the
+serialized models.
 """
 
 import functools
@@ -23,7 +25,7 @@ SUBJECT = SubjectParams(seed=21)
 IMPOSTOR = SubjectParams(cycle_period=1.1, swing_amplitude=0.55, seed=99)
 
 ENROLLMENT_SHA256 = (
-    "a3d0035461180f7cbb63217fd29195d6eab771688febf8aa41f1d51749469593")
+    "14e47ccff9fce3aab78887b08e741a90f4274a084b84fc9c658795791fab4f68")
 
 # name -> (subject, capture seed_offset base, loss rate, session seed,
 #          retransmission rounds or None for the default,
@@ -31,25 +33,25 @@ ENROLLMENT_SHA256 = (
 SESSIONS = {
     "genuine_loss0": (
         SUBJECT, 500, 0.0, 1, None, "accepted", 1,
-        ("0x1.b9ef62be44409p-2", "0x1.b9ef62be44409p-2",
+        ("0x1.b8b359469775ep-2", "0x1.b8b359469775ep-2",
          "0x1.c40d2ad6c85c0p-5"),
-        "5d119abd4da2a9c674e33007c65e289f6697f192adc88b8f9a607fb9f0d27efb"),
+        "4a6e543a436a80fed9c0e5750c599412e02ba67ac45436b02a85a087b1986a81"),
     "genuine_loss03": (
         SUBJECT, 510, 0.3, 2, None, "accepted", 1,
-        ("0x1.baf4b1e1c68dbp-2", "0x1.baf4b1e1c68dbp-2",
+        ("0x1.b9bb58e559306p-2", "0x1.b9bb58e559306p-2",
          "0x1.c9ac1386875f0p-5"),
-        "e27b3f782534b20019f03be10824e8feaac8624e9dc2df807424610f7ab12fb1"),
+        "88fb0825cd11e2600e77c35e250973cd04f42671c67c9ccb70acdf32ab42c7fe"),
     # no retransmission: both receivers hold a view with lost chunks
     "genuine_partial_views": (
         SUBJECT, 520, 0.3, 3, 0, "accepted", 1,
-        ("0x1.b9c2e89b17fd5p-2", "0x1.f9d9e922ed486p-3",
+        ("0x1.b88fe9335c2c4p-2", "0x1.f91a280fcd5b4p-3",
          "0x1.36650d75513d0p-5"),
-        "85c6485563d0c038f0e8d5c7f6be6bef5e036466cf7c504297fc01980b2e05f9"),
+        "d5af9b5e97576bc3c3146f71ab76898c7fbb42aea59ffb90b555d4e2aaa5ec35"),
     "impostor_three_attempts": (
         IMPOSTOR, 530, 0.3, 4, None, "failed", 3,
-        ("0x1.962061e879903p-2", "0x1.962061e879903p-2",
+        ("0x1.95bfafdb55dd8p-2", "0x1.95bfafdb55dd8p-2",
          "-0x1.7c445ac01a910p-1"),
-        "0b83f5053b48b329565da83531909755736026f24fac47be52416167f5a756be"),
+        "50a6c2ac702b7aa4b505a72949437351bc7228c856b942f4629b45785be4d295"),
 }
 
 

@@ -145,7 +145,7 @@ def test_each_stream_makes_one_call_per_column_wise_stage(session,
     spy(gait, "wavelet_denoise")
     spy(pipeline, "adct_smooth")
     imu_chain(imu)
-    assert calls == [("wavelet_denoise", (len(imu), 9))]
+    assert calls == [("wavelet_denoise", (len(imu), 6))]
     calls.clear()
     video_speed_channel(kp)
     # the six arm columns, then the torso scale
