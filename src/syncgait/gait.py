@@ -15,8 +15,7 @@ from scipy.signal import find_peaks
 
 from .errors import CycleTooShort, NoCyclesFound, SeriesTooShort
 from .orientation import GRAVITY, ahrs_stream, rotation_matrices
-from .series import (DENOISE_LEVELS, ImuSeries, Series1D, require_squarable,
-                     wavelet_denoise)
+from .series import ImuSeries, Series1D, require_squarable, wavelet_denoise
 
 CYCLE_LENGTH = 150  # samples; 1.5 s at 100 Hz
 MIN_PERIOD_S = 0.8  # cycle-period bounds
@@ -41,8 +40,6 @@ class GaitCycle:
 def _denoise_imu(imu: ImuSeries) -> ImuSeries:
     """The acc | gyro columns wavelet-denoised in one call; `mag` passes
     through as recorded, since no stage reads it."""
-    if len(imu) < 2 ** DENOISE_LEVELS:
-        return imu
     block = np.hstack([imu.acc, imu.gyro])
     den = wavelet_denoise(Series1D(block, rate=imu.sample_rate)).values
     return ImuSeries(imu.t.copy(), den[:, 0:3], den[:, 3:6], imu.mag,
@@ -62,9 +59,8 @@ class ImuChain:
 
 
 def imu_chain(imu: ImuSeries) -> ImuChain:
-    """Denoise the stream, run the AHRS and rotate it into the world frame."""
-    if len(imu) < 3:
-        raise SeriesTooShort("need >= 3 IMU samples")
+    """Denoise the stream, run the AHRS and rotate it into the world frame;
+    a stream too short to denoise is SeriesTooShort."""
     require_squarable("IMU", imu.acc, imu.gyro)
     denoised = _denoise_imu(imu)
     q = ahrs_stream(denoised)

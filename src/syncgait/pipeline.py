@@ -1,9 +1,11 @@
 """End-to-end composition: raw paired streams -> speed channels -> aligned
 consistency features -> per-user models and signed decision scores.
 
-The video chain is calibrate (adaptive DCT smoothing + cooperative Kalman),
-differentiate the wrist, band-pass. The IMU chain is denoise, orientation,
-gravity removal, velocity integration, gait-band band-pass, magnitude.
+The video chain calibrates one array track of the phone's arm (gap fill,
+adaptive DCT smoothing, cooperative Kalman), differentiates its wrist and
+band-passes. The IMU chain is denoise, orientation, gravity removal,
+velocity integration, gait-band band-pass, magnitude. A stream too short
+for a stage is SeriesTooShort at the first stage that needs the length.
 Every scoring entry point also takes prepared streams (an `ImuChain`, the
 speed channels), so a session computes each chain once and scores all
 three checks from it.
@@ -56,21 +58,22 @@ def _fill_gaps(kp: KeypointSeries, name: str) -> np.ndarray:
     return fill_gaps(kp.t, kp.uv[:, j], kp.conf[:, j] >= MISSING_CONF)
 
 
-def calibrate_keypoints(kp: KeypointSeries) -> KeypointSeries:
-    """Adaptive DCT smoothing of the ARM_CHAIN joint tracks (their six
-    pixel columns in one call), then the cooperative Kalman correction
-    pass (which also bridges low-confidence frames).
+def calibrate_keypoints(kp: KeypointSeries) -> tuple[np.ndarray, np.ndarray]:
+    """The calibrated (n, 3, 2) ARM_CHAIN track and its (n, 3) measured
+    mask, confidence >= MISSING_CONF.
 
-    Only the phone's arm is calibrated, the one the speed channel reads;
-    the sides are independent, so the other arm's joints pass through."""
+    Each joint is interpolated across its missing detections, the six pixel
+    columns are smoothed by adaptive DCT in one call, and the cooperative
+    Kalman pass corrects the chain, bridging the unmeasured frames. Only
+    the phone's arm is calibrated, the one the speed channel reads."""
     require_squarable("keypoint", kp.uv)
-    arm = np.hstack([_fill_gaps(kp, name) for name in ARM_CHAIN])
-    if len(arm) >= 4:
-        arm = adct_smooth(Series1D(arm, rate=kp.frame_rate)).values
-    uv = kp.uv.copy()
-    uv[:, [JOINT_INDEX[name] for name in ARM_CHAIN]] = arm.reshape(
-        len(kp), len(ARM_CHAIN), 2)
-    return mjckf_correct(KeypointSeries(kp.t, uv, kp.conf, kp.frame_rate))
+    cols = [JOINT_INDEX[name] for name in ARM_CHAIN]
+    track, measured = kp.uv[:, cols], kp.conf[:, cols] >= MISSING_CONF
+    arm = np.hstack([fill_gaps(kp.t, track[:, j], measured[:, j])
+                     for j in range(len(cols))])
+    arm = adct_smooth(Series1D(arm, rate=kp.frame_rate)).values
+    return mjckf_correct(arm.reshape(track.shape), measured,
+                         kp.frame_rate), measured
 
 
 def _torso_scale(kp: KeypointSeries) -> np.ndarray:
@@ -82,9 +85,8 @@ def _torso_scale(kp: KeypointSeries) -> np.ndarray:
                      for part in ("shoulder", "hip"))
     torso = shoulder - hip
     scale = np.hypot(torso[:, 0], torso[:, 1])
-    if len(scale) >= 4:
-        scale = adct_smooth(Series1D(scale, rate=kp.frame_rate),
-                            AdctConfig(f_base=0.02, alpha=0.0)).values
+    scale = adct_smooth(Series1D(scale, rate=kp.frame_rate),
+                        AdctConfig(f_base=0.02, alpha=0.0)).values
     return np.maximum(scale, 1e-6)
 
 
@@ -98,8 +100,8 @@ def video_speed_channel(kp: KeypointSeries) -> VideoSpeed:
     fell below the missing-confidence level are marked invalid (bridged,
     not measured).
     """
-    wrist = JOINT_INDEX[ARM_CHAIN[0]]
-    uv = calibrate_keypoints(kp).uv[:, wrist]
+    track, measured = calibrate_keypoints(kp)
+    uv = track[:, 0]
     t = kp.t
     scale = _torso_scale(kp)
     vel = np.column_stack([np.gradient(uv[:, 0], t) / scale,
@@ -108,7 +110,7 @@ def video_speed_channel(kp: KeypointSeries) -> VideoSpeed:
                             _gait_band(kp.frame_rate)).values
     speed = normalize(Series1D(np.hypot(vel[:, 0], vel[:, 1]),
                                t0=float(t[0]), rate=kp.frame_rate))
-    return speed, kp.conf[:, wrist] >= MISSING_CONF
+    return speed, measured[:, 0]
 
 
 def imu_speed_channel(imu: ImuSeries | ImuChain) -> Series1D:

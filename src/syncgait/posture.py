@@ -16,7 +16,7 @@ from scipy.fft import dct, idct
 from scipy.signal import butter, filtfilt
 
 from .errors import InvalidBand, SeriesTooShort
-from .series import JOINT_INDEX, MISSING_CONF, KeypointSeries, Series1D
+from .series import Series1D
 
 GAIT_BAND_LO = 0.3
 GAIT_BAND_HI = 5.0
@@ -257,25 +257,21 @@ def _measured_gains(dt: float) -> tuple[np.ndarray, np.ndarray]:
     return table
 
 
-def mjckf_correct(kp: KeypointSeries) -> KeypointSeries:
-    """Correct the ARM_CHAIN joints with a cooperative Kalman pass.
+def mjckf_correct(track: np.ndarray, measured: np.ndarray,
+                  frame_rate: float) -> np.ndarray:
+    """The (n, 3, 2) ARM_CHAIN pixel track corrected by a cooperative
+    Kalman pass; `measured` (n, 3) marks the detections to update on.
 
-    Low-confidence measurements are skipped (predict-only), bridging
-    occlusions; bridged frames are emitted with confidence = MISSING_CONF.
-    The arms are independent filters; the other joints pass through
-    unchanged.
+    Unmeasured joints are predicted only, bridging occlusions, and the
+    limb-length coupling constrains the frames that miss a joint.
     """
-    n = len(kp)
+    n = len(track)
     if n < 3:
         raise SeriesTooShort("need >= 3 frames")
-    cols = [JOINT_INDEX[name] for name in ARM_CHAIN]
-    track = kp.uv[:, cols]
-    conf = kp.conf[:, cols]
-    ok = conf >= MISSING_CONF
     seg = track[:, 1:] - track[:, :-1]
     # the matmul form equals np.linalg.norm of each segment bit for bit
     limbs = np.sqrt((seg[..., None, :] @ seg[..., :, None])[..., 0, 0])
-    dt = 1.0 / kp.frame_rate
+    dt = 1.0 / frame_rate
     filt = _ChainFilter(track[0], limbs[0], dt)
     rows = np.array([4 * j + k for j in range(filt.nj) for k in range(2)])
     pos = np.empty((n, len(rows)))
@@ -286,7 +282,7 @@ def mjckf_correct(kp: KeypointSeries) -> KeypointSeries:
     # velocity) recursions on Python floats: the same sums as F @ x and
     # K @ (z - H x), whose other terms are exact zeros.
     gains, covs = _measured_gains(dt)
-    gated = ~ok.all(axis=1)
+    gated = ~measured.all(axis=1)
     head = int(gated.argmax()) if gated.any() else n
     if len(gains) == GAIN_TABLE_MAX:   # never settled: the full update past it
         head = min(head, len(gains))
@@ -320,18 +316,14 @@ def mjckf_correct(kp: KeypointSeries) -> KeypointSeries:
     for idx in range(head, n):
         if idx > 0:
             filt.predict()
-        measured = {j: track[idx, j] for j in range(filt.nj) if ok[idx, j]}
-        filt.update_positions(measured)
-        if len(measured) < filt.nj:
+        seen = {j: track[idx, j] for j in range(filt.nj) if measured[idx, j]}
+        filt.update_positions(seen)
+        if len(seen) < filt.nj:
             # limb-length coupling constrains only occluded frames;
             # fully measured frames need no cooperative correction
             filt.update_coupling()
         for j in range(filt.nj - 1):
-            if ok[idx, j] and ok[idx, j + 1]:
+            if measured[idx, j] and measured[idx, j + 1]:
                 filt.refresh_limb(j, limbs[idx, j])
         pos[idx] = filt.x[rows]
-    uv = kp.uv.copy()
-    uv[:, cols] = pos.reshape(n, filt.nj, 2)
-    out_conf = kp.conf.copy()
-    out_conf[:, cols] = np.maximum(conf, MISSING_CONF)
-    return KeypointSeries(kp.t, uv, out_conf, kp.frame_rate)
+    return pos.reshape(track.shape)

@@ -35,7 +35,8 @@ DENOISE_LEVELS = 4   # wavelet levels of wavelet_denoise
 class ImuSeries:
     """Uniformly sampled 9-axis stream backed by (n,) / (n, 3) arrays. `mag`
     is the recorded-data format's field, carried as recorded: the AHRS is
-    6-axis and no stage reads it."""
+    6-axis and no stage reads it, so its shape is checked and its values,
+    which may be non-finite, are not."""
 
     t: np.ndarray
     acc: np.ndarray
@@ -55,8 +56,7 @@ class ImuSeries:
                                    for a in (self.acc, self.gyro, self.mag)):
             raise ValueError("need t of shape (n,) and acc, gyro, mag of "
                              "shape (n, 3)")
-        if not all(np.isfinite(a).all()
-                   for a in (self.t, self.acc, self.gyro, self.mag)):
+        if not all(np.isfinite(a).all() for a in (self.t, self.acc, self.gyro)):
             raise ValueError("IMU samples must be finite")
         if n > 1 and not np.all(np.diff(self.t) > 0):
             raise ValueError("timestamps must be strictly increasing")

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import InvalidDuration
 from .gait import MAX_PERIOD_S, MIN_PERIOD_S, cycle_boundaries
-from .orientation import (EulerAngles, Quaternion, euler_to_quaternion,
-                          rotation_matrices)
+from .orientation import (GRAVITY, EulerAngles, Quaternion,
+                          euler_to_quaternion, rotation_matrices)
 from .series import JOINT_INDEX, REQUIRED_JOINTS, ImuSeries, KeypointSeries
 from .syncing import MIN_SESSION_S
 
@@ -28,7 +28,7 @@ IMU_RATE = 100.0          # Hz, phone IMU sample rate
 FOCAL_PX = 2000.0         # camera focal length, px
 RESOLUTION = (2704, 1520)  # camera image width, height, px
 MAG_WORLD = np.array([22.0, 0.0, -43.0])   # microtesla; recorded, read by no stage
-GRAVITY_WORLD = np.array([0.0, 0.0, 9.81])
+GRAVITY_WORLD = np.array([0.0, 0.0, GRAVITY])
 
 
 @dataclass(frozen=True)

@@ -131,13 +131,15 @@ def test_gait_representation_on_synthetic_subject():
         assert np.min(np.abs(gtb - c.t_start)) < 0.1
 
 
-@pytest.mark.parametrize("field", ["zero", "random"])
+@pytest.mark.parametrize("field", ["zero", "random", "nan"])
 def test_imu_chain_reads_no_field(field):
     # the AHRS is 6-axis and the denoiser takes acc | gyro only, so the
-    # recorded field leaves the chain bit-identical
+    # recorded field leaves the chain bit-identical, a non-finite one too
     imu, _, _ = generate_session(SubjectParams(seed=41), seed_offset=7)
-    mag = (np.zeros_like(imu.mag) if field == "zero"
-           else np.random.default_rng(5).normal(0.0, 50.0, imu.mag.shape))
+    mag = {"zero": np.zeros_like(imu.mag),
+           "random": np.random.default_rng(5).normal(0.0, 50.0, imu.mag.shape),
+           "nan": np.where(np.arange(len(imu))[:, None] == 40, np.nan,
+                           imu.mag)}[field]
     recorded = imu_chain(imu)
     other = imu_chain(ImuSeries(imu.t, imu.acc, imu.gyro, mag,
                                 imu.sample_rate))
@@ -145,3 +147,10 @@ def test_imu_chain_reads_no_field(field):
                       (other.denoised.acc, recorded.denoised.acc),
                       (other.denoised.gyro, recorded.denoised.gyro)):
         assert got.tobytes() == want.tobytes()
+
+
+def test_imu_chain_of_a_stream_too_short_to_denoise_raises():
+    imu = _sine_imu(duration=0.15)
+    assert len(imu) == 15
+    with pytest.raises(SeriesTooShort):
+        imu_chain(imu)

@@ -34,6 +34,21 @@ def test_imu_csv_round_trip(tmp_path, session):
     assert np.allclose(back.mag, imu.mag, rtol=1e-6)
 
 
+def test_imu_csv_with_a_non_finite_field_loads(tmp_path, session):
+    # no stage reads the magnetometer, so a broken field refuses no capture
+    imu, _, _ = session
+    mag = imu.mag.copy()
+    mag[10, 0] = np.nan
+    path = tmp_path / "imu.csv"
+    write_imu_csv(path, ImuSeries(imu.t, imu.acc, imu.gyro, mag,
+                                  imu.sample_rate))
+    assert ",nan," in path.read_text()
+    back = read_imu_csv(path)
+    assert np.isnan(back.mag[10, 0])
+    assert np.isfinite(np.delete(back.mag, 10, axis=0)).all()
+    assert np.allclose(back.acc, imu.acc, rtol=1e-6)
+
+
 def test_keypoint_jsonl_round_trip(tmp_path, session):
     _, kp, _ = session
     path = tmp_path / "kp.jsonl"

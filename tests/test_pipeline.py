@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from syncgait import features, gait, pipeline, posture
-from syncgait.errors import TooFewSamples
+from syncgait.errors import SeriesTooShort, TooFewSamples
 from syncgait.gait import imu_chain
-from syncgait.pipeline import (aligned_speeds, consistency_score,
-                               consistency_vector, enroll, gait_score,
-                               imu_speed_channel, video_speed_channel)
+from syncgait.pipeline import (aligned_speeds, calibrate_keypoints,
+                               consistency_score, consistency_vector, enroll,
+                               gait_score, imu_speed_channel,
+                               video_speed_channel)
+from syncgait.series import JOINT_INDEX, KeypointSeries
 from syncgait.syncing import ClockOffsetEstimate
 from syncgait.synth import (HijackAttack, RelayAttack, SubjectParams,
                             generate_attack, generate_session, make_cohort)
@@ -76,6 +78,27 @@ def test_video_speed_flags_missing_frames(session):
     _, kp, _ = session
     _, valid = video_speed_channel(kp)
     assert valid.all()
+
+
+def test_calibrated_arm_track_and_mask(session):
+    _, kp, _ = session
+    conf = kp.conf.copy()
+    wrist = JOINT_INDEX[posture.ARM_CHAIN[0]]
+    conf[100:110, wrist] = 0.0
+    track, measured = calibrate_keypoints(
+        KeypointSeries(kp.t, kp.uv, conf, kp.frame_rate))
+    assert track.shape == (len(kp), len(posture.ARM_CHAIN), 2)
+    assert measured.shape == (len(kp), len(posture.ARM_CHAIN))
+    assert not measured[100:110, 0].any()
+    assert measured[:, 1:].all() and measured[:100, 0].all()
+    assert np.isfinite(track).all()
+
+
+def test_calibrate_keypoints_of_three_frames_raises(session):
+    _, kp, _ = session
+    with pytest.raises(SeriesTooShort):
+        calibrate_keypoints(KeypointSeries(kp.t[:3], kp.uv[:3], kp.conf[:3],
+                                           kp.frame_rate))
 
 
 def test_consistency_vector_sensible_for_genuine_pair(session):

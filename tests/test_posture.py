@@ -14,8 +14,7 @@ from syncgait.posture import (ARM_CHAIN, GAIN_TABLE_MAX, AdctConfig,
                               SpectralBand, _ChainFilter, _measured_gains,
                               adaptive_bandpass, adct_cutoff, adct_smooth,
                               estimate_band, histogram_entropy, mjckf_correct)
-from syncgait.series import (JOINT_INDEX, MISSING_CONF, REQUIRED_JOINTS,
-                             KeypointSeries, Series1D)
+from syncgait.series import Series1D
 
 
 # --- histogram entropy ---------------------------------------------------------
@@ -191,113 +190,98 @@ def test_adaptive_bandpass_rejects_band_beyond_nyquist():
 
 # --- cooperative Kalman occlusion bridging ----------------------------------------
 
-def _arm_series(n=240, fps=60.0, occlude=(), seed=0):
-    """Synthetic swinging arm chain; selected wrist frames lose confidence."""
-    rng = np.random.default_rng(seed)
+def _arm_track(n=240, fps=60.0, occlude=()):
+    """Synthetic swinging ARM_CHAIN track (n, 3, 2), wrist noisy, and its
+    measured mask with the selected wrist frames unmeasured; plus the true
+    wrist."""
     t = np.arange(n) / fps
     sh = np.stack([400 + 0 * t, 300 + 0 * t], axis=1)
     el = sh + 60 * np.stack([np.sin(2 * np.pi * 0.7 * t) * 0.4 + 0.2,
                              np.cos(2 * np.pi * 0.7 * t) * 0.1 + 0.9], axis=1)
     wr = el + 55 * np.stack([np.sin(2 * np.pi * 0.7 * t) * 0.8 + 0.1,
                              np.cos(2 * np.pi * 0.7 * t) * 0.2 + 0.9], axis=1)
-    noise = rng.normal(0, 0.5, (n, 2, 2))      # frame, side (l, r), axis
-    uv = np.zeros((n, len(REQUIRED_JOINTS), 2))
-    conf = np.zeros((n, len(REQUIRED_JOINTS)))
-    for k, side in enumerate("lr"):
-        for joint, track in (("shoulder", sh), ("elbow", el),
-                             ("wrist", wr + noise[:, k])):
-            uv[:, JOINT_INDEX[f"{joint}_{side}"]] = track
-            conf[:, JOINT_INDEX[f"{joint}_{side}"]] = 1.0
-    conf[sorted(occlude), JOINT_INDEX["wrist_r"]] = 0.05
-    return KeypointSeries(t, uv, conf, frame_rate=fps), wr
+    noise = np.random.default_rng(0).normal(0, 0.5, (n, 2, 2))[:, 1]
+    track = np.stack([wr + noise, el, sh], axis=1)
+    measured = np.ones((n, len(ARM_CHAIN)), dtype=bool)
+    measured[sorted(occlude), 0] = False
+    return track, measured, wr
 
 
-def _wrist_errors(kp, truth, frames):
+def _wrist_errors(track, truth, frames):
     frames = sorted(frames)
-    d = kp.uv[frames, JOINT_INDEX["wrist_r"]] - truth[frames]
+    d = track[frames, 0] - truth[frames]
     return np.hypot(d[:, 0], d[:, 1])
 
 
 def test_mjckf_bridges_occlusion():
     occluded = set(range(100, 112))
-    kp, truth = _arm_series(occlude=occluded)
-    errs = _wrist_errors(mjckf_correct(kp), truth, occluded)
+    track, measured, truth = _arm_track(occlude=occluded)
+    errs = _wrist_errors(mjckf_correct(track, measured, 60.0), truth,
+                         occluded)
     assert max(errs) < 25.0          # bridged, not teleported to (0,0)
     assert np.mean(errs) < 12.0
 
 
-def test_mjckf_marks_bridged_confidence():
-    kp, _ = _arm_series(occlude={50})
-    out = mjckf_correct(kp)
-    assert out.conf[50, JOINT_INDEX["wrist_r"]] == pytest.approx(MISSING_CONF)
-
-
 def test_mjckf_leaves_clean_tracks_close():
-    kp, truth = _arm_series()
-    errs = _wrist_errors(mjckf_correct(kp), truth, range(20, len(truth)))
+    track, measured, truth = _arm_track()
+    errs = _wrist_errors(mjckf_correct(track, measured, 60.0), truth,
+                         range(20, len(truth)))
     assert np.mean(errs) < 3.0
 
 
-def _per_frame_mjckf(kp):
+def _per_frame_mjckf(track, measured, frame_rate):
     """Reference: the full predict/update per frame, no shared gains."""
-    cols = [JOINT_INDEX[name] for name in ARM_CHAIN]
-    track = kp.uv[:, cols]
-    conf = kp.conf[:, cols]
+    nj = len(ARM_CHAIN)
     limb = np.array([np.linalg.norm(track[0, j + 1] - track[0, j])
-                     for j in range(len(cols) - 1)])
-    filt = _ChainFilter(track[0], limb, 1.0 / kp.frame_rate)
-    uv = kp.uv.copy()
-    for idx in range(len(kp)):
+                     for j in range(nj - 1)])
+    filt = _ChainFilter(track[0], limb, 1.0 / frame_rate)
+    out = np.empty_like(track)
+    for idx in range(len(track)):
         if idx > 0:
             filt.predict()
-        measured = {j: track[idx, j] for j in range(filt.nj)
-                    if conf[idx, j] >= MISSING_CONF}
-        filt.update_positions(measured)
-        if len(measured) < filt.nj:
+        seen = {j: track[idx, j] for j in range(nj) if measured[idx, j]}
+        filt.update_positions(seen)
+        if len(seen) < nj:
             filt.update_coupling()
-        for j in range(filt.nj - 1):
-            if j in measured and j + 1 in measured:
+        for j in range(nj - 1):
+            if j in seen and j + 1 in seen:
                 filt.refresh_limb(j, float(np.linalg.norm(
-                    measured[j + 1] - measured[j])))
-        for j in range(filt.nj):
-            uv[idx, cols[j]] = filt.pos(j)
-    return uv
+                    seen[j + 1] - seen[j])))
+        for j in range(nj):
+            out[idx, j] = filt.pos(j)
+    return out
 
 
-def _gate(kp, frames, joints=("wrist_r", "elbow_r", "shoulder_r")):
-    conf = kp.conf.copy()
-    for joint in joints:
-        conf[frames, JOINT_INDEX[joint]] = 0.1
-    return KeypointSeries(kp.t, kp.uv, conf, kp.frame_rate)
+def _gated(frames=slice(0, 0), joints=(0, 1, 2), n=300, fps=60.0):
+    """MJCKF inputs with the given ARM_CHAIN joints (0 wrist, 1 elbow,
+    2 shoulder) unmeasured over the given frames."""
+    track, measured, _ = _arm_track(n, fps)
+    measured[frames, list(joints)] = False
+    return track, measured, fps
 
 
-def _scattered(kp, share=0.3, seed=4):
-    conf = kp.conf.copy()
-    cols = [JOINT_INDEX[name] for name in ARM_CHAIN]
-    drop = np.random.default_rng(seed).random((len(kp), len(cols))) < share
-    conf[:, cols] = np.where(drop, 0.1, conf[:, cols])
-    return KeypointSeries(kp.t, kp.uv, conf, kp.frame_rate)
+def _scattered(share=0.3, seed=4):
+    track, measured, _ = _arm_track(300)
+    drop = np.random.default_rng(seed).random(measured.shape) < share
+    return track, measured & ~drop, 60.0
 
 
 MJCKF_CASES = {
-    "fully_measured": lambda: _arm_series(n=300)[0],
-    "gated_at_frame_0": lambda: _gate(_arm_series(n=300)[0], slice(0, 4)),
-    "wrist_gap_before_fixed_point": lambda: _gate(
-        _arm_series(n=300)[0], slice(30, 60), ("wrist_r",)),
-    "shoulder_gap_at_88": lambda: _gate(
-        _arm_series(n=300)[0], slice(88, 91), ("shoulder_r",)),
-    "whole_arm_gap_after_fixed_point": lambda: _gate(
-        _arm_series(n=300)[0], slice(200, 260)),
-    "scattered_30pct": lambda: _scattered(_arm_series(n=300)[0]),
-    "30_fps": lambda: _arm_series(n=200, fps=30.0)[0],
-    "3_frames": lambda: _arm_series(n=3)[0],
+    "fully_measured": lambda: _gated(),
+    "gated_at_frame_0": lambda: _gated(slice(0, 4)),
+    "wrist_gap_before_fixed_point": lambda: _gated(slice(30, 60), (0,)),
+    "shoulder_gap_at_88": lambda: _gated(slice(88, 91), (2,)),
+    "whole_arm_gap_after_fixed_point": lambda: _gated(slice(200, 260)),
+    "scattered_30pct": lambda: _scattered(),
+    "30_fps": lambda: _gated(n=200, fps=30.0),
+    "3_frames": lambda: _gated(n=3),
 }
 
 
 @pytest.mark.parametrize("case", MJCKF_CASES)
 def test_mjckf_equals_per_frame_filter_bit_for_bit(case):
-    kp = MJCKF_CASES[case]()
-    assert mjckf_correct(kp).uv.tobytes() == _per_frame_mjckf(kp).tobytes()
+    args = MJCKF_CASES[case]()
+    assert mjckf_correct(*args).tobytes() == _per_frame_mjckf(*args).tobytes()
 
 
 @pytest.fixture
@@ -310,9 +294,9 @@ def short_gain_table(monkeypatch):
 
 def test_mjckf_past_an_unsettled_gain_table_runs_the_full_update(
         short_gain_table):
-    kp = _arm_series(n=120)[0]
-    assert len(_measured_gains(1.0 / kp.frame_rate)[0]) == 20
-    assert mjckf_correct(kp).uv.tobytes() == _per_frame_mjckf(kp).tobytes()
+    args = _gated(n=120)
+    assert len(_measured_gains(1.0 / 60.0)[0]) == 20
+    assert mjckf_correct(*args).tobytes() == _per_frame_mjckf(*args).tobytes()
 
 
 @pytest.mark.parametrize("fps", [5.0, 30.0, 60.0, 1000.0])
