@@ -2,7 +2,8 @@
 
 Four time-domain features (Pearson, Spearman, MAE, synchronization-lag
 score) and two frequency-domain features (band-limited coherence mean,
-spectral difference) of each aligned speed pair in a batch.
+spectral difference) of each aligned speed pair in a batch, from one
+segment FFT per side and row-wise correlations over the batch.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import csd, welch
-from scipy.stats import pearsonr, spearmanr
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.signal import get_window
+from scipy.stats import rankdata
 
 from .errors import (DegenerateChannel, DegenerateClass, PairTooShort,
                      SyncGaitError)
@@ -75,40 +77,54 @@ def _pair_error(pair: AlignedPair) -> SyncGaitError | None:
     return None
 
 
-def _spectra(a: np.ndarray, b: np.ndarray) -> list[tuple]:
-    """Per row of the equal-length rows a, b (m, n): Pearson r, the Welch
-    frequencies, coherence and IMU power, and both centred FFT magnitudes.
+def _correlation(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pearson r of each row pair of x, y (m, n), clipped as pearsonr's."""
+    x, y = x - x.mean(axis=1, keepdims=True), y - y.mean(axis=1, keepdims=True)
+    r = (x * y).sum(axis=1) / np.sqrt((x * x).sum(axis=1) * (y * y).sum(axis=1))
+    return np.clip(r, -1.0, 1.0)
 
-    One Welch pass per side, one cross-spectrum, one Pearson call and one
-    FFT per side cover every row. Coherence is scipy's own
-    |Pxy|^2 / Pxx / Pyy, so its power weights come from the same Pxx; a bin
+
+def _spectra(a: np.ndarray, b: np.ndarray) -> list[tuple]:
+    """Per row of the equal-length rows a, b (m, n): Pearson r, Spearman
+    rho, the Welch frequencies, coherence and IMU power, and both centred
+    FFT magnitudes. The Welch spectra come from one FFT per side of the
+    rows' mean-removed, Hann-windowed 2 s segments at half overlap; a bin
     where either side has no Welch power has coherence 0, not 0 / 0."""
-    nper = min(int(2 * COMMON_RATE), a.shape[1])
-    kw = dict(fs=COMMON_RATE, nperseg=nper, noverlap=nper // 2)
-    freqs, pxx = welch(a, **kw)
-    _, pyy = welch(b, **kw)
-    _, pxy = csd(a, b, **kw)
+    nper = int(2 * COMMON_RATE)   # pairs are at least 3 s long
+    win = get_window("hann", nper)
+    win *= np.sqrt(1 / (COMMON_RATE * (win * win).sum()))   # density scale
+
+    def segment_fft(x: np.ndarray) -> np.ndarray:
+        seg = sliding_window_view(x, nper, axis=1)[:, ::nper // 2]
+        return np.fft.rfft((seg - seg.mean(axis=2, keepdims=True)) * win)
+    fa, fb = segment_fft(a), segment_fft(b)
+    pxx = (fa.real ** 2 + fa.imag ** 2).mean(axis=1)
+    pyy = (fb.real ** 2 + fb.imag ** 2).mean(axis=1)
+    pxy = (fa.conj() * fb).mean(axis=1)
+    for p in (pxx, pyy, pxy):   # one-sided: every bin but DC and Nyquist
+        p[:, 1:-1] *= 2
     power = (pxx > 0) & (pyy > 0)
     coh = np.zeros_like(pxx)
     coh[power] = np.abs(pxy[power]) ** 2 / pxx[power] / pyy[power]
-    pcc = pearsonr(a, b, axis=-1)[0]
+    freqs = np.fft.rfftfreq(nper, d=1.0 / COMMON_RATE)
+    pcc = _correlation(a, b)
+    rho = _correlation(rankdata(a, axis=1), rankdata(b, axis=1))
     spec_a = np.abs(np.fft.rfft(a - a.mean(axis=1, keepdims=True)))
     spec_b = np.abs(np.fft.rfft(b - b.mean(axis=1, keepdims=True)))
-    return [(pcc[r], freqs, coh[r], pxx[r], spec_a[r], spec_b[r])
+    return [(pcc[r], rho[r], freqs, coh[r], pxx[r], spec_a[r], spec_b[r])
             for r in range(len(a))]
 
 
-def _features(pair: AlignedPair, pcc: float, freqs_c: np.ndarray,
-              coh: np.ndarray, pxx: np.ndarray, spec_a: np.ndarray,
-              spec_b: np.ndarray) -> FeatureVector:
+def _features(pair: AlignedPair, pcc: float, spearman: float,
+              freqs_c: np.ndarray, coh: np.ndarray, pxx: np.ndarray,
+              spec_a: np.ndarray, spec_b: np.ndarray) -> FeatureVector:
     """One pair's features from its row of _spectra."""
     a, b = pair.imu_speed, pair.video_speed
     band = estimate_band(Series1D(a, rate=COMMON_RATE))
     cb = _band_bins(freqs_c, band)
     # power-weighted so empty bins inside the band cannot dilute the score
     w = pxx[cb]
-    coh_mean = float((coh[cb] * w).sum() / w.sum()) if w.sum() > 0 \
-        else float(np.mean(coh[cb]))
+    coh_mean = float((coh[cb] * w).sum() / w.sum()) if w.sum() > 0 else 0.0
 
     bins = _band_bins(np.fft.rfftfreq(len(a), d=1.0 / COMMON_RATE), band)
     sa, sb = spec_a[bins], spec_b[bins]
@@ -117,7 +133,7 @@ def _features(pair: AlignedPair, pcc: float, freqs_c: np.ndarray,
         raise DegenerateChannel("empty spectrum in gait band")
     spec_diff = float(np.linalg.norm(sa / na - sb / nb))
 
-    return FeatureVector(pcc=float(pcc), spearman=float(spearmanr(a, b)[0]),
+    return FeatureVector(pcc=float(pcc), spearman=float(spearman),
                          mae=float(np.mean(np.abs(a - b))),
                          sync_lag_score=_sync_lag_score(a, b),
                          coherence_mean=coh_mean, spectral_diff=spec_diff)
@@ -127,11 +143,11 @@ def compute_features(pairs: Sequence[AlignedPair]) -> list[FeatureVector]:
     """The 6 consistency features of each aligned speed pair, in order, the
     spectral ones in the band estimated from the pair's IMU channel.
 
-    The pairs of one length are stacked into rows that share one Welch pass
-    per side, one cross-spectrum, one Pearson call and one FFT per side
-    (_spectra); the band, Spearman, sync lag, MAE and band sums are per
-    pair. Each vector is bit for bit what its pair gives alone, and a
-    batch raises the error of its first pair that cannot be scored.
+    The pairs of one length are stacked into rows that share one segment
+    FFT and one whole-row FFT per side and row-wise Pearson and Spearman
+    (_spectra); the band, sync lag, MAE and band sums are per pair. Each
+    vector is bit for bit what its pair gives alone, and a batch raises the
+    error of its first pair that cannot be scored.
     """
     pairs = list(pairs)
     bad = next((i for i, p in enumerate(pairs) if _pair_error(p)),

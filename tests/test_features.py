@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import csd, welch
+from scipy.stats import pearsonr, spearmanr
 
 from syncgait.errors import DegenerateChannel, PairTooShort
-from syncgait.features import (FEATURE_NAMES, FeatureVector, compute_features,
-                               fisher_select)
+from syncgait.features import (FEATURE_NAMES, FeatureVector, _spectra,
+                               compute_features, fisher_select)
 from syncgait.pipeline import _shifted_pairs, _window_pairs
-from syncgait.syncing import AlignedPair
+from syncgait.syncing import COMMON_RATE, AlignedPair
 
 
 def _gait_like(n=400, rate=50.0, f=1.4, seed=0, noise=0.05):
@@ -87,6 +89,29 @@ def test_batch_equals_one_pair_at_a_time_bit_for_bit():
     assert [v.as_array().tobytes() for v in batch] == \
         [v.as_array().tobytes() for v in alone]
     assert compute_features([]) == []
+
+
+@pytest.mark.parametrize("rows", [1, 5])
+@pytest.mark.parametrize("n", [150, 151, 400, 401, 600])
+def test_spectra_match_scipy(n, rows):
+    a = np.array([_gait_like(n, seed=10 + r) for r in range(rows)])
+    b = np.array([_gait_like(n, seed=20 + r, noise=0.3) for r in range(rows)])
+    b[0] = np.round(4 * b[0]) / 4        # quantised: ranks with ties
+    b[1:2] = a[1:2]                      # with 5 rows, an identical pair
+    b[2:3] = 3 * a[2:3]                  # and a scaled copy
+    kw = dict(fs=COMMON_RATE, nperseg=int(2 * COMMON_RATE))
+    freqs, pxx = welch(a, **kw)
+    _, pyy = welch(b, **kw)
+    _, pxy = csd(a, b, **kw)
+    coh = np.abs(pxy) ** 2 / pxx / pyy
+    for r, (pcc, rho, f, c, p, _, _) in enumerate(_spectra(a, b)):
+        np.testing.assert_array_equal(f, freqs)
+        np.testing.assert_allclose(p, pxx[r], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(c, coh[r], rtol=1e-14, atol=0)
+        assert pcc == pytest.approx(pearsonr(a[r], b[r])[0], rel=1e-14)
+        assert rho == pytest.approx(spearmanr(a[r], b[r])[0], rel=1e-14)
+        assert pcc <= 1.0 and rho <= 1.0
+    assert len(np.unique(b[0])) < n
 
 
 def _flat_in_band(n=400):

@@ -2,10 +2,12 @@
 
 The constants were recorded from the pipeline that recomputed every stream
 chain per score, and the consistency scores, models and transcripts were
-re-captured when the AHRS became 6-axis. Restructuring how the chains are
-computed and shared must reproduce them exactly: the float.hex() of each
-score, the session state and attempt count, the transcript, and the
-serialized models.
+re-captured when the AHRS became 6-axis. The enrollment model and the
+consistency scores of two sessions were re-captured when the Welch spectra
+and correlations became numpy row operations (at most 5e-16 relative).
+Restructuring how the chains are computed and shared must reproduce them
+exactly: the float.hex() of each score, the session state and attempt
+count, the transcript, and the serialized models.
 """
 
 import functools
@@ -25,7 +27,7 @@ SUBJECT = SubjectParams(seed=21)
 IMPOSTOR = SubjectParams(cycle_period=1.1, swing_amplitude=0.55, seed=99)
 
 ENROLLMENT_SHA256 = (
-    "14e47ccff9fce3aab78887b08e741a90f4274a084b84fc9c658795791fab4f68")
+    "1fd0caaf6a8beb94a52548908e3ac6c2000c362e1ca7338080b20ae2f5bcd096")
 
 # name -> (subject, capture seed_offset base, loss rate, session seed,
 #          retransmission rounds or None for the default,
@@ -44,12 +46,12 @@ SESSIONS = {
     # no retransmission: both receivers hold a view with lost chunks
     "genuine_partial_views": (
         SUBJECT, 520, 0.3, 3, 0, "accepted", 1,
-        ("0x1.b88fe9335c2c4p-2", "0x1.f91a280fcd5b4p-3",
+        ("0x1.b88fe9335c2c2p-2", "0x1.f91a280fcd5b0p-3",
          "0x1.36650d75513d0p-5"),
         "d5af9b5e97576bc3c3146f71ab76898c7fbb42aea59ffb90b555d4e2aaa5ec35"),
     "impostor_three_attempts": (
         IMPOSTOR, 530, 0.3, 4, None, "failed", 3,
-        ("0x1.95bfafdb55dd8p-2", "0x1.95bfafdb55dd8p-2",
+        ("0x1.95bfafdb55dd6p-2", "0x1.95bfafdb55dd6p-2",
          "-0x1.7c445ac01a910p-1"),
         "50a6c2ac702b7aa4b505a72949437351bc7228c856b942f4629b45785be4d295"),
 }

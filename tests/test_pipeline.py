@@ -1,6 +1,7 @@
 """End-to-end pipeline: speed channels, enrollment, and scoring."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -181,25 +182,25 @@ def test_enroll_designs_each_filter_once_and_batches_the_spectra(
                                  clock_offset=OFFSET,
                                  seed_offset=300 + k)[:2] + (EST,)
                 for k in range(4)]
-    calls = {"butter": [], "welch": [], "csd": []}
+    calls = {"butter": [], "_spectra": [], "compute_features": []}
 
-    def spy(module, name):
+    def spy(module, name, record):
         real = getattr(module, name)
 
         def counted(*args, **kwargs):
-            calls[name].append(tuple(args[1]) if name == "butter"
-                               else np.shape(args[0]))
+            calls[name].append(record(*args))
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
-    spy(posture, "butter")
-    spy(features, "welch")
-    spy(features, "csd")
+    spy(posture, "butter", lambda order, band, *_: tuple(band))
+    spy(features, "_spectra", lambda a, b: a.shape)
+    spy(pipeline, "compute_features",
+        lambda pairs: Counter(len(p.imu_speed) for p in pairs))
     posture._butter_band.cache_clear()
     enroll(sessions, seed=0)
     # one design per (band, rate): the IMU's 100 Hz and the video's 60 fps
     assert len(calls["butter"]) == len(set(calls["butter"])) == 2
-    # one cross-spectrum per pair length, one Welch pass per length and side
-    lengths = [shape[-1] for shape in calls["csd"]]
-    assert len(lengths) == len(set(lengths)) <= 1 + len(sessions)
-    assert sorted(shape[-1] for shape in calls["welch"]) == sorted(2 * lengths)
-    assert calls["welch"][:2] == calls["csd"][:1] * 2
+    # one spectra call per pair length, with a row for each pair of it
+    [pairs_per_length] = calls["compute_features"]
+    rows = {n: m for m, n in calls["_spectra"]}
+    assert len(rows) == len(calls["_spectra"]) > 1
+    assert rows == pairs_per_length
