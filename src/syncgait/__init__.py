@@ -21,9 +21,9 @@ from .orientation import (EulerAngles, Quaternion, ahrs_stream,
 from .pipeline import (Enrollment, aligned_speeds, consistency_score,
                        consistency_vector, enroll, gait_score, gait_vectors,
                        imu_speed_channel, video_speed_channel)
-from .posture import (AdctConfig, SpectralBand, adaptive_bandpass,
-                      adct_cutoff, adct_smooth, estimate_band,
-                      histogram_entropy, mjckf_correct)
+from .posture import (AdctConfig, adaptive_bandpass, adct_cutoff,
+                      adct_smooth, estimate_band, histogram_entropy,
+                      mjckf_correct)
 from .protocol import (ChannelModel, DecisionRecord, SessionConfig,
                        SessionResult, SessionState, attempt_scores,
                        exchange_with_arq, inject_loss, run_session)

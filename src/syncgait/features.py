@@ -3,7 +3,7 @@
 Four time-domain features (Pearson, Spearman, MAE, synchronization-lag
 score) and two frequency-domain features (band-limited coherence mean,
 spectral difference) of each aligned speed pair in a batch, from one
-segment FFT per side and row-wise correlations over the batch.
+segment FFT and one whole-row FFT per side and row-wise correlations.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from scipy.stats import rankdata
 
 from .errors import (DegenerateChannel, DegenerateClass, PairTooShort,
                      SyncGaitError)
-from .posture import SpectralBand, estimate_band
-from .series import Series1D
+from .posture import estimate_band
 from .syncing import COMMON_RATE, MIN_OVERLAP_S, AlignedPair
 
 MAX_LAG_S = 0.5
@@ -60,8 +59,8 @@ def _sync_lag_score(a: np.ndarray, b: np.ndarray) -> float:
     return 1.0 - abs(lag) / max_lag
 
 
-def _band_bins(freqs: np.ndarray, band: SpectralBand) -> np.ndarray:
-    mask = (freqs >= band.f_lo) & (freqs <= band.f_hi)
+def _band_bins(freqs: np.ndarray, band: tuple[float, float]) -> np.ndarray:
+    mask = (freqs >= band[0]) & (freqs <= band[1])
     if not mask.any():
         mask = freqs > 0
     return mask
@@ -120,7 +119,7 @@ def _features(pair: AlignedPair, pcc: float, spearman: float,
               spec_a: np.ndarray, spec_b: np.ndarray) -> FeatureVector:
     """One pair's features from its row of _spectra."""
     a, b = pair.imu_speed, pair.video_speed
-    band = estimate_band(Series1D(a, rate=COMMON_RATE))
+    band = estimate_band(spec_a ** 2, len(a), COMMON_RATE)
     cb = _band_bins(freqs_c, band)
     # power-weighted so empty bins inside the band cannot dilute the score
     w = pxx[cb]
@@ -145,9 +144,9 @@ def compute_features(pairs: Sequence[AlignedPair]) -> list[FeatureVector]:
 
     The pairs of one length are stacked into rows that share one segment
     FFT and one whole-row FFT per side and row-wise Pearson and Spearman
-    (_spectra); the band, sync lag, MAE and band sums are per pair. Each
-    vector is bit for bit what its pair gives alone, and a batch raises the
-    error of its first pair that cannot be scored.
+    (_spectra); the band (from the IMU row's FFT), sync lag, MAE and band
+    sums are per pair. Each vector is bit for bit what its pair gives alone,
+    and a batch raises the error of its first pair that cannot be scored.
     """
     pairs = list(pairs)
     bad = next((i for i, p in enumerate(pairs) if _pair_error(p)),

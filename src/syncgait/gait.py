@@ -4,6 +4,8 @@ Cycles are cut at prominent local minima of the world-frame vertical
 acceleration, then each cycle's phone-frame (a_x, a_y, a_z, ω_x, ω_y, ω_z)
 channels are interpolated to a fixed length. The channels read no attitude,
 so a cycle does not depend on the walking direction's compass heading.
+Cuts are sample indices; the cut instants are their grid times t[0] + i /
+rate, so the chain reads no recorded timestamp after t[0].
 """
 
 from __future__ import annotations
@@ -74,8 +76,8 @@ def as_chain(imu: ImuSeries | ImuChain) -> ImuChain:
     return imu if isinstance(imu, ImuChain) else imu_chain(imu)
 
 
-def _boundaries_from_vertical(vert: Series1D) -> list[float]:
-    """Period-locked extremum comb.
+def _boundaries_from_vertical(v: np.ndarray, rate: float) -> list[int]:
+    """Cut sample indices of the vertical `v`: a period-locked extremum comb.
 
     The cycle length comes from the autocorrelation peak inside the period
     bounds; boundaries are the candidate minima closest to a regular comb of
@@ -84,11 +86,9 @@ def _boundaries_from_vertical(vert: Series1D) -> list[float]:
     cycle (step-versus-stride ambiguity) where a plain spaced peak picker
     flips between them.
     """
-    v = vert.values
     std = v.std()
     if std <= 0:
         raise NoCyclesFound("flat segmentation channel")
-    rate = vert.rate
     x = v - v.mean()
     ac = np.correlate(x, x, "full")[len(x) - 1:]
     lo = max(int(MIN_PERIOD_S * rate), 1)
@@ -127,33 +127,37 @@ def _boundaries_from_vertical(vert: Series1D) -> list[float]:
         depth = float(np.mean(x[picks]))
         if best is None or depth < best[0]:
             best = (depth, picks)
-    return [float(vert.times[i]) for i in best[1]]
+    return best[1]
+
+
+def _cuts(chain: ImuChain) -> tuple[list[int], list[float]]:
+    """The world-frame vertical's cut sample indices and grid instants."""
+    t0, rate = float(chain.denoised.t[0]), chain.denoised.sample_rate
+    duration = (len(chain.denoised) - 1) / rate
+    if duration < 2 * MIN_PERIOD_S:
+        raise SeriesTooShort(f"{duration:.2f} s cannot hold a full cycle")
+    cuts = _boundaries_from_vertical(chain.a_world[:, 2], rate)
+    return cuts, [t0 + i / rate for i in cuts]
 
 
 def cycle_boundaries(imu: ImuSeries | ImuChain) -> list[float]:
     """Candidate cycle-cut instants: prominent vertical-acceleration minima."""
-    chain = as_chain(imu)
-    t, rate = chain.denoised.t, chain.denoised.sample_rate
-    duration = (len(t) - 1) / rate
-    if duration < 2 * MIN_PERIOD_S:
-        raise SeriesTooShort(f"{duration:.2f} s cannot hold a full cycle")
-    return _boundaries_from_vertical(
-        Series1D(chain.a_world[:, 2], t0=float(t[0]), rate=rate))
+    return _cuts(as_chain(imu))[1]
 
 
-def segment_cycles(imu: ImuSeries | ImuChain) -> list[tuple[float, float]]:
-    """Cycle boundaries from vertical-acceleration minima."""
-    return _cycles_from_boundaries(cycle_boundaries(imu))
-
-
-def _cycles_from_boundaries(times: list[float]) -> list[tuple[float, float]]:
-    cycles = []
-    for a, b in zip(times, times[1:]):
-        if MIN_PERIOD_S <= b - a <= MAX_PERIOD_S:
-            cycles.append((a, b))
+def _cycles(chain: ImuChain) -> list[tuple[int, int, float, float]]:
+    """(i, j, t_i, t_j) of consecutive cuts i, j within the period bounds."""
+    cuts, times = _cuts(chain)
+    cycles = [c for c in zip(cuts, cuts[1:], times, times[1:])
+              if MIN_PERIOD_S <= c[3] - c[2] <= MAX_PERIOD_S]
     if not cycles:
         raise NoCyclesFound("no extrema spaced within the period bounds")
     return cycles
+
+
+def segment_cycles(imu: ImuSeries | ImuChain) -> list[tuple[float, float]]:
+    """Cycle (start, end) instants between vertical-acceleration minima."""
+    return [(a, b) for _, _, a, b in _cycles(as_chain(imu))]
 
 
 def normalize_cycle(raw: np.ndarray, t_start: float = 0.0,
@@ -170,18 +174,16 @@ def normalize_cycle(raw: np.ndarray, t_start: float = 0.0,
 
 def gait_representation(imu: ImuSeries | ImuChain) -> list[GaitCycle]:
     """Full IMU gait pipeline: denoise, segment on the world-frame vertical,
-    normalize the phone-frame acceleration and angular rate of each cycle."""
+    normalize the phone-frame acceleration and angular rate of each cycle,
+    sliced from cut to cut sample, both included."""
     chain = as_chain(imu)
     denoised = chain.denoised
     if len(denoised) < 2 * denoised.sample_rate:
         raise SeriesTooShort("need >= 2 s of data")
-    out = []
-    for t_start, t_end in segment_cycles(chain):
-        i0 = int(np.searchsorted(denoised.t, t_start))
-        i1 = int(np.searchsorted(denoised.t, t_end)) + 1
-        raw = np.vstack([denoised.acc[i0:i1].T, denoised.gyro[i0:i1].T])
-        out.append(normalize_cycle(raw, t_start, t_end))
-    return out
+    acc, gyro = denoised.acc, denoised.gyro
+    return [normalize_cycle(np.vstack([acc[i:j + 1].T, gyro[i:j + 1].T]),
+                            t_start, t_end)
+            for i, j, t_start, t_end in _cycles(chain)]
 
 
 CYCLE_FEATURE_COUNT = 30  # 6 channels x 5 statistics

@@ -30,8 +30,7 @@ from .features import (FeatureVector, FisherReport, compute_features,
 from .gait import (ImuChain, as_chain, cycle_feature_vector,
                    gait_representation, imu_chain)
 from .orientation import integrate_velocity
-from .posture import (ARM_CHAIN, GAIT_BAND_HI, GAIT_BAND_LO, AdctConfig,
-                      SpectralBand, adaptive_bandpass, adct_smooth,
+from .posture import (ARM_CHAIN, AdctConfig, adaptive_bandpass, adct_smooth,
                       mjckf_correct)
 from .series import (JOINT_INDEX, MISSING_CONF, ImuSeries, KeypointSeries,
                      Series1D, fill_gaps, normalize, require_squarable)
@@ -47,31 +46,29 @@ ImuInput = ImuSeries | ImuChain | Series1D    # Series1D: imu_speed_channel
 VideoInput = KeypointSeries | VideoSpeed
 
 
-def _gait_band(rate: float) -> SpectralBand:
-    return SpectralBand(GAIT_BAND_LO, min(GAIT_BAND_HI, 0.45 * rate))
-
-
-def _fill_gaps(kp: KeypointSeries, name: str) -> np.ndarray:
-    """One joint's (n, 2) pixel track, interpolated across missing
-    detections before smoothing."""
-    j = JOINT_INDEX[name]
-    return fill_gaps(kp.t, kp.uv[:, j], kp.conf[:, j] >= MISSING_CONF)
+def _joint_tracks(kp: KeypointSeries,
+                  names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The named joints' (n, J, 2) pixel track, each joint interpolated
+    across its missing detections, and their (n, J) measured mask,
+    confidence >= MISSING_CONF."""
+    cols = [JOINT_INDEX[name] for name in names]
+    measured = kp.conf[:, cols] >= MISSING_CONF
+    track = np.stack([fill_gaps(kp.t, kp.uv[:, j], measured[:, k])
+                      for k, j in enumerate(cols)], axis=1)
+    return track, measured
 
 
 def calibrate_keypoints(kp: KeypointSeries) -> tuple[np.ndarray, np.ndarray]:
-    """The calibrated (n, 3, 2) ARM_CHAIN track and its (n, 3) measured
-    mask, confidence >= MISSING_CONF.
+    """The calibrated (n, 3, 2) ARM_CHAIN track and its (n, 3) measured mask.
 
     Each joint is interpolated across its missing detections, the six pixel
     columns are smoothed by adaptive DCT in one call, and the cooperative
     Kalman pass corrects the chain, bridging the unmeasured frames. Only
     the phone's arm is calibrated, the one the speed channel reads."""
     require_squarable("keypoint", kp.uv)
-    cols = [JOINT_INDEX[name] for name in ARM_CHAIN]
-    track, measured = kp.uv[:, cols], kp.conf[:, cols] >= MISSING_CONF
-    arm = np.hstack([fill_gaps(kp.t, track[:, j], measured[:, j])
-                     for j in range(len(cols))])
-    arm = adct_smooth(Series1D(arm, rate=kp.frame_rate)).values
+    track, measured = _joint_tracks(kp, ARM_CHAIN)
+    arm = adct_smooth(Series1D(track.reshape(len(track), -1),
+                               rate=kp.frame_rate)).values
     return mjckf_correct(arm.reshape(track.shape), measured,
                          kp.frame_rate), measured
 
@@ -80,10 +77,10 @@ def _torso_scale(kp: KeypointSeries) -> np.ndarray:
     """Smoothed per-frame torso length in pixels (shoulder midpoint to hip
     midpoint); the apparent-size reference that cancels perspective growth
     as the subject approaches the camera."""
-    shoulder, hip = (0.5 * (_fill_gaps(kp, f"{part}_l")
-                            + _fill_gaps(kp, f"{part}_r"))
-                     for part in ("shoulder", "hip"))
-    torso = shoulder - hip
+    joints, _ = _joint_tracks(kp, ("shoulder_l", "shoulder_r",
+                                   "hip_l", "hip_r"))
+    mid = 0.5 * (joints[:, 0::2] + joints[:, 1::2])   # shoulders, hips
+    torso = mid[:, 0] - mid[:, 1]
     scale = np.hypot(torso[:, 0], torso[:, 1])
     scale = adct_smooth(Series1D(scale, rate=kp.frame_rate),
                         AdctConfig(f_base=0.02, alpha=0.0)).values
@@ -101,15 +98,10 @@ def video_speed_channel(kp: KeypointSeries) -> VideoSpeed:
     not measured).
     """
     track, measured = calibrate_keypoints(kp)
-    uv = track[:, 0]
-    t = kp.t
-    scale = _torso_scale(kp)
-    vel = np.column_stack([np.gradient(uv[:, 0], t) / scale,
-                           np.gradient(uv[:, 1], t) / scale])
-    vel = adaptive_bandpass(Series1D(vel, rate=kp.frame_rate),
-                            _gait_band(kp.frame_rate)).values
+    vel = np.gradient(track[:, 0], kp.t, axis=0) / _torso_scale(kp)[:, None]
+    vel = adaptive_bandpass(Series1D(vel, rate=kp.frame_rate)).values
     speed = normalize(Series1D(np.hypot(vel[:, 0], vel[:, 1]),
-                               t0=float(t[0]), rate=kp.frame_rate))
+                               t0=float(kp.t[0]), rate=kp.frame_rate))
     return speed, measured[:, 0]
 
 
@@ -126,8 +118,7 @@ def imu_speed_channel(imu: ImuSeries | ImuChain) -> Series1D:
     chain = as_chain(imu)
     rate = chain.denoised.sample_rate
     v_world = integrate_velocity(chain.a_world, rate)
-    v_world = adaptive_bandpass(Series1D(v_world, rate=rate),
-                                _gait_band(rate)).values
+    v_world = adaptive_bandpass(Series1D(v_world, rate=rate)).values
     return normalize(Series1D(np.linalg.norm(v_world, axis=1),
                               float(chain.denoised.t[0]), rate))
 

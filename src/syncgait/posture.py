@@ -1,8 +1,9 @@
-"""Video keypoint-trajectory calibration.
+"""Video keypoint-trajectory calibration and the gait band.
 
-Adaptive spectral band estimation, zero-phase Butterworth band-pass,
-entropy-adaptive DCT smoothing, and multi-joint cooperative Kalman
-correction for occlusion bridging.
+The gait band (GAIT_BAND_LO to GAIT_BAND_HI, capped below a low rate's
+Nyquist) and its zero-phase Butterworth band-pass, the energy band of a
+given power spectrum, entropy-adaptive DCT smoothing, and multi-joint
+cooperative Kalman correction for occlusion bridging.
 """
 
 from __future__ import annotations
@@ -30,16 +31,6 @@ PROCESS_NOISE = 2.0        # px^2, velocity random walk per frame
 MEASUREMENT_NOISE = 4.0    # px^2
 COUPLING_NOISE_FACTOR = 4.0
 LIMB_ADAPT_RATE = 0.05     # per-frame weight of a measured limb length
-
-
-@dataclass(frozen=True)
-class SpectralBand:
-    f_lo: float
-    f_hi: float
-
-    def __post_init__(self):
-        if not 0 < self.f_lo < self.f_hi:
-            raise InvalidBand(f"invalid band [{self.f_lo}, {self.f_hi}]")
 
 
 @dataclass(frozen=True)
@@ -89,19 +80,19 @@ def adct_smooth(s: Series1D, cfg: AdctConfig = AdctConfig()) -> Series1D:
     return Series1D(smooth.reshape(s.values.shape), s.t0, s.rate)
 
 
-def estimate_band(s: Series1D) -> SpectralBand:
-    """Smallest contiguous non-DC FFT interval holding >= BAND_ENERGY_FRAC of
-    the spectral energy, clamped to the plausible gait range."""
-    n = len(s)
+def estimate_band(power: np.ndarray, n: int,
+                  rate: float) -> tuple[float, float]:
+    """(f_lo, f_hi): the smallest contiguous non-DC interval of the one-sided
+    power spectrum of an n-sample row at `rate` holding >= BAND_ENERGY_FRAC
+    of its energy, clamped to the gait band."""
     if n < 64:
         raise SeriesTooShort("need >= 64 samples")
-    spectrum = np.abs(np.fft.rfft(s.values - s.values.mean())) ** 2
-    power = spectrum[1:]  # DC excluded
-    freqs = np.fft.rfftfreq(n, d=1.0 / s.rate)[1:]
-    df = s.rate / n
+    power = power[1:]  # DC excluded
+    freqs = np.fft.rfftfreq(n, d=1.0 / rate)[1:]
+    df = rate / n
     total = power.sum()
     if total <= 0:
-        return SpectralBand(GAIT_BAND_LO, GAIT_BAND_HI)
+        return GAIT_BAND_LO, GAIT_BAND_HI
 
     target = BAND_ENERGY_FRAC * float(total)
     # two-pointer scan for the minimal window with enough energy, on Python
@@ -119,33 +110,32 @@ def estimate_band(s: Series1D) -> SpectralBand:
             best = (lo, hi)
     f_lo = max(freqs[best[0]] - df / 2, GAIT_BAND_LO)
     f_hi = min(freqs[best[1]] + df / 2, GAIT_BAND_HI)
-    if f_lo >= f_hi:
-        return SpectralBand(GAIT_BAND_LO, GAIT_BAND_HI)
-    return SpectralBand(f_lo, f_hi)
+    return (f_lo, f_hi) if f_lo < f_hi else (GAIT_BAND_LO, GAIT_BAND_HI)
 
 
 @functools.lru_cache(maxsize=8)
-def _butter_band(band: SpectralBand, rate: float) -> tuple[np.ndarray, ...]:
-    """The BUTTER_ORDER band-pass design (b, a) of one band at one rate;
-    shared by every call: read-only."""
+def _butter_band(rate: float) -> tuple[np.ndarray, ...]:
+    """The BUTTER_ORDER band-pass design (b, a) of the gait band at one
+    rate, GAIT_BAND_LO to min(GAIT_BAND_HI, 0.45 rate); shared by every
+    call: read-only. A rate too low to hold that band is InvalidBand."""
+    f_hi = min(GAIT_BAND_HI, 0.45 * rate)
+    if not GAIT_BAND_LO < f_hi:
+        raise InvalidBand(f"no gait band below {f_hi} Hz at {rate} Hz")
     nyq = rate / 2
-    design = butter(BUTTER_ORDER, [band.f_lo / nyq, band.f_hi / nyq],
+    design = butter(BUTTER_ORDER, [GAIT_BAND_LO / nyq, f_hi / nyq],
                     btype="band")
     for c in design:
         c.flags.writeable = False
     return design
 
 
-def adaptive_bandpass(s: Series1D, band: SpectralBand) -> Series1D:
-    """Zero-phase Butterworth band-pass (forward-backward) along axis 0 of
-    the (n,) or (n, k) values: all columns in one pass, each bit for bit
-    what filtering it alone gives. The filter is designed once per (band,
-    rate). A series no longer than the forward-backward edge padding is
+def adaptive_bandpass(s: Series1D) -> Series1D:
+    """Zero-phase Butterworth gait band-pass (forward-backward) along axis 0
+    of the (n,) or (n, k) values: all columns in one pass, each bit for bit
+    what filtering it alone gives. The filter is designed once per rate. A
+    series no longer than the forward-backward edge padding is
     SeriesTooShort."""
-    nyq = s.rate / 2
-    if not 0 < band.f_lo < band.f_hi < nyq:
-        raise InvalidBand(f"band [{band.f_lo}, {band.f_hi}] vs Nyquist {nyq}")
-    b, a = _butter_band(band, s.rate)
+    b, a = _butter_band(s.rate)
     padlen = 3 * max(len(b), len(a))   # filtfilt's edge padding
     if len(s) <= padlen:
         raise SeriesTooShort(f"need > {padlen} samples")

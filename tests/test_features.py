@@ -91,6 +91,22 @@ def test_batch_equals_one_pair_at_a_time_bit_for_bit():
     assert compute_features([]) == []
 
 
+@pytest.mark.parametrize("m", [1, 4])
+def test_equal_length_pairs_take_four_ffts_in_all(m, monkeypatch):
+    # one segment FFT and one whole-row FFT per side for the whole batch;
+    # the band reads the IMU row's whole-row spectrum, with no FFT of its own
+    calls = []
+    real = np.fft.rfft
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    compute_features([AlignedPair(_gait_like(seed=k), _gait_like(seed=10 + k))
+                      for k in range(m)])
+    assert len(calls) == 4
+
+
 @pytest.mark.parametrize("rows", [1, 5])
 @pytest.mark.parametrize("n", [150, 151, 400, 401, 600])
 def test_spectra_match_scipy(n, rows):

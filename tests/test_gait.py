@@ -7,7 +7,8 @@ from syncgait.errors import CycleTooShort, NoCyclesFound, SeriesTooShort
 from syncgait.gait import (CYCLE_LENGTH, GaitCycle, _boundaries_from_vertical,
                            cycle_feature_vector, gait_representation,
                            imu_chain, normalize_cycle, segment_cycles)
-from syncgait.series import ImuSeries, Series1D
+from syncgait.pipeline import gait_vectors
+from syncgait.series import ImuSeries
 from syncgait.synth import SubjectParams, generate_session
 
 
@@ -61,7 +62,7 @@ def test_segmentation_too_short():
 
 def test_boundaries_flat_channel_raises():
     with pytest.raises(NoCyclesFound):
-        _boundaries_from_vertical(Series1D(np.zeros(1000), rate=100.0))
+        _boundaries_from_vertical(np.zeros(1000), 100.0)
 
 
 def test_normalize_cycle_fixed_length_and_endpoints():
@@ -154,3 +155,17 @@ def test_imu_chain_of_a_stream_too_short_to_denoise_raises():
     assert len(imu) == 15
     with pytest.raises(SeriesTooShort):
         imu_chain(imu)
+
+
+@pytest.mark.parametrize("clock", ["jitter", "drift"])
+def test_gait_rows_read_the_rate_grid_not_the_timestamps(clock):
+    # the chain reads no timestamp after t[0]: jittered or drifting clock
+    # readings of the same samples, from the same t[0], give the same rows
+    imu, _, _ = generate_session(SubjectParams(seed=41), seed_offset=7)
+    k = np.arange(len(imu))
+    jitter = np.random.default_rng(3).uniform(-0.002, 0.002, len(k))
+    t = {"jitter": imu.t + np.where(k > 0, jitter, 0.0),
+         "drift": imu.t[0] + k / 100.5}[clock]
+    assert not np.array_equal(t, imu.t) and t[0] == imu.t[0]
+    other = ImuSeries(t, imu.acc, imu.gyro, imu.mag, imu.sample_rate)
+    assert gait_vectors(other).tobytes() == gait_vectors(imu).tobytes()

@@ -197,7 +197,7 @@ def test_enroll_designs_each_filter_once_and_batches_the_spectra(
         lambda pairs: Counter(len(p.imu_speed) for p in pairs))
     posture._butter_band.cache_clear()
     enroll(sessions, seed=0)
-    # one design per (band, rate): the IMU's 100 Hz and the video's 60 fps
+    # one design per rate: the IMU's 100 Hz and the video's 60 fps
     assert len(calls["butter"]) == len(set(calls["butter"])) == 2
     # one spectra call per pair length, with a row for each pair of it
     [pairs_per_length] = calls["compute_features"]

@@ -1,4 +1,4 @@
-"""Adaptive DCT smoothing, entropy cutoff, band estimation, band-pass
+"""Adaptive DCT smoothing, entropy cutoff, band estimation, gait band-pass
 filtering, and cooperative Kalman occlusion bridging."""
 
 import math
@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from syncgait.errors import InvalidBand, SeriesTooShort
 from syncgait import posture
 from syncgait.posture import (ARM_CHAIN, GAIN_TABLE_MAX, AdctConfig,
-                              SpectralBand, _ChainFilter, _measured_gains,
-                              adaptive_bandpass, adct_cutoff, adct_smooth,
-                              estimate_band, histogram_entropy, mjckf_correct)
+                              _ChainFilter, _measured_gains, adaptive_bandpass,
+                              adct_cutoff, adct_smooth, estimate_band,
+                              histogram_entropy, mjckf_correct)
 from syncgait.series import Series1D
 
 
@@ -116,35 +116,34 @@ def test_adct_smooth_too_short():
         adct_smooth(Series1D(np.zeros(3), rate=100.0))
 
 
-# --- spectral band ---------------------------------------------------------------
+# --- gait band ---------------------------------------------------------------
+
+def _power(x: np.ndarray) -> np.ndarray:
+    """One-sided power spectrum of the centred row, as features._spectra's
+    whole-row FFT squared."""
+    return np.abs(np.fft.rfft(x - x.mean())) ** 2
+
 
 def test_estimate_band_brackets_pure_tone():
     t = np.arange(1024) / 100.0
-    s = Series1D(np.sin(2 * np.pi * 1.7 * t), rate=100.0)
-    band = estimate_band(s)
-    assert band.f_lo <= 1.7 <= band.f_hi
-    assert band.f_hi - band.f_lo < 1.0
+    f_lo, f_hi = estimate_band(_power(np.sin(2 * np.pi * 1.7 * t)), 1024,
+                               100.0)
+    assert f_lo <= 1.7 <= f_hi
+    assert f_hi - f_lo < 1.0
 
 
 def test_estimate_band_clamped_to_gait_range():
     rng = np.random.default_rng(0)
-    s = Series1D(rng.normal(size=1024), rate=100.0)
-    band = estimate_band(s)
-    assert band.f_lo >= 0.3 and band.f_hi <= 5.0
-
-
-def test_spectral_band_validation():
-    with pytest.raises(InvalidBand):
-        SpectralBand(2.0, 1.0)
+    f_lo, f_hi = estimate_band(_power(rng.normal(size=1024)), 1024, 100.0)
+    assert 0.3 <= f_lo < f_hi <= 5.0
 
 
 def test_adaptive_bandpass_passes_inband_rejects_outband():
     t = np.arange(2048) / 100.0
     inband = np.sin(2 * np.pi * 2.0 * t)
     outband = np.sin(2 * np.pi * 20.0 * t)
-    band = SpectralBand(1.0, 4.0)
-    kept = adaptive_bandpass(Series1D(inband, rate=100.0), band).values
-    killed = adaptive_bandpass(Series1D(outband, rate=100.0), band).values
+    kept = adaptive_bandpass(Series1D(inband, rate=100.0)).values
+    killed = adaptive_bandpass(Series1D(outband, rate=100.0)).values
     assert np.std(kept[200:-200]) > 0.9 * np.std(inband)
     assert np.std(killed[200:-200]) < 0.05 * np.std(outband)
 
@@ -152,7 +151,7 @@ def test_adaptive_bandpass_passes_inband_rejects_outband():
 def test_adaptive_bandpass_zero_phase():
     t = np.arange(2048) / 100.0
     x = np.sin(2 * np.pi * 2.0 * t)
-    y = adaptive_bandpass(Series1D(x, rate=100.0), SpectralBand(1.0, 4.0)).values
+    y = adaptive_bandpass(Series1D(x, rate=100.0)).values
     core = slice(300, -300)
     lag = np.argmax(np.correlate(x[core], y[core], "full")) - (len(x[core]) - 1)
     assert lag == 0
@@ -162,30 +161,29 @@ def test_adaptive_bandpass_filters_columns_as_each_alone_bit_for_bit():
     # integrated-velocity-like columns: a random walk per axis
     rng = np.random.default_rng(4)
     v = rng.normal(size=(800, 3)).cumsum(axis=0)
-    band = SpectralBand(0.3, 5.0)
-    together = adaptive_bandpass(Series1D(v, rate=100.0), band).values
+    together = adaptive_bandpass(Series1D(v, rate=100.0)).values
     assert together.shape == v.shape
     for k in range(3):
-        alone = adaptive_bandpass(Series1D(v[:, k], rate=100.0), band).values
+        alone = adaptive_bandpass(Series1D(v[:, k], rate=100.0)).values
         assert together[:, k].tobytes() == alone.tobytes()
 
 
 def test_adaptive_bandpass_designs_each_filter_once():
-    band = SpectralBand(0.7, 3.5)
-    x = Series1D(np.sin(np.arange(300) / 7.0), rate=60.0)
+    # one design per rate
     posture._butter_band.cache_clear()
-    adaptive_bandpass(x, band)
-    adaptive_bandpass(Series1D(np.cos(np.arange(300) / 5.0), rate=60.0), band)
+    adaptive_bandpass(Series1D(np.sin(np.arange(300) / 7.0), rate=60.0))
+    adaptive_bandpass(Series1D(np.cos(np.arange(300) / 5.0), rate=60.0))
     info = posture._butter_band.cache_info()
     assert (info.misses, info.hits) == (1, 1)
-    b, a = posture._butter_band(band, 60.0)
+    b, a = posture._butter_band(60.0)
     assert not b.flags.writeable and not a.flags.writeable
 
 
 def test_adaptive_bandpass_rejects_band_beyond_nyquist():
+    # at 0.5 Hz even the band's 0.3 Hz lower edge lies beyond Nyquist, and
+    # 0.45 * 0.5 Hz below it: the rate holds no gait band
     with pytest.raises(InvalidBand):
-        adaptive_bandpass(Series1D(np.zeros(100), rate=10.0),
-                          SpectralBand(1.0, 6.0))
+        adaptive_bandpass(Series1D(np.zeros(100), rate=0.5))
 
 
 # --- cooperative Kalman occlusion bridging ----------------------------------------

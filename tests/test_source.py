@@ -1,5 +1,5 @@
-"""Source hygiene: every name a module imports is used in that module, and
-every error class is raised somewhere."""
+"""Source hygiene: every name a module imports is used in that module, every
+error class is raised somewhere, and the gait band is decided in one module."""
 
 import ast
 from pathlib import Path
@@ -66,3 +66,28 @@ def test_every_error_class_is_constructed_outside_errors():
                                 for p in SRC.glob("*.py")
                                 if p.name != "errors.py"))
     assert sorted(errors - {"SyncGaitError"} - constructed) == []
+
+
+def _reads_gait_band(source: str) -> bool:
+    """Whether `source` names GAIT_BAND_LO or GAIT_BAND_HI: as a name, an
+    attribute or an import."""
+    band = {"GAIT_BAND_LO", "GAIT_BAND_HI"}
+    for node in ast.walk(ast.parse(source)):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias) else None)
+        if name in band:
+            return True
+    return False
+
+
+def test_gait_band_reader_check_finds_names_attributes_and_imports():
+    assert _reads_gait_band("from .posture import GAIT_BAND_LO as lo\n")
+    assert _reads_gait_band("import m\nf = m.GAIT_BAND_HI\n")
+    assert not _reads_gait_band("GAIT_BAND = 1\n")
+
+
+def test_gait_band_constants_are_read_only_in_posture():
+    readers = [p.name for p in sorted(SRC.glob("*.py"))
+               if _reads_gait_band(p.read_text())]
+    assert readers == ["posture.py"]
