@@ -146,10 +146,12 @@ def cycle_boundaries(imu: ImuSeries | ImuChain) -> list[float]:
 
 
 def _cycles(chain: ImuChain) -> list[tuple[int, int, float, float]]:
-    """(i, j, t_i, t_j) of consecutive cuts i, j within the period bounds."""
+    """(i, j, t_i, t_j) of consecutive cuts i, j whose length (j - i) / rate
+    lies within the period bounds, whatever sample the cycle starts on."""
     cuts, times = _cuts(chain)
+    rate = chain.denoised.sample_rate
     cycles = [c for c in zip(cuts, cuts[1:], times, times[1:])
-              if MIN_PERIOD_S <= c[3] - c[2] <= MAX_PERIOD_S]
+              if MIN_PERIOD_S <= (c[1] - c[0]) / rate <= MAX_PERIOD_S]
     if not cycles:
         raise NoCyclesFound("no extrema spaced within the period bounds")
     return cycles

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from syncgait import gait
 from syncgait.errors import CycleTooShort, NoCyclesFound, SeriesTooShort
 from syncgait.gait import (CYCLE_LENGTH, GaitCycle, _boundaries_from_vertical,
                            cycle_feature_vector, gait_representation,
@@ -63,6 +64,19 @@ def test_segmentation_too_short():
 def test_boundaries_flat_channel_raises():
     with pytest.raises(NoCyclesFound):
         _boundaries_from_vertical(np.zeros(1000), 100.0)
+
+
+@pytest.mark.parametrize("cut", [(2, 82), (165, 415)],
+                         ids=["min_period", "max_period"])
+def test_a_cycle_at_a_period_bound_is_kept_from_any_start(monkeypatch, cut):
+    # 80 and 250 samples at 100 Hz are MIN_PERIOD_S and MAX_PERIOD_S exactly;
+    # from these starts the difference of the cut instants misses the bound
+    chain = imu_chain(_sine_imu())
+    rate = chain.denoised.sample_rate
+    assert rate == 100.0 and chain.denoised.t[0] == 0.0
+    monkeypatch.setattr(gait, "_cuts",
+                        lambda _: (list(cut), [i / rate for i in cut]))
+    assert [c[:2] for c in gait._cycles(chain)] == [cut]
 
 
 def test_normalize_cycle_fixed_length_and_endpoints():
