@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IoFailure, SyncGaitError, TooFewSamples
-from .io import read_imu_csv, read_keypoint_jsonl, write_imu_csv, \
-    write_keypoint_jsonl
+from .io import FORMAT_TAG, read_imu_csv, read_keypoint_csv, write_imu_csv, \
+    write_keypoint_csv
 from .metrics import evaluate as score_evaluate
 from .metrics import roc_points_csv
 from .classify import deserialize_model, serialize_model
@@ -40,6 +40,7 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 
 ATTACK_KINDS = ("relay", "hijack", "mimicry")
+MANIFEST_FORMAT = FORMAT_TAG.lstrip("#")   # the session files' version
 
 
 @dataclass
@@ -170,7 +171,7 @@ def cmd_synth(cfg: ExperimentConfig, out: Path) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
-    manifest = {"format": "gaitsync-v1", "config": cfg.to_dict(),
+    manifest = {"format": MANIFEST_FORMAT, "config": cfg.to_dict(),
                 "config_sha256": cfg.digest(), "imu_rate": IMU_RATE,
                 "subjects": []}
     for si, subject in enumerate(cohort):
@@ -181,10 +182,10 @@ def cmd_synth(cfg: ExperimentConfig, out: Path) -> int:
                                            cfg.clock_offset, seed_offset=k)
             stem = f"subject{si:02d}_session{k:02d}"
             write_imu_csv(out / f"{stem}_imu.csv", imu)
-            write_keypoint_jsonl(out / f"{stem}_keypoints.jsonl", kp)
+            write_keypoint_csv(out / f"{stem}_keypoints.csv", kp)
             entry["sessions"].append({
                 "imu": f"{stem}_imu.csv",
-                "keypoints": f"{stem}_keypoints.jsonl",
+                "keypoints": f"{stem}_keypoints.csv",
                 "clock_offset": gt.clock_offset,
                 "cycle_boundaries": [round(b, 6)
                                      for b in gt.cycle_boundaries],
@@ -208,6 +209,9 @@ def _load_manifest(data_dir: Path) -> dict:
     if not (isinstance(manifest, dict)
             and isinstance(manifest.get("subjects", []), list)):
         raise IoFailure("manifest must be a JSON object with a subjects list")
+    if manifest.get("format") != MANIFEST_FORMAT:
+        raise IoFailure(f"manifest format {manifest.get('format')!r} is not "
+                        f"{MANIFEST_FORMAT!r}")
     return manifest
 
 
@@ -230,7 +234,7 @@ def cmd_enroll(cfg: ExperimentConfig, data_dir: Path, subject: int,
     sessions = []
     for imu_path, kp_path, clock_offset in entries:
         imu = read_imu_csv(imu_path, sample_rate=imu_rate)
-        kp = read_keypoint_jsonl(kp_path, frame_rate=fps)
+        kp = read_keypoint_csv(kp_path, frame_rate=fps)
         sessions.append((imu, kp,
                          ClockOffsetEstimate(clock_offset, 1e-6, 0.005)))
     enrollment = enroll(sessions, seed=cfg.seed)

@@ -49,8 +49,8 @@ class ImuSeries:
         self.acc = np.asarray(self.acc, dtype=float)
         self.gyro = np.asarray(self.gyro, dtype=float)
         self.mag = np.asarray(self.mag, dtype=float)
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        if not 0 < self.sample_rate < math.inf:
+            raise ValueError("sample_rate must be positive and finite")
         n = len(self.t)
         if self.t.ndim != 1 or any(a.shape != (n, 3)
                                    for a in (self.acc, self.gyro, self.mag)):
@@ -58,7 +58,7 @@ class ImuSeries:
                              "shape (n, 3)")
         if not all(np.isfinite(a).all() for a in (self.t, self.acc, self.gyro)):
             raise ValueError("IMU samples must be finite")
-        if n > 1 and not np.all(np.diff(self.t) > 0):
+        if not np.all(self.t[1:] > self.t[:-1]):   # np.diff can overflow
             raise ValueError("timestamps must be strictly increasing")
 
     def __len__(self) -> int:
@@ -83,8 +83,8 @@ class KeypointSeries:
         self.t = np.asarray(self.t, dtype=float)
         self.uv = np.asarray(self.uv, dtype=float)
         self.conf = np.asarray(self.conf, dtype=float)
-        if self.frame_rate <= 0:
-            raise ValueError("frame_rate must be positive")
+        if not 0 < self.frame_rate < math.inf:
+            raise ValueError("frame_rate must be positive and finite")
         n, nj = len(self.t), len(REQUIRED_JOINTS)
         if (self.t.ndim != 1 or self.uv.shape != (n, nj, 2)
                 or self.conf.shape != (n, nj)):
@@ -94,7 +94,7 @@ class KeypointSeries:
             raise ValueError("frame times and joint positions must be finite")
         if not ((self.conf >= 0.0) & (self.conf <= 1.0)).all():
             raise ValueError("joint confidence out of [0,1]")
-        if n > 1 and not np.all(np.diff(self.t) > 0):
+        if not np.all(self.t[1:] > self.t[:-1]):   # np.diff can overflow
             raise ValueError("frame timestamps must be strictly increasing")
 
     def __len__(self) -> int:
@@ -114,8 +114,8 @@ class Series1D:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+        if not 0 < self.rate < math.inf:
+            raise ValueError("rate must be positive and finite")
         if self.values.size and not np.all(np.isfinite(self.values)):
             raise ValueError("values must be finite")
 

@@ -2,6 +2,8 @@
 reproducibility of on-disk artifacts."""
 
 import json
+import math
+import shutil
 
 import numpy as np
 import pytest
@@ -9,9 +11,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from syncgait.classify import fit_ocsvm_fixed, serialize_model
-from syncgait.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, ExperimentConfig,
-                          load_enrollment, main)
+from syncgait.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, MANIFEST_FORMAT,
+                          ExperimentConfig, load_enrollment, main)
 from syncgait.errors import InvalidDuration, IoFailure
+from syncgait.io import FORMAT_TAG
 from syncgait.protocol import SessionConfig
 from syncgait.synth import SubjectParams, generate_session
 from syncgait.syncing import MIN_SESSION_S
@@ -96,6 +99,7 @@ def test_synth_writes_cohort_and_manifest(tmp_path):
     assert main(["synth", "--config", cfg, "--seed", "3",
                  "--out", str(out)]) == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["format"] == MANIFEST_FORMAT == FORMAT_TAG[1:]
     assert len(manifest["subjects"]) == 2
     for entry in manifest["subjects"]:
         assert len(entry["sessions"]) == 2
@@ -210,6 +214,7 @@ _SESSION = st.fixed_dictionaries({}, optional={
     "imu": st.sampled_from(["", "manifest.json", "absent.csv"]) | _ANY_JSON,
     "keypoints": _ANY_JSON, "clock_offset": _ANY_JSON})
 _MANIFEST = st.fixed_dictionaries({}, optional={
+    "format": st.just(MANIFEST_FORMAT) | _ANY_JSON,
     "imu_rate": _ANY_JSON,
     "config": st.fixed_dictionaries({"fps": _ANY_JSON}) | _ANY_JSON,
     "subjects": st.lists(st.fixed_dictionaries(
@@ -225,6 +230,61 @@ def test_any_manifest_bytes_exit_config_or_io(tmp_path, blob):
     (tmp_path / "manifest.json").write_bytes(blob)
     assert main(["enroll", "--data", str(tmp_path), "--subject", "0",
                  "--out", str(tmp_path / "m")]) in (EXIT_CONFIG, EXIT_IO)
+
+
+@pytest.fixture(scope="module")
+def enroll_data(tmp_path_factory):
+    """A synthesized data directory that enrolls subject 0."""
+    root = tmp_path_factory.mktemp("enroll")
+    cfg = _write_config(root, FAST_ENROLL)
+    assert main(["synth", "--config", cfg, "--seed", "5",
+                 "--out", str(root / "data")]) == EXIT_OK
+    return root / "data"
+
+
+def _enroll_edited(tmp_path, data, edit):
+    """Enroll subject 0 from a copy of `data` whose manifest `edit` changed."""
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    manifest = json.loads((copy / "manifest.json").read_text())
+    edit(manifest)
+    (copy / "manifest.json").write_text(json.dumps(manifest))
+    return main(["enroll", "--data", str(copy), "--subject", "0",
+                 "--out", str(tmp_path / "m")])
+
+
+def test_enroll_refuses_a_v1_data_directory(tmp_path, capsys, enroll_data):
+    def to_v1(manifest):
+        manifest["format"] = "gaitsync-v1"
+        for path in (tmp_path / "data").glob("*.csv"):
+            lines = path.read_text().splitlines(keepends=True)
+            path.write_text("".join(["#gaitsync-v1\n", *lines[1:]]))
+    assert _enroll_edited(tmp_path, enroll_data, to_v1) == EXIT_IO
+    assert "'gaitsync-v1'" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("version", ["gaitsync-v9", "", 2, None],
+                         ids=["newer", "empty", "number", "absent"])
+def test_enroll_manifest_of_another_format_is_io_error(tmp_path, capsys,
+                                                       enroll_data, version):
+    def edit(manifest):
+        if version is None:
+            del manifest["format"]
+        else:
+            manifest["format"] = version
+    assert _enroll_edited(tmp_path, enroll_data, edit) == EXIT_IO
+    assert f"format {version!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", ["imu_rate", "fps"])
+def test_enroll_non_finite_rate_is_io_error(tmp_path, enroll_data, field,
+                                            value):
+    def edit(manifest):
+        owner = manifest if field == "imu_rate" else manifest["config"]
+        owner[field] = value
+    assert _enroll_edited(tmp_path, enroll_data, edit) == EXIT_IO
 
 
 def test_enroll_unwritable_output_is_io_error(tmp_path):

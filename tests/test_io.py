@@ -1,16 +1,16 @@
-"""On-disk formats: versioned CSV/JSONL round trips and malformed input."""
-
-import json
+"""On-disk formats: versioned IMU and keypoint CSV round trips and
+malformed input."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from syncgait.errors import IoFailure
-from syncgait.io import (FORMAT_TAG, IMU_COLUMNS, _read_lines, read_imu_csv,
-                         read_keypoint_jsonl, write_imu_csv,
-                         write_keypoint_jsonl)
+from syncgait.io import (FORMAT_TAG, IMU_COLUMNS, KEYPOINT_COLUMNS,
+                         read_imu_csv, read_keypoint_csv, write_imu_csv,
+                         write_keypoint_csv)
 from syncgait.series import (JOINT_INDEX, REQUIRED_JOINTS, ImuSeries,
                              KeypointSeries)
 from syncgait.synth import SubjectParams, generate_session
@@ -66,32 +66,70 @@ def test_imu_csv_rows_are_the_per_value_9g_join(tmp_path, session):
     assert rows[0].split(",")[1] == "-0" and ",nan," in rows[2]
 
 
-def test_keypoint_jsonl_frames_are_json_dumps_per_frame(tmp_path, session):
-    _, kp, _ = session
-    conf = kp.conf[:5].copy()
-    conf[1, JOINT_INDEX["wrist_r"]] = 0.0   # missing joints: confidence 0
-    conf[3, :] = 0.0
-    missing = KeypointSeries(kp.t[:5], kp.uv[:5], conf, kp.frame_rate)
-    path = tmp_path / "kp.jsonl"
-    write_keypoint_jsonl(path, missing)
-    frames = [json.dumps({"t": missing.t[i].item(), "joints": {
-        n: [*missing.uv[i, j].tolist(), missing.conf[i, j].item()]
-        for j, n in enumerate(REQUIRED_JOINTS)}}, sort_keys=True)
-        for i in range(len(missing))]
-    assert path.read_text() == "\n".join([FORMAT_TAG, *frames]) + "\n"
+def test_keypoint_csv_header_names_each_joint_field_in_order():
+    names = KEYPOINT_COLUMNS.split(",")
+    assert names[:4] == ["t", "shoulder_l_u", "shoulder_l_v", "shoulder_l_c"]
+    assert names[1 + 3 * JOINT_INDEX["wrist_r"] + 2] == "wrist_r_c"
+    assert len(names) == 1 + 3 * len(REQUIRED_JOINTS)
 
 
-def test_keypoint_jsonl_round_trip(tmp_path, session):
+def test_keypoint_csv_rows_are_the_per_value_repr_join(tmp_path, session):
     _, kp, _ = session
-    path = tmp_path / "kp.jsonl"
-    write_keypoint_jsonl(path, kp)
-    assert path.read_text().splitlines()[0] == FORMAT_TAG
-    back = read_keypoint_jsonl(path)
+    uv, conf = kp.uv[:5].copy(), kp.conf[:5].copy()
+    conf[1, JOINT_INDEX["wrist_r"]] = 0.0   # undetected joints: confidence 0
+    conf[3, :] = 5e-324
+    uv[2, 0] = [-0.0, 1e308]
+    uv[4, 1] = [-1e308, 2.2250738585072014e-309]
+    edge = KeypointSeries(kp.t[:5], uv, conf, kp.frame_rate)
+    path = tmp_path / "kp.csv"
+    write_keypoint_csv(path, edge)
+    rows = [",".join(repr(float(x)) for x in [
+        edge.t[i], *(v for j in range(len(REQUIRED_JOINTS))
+                     for v in [*edge.uv[i, j], edge.conf[i, j]])])
+        for i in range(len(edge))]
+    text = "\n".join([FORMAT_TAG, KEYPOINT_COLUMNS, *rows]) + "\n"
+    assert path.read_text() == text
+    assert rows[2].split(",")[1:3] == ["-0.0", "1e+308"]
+
+
+def test_keypoint_csv_round_trip(tmp_path, session):
+    _, kp, _ = session
+    path = tmp_path / "kp.csv"
+    write_keypoint_csv(path, kp)
+    assert path.read_text().splitlines()[:2] == [FORMAT_TAG, KEYPOINT_COLUMNS]
+    back = read_keypoint_csv(path)
     assert np.array_equal(back.t, kp.t)
     assert np.array_equal(back.uv, kp.uv)
     assert np.array_equal(back.conf, kp.conf)
-    write_keypoint_jsonl(tmp_path / "again.jsonl", back)
-    assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+    assert all(a.flags.c_contiguous for a in (back.t, back.uv, back.conf))
+    write_keypoint_csv(tmp_path / "again.csv", back)
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+_FINITE = (st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-309, 1e308,
+                            -1e308])
+           | st.floats(allow_nan=False, allow_infinity=False))
+_UNIT = st.sampled_from([-0.0, 5e-324, 1.0]) | st.floats(0.0, 1.0)
+_KEYPOINT_ARRAYS = st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(_FINITE, min_size=n, max_size=n, unique=True).map(sorted),
+    arrays(float, (n, len(REQUIRED_JOINTS), 2), elements=_FINITE),
+    arrays(float, (n, len(REQUIRED_JOINTS)), elements=_UNIT)))
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+@given(_KEYPOINT_ARRAYS)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_finite_keypoints_round_trip_bit_exact(tmp_path, columns):
+    kp = KeypointSeries(*columns)
+    path = tmp_path / "kp.csv"
+    write_keypoint_csv(path, kp)
+    back = read_keypoint_csv(path)
+    for name in ("t", "uv", "conf"):
+        assert _bits(getattr(back, name)) == _bits(getattr(kp, name))
 
 
 def test_missing_header_rejected(tmp_path):
@@ -100,7 +138,7 @@ def test_missing_header_rejected(tmp_path):
     with pytest.raises(IoFailure):
         read_imu_csv(bad)
     with pytest.raises(IoFailure):
-        read_keypoint_jsonl(bad)
+        read_keypoint_csv(bad)
 
 
 @pytest.mark.parametrize("body", [
@@ -145,41 +183,67 @@ def test_missing_file_raises_io_failure(tmp_path):
                                        duration=4.0)[0])
 
 
-def _frame(t=0.0, **joints):
-    return json.dumps({"t": t, "joints": joints or {"wrist_r": [1, 2, 0.5]}})
+def _keypoint_row(t=0.0, **fields):
+    """A valid row at time t, with some `<joint>_<u|v|c>` fields replaced."""
+    values = dict.fromkeys(KEYPOINT_COLUMNS.split(",")[1:], "0.5")
+    values.update(fields)
+    return ",".join([str(t), *values.values()]) + "\n"
 
 
-@pytest.mark.parametrize("body", [
-    "",
-    "{not json\n",
-    json.dumps({"t": 0.0}) + "\n",
-    json.dumps({"joints": {}}) + "\n",
-    _frame(wrist_r=[1.0, 2.0]) + "\n",
-    _frame(wrist_r=[1.0, "x", 0.5]) + "\n",
-    _frame(wrist_r=[float("nan"), 2.0, 0.5]) + "\n",
-    _frame(wrist_r=[1.0, 2.0, 1.5]) + "\n",
-    _frame(spine=[1.0, 2.0, 0.5]) + "\n",
-    _frame(0.1) + "\n" + _frame(0.1) + "\n",
-    "[1, 2, 3]\n",
-    "[" * 100000 + "\n",
-], ids=["no_frames", "bad_json", "no_joints", "no_t", "two_element_joint",
-        "non_numeric", "nan_coordinate", "bad_confidence", "unknown_joint",
-        "repeated_time", "not_an_object", "deep_nesting"])
-def test_malformed_keypoint_frames_raise_io_failure(tmp_path, body):
-    path = tmp_path / "kp.jsonl"
-    path.write_text(f"{FORMAT_TAG}\n{body}")
-    with pytest.raises(IoFailure):
-        read_keypoint_jsonl(path)
+_KEYPOINT_HEAD = f"{FORMAT_TAG}\n{KEYPOINT_COLUMNS}\n"
 
 
-# --- the readers load what the per-value reference readers load -------------
+_V1_FRAME = '{"joints": {"wrist_r": [1.0, 2.0, 0.5]}, "t": 0.0}\n'
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(f"#gaitsync-v1\n{KEYPOINT_COLUMNS}\n{_keypoint_row()}",
+                 id="wrong_tag"),
+    pytest.param(FORMAT_TAG + "\n" + KEYPOINT_COLUMNS.replace(
+        "wrist_r_u,wrist_r_v", "wrist_r_v,wrist_r_u") + "\n" + _keypoint_row(),
+                 id="wrong_header"),
+    pytest.param(FORMAT_TAG + "\n" + KEYPOINT_COLUMNS.replace(
+        "wrist_r", "spine") + "\n" + _keypoint_row(), id="unknown_joint"),
+    pytest.param(FORMAT_TAG + "\n" + KEYPOINT_COLUMNS[len("t,"):] + "\n"
+                 + _keypoint_row().split(",", 1)[1], id="no_t"),
+    pytest.param(_KEYPOINT_HEAD + _keypoint_row()[:-1] + ",0.5\n",
+                 id="wrong_width"),
+    pytest.param(_KEYPOINT_HEAD + _keypoint_row()[:-len(",0.5\n")] + "\n",
+                 id="two_element_joint"),
+    pytest.param(_KEYPOINT_HEAD + "0.0\n", id="no_joints"),
+    pytest.param(_KEYPOINT_HEAD + _keypoint_row(wrist_r_u="x"),
+                 id="non_numeric"),
+    pytest.param(_KEYPOINT_HEAD + _keypoint_row(wrist_r_u="nan"),
+                 id="nan_coordinate"),
+    pytest.param(_KEYPOINT_HEAD + _keypoint_row(wrist_r_c="1.5"),
+                 id="bad_confidence"),
+    pytest.param(_KEYPOINT_HEAD + _keypoint_row(0.1) + _keypoint_row(0.1),
+                 id="repeated_time"),
+    pytest.param(_KEYPOINT_HEAD + "\n \n", id="no_frames"),
+    pytest.param(_KEYPOINT_HEAD + _V1_FRAME, id="bad_json"),
+    pytest.param(_KEYPOINT_HEAD + "[1, 2, 3]\n", id="not_an_object"),
+    pytest.param(_KEYPOINT_HEAD + "[" * 100000 + "\n", id="deep_nesting"),
+])
+def test_malformed_keypoint_frames_raise_io_failure(tmp_path, text):
+    path = tmp_path / "kp.csv"
+    path.write_text(text)
+    with pytest.raises(IoFailure) as exc:
+        read_keypoint_csv(path)
+    assert str(path) in str(exc.value)
+    path.write_text(_KEYPOINT_HEAD + _keypoint_row())
+    assert len(read_keypoint_csv(path)) == 1
+
+
+# --- the IMU reader loads what the per-value reference reader loads ----------
 
 def _reference_read_imu_csv(path, sample_rate=100.0):
     """Reference: the reader that parsed each field with its own float()."""
-    lines = _read_lines(path)
-    if not lines or lines[0].strip() != IMU_COLUMNS:
+    lines = path.read_text().splitlines()
+    if not lines or lines[0].strip() != FORMAT_TAG:
+        raise IoFailure(f"missing {FORMAT_TAG} header in {path}")
+    if len(lines) < 2 or lines[1].strip() != IMU_COLUMNS:
         raise IoFailure(f"missing {IMU_COLUMNS} header in {path}")
-    rows = [ln.split(",") for ln in lines[1:] if ln.strip()]
+    rows = [ln.split(",") for ln in lines[2:] if ln.strip()]
     if not rows:
         raise IoFailure(f"no samples in {path}")
     width = len(IMU_COLUMNS.split(","))
@@ -191,35 +255,6 @@ def _reference_read_imu_csv(path, sample_rate=100.0):
                          mag=data[:, 7:10], sample_rate=sample_rate)
     except ValueError as exc:
         raise IoFailure(f"bad samples in {path}: {exc}") from exc
-
-
-def _reference_read_keypoint_jsonl(path, frame_rate=60.0):
-    """Reference: the reader that built per-joint tuples and nested lists."""
-    t, uv, conf = [], [], []
-    for k, ln in enumerate(_read_lines(path)):
-        if not ln.strip():
-            continue
-        frame_uv = [(0.0, 0.0)] * len(REQUIRED_JOINTS)
-        frame_conf = [0.0] * len(REQUIRED_JOINTS)
-        try:
-            rec = json.loads(ln)
-            for name, (u, v, c) in rec["joints"].items():
-                frame_uv[JOINT_INDEX[name]] = (float(u), float(v))
-                frame_conf[JOINT_INDEX[name]] = float(c)
-            t.append(float(rec["t"]))
-        except (ValueError, TypeError, KeyError, AttributeError,
-                OverflowError, RecursionError) as exc:
-            raise IoFailure(f"bad frame on line {k + 2} of {path}: "
-                            f"{exc!r}") from exc
-        uv.append(frame_uv)
-        conf.append(frame_conf)
-    if not t:
-        raise IoFailure(f"no frames in {path}")
-    try:
-        return KeypointSeries(np.array(t), np.array(uv), np.array(conf),
-                              frame_rate=frame_rate)
-    except ValueError as exc:
-        raise IoFailure(f"bad frames in {path}: {exc}") from exc
 
 
 def _read_or_none(read, path):
@@ -235,46 +270,33 @@ def _assert_reads_as_reference(read, reference, path, fields):
     got, want = _read_or_none(read, path), _read_or_none(reference, path)
     assert (got is None) == (want is None)
     for name in fields if got is not None else ():
-        a, b = getattr(got, name), getattr(want, name)
-        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape,
-                                                   b.tobytes())
+        assert _bits(getattr(got, name)) == _bits(getattr(want, name))
     return got
 
 
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)))
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
-        st.sampled_from(["t", "joints", "wrist_r", "spine"]) | _TEXT,
-        inner, max_size=4),
-    max_leaves=12)
-_COORD = st.floats(-1e3, 1e3) | st.integers(-1000, 1000)
-_CONF = st.floats(0.0, 1.0)
-_JOINT = st.tuples(_COORD | _COORD.map(str), _COORD | _COORD.map(str),
-                   _CONF | _CONF.map(str)).map(list)
-# frames at increasing times whose joints are missing, reordered or strings
-_FRAME_FILES = st.lists(
-    st.permutations(REQUIRED_JOINTS).flatmap(
-        lambda names: st.lists(_JOINT, max_size=len(names)).map(
-            lambda values: dict(zip(names, values)))),
-    min_size=1, max_size=6).map(
-    lambda frames: [json.dumps({"joints": joints, "t": k / 60})
-                    for k, joints in enumerate(frames)])
+_KEYPOINT_FIELD = (_FINITE.map(repr) | st.floats().map(repr)
+                   | st.integers().map(str) | st.text(max_size=4))
+# rows at increasing times, some of whose fields are off or missing
+_KEYPOINT_FILES = st.lists(
+    st.lists(_UNIT.map(repr) | _KEYPOINT_FIELD, min_size=35, max_size=37),
+    min_size=1, max_size=4).map(
+    lambda rows: [",".join([str(k / 60), *row]) for k, row in enumerate(rows)])
 
 
-@given(st.lists(_TEXT | _JSON.map(json.dumps) | st.floats().map(_frame),
-                max_size=4) | _FRAME_FILES)
+@given(st.lists(_TEXT | st.lists(_KEYPOINT_FIELD, max_size=38).map(",".join),
+                max_size=4) | _KEYPOINT_FILES)
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_any_keypoint_text_reads_or_raises_io_failure(tmp_path, lines):
-    path = tmp_path / "kp.jsonl"
-    path.write_text("\n".join([FORMAT_TAG, *lines]), encoding="utf-8")
-    kp = _assert_reads_as_reference(read_keypoint_jsonl,
-                                    _reference_read_keypoint_jsonl, path,
-                                    ("t", "uv", "conf"))
+    path = tmp_path / "kp.csv"
+    path.write_text("\n".join([FORMAT_TAG, KEYPOINT_COLUMNS, *lines]),
+                    encoding="utf-8")
+    kp = _read_or_none(read_keypoint_csv, path)
     if kp is not None:
         assert isinstance(kp, KeypointSeries) and len(kp) >= 1
-        assert kp.uv.flags.c_contiguous and kp.conf.flags.c_contiguous
+        assert np.isfinite(kp.uv).all() and (kp.conf <= 1.0).all()
+        assert all(a.flags.c_contiguous for a in (kp.t, kp.uv, kp.conf))
 
 
 _FIELD = st.floats().map(repr) | st.integers().map(str) | st.text(max_size=4)

@@ -1,14 +1,12 @@
 """Series containers, db2 wavelet transform, normalization."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syncgait.errors import DegenerateSeries, SeriesTooShort
-from syncgait.io import FORMAT_TAG, read_keypoint_jsonl
+from syncgait.io import FORMAT_TAG, KEYPOINT_COLUMNS, read_keypoint_csv
 from syncgait.series import (DENOISE_LEVELS, JOINT_INDEX, REQUIRED_JOINTS,
                              ImuSeries, KeypointSeries, Series1D, fill_gaps, normalize,
                              wavelet_decompose, wavelet_denoise,
@@ -58,11 +56,13 @@ def _keypoints(t, conf=None):
 
 
 def test_keypoint_frame_fills_required_joints(tmp_path):
-    # the reader gives a joint a frame does not list confidence 0
-    path = tmp_path / "kp.jsonl"
-    rec = {"t": 0.0, "joints": {"wrist_r": [1.0, 2.0, 0.9]}}
-    path.write_text(f"{FORMAT_TAG}\n{json.dumps(rec)}\n")
-    kp = read_keypoint_jsonl(path)
+    # each joint's u, v and confidence columns land in its JOINT_INDEX slot
+    path = tmp_path / "kp.csv"
+    values = {f"{n}_{f}": 0.0 for n in REQUIRED_JOINTS for f in "uvc"}
+    values.update(wrist_r_u=1.0, wrist_r_v=2.0, wrist_r_c=0.9)
+    row = ",".join(map(str, [0.0, *values.values()]))
+    path.write_text(f"{FORMAT_TAG}\n{KEYPOINT_COLUMNS}\n{row}\n")
+    kp = read_keypoint_csv(path)
     for name, expected in (("ankle_l", [0.0, 0.0, 0.0]),
                            ("wrist_r", [1.0, 2.0, 0.9])):
         j = JOINT_INDEX[name]
@@ -75,6 +75,24 @@ def test_keypoint_frame_rejects_bad_confidence():
         conf[1, JOINT_INDEX["wrist_r"]] = bad
         with pytest.raises(ValueError):
             _keypoints([0.0, 0.1, 0.2], conf)
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, np.nan, np.inf])
+def test_series_rates_must_be_positive_and_finite(rate):
+    t, zeros = np.arange(3) / 100.0, np.zeros((3, 3))
+    with pytest.raises(ValueError):
+        ImuSeries(t, zeros, zeros, zeros, sample_rate=rate)
+    with pytest.raises(ValueError):
+        KeypointSeries(t, np.zeros((3, NJ, 2)), np.ones((3, NJ)),
+                       frame_rate=rate)
+    with pytest.raises(ValueError):
+        Series1D(np.zeros(3), rate=rate)
+
+
+def test_series_times_may_span_more_than_the_largest_float():
+    t, zeros = np.array([-1e308, 1e308]), np.zeros((2, 3))
+    assert len(ImuSeries(t, zeros, zeros, zeros)) == 2
+    assert len(KeypointSeries(t, np.zeros((2, NJ, 2)), np.ones((2, NJ)))) == 2
 
 
 def test_keypoint_series_rejects_non_monotone():

@@ -1,12 +1,16 @@
 """Source hygiene: every name a module imports is used in that module, every
-error class is raised somewhere, and the gait band is decided in one module."""
+error class is raised somewhere, the gait band is decided in one module, and
+every function the traced benchmark wraps exists."""
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "syncgait"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "syncgait"
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -91,3 +95,20 @@ def test_gait_band_constants_are_read_only_in_posture():
     readers = [p.name for p in sorted(SRC.glob("*.py"))
                if _reads_gait_band(p.read_text())]
     assert readers == ["posture.py"]
+
+
+def test_every_traced_benchmark_target_resolves(monkeypatch):
+    # a renamed or deleted target would break only the traced benchmark run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    modules = tracer.package_modules()
+    unresolved = []
+    for target in tracer.TARGETS:
+        try:
+            tracer._resolve(modules, target)
+        except (AttributeError, KeyError):
+            unresolved.append(target)
+    assert unresolved == []
