@@ -78,9 +78,7 @@ def _solve_ocsvm_dual(k: np.ndarray, nu: float) -> np.ndarray:
     KKT gap of KKT_TOL or MAX_ITER steps."""
     n = len(k)
     c = 1.0 / (nu * n)
-    alpha = np.full(n, 1.0 / n)
-    if alpha[0] > c:  # infeasible start cannot happen for nu <= 1, guard anyway
-        alpha = np.full(n, min(c, 1.0 / n))
+    alpha = np.full(n, 1.0 / n)   # feasible, since nu <= 1 gives c >= 1/n
     for _ in range(MAX_ITER):
         grad = k @ alpha
         up_mask = alpha < c - 1e-15
@@ -100,7 +98,10 @@ def _solve_ocsvm_dual(k: np.ndarray, nu: float) -> np.ndarray:
 
 def fit_ocsvm_fixed(x: np.ndarray, nu: float, gamma: float,
                     scaler: Scaler | None = None) -> OcSvmModel:
-    """Train one OC-SVM at fixed hyperparameters on raw feature rows."""
+    """Train one OC-SVM at fixed hyperparameters on raw feature rows;
+    nu, the bound on the outlier fraction, must lie in (0, 1]."""
+    if not 0 < nu <= 1:
+        raise ValueError(f"nu must lie in (0, 1], got {nu}")
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if scaler is None:
         scaler = Scaler.fit(x)

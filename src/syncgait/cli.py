@@ -3,8 +3,11 @@
 `synth` writes a deterministic synthetic cohort to disk, `enroll` trains the
 two per-user models from recorded sessions, and `evaluate` runs a full
 genuine-plus-attack experiment through the session protocol and writes a
-metrics report with ROC curves. Exit codes: 0 success, 2 configuration
-error, 3 I/O error.
+metrics report with ROC curves. A config's `scenarios` list makes one
+`evaluate` a sweep: each entry overrides `loss_rate`, `attacks` or
+`fidelity` (knobs enrollment does not read), its trials run against the
+one enrollment of the base config, and the report gains one entry per
+scenario. Exit codes: 0 success, 2 configuration error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 
 ATTACK_KINDS = ("relay", "hijack", "mimicry")
+SCENARIO_KEYS = ("loss_rate", "attacks", "fidelity")
 MANIFEST_FORMAT = FORMAT_TAG.lstrip("#")   # the session files' version
 
 
@@ -48,9 +52,10 @@ class ExperimentConfig:
     """Resolved knobs for one experiment; file values then flag overrides.
 
     Construction also builds the session settings each trial runs with
-    (`session`) and the camera the sessions are synthesized through
-    (`camera`); their own checks reject a bad duration, loss rate or
-    camera."""
+    (`session`), the camera the sessions are synthesized through
+    (`camera`) and one resolved config per scenario (`scenario_configs`);
+    their own checks reject a bad duration, loss rate, camera or scenario
+    value."""
 
     cohort_size: int = 5
     sessions_per_subject: int = 1     # synth output sessions
@@ -67,6 +72,7 @@ class ExperimentConfig:
     hover_height: float = 4.0
     angle: float = 0.0
     seed: int = 0
+    scenarios: tuple[dict, ...] = ()  # evaluate: overrides of SCENARIO_KEYS
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
@@ -85,6 +91,14 @@ class ExperimentConfig:
         for a in self.attacks:
             if a not in ATTACK_KINDS:
                 raise ValueError(f"unknown attack kind {a!r}")
+        self.scenarios = tuple(self.scenarios)
+        for entry in self.scenarios:
+            unknown = set(entry) - set(SCENARIO_KEYS)
+            if unknown:
+                raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
+        self.scenario_configs = tuple(
+            dataclasses.replace(self, scenarios=(), **entry)
+            for entry in self.scenarios)
         self.session = SessionConfig(
             max_attempts=1, sample_duration=self.duration,
             channel=ChannelModel(loss_rate=self.loss_rate),
@@ -115,6 +129,8 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
         d["attacks"] = list(self.attacks)
+        if not self.scenarios:   # the digest of a plain config stays put
+            del d["scenarios"]
         return d
 
     def digest(self) -> str:
@@ -122,21 +138,23 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()
 
 
-_TYPE_NAMES = {"int": "an integer", "float": "a finite number"}
+_TYPE_NAMES = {"int": "an integer", "float": "a finite number",
+               "tuple[dict, ...]": "a list of objects"}
 
 
 def _has_type(value, name: str) -> bool:
     """Whether a config value has its field's JSON type, without coercion:
     an int is not a bool, a float is finite and may be an int, attacks are
-    strings."""
+    strings, scenarios are objects."""
     if isinstance(value, bool):
         return False
     if name == "int":
         return isinstance(value, int)
     if name == "float":   # abs() < inf: finite, and exact for big ints
         return isinstance(value, (int, float)) and abs(value) < math.inf
+    item = dict if name == "tuple[dict, ...]" else str
     return (isinstance(value, (list, tuple))
-            and all(isinstance(a, str) for a in value))
+            and all(isinstance(a, item) for a in value))
 
 
 def _json_ready(obj):
@@ -332,6 +350,27 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
             raise ValueError(f"enroll_sessions {cfg.enroll_sessions} is too "
                              f"few to enroll subject {si}: {exc}") from exc
 
+    trials, rocs = _run_trials(cfg, cohort, enrollments)
+    report = {"config": cfg.to_dict(), "config_sha256": cfg.digest(),
+              **trials}
+    for name, rep in rocs.items():
+        _write_text(out / f"roc_{name}.csv", roc_points_csv(rep))
+    print(json.dumps(_json_ready(report["scores"]), sort_keys=True))
+    if cfg.scenarios:
+        report["scenarios"] = [
+            {"config": scenario.to_dict(), "config_sha256": scenario.digest(),
+             **_run_trials(scenario, cohort, enrollments)[0]}
+            for scenario in cfg.scenario_configs]
+    _write_json(out / "report.json", report)
+    print(f"report written to {out / 'report.json'}")
+    return EXIT_OK
+
+
+def _run_trials(cfg: ExperimentConfig, cohort,
+                enrollments: dict) -> tuple[dict, dict]:
+    """Run cfg's genuine and attack trials against the cohort's
+    enrollments. Returns the report's `genuine`, `attacks` and `scores`
+    entries, and each score stream's metrics report for its ROC file."""
     genuine = []
     for si in range(cfg.cohort_size):
         for k in range(cfg.genuine_trials):
@@ -357,24 +396,14 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
                                + si * 100 + k * 10 + ATTACK_KINDS.index(kind)))
 
     all_attacks = [t for trials in attacks.values() for t in trials]
-    report = {
-        "config": cfg.to_dict(),
-        "config_sha256": cfg.digest(),
-        "genuine": _rates(genuine),
-        "attacks": {kind: _rates(trials) for kind, trials in attacks.items()},
-    }
-    streams = {}
-    for name in ("consistency", "gait", "fused"):
-        g = [t[name] for t in genuine]
-        imp = [t[name] for t in all_attacks]
-        rep = score_evaluate(g, imp)
-        streams[name] = rep.to_dict()
-        _write_text(out / f"roc_{name}.csv", roc_points_csv(rep))
-    report["scores"] = streams
-    _write_json(out / "report.json", report)
-    print(json.dumps(_json_ready(report["scores"]), sort_keys=True))
-    print(f"report written to {out / 'report.json'}")
-    return EXIT_OK
+    rocs = {name: score_evaluate([t[name] for t in genuine],
+                                 [t[name] for t in all_attacks])
+            for name in ("consistency", "gait", "fused")}
+    return {"genuine": _rates(genuine),
+            "attacks": {kind: _rates(trials)
+                        for kind, trials in attacks.items()},
+            "scores": {name: rep.to_dict()
+                       for name, rep in rocs.items()}}, rocs
 
 
 def _rates(trials: list[dict]) -> dict:

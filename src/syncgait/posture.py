@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dct, idct
 from scipy.signal import butter, filtfilt
 
-from .errors import InvalidBand, SeriesTooShort
+from .errors import DegenerateSeries, InvalidBand, SeriesTooShort
 from .series import Series1D
 
 GAIT_BAND_LO = 0.3
@@ -217,6 +218,8 @@ class _ChainFilter:
 # Longest gain table; at every frame rate from 5 to 1000 fps the table ends
 # at its fixed point after 50-180 entries.
 GAIN_TABLE_MAX = 1024
+# frame intervals whose fourth power is a finite normal float
+_DT_RANGE = (sys.float_info.min ** 0.25, sys.float_info.max ** 0.25)
 
 
 @functools.lru_cache(maxsize=4)
@@ -262,6 +265,10 @@ def mjckf_correct(track: np.ndarray, measured: np.ndarray,
     # the matmul form equals np.linalg.norm of each segment bit for bit
     limbs = np.sqrt((seg[..., None, :] @ seg[..., :, None])[..., 0, 0])
     dt = 1.0 / frame_rate
+    # the process noise takes dt ** 4 and PROCESS_NOISE / dt ** 3
+    if not _DT_RANGE[0] < dt < _DT_RANGE[1]:
+        raise DegenerateSeries(f"frame rate {frame_rate} Hz leaves the "
+                               "Kalman noise terms outside the float range")
     filt = _ChainFilter(track[0], limbs[0], dt)
     rows = np.array([4 * j + k for j in range(filt.nj) for k in range(2)])
     pos = np.empty((n, len(rows)))

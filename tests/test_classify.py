@@ -48,6 +48,17 @@ def test_ocsvm_dual_constraints_hold():
     assert model.dual_coef.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("nu", [2.0, -0.5, 0.0])
+def test_ocsvm_nu_outside_unit_interval_is_refused(nu):
+    with pytest.raises(ValueError, match="nu must lie in"):
+        fit_ocsvm_fixed(_blob(n=20), nu=nu, gamma=0.5)
+
+
+def test_ocsvm_nu_of_one_fits_every_row_at_its_bound():
+    model = fit_ocsvm_fixed(_blob(n=20), nu=1.0, gamma=0.5)
+    assert model.dual_coef.tolist() == [1.0 / 20] * 20
+
+
 def test_ocsvm_accepts_center_rejects_far_point():
     x = _blob(seed=1)
     model = fit_ocsvm_fixed(x, nu=0.1, gamma=0.5)

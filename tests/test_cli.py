@@ -64,9 +64,12 @@ def test_one_session_length_floor(tmp_path):
     '{"loss_rate": null}', '{"attacks": 5}', '{"attacks": "relay"}',
     '{"attacks": ["relay", 1]}', '{"cohort_size": true}',
     '{"duration": NaN}', '{"fps": Infinity}', "[" * 100000,
+    '{"scenarios": {"loss_rate": 0.3}}', '{"scenarios": "loss_rate"}',
+    '{"scenarios": [0.3]}',
 ], ids=["str_int", "str_float", "float_int", "null_float", "int_attacks",
         "str_attacks", "int_attack", "bool_int", "nan_float", "inf_float",
-        "deep_nesting"])
+        "deep_nesting", "object_scenarios", "str_scenarios",
+        "number_scenario"])
 def test_ill_typed_config_is_config_error(tmp_path, text):
     path = tmp_path / "config.json"
     path.write_text(text)
@@ -287,6 +290,15 @@ def test_enroll_non_finite_rate_is_io_error(tmp_path, enroll_data, field,
     assert _enroll_edited(tmp_path, enroll_data, edit) == EXIT_IO
 
 
+@pytest.mark.parametrize("fps", [1e-200, 1e200], ids=["tiny", "huge"])
+def test_enroll_fps_outside_the_kalman_range_is_config_error(
+        tmp_path, capsys, enroll_data, fps):
+    def edit(manifest):
+        manifest["config"]["fps"] = fps
+    assert _enroll_edited(tmp_path, enroll_data, edit) == EXIT_CONFIG
+    assert f"frame rate {fps} Hz" in capsys.readouterr().err
+
+
 def test_enroll_unwritable_output_is_io_error(tmp_path):
     cfg = _write_config(tmp_path, FAST_ENROLL)
     data = tmp_path / "data"
@@ -373,3 +385,52 @@ def test_evaluate_names_enroll_sessions_too_few_to_train(tmp_path, capsys,
 def test_invalid_loss_rate_flag(tmp_path):
     assert main(["evaluate", "--loss-rate", "0.9",
                  "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+
+
+TINY_EVALUATE = {"cohort_size": 2, "enroll_sessions": 6,
+                 "genuine_trials": 1, "attack_trials": 1}
+SCENARIOS = [{"loss_rate": 0.3}, {"attacks": ["mimicry"], "fidelity": 0.9}]
+
+
+def _evaluate_report(tmp_path, name, payload, *flags):
+    cfg = _write_config(tmp_path, payload, name=f"{name}.json")
+    out = tmp_path / name
+    assert main(["evaluate", "--config", cfg, "--out", str(out),
+                 *flags]) == EXIT_OK
+    return json.loads((out / "report.json").read_text())
+
+
+def test_evaluate_scenarios_equal_separate_flagged_runs(tmp_path):
+    sweep = _evaluate_report(tmp_path, "sweep",
+                             dict(TINY_EVALUATE, scenarios=SCENARIOS))
+    plain = _evaluate_report(tmp_path, "plain", TINY_EVALUATE)
+    assert sweep["config"]["scenarios"] == SCENARIOS
+    assert {k: v for k, v in sweep.items()
+            if k not in ("config", "config_sha256", "scenarios")} == {
+        k: v for k, v in plain.items() if k not in ("config", "config_sha256")}
+    flagged = [("--loss-rate", "0.3"),
+               ("--attack", "mimicry", "--fidelity", "0.9")]
+    assert len(sweep["scenarios"]) == len(flagged)
+    for i, (scenario, flags) in enumerate(zip(sweep["scenarios"], flagged)):
+        alone = _evaluate_report(tmp_path, f"alone{i}", TINY_EVALUATE, *flags)
+        assert scenario == alone
+
+
+def test_evaluate_without_scenarios_keeps_its_config_and_digest():
+    cfg = ExperimentConfig(**TINY_EVALUATE)
+    assert cfg.to_dict() == ExperimentConfig(**TINY_EVALUATE,
+                                             scenarios=[]).to_dict()
+    assert "scenarios" not in cfg.to_dict()
+    assert cfg.scenario_configs == ()
+
+
+@pytest.mark.parametrize("scenarios", [
+    [{"distance": 30.0}], [{"loss_rate": 0.3, "scenarios": []}],
+    [{"loss_rate": 0.9}], [{"attacks": ["teleport"]}], [{"fidelity": "high"}],
+], ids=["distance_key", "nested_key", "bad_loss_rate", "bad_attack",
+        "bad_fidelity"])
+def test_evaluate_bad_scenarios_are_config_errors(tmp_path, scenarios):
+    cfg = _write_config(tmp_path, dict(TINY_EVALUATE, scenarios=scenarios))
+    assert main(["evaluate", "--config", cfg,
+                 "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert not (tmp_path / "x").exists()
