@@ -49,7 +49,8 @@ MANIFEST_FORMAT = FORMAT_TAG.lstrip("#")   # the session files' version
 
 @dataclass
 class ExperimentConfig:
-    """Resolved knobs for one experiment; file values then flag overrides.
+    """Resolved knobs for one experiment: the config file's values, then
+    the `--seed` and `--loss-rate` flags.
 
     Construction also builds the session settings each trial runs with
     (`session`), the camera the sessions are synthesized through
@@ -168,17 +169,17 @@ def _json_ready(obj):
     return obj
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_bytes(path: Path, blob: bytes) -> None:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        path.write_bytes(blob)
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    _write_text(path, json.dumps(_json_ready(payload), sort_keys=True,
-                                 indent=2) + "\n")
+    _write_bytes(path, (json.dumps(_json_ready(payload), sort_keys=True,
+                                   indent=2) + "\n").encode())
 
 
 # --- synth -------------------------------------------------------------------
@@ -241,8 +242,8 @@ def cmd_enroll(cfg: ExperimentConfig, data_dir: Path, subject: int,
         raise ValueError(f"subject index {subject} outside cohort of "
                          f"{len(subjects)}")
     try:
-        imu_rate = float(manifest.get("imu_rate", IMU_RATE))
-        fps = float(manifest.get("config", {}).get("fps", 60.0))
+        imu_rate = float(manifest["imu_rate"])
+        fps = float(manifest["config"]["fps"])
         entries = [(data_dir / sess["imu"], data_dir / sess["keypoints"],
                     float(sess["clock_offset"]))
                    for sess in subjects[subject]["sessions"]]
@@ -257,17 +258,10 @@ def cmd_enroll(cfg: ExperimentConfig, data_dir: Path, subject: int,
                          ClockOffsetEstimate(clock_offset, 1e-6, 0.005)))
     enrollment = enroll(sessions, seed=cfg.seed)
 
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
     cons_path = out / f"subject{subject:02d}_consistency.model"
     gait_path = out / f"subject{subject:02d}_gait.model"
-    try:
-        cons_path.write_bytes(serialize_model(enrollment.consistency_model))
-        gait_path.write_bytes(serialize_model(enrollment.gait_model))
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    _write_bytes(cons_path, serialize_model(enrollment.consistency_model))
+    _write_bytes(gait_path, serialize_model(enrollment.gait_model))
     meta = {"subject": subject,
             "config_sha256": cfg.digest(),
             "feature_mask": enrollment.feature_mask.astype(int).tolist(),
@@ -354,7 +348,7 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
     report = {"config": cfg.to_dict(), "config_sha256": cfg.digest(),
               **trials}
     for name, rep in rocs.items():
-        _write_text(out / f"roc_{name}.csv", roc_points_csv(rep))
+        _write_bytes(out / f"roc_{name}.csv", roc_points_csv(rep).encode())
     print(json.dumps(_json_ready(report["scores"]), sort_keys=True))
     if cfg.scenarios:
         report["scenarios"] = [
@@ -431,18 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="experiment seed")
         p.add_argument("--out", required=True, help="output directory")
 
-    def camera(p):   # enroll reads the frame rate from the manifest
-        p.add_argument("--fps", type=float, help="camera frame rate")
-        p.add_argument("--distance", type=float,
-                       help="initial subject-to-camera distance, m")
-        p.add_argument("--hover-height", type=float, dest="hover_height",
-                       help="camera height above ground, m")
-        p.add_argument("--angle", type=float,
-                       help="walking path angle off the camera axis, deg")
-
     p_synth = sub.add_parser("synth", help="write a synthetic cohort")
     common(p_synth)
-    camera(p_synth)
 
     p_enroll = sub.add_parser("enroll", help="train per-user models")
     common(p_enroll)
@@ -454,27 +438,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate",
                             help="genuine + attack experiment with report")
     common(p_eval)
-    camera(p_eval)
     p_eval.add_argument("--loss-rate", type=float, dest="loss_rate",
                         help="channel loss probability in [0, 0.6]")
-    p_eval.add_argument("--attack", choices=ATTACK_KINDS,
-                        help="restrict the experiment to one attack kind")
-    p_eval.add_argument("--fidelity", type=float,
-                        help="mimicry imitation fidelity in [0, 1]")
     return parser
 
 
-_OVERRIDE_KEYS = ("seed", "fps", "distance", "hover_height", "angle",
-                  "loss_rate", "fidelity")
+_OVERRIDE_KEYS = ("seed", "loss_rate")
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        overrides = {k: getattr(args, k, None) for k in _OVERRIDE_KEYS}
-        if getattr(args, "attack", None) is not None:
-            overrides["attacks"] = (args.attack,)
-        cfg = ExperimentConfig.load(args.config, overrides)
+        cfg = ExperimentConfig.load(
+            args.config, {k: getattr(args, k, None) for k in _OVERRIDE_KEYS})
         out = Path(args.out)
         if args.command == "synth":
             return cmd_synth(cfg, out)

@@ -179,10 +179,7 @@ def gait_representation(imu: ImuSeries | ImuChain) -> list[GaitCycle]:
     normalize the phone-frame acceleration and angular rate of each cycle,
     sliced from cut to cut sample, both included."""
     chain = as_chain(imu)
-    denoised = chain.denoised
-    if len(denoised) < 2 * denoised.sample_rate:
-        raise SeriesTooShort("need >= 2 s of data")
-    acc, gyro = denoised.acc, denoised.gyro
+    acc, gyro = chain.denoised.acc, chain.denoised.gyro
     return [normalize_cycle(np.vstack([acc[i:j + 1].T, gyro[i:j + 1].T]),
                             t_start, t_end)
             for i, j, t_start, t_end in _cycles(chain)]

@@ -358,15 +358,11 @@ def make_cohort(size: int, seed: int = 0) -> list[SubjectParams]:
     draws routinely produce near-identical cadences, which makes mismatched
     stream pairings spuriously correlated over a short sample window.
     """
-    if size < 1:
-        raise ValueError("cohort size must be >= 1")
+    if size < 2:
+        raise ValueError("cohort size must be >= 2")
     rng = np.random.default_rng(seed)
-    if size == 1:
-        bases = np.array([1.5])
-        gap = 0.2
-    else:
-        bases = np.linspace(1.15, 2.0, size)
-        gap = float(bases[1] - bases[0])
+    bases = np.linspace(1.15, 2.0, size)
+    gap = float(bases[1] - bases[0])
     order = rng.permutation(size)
     cohort = []
     for k in range(size):

@@ -3,7 +3,10 @@ reproducibility of on-disk artifacts."""
 
 import json
 import math
+import re
+import shlex
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,8 @@ from hypothesis import strategies as st
 
 from syncgait.classify import fit_ocsvm_fixed, serialize_model
 from syncgait.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, MANIFEST_FORMAT,
-                          ExperimentConfig, load_enrollment, main)
+                          ExperimentConfig, build_parser, load_enrollment,
+                          main)
 from syncgait.errors import InvalidDuration, IoFailure
 from syncgait.io import FORMAT_TAG
 from syncgait.protocol import SessionConfig
@@ -280,13 +284,18 @@ def test_enroll_manifest_of_another_format_is_io_error(tmp_path, capsys,
     assert f"format {version!r}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, None],
+                         ids=["nan", "inf", "missing"])
 @pytest.mark.parametrize("field", ["imu_rate", "fps"])
 def test_enroll_non_finite_rate_is_io_error(tmp_path, enroll_data, field,
                                             value):
+    # the manifest is the one source of both rates: no default stands in
     def edit(manifest):
         owner = manifest if field == "imu_rate" else manifest["config"]
-        owner[field] = value
+        if value is None:
+            del owner[field]
+        else:
+            owner[field] = value
     assert _enroll_edited(tmp_path, enroll_data, edit) == EXIT_IO
 
 
@@ -355,20 +364,41 @@ def test_missing_config_file_is_io_error(tmp_path):
 
 
 def test_cli_flag_overrides_config(tmp_path):
-    cfg = _write_config(tmp_path, dict(FAST_SYNTH, fps=60.0))
+    cfg = _write_config(tmp_path, dict(FAST_SYNTH, seed=4))
     out = tmp_path / "data"
-    assert main(["synth", "--config", cfg, "--fps", "30",
+    assert main(["synth", "--config", cfg, "--seed", "9",
                  "--out", str(out)]) == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["fps"] == 30.0
+    assert manifest["config"]["seed"] == 9
 
 
 def test_enroll_takes_no_camera_flags(tmp_path):
-    # enroll reads the frame rate from the manifest, so it has no --fps
-    with pytest.raises(SystemExit) as exc:
-        main(["enroll", "--fps", "30", "--data", str(tmp_path),
-              "--subject", "0", "--out", str(tmp_path / "x")])
-    assert exc.value.code == EXIT_CONFIG
+    # the camera knobs, attacks and fidelity are set in the config file
+    # only, so no subcommand takes a flag for them
+    required = {"synth": [], "evaluate": [],
+                "enroll": ["--data", str(tmp_path), "--subject", "0"]}
+    for command, args in required.items():
+        for flag in ("--fps", "--distance", "--hover-height", "--angle",
+                     "--attack", "--fidelity"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, flag, "1", *args,
+                      "--out", str(tmp_path / "x")])
+            assert exc.value.code == EXIT_CONFIG
+    assert not (tmp_path / "x").exists()
+
+
+def test_readme_commands_parse():
+    # every flag of README's command lines exists on that subcommand
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    inline = re.findall(r"`python3 -m syncgait\.cli ([^`]*)`", readme)
+    blocks = re.findall(r"^python3 -m syncgait\.cli ((?:.*\\\n)*.*)",
+                        readme, re.MULTILINE)
+    commands = [shlex.split(c.replace("\\\n", " "))
+                for c in inline + blocks]
+    assert len(commands) == readme.count("python3 -m syncgait.cli")
+    assert {c[0] for c in commands} == {"synth", "enroll", "evaluate"}
+    for command in commands:
+        build_parser().parse_args(command)
 
 
 @pytest.mark.parametrize("sessions, seed", [(1, 1), (2, 3)])
@@ -392,11 +422,10 @@ TINY_EVALUATE = {"cohort_size": 2, "enroll_sessions": 6,
 SCENARIOS = [{"loss_rate": 0.3}, {"attacks": ["mimicry"], "fidelity": 0.9}]
 
 
-def _evaluate_report(tmp_path, name, payload, *flags):
+def _evaluate_report(tmp_path, name, payload):
     cfg = _write_config(tmp_path, payload, name=f"{name}.json")
     out = tmp_path / name
-    assert main(["evaluate", "--config", cfg, "--out", str(out),
-                 *flags]) == EXIT_OK
+    assert main(["evaluate", "--config", cfg, "--out", str(out)]) == EXIT_OK
     return json.loads((out / "report.json").read_text())
 
 
@@ -408,11 +437,10 @@ def test_evaluate_scenarios_equal_separate_flagged_runs(tmp_path):
     assert {k: v for k, v in sweep.items()
             if k not in ("config", "config_sha256", "scenarios")} == {
         k: v for k, v in plain.items() if k not in ("config", "config_sha256")}
-    flagged = [("--loss-rate", "0.3"),
-               ("--attack", "mimicry", "--fidelity", "0.9")]
-    assert len(sweep["scenarios"]) == len(flagged)
-    for i, (scenario, flags) in enumerate(zip(sweep["scenarios"], flagged)):
-        alone = _evaluate_report(tmp_path, f"alone{i}", TINY_EVALUATE, *flags)
+    assert len(sweep["scenarios"]) == len(SCENARIOS)
+    for i, (scenario, entry) in enumerate(zip(sweep["scenarios"], SCENARIOS)):
+        alone = _evaluate_report(tmp_path, f"alone{i}",
+                                 dict(TINY_EVALUATE, **entry))
         assert scenario == alone
 
 

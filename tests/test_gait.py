@@ -146,6 +146,14 @@ def test_gait_representation_on_synthetic_subject():
         assert np.min(np.abs(gtb - c.t_start)) < 0.1
 
 
+def test_gait_representation_keeps_the_cycle_of_a_short_stream():
+    # 1.8 s holds one 1.5 s cycle, and the representation keeps it
+    imu = _sine_imu(duration=1.8)
+    cycles = segment_cycles(imu)
+    assert len(cycles) == 1
+    assert [(c.t_start, c.t_end) for c in gait_representation(imu)] == cycles
+
+
 @pytest.mark.parametrize("field", ["zero", "random", "nan"])
 def test_imu_chain_reads_no_field(field):
     # the AHRS is 6-axis and the denoiser takes acc | gyro only, so the

@@ -147,9 +147,9 @@ def test_cohort_guarantees_cadence_separation():
     assert all(0.8 <= p <= 2.5 for p in periods)
 
 
-@pytest.mark.parametrize("size", [0, -1])
+@pytest.mark.parametrize("size", [1, 0, -1])
 def test_cohort_rejects_sizes_below_one(size):
-    with pytest.raises(ValueError, match="cohort size must be >= 1"):
+    with pytest.raises(ValueError, match="cohort size must be >= 2"):
         make_cohort(size)
 
 
