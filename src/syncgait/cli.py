@@ -92,6 +92,10 @@ class ExperimentConfig:
         for a in self.attacks:
             if a not in ATTACK_KINDS:
                 raise ValueError(f"unknown attack kind {a!r}")
+        if not self.attacks:
+            raise ValueError("attacks must name at least one attack kind")
+        if len(set(self.attacks)) < len(self.attacks):
+            raise ValueError(f"attacks {list(self.attacks)} repeat a kind")
         self.scenarios = tuple(self.scenarios)
         for entry in self.scenarios:
             unknown = set(entry) - set(SCENARIO_KEYS)
@@ -344,7 +348,8 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
             raise ValueError(f"enroll_sessions {cfg.enroll_sessions} is too "
                              f"few to enroll subject {si}: {exc}") from exc
 
-    trials, rocs = _run_trials(cfg, cohort, enrollments)
+    (trials, rocs), *scenarios = _run_trials(
+        (cfg, *cfg.scenario_configs), cohort, enrollments)
     report = {"config": cfg.to_dict(), "config_sha256": cfg.digest(),
               **trials}
     for name, rep in rocs.items():
@@ -353,42 +358,60 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
     if cfg.scenarios:
         report["scenarios"] = [
             {"config": scenario.to_dict(), "config_sha256": scenario.digest(),
-             **_run_trials(scenario, cohort, enrollments)[0]}
-            for scenario in cfg.scenario_configs]
+             **entries}
+            for scenario, (entries, _) in zip(cfg.scenario_configs,
+                                              scenarios)]
     _write_json(out / "report.json", report)
     print(f"report written to {out / 'report.json'}")
     return EXIT_OK
 
 
-def _run_trials(cfg: ExperimentConfig, cohort,
-                enrollments: dict) -> tuple[dict, dict]:
-    """Run cfg's genuine and attack trials against the cohort's
-    enrollments. Returns the report's `genuine`, `attacks` and `scores`
-    entries, and each score stream's metrics report for its ROC file."""
-    genuine = []
-    for si in range(cfg.cohort_size):
-        for k in range(cfg.genuine_trials):
-            imu, kp, _ = generate_session(cohort[si], cfg.camera,
-                                          cfg.duration, cfg.clock_offset,
+def _run_trials(configs: tuple[ExperimentConfig, ...], cohort,
+                enrollments: dict) -> list[tuple[dict, dict]]:
+    """Run each config's genuine and attack trials against the cohort's
+    enrollments. The configs differ in SCENARIO_KEYS only, so each capture
+    is synthesized once, and every config that needs it runs its trial on
+    it before the next capture is made: a genuine capture serves every
+    config, an attack capture every config with its kind (and, for
+    mimicry, its fidelity). Returns, per config, the report's `genuine`,
+    `attacks` and `scores` entries, and each score stream's metrics report
+    for its ROC file."""
+    base = configs[0]
+    genuine: list[list[dict]] = [[] for _ in configs]
+    for si in range(base.cohort_size):
+        for k in range(base.genuine_trials):
+            imu, kp, _ = generate_session(cohort[si], base.camera,
+                                          base.duration, base.clock_offset,
                                           seed_offset=60 + k)
-            genuine.append(_run_trial(cfg, enrollments[si], imu, kp,
-                                      seed=cfg.seed * 100000 + si * 100 + k))
+            for cfg, trials in zip(configs, genuine):
+                trials.append(_run_trial(cfg, enrollments[si], imu, kp,
+                                         seed=cfg.seed * 100000 + si * 100 + k))
 
-    attacks: dict[str, list[dict]] = {kind: [] for kind in cfg.attacks}
-    for si in range(cfg.cohort_size):
-        for k in range(cfg.attack_trials):
-            ai = (si + 1 + k) % cfg.cohort_size
-            for kind in cfg.attacks:
+    attacks = [{kind: [] for kind in cfg.attacks} for cfg in configs]
+    for si in range(base.cohort_size):
+        for k in range(base.attack_trials):
+            ai = (si + 1 + k) % base.cohort_size
+            users: dict[tuple, list] = {}
+            for cfg, trials in zip(configs, attacks):
+                for kind in cfg.attacks:
+                    key = (kind, cfg.fidelity if kind == "mimicry" else None)
+                    users.setdefault(key, []).append((cfg, trials[kind]))
+            for (kind, _), runs in users.items():
                 spec = _attack_spec(kind, cohort[si], cohort[ai],
-                                    cfg.fidelity)
-                imu, kp, _ = generate_attack(spec, cfg.camera, cfg.duration,
-                                             cfg.clock_offset,
+                                    runs[0][0].fidelity)
+                imu, kp, _ = generate_attack(spec, base.camera, base.duration,
+                                             base.clock_offset,
                                              seed_offset=900 + 10 * si + k)
-                attacks[kind].append(
-                    _run_trial(cfg, enrollments[si], imu, kp,
-                               seed=cfg.seed * 100000 + 7000
-                               + si * 100 + k * 10 + ATTACK_KINDS.index(kind)))
+                for cfg, trials in runs:
+                    trials.append(_run_trial(
+                        cfg, enrollments[si], imu, kp,
+                        seed=cfg.seed * 100000 + 7000 + si * 100 + k * 10
+                        + ATTACK_KINDS.index(kind)))
+    return [_summary(g, a) for g, a in zip(genuine, attacks)]
 
+
+def _summary(genuine: list[dict],
+             attacks: dict[str, list[dict]]) -> tuple[dict, dict]:
     all_attacks = [t for trials in attacks.values() for t in trials]
     rocs = {name: score_evaluate([t[name] for t in genuine],
                                  [t[name] for t in all_attacks])

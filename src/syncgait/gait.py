@@ -108,22 +108,22 @@ def _boundaries_from_vertical(v: np.ndarray, rate: float) -> list[int]:
         raise NoCyclesFound("no prominent minima")
     tol = max(int(0.06 * period), 1)
 
-    def comb(anchor: int) -> list[int]:
-        picks = []
-        k_min = -(anchor // period) - 1
-        k_max = (len(x) - anchor) // period + 1
-        for k in range(k_min, k_max + 1):
-            target = anchor + k * period
-            if not 0 <= target < len(x):
-                continue
-            near = cands[np.abs(cands - target) <= tol]
-            picks.append(int(near[np.argmin(x[near])]) if len(near)
-                         else int(target))
-        return sorted(set(picks))
+    # an anchor's comb is the grid of its residue mod period: each grid
+    # index takes the deepest candidate within tol of it (the first on
+    # ties), or itself when there is none; look that up once per index
+    # from a searchsorted window over the sorted candidates
+    grid = np.arange(len(x))
+    first = np.searchsorted(cands, grid - tol, "left")
+    stop = np.searchsorted(cands, grid + tol, "right")
+    slots = first[:, None] + np.arange(int((stop - first).max()))
+    inside = slots < stop[:, None]
+    slots = np.minimum(slots, len(cands) - 1)
+    deepest = np.where(inside, x[cands[slots]], np.inf).argmin(axis=1)
+    pick = np.where(stop > first, cands[slots[grid, deepest]], grid)
 
     best = None
-    for anchor in cands:
-        picks = comb(int(anchor))
+    for residue in dict.fromkeys((cands % period).tolist()):
+        picks = sorted(set(pick[residue::period].tolist()))
         depth = float(np.mean(x[picks]))
         if best is None or depth < best[0]:
             best = (depth, picks)
@@ -188,16 +188,26 @@ def gait_representation(imu: ImuSeries | ImuChain) -> list[GaitCycle]:
 CYCLE_FEATURE_COUNT = 30  # 6 channels x 5 statistics
 
 
+def cycle_feature_rows(cycles: list[GaitCycle]) -> np.ndarray:
+    """(m, 30) per-cycle feature rows of m equal-length cycles: per channel
+    (mean, std, min, max, dominant frequency), 6 x 5 dims. The cycles are
+    stacked into one (m, 6, L) array and each statistic and the FFT taken
+    along its last axis once, each row bit for bit what its cycle gives
+    alone. A cycle's dominant frequency is its rfft bin scaled by its own
+    effective rate, L over its duration."""
+    ch = np.stack([c.channels for c in cycles])
+    length = ch.shape[-1]
+    eff_rate = length / np.array([c.t_end - c.t_start for c in cycles])
+    mean = ch.mean(axis=-1)
+    spec = np.abs(np.fft.rfft(ch - mean[..., None], axis=-1))
+    dom = (spec[..., 1:].argmax(axis=-1) + 1 if spec.shape[-1] > 1
+           else np.zeros(mean.shape, dtype=int))
+    # np.fft.rfftfreq(length, d=1 / eff_rate)[dom], one rate per cycle
+    freqs = dom * (1.0 / (length * (1.0 / eff_rate)))[:, None]
+    return np.stack([mean, ch.std(axis=-1), ch.min(axis=-1),
+                     ch.max(axis=-1), freqs], axis=-1).reshape(len(ch), -1)
+
+
 def cycle_feature_vector(cycle: GaitCycle) -> np.ndarray:
-    """Per-channel (mean, std, min, max, dominant frequency), 6 x 5 dims,
-    each statistic taken along axis 1 of all six channels at once."""
-    ch = cycle.channels
-    length = ch.shape[1]
-    eff_rate = length / (cycle.t_end - cycle.t_start)
-    mean = ch.mean(axis=1)
-    spec = np.abs(np.fft.rfft(ch - mean[:, None], axis=1))
-    dom = (spec[:, 1:].argmax(axis=1) + 1 if spec.shape[1] > 1
-           else np.zeros(len(ch), dtype=int))
-    freqs = np.fft.rfftfreq(length, d=1.0 / eff_rate)
-    return np.column_stack([mean, ch.std(axis=1), ch.min(axis=1),
-                            ch.max(axis=1), freqs[dom]]).ravel()
+    """The 30 features of one cycle: its row of `cycle_feature_rows`."""
+    return cycle_feature_rows([cycle])[0]

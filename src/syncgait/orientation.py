@@ -105,63 +105,6 @@ def rotate_to_world(q: Quaternion, v_phone: np.ndarray) -> np.ndarray:
     return np.array([r.q1, r.q2, r.q3])
 
 
-def _ahrs_step(w, x, y, z, bx_b, by_b, bz_b, a, g, dt):
-    """One filter step on plain Python floats: quaternion (w, x, y, z), gyro
-    bias and the a, g triples in; the next quaternion, bias and the
-    gyro-only flag out. A numpy scalar among the arguments would carry
-    through all of the step's arithmetic at about 3x the cost.
-
-    Gyro integration corrected by the normalized gradient of the gravity
-    objective R^T(q) (0, 0, 1) - a / |a| (gain AHRS_BETA); the angular error
-    drives the gyro-bias estimate (gain AHRS_ZETA). Only a zero
-    accelerometer, with no gravity to correct against, falls back to
-    gyro-only integration and raises the flag.
-    """
-    a0, a1, a2 = a
-    na = math.sqrt(a0 ** 2 + a1 ** 2 + a2 ** 2)
-    gyro_only = na == 0.0
-    s0 = s1 = s2 = s3 = 0.0
-    if not gyro_only:
-        # error e = R^T(q) r - a / |a| and its gradient J^T e, written out
-        # for the constant reference r = (0, 0, 1)
-        ex = 2.0 * (x * z - w * y) - a0 / na
-        ey = 2.0 * (w * x + y * z) - a1 / na
-        ez = 1.0 - 2.0 * (x * x + y * y) - a2 / na
-        ve = x * ex + y * ey + z * ez
-        s0 = -2.0 * (y * ex - x * ey)
-        s1 = 2.0 * w * ey + 2.0 * (z * ex - 2.0 * ez * x)
-        s2 = -2.0 * w * ex + 2.0 * (z * ey - 2.0 * ez * y)
-        s3 = 2.0 * (ve + z * ez - 2.0 * ez * z)
-        ns = math.sqrt(s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3)
-        if ns > 0:
-            s0, s1, s2, s3 = s0 / ns, s1 / ns, s2 / ns, s3 / ns
-        else:
-            s0 = s1 = s2 = s3 = 0.0
-        # angular error 2 q^-1 * s drives bias feedback
-        we_x = 2.0 * (w * s1 - x * s0 - y * s3 + z * s2)
-        we_y = 2.0 * (w * s2 + x * s3 - y * s0 - z * s1)
-        we_z = 2.0 * (w * s3 - x * s2 + y * s1 - z * s0)
-        bx_b += AHRS_ZETA * we_x * dt
-        by_b += AHRS_ZETA * we_y * dt
-        bz_b += AHRS_ZETA * we_z * dt
-
-    # with no gravity s is zero, and subtracting 0.0 changes no value
-    gx = g[0] - bx_b
-    gy = g[1] - by_b
-    gz = g[2] - bz_b
-    qd0 = 0.5 * (-x * gx - y * gy - z * gz) - AHRS_BETA * s0
-    qd1 = 0.5 * (w * gx + y * gz - z * gy) - AHRS_BETA * s1
-    qd2 = 0.5 * (w * gy - x * gz + z * gx) - AHRS_BETA * s2
-    qd3 = 0.5 * (w * gz + x * gy - y * gx) - AHRS_BETA * s3
-
-    w += qd0 * dt
-    x += qd1 * dt
-    y += qd2 * dt
-    z += qd3 * dt
-    n = math.sqrt(w * w + x * x + y * y + z * z)
-    return w / n, x / n, y / n, z / n, bx_b, by_b, bz_b, gyro_only
-
-
 def initial_orientation(a: np.ndarray) -> Quaternion:
     """The roll and pitch of one stationary accelerometer sample, at yaw 0,
     with Python float fields. Zero gravity or a norm that is not finite is
@@ -179,18 +122,79 @@ def initial_orientation(a: np.ndarray) -> Quaternion:
 def ahrs_stream(imu: ImuSeries) -> np.ndarray:
     """(n, 4) quaternions (q0, q1, q2, q3), one per sample: the AHRS run on
     the accelerometer and gyro from the gravity attitude of the first sample
-    and zero gyro bias; the recorded field is not read. The state stays
-    Python floats from the first sample: a numpy scalar anywhere in it makes
-    every step's arithmetic numpy-scalar, about 3x slower."""
+    and zero gyro bias; the recorded field is not read. A sample whose
+    |a| overflows is DegenerateSeries.
+
+    Each step integrates the gyro, less its bias estimate, corrected by the
+    normalized gradient of the gravity objective R^T(q) (0, 0, 1) - a / |a|
+    (gain AHRS_BETA); the angular error drives the gyro-bias estimate (gain
+    AHRS_ZETA). Only a zero accelerometer, with no gravity to correct
+    against, falls back to gyro-only integration.
+
+    Every sample's gravity direction a / |a| is computed before the loop.
+    The squares in |a| are `float_power`, the C `pow` that Python's `a0 ** 2`
+    calls, which differs from numpy's `a * a` in the last bit on a few
+    samples. The loop runs on Python floats: a numpy scalar in the state
+    would make every step's arithmetic numpy-scalar, about 3x slower.
+    """
     q = initial_orientation(imu.acc[0])
     w, x, y, z = q.q0, q.q1, q.q2, q.q3
     bx_b = by_b = bz_b = 0.0
     dt = 1.0 / float(imu.sample_rate)
+    beta, zeta, sqrt = AHRS_BETA, AHRS_ZETA, math.sqrt
+    with np.errstate(over="ignore"):
+        sq = np.float_power(imu.acc, 2.0)
+        na = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])[:, None]
+    if not np.isfinite(na).all():
+        raise DegenerateSeries("accelerometer samples too large to square")
+    up = np.divide(imu.acc, na, out=np.zeros_like(imu.acc), where=na > 0)
     out = []
-    for a, g in zip(imu.acc.tolist(), imu.gyro.tolist()):
-        w, x, y, z, bx_b, by_b, bz_b, _ = _ahrs_step(
-            w, x, y, z, bx_b, by_b, bz_b, a, g, dt)
-        out.append((w, x, y, z))
+    append = out.append
+    for ux, uy, uz, g0, g1, g2, gyro_only in np.hstack(
+            [up, imu.gyro, na == 0.0]).tolist():
+        s0 = s1 = s2 = s3 = 0.0
+        if not gyro_only:
+            # error e = R^T(q) r - a / |a| and its gradient J^T e, written
+            # out for the constant reference r = (0, 0, 1)
+            ex = 2.0 * (x * z - w * y) - ux
+            ey = 2.0 * (w * x + y * z) - uy
+            ez = 1.0 - 2.0 * (x * x + y * y) - uz
+            ve = x * ex + y * ey + z * ez
+            s0 = -2.0 * (y * ex - x * ey)
+            s1 = 2.0 * w * ey + 2.0 * (z * ex - 2.0 * ez * x)
+            s2 = -2.0 * w * ex + 2.0 * (z * ey - 2.0 * ez * y)
+            s3 = 2.0 * (ve + z * ez - 2.0 * ez * z)
+            ns = sqrt(s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3)
+            if ns > 0:
+                s0 /= ns
+                s1 /= ns
+                s2 /= ns
+                s3 /= ns
+            else:
+                s0 = s1 = s2 = s3 = 0.0
+            # angular error 2 q^-1 * s drives bias feedback
+            bx_b += zeta * (2.0 * (w * s1 - x * s0 - y * s3 + z * s2)) * dt
+            by_b += zeta * (2.0 * (w * s2 + x * s3 - y * s0 - z * s1)) * dt
+            bz_b += zeta * (2.0 * (w * s3 - x * s2 + y * s1 - z * s0)) * dt
+
+        # with no gravity s is zero, and subtracting 0.0 changes no value
+        gx = g0 - bx_b
+        gy = g1 - by_b
+        gz = g2 - bz_b
+        qd0 = 0.5 * (-x * gx - y * gy - z * gz) - beta * s0
+        qd1 = 0.5 * (w * gx + y * gz - z * gy) - beta * s1
+        qd2 = 0.5 * (w * gy - x * gz + z * gx) - beta * s2
+        qd3 = 0.5 * (w * gz + x * gy - y * gx) - beta * s3
+        w += qd0 * dt
+        x += qd1 * dt
+        y += qd2 * dt
+        z += qd3 * dt
+        n = sqrt(w * w + x * x + y * y + z * z)
+        w /= n
+        x /= n
+        y /= n
+        z /= n
+        append((w, x, y, z))
     return np.array(out)
 
 

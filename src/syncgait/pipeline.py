@@ -27,7 +27,7 @@ from .classify import OcSvmModel, train_ocsvm, train_ocsvm_calibrated
 from .errors import TooFewSamples
 from .features import (FeatureVector, FisherReport, compute_features,
                        fisher_select)
-from .gait import (ImuChain, as_chain, cycle_feature_vector,
+from .gait import (ImuChain, as_chain, cycle_feature_rows,
                    gait_representation, imu_chain)
 from .orientation import integrate_velocity
 from .posture import (ARM_CHAIN, AdctConfig, adaptive_bandpass, adct_smooth,
@@ -172,9 +172,9 @@ def _shifted_pairs(pair: AlignedPair) -> list[AlignedPair]:
 
 
 def gait_vectors(imu: ImuSeries | ImuChain) -> np.ndarray:
-    """Per-cycle gait feature rows for one session."""
-    cycles = gait_representation(imu)
-    return np.array([cycle_feature_vector(c) for c in cycles])
+    """Per-cycle gait feature rows for one session, one batched pass over
+    its cycles."""
+    return cycle_feature_rows(gait_representation(imu))
 
 
 @dataclass

@@ -49,14 +49,50 @@ class AdctConfig:
             raise ValueError("bins must be positive")
 
 
+def column_entropies(v: np.ndarray, bins: int) -> list[float]:
+    """Shannon entropy (bits) of each column of the (n, k) `v`, each over
+    its own fixed-bin histogram from its min to its max, in one pass.
+
+    Bit for bit `np.histogram(column, bins, range=(min, max))` per column:
+    the same `np.linspace` edges, the same uniform-bin index with its one-
+    ULP edge corrections, and each column's entropy summed over its own
+    non-empty bins (summing with the empty bins left in changes the
+    pairwise-sum rounding). A constant column has entropy 0; a non-finite
+    value elsewhere, or a range too narrow for `bins` distinct edges, is
+    ValueError, as `np.histogram` raises.
+    """
+    n, k = v.shape
+    out = [0.0] * k
+    if n == 0:
+        return out
+    lo_all, hi_all = v.min(axis=0), v.max(axis=0)
+    cols = np.flatnonzero(hi_all != lo_all)
+    lo, hi, x = lo_all[cols], hi_all[cols], v[:, cols]
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("histogram range is not finite")
+    edges = np.linspace(lo, hi, bins + 1)
+    if np.any(edges[:-1] >= edges[1:]):
+        raise ValueError(f"too many bins ({bins}) for the data range")
+    idx = (((x - lo) / (hi - lo)) * bins).astype(np.intp)
+    idx[idx == bins] -= 1
+    col = np.arange(len(cols))
+    idx[x < edges[idx, col]] -= 1
+    idx[(x >= edges[idx + 1, col]) & (idx != bins - 1)] += 1
+    counts = np.bincount((idx + col * bins).ravel(),
+                         minlength=len(cols) * bins).reshape(len(cols), bins)
+    full = counts > 0
+    p = counts[full] / n
+    terms = p * np.log2(p)
+    ends = np.cumsum(full.sum(axis=1)).tolist()
+    for c, start, end in zip(cols.tolist(), [0] + ends, ends):
+        out[c] = float(-terms[start:end].sum())
+    return out
+
+
 def histogram_entropy(values: np.ndarray, bins: int) -> float:
     """Shannon entropy (bits) of a fixed-bin histogram over min..max."""
-    v = np.asarray(values, dtype=float)
-    if v.size == 0 or v.max() == v.min():
-        return 0.0
-    counts, _ = np.histogram(v, bins=bins, range=(v.min(), v.max()))
-    p = counts[counts > 0] / counts.sum()
-    return float(-(p * np.log2(p)).sum())
+    return column_entropies(np.asarray(values, dtype=float).reshape(-1, 1),
+                            bins)[0]
 
 
 def adct_cutoff(n: int, entropy_bits: float, cfg: AdctConfig) -> int:
@@ -74,7 +110,7 @@ def adct_smooth(s: Series1D, cfg: AdctConfig = AdctConfig()) -> Series1D:
     if n < 4:
         raise SeriesTooShort("need >= 4 samples")
     v = s.values.reshape(n, -1)
-    k = [adct_cutoff(n, histogram_entropy(c, cfg.bins), cfg) for c in v.T]
+    k = [adct_cutoff(n, h, cfg) for h in column_entropies(v, cfg.bins)]
     coeffs = dct(v, norm="ortho", axis=0)
     coeffs[np.arange(n)[:, None] >= k] = 0.0
     smooth = idct(coeffs, norm="ortho", axis=0)

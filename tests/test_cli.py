@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from syncgait import cli, synth
 from syncgait.classify import fit_ocsvm_fixed, serialize_model
 from syncgait.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, MANIFEST_FORMAT,
                           ExperimentConfig, build_parser, load_enrollment,
@@ -461,4 +462,47 @@ def test_evaluate_bad_scenarios_are_config_errors(tmp_path, scenarios):
     cfg = _write_config(tmp_path, dict(TINY_EVALUATE, scenarios=scenarios))
     assert main(["evaluate", "--config", cfg,
                  "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.fixture
+def session_calls(monkeypatch):
+    """Counts generate_session calls, from cli and from generate_attack."""
+    calls = []
+    real = synth.generate_session
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("seed_offset"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "generate_session", counted)
+    monkeypatch.setattr(synth, "generate_session", counted)
+    return calls
+
+
+def test_evaluate_sweep_synthesizes_each_capture_once(tmp_path,
+                                                      session_calls):
+    _evaluate_report(tmp_path, "plain", TINY_EVALUATE)
+    plain = len(session_calls)
+    session_calls.clear()
+    _evaluate_report(tmp_path, "sweep", dict(
+        TINY_EVALUATE, scenarios=[{"loss_rate": 0.3}, {"loss_rate": 0.6}]))
+    assert len(session_calls) == plain
+    # 12 enrollment captures, 2 genuine, and per subject a relay (two
+    # sessions), a hijack and a mimicry capture
+    assert plain == 12 + 2 + 2 * 4
+
+
+@pytest.mark.parametrize("where", ["base", "scenario"])
+@pytest.mark.parametrize("attacks", [[], ["relay", "relay"]],
+                         ids=["empty", "repeated"])
+def test_evaluate_refuses_empty_or_repeated_attacks_before_synthesis(
+        tmp_path, capsys, session_calls, where, attacks):
+    payload = (dict(TINY_EVALUATE, attacks=attacks) if where == "base"
+               else dict(TINY_EVALUATE, scenarios=[{"attacks": attacks}]))
+    cfg = _write_config(tmp_path, payload)
+    assert main(["evaluate", "--config", cfg,
+                 "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert "attacks" in capsys.readouterr().err
+    assert session_calls == []
     assert not (tmp_path / "x").exists()

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy.signal import find_peaks
 
 from syncgait import gait
 from syncgait.errors import CycleTooShort, NoCyclesFound, SeriesTooShort
-from syncgait.gait import (CYCLE_LENGTH, GaitCycle, _boundaries_from_vertical,
-                           cycle_feature_vector, gait_representation,
-                           imu_chain, normalize_cycle, segment_cycles)
+from syncgait.gait import (CYCLE_LENGTH, MAX_PERIOD_S, MIN_PERIOD_S,
+                           PROMINENCE, GaitCycle, _boundaries_from_vertical,
+                           cycle_feature_rows, cycle_feature_vector,
+                           gait_representation, imu_chain, normalize_cycle,
+                           segment_cycles)
 from syncgait.pipeline import gait_vectors
 from syncgait.series import ImuSeries
 from syncgait.synth import SubjectParams, generate_session
@@ -64,6 +67,77 @@ def test_segmentation_too_short():
 def test_boundaries_flat_channel_raises():
     with pytest.raises(NoCyclesFound):
         _boundaries_from_vertical(np.zeros(1000), 100.0)
+
+
+def _comb_reference(v, rate):
+    """Reference: the period-locked comb search one (anchor, target) pair at
+    a time, every anchor building its own comb."""
+    std = v.std()
+    x = v - v.mean()
+    ac = np.correlate(x, x, "full")[len(x) - 1:]
+    lo = max(int(MIN_PERIOD_S * rate), 1)
+    hi = min(int(MAX_PERIOD_S * rate), len(ac) - 1)
+    peaks, _ = find_peaks(ac[lo:hi + 1])
+    if len(peaks):
+        period = lo + int(peaks[np.argmax(ac[lo + peaks])])
+    else:
+        period = lo + int(np.argmax(ac[lo:hi + 1]))
+    cands, _ = find_peaks(-x, prominence=PROMINENCE * std)
+    tol = max(int(0.06 * period), 1)
+    best = None
+    for anchor in cands.tolist():
+        picks = []
+        for k in range(-(anchor // period) - 1,
+                       (len(x) - anchor) // period + 2):
+            target = anchor + k * period
+            if not 0 <= target < len(x):
+                continue
+            near = cands[np.abs(cands - target) <= tol]
+            picks.append(int(near[np.argmin(x[near])]) if len(near)
+                         else target)
+        picks = sorted(set(picks))
+        depth = float(np.mean(x[picks]))
+        if best is None or depth < best[0]:
+            best = (depth, picks)
+    return best[1]
+
+
+def _tied_vertical(rate):
+    # a noisy two-minima walk rounded to 0.1, so that candidate minima tie
+    rng = np.random.default_rng(int(rate))
+    t = np.arange(int(12 * rate)) / rate
+    v = (np.sin(2 * np.pi * t / 1.3) + 0.9 * np.sin(4 * np.pi * t / 1.3)
+         + rng.normal(0.0, 0.3, len(t)))
+    return np.round(v, 1)
+
+
+def test_cut_search_reaches_minima_exactly_tol_off_the_comb():
+    # a 1.2 s cosine with a narrow dip near each minimum, every other dip
+    # 7 samples (the comb's tol at a 120-sample period) early or late
+    i = np.arange(1200)
+    dips = [j * 120 + 30 + (0, -7, 7, 0)[j % 4] for j in range(10)]
+    v = -2.0 * np.cos(2 * np.pi * (i - 30) / 120)
+    for k, d in enumerate(dips):
+        v -= (3.0 + 0.01 * k) * np.exp(-0.5 * ((i - d) / 1.5) ** 2)
+    assert _boundaries_from_vertical(v, 100.0) == dips
+    assert _comb_reference(v, 100.0) == dips
+
+
+@pytest.mark.parametrize("duration", [3.5, 8.0, 12.0, 60.0])
+def test_cut_search_equals_the_per_anchor_comb(duration):
+    for seed in range(3):
+        imu, _, _ = generate_session(SubjectParams(seed=seed),
+                                     duration=duration, seed_offset=seed)
+        v = imu_chain(imu).a_world[:, 2]
+        cuts = _boundaries_from_vertical(v, imu.sample_rate)
+        assert cuts == _comb_reference(v, imu.sample_rate)
+        assert {type(c) for c in cuts} == {int}
+
+
+@pytest.mark.parametrize("rate", [2.5, 50.0, 100.0])
+def test_cut_search_takes_the_first_of_tied_minima_as_the_comb_does(rate):
+    v = _tied_vertical(rate)
+    assert _boundaries_from_vertical(v, rate) == _comb_reference(v, rate)
 
 
 @pytest.mark.parametrize("cut", [(2, 82), (165, 415)],
@@ -131,6 +205,19 @@ def test_cycle_feature_vector_equals_the_per_row_statistics_bit_for_bit():
                for n in (1, 2, 3, 149, 150)]
     for c in cycles:
         assert cycle_feature_vector(c).tobytes() == _per_row_features(c).tobytes()
+
+
+def test_cycle_feature_rows_equal_each_cycle_alone():
+    # cycles of one session differ in duration, so each row needs its own
+    # effective rate
+    for seed in range(3):
+        imu = generate_session(SubjectParams(seed=seed), duration=12.0,
+                               seed_offset=seed)[0]
+        cycles = gait_representation(imu)
+        assert len({c.t_end - c.t_start for c in cycles}) > 1
+        want = np.array([_per_row_features(c) for c in cycles])
+        assert cycle_feature_rows(cycles).tobytes() == want.tobytes()
+        assert gait_vectors(imu).tobytes() == want.tobytes()
 
 
 def test_gait_representation_on_synthetic_subject():

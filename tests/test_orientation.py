@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syncgait import orientation
 from syncgait.errors import DegenerateSeries, NonUnitQuaternion
 from syncgait.orientation import (AHRS_BETA, AHRS_ZETA, EulerAngles,
-                                  Quaternion, _ahrs_step, ahrs_stream,
+                                  Quaternion, ahrs_stream,
                                   euler_to_quaternion,
                                   initial_orientation, integrate_velocity,
                                   quaternion_to_euler, rotate_to_world,
@@ -175,28 +174,40 @@ def test_ahrs_recovers_static_orientation():
     assert e_est.yaw == pytest.approx(0.0, abs=1e-6)
 
 
-def test_ahrs_gyro_only_fallback_flags_state():
-    # identity attitude, zero bias, a zero accelerometer
-    *q, bx, by, bz, gyro_only = _ahrs_step(
-        1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-        [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], 0.01)
-    assert gyro_only
-    # pure gyro integration about z advances yaw by w*dt
-    assert quaternion_to_euler(Quaternion(*q)).yaw == pytest.approx(
+def test_ahrs_stream_integrates_the_gyro_alone_at_a_zero_accelerometer():
+    # a level start at rest, then a zero accelerometer turning about z:
+    # with no gravity to correct against, the step integrates the gyro
+    # alone and advances yaw by w*dt, with no warning from the a / |a| pass
+    imu = ImuSeries(np.arange(2) / 100.0, [[0.0, 0.0, 9.81], [0.0, 0.0, 0.0]],
+                    [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]], np.zeros((2, 3)))
+    quats = ahrs_stream(imu)
+    assert quats[0].tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert quaternion_to_euler(Quaternion(*quats[1])).yaw == pytest.approx(
         0.01, abs=1e-6)
 
 
 def test_ahrs_keeps_the_gravity_correction_without_a_field():
-    # a tilted start and a level phone at rest: the gravity step levels
-    # roll and pitch; gyro-only integration would hold the starting tilt
-    q = euler_to_quaternion(EulerAngles(0.3, -0.2, 0.9))
-    state = (q.q0, q.q1, q.q2, q.q3, 0.0, 0.0, 0.0)
-    for _ in range(400):
-        *state, gyro_only = _ahrs_step(*state, [0.0, 0.0, 9.81],
-                                       [0.0, 0.0, 0.0], 0.01)
-        assert not gyro_only
-    e = quaternion_to_euler(Quaternion(*state[:4]))
+    # a tilted first sample, then a level phone at rest: the gravity step
+    # levels roll and pitch; gyro-only integration would hold the tilt
+    tilted = _matrix(euler_to_quaternion(EulerAngles(0.3, -0.2, 0.9))).T
+    acc = np.tile(GRAVITY_WORLD, (401, 1))
+    acc[0] = tilted @ GRAVITY_WORLD
+    imu = ImuSeries(np.arange(401) / 100.0, acc, np.zeros((401, 3)),
+                    np.zeros((401, 3)))
+    quats = ahrs_stream(imu)
+    assert abs(quaternion_to_euler(Quaternion(*quats[0])).roll) > 0.2
+    e = quaternion_to_euler(Quaternion(*quats[-1]))
     assert (e.roll, e.pitch) == pytest.approx((0.0, 0.0), abs=0.01)
+
+
+@pytest.mark.parametrize("big", [[1e200, 0.0, 0.0], [1e154, 1e154, 1e154]],
+                         ids=["square_overflows", "sum_overflows"])
+def test_ahrs_stream_refuses_samples_too_large_to_square(big):
+    acc = np.tile(GRAVITY_WORLD, (20, 1))
+    acc[5] = big
+    with pytest.raises(DegenerateSeries):
+        ahrs_stream(ImuSeries(np.arange(20) / 100.0, acc, np.zeros((20, 3)),
+                              np.zeros((20, 3))))
 
 
 def _rot_inv(w, vx, vy, vz, rx, ry, rz):
@@ -268,28 +279,47 @@ def _general_form_step(w, x, y, z, bx_b, by_b, bz_b, a, g, dt):
     return w / n, x / n, y / n, z / n, bx_b, by_b, bz_b, gyro_only
 
 
+def _with_zero_accelerometer(imu: ImuSeries, rows: slice) -> ImuSeries:
+    acc = imu.acc.copy()
+    acc[rows] = 0.0
+    return ImuSeries(imu.t, acc, imu.gyro, imu.mag, imu.sample_rate)
+
+
+def _walk(angle: float) -> ImuSeries:
+    return generate_session(SubjectParams(seed=3),
+                            CameraModel(horizontal_angle=angle),
+                            duration=4.0)[0]
+
+
 AHRS_STREAMS = {
     "tilted_at_rest": lambda: _static_imu(
         euler_to_quaternion(EulerAngles(0.3, -0.2, 0.9)), 300, noise=0.05),
     "upside_down": lambda: _static_imu(
         axis_angle_quaternion(np.array([1.0, 2, 3]), 2.5), 300, noise=0.05),
     "level_exact": lambda: _static_imu(Quaternion(), 100),
-    **{f"walk_heading_{angle}": (lambda angle=angle: generate_session(
-        SubjectParams(seed=3), CameraModel(horizontal_angle=angle),
-        duration=4.0)[0]) for angle in (0, 90, 180)},
+    **{f"walk_heading_{angle}": (lambda angle=angle: _walk(angle))
+       for angle in (0, 90, 180)},
+    "walk_zero_accelerometer_mid_stream": lambda: _with_zero_accelerometer(
+        _walk(90), slice(150, 153)),
 }
 
 
 @pytest.mark.parametrize("stream", AHRS_STREAMS)
 def test_ahrs_step_equals_the_general_form_step_bit_for_bit(stream):
+    # ahrs_stream's loop against the general-form step run sample by
+    # sample from the same start; the a / |a| pass and the inlined step
+    # must give the same bits
     imu = AHRS_STREAMS[stream]()
     q = initial_orientation(imu.acc[0])
-    folded = general = (q.q0, q.q1, q.q2, q.q3, 0.0, 0.0, 0.0)
+    state = (q.q0, q.q1, q.q2, q.q3, 0.0, 0.0, 0.0)
+    stepped, modes = [], []
     for a, g in zip(imu.acc.tolist(), imu.gyro.tolist()):
-        *folded, flag = _ahrs_step(*folded, a, g, 0.01)
-        *general, ref_flag = _general_form_step(*general, a, g, 0.01)
-        assert flag == ref_flag
-        assert [v.hex() for v in folded] == [v.hex() for v in general]
+        *state, gyro_only = _general_form_step(*state, a, g,
+                                               1.0 / imu.sample_rate)
+        stepped.append(state[:4])
+        modes.append(gyro_only)
+    assert any(modes) == (stream == "walk_zero_accelerometer_mid_stream")
+    assert ahrs_stream(imu).tobytes() == np.array(stepped).tobytes()
 
 
 def test_initial_orientation_identity_case():
@@ -332,18 +362,10 @@ def test_initial_orientation_returns_python_floats(q):
     assert e0.yaw == 0.0
 
 
-@pytest.mark.parametrize("rate", [100.0, np.float64(100.0)],
-                         ids=["float_rate", "numpy_rate"])
-def test_every_ahrs_step_runs_on_python_floats(monkeypatch, rate):
-    types = []
-
-    def spy(w, x, y, z, bx_b, by_b, bz_b, a, g, dt):
-        types.append({type(v) for v in (w, x, y, z, bx_b, by_b, bz_b, dt)})
-        return _ahrs_step(w, x, y, z, bx_b, by_b, bz_b, a, g, dt)
-
-    monkeypatch.setattr(orientation, "_ahrs_step", spy)
+def test_ahrs_stream_gives_the_same_bytes_at_a_float_or_numpy_rate():
     imu = _static_imu(axis_angle_quaternion(np.array([1.0, 2, 3]), 2.5), 20,
                       noise=0.1)
-    imu = ImuSeries(imu.t, imu.acc, imu.gyro + 0.05, imu.mag, sample_rate=rate)
-    ahrs_stream(imu)
-    assert types == [{float}] * 20
+    quats = [ahrs_stream(ImuSeries(imu.t, imu.acc, imu.gyro + 0.05, imu.mag,
+                                   sample_rate=rate)).tobytes()
+             for rate in (100.0, np.float64(100.0))]
+    assert quats[0] == quats[1]

@@ -12,8 +12,8 @@ from syncgait.errors import InvalidBand, SeriesTooShort
 from syncgait import posture
 from syncgait.posture import (ARM_CHAIN, GAIN_TABLE_MAX, AdctConfig,
                               _ChainFilter, _measured_gains, adaptive_bandpass,
-                              adct_cutoff, adct_smooth, estimate_band,
-                              histogram_entropy, mjckf_correct)
+                              adct_cutoff, adct_smooth, column_entropies,
+                              estimate_band, histogram_entropy, mjckf_correct)
 from syncgait.series import Series1D
 
 
@@ -48,6 +48,67 @@ def test_entropy_matches_oracle(seed):
     v = rng.normal(size=300)
     assert histogram_entropy(v, 64) == pytest.approx(
         shannon_entropy_oracle(v, 64), abs=1e-12)
+
+
+def _numpy_histogram_entropy(column: np.ndarray, bins: int) -> float:
+    """Reference: the entropy of one column's `np.histogram` over its
+    min..max, summed over its non-empty bins."""
+    if column.size == 0 or column.max() == column.min():
+        return 0.0
+    counts, _ = np.histogram(column, bins=bins,
+                             range=(column.min(), column.max()))
+    p = counts[counts > 0] / counts.sum()
+    return float(-(p * np.log2(p)).sum())
+
+
+def _on_bin_edges(rng: np.random.Generator) -> np.ndarray:
+    # the edges of 32 bins over each column's range and their neighbouring
+    # floats, where the uniform-bin index needs its one-ULP corrections
+    cols = []
+    for lo, hi in ((0.0, 1.0), (-3.0, 7.7), (0.1, 0.3), (-1e-7, 2e-7),
+                   (-91.3, 4.1e5)):
+        edges = np.linspace(lo, hi, 33)
+        near = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                               np.nextafter(edges, np.inf)])
+        cols.append(rng.choice(np.clip(near, lo, hi), 500))
+    return np.column_stack(cols + [np.linspace(0.0, 1.0, 500)])
+
+
+ENTROPY_BLOCKS = {
+    "mixed": lambda rng: np.column_stack([
+        np.full(300, 3.3), rng.normal(size=300),
+        rng.normal(size=300).cumsum(), rng.uniform(size=300) ** 4,
+        np.where(np.arange(300) == 7, 1.0, 0.0)]),
+    "on_bin_edges": _on_bin_edges,
+    "extreme_finite": lambda rng: np.column_stack([
+        rng.uniform(-8e307, 8e307, 200), rng.uniform(-1e-300, 1e-300, 200),
+        rng.choice([-8e307, 0.0, 8e307], 200),
+        rng.uniform(0.0, 1e-318, 200), np.full(200, -1.7e308),
+        rng.uniform(1.6e308, 1.7e308, 200)]),
+    "one_row": lambda rng: rng.normal(size=(1, 3)),
+}
+
+
+@pytest.mark.parametrize("bins", [1, 7, 32, 256])
+@pytest.mark.parametrize("block", ENTROPY_BLOCKS)
+def test_column_entropies_equal_numpy_histogram_per_column(block, bins):
+    v = ENTROPY_BLOCKS[block](np.random.default_rng(bins))
+    want = [_numpy_histogram_entropy(c, bins).hex() for c in v.T]
+    assert [h.hex() for h in column_entropies(v, bins)] == want
+    assert [histogram_entropy(c, bins).hex() for c in v.T] == want
+
+
+@pytest.mark.parametrize("values", [
+    [1.0, np.nan, 2.0], [0.0, np.inf], [-np.inf, 0.0, 1.0], [0.0, 5e-324]],
+    ids=["nan", "inf", "minus_inf", "too_narrow_for_the_bins"])
+def test_column_entropies_raise_where_numpy_histogram_raises(values):
+    v = np.array(values)
+    with pytest.raises(ValueError):
+        np.histogram(v, bins=32, range=(v.min(), v.max()))
+    with pytest.raises(ValueError):
+        histogram_entropy(v, 32)
+    with pytest.raises(ValueError):
+        column_entropies(np.column_stack([np.arange(len(v)), v]), 32)
 
 
 # --- adaptive cutoff ------------------------------------------------------------
