@@ -362,10 +362,24 @@ def test_initial_orientation_returns_python_floats(q):
     assert e0.yaw == 0.0
 
 
-def test_ahrs_stream_gives_the_same_bytes_at_a_float_or_numpy_rate():
+@pytest.mark.parametrize("rate", [100.0, np.float64(100.0)],
+                         ids=["float_rate", "numpy_rate"])
+def test_every_ahrs_step_runs_on_python_floats(monkeypatch, rate):
+    # the initial attitude takes one square root and each step two, of
+    # |s|^2 and of |q|^2; a numpy scalar anywhere in the state would reach
+    # them as np.float64
     imu = _static_imu(axis_angle_quaternion(np.array([1.0, 2, 3]), 2.5), 20,
                       noise=0.1)
-    quats = [ahrs_stream(ImuSeries(imu.t, imu.acc, imu.gyro + 0.05, imu.mag,
-                                   sample_rate=rate)).tobytes()
-             for rate in (100.0, np.float64(100.0))]
-    assert quats[0] == quats[1]
+    imu = ImuSeries(imu.t, imu.acc, imu.gyro + 0.05, imu.mag, sample_rate=rate)
+    reference = ahrs_stream(ImuSeries(imu.t, imu.acc, imu.gyro, imu.mag,
+                                      sample_rate=100.0))
+    types = []
+
+    def spy(v, sqrt=math.sqrt):
+        types.append(type(v))
+        return sqrt(v)
+
+    monkeypatch.setattr(math, "sqrt", spy)
+    quats = ahrs_stream(imu)
+    assert types == [float] * (1 + 2 * 20)
+    assert quats.tobytes() == reference.tobytes()
