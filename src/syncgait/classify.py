@@ -3,7 +3,11 @@
 The OC-SVM dual  min 1/2 a'Ka  s.t. 0 <= a_i <= 1/(nu n), sum a = 1  is solved
 by SMO-style pairwise coordinate updates to a KKT tolerance. Hyperparameters
 come from a deterministic grid search scored on held-out genuine acceptance
-at a fixed synthetic-outlier rejection rate.
+at a fixed synthetic-outlier rejection rate. nu only sets the box bound, so
+the search solves each gamma's nus in ascending order on one kernel, and a
+grid point whose bound lies above the last solve's peak alpha by more than
+1e-8 reuses that solve: the bound never acted on it, so the model is the
+same bit for bit.
 """
 
 from __future__ import annotations
@@ -68,32 +72,62 @@ class OcSvmModel:
         return float(self.dual_coef @ k[:, 0] - self.rho)
 
     def scores(self, x: np.ndarray) -> np.ndarray:
-        z = self.scaler.transform(np.asarray(x, dtype=float))
+        return self.decision(self.scaler.transform(np.asarray(x, dtype=float)))
+
+    def decision(self, z: np.ndarray) -> np.ndarray:
+        """Decision values of already z-scored rows."""
         k = _rbf(self.support_vectors, z, self.gamma)
         return self.dual_coef @ k - self.rho
 
 
-def _solve_ocsvm_dual(k: np.ndarray, nu: float) -> np.ndarray:
-    """Pairwise coordinate descent on the OC-SVM dual (sum alpha = 1), to a
-    KKT gap of KKT_TOL or MAX_ITER steps."""
+def _solve_ocsvm_dual(k: np.ndarray, c: float) -> tuple[np.ndarray, float]:
+    """Pairwise coordinate descent on the OC-SVM dual (sum alpha = 1) with
+    box bound c, to a KKT gap of KKT_TOL or MAX_ITER steps. Returns alpha
+    and its peak, the largest value any step gave an alpha, from 1/n on.
+
+    The scalar step runs on Python floats, the same IEEE operations the
+    numpy scalars gave, so alpha is bit for bit the same."""
     n = len(k)
-    c = 1.0 / (nu * n)
     alpha = np.full(n, 1.0 / n)   # feasible, since nu <= 1 gives c >= 1/n
+    peak = 1.0 / n
+    diag = k.diagonal().tolist()
     for _ in range(MAX_ITER):
         grad = k @ alpha
         up_mask = alpha < c - 1e-15
         dn_mask = alpha > 1e-15
         i = int(np.argmax(np.where(dn_mask, grad, -np.inf)))   # donate from
         j = int(np.argmin(np.where(up_mask, grad, np.inf)))    # receive to
-        gap = grad[i] - grad[j]
+        gap = float(grad[i]) - float(grad[j])
         if gap < KKT_TOL:
             break
-        denom = k[i, i] + k[j, j] - 2.0 * k[i, j]
-        step = gap / denom if denom > 1e-12 else alpha[i]
-        step = min(step, alpha[i], c - alpha[j])
-        alpha[i] -= step
-        alpha[j] += step
-    return alpha
+        a_i, a_j = float(alpha[i]), float(alpha[j])
+        denom = diag[i] + diag[j] - 2.0 * float(k[i, j])
+        step = gap / denom if denom > 1e-12 else a_i
+        step = min(step, a_i, c - a_j)
+        alpha[i] = a_i - step
+        alpha[j] = a_j = a_j + step
+        peak = max(peak, a_j)
+    return alpha, peak
+
+
+def _ocsvm_model(z: np.ndarray, k: np.ndarray, alpha: np.ndarray, nu: float,
+                 gamma: float, scaler: Scaler) -> OcSvmModel:
+    """The model of a solved dual on the z-scored rows z with kernel k."""
+    sv = alpha > 1e-10
+    c = 1.0 / (nu * len(z))
+    decision = k @ alpha
+    margin = (alpha > 1e-8) & (alpha < c - 1e-8)
+    # rho at the low edge of the margin band so free SVs score >= 0 despite
+    # the KKT tolerance; bounded SVs stay at or below zero
+    if margin.any():
+        rho = float(decision[margin].min())
+    elif (alpha >= c - 1e-8).any():
+        rho = float(decision[alpha >= c - 1e-8].max())
+    else:
+        rho = float(decision[sv].mean())
+    rho -= KKT_TOL   # margin points must not flip sign on solver noise
+    return OcSvmModel(support_vectors=z[sv], dual_coef=alpha[sv], rho=rho,
+                      nu=nu, gamma=gamma, scaler=scaler)
 
 
 def fit_ocsvm_fixed(x: np.ndarray, nu: float, gamma: float,
@@ -110,29 +144,21 @@ def fit_ocsvm_fixed(x: np.ndarray, nu: float, gamma: float,
     # count so squared distances stay O(1) regardless of dimensionality
     gamma = gamma / z.shape[1]
     k = _rbf(z, z, gamma)
-    alpha = _solve_ocsvm_dual(k, nu)
-    sv = alpha > 1e-10
-    n = len(z)
-    c = 1.0 / (nu * n)
-    decision = k @ alpha
-    margin = (alpha > 1e-8) & (alpha < c - 1e-8)
-    # rho at the low edge of the margin band so free SVs score >= 0 despite
-    # the KKT tolerance; bounded SVs stay at or below zero
-    if margin.any():
-        rho = float(decision[margin].min())
-    elif (alpha >= c - 1e-8).any():
-        rho = float(decision[alpha >= c - 1e-8].max())
-    else:
-        rho = float(decision[sv].mean())
-    rho -= KKT_TOL   # margin points must not flip sign on solver noise
-    return OcSvmModel(support_vectors=z[sv], dual_coef=alpha[sv], rho=rho,
-                      nu=nu, gamma=gamma, scaler=scaler)
+    alpha, _ = _solve_ocsvm_dual(k, 1.0 / (nu * len(z)))
+    return _ocsvm_model(z, k, alpha, nu, gamma, scaler)
 
 
 def train_ocsvm(train: np.ndarray, seed: int = 0) -> OcSvmModel:
     """Grid search over NU_GRID x GAMMA_GRID: maximize held-out genuine
     acceptance subject to a fixed rejection rate on synthetic uniform
-    outliers over the feature hypercube."""
+    outliers over the feature hypercube.
+
+    nu only sets the dual's box bound c = 1/(nu n). So each gamma's kernel
+    is built once and its nus are solved in ascending order (descending c):
+    a grid point takes the last solve's alpha and score when that solve's
+    peak alpha lies below its own c - 1e-8, since then no bound mask, step
+    clamp or rho mask reads differently and the model differs only in its
+    nu field. The best point is picked in nu-major order as before."""
     x = np.atleast_2d(np.asarray(train, dtype=float))
     if len(x) < 10:
         raise TooFewSamples(f"need >= 10 training vectors, got {len(x)}")
@@ -148,17 +174,30 @@ def train_ocsvm(train: np.ndarray, seed: int = 0) -> OcSvmModel:
     hi = z_all.max(axis=0) + 3.0
     outliers = rng.uniform(lo, hi, size=(200, x.shape[1]))
 
+    z_fit = scaler.transform(x[fit_idx])
+    z_hold = scaler.transform(x[hold])
+    z_out = scaler.transform(scaler.mean + outliers * scaler.std)
+    n = len(z_fit)
+    keys = {}
+    for gamma in GAMMA_GRID:
+        g = gamma / z_fit.shape[1]
+        k = _rbf(z_fit, z_fit, g)
+        peak = np.inf
+        for nu in sorted(NU_GRID):
+            c = 1.0 / (nu * n)
+            if not peak < c - 1e-8:
+                alpha, peak = _solve_ocsvm_dual(k, c)
+                model = _ocsvm_model(z_fit, k, alpha, nu, g, scaler)
+                accept = float(np.mean(model.decision(z_hold) >= 0))
+                reject = float(np.mean(model.decision(z_out) < 0))
+                feasible = reject >= OUTLIER_REJECTION_TARGET
+                key = (feasible, accept if feasible else accept + reject)
+            keys[nu, gamma] = key
     best = None
     for nu in NU_GRID:
         for gamma in GAMMA_GRID:
-            model = fit_ocsvm_fixed(x[fit_idx], nu, gamma, scaler=scaler)
-            accept = float(np.mean(model.scores(x[hold]) >= 0))
-            reject = float(np.mean(model.scores(scaler.mean
-                                                + outliers * scaler.std) < 0))
-            feasible = reject >= OUTLIER_REJECTION_TARGET
-            key = (feasible, accept if feasible else accept + reject)
-            if best is None or key > best[0]:
-                best = (key, nu, gamma)
+            if best is None or keys[nu, gamma] > best[0]:
+                best = (keys[nu, gamma], nu, gamma)
     _, nu, gamma = best
     return fit_ocsvm_fixed(x, nu, gamma, scaler=scaler)
 

@@ -105,12 +105,18 @@ def adct_smooth(s: Series1D, cfg: AdctConfig = AdctConfig()) -> Series1D:
     """Entropy-adaptive DCT truncation smoothing of the (n,) or (n, k)
     values: each column keeps its own cutoff, and one DCT and one inverse
     run along axis 0, each column bit for bit what smoothing it alone
-    gives."""
+    gives. A column whose histogram `column_entropies` refuses (a non-
+    finite value, or a range too narrow for `cfg.bins` distinct edges, such
+    as a few subnormal steps) is DegenerateSeries."""
     n = len(s)
     if n < 4:
         raise SeriesTooShort("need >= 4 samples")
     v = s.values.reshape(n, -1)
-    k = [adct_cutoff(n, h, cfg) for h in column_entropies(v, cfg.bins)]
+    try:
+        entropies = column_entropies(v, cfg.bins)
+    except ValueError as exc:
+        raise DegenerateSeries(str(exc)) from exc
+    k = [adct_cutoff(n, h, cfg) for h in entropies]
     coeffs = dct(v, norm="ortho", axis=0)
     coeffs[np.arange(n)[:, None] >= k] = 0.0
     smooth = idct(coeffs, norm="ortho", axis=0)

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syncgait.classify import (OcSvmModel, Scaler, deserialize_model,
-                               fit_ocsvm_fixed, serialize_model, train_ocsvm,
+from syncgait import classify
+from syncgait.classify import (GAMMA_GRID, KKT_TOL, MAX_ITER, NU_GRID,
+                               OUTLIER_REJECTION_TARGET, OcSvmModel, Scaler,
+                               deserialize_model, fit_ocsvm_fixed,
+                               serialize_model, train_ocsvm,
                                train_ocsvm_calibrated)
 from syncgait.errors import TooFewSamples
 
@@ -79,6 +82,128 @@ def test_train_ocsvm_grid_search_rejects_uniform_outliers():
 def test_train_ocsvm_needs_ten_samples():
     with pytest.raises(TooFewSamples):
         train_ocsvm(np.zeros((9, 3)))
+
+
+# --- shared grid: the per-point search it replaces ------------------------------
+
+def _per_point_train_ocsvm(train, seed):
+    """Reference grid search: one `fit_ocsvm_fixed` at every (nu, gamma),
+    in nu-major order, as `train_ocsvm` ran before it shared solves."""
+    x = np.atleast_2d(np.asarray(train, dtype=float))
+    rng = np.random.default_rng(seed)
+    scaler = Scaler.fit(x)
+    z_all = scaler.transform(x)
+    n_hold = max(2, len(x) // 5)
+    order = rng.permutation(len(x))
+    hold, fit_idx = order[:n_hold], order[n_hold:]
+    lo = z_all.min(axis=0) - 3.0
+    hi = z_all.max(axis=0) + 3.0
+    outliers = rng.uniform(lo, hi, size=(200, x.shape[1]))
+    best = None
+    for nu in NU_GRID:
+        for gamma in GAMMA_GRID:
+            model = fit_ocsvm_fixed(x[fit_idx], nu, gamma, scaler=scaler)
+            accept = float(np.mean(model.scores(x[hold]) >= 0))
+            reject = float(np.mean(model.scores(scaler.mean
+                                                + outliers * scaler.std) < 0))
+            feasible = reject >= OUTLIER_REJECTION_TARGET
+            key = (feasible, accept if feasible else accept + reject)
+            if best is None or key > best[0]:
+                best = (key, nu, gamma)
+    _, nu, gamma = best
+    return fit_ocsvm_fixed(x, nu, gamma, scaler=scaler)
+
+
+_GRID_SETS = {
+    "blob": _blob(n=80, seed=0),
+    "small": _blob(n=12, dim=3, seed=1),
+    "two_clusters": np.vstack([_blob(n=30, dim=3, seed=3),
+                               _blob(n=10, dim=3, seed=4) + 6.0]),
+    # heavy tails: the bound binds at nu 0.2, which is also the best point
+    "heavy_tails": np.random.default_rng(0).standard_t(2, size=(30, 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(_GRID_SETS))
+def test_shared_grid_models_equal_the_per_point_grid(name, monkeypatch):
+    x = _GRID_SETS[name]
+    solved = []   # the nu of each dual solve, read back from its bound
+
+    def spy(k, c):
+        solved.append(round(1.0 / (c * len(k)), 6))
+        return solve(k, c)
+
+    solve = classify._solve_ocsvm_dual
+    monkeypatch.setattr(classify, "_solve_ocsvm_dual", spy)
+    shared = serialize_model(train_ocsvm(x, seed=0))
+    monkeypatch.undo()
+    assert shared == serialize_model(_per_point_train_ocsvm(x, seed=0))
+    grid = solved[:-1]   # the last solve is the final fit on every row
+    assert len(grid) < len(NU_GRID) * len(GAMMA_GRID)   # a solve was reused
+    # each gamma's solves start at the smallest nu; one that skips a nu
+    # solved afresh after a reuse because the larger nu's bound binds
+    nus = sorted(NU_GRID)
+    starts = [i for i, nu in enumerate(grid) if nu == nus[0]]
+    per_gamma = [grid[a:b] for a, b in zip(starts, starts[1:] + [len(grid)])]
+    assert len(per_gamma) == len(GAMMA_GRID)
+    if name != "small":
+        assert any(g != nus[:len(g)] for g in per_gamma)
+
+
+# --- solver step: Python floats against numpy scalars ---------------------------
+
+def _numpy_scalar_dual(k, nu):
+    """The solver loop with its scalar step on numpy scalars; also counts
+    the steps that took the zero-denominator branch and the bound clamp."""
+    n = len(k)
+    c = 1.0 / (nu * n)
+    alpha = np.full(n, 1.0 / n)
+    flat = clamped = 0
+    for _ in range(MAX_ITER):
+        grad = k @ alpha
+        up_mask = alpha < c - 1e-15
+        dn_mask = alpha > 1e-15
+        i = int(np.argmax(np.where(dn_mask, grad, -np.inf)))
+        j = int(np.argmin(np.where(up_mask, grad, np.inf)))
+        gap = grad[i] - grad[j]
+        if gap < KKT_TOL:
+            break
+        denom = k[i, i] + k[j, j] - 2.0 * k[i, j]
+        flat += not denom > 1e-12
+        step = gap / denom if denom > 1e-12 else alpha[i]
+        clamped += c - alpha[j] < min(step, alpha[i])
+        step = min(step, alpha[i], c - alpha[j])
+        alpha[i] -= step
+        alpha[j] += step
+    return alpha, flat, clamped
+
+
+def _rbf_of(x, gamma):
+    z = Scaler.fit(x).transform(x)
+    return classify._rbf(z, z, gamma / z.shape[1])
+
+
+# Points 0 and 1 are one point to each other (k_00 + k_11 - 2 k_01 = 0) but
+# not to points 2 and 3, so the first step takes the zero-denominator
+# branch. No positive semi-definite kernel has such a pair: a zero distance
+# in feature space makes two rows, and so their gradients, equal, and the
+# gap 0 (duplicate rows stop the solver), so the matrix is hand-built.
+_FLAT_PAIR = np.array([[1.0, 1.0, 0.0, 0.0],
+                       [1.0, 1.0, 1.0, 1.0],
+                       [0.0, 1.0, 1.0, 0.5],
+                       [0.0, 1.0, 0.5, 1.0]])
+
+
+@pytest.mark.parametrize("k, nu, branch", [
+    (_rbf_of(_blob(n=60, seed=2), 0.5), 0.05, None),
+    (_rbf_of(_blob(n=12, dim=3, seed=4), 0.1), 0.2, "clamped"),
+    (_FLAT_PAIR, 0.25, "flat")], ids=["free", "bound_active", "zero_denom"])
+def test_python_float_step_equals_numpy_scalar_step(k, nu, branch):
+    alpha, peak = classify._solve_ocsvm_dual(k, 1.0 / (nu * len(k)))
+    want, flat, clamped = _numpy_scalar_dual(k, nu)
+    assert alpha.tobytes() == want.tobytes()
+    assert peak >= alpha.max()
+    assert {"flat": flat > 0, "clamped": clamped > 0}.get(branch, True)
 
 
 def test_calibrated_threshold_sits_between_classes():

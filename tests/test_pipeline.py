@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from syncgait import features, gait, pipeline, posture
+from syncgait.classify import serialize_model
 from syncgait.errors import SeriesTooShort, TooFewSamples
 from syncgait.gait import imu_chain
 from syncgait.pipeline import (aligned_speeds, calibrate_keypoints,
@@ -15,8 +16,9 @@ from syncgait.pipeline import (aligned_speeds, calibrate_keypoints,
                                video_speed_channel)
 from syncgait.series import JOINT_INDEX, KeypointSeries
 from syncgait.syncing import ClockOffsetEstimate
-from syncgait.synth import (HijackAttack, RelayAttack, SubjectParams,
-                            generate_attack, generate_session, make_cohort)
+from syncgait.synth import (CameraModel, HijackAttack, RelayAttack,
+                            SubjectParams, generate_attack, generate_session,
+                            make_cohort)
 
 OFFSET = 0.08
 EST = ClockOffsetEstimate(OFFSET, 1e-6, 0.005)
@@ -152,6 +154,27 @@ def test_enroll_requires_enough_windows(subject):
     imu, kp, _ = generate_session(subject, clock_offset=OFFSET, duration=3.5)
     with pytest.raises(TooFewSamples):
         enroll([(imu, kp, EST)])
+
+
+def test_no_state_carries_over_between_enrollments():
+    # A, then B (filmed at another frame rate, so the per-rate filter and
+    # gain caches gain entries), then A again from the same sessions, in one
+    # process: A's serialized models are byte-identical both times
+    a, b = make_cohort(2, seed=31)
+
+    def sessions(subject, cam):
+        return [generate_session(subject, cam, clock_offset=OFFSET,
+                                 seed_offset=300 + k)[:2] + (EST,)
+                for k in range(6)]
+
+    def models(enrollment):
+        return [serialize_model(enrollment.consistency_model),
+                serialize_model(enrollment.gait_model)]
+
+    sessions_a = sessions(a, CameraModel())
+    first = models(enroll(sessions_a, seed=0))
+    enroll(sessions(b, CameraModel(fps=30.0)), seed=0)
+    assert models(enroll(sessions_a, seed=0)) == first
 
 
 def test_each_stream_makes_one_call_per_column_wise_stage(session,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syncgait.errors import InvalidBand, SeriesTooShort
+from syncgait.errors import DegenerateSeries, InvalidBand, SeriesTooShort
 from syncgait import posture
 from syncgait.posture import (ARM_CHAIN, GAIN_TABLE_MAX, AdctConfig,
                               _ChainFilter, _measured_gains, adaptive_bandpass,
@@ -175,6 +175,13 @@ def test_adct_smooth_of_a_block_equals_each_column_alone(n):
 def test_adct_smooth_too_short():
     with pytest.raises(SeriesTooShort):
         adct_smooth(Series1D(np.zeros(3), rate=100.0))
+
+
+def test_adct_smooth_of_a_subnormal_range_is_degenerate():
+    # too narrow for 32 distinct histogram edges; the other column is fine
+    x = np.column_stack([np.arange(8.0), [0.0, 5e-324] * 4])
+    with pytest.raises(DegenerateSeries):
+        adct_smooth(Series1D(x, rate=60.0))
 
 
 # --- gait band ---------------------------------------------------------------

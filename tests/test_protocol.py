@@ -15,7 +15,7 @@ from syncgait.protocol import (ARQ_ROUNDS, ChannelModel, SessionConfig,
                                exchange_with_arq, inject_loss, run_session)
 from syncgait.pipeline import (Enrollment, consistency_score, enroll,
                                gait_score)
-from syncgait.series import ImuSeries, KeypointSeries
+from syncgait.series import JOINT_INDEX, ImuSeries, KeypointSeries
 from syncgait.syncing import ClockOffsetEstimate
 from syncgait.synth import (CameraModel, RelayAttack, SubjectParams,
                             generate_attack, generate_session, make_cohort)
@@ -275,6 +275,19 @@ def test_degenerate_stream_fails_the_session_with_a_named_reason(
         imu = ImuSeries(imu.t, sample_rate=imu.sample_rate, **blocks)
     result, reasons = _one_attempt(enrollment, imu, kp)
     assert (result.state, reasons) == outcome
+
+
+def test_subnormal_keypoint_range_fails_the_session_with_a_named_reason(
+        capture):
+    # a wrist column a few subnormal steps wide is too narrow for the ADCT
+    # histogram's bins: the attempt fails on DegenerateSeries, never on the
+    # raw ValueError of the histogram that run_session would not catch
+    enrollment, imu, kp = capture
+    uv = kp.uv.copy()
+    uv[:, JOINT_INDEX["wrist_r"], 0] = np.resize([0.0, 5e-324], len(uv))
+    kp = KeypointSeries(kp.t, uv, kp.conf, kp.frame_rate)
+    result, reasons = _one_attempt(enrollment, imu, kp)
+    assert (result.state, reasons) == _DEGENERATE
 
 
 @pytest.mark.parametrize("source, angle", [
