@@ -12,7 +12,7 @@ from .errors import SyncGaitError
 from .features import (FEATURE_NAMES, FeatureVector, FisherReport,
                        compute_features, fisher_select)
 from .gait import (GaitCycle, ImuChain, cycle_boundaries,
-                   cycle_feature_vector, gait_representation, imu_chain,
+                   cycle_feature_rows, gait_representation, imu_chain,
                    normalize_cycle, segment_cycles)
 from .metrics import EvalReport, evaluate, fuse, roc_points_csv
 from .orientation import (EulerAngles, Quaternion, ahrs_stream,

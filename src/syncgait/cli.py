@@ -273,7 +273,7 @@ def cmd_enroll(cfg: ExperimentConfig, data_dir: Path, subject: int,
             "gait_model": gait_path.name}
     if enrollment.fisher is not None:
         meta["fisher"] = {n: float(s) for n, s in
-                          zip(enrollment.fisher.names,
+                          zip(FEATURE_NAMES,
                               enrollment.fisher.normalized)}
     _write_json(out / f"subject{subject:02d}_enrollment.json", meta)
     print(f"enrolled subject {subject}: {cons_path.name}, {gait_path.name}")

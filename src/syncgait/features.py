@@ -28,6 +28,8 @@ FEATURE_NAMES = ("pcc", "spearman", "mae", "sync", "coh", "specdiff")
 
 @dataclass(frozen=True)
 class FeatureVector:
+    """One pair's features by name: its compute_features row, as_array."""
+
     pcc: float
     spearman: float
     mae: float
@@ -43,7 +45,6 @@ class FeatureVector:
 
 @dataclass(frozen=True)
 class FisherReport:
-    names: tuple[str, ...]
     normalized: np.ndarray
     selected: np.ndarray
 
@@ -116,8 +117,9 @@ def _spectra(a: np.ndarray, b: np.ndarray) -> list[tuple]:
 
 def _features(pair: AlignedPair, pcc: float, spearman: float,
               freqs_c: np.ndarray, coh: np.ndarray, pxx: np.ndarray,
-              spec_a: np.ndarray, spec_b: np.ndarray) -> FeatureVector:
-    """One pair's features from its row of _spectra."""
+              spec_a: np.ndarray, spec_b: np.ndarray) -> list[float]:
+    """One pair's feature row, FEATURE_NAMES order, from its row of
+    _spectra."""
     a, b = pair.imu_speed, pair.video_speed
     band = estimate_band(spec_a ** 2, len(a), COMMON_RATE)
     cb = _band_bins(freqs_c, band)
@@ -132,20 +134,19 @@ def _features(pair: AlignedPair, pcc: float, spearman: float,
         raise DegenerateChannel("empty spectrum in gait band")
     spec_diff = float(np.linalg.norm(sa / na - sb / nb))
 
-    return FeatureVector(pcc=float(pcc), spearman=float(spearman),
-                         mae=float(np.mean(np.abs(a - b))),
-                         sync_lag_score=_sync_lag_score(a, b),
-                         coherence_mean=coh_mean, spectral_diff=spec_diff)
+    return [pcc, spearman, np.mean(np.abs(a - b)), _sync_lag_score(a, b),
+            coh_mean, spec_diff]
 
 
-def compute_features(pairs: Sequence[AlignedPair]) -> list[FeatureVector]:
-    """The 6 consistency features of each aligned speed pair, in order, the
-    spectral ones in the band estimated from the pair's IMU channel.
+def compute_features(pairs: Sequence[AlignedPair]) -> np.ndarray:
+    """The (m, 6) consistency features of m aligned speed pairs, one row per
+    pair in order and columns in FEATURE_NAMES order, the spectral ones in
+    the band estimated from the pair's IMU channel.
 
     The pairs of one length are stacked into rows that share one segment
     FFT and one whole-row FFT per side and row-wise Pearson and Spearman
     (_spectra); the band (from the IMU row's FFT), sync lag, MAE and band
-    sums are per pair. Each vector is bit for bit what its pair gives alone,
+    sums are per pair. Each row is bit for bit what its pair gives alone,
     and a batch raises the error of its first pair that cannot be scored.
     """
     pairs = list(pairs)
@@ -160,17 +161,15 @@ def compute_features(pairs: Sequence[AlignedPair]) -> list[FeatureVector]:
     out = [_features(pairs[i], *rows[i]) for i in range(bad)]
     if bad < len(pairs):
         raise _pair_error(pairs[bad])
-    return out
+    return np.array(out, dtype=float).reshape(-1, len(FEATURE_NAMES))
 
 
-def fisher_select(genuine: list[FeatureVector],
-                  impostor: list[FeatureVector]) -> FisherReport:
-    """Per-feature Fisher score (mu_g - mu_i)^2 / (var_g + var_i), normalized
-    by the maximum; features above the selection threshold are kept."""
-    if len(genuine) < 2 or len(impostor) < 2:
+def fisher_select(g: np.ndarray, i: np.ndarray) -> FisherReport:
+    """Per-feature Fisher score (mu_g - mu_i)^2 / (var_g + var_i) of the
+    genuine rows g against the impostor rows i, normalized by the maximum;
+    features above the selection threshold are kept."""
+    if len(g) < 2 or len(i) < 2:
         raise ValueError("need >= 2 samples per class")
-    g = np.array([f.as_array() for f in genuine])
-    i = np.array([f.as_array() for f in impostor])
     num = (g.mean(axis=0) - i.mean(axis=0)) ** 2
     den = g.var(axis=0) + i.var(axis=0)
     raw = np.zeros(g.shape[1])
@@ -185,6 +184,6 @@ def fisher_select(genuine: list[FeatureVector],
             raw[k] = num[k] / den[k]
     peak = raw.max()
     normalized = raw / peak if peak > 0 else raw.copy()
-    return FisherReport(names=FEATURE_NAMES, normalized=normalized,
+    return FisherReport(normalized=normalized,
                         selected=normalized > FISHER_SELECT_THRESHOLD)
 

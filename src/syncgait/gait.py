@@ -206,8 +206,3 @@ def cycle_feature_rows(cycles: list[GaitCycle]) -> np.ndarray:
     freqs = dom * (1.0 / (length * (1.0 / eff_rate)))[:, None]
     return np.stack([mean, ch.std(axis=-1), ch.min(axis=-1),
                      ch.max(axis=-1), freqs], axis=-1).reshape(len(ch), -1)
-
-
-def cycle_feature_vector(cycle: GaitCycle) -> np.ndarray:
-    """The 30 features of one cycle: its row of `cycle_feature_rows`."""
-    return cycle_feature_rows([cycle])[0]

@@ -6,9 +6,11 @@ adaptive DCT smoothing, cooperative Kalman), differentiates its wrist and
 band-passes. The IMU chain is denoise, orientation, gravity removal,
 velocity integration, gait-band band-pass, magnitude. A stream too short
 for a stage is SeriesTooShort at the first stage that needs the length.
-Every scoring entry point also takes prepared streams (an `ImuChain`, the
-speed channels), so a session computes each chain once and scores all
-three checks from it.
+Every entry point takes the streams themselves: the IMU as an `ImuSeries`
+or its `ImuChain`, so a caller that scores one IMU view several times
+(the consistency and gait checks of an attempt) runs its denoise and AHRS
+once, and the keypoints as a `KeypointSeries`. The consistency features
+of one or many pairs are one (m, 6) array, FEATURE_NAMES columns.
 
 The pipeline takes no settings: each stage reads its module's constants
 (`posture.ARM_CHAIN` and the MJCKF noise levels, the AHRS gains in
@@ -39,11 +41,6 @@ from .syncing import (COMMON_RATE, MIN_OVERLAP_S, AlignedPair,
 
 MISALIGN_SHIFTS_S = (0.3, 0.55, 0.8)  # surrogate-negative video shifts
 GAIT_RHO_MARGIN = 0.05
-
-# the scoring entry points take each stream raw or prepared
-VideoSpeed = tuple[Series1D, np.ndarray]      # video_speed_channel output
-ImuInput = ImuSeries | ImuChain | Series1D    # Series1D: imu_speed_channel
-VideoInput = KeypointSeries | VideoSpeed
 
 
 def _joint_tracks(kp: KeypointSeries,
@@ -87,7 +84,7 @@ def _torso_scale(kp: KeypointSeries) -> np.ndarray:
     return np.maximum(scale, 1e-6)
 
 
-def video_speed_channel(kp: KeypointSeries) -> VideoSpeed:
+def video_speed_channel(kp: KeypointSeries) -> tuple[Series1D, np.ndarray]:
     """Wrist swing speed from calibrated keypoints plus a validity mask.
 
     Pixel velocities are divided by the smoothed torso scale (cancelling
@@ -123,28 +120,22 @@ def imu_speed_channel(imu: ImuSeries | ImuChain) -> Series1D:
                               float(chain.denoised.t[0]), rate))
 
 
-def aligned_speeds(imu: ImuInput, kp: VideoInput,
+def aligned_speeds(imu: ImuSeries | ImuChain, kp: KeypointSeries,
                    offset: ClockOffsetEstimate,
                    imu_valid: np.ndarray | None = None) -> AlignedPair:
-    """Both speed channels on one timeline.
-
-    Either stream may come prepared, so a session computes each chain once:
-    `imu` is an ImuSeries, its ImuChain or its imu_speed_channel output;
-    `kp` is a KeypointSeries or its video_speed_channel output.
-    """
-    imu_speed = (imu_speed_channel(imu)
-                 if isinstance(imu, (ImuSeries, ImuChain)) else imu)
-    video_speed, video_valid = (video_speed_channel(kp)
-                                if isinstance(kp, KeypointSeries) else kp)
+    """Both speed channels on one timeline, the IMU's computed first."""
+    imu_speed = imu_speed_channel(imu)
+    video_speed, video_valid = video_speed_channel(kp)
     return align(imu_speed, video_speed, offset,
                  imu_valid=imu_valid, video_valid=video_valid)
 
 
-def consistency_vector(imu: ImuInput, kp: VideoInput,
+def consistency_vector(imu: ImuSeries | ImuChain, kp: KeypointSeries,
                        offset: ClockOffsetEstimate,
                        imu_valid: np.ndarray | None = None) -> FeatureVector:
     """The 6-feature cross-modal consistency vector for one session."""
-    return compute_features([aligned_speeds(imu, kp, offset, imu_valid)])[0]
+    row = compute_features([aligned_speeds(imu, kp, offset, imu_valid)])[0]
+    return FeatureVector(*row.tolist())
 
 
 def _window_pairs(pair: AlignedPair) -> list[AlignedPair]:
@@ -211,18 +202,16 @@ def enroll(sessions: list[tuple[ImuSeries, KeypointSeries, ClockOffsetEstimate]]
         neg_pairs += _shifted_pairs(pair)
         gaits.append(gait_vectors(chain))
     # one batch: the pairs of one length share their spectral passes
-    vecs = compute_features(pos_pairs + neg_pairs)
-    pos_vecs, neg_vecs = vecs[:len(pos_pairs)], vecs[len(pos_pairs):]
-    if len(pos_vecs) < 2 or len(neg_vecs) < 2:
+    rows = compute_features(pos_pairs + neg_pairs)
+    pos, neg = rows[:len(pos_pairs)], rows[len(pos_pairs):]
+    if len(pos) < 2 or len(neg) < 2:
         raise TooFewSamples("enrollment sessions yield too few feature "
                             "windows; record more or longer sessions")
-    fisher = fisher_select(pos_vecs, neg_vecs)
+    fisher = fisher_select(pos, neg)
     mask = fisher.selected.copy()
     if mask.sum() < 2:   # degenerate selection: keep the two strongest
         mask = fisher.normalized >= np.sort(fisher.normalized)[-2]
-    pos = np.array([v.as_array() for v in pos_vecs])[:, mask]
-    neg = np.array([v.as_array() for v in neg_vecs])[:, mask]
-    cons = train_ocsvm_calibrated(pos, neg)
+    cons = train_ocsvm_calibrated(pos[:, mask], neg[:, mask])
     gait = train_ocsvm(np.vstack(gaits), seed=seed)
     # fresh-session cycles sit slightly outside the enrollment cloud while
     # other subjects score far below; widen the boundary by a fixed margin
@@ -232,13 +221,12 @@ def enroll(sessions: list[tuple[ImuSeries, KeypointSeries, ClockOffsetEstimate]]
                       feature_mask=mask, fisher=fisher)
 
 
-def consistency_score(enrollment: Enrollment, imu: ImuInput,
-                      kp: VideoInput, offset: ClockOffsetEstimate,
+def consistency_score(enrollment: Enrollment, imu: ImuSeries | ImuChain,
+                      kp: KeypointSeries, offset: ClockOffsetEstimate,
                       imu_valid: np.ndarray | None = None) -> float:
-    """Consistency decision value of one paired capture; the streams may
-    come prepared (see aligned_speeds)."""
-    vec = consistency_vector(imu, kp, offset, imu_valid).as_array()
-    return enrollment.consistency_model.score(vec[enrollment.feature_mask])
+    """Consistency decision value of one paired capture."""
+    row = compute_features([aligned_speeds(imu, kp, offset, imu_valid)])[0]
+    return enrollment.consistency_model.score(row[enrollment.feature_mask])
 
 
 def gait_score(enrollment: Enrollment, imu: ImuSeries | ImuChain) -> float:

@@ -49,8 +49,9 @@ class SubjectParams:
         if not MIN_PERIOD_S <= self.cycle_period <= MAX_PERIOD_S:
             raise ValueError(f"cycle_period outside [{MIN_PERIOD_S}, "
                              f"{MAX_PERIOD_S}]")
-        if self.imu_noise < 0 or self.kp_noise < 0:
-            raise ValueError("noise std must be non-negative")
+        if not (0 <= self.imu_noise < math.inf
+                and 0 <= self.kp_noise < math.inf):
+            raise ValueError("noise std must be finite and non-negative")
 
     def blend(self, other: "SubjectParams", w: float) -> "SubjectParams":
         """Linear interpolation of gait-shaping parameters toward `other`."""
@@ -78,8 +79,11 @@ class CameraModel:
     fps: float = 60.0
 
     def __post_init__(self):
-        if self.hover_height <= 0 or self.horizontal_distance <= 0:
-            raise ValueError("camera geometry must be positive")
+        if not (0 < self.hover_height < math.inf
+                and 0 < self.horizontal_distance < math.inf
+                and abs(self.horizontal_angle) < math.inf):
+            raise ValueError("camera geometry must be finite, its height and "
+                             "distance positive")
         if not 10 <= self.fps <= 60:
             raise ValueError("fps outside supported range")
 
@@ -188,8 +192,9 @@ def generate_session(p: SubjectParams, cam: CameraModel = CameraModel(),
     ground truth keeps the noise-free twin stream and segments it only when
     its `cycle_boundaries` are first read, so this runs no AHRS.
     """
-    if duration < MIN_SESSION_S:
-        raise InvalidDuration(f"duration must be >= {MIN_SESSION_S} s")
+    if not MIN_SESSION_S <= duration < math.inf:
+        raise InvalidDuration("duration must be finite and "
+                              f">= {MIN_SESSION_S} s")
     rng = np.random.default_rng((p.seed, seed_offset))
     heading = math.radians(cam.horizontal_angle)
     arm = _ArmModel(p, heading)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.signal import csd, welch
 from scipy.stats import pearsonr, spearmanr
 
-from syncgait.errors import DegenerateChannel, PairTooShort
+from syncgait.errors import DegenerateChannel, DegenerateClass, PairTooShort
 from syncgait.features import (FEATURE_NAMES, FeatureVector, _spectra,
                                compute_features, fisher_select)
 from syncgait.pipeline import _shifted_pairs, _window_pairs
@@ -23,15 +23,18 @@ def _gait_like(n=400, rate=50.0, f=1.4, seed=0, noise=0.05):
     return x + rng.normal(0, noise, n)
 
 
+PCC, SPEARMAN, MAE, SYNC, COH, SPECDIFF = range(len(FEATURE_NAMES))
+
+
 def test_identical_pair_is_maximally_consistent():
     x = _gait_like()
     [f] = compute_features([AlignedPair(x, x.copy())])
-    assert f.pcc == pytest.approx(1.0)
-    assert f.spearman == pytest.approx(1.0)
-    assert f.mae == pytest.approx(0.0, abs=1e-12)
-    assert f.sync_lag_score == pytest.approx(1.0)
-    assert f.coherence_mean == pytest.approx(1.0, abs=1e-6)
-    assert f.spectral_diff == pytest.approx(0.0, abs=1e-9)
+    assert f[PCC] == pytest.approx(1.0)
+    assert f[SPEARMAN] == pytest.approx(1.0)
+    assert f[MAE] == pytest.approx(0.0, abs=1e-12)
+    assert f[SYNC] == pytest.approx(1.0)
+    assert f[COH] == pytest.approx(1.0, abs=1e-6)
+    assert f[SPECDIFF] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_shifted_pair_scores_worse_everywhere():
@@ -39,23 +42,23 @@ def test_shifted_pair_scores_worse_everywhere():
     y = np.roll(x, 18)  # 0.36 s at 50 Hz, half a gait cycle
     aligned, shifted = compute_features([AlignedPair(x, x.copy()),
                                          AlignedPair(x, y)])
-    assert shifted.pcc < aligned.pcc
-    assert shifted.sync_lag_score < aligned.sync_lag_score
-    assert shifted.mae > aligned.mae
+    assert shifted[PCC] < aligned[PCC]
+    assert shifted[SYNC] < aligned[SYNC]
+    assert shifted[MAE] > aligned[MAE]
 
 
 def test_independent_pair_low_correlation():
     a = _gait_like(seed=1, f=1.3)
     b = _gait_like(seed=2, f=1.9)
     [f] = compute_features([AlignedPair(a, b)])
-    assert abs(f.pcc) < 0.5
+    assert abs(f[PCC]) < 0.5
 
 
 def test_sync_lag_score_detects_small_lag():
     x = _gait_like(noise=0.0)
     [f] = compute_features([AlignedPair(x, np.roll(x, 5))])   # 0.1 s at 50 Hz
     # max lag window is 0.5 s: score 1 - 5/25
-    assert f.sync_lag_score == pytest.approx(0.8)
+    assert f[SYNC] == pytest.approx(0.8)
 
 
 def test_pair_too_short():
@@ -84,11 +87,10 @@ def _session_pairs():
 def test_batch_equals_one_pair_at_a_time_bit_for_bit():
     pairs = _session_pairs()
     batch = compute_features(pairs)
-    alone = [compute_features([p])[0] for p in pairs]
-    assert len(batch) == len(pairs)
-    assert [v.as_array().tobytes() for v in batch] == \
-        [v.as_array().tobytes() for v in alone]
-    assert compute_features([]) == []
+    alone = [compute_features([p]) for p in pairs]
+    assert batch.shape == (len(pairs), len(FEATURE_NAMES))
+    assert batch.tobytes() == np.vstack(alone).tobytes()
+    assert compute_features([]).shape == (0, len(FEATURE_NAMES))
 
 
 @pytest.mark.parametrize("m", [1, 4])
@@ -145,8 +147,8 @@ def test_a_bin_without_welch_power_has_coherence_zero():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         [f] = compute_features([AlignedPair(x, still_then_moving)])
-    assert f.coherence_mean == 0.0
-    assert np.all(np.isfinite(f.as_array()))
+    assert f[COH] == 0.0
+    assert np.all(np.isfinite(f))
 
 
 @pytest.mark.parametrize("bad, error", [
@@ -182,15 +184,11 @@ def test_feature_vector_array_order_matches_names():
 
 # --- Fisher selection ----------------------------------------------------------
 
-def _vec(vals):
-    return FeatureVector(*vals)
-
-
 def test_fisher_scores_match_direct_formula():
     rng = np.random.default_rng(8)
     g = rng.normal([1, 0, 0, 0, 0, 0], 0.3, size=(40, 6))
     i = rng.normal([0, 0, 0, 0, 0, 0], 0.3, size=(40, 6))
-    rep = fisher_select([_vec(r) for r in g], [_vec(r) for r in i])
+    rep = fisher_select(g, i)
     expected = (g.mean(0) - i.mean(0)) ** 2 / (g.var(0) + i.var(0))
     assert np.allclose(rep.normalized, expected / expected.max())
 
@@ -200,7 +198,7 @@ def test_fisher_selects_discriminative_feature():
     g = rng.normal(0, 0.2, size=(60, 6))
     i = rng.normal(0, 0.2, size=(60, 6))
     g[:, 0] += 3.0    # only the first feature separates the classes
-    rep = fisher_select([_vec(r) for r in g], [_vec(r) for r in i])
+    rep = fisher_select(g, i)
     assert rep.selected[0]
     assert rep.selected.sum() == 1
 
@@ -214,12 +212,25 @@ def test_fisher_scale_invariance(seed):
     i = rng.normal(0.0, 1.0, size=(30, 6))
     scale = rng.uniform(0.5, 5.0, 6)
     shift = rng.uniform(-2, 2, 6)
-    rep1 = fisher_select([_vec(r) for r in g], [_vec(r) for r in i])
-    rep2 = fisher_select([_vec(r) for r in g * scale + shift],
-                         [_vec(r) for r in i * scale + shift])
+    rep1 = fisher_select(g, i)
+    rep2 = fisher_select(g * scale + shift, i * scale + shift)
     assert np.allclose(rep1.normalized, rep2.normalized, atol=1e-9)
 
 
 def test_fisher_needs_two_samples_per_class():
     with pytest.raises(ValueError):
-        fisher_select([_vec(np.zeros(6))], [_vec(np.zeros(6))] * 5)
+        fisher_select(np.zeros((1, 6)), np.zeros((5, 6)))
+
+
+def test_fisher_refuses_a_constant_feature_with_distinct_means():
+    # feature 2 is constant in both classes but not equal across them:
+    # its Fisher ratio is d^2 / 0, so no selection can be made
+    rng = np.random.default_rng(10)
+    g = rng.normal(0, 1, size=(20, 6))
+    i = rng.normal(0, 1, size=(20, 6))
+    g[:, 2], i[:, 2] = 1.0, 0.5
+    with pytest.raises(DegenerateClass, match="feature mae"):
+        fisher_select(g, i)
+    # constant and equal in both classes: a score of 0, not an error
+    i[:, 2] = 1.0
+    assert fisher_select(g, i).normalized[2] == 0.0

@@ -8,9 +8,8 @@ from syncgait import gait
 from syncgait.errors import CycleTooShort, NoCyclesFound, SeriesTooShort
 from syncgait.gait import (CYCLE_LENGTH, MAX_PERIOD_S, MIN_PERIOD_S,
                            PROMINENCE, GaitCycle, _boundaries_from_vertical,
-                           cycle_feature_rows, cycle_feature_vector,
-                           gait_representation, imu_chain, normalize_cycle,
-                           segment_cycles)
+                           cycle_feature_rows, gait_representation, imu_chain,
+                           normalize_cycle, segment_cycles)
 from syncgait.pipeline import gait_vectors
 from syncgait.series import ImuSeries
 from syncgait.synth import SubjectParams, generate_session
@@ -176,7 +175,7 @@ def test_gait_cycle_validation():
 def test_cycle_feature_vector_shape_and_stats():
     rng = np.random.default_rng(2)
     cyc = GaitCycle(rng.normal(size=(6, CYCLE_LENGTH)), 0.0, 1.5)
-    feats = cycle_feature_vector(cyc)
+    feats = cycle_feature_rows([cyc])[0]
     assert feats.shape == (30,)
     assert feats[0] == pytest.approx(cyc.channels[0].mean())
     assert feats[2] == pytest.approx(cyc.channels[0].min())
@@ -204,7 +203,8 @@ def test_cycle_feature_vector_equals_the_per_row_statistics_bit_for_bit():
     cycles += [GaitCycle(rng.normal(size=(6, n)), 0.0, 1.0 + n / 100)
                for n in (1, 2, 3, 149, 150)]
     for c in cycles:
-        assert cycle_feature_vector(c).tobytes() == _per_row_features(c).tobytes()
+        assert (cycle_feature_rows([c])[0].tobytes()
+                == _per_row_features(c).tobytes())
 
 
 def test_cycle_feature_rows_equal_each_cycle_alone():

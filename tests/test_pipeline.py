@@ -109,6 +109,9 @@ def test_consistency_vector_sensible_for_genuine_pair(session):
     vec = consistency_vector(imu, kp, EST)
     assert vec.pcc > 0.55
     assert vec.sync_lag_score > 0.8
+    # the named vector is the pair's row of the feature array
+    row = features.compute_features([aligned_speeds(imu, kp, EST)])
+    assert vec.as_array().tobytes() == row[0].tobytes()
 
 
 def test_wrong_offset_breaks_consistency(session):

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from syncgait import gait as gait_module
+from syncgait import pipeline, protocol
 from syncgait.errors import EnrollmentMissing, SyncGaitError
 from syncgait.protocol import (ARQ_ROUNDS, ChannelModel, SessionConfig,
                                SessionState, _received_imu,
@@ -178,6 +180,48 @@ def test_one_pass_scores_equal_per_view_scores_on_complete_views(
     assert gait.hex() == gait_score(enrollment, imu).hex()
 
 
+@pytest.mark.parametrize("lost, chains, channels", [
+    ("nothing", 1, 1), ("imu", 2, 2), ("keypoints", 1, 2)])
+def test_an_attempt_prepares_each_stream_once(enrolled_subject, monkeypatch,
+                                              lost, chains, channels):
+    # a complete attempt runs one IMU chain, one speed channel per stream
+    # and one single-pair feature batch; a partial view adds its own chain
+    # (IMU lost) and one channel of each stream for the phone's score
+    subject, enrollment = enrolled_subject
+    imu, kp, _ = generate_session(subject, clock_offset=OFFSET,
+                                  seed_offset=506)
+    imu_valid = np.ones(len(imu), dtype=bool)
+    kp_valid = np.ones(len(kp), dtype=bool)
+    if lost == "imu":
+        imu_valid[200:210] = False
+    if lost == "keypoints":
+        kp_valid[180:192] = False
+    calls = {"imu_chain": 0, "imu_speed_channel": 0,
+             "video_speed_channel": 0, "compute_features": []}
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            if name == "compute_features":
+                calls[name].append(len(args[0]))
+            else:
+                calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    # gait.imu_chain too: a raw stream reaching as_chain would count
+    for module, name in ((protocol, "imu_chain"), (gait_module, "imu_chain"),
+                         (pipeline, "imu_speed_channel"),
+                         (pipeline, "video_speed_channel"),
+                         (pipeline, "compute_features")):
+        spy(module, name)
+    attempt_scores(enrollment, ClockOffsetEstimate(OFFSET, 1e-6, 0.005),
+                   imu, kp, imu_valid, kp_valid)
+    assert calls == {"imu_chain": chains, "imu_speed_channel": channels,
+                     "video_speed_channel": channels,
+                     "compute_features": [1] * channels}
+
+
 def test_session_requires_enrollment():
     cfg = SessionConfig()
     with pytest.raises(EnrollmentMissing):
@@ -211,8 +255,9 @@ def test_session_deterministic_for_fixed_seed(enrolled_subject):
 def test_session_config_validation():
     with pytest.raises(ValueError):
         SessionConfig(max_attempts=0)
-    with pytest.raises(ValueError):
-        SessionConfig(sample_duration=1.0)
+    for duration in (1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SessionConfig(sample_duration=duration)
 
 
 # --- degenerate and degraded streams -----------------------------------------

@@ -77,22 +77,28 @@ def test_subject_approaches_camera():
 
 
 def test_duration_validation():
-    with pytest.raises(InvalidDuration):
-        generate_session(SubjectParams(), duration=2.0)
+    for duration in (2.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidDuration):
+            generate_session(SubjectParams(), duration=duration)
 
 
 def test_subject_params_validation():
     with pytest.raises(ValueError):
         SubjectParams(cycle_period=0.5)
-    with pytest.raises(ValueError):
-        SubjectParams(imu_noise=-0.1)
+    for noise in ({"imu_noise": -0.1}, {"imu_noise": float("nan")},
+                  {"kp_noise": float("inf")}):
+        with pytest.raises(ValueError):
+            SubjectParams(**noise)
 
 
 def test_camera_model_validation():
     with pytest.raises(ValueError):
         CameraModel(fps=5.0)
-    with pytest.raises(ValueError):
-        CameraModel(hover_height=0.0)
+    for geometry in ({"hover_height": 0.0}, {"hover_height": float("nan")},
+                     {"horizontal_angle": float("nan")},
+                     {"horizontal_distance": float("inf")}):
+        with pytest.raises(ValueError):
+            CameraModel(**geometry)
 
 
 # --- attacks ---------------------------------------------------------------------
