@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IoFailure, SyncGaitError, TooFewSamples
-from .io import FORMAT_TAG, read_imu_csv, read_keypoint_csv, write_imu_csv, \
-    write_keypoint_csv
+from .io import read_imu_npy, read_keypoint_npy, write_imu_npy, \
+    write_keypoint_npy
 from .metrics import evaluate as score_evaluate
 from .metrics import roc_points_csv
 from .classify import deserialize_model, serialize_model
@@ -44,7 +44,7 @@ EXIT_IO = 3
 
 ATTACK_KINDS = ("relay", "hijack", "mimicry")
 SCENARIO_KEYS = ("loss_rate", "attacks", "fidelity")
-MANIFEST_FORMAT = FORMAT_TAG.lstrip("#")   # the session files' version
+MANIFEST_FORMAT = "gaitsync-v3"   # the session files' version
 
 
 @dataclass
@@ -204,11 +204,11 @@ def cmd_synth(cfg: ExperimentConfig, out: Path) -> int:
             imu, kp, gt = generate_session(subject, cfg.camera, cfg.duration,
                                            cfg.clock_offset, seed_offset=k)
             stem = f"subject{si:02d}_session{k:02d}"
-            write_imu_csv(out / f"{stem}_imu.csv", imu)
-            write_keypoint_csv(out / f"{stem}_keypoints.csv", kp)
+            write_imu_npy(out / f"{stem}_imu.npy", imu)
+            write_keypoint_npy(out / f"{stem}_keypoints.npy", kp)
             entry["sessions"].append({
-                "imu": f"{stem}_imu.csv",
-                "keypoints": f"{stem}_keypoints.csv",
+                "imu": f"{stem}_imu.npy",
+                "keypoints": f"{stem}_keypoints.npy",
                 "clock_offset": gt.clock_offset,
                 "cycle_boundaries": [round(b, 6)
                                      for b in gt.cycle_boundaries],
@@ -254,12 +254,10 @@ def cmd_enroll(cfg: ExperimentConfig, data_dir: Path, subject: int,
     except (AttributeError, KeyError, TypeError, ValueError,
             OverflowError) as exc:
         raise IoFailure(f"malformed manifest: {exc!r}") from exc
-    sessions = []
-    for imu_path, kp_path, clock_offset in entries:
-        imu = read_imu_csv(imu_path, sample_rate=imu_rate)
-        kp = read_keypoint_csv(kp_path, frame_rate=fps)
-        sessions.append((imu, kp,
-                         ClockOffsetEstimate(clock_offset, 1e-6, 0.005)))
+    sessions = [(read_imu_npy(imu_path, sample_rate=imu_rate),
+                 read_keypoint_npy(kp_path, frame_rate=fps),
+                 ClockOffsetEstimate(clock_offset, 1e-6, 0.005))
+                for imu_path, kp_path, clock_offset in entries]
     enrollment = enroll(sessions, seed=cfg.seed)
 
     cons_path = out / f"subject{subject:02d}_consistency.model"

@@ -1,15 +1,20 @@
-"""On-disk formats: versioned IMU CSV and keypoint CSV.
+"""On-disk session files: one binary `.npy` matrix per stream.
 
-Both files carry a leading "#gaitsync-v2" tag line and a column header, and
-both are read by one parser: the rows by one `np.loadtxt`, so each field
-must be a plain ASCII decimal number. A keypoint row holds the frame time,
-then u, v and confidence of each joint in REQUIRED_JOINTS order; its values
-are written by repr(), so they read back bit-exact. Every malformed file
-raises IoFailure.
+Each file is one C-order little-endian float64 (n, width) matrix, written
+by np.save with allow_pickle=False. An IMU file holds 10 columns: t, then
+acc, gyro and mag. A keypoint file holds 37: t, then u, v and confidence of
+each joint in REQUIRED_JOINTS order. Values round-trip bit-exact. The files
+are not text and no outside tool writes them; their format version
+(`gaitsync-v3`) lives in the data directory's manifest. A reader accepts
+only the header np.save writes for such a matrix, and checks its row count
+against the file's size before it allocates the rows. Every malformed file
+raises IoFailure naming its path.
 """
 
 from __future__ import annotations
 
+import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,84 +22,73 @@ import numpy as np
 from .errors import IoFailure
 from .series import REQUIRED_JOINTS, ImuSeries, KeypointSeries
 
-FORMAT_TAG = "#gaitsync-v2"
-IMU_COLUMNS = "t,ax,ay,az,gx,gy,gz,mx,my,mz"
-KEYPOINT_COLUMNS = ",".join(["t", *(f"{name}_{field}"
-                                    for name in REQUIRED_JOINTS
-                                    for field in "uvc")])
-_IMU_WIDTH = len(IMU_COLUMNS.split(","))
-_KEYPOINT_WIDTH = len(KEYPOINT_COLUMNS.split(","))
-_IMU_ROW = ",".join(["%.9g"] * _IMU_WIDTH)
-_KEYPOINT_ROW = ",".join(["%r"] * _KEYPOINT_WIDTH)
+_IMU_WIDTH = 10
+_KEYPOINT_WIDTH = 1 + 3 * len(REQUIRED_JOINTS)
+# the .npy version 1.0 magic and header length, then the header np.save
+# writes for a C-order little-endian float64 (n, w) matrix
+_HEADER = re.compile(rb"\x93NUMPY\x01\x00..\{'descr': '<f8', 'fortran_order': "
+                     rb"False, 'shape': \((\d+), (\d+)\), \} *\n", re.DOTALL)
 
 
-def _write_table(path: str | Path, columns: str, row: str,
-                 data: np.ndarray) -> None:
-    lines = [FORMAT_TAG, columns, *(row % tuple(r) for r in data.tolist())]
+def _write_matrix(path: str | Path, data: np.ndarray) -> None:
     try:
-        Path(path).write_text("\n".join(lines) + "\n")
+        with open(path, "wb") as f:
+            np.save(f, data.astype("<f8", copy=False), allow_pickle=False)
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
 
 
-def _read_table(path: str | Path, columns: str, width: int) -> np.ndarray:
-    """The (n, width) rows below the tag line and the `columns` header."""
+def _read_series(path: str | Path, width: int, build):
+    """`build(m)` of the (n, width) matrix m, n >= 1, that the file at
+    `path` holds, its header and the series' own checks failing as
+    IoFailure. The header is matched here, not by numpy's parser, which
+    lets malformed headers escape as SyntaxError, TypeError or tokenize
+    errors; its row count must fit the file's size before any row is read."""
     try:
-        lines = Path(path).read_text().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IoFailure(str(exc)) from exc
-    if not lines or lines[0].strip() != FORMAT_TAG:
-        raise IoFailure(f"missing {FORMAT_TAG} header in {path}")
-    if len(lines) < 2 or lines[1].strip() != columns:
-        raise IoFailure(f"missing {columns} header in {path}")
-    rows = [ln for ln in lines[2:] if ln.strip()]
-    if not rows:
-        raise IoFailure(f"no rows in {path}")
-    try:
-        # comments=None: a "#" inside a row is a bad field, not a comment
-        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-        if data.shape[1] != width:
-            raise ValueError(f"rows must hold {width} fields")
-    except ValueError as exc:
-        raise IoFailure(f"bad rows in {path}: {exc}") from exc
-    return data
+        with open(path, "rb") as f:
+            lead = f.read(10)
+            header = _HEADER.fullmatch(
+                lead + f.read(int.from_bytes(lead[8:], "little")))
+            if header is None:
+                raise ValueError("not the .npy header of a float64 matrix")
+            n, w = map(int, header.groups())
+            if not (n >= 1 and w == width and 8 * n * w
+                    == os.fstat(f.fileno()).st_size - f.tell()):
+                raise ValueError(f"need n >= 1 rows of {width} filling the "
+                                 f"file's size, not shape ({n}, {w})")
+            data = np.fromfile(f, "<f8", n * w).reshape(n, w)
+        return build(data)
+    except (OSError, ValueError) as exc:
+        raise IoFailure(f"bad session file {path}: {exc}") from exc
 
 
-def _series(path: str | Path, build, *args):
-    """`build(*args)`, with the series' own checks failing as IoFailure."""
-    try:
-        return build(*args)
-    except ValueError as exc:
-        raise IoFailure(f"bad rows in {path}: {exc}") from exc
+def write_imu_npy(path: str | Path, imu: ImuSeries) -> None:
+    _write_matrix(path, np.column_stack([imu.t, imu.acc, imu.gyro, imu.mag]))
 
 
-def write_imu_csv(path: str | Path, imu: ImuSeries) -> None:
-    _write_table(path, IMU_COLUMNS, _IMU_ROW,
-                 np.column_stack([imu.t, imu.acc, imu.gyro, imu.mag]))
+def read_imu_npy(path: str | Path, sample_rate: float = 100.0) -> ImuSeries:
+    return _read_series(path, _IMU_WIDTH, lambda m: ImuSeries(
+        m[:, 0], m[:, 1:4], m[:, 4:7], m[:, 7:10], sample_rate))
 
 
-def read_imu_csv(path: str | Path, sample_rate: float = 100.0) -> ImuSeries:
-    data = _read_table(path, IMU_COLUMNS, _IMU_WIDTH)
-    return _series(path, ImuSeries, data[:, 0], data[:, 1:4], data[:, 4:7],
-                   data[:, 7:10], sample_rate)
-
-
-def write_keypoint_csv(path: str | Path, kp: KeypointSeries) -> None:
+def write_keypoint_npy(path: str | Path, kp: KeypointSeries) -> None:
     joints = np.concatenate([kp.uv, kp.conf[:, :, None]], axis=2)
-    _write_table(path, KEYPOINT_COLUMNS, _KEYPOINT_ROW,
-                 np.column_stack([kp.t, joints.reshape(len(kp), -1)]))
+    _write_matrix(path, np.column_stack([kp.t, joints.reshape(len(kp), -1)]))
 
 
-def read_keypoint_csv(path: str | Path,
+def read_keypoint_npy(path: str | Path,
                       frame_rate: float = 60.0) -> KeypointSeries:
-    data = _read_table(path, KEYPOINT_COLUMNS, _KEYPOINT_WIDTH)
-    joints = data[:, 1:].reshape(len(data), len(REQUIRED_JOINTS), 3)
-    # copies, so t, uv and conf are C-contiguous as downstream reductions read
-    return _series(path, KeypointSeries, data[:, 0].copy(),
-                   joints[:, :, :2].copy(), joints[:, :, 2].copy(), frame_rate)
+    def build(m):
+        joints = m[:, 1:].reshape(len(m), len(REQUIRED_JOINTS), 3)
+        # copies, so t, uv and conf are C-contiguous as downstream
+        # reductions read them
+        return KeypointSeries(m[:, 0].copy(), joints[:, :, :2].copy(),
+                              joints[:, :, 2].copy(), frame_rate)
+    return _read_series(path, _KEYPOINT_WIDTH, build)
 
 
-# the reader's former name, by which the benchmark's traced run wraps it
-read_keypoint_jsonl = read_keypoint_csv
-# the writer's former name, by which the benchmark's traced run wraps it
-write_keypoint_jsonl = write_keypoint_csv
+# the former names, by which the benchmark's traced run wraps these functions
+read_imu_csv = read_imu_npy
+write_imu_csv = write_imu_npy
+read_keypoint_jsonl = read_keypoint_npy
+write_keypoint_jsonl = write_keypoint_npy

@@ -63,8 +63,10 @@ class SessionConfig:
     clock_offset: float = 0.0    # true drone clock minus phone clock
 
     def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+        if type(self.max_attempts) is not int or self.max_attempts < 1:
+            raise ValueError("max_attempts must be an int >= 1")
+        if not abs(self.clock_offset) < np.inf:
+            raise ValueError("clock_offset must be finite")
         if not MIN_SESSION_S <= self.sample_duration < np.inf:
             raise ValueError("session duration must be finite and "
                              f">= {MIN_SESSION_S} s")

@@ -52,6 +52,10 @@ class SubjectParams:
         if not (0 <= self.imu_noise < math.inf
                 and 0 <= self.kp_noise < math.inf):
             raise ValueError("noise std must be finite and non-negative")
+        for name in ("swing_amplitude", "swing_phase", "swing_azimuth",
+                     "elbow_flexion", "arm_length", "height"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
     def blend(self, other: "SubjectParams", w: float) -> "SubjectParams":
         """Linear interpolation of gait-shaping parameters toward `other`."""

@@ -19,10 +19,10 @@ from syncgait.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, MANIFEST_FORMAT,
                           ExperimentConfig, build_parser, load_enrollment,
                           main)
 from syncgait.errors import InvalidDuration, IoFailure
-from syncgait.io import FORMAT_TAG
+from syncgait.pipeline import enroll
 from syncgait.protocol import SessionConfig
 from syncgait.synth import SubjectParams, generate_session
-from syncgait.syncing import MIN_SESSION_S
+from syncgait.syncing import MIN_SESSION_S, ClockOffsetEstimate
 
 FAST_SYNTH = {"cohort_size": 2, "sessions_per_subject": 2, "duration": 4.0}
 FAST_ENROLL = {"cohort_size": 2, "sessions_per_subject": 4, "duration": 8.0}
@@ -107,7 +107,7 @@ def test_synth_writes_cohort_and_manifest(tmp_path):
     assert main(["synth", "--config", cfg, "--seed", "3",
                  "--out", str(out)]) == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["format"] == MANIFEST_FORMAT == FORMAT_TAG[1:]
+    assert manifest["format"] == MANIFEST_FORMAT == "gaitsync-v3"
     assert len(manifest["subjects"]) == 2
     for entry in manifest["subjects"]:
         assert len(entry["sessions"]) == 2
@@ -122,8 +122,9 @@ def test_synth_is_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     main(["synth", "--config", cfg, "--seed", "3", "--out", str(out1)])
     main(["synth", "--config", cfg, "--seed", "3", "--out", str(out2)])
-    name = "subject00_session00_imu.csv"
-    assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    for name in ("subject00_session00_imu.npy",
+                 "subject00_session00_keypoints.npy"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     assert ((out1 / "manifest.json").read_bytes()
             == (out2 / "manifest.json").read_bytes())
 
@@ -153,6 +154,29 @@ def test_enroll_flow_and_reload(tmp_path):
     enrollment = load_enrollment(models, 0)
     assert enrollment.consistency_model is not None
     assert enrollment.gait_model is not None
+
+
+def test_enroll_from_files_equals_enroll_in_memory(tmp_path):
+    # the session files carry every value exactly, so enrolling from them
+    # trains the models that the synthesized sessions train in memory
+    cfg = _write_config(tmp_path, FAST_ENROLL)
+    data, models = tmp_path / "data", tmp_path / "models"
+    assert main(["synth", "--config", cfg, "--seed", "5",
+                 "--out", str(data)]) == EXIT_OK
+    assert main(["enroll", "--config", cfg, "--seed", "5", "--data",
+                 str(data), "--subject", "0", "--out", str(models)]) == EXIT_OK
+    config = ExperimentConfig(seed=5, **FAST_ENROLL)
+    subject = synth.make_cohort(config.cohort_size, seed=5)[0]
+    sessions = []
+    for k in range(config.sessions_per_subject):
+        imu, kp, gt = generate_session(subject, config.camera, config.duration,
+                                       config.clock_offset, seed_offset=k)
+        sessions.append((imu, kp,
+                         ClockOffsetEstimate(gt.clock_offset, 1e-6, 0.005)))
+    expected, got = enroll(sessions, seed=5), load_enrollment(models, 0)
+    for name in ("consistency_model", "gait_model"):
+        assert (serialize_model(getattr(got, name))
+                == serialize_model(getattr(expected, name)))
 
 
 def test_enroll_is_deterministic(tmp_path):
@@ -219,7 +243,7 @@ _ANY_JSON = st.recursive(
     | st.dictionaries(st.text(max_size=8), inner, max_size=3),
     max_leaves=8)
 _SESSION = st.fixed_dictionaries({}, optional={
-    "imu": st.sampled_from(["", "manifest.json", "absent.csv"]) | _ANY_JSON,
+    "imu": st.sampled_from(["", "manifest.json", "absent.npy"]) | _ANY_JSON,
     "keypoints": _ANY_JSON, "clock_offset": _ANY_JSON})
 _MANIFEST = st.fixed_dictionaries({}, optional={
     "format": st.just(MANIFEST_FORMAT) | _ANY_JSON,
@@ -262,14 +286,13 @@ def _enroll_edited(tmp_path, data, edit):
 
 
 def test_enroll_refuses_a_v1_data_directory(tmp_path, capsys, enroll_data):
-    def to_v1(manifest):
-        manifest["format"] = "gaitsync-v1"
-        for path in (tmp_path / "data").glob("*.csv"):
-            lines = path.read_text().splitlines(keepends=True)
-            path.write_text("".join(["#gaitsync-v1\n", *lines[1:]]))
-    assert _enroll_edited(tmp_path, enroll_data, to_v1) == EXIT_IO
-    assert "'gaitsync-v1'" in capsys.readouterr().err
-    assert not (tmp_path / "m").exists()
+    # and a v2 one: a data directory of an older format is refused by name
+    for version in ("gaitsync-v1", "gaitsync-v2"):
+        shutil.rmtree(tmp_path / "data", ignore_errors=True)
+        assert _enroll_edited(tmp_path, enroll_data,
+                              lambda m: m.update(format=version)) == EXIT_IO
+        assert f"{version!r}" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
 
 
 @pytest.mark.parametrize("version", ["gaitsync-v9", "", 2, None],

@@ -2,9 +2,9 @@
 from them and `evaluate`'s report, byte for byte.
 
 The report digest was recorded before the synthesizer's unread kinematics
-and one-value settings were deleted, the model digests before the keypoint
-files became CSV; any change to what the program writes, down to the last
-printed digit, shows here.
+and one-value settings were deleted, the model digests when the session
+files became exact binary matrices; any change to what the program writes,
+down to the last printed digit, shows here.
 """
 
 import hashlib
@@ -19,11 +19,11 @@ EVALUATE_CONFIG = {"cohort_size": 2, "enroll_sessions": 6, "genuine_trials": 1,
 
 SYNTH_SHA256 = {
     "manifest.json":
-        "67990b747984266c8b864777af1868986651c11571c2768e381bf240948d9fbf",
-    "subject01_session00_imu.csv":
-        "84f5c62ddd538ada00aa138710a2ebd2ae2923be45805bc651d8d06f38517342",
-    "subject01_session00_keypoints.csv":
-        "811981bfa57a9f454cc1ab9dfc51ef5e312fd11b785d021754ed777ac42b44be",
+        "8b8d125493f8e4aecc5028421dce2ddc88f5ed71b7011f63402bb3536d26126b",
+    "subject01_session00_imu.npy":
+        "21d84675ccee51f2e4bbd430df6c94ca9eb76cf671d5f856c46aa3b5a95fbef3",
+    "subject01_session00_keypoints.npy":
+        "b267ec745fc36b2f4126c455af71e6de7d4a83bb75b48221b3f08ea9ee45fd3a",
 }
 REPORT_SHA256 = (
     "2e75017390c7d5d59871e905243e3b10e574767546e4f4a37152b35b47abc9f5")
@@ -32,11 +32,11 @@ REPORT_SHA256 = (
 ENROLL_CONFIG = {"cohort_size": 2, "sessions_per_subject": 6}
 ENROLL_SHA256 = {
     "subject00_consistency.model":
-        "1a970b4bef00a6ef6ed7c69e18147d6ed928f313d29950f18e7a02f8e8b25068",
+        "6a716adc2eefca621fe54db5d17e26b66b7ffd0382f05f72b4baa6ffe47f6f68",
     "subject00_gait.model":
-        "18adb272f47a55acd96690c66c7073051baa77fd7f2fb9431b0a29684ab40c84",
+        "bf6d69899c9984cfe289bd7d7bf6b08c88444ece022d13d2cd2824c17dfba1f0",
     "subject00_enrollment.json":
-        "800f52527cb61865770e00283111923c0deaba4c161eb636ad985ee5401912c9",
+        "929338649cb546295797e55e0d9360df6173ee10c0b0263fb0d1d98b2e872f86",
 }
 
 

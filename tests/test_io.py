@@ -1,5 +1,7 @@
-"""On-disk formats: versioned IMU and keypoint CSV round trips and
-malformed input."""
+"""On-disk formats: binary IMU and keypoint session files, their bit-exact
+round trips and malformed input."""
+
+import io
 
 import numpy as np
 import pytest
@@ -7,13 +9,20 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from syncgait import io as session_io
 from syncgait.errors import IoFailure
-from syncgait.io import (FORMAT_TAG, IMU_COLUMNS, KEYPOINT_COLUMNS,
-                         read_imu_csv, read_keypoint_csv, write_imu_csv,
-                         write_keypoint_csv)
+from syncgait.io import (read_imu_npy, read_keypoint_npy, write_imu_npy,
+                         write_keypoint_npy)
 from syncgait.series import (JOINT_INDEX, REQUIRED_JOINTS, ImuSeries,
                              KeypointSeries)
 from syncgait.synth import SubjectParams, generate_session
+
+IMU_WIDTH = 10
+KEYPOINT_WIDTH = 1 + 3 * len(REQUIRED_JOINTS)
+# (reader, series class, matrix width) for each kind of session file
+READERS = [(read_imu_npy, ImuSeries, IMU_WIDTH),
+           (read_keypoint_npy, KeypointSeries, KEYPOINT_WIDTH)]
+READER_IDS = ["imu", "keypoints"]
 
 
 @pytest.fixture(scope="module")
@@ -21,18 +30,44 @@ def session():
     return generate_session(SubjectParams(seed=31), duration=4.0)
 
 
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _npy_bytes(array, **header):
+    """`array` as np.save writes it, or, given `header` fields, its raw
+    bytes below a forged version 1.0 header."""
+    buf = io.BytesIO()
+    if header:
+        np.lib.format.write_array_header_1_0(buf, {
+            "descr": "<f8", "fortran_order": False, "shape": array.shape,
+            **header})
+        buf.write(array.tobytes())
+    else:
+        np.save(buf, array, allow_pickle=array.dtype == object)
+    return buf.getvalue()
+
+
+def _valid_matrix(n, width):
+    """n rows that read as a series of either kind: increasing t, values
+    in [0, 1]."""
+    data = np.full((n, width), 0.5)
+    data[:, 0] = np.arange(n) / 60
+    return data
+
+
 def test_imu_csv_round_trip(tmp_path, session):
+    # the benchmark's traced run wraps the binary writer and reader by
+    # their former names
+    assert session_io.write_imu_csv is write_imu_npy
+    assert session_io.read_imu_csv is read_imu_npy
     imu, _, _ = session
-    path = tmp_path / "imu.csv"
-    write_imu_csv(path, imu)
-    lines = path.read_text().splitlines()
-    assert lines[0] == FORMAT_TAG
-    assert lines[1] == IMU_COLUMNS
-    back = read_imu_csv(path)
-    assert np.allclose(back.t, imu.t, atol=1e-9)
-    assert np.allclose(back.acc, imu.acc, rtol=1e-6)
-    assert np.allclose(back.gyro, imu.gyro, rtol=1e-6)
-    assert np.allclose(back.mag, imu.mag, rtol=1e-6)
+    path = tmp_path / "imu.npy"
+    session_io.write_imu_csv(path, imu)
+    back = session_io.read_imu_csv(path, sample_rate=imu.sample_rate)
+    for name in ("t", "acc", "gyro", "mag"):
+        assert _bits(getattr(back, name)) == _bits(getattr(imu, name))
+    assert np.load(path).shape == (len(imu), IMU_WIDTH)
 
 
 def test_imu_csv_with_a_non_finite_field_loads(tmp_path, session):
@@ -40,84 +75,58 @@ def test_imu_csv_with_a_non_finite_field_loads(tmp_path, session):
     imu, _, _ = session
     mag = imu.mag.copy()
     mag[10, 0] = np.nan
-    path = tmp_path / "imu.csv"
-    write_imu_csv(path, ImuSeries(imu.t, imu.acc, imu.gyro, mag,
+    path = tmp_path / "imu.npy"
+    write_imu_npy(path, ImuSeries(imu.t, imu.acc, imu.gyro, mag,
                                   imu.sample_rate))
-    assert ",nan," in path.read_text()
-    back = read_imu_csv(path)
+    back = read_imu_npy(path)
     assert np.isnan(back.mag[10, 0])
     assert np.isfinite(np.delete(back.mag, 10, axis=0)).all()
-    assert np.allclose(back.acc, imu.acc, rtol=1e-6)
+    assert np.array_equal(back.acc, imu.acc)
 
 
-def test_imu_csv_rows_are_the_per_value_9g_join(tmp_path, session):
-    imu, _, _ = session
-    acc, mag = imu.acc[:6].copy(), imu.mag[:6].copy()
-    acc[:5, 0] = [-0.0, 1e-300, 1e300, 123456789.0, -1e-300]
-    mag[2, 1] = np.nan
-    edge = ImuSeries(imu.t[:6], acc, imu.gyro[:6], mag, imu.sample_rate)
-    path = tmp_path / "imu.csv"
-    write_imu_csv(path, edge)
-    rows = [",".join(f"{x:.9g}" for x in [edge.t[i], *edge.acc[i],
-                                          *edge.gyro[i], *edge.mag[i]])
-            for i in range(len(edge))]
-    text = "\n".join([FORMAT_TAG, IMU_COLUMNS, *rows]) + "\n"
-    assert path.read_text() == text
-    assert rows[0].split(",")[1] == "-0" and ",nan," in rows[2]
-
-
-def test_keypoint_csv_header_names_each_joint_field_in_order():
-    names = KEYPOINT_COLUMNS.split(",")
-    assert names[:4] == ["t", "shoulder_l_u", "shoulder_l_v", "shoulder_l_c"]
-    assert names[1 + 3 * JOINT_INDEX["wrist_r"] + 2] == "wrist_r_c"
-    assert len(names) == 1 + 3 * len(REQUIRED_JOINTS)
-
-
-def test_keypoint_csv_rows_are_the_per_value_repr_join(tmp_path, session):
+def test_keypoint_columns_hold_each_joint_field_in_order(tmp_path, session):
     _, kp, _ = session
-    uv, conf = kp.uv[:5].copy(), kp.conf[:5].copy()
-    conf[1, JOINT_INDEX["wrist_r"]] = 0.0   # undetected joints: confidence 0
-    conf[3, :] = 5e-324
-    uv[2, 0] = [-0.0, 1e308]
-    uv[4, 1] = [-1e308, 2.2250738585072014e-309]
-    edge = KeypointSeries(kp.t[:5], uv, conf, kp.frame_rate)
-    path = tmp_path / "kp.csv"
-    write_keypoint_csv(path, edge)
-    rows = [",".join(repr(float(x)) for x in [
-        edge.t[i], *(v for j in range(len(REQUIRED_JOINTS))
-                     for v in [*edge.uv[i, j], edge.conf[i, j]])])
-        for i in range(len(edge))]
-    text = "\n".join([FORMAT_TAG, KEYPOINT_COLUMNS, *rows]) + "\n"
-    assert path.read_text() == text
-    assert rows[2].split(",")[1:3] == ["-0.0", "1e+308"]
+    path = tmp_path / "kp.npy"
+    write_keypoint_npy(path, kp)
+    data = np.load(path, allow_pickle=False)
+    assert data.shape == (len(kp), KEYPOINT_WIDTH)
+    assert data.dtype == np.dtype("<f8") and data.flags.c_contiguous
+    assert np.array_equal(data[:, 0], kp.t)
+    j = JOINT_INDEX["wrist_r"]
+    assert np.array_equal(data[:, 1 + 3 * j:4 + 3 * j],
+                          np.column_stack([kp.uv[:, j], kp.conf[:, j]]))
 
 
 def test_keypoint_csv_round_trip(tmp_path, session):
+    # named for the former keypoint CSV, as test_imu_csv_round_trip is
+    assert session_io.write_keypoint_jsonl is write_keypoint_npy
+    assert session_io.read_keypoint_jsonl is read_keypoint_npy
     _, kp, _ = session
-    path = tmp_path / "kp.csv"
-    write_keypoint_csv(path, kp)
-    assert path.read_text().splitlines()[:2] == [FORMAT_TAG, KEYPOINT_COLUMNS]
-    back = read_keypoint_csv(path)
-    assert np.array_equal(back.t, kp.t)
-    assert np.array_equal(back.uv, kp.uv)
-    assert np.array_equal(back.conf, kp.conf)
+    path = tmp_path / "kp.npy"
+    write_keypoint_npy(path, kp)
+    back = read_keypoint_npy(path)
+    for name in ("t", "uv", "conf"):
+        assert _bits(getattr(back, name)) == _bits(getattr(kp, name))
     assert all(a.flags.c_contiguous for a in (back.t, back.uv, back.conf))
-    write_keypoint_csv(tmp_path / "again.csv", back)
-    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+    write_keypoint_npy(tmp_path / "again.npy", back)
+    assert (tmp_path / "again.npy").read_bytes() == path.read_bytes()
 
 
 _FINITE = (st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-309, 1e308,
                             -1e308])
            | st.floats(allow_nan=False, allow_infinity=False))
 _UNIT = st.sampled_from([-0.0, 5e-324, 1.0]) | st.floats(0.0, 1.0)
-_KEYPOINT_ARRAYS = st.integers(1, 4).flatmap(lambda n: st.tuples(
-    st.lists(_FINITE, min_size=n, max_size=n, unique=True).map(sorted),
-    arrays(float, (n, len(REQUIRED_JOINTS), 2), elements=_FINITE),
-    arrays(float, (n, len(REQUIRED_JOINTS)), elements=_UNIT)))
-
-
-def _bits(a):
-    return a.dtype, a.shape, a.tobytes()
+_TIMES = st.integers(1, 4).flatmap(lambda n: st.lists(
+    _FINITE, min_size=n, max_size=n, unique=True).map(sorted))
+_KEYPOINT_ARRAYS = _TIMES.flatmap(lambda t: st.tuples(
+    st.just(t),
+    arrays(float, (len(t), len(REQUIRED_JOINTS), 2), elements=_FINITE),
+    arrays(float, (len(t), len(REQUIRED_JOINTS)), elements=_UNIT)))
+# the magnetometer may hold any value, NaN and inf included
+_IMU_ARRAYS = _TIMES.flatmap(lambda t: st.tuples(
+    st.just(t), *(arrays(float, (len(t), 3), elements=_FINITE)
+                  for _ in range(2)),
+    arrays(float, (len(t), 3), elements=st.floats())))
 
 
 @given(_KEYPOINT_ARRAYS)
@@ -125,223 +134,263 @@ def _bits(a):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_any_finite_keypoints_round_trip_bit_exact(tmp_path, columns):
     kp = KeypointSeries(*columns)
-    path = tmp_path / "kp.csv"
-    write_keypoint_csv(path, kp)
-    back = read_keypoint_csv(path)
+    path = tmp_path / "kp.npy"
+    write_keypoint_npy(path, kp)
+    back = read_keypoint_npy(path)
     for name in ("t", "uv", "conf"):
         assert _bits(getattr(back, name)) == _bits(getattr(kp, name))
 
 
+@given(_IMU_ARRAYS)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_finite_imu_round_trips_bit_exact(tmp_path, columns):
+    imu = ImuSeries(*columns)
+    path = tmp_path / "imu.npy"
+    write_imu_npy(path, imu)
+    back = read_imu_npy(path)
+    for name in ("t", "acc", "gyro", "mag"):
+        assert _bits(getattr(back, name)) == _bits(getattr(imu, name))
+
+
 def test_missing_header_rejected(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("t,ax\n0,1\n")
+    # a text file, such as a gaitsync-v2 CSV, has no .npy header
+    bad = tmp_path / "bad.npy"
+    bad.write_text("#gaitsync-v2\nt,ax\n0,1\n")
     with pytest.raises(IoFailure):
-        read_imu_csv(bad)
+        read_imu_npy(bad)
     with pytest.raises(IoFailure):
-        read_keypoint_csv(bad)
+        read_keypoint_npy(bad)
 
 
-@pytest.mark.parametrize("body", [
-    "",
-    "0,1,2,3,4,5,6,7,8,9\n0.01,1,2,3\n",
-    "0,1,2,3,4,5,6,7,8\n",
-    "0,1,2,3,4,5,6,7,8,x\n",
-    "0,1,2,3,4,5,6,7,8,9\n0.01,1,2,nan,4,5,6,7,8,9\n",
-    "0,1,2,3,4,5,6,7,8,9\n0,1,2,3,4,5,6,7,8,9\n",
-    "0,1,2,3,4,5,6,7,8,9,10\n",
-    "0,1,2,3,4,5,6,7,8,9#\n",
+def _edited(width, cells):
+    """A valid 3-row matrix of `width` columns with some (row, col) cells
+    replaced."""
+    data = _valid_matrix(3, width)
+    for (row, col), value in cells.items():
+        data[row, col] = value
+    return data
+
+
+def _raw_header(text):
+    """A version 1.0 .npy header holding `text`, and no rows."""
+    body = text.encode("latin-1")
+    return b"\x93NUMPY\x01\x00" + len(body).to_bytes(2, "little") + body
+
+
+@pytest.mark.parametrize("blob", [
+    _npy_bytes(np.zeros((0, IMU_WIDTH))),
+    _npy_bytes(np.array([list(range(10)), [0.01, 1, 2, 3]], dtype=object)),
+    _npy_bytes(_valid_matrix(3, IMU_WIDTH - 1)),
+    _npy_bytes(np.full((3, IMU_WIDTH), "x")),
+    _npy_bytes(_edited(IMU_WIDTH, {(1, 3): np.nan})),
+    _npy_bytes(_edited(IMU_WIDTH, {(1, 0): 0.0})),
+    _npy_bytes(_valid_matrix(3, IMU_WIDTH + 1)),
 ], ids=["header_only", "ragged_row", "short_rows", "non_numeric",
-        "non_finite", "repeated_time", "long_rows", "hash_in_field"])
-def test_malformed_imu_rows_raise_io_failure(tmp_path, body):
-    path = tmp_path / "imu.csv"
-    path.write_text(f"{FORMAT_TAG}\n{IMU_COLUMNS}\n{body}")
-    with pytest.raises(IoFailure):
-        read_imu_csv(path)
-
-
-@pytest.mark.parametrize("header", [
-    "t,gx,gy,gz,ax,ay,az,mx,my,mz\n",   # would load acc and gyro swapped
-    "",                                  # would lose the first sample
-], ids=["gyro_before_acc", "no_header"])
-def test_wrong_imu_header_raises_io_failure_naming_the_path(tmp_path, header):
-    path = tmp_path / "imu.csv"
-    body = "".join(f"{k / 100},1,2,3,4,5,6,7,8,9\n" for k in range(3))
-    path.write_text(f"{FORMAT_TAG}\n{header}{body}")
+        "non_finite", "repeated_time", "long_rows"])
+def test_malformed_imu_rows_raise_io_failure(tmp_path, blob):
+    path = tmp_path / "imu.npy"
+    path.write_bytes(blob)
     with pytest.raises(IoFailure) as exc:
-        read_imu_csv(path)
+        read_imu_npy(path)
     assert str(path) in str(exc.value)
-    path.write_text(f"{FORMAT_TAG}\n{IMU_COLUMNS}\n{body}")
-    assert len(read_imu_csv(path)) == 3
+    path.write_bytes(_npy_bytes(_valid_matrix(3, IMU_WIDTH)))
+    assert len(read_imu_npy(path)) == 3
+
+
+_IMU = _valid_matrix(3, IMU_WIDTH)
+
+
+def _npy_v2_bytes(array):
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, array, version=(2, 0))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("blob", [
+    _IMU.tobytes(),
+    _npy_bytes(_IMU.astype(">f8")),
+    _npy_bytes(_IMU.astype("<f4")),
+    _npy_bytes(np.asfortranarray(_IMU)),
+    _npy_v2_bytes(_IMU),
+], ids=["no_header", "big_endian", "float32", "fortran_order", "version_2"])
+def test_wrong_imu_header_raises_io_failure_naming_the_path(tmp_path, blob):
+    # only the header np.save writes for a C-order little-endian float64
+    # matrix is taken, though np.load reads all but the first of these
+    path = tmp_path / "imu.npy"
+    path.write_bytes(blob)
+    with pytest.raises(IoFailure) as exc:
+        read_imu_npy(path)
+    assert str(path) in str(exc.value)
+    path.write_bytes(_npy_bytes(_IMU))
+    assert len(read_imu_npy(path)) == 3
 
 
 def test_missing_file_raises_io_failure(tmp_path):
     with pytest.raises(IoFailure):
-        read_imu_csv(tmp_path / "nope.csv")
+        read_imu_npy(tmp_path / "nope.npy")
     with pytest.raises(IoFailure):
-        write_imu_csv(tmp_path / "no" / "dir" / "imu.csv",
+        write_imu_npy(tmp_path / "no" / "dir" / "imu.npy",
                       generate_session(SubjectParams(seed=1),
                                        duration=4.0)[0])
 
 
-def _keypoint_row(t=0.0, **fields):
-    """A valid row at time t, with some `<joint>_<u|v|c>` fields replaced."""
-    values = dict.fromkeys(KEYPOINT_COLUMNS.split(",")[1:], "0.5")
-    values.update(fields)
-    return ",".join([str(t), *values.values()]) + "\n"
-
-
-_KEYPOINT_HEAD = f"{FORMAT_TAG}\n{KEYPOINT_COLUMNS}\n"
-
-
+_KP = _npy_bytes(_valid_matrix(3, KEYPOINT_WIDTH))
+_WRIST_U = 1 + 3 * JOINT_INDEX["wrist_r"]
 _V1_FRAME = '{"joints": {"wrist_r": [1.0, 2.0, 0.5]}, "t": 0.0}\n'
 
 
-@pytest.mark.parametrize("text", [
-    pytest.param(f"#gaitsync-v1\n{KEYPOINT_COLUMNS}\n{_keypoint_row()}",
-                 id="wrong_tag"),
-    pytest.param(FORMAT_TAG + "\n" + KEYPOINT_COLUMNS.replace(
-        "wrist_r_u,wrist_r_v", "wrist_r_v,wrist_r_u") + "\n" + _keypoint_row(),
-                 id="wrong_header"),
-    pytest.param(FORMAT_TAG + "\n" + KEYPOINT_COLUMNS.replace(
-        "wrist_r", "spine") + "\n" + _keypoint_row(), id="unknown_joint"),
-    pytest.param(FORMAT_TAG + "\n" + KEYPOINT_COLUMNS[len("t,"):] + "\n"
-                 + _keypoint_row().split(",", 1)[1], id="no_t"),
-    pytest.param(_KEYPOINT_HEAD + _keypoint_row()[:-1] + ",0.5\n",
+@pytest.mark.parametrize("blob", [
+    pytest.param(_KP.replace(b"NUMPY", b"NUMPX"), id="wrong_tag"),
+    pytest.param(_KP.replace(b"'descr'", b"'dtype'"), id="wrong_header"),
+    pytest.param(_npy_bytes(_valid_matrix(3, KEYPOINT_WIDTH + 3)),
+                 id="unknown_joint"),
+    pytest.param(_npy_bytes(_valid_matrix(3, KEYPOINT_WIDTH - 1)),
+                 id="no_t"),
+    pytest.param(_npy_bytes(_valid_matrix(3, KEYPOINT_WIDTH + 1)),
                  id="wrong_width"),
-    pytest.param(_KEYPOINT_HEAD + _keypoint_row()[:-len(",0.5\n")] + "\n",
+    pytest.param(_npy_bytes(_valid_matrix(3, 1 + 2 * len(REQUIRED_JOINTS))),
                  id="two_element_joint"),
-    pytest.param(_KEYPOINT_HEAD + "0.0\n", id="no_joints"),
-    pytest.param(_KEYPOINT_HEAD + _keypoint_row(wrist_r_u="x"),
+    pytest.param(_npy_bytes(_valid_matrix(3, 1)), id="no_joints"),
+    pytest.param(_npy_bytes(np.full((3, KEYPOINT_WIDTH), "0.5")),
                  id="non_numeric"),
-    pytest.param(_KEYPOINT_HEAD + _keypoint_row(wrist_r_u="nan"),
+    pytest.param(_npy_bytes(_edited(KEYPOINT_WIDTH, {(0, _WRIST_U): np.nan})),
                  id="nan_coordinate"),
-    pytest.param(_KEYPOINT_HEAD + _keypoint_row(wrist_r_c="1.5"),
+    pytest.param(_npy_bytes(_edited(KEYPOINT_WIDTH, {(0, _WRIST_U + 2): 1.5})),
                  id="bad_confidence"),
-    pytest.param(_KEYPOINT_HEAD + _keypoint_row(0.1) + _keypoint_row(0.1),
+    pytest.param(_npy_bytes(_edited(KEYPOINT_WIDTH, {(1, 0): 0.0})),
                  id="repeated_time"),
-    pytest.param(_KEYPOINT_HEAD + "\n \n", id="no_frames"),
-    pytest.param(_KEYPOINT_HEAD + _V1_FRAME, id="bad_json"),
-    pytest.param(_KEYPOINT_HEAD + "[1, 2, 3]\n", id="not_an_object"),
-    pytest.param(_KEYPOINT_HEAD + "[" * 100000 + "\n", id="deep_nesting"),
+    pytest.param(_npy_bytes(np.zeros((0, KEYPOINT_WIDTH))), id="no_frames"),
+    pytest.param(_V1_FRAME.encode(), id="bad_json"),
+    # a flat vector, not a matrix
+    pytest.param(_npy_bytes(np.full(KEYPOINT_WIDTH, 0.5)), id="not_an_object"),
+    pytest.param(_raw_header("{'descr': '<f8', 'fortran_order': False, "
+                             "'shape': " + "(" * 5000 + "}\n"),
+                 id="deep_nesting"),
+    pytest.param(_npy_bytes(_valid_matrix(3, KEYPOINT_WIDTH).astype(object)),
+                 id="pickled_objects"),
+    pytest.param(_KP[:-8], id="truncated"),
+    pytest.param(_KP + bytes(8), id="trailing_bytes"),
 ])
-def test_malformed_keypoint_frames_raise_io_failure(tmp_path, text):
-    path = tmp_path / "kp.csv"
-    path.write_text(text)
+def test_malformed_keypoint_frames_raise_io_failure(tmp_path, blob):
+    path = tmp_path / "kp.npy"
+    path.write_bytes(blob)
     with pytest.raises(IoFailure) as exc:
-        read_keypoint_csv(path)
+        read_keypoint_npy(path)
     assert str(path) in str(exc.value)
-    path.write_text(_KEYPOINT_HEAD + _keypoint_row())
-    assert len(read_keypoint_csv(path)) == 1
+    path.write_bytes(_KP)
+    assert len(read_keypoint_npy(path)) == 3
 
 
-# --- the IMU reader loads what the per-value reference reader loads ----------
+@pytest.mark.parametrize("rows", [10 ** 12, 2 ** 63, 10 ** 40])
+@pytest.mark.parametrize("read, kind, width", READERS, ids=READER_IDS)
+def test_forged_huge_header_is_io_failure_not_memory_error(tmp_path, read,
+                                                           kind, width, rows):
+    # np.load would try to allocate the claimed rows (269 TiB for 10**12)
+    path = tmp_path / "forged.npy"
+    path.write_bytes(_npy_bytes(_valid_matrix(2, width), shape=(rows, width)))
+    with pytest.raises(IoFailure, match="size"):
+        read(path)
 
-def _reference_read_imu_csv(path, sample_rate=100.0):
-    """Reference: the reader that parsed each field with its own float()."""
-    lines = path.read_text().splitlines()
-    if not lines or lines[0].strip() != FORMAT_TAG:
-        raise IoFailure(f"missing {FORMAT_TAG} header in {path}")
-    if len(lines) < 2 or lines[1].strip() != IMU_COLUMNS:
-        raise IoFailure(f"missing {IMU_COLUMNS} header in {path}")
-    rows = [ln.split(",") for ln in lines[2:] if ln.strip()]
-    if not rows:
-        raise IoFailure(f"no samples in {path}")
-    width = len(IMU_COLUMNS.split(","))
-    if any(len(row) != width for row in rows):
-        raise IoFailure(f"rows of {path} must hold {width} fields")
+
+# --- any bytes in a session file read as a series or raise IoFailure --------
+
+def _read_or_none(read, kind, path):
+    """The series read from `path`, or None on an IoFailure naming it."""
     try:
-        data = np.array([[float(x) for x in row] for row in rows])
-        return ImuSeries(t=data[:, 0], acc=data[:, 1:4], gyro=data[:, 4:7],
-                         mag=data[:, 7:10], sample_rate=sample_rate)
-    except ValueError as exc:
-        raise IoFailure(f"bad samples in {path}: {exc}") from exc
-
-
-def _read_or_none(read, path):
-    try:
-        return read(path)
-    except IoFailure:
+        series = read(path)
+    except IoFailure as exc:
+        assert str(path) in str(exc)
         return None
+    assert isinstance(series, kind) and len(series) >= 1
+    return series
 
 
-def _assert_reads_as_reference(read, reference, path, fields):
-    """The same outcome, load or IoFailure, and on load byte-equal arrays
-    of the same dtype and shape; returns the series read, or None."""
-    got, want = _read_or_none(read, path), _read_or_none(reference, path)
-    assert (got is None) == (want is None)
-    for name in fields if got is not None else ():
-        assert _bits(getattr(got, name)) == _bits(getattr(want, name))
-    return got
+_ENCODINGS = {
+    "float64": _npy_bytes,
+    "fortran_order": lambda m: _npy_bytes(np.asfortranarray(m)),
+    "big_endian": lambda m: _npy_bytes(m.astype(">f8")),
+    "float32": lambda m: _npy_bytes(np.clip(m, -1, 1).astype("<f4")),
+    "int": lambda m: _npy_bytes(np.arange(m.size).reshape(m.shape)),
+    "object": lambda m: _npy_bytes(m.astype(object)),
+    "1-d": lambda m: _npy_bytes(m.ravel()),
+}
 
 
-_TEXT = st.text(st.characters(blacklist_categories=("Cs",)))
-_KEYPOINT_FIELD = (_FINITE.map(repr) | st.floats().map(repr)
-                   | st.integers().map(str) | st.text(max_size=4))
-# rows at increasing times, some of whose fields are off or missing
-_KEYPOINT_FILES = st.lists(
-    st.lists(_UNIT.map(repr) | _KEYPOINT_FIELD, min_size=35, max_size=37),
-    min_size=1, max_size=4).map(
-    lambda rows: [",".join([str(k / 60), *row]) for k, row in enumerate(rows)])
+@st.composite
+def _session_file_bytes(draw, width):
+    """The bytes of a session file of `width` columns: any bytes, or an
+    encoded (n, w) array, truncated, corrupted or under a forged header."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=300))
+    # each choice leans toward a file that reads
+    n = draw(st.integers(0, 3))
+    w = draw(st.just(width) | st.sampled_from([width - 1, width + 1]))
+    data = (_valid_matrix(n, w) if draw(st.booleans())
+            else draw(arrays(float, (n, w))))
+    encoding = draw(st.just("float64") | st.sampled_from(sorted(_ENCODINGS)))
+    blob = bytearray(_ENCODINGS[encoding](data))
+    change = draw(st.just("none") | st.sampled_from(["truncate", "flip",
+                                                     "splice", "forge"]))
+    if change == "truncate":
+        del blob[draw(st.integers(0, len(blob))):]
+    elif change == "flip":
+        blob[draw(st.integers(0, len(blob) - 1))] ^= draw(st.integers(1, 255))
+    elif change == "splice":
+        at = draw(st.integers(0, len(blob)))
+        blob[at:at + draw(st.integers(0, 8))] = draw(st.binary(max_size=8))
+    elif change == "forge":
+        shape = draw(st.tuples(st.integers(-2, 10 ** 15),
+                               st.sampled_from([width, w]))
+                     | st.lists(st.integers(0, 10 ** 15),
+                                max_size=3).map(tuple))
+        blob = _npy_bytes(data, shape=shape, fortran_order=draw(st.booleans()),
+                          descr=draw(st.sampled_from(
+                              ["<f8", ">f8", "<f4", "<i8", "|O"])))
+    return bytes(blob)
 
 
-@given(st.lists(_TEXT | st.lists(_KEYPOINT_FIELD, max_size=38).map(",".join),
-                max_size=4) | _KEYPOINT_FILES)
+@pytest.mark.parametrize("read, kind, width", READERS, ids=READER_IDS)
+@given(data=st.data())
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_any_keypoint_text_reads_or_raises_io_failure(tmp_path, lines):
-    path = tmp_path / "kp.csv"
-    path.write_text("\n".join([FORMAT_TAG, KEYPOINT_COLUMNS, *lines]),
-                    encoding="utf-8")
-    kp = _read_or_none(read_keypoint_csv, path)
-    if kp is not None:
-        assert isinstance(kp, KeypointSeries) and len(kp) >= 1
-        assert np.isfinite(kp.uv).all() and (kp.conf <= 1.0).all()
-        assert all(a.flags.c_contiguous for a in (kp.t, kp.uv, kp.conf))
+def test_any_session_file_bytes_read_or_raise_io_failure(tmp_path, read, kind,
+                                                         width, data):
+    path = tmp_path / "session.npy"
+    path.write_bytes(data.draw(_session_file_bytes(width)))
+    _read_or_none(read, kind, path)
 
 
-_FIELD = st.floats().map(repr) | st.integers().map(str) | st.text(max_size=4)
-# rows at increasing times, each value as the writer or repr() spells it
-_IMU_FILES = st.lists(
-    st.lists(st.floats(-1e6, 1e6) | st.floats(), min_size=9, max_size=9),
-    min_size=1, max_size=5).flatmap(
-    lambda rows: st.sampled_from(["{:.9g}", "{!r}", " {} "]).map(
-        lambda spelling: [",".join(spelling.format(x)
-                                   for x in [k / 100, *row])
-                          for k, row in enumerate(rows)]))
+# latin-1 text, whose characters are the bytes 0-255
+_TEXT = st.lists(st.text(st.characters(max_codepoint=255), max_size=40),
+                 max_size=4).map("\n".join)
 
 
-def _is_plain_ascii(path):
-    """No underscore and no non-ASCII character: the field spellings that
-    np.loadtxt and float() parse alike."""
-    text = path.read_text(encoding="utf-8")
-    return text.isascii() and "_" not in text
+def _text_file(tmp_path, text, width, after_header):
+    """`text` in a session file; after a valid header, its bytes are the
+    rows, so whole rows of them read as a series or fail as its values."""
+    blob = text.encode("latin-1")
+    if after_header:
+        rows = np.frombuffer(blob[:len(blob) // (8 * width) * 8 * width])
+        blob = _npy_bytes(rows.reshape(-1, width))
+    path = tmp_path / "session.npy"
+    path.write_bytes(blob)
+    return path
 
 
-@given(st.lists(_TEXT | st.lists(_FIELD, max_size=11).map(",".join),
-                max_size=5) | _IMU_FILES)
+@given(_TEXT, st.booleans())
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_any_imu_text_reads_or_raises_io_failure(tmp_path, lines):
-    path = tmp_path / "imu.csv"
-    path.write_text("\n".join([FORMAT_TAG, IMU_COLUMNS, *lines]),
-                    encoding="utf-8")
-    if not _is_plain_ascii(path) and _read_or_none(read_imu_csv, path) is None:
-        return  # the reference's float() also takes "1_0" and non-ASCII digits
-    imu = _assert_reads_as_reference(read_imu_csv, _reference_read_imu_csv,
-                                     path, ("t", "acc", "gyro", "mag"))
-    if imu is not None:
-        assert isinstance(imu, ImuSeries) and len(imu) >= 1
+def test_any_imu_text_reads_or_raises_io_failure(tmp_path, text, after_header):
+    # such as a gaitsync-v2 IMU CSV in place of its .npy file
+    path = _text_file(tmp_path, text, IMU_WIDTH, after_header)
+    _read_or_none(read_imu_npy, ImuSeries, path)
 
 
-@pytest.mark.parametrize("field", ["1_0", "\u0661", "\uff11"],
-                         ids=["digit_group_underscore", "arabic_indic_one",
-                              "fullwidth_one"])
-def test_imu_fields_must_be_plain_ascii_decimals(tmp_path, field):
-    # float() accepts these spellings; the whole-array parse does not
-    path = tmp_path / "imu.csv"
-    row = f"0,{field},2,3,4,5,6,7,8,9"
-    path.write_text(f"{FORMAT_TAG}\n{IMU_COLUMNS}\n{row}\n", encoding="utf-8")
-    assert len(_reference_read_imu_csv(path)) == 1
-    with pytest.raises(IoFailure) as exc:
-        read_imu_csv(path)
-    assert str(path) in str(exc.value)
+@given(_TEXT, st.booleans())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_keypoint_text_reads_or_raises_io_failure(tmp_path, text,
+                                                      after_header):
+    path = _text_file(tmp_path, text, KEYPOINT_WIDTH, after_header)
+    _read_or_none(read_keypoint_npy, KeypointSeries, path)

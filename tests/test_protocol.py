@@ -260,6 +260,17 @@ def test_session_config_validation():
             SessionConfig(sample_duration=duration)
 
 
+@pytest.mark.parametrize("field", [
+    {"max_attempts": True}, {"max_attempts": 2.0}, {"max_attempts": "3"},
+    {"clock_offset": float("nan")}, {"clock_offset": float("inf")},
+], ids=["bool_attempts", "float_attempts", "str_attempts", "nan_offset",
+        "inf_offset"])
+def test_session_config_refuses_ill_typed_attempts_and_non_finite_offset(
+        field):
+    with pytest.raises(ValueError, match=next(iter(field))):
+        SessionConfig(**field)
+
+
 # --- degenerate and degraded streams -----------------------------------------
 
 # an attempt fails on a rejected decision, on no sync exchange or on a

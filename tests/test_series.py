@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syncgait.errors import DegenerateSeries, SeriesTooShort
-from syncgait.io import FORMAT_TAG, KEYPOINT_COLUMNS, read_keypoint_csv
+from syncgait.io import read_keypoint_npy
 from syncgait.series import (DENOISE_LEVELS, JOINT_INDEX, REQUIRED_JOINTS,
                              ImuSeries, KeypointSeries, Series1D, fill_gaps, normalize,
                              wavelet_decompose, wavelet_denoise,
@@ -57,12 +57,12 @@ def _keypoints(t, conf=None):
 
 def test_keypoint_frame_fills_required_joints(tmp_path):
     # each joint's u, v and confidence columns land in its JOINT_INDEX slot
-    path = tmp_path / "kp.csv"
-    values = {f"{n}_{f}": 0.0 for n in REQUIRED_JOINTS for f in "uvc"}
-    values.update(wrist_r_u=1.0, wrist_r_v=2.0, wrist_r_c=0.9)
-    row = ",".join(map(str, [0.0, *values.values()]))
-    path.write_text(f"{FORMAT_TAG}\n{KEYPOINT_COLUMNS}\n{row}\n")
-    kp = read_keypoint_csv(path)
+    path = tmp_path / "kp.npy"
+    row = np.zeros((1, 1 + 3 * NJ))
+    j = JOINT_INDEX["wrist_r"]
+    row[0, 1 + 3 * j:4 + 3 * j] = [1.0, 2.0, 0.9]
+    np.save(path, row, allow_pickle=False)
+    kp = read_keypoint_npy(path)
     for name, expected in (("ankle_l", [0.0, 0.0, 0.0]),
                            ("wrist_r", [1.0, 2.0, 0.9])):
         j = JOINT_INDEX[name]

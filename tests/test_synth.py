@@ -91,6 +91,18 @@ def test_subject_params_validation():
             SubjectParams(**noise)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+@pytest.mark.parametrize("name", ["swing_amplitude", "swing_phase",
+                                  "swing_azimuth", "elbow_flexion",
+                                  "arm_length", "height"])
+def test_subject_params_refuse_a_non_finite_gait_field(name, value):
+    # nan arm_length would end in "IMU samples must be finite", inf
+    # swing_amplitude in a math domain error, both inside generate_session
+    with pytest.raises(ValueError, match=name):
+        SubjectParams(**{name: value})
+
+
 def test_camera_model_validation():
     with pytest.raises(ValueError):
         CameraModel(fps=5.0)
