@@ -44,7 +44,7 @@ EXIT_IO = 3
 
 ATTACK_KINDS = ("relay", "hijack", "mimicry")
 SCENARIO_KEYS = ("loss_rate", "attacks", "fidelity")
-MANIFEST_FORMAT = "gaitsync-v3"   # the session files' version
+MANIFEST_FORMAT = "gaitsync-v4"   # the session files' version
 
 
 @dataclass
@@ -254,6 +254,8 @@ def cmd_enroll(cfg: ExperimentConfig, data_dir: Path, subject: int,
     except (AttributeError, KeyError, TypeError, ValueError,
             OverflowError) as exc:
         raise IoFailure(f"malformed manifest: {exc!r}") from exc
+    if not all(math.isfinite(offset) for _, _, offset in entries):
+        raise IoFailure("malformed manifest: clock_offset must be finite")
     sessions = [(read_imu_npy(imu_path, sample_rate=imu_rate),
                  read_keypoint_npy(kp_path, frame_rate=fps),
                  ClockOffsetEstimate(clock_offset, 1e-6, 0.005))

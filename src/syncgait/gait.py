@@ -40,12 +40,11 @@ class GaitCycle:
 
 
 def _denoise_imu(imu: ImuSeries) -> ImuSeries:
-    """The acc | gyro columns wavelet-denoised in one call; `mag` passes
-    through as recorded, since no stage reads it."""
+    """The acc | gyro columns wavelet-denoised in one call."""
     block = np.hstack([imu.acc, imu.gyro])
     den = wavelet_denoise(Series1D(block, rate=imu.sample_rate)).values
-    return ImuSeries(imu.t.copy(), den[:, 0:3], den[:, 3:6], imu.mag,
-                     imu.sample_rate)
+    return ImuSeries(imu.t.copy(), den[:, 0:3], den[:, 3:6],
+                     sample_rate=imu.sample_rate)
 
 
 @dataclass(frozen=True)

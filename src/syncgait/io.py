@@ -1,11 +1,11 @@
 """On-disk session files: one binary `.npy` matrix per stream.
 
 Each file is one C-order little-endian float64 (n, width) matrix, written
-by np.save with allow_pickle=False. An IMU file holds 10 columns: t, then
-acc, gyro and mag. A keypoint file holds 37: t, then u, v and confidence of
-each joint in REQUIRED_JOINTS order. Values round-trip bit-exact. The files
-are not text and no outside tool writes them; their format version
-(`gaitsync-v3`) lives in the data directory's manifest. A reader accepts
+by np.save with allow_pickle=False. An IMU file holds 7 columns: t, then
+acc and gyro. A keypoint file holds 37: t, then u, v and confidence of each
+joint in REQUIRED_JOINTS order. Values round-trip bit-exact. The files are
+not text and no outside tool writes them; their format version lives in the
+data directory's manifest (`cli.MANIFEST_FORMAT`). A reader accepts
 only the header np.save writes for such a matrix, and checks its row count
 against the file's size before it allocates the rows. Every malformed file
 raises IoFailure naming its path.
@@ -22,7 +22,7 @@ import numpy as np
 from .errors import IoFailure
 from .series import REQUIRED_JOINTS, ImuSeries, KeypointSeries
 
-_IMU_WIDTH = 10
+_IMU_WIDTH = 7
 _KEYPOINT_WIDTH = 1 + 3 * len(REQUIRED_JOINTS)
 # the .npy version 1.0 magic and header length, then the header np.save
 # writes for a C-order little-endian float64 (n, w) matrix
@@ -63,12 +63,12 @@ def _read_series(path: str | Path, width: int, build):
 
 
 def write_imu_npy(path: str | Path, imu: ImuSeries) -> None:
-    _write_matrix(path, np.column_stack([imu.t, imu.acc, imu.gyro, imu.mag]))
+    _write_matrix(path, np.column_stack([imu.t, imu.acc, imu.gyro]))
 
 
 def read_imu_npy(path: str | Path, sample_rate: float = 100.0) -> ImuSeries:
     return _read_series(path, _IMU_WIDTH, lambda m: ImuSeries(
-        m[:, 0], m[:, 1:4], m[:, 4:7], m[:, 7:10], sample_rate))
+        m[:, 0], m[:, 1:4], m[:, 4:7], sample_rate=sample_rate))
 
 
 def write_keypoint_npy(path: str | Path, kp: KeypointSeries) -> None:

@@ -122,8 +122,7 @@ def initial_orientation(a: np.ndarray) -> Quaternion:
 def ahrs_stream(imu: ImuSeries) -> np.ndarray:
     """(n, 4) quaternions (q0, q1, q2, q3), one per sample: the AHRS run on
     the accelerometer and gyro from the gravity attitude of the first sample
-    and zero gyro bias; the recorded field is not read. A sample whose
-    |a| overflows is DegenerateSeries.
+    and zero gyro bias. A sample whose |a| overflows is DegenerateSeries.
 
     Each step integrates the gyro, less its bias estimate, corrected by the
     normalized gradient of the gravity objective R^T(q) (0, 0, 1) - a / |a|

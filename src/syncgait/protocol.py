@@ -153,11 +153,10 @@ def exchange_with_arq(n: int, channel: ChannelModel,
 
 def _received_imu(imu: ImuSeries, valid: np.ndarray) -> ImuSeries:
     """The receiver's view: the full timeline with the acc and gyro samples
-    that are not valid linearly interpolated; `mag`, which no stage reads,
-    is carried as recorded."""
+    that are not valid linearly interpolated."""
     return ImuSeries(imu.t, fill_gaps(imu.t, imu.acc, valid),
-                     fill_gaps(imu.t, imu.gyro, valid), imu.mag,
-                     imu.sample_rate)
+                     fill_gaps(imu.t, imu.gyro, valid),
+                     sample_rate=imu.sample_rate)
 
 
 def _received_keypoints(kp: KeypointSeries,

@@ -1,8 +1,7 @@
 """Core time-series containers and generic preprocessing.
 
-IMU streams are recorded 9-axis (accelerometer, gyroscope, magnetometer) in
-the phone frame; the magnetometer is carried as recorded and no stage reads
-it. Keypoint streams are columnar 2D joint positions in pixel coordinates
+IMU streams are 6-axis (accelerometer, gyroscope) in the phone frame.
+Keypoint streams are columnar 2D joint positions in pixel coordinates
 with per-joint confidences. Series1D is the uniform per-channel carrier used
 by every downstream stage.
 """
@@ -10,7 +9,7 @@ by every downstream stage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -33,29 +32,26 @@ DENOISE_LEVELS = 4   # wavelet levels of wavelet_denoise
 
 @dataclass
 class ImuSeries:
-    """Uniformly sampled 9-axis stream backed by (n,) / (n, 3) arrays. `mag`
-    is the recorded-data format's field, carried as recorded: the AHRS is
-    6-axis and no stage reads it, so its shape is checked and its values,
-    which may be non-finite, are not."""
+    """Uniformly sampled 6-axis stream backed by (n,) / (n, 3) arrays. A
+    magnetometer block may still be passed as `mag`: its shape is checked,
+    so a rate in its slot is refused, and it is not stored."""
 
     t: np.ndarray
     acc: np.ndarray
     gyro: np.ndarray
-    mag: np.ndarray
+    mag: InitVar[np.ndarray | None] = None
     sample_rate: float = 100.0
 
-    def __post_init__(self):
+    def __post_init__(self, mag):
         self.t = np.asarray(self.t, dtype=float)
         self.acc = np.asarray(self.acc, dtype=float)
         self.gyro = np.asarray(self.gyro, dtype=float)
-        self.mag = np.asarray(self.mag, dtype=float)
         if not 0 < self.sample_rate < math.inf:
             raise ValueError("sample_rate must be positive and finite")
         n = len(self.t)
-        if self.t.ndim != 1 or any(a.shape != (n, 3)
-                                   for a in (self.acc, self.gyro, self.mag)):
-            raise ValueError("need t of shape (n,) and acc, gyro, mag of "
-                             "shape (n, 3)")
+        if (self.t.ndim != 1 or self.acc.shape != (n, 3) or self.gyro.shape
+                != (n, 3) or mag is not None and np.shape(mag) != (n, 3)):
+            raise ValueError("need t (n,) and acc, gyro, a given mag (n, 3)")
         if not all(np.isfinite(a).all() for a in (self.t, self.acc, self.gyro)):
             raise ValueError("IMU samples must be finite")
         if not np.all(self.t[1:] > self.t[:-1]):   # np.diff can overflow

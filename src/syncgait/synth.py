@@ -3,7 +3,7 @@ keypoint streams with analytic ground truth, plus attack stream generators
 (relay, hijack, mimicry).
 
 The arm is a shoulder-elbow-wrist chain of phase-locked sinusoids; the phone
-rides the wrist, so accelerometer/gyroscope/magnetometer follow from the
+rides the wrist, so the accelerometer and gyroscope follow from the
 analytic wrist trajectory and phone orientation. Keypoints are the pinhole
 projection of the walking body as seen from the hovering camera.
 """
@@ -27,7 +27,6 @@ WALK_SPEED = 1.2          # m/s, approach speed
 IMU_RATE = 100.0          # Hz, phone IMU sample rate
 FOCAL_PX = 2000.0         # camera focal length, px
 RESOLUTION = (2704, 1520)  # camera image width, height, px
-MAG_WORLD = np.array([22.0, 0.0, -43.0])   # microtesla; recorded, read by no stage
 GRAVITY_WORLD = np.array([0.0, 0.0, GRAVITY])
 
 
@@ -194,11 +193,15 @@ def generate_session(p: SubjectParams, cam: CameraModel = CameraModel(),
     Keypoint timestamps run on the drone clock (phone clock + clock_offset).
     seed_offset varies the noise stream without changing the subject. The
     ground truth keeps the noise-free twin stream and segments it only when
-    its `cycle_boundaries` are first read, so this runs no AHRS.
+    its `cycle_boundaries` are first read, so this runs no AHRS. A walk
+    that would reach the camera is InvalidDuration.
     """
     if not MIN_SESSION_S <= duration < math.inf:
         raise InvalidDuration("duration must be finite and "
                               f">= {MIN_SESSION_S} s")
+    if duration * WALK_SPEED >= cam.horizontal_distance:
+        raise InvalidDuration(f"a {duration} s walk reaches the camera "
+                              f"{cam.horizontal_distance} m away")
     rng = np.random.default_rng((p.seed, seed_offset))
     heading = math.radians(cam.horizontal_angle)
     arm = _ArmModel(p, heading)
@@ -222,13 +225,14 @@ def generate_session(p: SubjectParams, cam: CameraModel = CameraModel(),
                             np.zeros(n)], axis=1)
     acc = (r_t @ (a_world + GRAVITY_WORLD)[:, :, None])[:, :, 0]
     gyro = (r_t @ omega_world[:, :, None])[:, :, 0]
-    mag = r_t @ MAG_WORLD
     clean = ImuSeries(t=t.copy(), acc=acc.copy(), gyro=gyro.copy(),
-                      mag=mag.copy(), sample_rate=IMU_RATE)
+                      sample_rate=IMU_RATE)
     acc += rng.normal(0.0, p.imu_noise, acc.shape)
     gyro += rng.normal(0.0, p.imu_noise * 0.05, gyro.shape)
-    mag += rng.normal(0.0, p.imu_noise * 2.0, mag.shape)
-    imu = ImuSeries(t=t, acc=acc, gyro=gyro, mag=mag, sample_rate=IMU_RATE)
+    # the former magnetometer's noise, drawn and discarded so that the
+    # keypoint noise drawn after it stays the same
+    rng.normal(0.0, p.imu_noise * 2.0, (n, 3))
+    imu = ImuSeries(t=t, acc=acc, gyro=gyro, sample_rate=IMU_RATE)
 
     kp = _render_keypoints(p, cam, arm, duration, clock_offset,
                            start, direction, shoulder_h, rng)

@@ -107,7 +107,7 @@ def test_synth_writes_cohort_and_manifest(tmp_path):
     assert main(["synth", "--config", cfg, "--seed", "3",
                  "--out", str(out)]) == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["format"] == MANIFEST_FORMAT == "gaitsync-v3"
+    assert manifest["format"] == MANIFEST_FORMAT == "gaitsync-v4"
     assert len(manifest["subjects"]) == 2
     for entry in manifest["subjects"]:
         assert len(entry["sessions"]) == 2
@@ -286,8 +286,9 @@ def _enroll_edited(tmp_path, data, edit):
 
 
 def test_enroll_refuses_a_v1_data_directory(tmp_path, capsys, enroll_data):
-    # and a v2 one: a data directory of an older format is refused by name
-    for version in ("gaitsync-v1", "gaitsync-v2"):
+    # and v2 and v3 ones: a data directory of an older format is refused by
+    # name
+    for version in ("gaitsync-v1", "gaitsync-v2", "gaitsync-v3"):
         shutil.rmtree(tmp_path / "data", ignore_errors=True)
         assert _enroll_edited(tmp_path, enroll_data,
                               lambda m: m.update(format=version)) == EXIT_IO
@@ -321,6 +322,17 @@ def test_enroll_non_finite_rate_is_io_error(tmp_path, enroll_data, field,
         else:
             owner[field] = value
     assert _enroll_edited(tmp_path, enroll_data, edit) == EXIT_IO
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "minus_inf"])
+def test_enroll_non_finite_clock_offset_is_io_error(tmp_path, capsys,
+                                                    enroll_data, value):
+    # the manifest's offset of one session, not a failed alignment
+    def edit(manifest):
+        manifest["subjects"][0]["sessions"][1]["clock_offset"] = value
+    assert _enroll_edited(tmp_path, enroll_data, edit) == EXIT_IO
+    assert "clock_offset" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fps", [1e-200, 1e200], ids=["tiny", "huge"])

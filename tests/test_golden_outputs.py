@@ -19,9 +19,9 @@ EVALUATE_CONFIG = {"cohort_size": 2, "enroll_sessions": 6, "genuine_trials": 1,
 
 SYNTH_SHA256 = {
     "manifest.json":
-        "8b8d125493f8e4aecc5028421dce2ddc88f5ed71b7011f63402bb3536d26126b",
+        "bd8a4822ba537d96b9be74a54434677547ccd02683f6fb25b412921ca150d8eb",
     "subject01_session00_imu.npy":
-        "21d84675ccee51f2e4bbd430df6c94ca9eb76cf671d5f856c46aa3b5a95fbef3",
+        "d36e4e107b148de83282c35d06a8cb55892696f3acf2aedab8c0ae832c05a3ae",
     "subject01_session00_keypoints.npy":
         "b267ec745fc36b2f4126c455af71e6de7d4a83bb75b48221b3f08ea9ee45fd3a",
 }

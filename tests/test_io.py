@@ -17,7 +17,7 @@ from syncgait.series import (JOINT_INDEX, REQUIRED_JOINTS, ImuSeries,
                              KeypointSeries)
 from syncgait.synth import SubjectParams, generate_session
 
-IMU_WIDTH = 10
+IMU_WIDTH = 7
 KEYPOINT_WIDTH = 1 + 3 * len(REQUIRED_JOINTS)
 # (reader, series class, matrix width) for each kind of session file
 READERS = [(read_imu_npy, ImuSeries, IMU_WIDTH),
@@ -65,23 +65,20 @@ def test_imu_csv_round_trip(tmp_path, session):
     path = tmp_path / "imu.npy"
     session_io.write_imu_csv(path, imu)
     back = session_io.read_imu_csv(path, sample_rate=imu.sample_rate)
-    for name in ("t", "acc", "gyro", "mag"):
+    for name in ("t", "acc", "gyro"):
         assert _bits(getattr(back, name)) == _bits(getattr(imu, name))
     assert np.load(path).shape == (len(imu), IMU_WIDTH)
 
 
-def test_imu_csv_with_a_non_finite_field_loads(tmp_path, session):
-    # no stage reads the magnetometer, so a broken field refuses no capture
+def test_v3_imu_file_with_field_columns_is_io_failure(tmp_path, session):
+    # a gaitsync-v3 IMU file held three magnetometer columns after the gyro
     imu, _, _ = session
-    mag = imu.mag.copy()
-    mag[10, 0] = np.nan
     path = tmp_path / "imu.npy"
-    write_imu_npy(path, ImuSeries(imu.t, imu.acc, imu.gyro, mag,
-                                  imu.sample_rate))
-    back = read_imu_npy(path)
-    assert np.isnan(back.mag[10, 0])
-    assert np.isfinite(np.delete(back.mag, 10, axis=0)).all()
-    assert np.array_equal(back.acc, imu.acc)
+    np.save(path, np.column_stack([imu.t, imu.acc, imu.gyro,
+                                   np.zeros((len(imu), 3))]))
+    with pytest.raises(IoFailure) as exc:
+        read_imu_npy(path)
+    assert str(path) in str(exc.value)
 
 
 def test_keypoint_columns_hold_each_joint_field_in_order(tmp_path, session):
@@ -122,11 +119,9 @@ _KEYPOINT_ARRAYS = _TIMES.flatmap(lambda t: st.tuples(
     st.just(t),
     arrays(float, (len(t), len(REQUIRED_JOINTS), 2), elements=_FINITE),
     arrays(float, (len(t), len(REQUIRED_JOINTS)), elements=_UNIT)))
-# the magnetometer may hold any value, NaN and inf included
 _IMU_ARRAYS = _TIMES.flatmap(lambda t: st.tuples(
     st.just(t), *(arrays(float, (len(t), 3), elements=_FINITE)
-                  for _ in range(2)),
-    arrays(float, (len(t), 3), elements=st.floats())))
+                  for _ in range(2))))
 
 
 @given(_KEYPOINT_ARRAYS)
@@ -149,7 +144,7 @@ def test_any_finite_imu_round_trips_bit_exact(tmp_path, columns):
     path = tmp_path / "imu.npy"
     write_imu_npy(path, imu)
     back = read_imu_npy(path)
-    for name in ("t", "acc", "gyro", "mag"):
+    for name in ("t", "acc", "gyro"):
         assert _bits(getattr(back, name)) == _bits(getattr(imu, name))
 
 
@@ -180,7 +175,8 @@ def _raw_header(text):
 
 @pytest.mark.parametrize("blob", [
     _npy_bytes(np.zeros((0, IMU_WIDTH))),
-    _npy_bytes(np.array([list(range(10)), [0.01, 1, 2, 3]], dtype=object)),
+    _npy_bytes(np.array([list(range(IMU_WIDTH)), [0.01, 1, 2, 3]],
+                        dtype=object)),
     _npy_bytes(_valid_matrix(3, IMU_WIDTH - 1)),
     _npy_bytes(np.full((3, IMU_WIDTH), "x")),
     _npy_bytes(_edited(IMU_WIDTH, {(1, 3): np.nan})),

@@ -144,7 +144,6 @@ def test_integrate_velocity_validates_args():
 # --- attitude filter -----------------------------------------------------------
 
 GRAVITY_WORLD = np.array([0.0, 0.0, 9.81])
-MAG_WORLD = np.array([22.0, 0.0, -43.0])
 
 
 def _static_imu(q: Quaternion, n: int, rate: float = 100.0,
@@ -152,12 +151,10 @@ def _static_imu(q: Quaternion, n: int, rate: float = 100.0,
     rng = np.random.default_rng(seed)
     r = _matrix(q)
     acc = np.tile(r.T @ GRAVITY_WORLD, (n, 1))
-    mag = np.tile(r.T @ MAG_WORLD, (n, 1))
     gyro = np.zeros((n, 3))
     if noise:
         acc = acc + rng.normal(0, noise, acc.shape)
-        mag = mag + rng.normal(0, noise, mag.shape)
-    return ImuSeries(np.arange(n) / rate, acc, gyro, mag)
+    return ImuSeries(np.arange(n) / rate, acc, gyro)
 
 
 def test_ahrs_recovers_static_orientation():
@@ -179,7 +176,7 @@ def test_ahrs_stream_integrates_the_gyro_alone_at_a_zero_accelerometer():
     # with no gravity to correct against, the step integrates the gyro
     # alone and advances yaw by w*dt, with no warning from the a / |a| pass
     imu = ImuSeries(np.arange(2) / 100.0, [[0.0, 0.0, 9.81], [0.0, 0.0, 0.0]],
-                    [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]], np.zeros((2, 3)))
+                    [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     quats = ahrs_stream(imu)
     assert quats[0].tolist() == [1.0, 0.0, 0.0, 0.0]
     assert quaternion_to_euler(Quaternion(*quats[1])).yaw == pytest.approx(
@@ -192,8 +189,7 @@ def test_ahrs_keeps_the_gravity_correction_without_a_field():
     tilted = _matrix(euler_to_quaternion(EulerAngles(0.3, -0.2, 0.9))).T
     acc = np.tile(GRAVITY_WORLD, (401, 1))
     acc[0] = tilted @ GRAVITY_WORLD
-    imu = ImuSeries(np.arange(401) / 100.0, acc, np.zeros((401, 3)),
-                    np.zeros((401, 3)))
+    imu = ImuSeries(np.arange(401) / 100.0, acc, np.zeros((401, 3)))
     quats = ahrs_stream(imu)
     assert abs(quaternion_to_euler(Quaternion(*quats[0])).roll) > 0.2
     e = quaternion_to_euler(Quaternion(*quats[-1]))
@@ -206,8 +202,7 @@ def test_ahrs_stream_refuses_samples_too_large_to_square(big):
     acc = np.tile(GRAVITY_WORLD, (20, 1))
     acc[5] = big
     with pytest.raises(DegenerateSeries):
-        ahrs_stream(ImuSeries(np.arange(20) / 100.0, acc, np.zeros((20, 3)),
-                              np.zeros((20, 3))))
+        ahrs_stream(ImuSeries(np.arange(20) / 100.0, acc, np.zeros((20, 3))))
 
 
 def _rot_inv(w, vx, vy, vz, rx, ry, rz):
@@ -282,7 +277,7 @@ def _general_form_step(w, x, y, z, bx_b, by_b, bz_b, a, g, dt):
 def _with_zero_accelerometer(imu: ImuSeries, rows: slice) -> ImuSeries:
     acc = imu.acc.copy()
     acc[rows] = 0.0
-    return ImuSeries(imu.t, acc, imu.gyro, imu.mag, imu.sample_rate)
+    return ImuSeries(imu.t, acc, imu.gyro, sample_rate=imu.sample_rate)
 
 
 def _walk(angle: float) -> ImuSeries:
@@ -370,8 +365,8 @@ def test_every_ahrs_step_runs_on_python_floats(monkeypatch, rate):
     # them as np.float64
     imu = _static_imu(axis_angle_quaternion(np.array([1.0, 2, 3]), 2.5), 20,
                       noise=0.1)
-    imu = ImuSeries(imu.t, imu.acc, imu.gyro + 0.05, imu.mag, sample_rate=rate)
-    reference = ahrs_stream(ImuSeries(imu.t, imu.acc, imu.gyro, imu.mag,
+    imu = ImuSeries(imu.t, imu.acc, imu.gyro + 0.05, sample_rate=rate)
+    reference = ahrs_stream(ImuSeries(imu.t, imu.acc, imu.gyro,
                                       sample_rate=100.0))
     types = []
 

@@ -127,8 +127,8 @@ def test_short_stream_fails_the_session_with_a_named_reason(
     imu, kp, _ = generate_session(subject, clock_offset=OFFSET,
                                   seed_offset=503)
     if stream == "imu":
-        imu = ImuSeries(imu.t[:n], imu.acc[:n], imu.gyro[:n], imu.mag[:n],
-                        imu.sample_rate)
+        imu = ImuSeries(imu.t[:n], imu.acc[:n], imu.gyro[:n],
+                        sample_rate=imu.sample_rate)
     else:
         kp = KeypointSeries(kp.t[:n], kp.uv[:n], kp.conf[:n], kp.frame_rate)
     cfg = SessionConfig(clock_offset=OFFSET, max_attempts=1)
@@ -320,13 +320,14 @@ def test_degenerate_stream_fails_the_session_with_a_named_reason(
         capture, block, factor, outcome):
     # no gravity, frozen keypoints (a flat speed channel) or acc, gyro or
     # keypoint values whose squares overflow: the attempt fails on a named
-    # reason; no stage reads the recorded field, so a capture whose field is
-    # zero, tiny or huge is accepted
+    # reason; ImuSeries drops a magnetometer block unread, so a capture
+    # passed with a zero, tiny or huge one is accepted
     enrollment, imu, kp = capture
     if block == "uv":
         kp = KeypointSeries(kp.t, kp.uv * factor, kp.conf, kp.frame_rate)
     else:
-        blocks = {"acc": imu.acc, "gyro": imu.gyro, "mag": imu.mag}
+        blocks = {"acc": imu.acc, "gyro": imu.gyro,
+                  "mag": np.tile([22.0, 0.0, -43.0], (len(imu), 1))}
         blocks[block] = blocks[block] * factor
         imu = ImuSeries(imu.t, sample_rate=imu.sample_rate, **blocks)
     result, reasons = _one_attempt(enrollment, imu, kp)
@@ -371,7 +372,7 @@ def test_genuine_capture_is_accepted_from_any_approach(capture, source,
 _FACTOR = (st.sampled_from([0.0, "constant"])
            | st.integers(-300, 300).map(lambda k: 10.0 ** k))
 _STEP = st.one_of(
-    st.tuples(st.just("channel"), st.sampled_from(["acc", "gyro", "mag", "uv"]),
+    st.tuples(st.just("channel"), st.sampled_from(["acc", "gyro", "uv"]),
               st.sampled_from([0, 1, 2, None]), _FACTOR),
     st.tuples(st.just("truncate"), st.sampled_from(["imu", "kp"]),
               st.integers(3, 800)),
@@ -385,7 +386,7 @@ def _degraded(imu, kp, steps):
     """The capture with each step applied in turn: a channel (one axis or
     every axis) zeroed, held constant or scaled; a stream truncated or
     shifted in time; joints occluded over a span of frames."""
-    a = {"imu_t": imu.t, "acc": imu.acc, "gyro": imu.gyro, "mag": imu.mag,
+    a = {"imu_t": imu.t, "acc": imu.acc, "gyro": imu.gyro,
          "kp_t": kp.t, "uv": kp.uv, "conf": kp.conf}
     a = {k: v.copy() for k, v in a.items()}
     for kind, *arg in steps:
@@ -398,7 +399,7 @@ def _degraded(imu, kp, steps):
                                        else x * factor)
         elif kind == "truncate":
             stream, n = arg
-            keys = (("imu_t", "acc", "gyro", "mag") if stream == "imu"
+            keys = (("imu_t", "acc", "gyro") if stream == "imu"
                     else ("kp_t", "uv", "conf"))
             a.update({k: a[k][:n] for k in keys})
         elif kind == "shift":
@@ -407,8 +408,8 @@ def _degraded(imu, kp, steps):
             joints, i0, i1 = arg
             a["conf"][i0:i1, sorted(joints)] = 0.0
     assume(all(np.isfinite(v).all() for v in a.values()))
-    return (ImuSeries(a["imu_t"], a["acc"], a["gyro"], a["mag"],
-                      imu.sample_rate),
+    return (ImuSeries(a["imu_t"], a["acc"], a["gyro"],
+                      sample_rate=imu.sample_rate),
             KeypointSeries(a["kp_t"], a["uv"], a["conf"], kp.frame_rate))
 
 
@@ -428,8 +429,8 @@ def test_imu_stream_lost_in_every_round_fails_with_a_named_reason(capture):
     # every ARQ round of an attempt, and the drone's empty view ends that
     # attempt on a named reason, not a raw ValueError from the gap filler
     enrollment, imu, kp = capture
-    imu = ImuSeries(imu.t[:10], imu.acc[:10], imu.gyro[:10], imu.mag[:10],
-                    imu.sample_rate)
+    imu = ImuSeries(imu.t[:10], imu.acc[:10], imu.gyro[:10],
+                    sample_rate=imu.sample_rate)
     cfg = SessionConfig(clock_offset=OFFSET,
                         channel=ChannelModel(loss_rate=0.6))
     result = run_session(cfg, enrollment, lambda a: imu, lambda a: kp,

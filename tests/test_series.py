@@ -1,5 +1,7 @@
 """Series containers, db2 wavelet transform, normalization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,22 +31,36 @@ def test_series1d_rejects_nonfinite():
 def test_imu_series_rejects_non_monotone_time():
     t = np.array([0.0, 0.2, 0.1])
     with pytest.raises(ValueError):
-        ImuSeries(t, np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 3)))
+        ImuSeries(t, np.zeros((3, 3)), np.zeros((3, 3)))
 
 
 def test_imu_series_rejects_nonfinite_and_bad_shapes():
     t = np.arange(4) / 100.0
     good = np.zeros((4, 3))
-    for k in range(3):   # t, acc, gyro; the unread mag is not checked
-        arrays = [t.copy(), good.copy(), good.copy(), good.copy()]
+    for k in range(3):   # t, acc, gyro
+        arrays = [t.copy(), good.copy(), good.copy()]
         arrays[k][1] = np.nan if k else np.inf
         with pytest.raises(ValueError):
             ImuSeries(*arrays)
-    assert np.isnan(ImuSeries(t, good, good, np.full((4, 3), np.nan)).mag).all()
     with pytest.raises(ValueError):
-        ImuSeries(t, np.zeros((3, 3)), good, good)
+        ImuSeries(t, np.zeros((3, 3)), good)
     with pytest.raises(ValueError):
-        ImuSeries(t, good, np.zeros((4, 2)), good)
+        ImuSeries(t, good, np.zeros((4, 2)))
+
+
+def test_imu_series_checks_a_given_field_block_and_keeps_none_of_it():
+    # a magnetometer block may still be passed positionally: its values are
+    # not read and not stored, but its shape is checked, so a rate passed
+    # in its slot is refused
+    t = np.arange(4) / 100.0
+    good = np.zeros((4, 3))
+    imu = ImuSeries(t, good, good, np.full((4, 3), np.nan), 50.0)
+    assert imu.sample_rate == 50.0 and "mag" not in vars(imu)
+    assert [f.name for f in dataclasses.fields(imu)] == ["t", "acc", "gyro",
+                                                        "sample_rate"]
+    for block in (100.0, np.zeros((3, 3)), np.zeros((4, 2))):
+        with pytest.raises(ValueError):
+            ImuSeries(t, good, good, block)
 
 
 def _keypoints(t, conf=None):
@@ -81,7 +97,7 @@ def test_keypoint_frame_rejects_bad_confidence():
 def test_series_rates_must_be_positive_and_finite(rate):
     t, zeros = np.arange(3) / 100.0, np.zeros((3, 3))
     with pytest.raises(ValueError):
-        ImuSeries(t, zeros, zeros, zeros, sample_rate=rate)
+        ImuSeries(t, zeros, zeros, sample_rate=rate)
     with pytest.raises(ValueError):
         KeypointSeries(t, np.zeros((3, NJ, 2)), np.ones((3, NJ)),
                        frame_rate=rate)
@@ -91,7 +107,7 @@ def test_series_rates_must_be_positive_and_finite(rate):
 
 def test_series_times_may_span_more_than_the_largest_float():
     t, zeros = np.array([-1e308, 1e308]), np.zeros((2, 3))
-    assert len(ImuSeries(t, zeros, zeros, zeros)) == 2
+    assert len(ImuSeries(t, zeros, zeros)) == 2
     assert len(KeypointSeries(t, np.zeros((2, NJ, 2)), np.ones((2, NJ)))) == 2
 
 
