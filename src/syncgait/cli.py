@@ -34,8 +34,8 @@ from .gait import CYCLE_FEATURE_COUNT
 from .pipeline import Enrollment, enroll
 from .protocol import ChannelModel, SessionConfig, SessionState, run_session
 from .synth import (IMU_RATE, CameraModel, HijackAttack, MimicryAttack,
-                    RelayAttack, generate_attack, generate_session,
-                    make_cohort)
+                    RelayAttack, check_walk, generate_attack,
+                    generate_session, make_cohort)
 from .syncing import ClockOffsetEstimate
 
 EXIT_OK = 0
@@ -56,7 +56,7 @@ class ExperimentConfig:
     (`session`), the camera the sessions are synthesized through
     (`camera`) and one resolved config per scenario (`scenario_configs`);
     their own checks reject a bad duration, loss rate, camera or scenario
-    value."""
+    value, and a walk that would reach the camera."""
 
     cohort_size: int = 5
     sessions_per_subject: int = 1     # synth output sessions
@@ -111,6 +111,7 @@ class ExperimentConfig:
         self.camera = CameraModel(hover_height=self.hover_height,
                                   horizontal_distance=self.distance,
                                   horizontal_angle=self.angle, fps=self.fps)
+        check_walk(self.duration, self.camera)
 
     @classmethod
     def load(cls, path: str | None, overrides: dict) -> "ExperimentConfig":

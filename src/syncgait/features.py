@@ -19,6 +19,7 @@ from scipy.stats import rankdata
 from .errors import (DegenerateChannel, DegenerateClass, PairTooShort,
                      SyncGaitError)
 from .posture import estimate_band
+from .series import groups
 from .syncing import COMMON_RATE, MIN_OVERLAP_S, AlignedPair
 
 MAX_LAG_S = 0.5
@@ -153,8 +154,7 @@ def compute_features(pairs: Sequence[AlignedPair]) -> np.ndarray:
     bad = next((i for i, p in enumerate(pairs) if _pair_error(p)),
                len(pairs))
     rows: dict[int, tuple] = {}
-    for n in {len(p.imu_speed) for p in pairs[:bad]}:
-        idx = [i for i in range(bad) if len(pairs[i].imu_speed) == n]
+    for idx in groups([len(p.imu_speed) for p in pairs[:bad]]).values():
         rows.update(zip(idx, _spectra(
             np.stack([pairs[i].imu_speed for i in idx]),
             np.stack([pairs[i].video_speed for i in idx]))))

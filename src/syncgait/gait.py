@@ -1,11 +1,13 @@
-"""IMU gait segmentation and the 6-channel cycle representation.
+"""The IMU chain, gait segmentation and the 6-channel cycle representation.
 
-Cycles are cut at prominent local minima of the world-frame vertical
-acceleration, then each cycle's phone-frame (a_x, a_y, a_z, ω_x, ω_y, ω_z)
-channels are interpolated to a fixed length. The channels read no attitude,
-so a cycle does not depend on the walking direction's compass heading.
-Cuts are sample indices; the cut instants are their grid times t[0] + i /
-rate, so the chain reads no recorded timestamp after t[0].
+A batch of streams runs the column-wise wavelet denoise once per (length,
+rate) shape, then the AHRS and rotation per stream. Cycles are cut at
+prominent local minima of the world-frame vertical acceleration, then each
+cycle's phone-frame (a_x, a_y, a_z, ω_x, ω_y, ω_z) channels are
+interpolated to a fixed length. The channels read no attitude, so a cycle
+does not depend on the walking direction's compass heading. Cuts are
+sample indices; the cut instants are their grid times t[0] + i / rate, so
+the chain reads no recorded timestamp after t[0].
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from scipy.signal import find_peaks
 
 from .errors import CycleTooShort, NoCyclesFound, SeriesTooShort
 from .orientation import GRAVITY, ahrs_stream, rotation_matrices
-from .series import ImuSeries, Series1D, require_squarable, wavelet_denoise
+from .series import (ImuSeries, by_shape, require_squarable,
+                     wavelet_denoise)
 
 CYCLE_LENGTH = 150  # samples; 1.5 s at 100 Hz
 MIN_PERIOD_S = 0.8  # cycle-period bounds
@@ -39,14 +42,6 @@ class GaitCycle:
             raise ValueError("t_end must exceed t_start")
 
 
-def _denoise_imu(imu: ImuSeries) -> ImuSeries:
-    """The acc | gyro columns wavelet-denoised in one call."""
-    block = np.hstack([imu.acc, imu.gyro])
-    den = wavelet_denoise(Series1D(block, rate=imu.sample_rate)).values
-    return ImuSeries(imu.t.copy(), den[:, 0:3], den[:, 3:6],
-                     sample_rate=imu.sample_rate)
-
-
 @dataclass(frozen=True)
 class ImuChain:
     """One IMU stream prepared once: the wavelet-denoised samples and the
@@ -59,15 +54,25 @@ class ImuChain:
     a_world: np.ndarray
 
 
+def imu_chains(imus: list[ImuSeries]) -> list[ImuChain]:
+    """Each stream denoised, run through the AHRS and rotated into the world
+    frame. The acc | gyro columns of the streams of one (length, rate) are
+    denoised in one call. A stream too short to denoise is SeriesTooShort."""
+    require_squarable("IMU", *(b for imu in imus for b in (imu.acc, imu.gyro)))
+    blocks = by_shape(wavelet_denoise,
+                      [np.hstack([imu.acc, imu.gyro]) for imu in imus],
+                      [imu.sample_rate for imu in imus])
+    denoised = [ImuSeries(imu.t.copy(), b[:, 0:3], b[:, 3:6],
+                          sample_rate=imu.sample_rate)
+                for imu, b in zip(imus, blocks)]
+    # x - 0.0 is x: only the vertical loses gravity
+    return [ImuChain(d, (rotation_matrices(ahrs_stream(d)) @ d.acc[:, :, None])
+                     [:, :, 0] - (0.0, 0.0, GRAVITY)) for d in denoised]
+
+
 def imu_chain(imu: ImuSeries) -> ImuChain:
-    """Denoise the stream, run the AHRS and rotate it into the world frame;
-    a stream too short to denoise is SeriesTooShort."""
-    require_squarable("IMU", imu.acc, imu.gyro)
-    denoised = _denoise_imu(imu)
-    q = ahrs_stream(denoised)
-    a_world = (rotation_matrices(q) @ denoised.acc[:, :, None])[:, :, 0]
-    a_world[:, 2] -= GRAVITY
-    return ImuChain(denoised, a_world)
+    """The chain of one stream: imu_chains of it alone."""
+    return imu_chains([imu])[0]
 
 
 def as_chain(imu: ImuSeries | ImuChain) -> ImuChain:

@@ -6,11 +6,12 @@ adaptive DCT smoothing, cooperative Kalman), differentiates its wrist and
 band-passes. The IMU chain is denoise, orientation, gravity removal,
 velocity integration, gait-band band-pass, magnitude. A stream too short
 for a stage is SeriesTooShort at the first stage that needs the length.
-Every entry point takes the streams themselves: the IMU as an `ImuSeries`
-or its `ImuChain`, so a caller that scores one IMU view several times
-(the consistency and gait checks of an attempt) runs its denoise and AHRS
-once, and the keypoints as a `KeypointSeries`. The consistency features
-of one or many pairs are one (m, 6) array, FEATURE_NAMES columns.
+A batch of streams (`gait.imu_chains`, `imu_speed_channels`,
+`video_speed_channels`) runs each column-wise stage once per (length,
+rate) shape; a one-stream entry point is the batch of one. An IMU is taken
+as an `ImuSeries` or its `ImuChain`, so a caller that scores one IMU view
+several times (the consistency and gait checks of an attempt) runs its
+denoise and AHRS once. The features of m pairs are one (m, 6) array.
 
 The pipeline takes no settings: each stage reads its module's constants
 (`posture.ARM_CHAIN` and the MJCKF noise levels, the AHRS gains in
@@ -30,12 +31,13 @@ from .errors import TooFewSamples
 from .features import (FeatureVector, FisherReport, compute_features,
                        fisher_select)
 from .gait import (ImuChain, as_chain, cycle_feature_rows,
-                   gait_representation, imu_chain)
+                   gait_representation, imu_chains)
 from .orientation import integrate_velocity
 from .posture import (ARM_CHAIN, AdctConfig, adaptive_bandpass, adct_smooth,
                       mjckf_correct)
 from .series import (JOINT_INDEX, MISSING_CONF, ImuSeries, KeypointSeries,
-                     Series1D, fill_gaps, normalize, require_squarable)
+                     Series1D, by_shape, fill_gaps, normalize,
+                     require_squarable)
 from .syncing import (COMMON_RATE, MIN_OVERLAP_S, AlignedPair,
                       ClockOffsetEstimate, align)
 
@@ -55,69 +57,74 @@ def _joint_tracks(kp: KeypointSeries,
     return track, measured
 
 
+def _calibrated_arms(kps: list[KeypointSeries]) -> list[tuple]:
+    """calibrate_keypoints of each track; one adct_smooth per (frames, fps)."""
+    require_squarable("keypoint", *(kp.uv for kp in kps))
+    tracks = [_joint_tracks(kp, ARM_CHAIN) for kp in kps]
+    arms = by_shape(adct_smooth, [t.reshape(len(t), -1) for t, _ in tracks],
+                    [kp.frame_rate for kp in kps])
+    return [(mjckf_correct(arm.reshape(t.shape), m, kp.frame_rate), m)
+            for kp, arm, (t, m) in zip(kps, arms, tracks)]
+
+
 def calibrate_keypoints(kp: KeypointSeries) -> tuple[np.ndarray, np.ndarray]:
-    """The calibrated (n, 3, 2) ARM_CHAIN track and its (n, 3) measured mask.
-
-    Each joint is interpolated across its missing detections, the six pixel
-    columns are smoothed by adaptive DCT in one call, and the cooperative
-    Kalman pass corrects the chain, bridging the unmeasured frames. Only
-    the phone's arm is calibrated, the one the speed channel reads."""
-    require_squarable("keypoint", kp.uv)
-    track, measured = _joint_tracks(kp, ARM_CHAIN)
-    arm = adct_smooth(Series1D(track.reshape(len(track), -1),
-                               rate=kp.frame_rate)).values
-    return mjckf_correct(arm.reshape(track.shape), measured,
-                         kp.frame_rate), measured
+    """The calibrated (n, 3, 2) ARM_CHAIN track, the phone's arm, and its
+    (n, 3) measured mask: each joint gap-filled, the six pixel columns
+    smoothed by adaptive DCT, and the chain corrected by the cooperative
+    Kalman pass, which bridges the unmeasured frames."""
+    return _calibrated_arms([kp])[0]
 
 
-def _torso_scale(kp: KeypointSeries) -> np.ndarray:
-    """Smoothed per-frame torso length in pixels (shoulder midpoint to hip
-    midpoint); the apparent-size reference that cancels perspective growth
-    as the subject approaches the camera."""
+def _torso_length(kp: KeypointSeries) -> np.ndarray:
+    """Per-frame torso length in pixels, shoulder midpoint to hip midpoint."""
     joints, _ = _joint_tracks(kp, ("shoulder_l", "shoulder_r",
                                    "hip_l", "hip_r"))
     mid = 0.5 * (joints[:, 0::2] + joints[:, 1::2])   # shoulders, hips
-    torso = mid[:, 0] - mid[:, 1]
-    scale = np.hypot(torso[:, 0], torso[:, 1])
-    scale = adct_smooth(Series1D(scale, rate=kp.frame_rate),
-                        AdctConfig(f_base=0.02, alpha=0.0)).values
-    return np.maximum(scale, 1e-6)
+    return np.hypot(*(mid[:, 0] - mid[:, 1]).T)
+
+
+def video_speed_channels(kps: list[KeypointSeries]) -> list[tuple]:
+    """Wrist swing speed and validity mask of each track. Pixel velocities
+    over the smoothed torso length, which cancels the perspective growth of
+    the approaching subject, are band-passed in the gait band before the
+    magnitude, which strips the translation drift. A frame whose wrist is
+    not measured is invalid. Tracks of one (frames, fps) share each call."""
+    calibrated = _calibrated_arms(kps)
+    rates = [kp.frame_rate for kp in kps]
+    scales = by_shape(adct_smooth, [_torso_length(kp) for kp in kps], rates,
+                      AdctConfig(f_base=0.02, alpha=0.0))
+    vels = by_shape(adaptive_bandpass,
+                    [np.gradient(track[:, 0], kp.t, axis=0)
+                     / np.maximum(scale, 1e-6)[:, None]
+                     for kp, (track, _), scale in zip(kps, calibrated, scales)],
+                    rates)
+    return [(normalize(Series1D(np.hypot(vel[:, 0], vel[:, 1]),
+                                float(kp.t[0]), kp.frame_rate)), measured[:, 0])
+            for kp, vel, (_, measured) in zip(kps, vels, calibrated)]
 
 
 def video_speed_channel(kp: KeypointSeries) -> tuple[Series1D, np.ndarray]:
-    """Wrist swing speed from calibrated keypoints plus a validity mask.
+    """The wrist speed and validity mask of one track."""
+    return video_speed_channels([kp])[0]
 
-    Pixel velocities are divided by the smoothed torso scale (cancelling
-    the perspective amplitude growth of the approaching subject) and
-    band-passed per component in the gait band before taking the magnitude,
-    which strips the slow translation drift. Frames whose wrist detection
-    fell below the missing-confidence level are marked invalid (bridged,
-    not measured).
-    """
-    track, measured = calibrate_keypoints(kp)
-    vel = np.gradient(track[:, 0], kp.t, axis=0) / _torso_scale(kp)[:, None]
-    vel = adaptive_bandpass(Series1D(vel, rate=kp.frame_rate)).values
-    speed = normalize(Series1D(np.hypot(vel[:, 0], vel[:, 1]),
-                               t0=float(kp.t[0]), rate=kp.frame_rate))
-    return speed, measured[:, 0]
+
+def imu_speed_channels(chains: list[ImuChain]) -> list[Series1D]:
+    """Hand speed of each IMU chain: the world-frame acceleration integrated
+    to velocity, band-passed in the gait band (which suppresses integration
+    drift far more cleanly than hard velocity resets) and reduced to a
+    z-scored magnitude, which a turn about the vertical leaves unchanged."""
+    rates = [chain.denoised.sample_rate for chain in chains]
+    v_world = by_shape(adaptive_bandpass,
+                       [integrate_velocity(chain.a_world, rate)
+                        for chain, rate in zip(chains, rates)], rates)
+    return [normalize(Series1D(np.linalg.norm(v, axis=1),
+                               float(chain.denoised.t[0]), rate))
+            for chain, v, rate in zip(chains, v_world, rates)]
 
 
 def imu_speed_channel(imu: ImuSeries | ImuChain) -> Series1D:
-    """Hand speed from the IMU alone.
-
-    Orientation comes from the attitude filter; the world-frame acceleration
-    (gravity removed) is integrated to velocity, the components are
-    band-passed in the gait band (which suppresses integration drift far
-    more cleanly than hard velocity resets), and the result is reduced to a
-    z-scored speed magnitude, which a turn about the vertical leaves
-    unchanged. A prepared `ImuChain` is used as is.
-    """
-    chain = as_chain(imu)
-    rate = chain.denoised.sample_rate
-    v_world = integrate_velocity(chain.a_world, rate)
-    v_world = adaptive_bandpass(Series1D(v_world, rate=rate)).values
-    return normalize(Series1D(np.linalg.norm(v_world, axis=1),
-                              float(chain.denoised.t[0]), rate))
+    """The hand speed of one stream; a prepared `ImuChain` is used as is."""
+    return imu_speed_channels([as_chain(imu)])[0]
 
 
 def aligned_speeds(imu: ImuSeries | ImuChain, kp: KeypointSeries,
@@ -192,15 +199,15 @@ def enroll(sessions: list[tuple[ImuSeries, KeypointSeries, ClockOffsetEstimate]]
     threshold separates "streams agree" from "streams disagree" rather than
     hugging this user's training cloud.
     """
-    pos_pairs: list[AlignedPair] = []
-    neg_pairs: list[AlignedPair] = []
-    gaits = []
-    for imu, kp, offset in sessions:
-        chain = imu_chain(imu)
-        pair = aligned_speeds(chain, kp, offset)
-        pos_pairs += _window_pairs(pair)
-        neg_pairs += _shifted_pairs(pair)
-        gaits.append(gait_vectors(chain))
+    chains = imu_chains([imu for imu, _, _ in sessions])
+    imu_speeds = imu_speed_channels(chains)
+    videos = video_speed_channels([kp for _, kp, _ in sessions])
+    pairs = [align(speed, video, offset, video_valid=valid)
+             for speed, (video, valid), (_, _, offset)
+             in zip(imu_speeds, videos, sessions)]
+    pos_pairs = [w for pair in pairs for w in _window_pairs(pair)]
+    neg_pairs = [s for pair in pairs for s in _shifted_pairs(pair)]
+    gaits = [gait_vectors(chain) for chain in chains]
     # one batch: the pairs of one length share their spectral passes
     rows = compute_features(pos_pairs + neg_pairs)
     pos, neg = rows[:len(pos_pairs)], rows[len(pos_pairs):]

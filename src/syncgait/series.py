@@ -123,6 +123,28 @@ class Series1D:
         return self.t0 + np.arange(len(self.values)) / self.rate
 
 
+def groups(keys: list) -> dict:
+    """The indices of each distinct key, keys in first-seen order."""
+    return {k: [i for i, x in enumerate(keys) if x == k]
+            for k in dict.fromkeys(keys)}
+
+
+def by_shape(stage, blocks: list[np.ndarray], rates: list[float],
+             *args) -> list[np.ndarray]:
+    """`stage(Series1D(block, rate=rate), *args).values` of each (n,) or
+    (n, k) block, one stage call per (n, rate) over its blocks' columns: for
+    a column-wise stage, each a fresh array bit for bit its own call's."""
+    out: list = [None] * len(blocks)
+    for (n, rate), idx in groups(list(zip(map(len, blocks), rates))).items():
+        cols = [blocks[i].reshape(n, -1) for i in idx]
+        block = Series1D(np.concatenate(cols, axis=1), rate=rate)
+        values, end = stage(block, *args).values, 0
+        for i, c in zip(idx, cols):
+            start, end = end, end + c.shape[1]
+            out[i] = values[:, start:end].reshape(blocks[i].shape).copy()
+    return out
+
+
 # --- Daubechies db2 wavelet (4-tap, orthonormal, periodized) ---------------
 
 _S3 = math.sqrt(3.0)

@@ -185,6 +185,17 @@ def _phone_quaternions(p: SubjectParams, heading: float,
     return np.stack([q.q0, q.q1, q.q2, q.q3], axis=1)
 
 
+def check_walk(duration: float, cam: CameraModel) -> None:
+    """InvalidDuration unless `duration` is finite, at least MIN_SESSION_S
+    and short of a walk that reaches the camera."""
+    if not MIN_SESSION_S <= duration < math.inf:
+        raise InvalidDuration("duration must be finite and "
+                              f">= {MIN_SESSION_S} s")
+    if duration * WALK_SPEED >= cam.horizontal_distance:
+        raise InvalidDuration(f"a {duration} s walk reaches the camera "
+                              f"{cam.horizontal_distance} m away")
+
+
 def generate_session(p: SubjectParams, cam: CameraModel = CameraModel(),
                      duration: float = 8.0, clock_offset: float = 0.0,
                      seed_offset: int = 0) -> tuple[ImuSeries, KeypointSeries, GroundTruth]:
@@ -193,15 +204,8 @@ def generate_session(p: SubjectParams, cam: CameraModel = CameraModel(),
     Keypoint timestamps run on the drone clock (phone clock + clock_offset).
     seed_offset varies the noise stream without changing the subject. The
     ground truth keeps the noise-free twin stream and segments it only when
-    its `cycle_boundaries` are first read, so this runs no AHRS. A walk
-    that would reach the camera is InvalidDuration.
-    """
-    if not MIN_SESSION_S <= duration < math.inf:
-        raise InvalidDuration("duration must be finite and "
-                              f">= {MIN_SESSION_S} s")
-    if duration * WALK_SPEED >= cam.horizontal_distance:
-        raise InvalidDuration(f"a {duration} s walk reaches the camera "
-                              f"{cam.horizontal_distance} m away")
+    its `cycle_boundaries` are first read, so this runs no AHRS."""
+    check_walk(duration, cam)
     rng = np.random.default_rng((p.seed, seed_offset))
     heading = math.radians(cam.horizontal_angle)
     arm = _ArmModel(p, heading)

@@ -19,8 +19,11 @@ from syncgait.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, MANIFEST_FORMAT,
                           ExperimentConfig, build_parser, load_enrollment,
                           main)
 from syncgait.errors import InvalidDuration, IoFailure
+from syncgait.io import (read_imu_npy, read_keypoint_npy, write_imu_npy,
+                         write_keypoint_npy)
 from syncgait.pipeline import enroll
 from syncgait.protocol import SessionConfig
+from syncgait.series import JOINT_INDEX, ImuSeries, KeypointSeries
 from syncgait.synth import SubjectParams, generate_session
 from syncgait.syncing import MIN_SESSION_S, ClockOffsetEstimate
 
@@ -62,6 +65,23 @@ def test_one_session_length_floor(tmp_path):
     assert len(imu) == 300
     assert SessionConfig(sample_duration=3.0).sample_duration == 3.0
     assert ExperimentConfig(duration=3.0).duration == 3.0
+
+
+@pytest.mark.parametrize("walk", [{"duration": 1e12}, {"duration": 20.0},
+                                  {"duration": 10.0, "distance": 12.0}],
+                         ids=["huge", "under_camera", "near_camera"])
+@pytest.mark.parametrize("command", ["synth", "evaluate"])
+def test_walk_reaching_the_camera_is_config_error_and_writes_nothing(
+        tmp_path, capsys, walk, command):
+    with pytest.raises(InvalidDuration):
+        ExperimentConfig(**walk)
+    cfg = _write_config(tmp_path, dict(walk, cohort_size=2))
+    assert main([command, "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "reaches the camera" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # the longest walk the goldens take, 14.4 m of 18
+    assert ExperimentConfig(duration=12.0).duration == 12.0
 
 
 @pytest.mark.parametrize("text", [
@@ -342,6 +362,30 @@ def test_enroll_fps_outside_the_kalman_range_is_config_error(
         manifest["config"]["fps"] = fps
     assert _enroll_edited(tmp_path, enroll_data, edit) == EXIT_CONFIG
     assert f"frame rate {fps} Hz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", ["subnormal_keypoints", "short_imu"])
+def test_enroll_with_one_faulty_session_file_is_config_error(
+        tmp_path, capsys, enroll_data, fault):
+    # the faulty session sits among good ones: its named error still ends
+    # the enrollment with exit 2, and no model is written
+    copy = tmp_path / "data"
+    shutil.copytree(enroll_data, copy)
+    stem = copy / "subject00_session01"
+    imu = read_imu_npy(f"{stem}_imu.npy")
+    kp = read_keypoint_npy(f"{stem}_keypoints.npy")
+    if fault == "short_imu":
+        write_imu_npy(f"{stem}_imu.npy", ImuSeries(
+            imu.t[:10], imu.acc[:10], imu.gyro[:10]))
+    else:
+        uv = kp.uv.copy()
+        uv[:, JOINT_INDEX["wrist_r"], 0] = np.resize([0.0, 5e-324], len(uv))
+        write_keypoint_npy(f"{stem}_keypoints.npy",
+                           KeypointSeries(kp.t, uv, kp.conf))
+    assert main(["enroll", "--data", str(copy), "--subject", "0",
+                 "--out", str(tmp_path / "m")]) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
 
 
 def test_enroll_unwritable_output_is_io_error(tmp_path):

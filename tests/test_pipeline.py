@@ -8,13 +8,15 @@ import pytest
 
 from syncgait import features, gait, pipeline, posture
 from syncgait.classify import serialize_model
-from syncgait.errors import SeriesTooShort, TooFewSamples
-from syncgait.gait import imu_chain
+from syncgait.errors import DegenerateSeries, SeriesTooShort, TooFewSamples
+from syncgait.gait import imu_chain, imu_chains
 from syncgait.pipeline import (aligned_speeds, calibrate_keypoints,
                                consistency_score, consistency_vector, enroll,
                                gait_score, imu_speed_channel,
-                               video_speed_channel)
-from syncgait.series import JOINT_INDEX, KeypointSeries
+                               imu_speed_channels, video_speed_channel,
+                               video_speed_channels)
+from syncgait.protocol import _received_imu
+from syncgait.series import JOINT_INDEX, ImuSeries, KeypointSeries
 from syncgait.syncing import ClockOffsetEstimate
 from syncgait.synth import (CameraModel, HijackAttack, RelayAttack,
                             SubjectParams, generate_attack, generate_session,
@@ -180,9 +182,9 @@ def test_no_state_carries_over_between_enrollments():
     assert models(enroll(sessions_a, seed=0)) == first
 
 
-def test_each_stream_makes_one_call_per_column_wise_stage(session,
-                                                          monkeypatch):
-    imu, kp, _ = session
+def _spy_column_wise_stages(monkeypatch) -> list:
+    """(stage name, values shape) of each wavelet_denoise, adct_smooth and
+    adaptive_bandpass call the IMU and video chains make, in call order."""
     calls = []
 
     def spy(module, name):
@@ -194,12 +196,139 @@ def test_each_stream_makes_one_call_per_column_wise_stage(session,
         monkeypatch.setattr(module, name, counted)
     spy(gait, "wavelet_denoise")
     spy(pipeline, "adct_smooth")
+    spy(pipeline, "adaptive_bandpass")
+    return calls
+
+
+def test_each_stream_makes_one_call_per_column_wise_stage(subject, session,
+                                                          monkeypatch):
+    imu, kp, _ = session
+    calls = _spy_column_wise_stages(monkeypatch)
     imu_chain(imu)
     assert calls == [("wavelet_denoise", (len(imu), 6))]
     calls.clear()
     video_speed_channel(kp)
-    # the six arm columns, then the torso scale
-    assert calls == [("adct_smooth", (len(kp), 6)), ("adct_smooth", (len(kp),))]
+    # the six arm columns, the torso length, the wrist velocity
+    assert calls == [("adct_smooth", (len(kp), 6)),
+                     ("adct_smooth", (len(kp), 1)),
+                     ("adaptive_bandpass", (len(kp), 2))]
+
+    # an enrollment of m same-shape sessions makes each call once, over the
+    # columns of all m streams
+    m = 3
+    sessions = [generate_session(subject, clock_offset=OFFSET,
+                                 seed_offset=300 + k)[:2] + (EST,)
+                for k in range(m)]
+    calls.clear()
+    enroll(sessions, seed=0)
+    n, frames = len(sessions[0][0]), len(sessions[0][1])
+    assert Counter(calls) == Counter({
+        ("wavelet_denoise", (n, 6 * m)): 1,
+        ("adaptive_bandpass", (n, 3 * m)): 1,
+        ("adct_smooth", (frames, 6 * m)): 1,
+        ("adct_smooth", (frames, m)): 1,
+        ("adaptive_bandpass", (frames, 2 * m)): 1})
+
+    # mixed shapes: one call per (length, rate) group
+    mixed = [generate_session(subject, CameraModel(fps=fps), duration,
+                              OFFSET, seed_offset=310 + k)[:2] + (EST,)
+             for k, (duration, fps) in enumerate(
+                 [(6.0, 60.0), (8.0, 30.0), (6.0, 60.0), (8.0, 60.0)])]
+    calls.clear()
+    enroll(mixed, seed=0)
+    assert Counter(calls) == Counter({
+        ("wavelet_denoise", (600, 12)): 1, ("wavelet_denoise", (800, 12)): 1,
+        ("adaptive_bandpass", (600, 6)): 1,
+        ("adaptive_bandpass", (800, 6)): 1,
+        ("adct_smooth", (360, 12)): 1, ("adct_smooth", (360, 2)): 1,
+        ("adaptive_bandpass", (360, 4)): 1,
+        ("adct_smooth", (240, 6)): 1, ("adct_smooth", (240, 1)): 1,
+        ("adaptive_bandpass", (240, 2)): 1,
+        ("adct_smooth", (480, 6)): 1, ("adct_smooth", (480, 1)): 1,
+        ("adaptive_bandpass", (480, 2)): 1})
+
+
+def _mixed_batch(subject):
+    """IMU streams of 6 s and 8 s, keypoint tracks at 30 and 60 fps in
+    interleaved order, one track with gated (occluded) wrist and elbow
+    frames and one received IMU view with lost samples filled."""
+    specs = [(6.0, 60.0), (8.0, 30.0), (8.0, 60.0), (8.0, 60.0), (6.0, 30.0),
+             (8.0, 30.0)]
+    imus, kps = [], []
+    for k, (duration, fps) in enumerate(specs):
+        imu, kp, _ = generate_session(subject, CameraModel(fps=fps), duration,
+                                      OFFSET, seed_offset=500 + k)
+        imus.append(imu)
+        kps.append(kp)
+    conf = kps[2].conf.copy()
+    conf[100:130, [JOINT_INDEX["wrist_r"], JOINT_INDEX["elbow_r"]]] = 0.0
+    kps[2] = KeypointSeries(kps[2].t, kps[2].uv, conf, kps[2].frame_rate)
+    valid = np.ones(len(imus[3]), dtype=bool)
+    valid[200:260] = valid[500:520] = False
+    imus[3] = _received_imu(imus[3], valid)
+    return imus, kps
+
+
+def test_batched_chains_equal_one_stream_at_a_time(subject):
+    imus, kps = _mixed_batch(subject)
+    chains = imu_chains(imus)
+    for imu, chain in zip(imus, chains):
+        alone = imu_chain(imu)
+        for name in ("t", "acc", "gyro"):
+            assert (getattr(chain.denoised, name).tobytes()
+                    == getattr(alone.denoised, name).tobytes())
+        assert chain.a_world.tobytes() == alone.a_world.tobytes()
+    for chain, speed in zip(chains, imu_speed_channels(chains)):
+        alone = imu_speed_channel(chain)
+        assert (speed.t0, speed.rate) == (alone.t0, alone.rate)
+        assert speed.values.tobytes() == alone.values.tobytes()
+    for kp, (speed, valid) in zip(kps, video_speed_channels(kps)):
+        alone, alone_valid = video_speed_channel(kp)
+        assert (speed.t0, speed.rate) == (alone.t0, alone.rate)
+        assert speed.values.tobytes() == alone.values.tobytes()
+        assert valid.tobytes() == alone_valid.tobytes()
+    assert not video_speed_channels(kps)[2][1][100:130].any()
+
+
+def _faulty(session, fault):
+    """The session with a subnormal-wide wrist column or an IMU stream too
+    short to denoise."""
+    imu, kp, offset = session
+    if fault == "subnormal":
+        uv = kp.uv.copy()
+        uv[:, JOINT_INDEX["wrist_r"], 0] = np.resize([0.0, 5e-324], len(uv))
+        return imu, KeypointSeries(kp.t, uv, kp.conf, kp.frame_rate), offset
+    return ImuSeries(imu.t[:10], imu.acc[:10], imu.gyro[:10],
+                     sample_rate=imu.sample_rate), kp, offset
+
+
+@pytest.mark.parametrize("fault, error", [("subnormal", DegenerateSeries),
+                                          ("short_imu", SeriesTooShort)])
+def test_a_faulty_session_among_good_ones_raises_its_named_error(
+        subject, fault, error):
+    sessions = [generate_session(subject, clock_offset=OFFSET,
+                                 seed_offset=400 + k)[:2] + (EST,)
+                for k in range(4)]
+    sessions[2] = _faulty(sessions[2], fault)
+    with pytest.raises(error):
+        enroll(sessions)
+
+
+def test_several_faulty_sessions_raise_the_earliest_stage_error(subject):
+    # the IMU chain runs for every session before the video chain, so a
+    # later session's short IMU wins over an earlier session's keypoints
+    sessions = [generate_session(subject, clock_offset=OFFSET,
+                                 seed_offset=400 + k)[:2] + (EST,)
+                for k in range(3)]
+    sessions[0] = _faulty(sessions[0], "subnormal")
+    sessions[2] = _faulty(sessions[2], "short_imu")
+    with pytest.raises(SeriesTooShort):
+        enroll(sessions)
+
+
+def test_enroll_of_no_sessions_is_too_few_samples():
+    with pytest.raises(TooFewSamples):
+        enroll([])
 
 
 def test_enroll_designs_each_filter_once_and_batches_the_spectra(
