@@ -42,7 +42,14 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
-ATTACK_KINDS = ("relay", "hijack", "mimicry")
+# attack kind -> the capture spec of one (victim, attacker, fidelity) trial
+ATTACK_SPECS = {
+    "relay": lambda victim, attacker, fidelity: RelayAttack(victim, attacker),
+    "hijack": lambda victim, attacker, fidelity: HijackAttack(attacker),
+    "mimicry": lambda victim, attacker, fidelity: MimicryAttack(
+        attacker, victim, fidelity),
+}
+ATTACK_KINDS = tuple(ATTACK_SPECS)
 SCENARIO_KEYS = ("loss_rate", "attacks", "fidelity")
 MANIFEST_FORMAT = "gaitsync-v4"   # the session files' version
 
@@ -323,19 +330,16 @@ def _run_trial(cfg: ExperimentConfig, enrollment: Enrollment,
             "fused": min(cons, rec.gait_score)}
 
 
-def _attack_spec(kind: str, victim, attacker, fidelity: float):
-    if kind == "relay":
-        return RelayAttack(victim, attacker)
-    if kind == "hijack":
-        return HijackAttack(attacker)
-    return MimicryAttack(attacker, victim, fidelity)
-
-
 def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
+    """Enroll every subject, then run the trials subject by subject. Each
+    genuine capture, and each distinct attack spec of a trial, is
+    synthesized once and run under every config (the base one and each
+    scenario's) that lists its kind; the configs differ in SCENARIO_KEYS
+    only."""
     cohort = make_cohort(cfg.cohort_size, seed=cfg.seed)
     offset = ClockOffsetEstimate(cfg.clock_offset, 1e-6, 0.005)
 
-    enrollments = {}
+    enrollments = []
     for si, subject in enumerate(cohort):
         sessions = []
         for k in range(cfg.enroll_sessions):
@@ -344,15 +348,39 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
                                           seed_offset=10 + k)
             sessions.append((imu, kp, offset))
         try:
-            enrollments[si] = enroll(sessions, seed=cfg.seed)
+            enrollments.append(enroll(sessions, seed=cfg.seed))
         except TooFewSamples as exc:
             raise ValueError(f"enroll_sessions {cfg.enroll_sessions} is too "
                              f"few to enroll subject {si}: {exc}") from exc
 
-    (trials, rocs), *scenarios = _run_trials(
-        (cfg, *cfg.scenario_configs), cohort, enrollments)
-    report = {"config": cfg.to_dict(), "config_sha256": cfg.digest(),
-              **trials}
+    configs = (cfg, *cfg.scenario_configs)
+    trials = [([], {kind: [] for kind in c.attacks}) for c in configs]
+    for si, (victim, enrollment) in enumerate(zip(cohort, enrollments)):
+        for k in range(cfg.genuine_trials):
+            imu, kp, _ = generate_session(victim, cfg.camera, cfg.duration,
+                                          cfg.clock_offset,
+                                          seed_offset=60 + k)
+            for c, (genuine, _) in zip(configs, trials):
+                genuine.append(_run_trial(c, enrollment, imu, kp,
+                                          seed=c.seed * 100000 + si * 100 + k))
+        for k in range(cfg.attack_trials):
+            attacker = cohort[(si + 1 + k) % cfg.cohort_size]
+            captures = {}
+            for c, (_, attacks) in zip(configs, trials):
+                for kind in c.attacks:
+                    spec = ATTACK_SPECS[kind](victim, attacker, c.fidelity)
+                    if spec not in captures:
+                        captures[spec] = generate_attack(
+                            spec, cfg.camera, cfg.duration, cfg.clock_offset,
+                            seed_offset=900 + 10 * si + k)
+                    imu, kp, _ = captures[spec]
+                    attacks[kind].append(_run_trial(
+                        c, enrollment, imu, kp,
+                        seed=c.seed * 100000 + 7000 + si * 100 + k * 10
+                        + ATTACK_KINDS.index(kind)))
+
+    (base, rocs), *scenarios = [_summary(*t) for t in trials]
+    report = {"config": cfg.to_dict(), "config_sha256": cfg.digest(), **base}
     for name, rep in rocs.items():
         _write_bytes(out / f"roc_{name}.csv", roc_points_csv(rep).encode())
     print(json.dumps(_json_ready(report["scores"]), sort_keys=True))
@@ -365,50 +393,6 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
     _write_json(out / "report.json", report)
     print(f"report written to {out / 'report.json'}")
     return EXIT_OK
-
-
-def _run_trials(configs: tuple[ExperimentConfig, ...], cohort,
-                enrollments: dict) -> list[tuple[dict, dict]]:
-    """Run each config's genuine and attack trials against the cohort's
-    enrollments. The configs differ in SCENARIO_KEYS only, so each capture
-    is synthesized once, and every config that needs it runs its trial on
-    it before the next capture is made: a genuine capture serves every
-    config, an attack capture every config with its kind (and, for
-    mimicry, its fidelity). Returns, per config, the report's `genuine`,
-    `attacks` and `scores` entries, and each score stream's metrics report
-    for its ROC file."""
-    base = configs[0]
-    genuine: list[list[dict]] = [[] for _ in configs]
-    for si in range(base.cohort_size):
-        for k in range(base.genuine_trials):
-            imu, kp, _ = generate_session(cohort[si], base.camera,
-                                          base.duration, base.clock_offset,
-                                          seed_offset=60 + k)
-            for cfg, trials in zip(configs, genuine):
-                trials.append(_run_trial(cfg, enrollments[si], imu, kp,
-                                         seed=cfg.seed * 100000 + si * 100 + k))
-
-    attacks = [{kind: [] for kind in cfg.attacks} for cfg in configs]
-    for si in range(base.cohort_size):
-        for k in range(base.attack_trials):
-            ai = (si + 1 + k) % base.cohort_size
-            users: dict[tuple, list] = {}
-            for cfg, trials in zip(configs, attacks):
-                for kind in cfg.attacks:
-                    key = (kind, cfg.fidelity if kind == "mimicry" else None)
-                    users.setdefault(key, []).append((cfg, trials[kind]))
-            for (kind, _), runs in users.items():
-                spec = _attack_spec(kind, cohort[si], cohort[ai],
-                                    runs[0][0].fidelity)
-                imu, kp, _ = generate_attack(spec, base.camera, base.duration,
-                                             base.clock_offset,
-                                             seed_offset=900 + 10 * si + k)
-                for cfg, trials in runs:
-                    trials.append(_run_trial(
-                        cfg, enrollments[si], imu, kp,
-                        seed=cfg.seed * 100000 + 7000 + si * 100 + k * 10
-                        + ATTACK_KINDS.index(kind)))
-    return [_summary(g, a) for g, a in zip(genuine, attacks)]
 
 
 def _summary(genuine: list[dict],

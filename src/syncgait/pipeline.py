@@ -138,10 +138,9 @@ def aligned_speeds(imu: ImuSeries | ImuChain, kp: KeypointSeries,
 
 
 def consistency_vector(imu: ImuSeries | ImuChain, kp: KeypointSeries,
-                       offset: ClockOffsetEstimate,
-                       imu_valid: np.ndarray | None = None) -> FeatureVector:
+                       offset: ClockOffsetEstimate) -> FeatureVector:
     """The 6-feature cross-modal consistency vector for one session."""
-    row = compute_features([aligned_speeds(imu, kp, offset, imu_valid)])[0]
+    row = compute_features([aligned_speeds(imu, kp, offset)])[0]
     return FeatureVector(*row.tolist())
 
 

@@ -78,7 +78,10 @@ class SubjectParams:
 class CameraModel:
     hover_height: float = 4.0
     horizontal_distance: float = 18.0
-    horizontal_angle: float = 0.0   # degrees, path deviation from camera axis
+    # degrees, the walk's compass heading; the camera aims along the walk,
+    # so this turns the whole scene about the vertical and no stream
+    # depends on it
+    horizontal_angle: float = 0.0
     fps: float = 60.0
 
     def __post_init__(self):
@@ -311,9 +314,10 @@ def _render_keypoints(p, cam, arm, duration, clock_offset,
 
     # one noise draw per (frame, joint, axis) in the joints_world order
     noise = rng.normal(0.0, p.kp_noise, (n_frames, len(joints_world), 2))
-    return KeypointSeries(tf + clock_offset,
-                          _project(joints_world, c, fwd, right, up, noise),
-                          np.ones((n_frames, len(REQUIRED_JOINTS))),
+    uv = _project(joints_world, c, fwd, right, up, noise)
+    # a joint projected outside the image is not detected
+    seen = ((uv >= 0.0) & (uv < RESOLUTION)).all(axis=2)
+    return KeypointSeries(tf + clock_offset, uv, seen.astype(float),
                           frame_rate=cam.fps)
 
 

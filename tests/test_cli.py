@@ -481,15 +481,21 @@ def test_readme_commands_parse():
         build_parser().parse_args(command)
 
 
-@pytest.mark.parametrize("sessions, seed", [(1, 1), (2, 3)])
-def test_evaluate_names_enroll_sessions_too_few_to_train(tmp_path, capsys,
-                                                         sessions, seed):
+@pytest.mark.parametrize("sessions, seed, subject", [
+    pytest.param(1, 1, 0, id="1-1"), pytest.param(2, 3, 0, id="2-3"),
+    # subject 0 enrolls from two sessions, subject 1 cannot
+    pytest.param(2, 1, 1, id="2-1")])
+def test_evaluate_names_enroll_sessions_too_few_to_train(
+        tmp_path, capsys, session_calls, sessions, seed, subject):
     cfg = _write_config(tmp_path, {"cohort_size": 2, "seed": seed,
                                    "enroll_sessions": sessions})
     assert main(["evaluate", "--config", cfg,
                  "--out", str(tmp_path / "x")]) == EXIT_CONFIG
-    assert (f"enroll_sessions {sessions} is too few to enroll subject 0"
-            in capsys.readouterr().err)
+    assert (f"enroll_sessions {sessions} is too few to enroll subject "
+            f"{subject}" in capsys.readouterr().err)
+    # every subject enrolls before any trial capture is made
+    assert session_calls == [10 + k for k in range(sessions)] * (subject + 1)
+    assert not (tmp_path / "x").exists()
 
 
 def test_invalid_loss_rate_flag(tmp_path):
@@ -562,14 +568,24 @@ def session_calls(monkeypatch):
 def test_evaluate_sweep_synthesizes_each_capture_once(tmp_path,
                                                       session_calls):
     _evaluate_report(tmp_path, "plain", TINY_EVALUATE)
-    plain = len(session_calls)
-    session_calls.clear()
-    _evaluate_report(tmp_path, "sweep", dict(
-        TINY_EVALUATE, scenarios=[{"loss_rate": 0.3}, {"loss_rate": 0.6}]))
-    assert len(session_calls) == plain
+    plain = sorted(session_calls)
     # 12 enrollment captures, 2 genuine, and per subject a relay (two
     # sessions), a hijack and a mimicry capture
-    assert plain == 12 + 2 + 2 * 4
+    assert len(plain) == 12 + 2 + 2 * 4
+    # README's attack table adds, per subject, a mimicry capture at each
+    # of two more fidelities
+    table = {"attacks": ["relay", "hijack"],
+             "scenarios": [{"attacks": ["mimicry"], "fidelity": f}
+                           for f in (0.0, 0.5, 0.9)]}
+    table_offsets = sorted(plain + [900, 900, 910, 910])
+    assert len(table_offsets) == 26
+    for name, payload, offsets in [
+            ("sweep", {"scenarios": [{"loss_rate": 0.3}, {"loss_rate": 0.6}]},
+             plain),
+            ("table", table, table_offsets)]:
+        session_calls.clear()
+        _evaluate_report(tmp_path, name, dict(TINY_EVALUATE, **payload))
+        assert sorted(session_calls) == offsets
 
 
 @pytest.mark.parametrize("where", ["base", "scenario"])

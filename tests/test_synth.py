@@ -46,6 +46,15 @@ def test_streams_have_consistent_geometry():
     assert np.array_equal(kp.conf, np.ones((360, len(REQUIRED_JOINTS))))
 
 
+def test_joints_outside_the_image_are_not_detected():
+    # in the last 1.5 s of a 12 s walk toward the camera 18 m away, the
+    # legs and arms leave the image
+    _, kp, _ = generate_session(SubjectParams(), duration=12.0)
+    inside = ((kp.uv >= 0) & (kp.uv < synth.RESOLUTION)).all(axis=2)
+    assert (~inside[:, JOINT_INDEX["wrist_r"]]).sum() == 39
+    assert np.array_equal(kp.conf, inside.astype(float))
+
+
 def test_keypoints_run_on_drone_clock():
     p = SubjectParams(seed=2)
     offset = 0.25
