@@ -238,7 +238,7 @@ def _load_manifest(data_dir: Path) -> dict:
     except (ValueError, RecursionError) as exc:
         raise IoFailure(f"manifest is not valid JSON: {exc!r}") from exc
     if not (isinstance(manifest, dict)
-            and isinstance(manifest.get("subjects", []), list)):
+            and isinstance(manifest.get("subjects"), list)):
         raise IoFailure("manifest must be a JSON object with a subjects list")
     if manifest.get("format") != MANIFEST_FORMAT:
         raise IoFailure(f"manifest format {manifest.get('format')!r} is not "
@@ -249,7 +249,7 @@ def _load_manifest(data_dir: Path) -> dict:
 def cmd_enroll(cfg: ExperimentConfig, data_dir: Path, subject: int,
                out: Path) -> int:
     manifest = _load_manifest(data_dir)
-    subjects = manifest.get("subjects", [])
+    subjects = manifest["subjects"]
     if not 0 <= subject < len(subjects):
         raise ValueError(f"subject index {subject} outside cohort of "
                          f"{len(subjects)}")
@@ -270,34 +270,43 @@ def cmd_enroll(cfg: ExperimentConfig, data_dir: Path, subject: int,
                 for imu_path, kp_path, clock_offset in entries]
     enrollment = enroll(sessions, seed=cfg.seed)
 
-    cons_path = out / f"subject{subject:02d}_consistency.model"
-    gait_path = out / f"subject{subject:02d}_gait.model"
-    _write_bytes(cons_path, serialize_model(enrollment.consistency_model))
-    _write_bytes(gait_path, serialize_model(enrollment.gait_model))
+    cons_name, gait_name = _model_names(subject)
+    _write_bytes(out / cons_name,
+                 serialize_model(enrollment.consistency_model))
+    _write_bytes(out / gait_name, serialize_model(enrollment.gait_model))
     meta = {"subject": subject,
             "config_sha256": cfg.digest(),
             "feature_mask": enrollment.feature_mask.astype(int).tolist(),
-            "consistency_model": cons_path.name,
-            "gait_model": gait_path.name}
+            "consistency_model": cons_name,
+            "gait_model": gait_name}
     if enrollment.fisher is not None:
         meta["fisher"] = {n: float(s) for n, s in
                           zip(FEATURE_NAMES,
                               enrollment.fisher.normalized)}
     _write_json(out / f"subject{subject:02d}_enrollment.json", meta)
-    print(f"enrolled subject {subject}: {cons_path.name}, {gait_path.name}")
+    print(f"enrolled subject {subject}: {cons_name}, {gait_name}")
     return EXIT_OK
+
+
+def _model_names(subject: int) -> tuple[str, str]:
+    """The only model file names enroll writes and load_enrollment opens."""
+    return (f"subject{subject:02d}_consistency.model",
+            f"subject{subject:02d}_gait.model")
 
 
 def load_enrollment(out: Path, subject: int) -> Enrollment:
     """Read back the model files written by the enroll command. The feature
     mask must hold one 0/1 entry per consistency feature and keep as many
     as the consistency model is wide; the gait model must be as wide as
-    the per-cycle gait feature vector."""
+    the per-cycle gait feature vector. Only enroll's model file names load."""
     meta_path = out / f"subject{subject:02d}_enrollment.json"
+    names = _model_names(subject)
     try:
         meta = json.loads(meta_path.read_text())
-        cons = deserialize_model((out / meta["consistency_model"]).read_bytes())
-        gait = deserialize_model((out / meta["gait_model"]).read_bytes())
+        if (meta["consistency_model"], meta["gait_model"]) != names:
+            raise ValueError(f"model files must be named {names}")
+        cons = deserialize_model((out / names[0]).read_bytes())
+        gait = deserialize_model((out / names[1]).read_bytes())
         mask = meta["feature_mask"]
         if not (isinstance(mask, list) and len(mask) == len(FEATURE_NAMES)
                 and all(type(v) is int and v in (0, 1) for v in mask)
@@ -336,6 +345,13 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
     synthesized once and run under every config (the base one and each
     scenario's) that lists its kind; the configs differ in SCENARIO_KEYS
     only."""
+    # a victim's attack trials take distinct other subjects, and enrollment
+    # captures (seed offsets 10..59) stay clear of genuine ones (60..)
+    if cfg.attack_trials >= cfg.cohort_size:
+        raise ValueError(f"attack_trials {cfg.attack_trials} must be below "
+                         f"cohort_size {cfg.cohort_size}")
+    if cfg.enroll_sessions > 50:
+        raise ValueError(f"enroll_sessions {cfg.enroll_sessions} exceeds 50")
     cohort = make_cohort(cfg.cohort_size, seed=cfg.seed)
     offset = ClockOffsetEstimate(cfg.clock_offset, 1e-6, 0.005)
 

@@ -20,7 +20,7 @@ from .errors import InvalidDuration
 from .gait import MAX_PERIOD_S, MIN_PERIOD_S, cycle_boundaries
 from .orientation import (GRAVITY, EulerAngles, Quaternion,
                           euler_to_quaternion, rotation_matrices)
-from .series import JOINT_INDEX, REQUIRED_JOINTS, ImuSeries, KeypointSeries
+from .series import REQUIRED_JOINTS, ImuSeries, KeypointSeries
 from .syncing import MIN_SESSION_S
 
 WALK_SPEED = 1.2          # m/s, approach speed
@@ -210,16 +210,10 @@ def generate_session(p: SubjectParams, cam: CameraModel = CameraModel(),
     its `cycle_boundaries` are first read, so this runs no AHRS."""
     check_walk(duration, cam)
     rng = np.random.default_rng((p.seed, seed_offset))
-    heading = math.radians(cam.horizontal_angle)
-    arm = _ArmModel(p, heading)
+    arm = _ArmModel(p, math.radians(cam.horizontal_angle))
 
     n = int(round(duration * IMU_RATE))
     t = np.arange(n) / IMU_RATE
-
-    # body base walks toward the camera; camera sits at the world origin
-    direction = np.array([math.cos(heading), math.sin(heading), 0.0])
-    start = -direction * cam.horizontal_distance
-    shoulder_h = 0.82 * p.height
     _, bob_zdd = arm.bob(t)
 
     th, th_d, th_dd = arm.theta(t)
@@ -241,66 +235,51 @@ def generate_session(p: SubjectParams, cam: CameraModel = CameraModel(),
     rng.normal(0.0, p.imu_noise * 2.0, (n, 3))
     imu = ImuSeries(t=t, acc=acc, gyro=gyro, sample_rate=IMU_RATE)
 
-    kp = _render_keypoints(p, cam, arm, duration, clock_offset,
-                           start, direction, shoulder_h, rng)
+    kp = _render_keypoints(p, cam, arm, duration, clock_offset, rng)
 
     return imu, kp, GroundTruth(clean, clock_offset)
 
 
+def _limb(length: float, ang: np.ndarray, dx: float, dy: float) -> np.ndarray:
+    """(n, 3) offset of a limb of `length` hanging at angles `ang` from the
+    downward vertical, in the vertical plane of horizontal direction
+    (dx, dy)."""
+    s = np.sin(ang)
+    return length * np.stack([s * dx, s * dy, -np.cos(ang)], axis=1)
+
+
 def _render_keypoints(p, cam, arm, duration, clock_offset,
-                      start, direction, shoulder_h, rng) -> KeypointSeries:
+                      rng) -> KeypointSeries:
     n_frames = int(round(duration * cam.fps))
     tf = np.arange(n_frames) / cam.fps      # phone-clock sampling instants
+    # body base walks toward the camera; camera sits at the world origin
+    heading = math.radians(cam.horizontal_angle)
+    direction = np.array([math.cos(heading), math.sin(heading), 0.0])
+    start = -direction * cam.horizontal_distance
     base = start[None, :] + direction[None, :] * (WALK_SPEED * tf)[:, None]
     bob_z, _ = arm.bob(tf)
     th, _, _ = arm.theta(tf)
 
     lat = np.array([-direction[1], direction[0], 0.0])  # body left
-    half_shoulder = 0.13 * p.height
-    half_hip = 0.065 * p.height
-    hip_h = 0.53 * p.height
     leg_amp = 0.55 * p.swing_amplitude + 0.12
-    l_thigh = 0.245 * p.height
-    l_shank = 0.246 * p.height
-
-    joints_world: dict[str, np.ndarray] = {}
-    for side, sgn, arm_sign in (("l", 1.0, -1.0), ("r", -1.0, 1.0)):
-        sh = base + lat * sgn * half_shoulder
-        sh[:, 2] += shoulder_h + bob_z
-        th_s = arm_sign * th
+    sides = []
+    for sgn, arm_sign in ((1.0, -1.0), (-1.0, 1.0)):    # left, right
+        sh = base + lat * sgn * (0.13 * p.height)
+        sh[:, 2] += 0.82 * p.height + bob_z
         # elbow/wrist from the same chain as the IMU arm (right side drives
         # it); the swing plane is tilted cross-body by the azimuth
-        heading = arm.h - p.swing_azimuth
-        az = heading + arm_sign * p.swing_azimuth
-        sdx, sdy = math.cos(az), math.sin(az)
-        ang1 = th_s
-        ang2 = th_s + p.elbow_flexion
-        seg1 = arm.lu * np.stack([np.sin(ang1) * sdx,
-                                  np.sin(ang1) * sdy,
-                                  -np.cos(ang1)], axis=1)
-        seg2 = arm.lf * np.stack([np.sin(ang2) * sdx,
-                                  np.sin(ang2) * sdy,
-                                  -np.cos(ang2)], axis=1)
-        el = sh + seg1
-        wr = el + seg2
-        hip = base + lat * sgn * half_hip
-        hip[:, 2] += hip_h + bob_z
+        az = (arm.h - p.swing_azimuth) + arm_sign * p.swing_azimuth
+        arm_dir, th_s = (math.cos(az), math.sin(az)), arm_sign * th
+        el = sh + _limb(arm.lu, th_s, *arm_dir)
+        wr = el + _limb(arm.lf, th_s + p.elbow_flexion, *arm_dir)
+        hip = base + lat * sgn * (0.065 * p.height)
+        hip[:, 2] += 0.53 * p.height + bob_z
         leg_ang = -arm_sign * leg_amp * np.sin(arm.omega * tf + p.swing_phase)
-        thigh = l_thigh * np.stack([np.sin(leg_ang) * direction[0],
-                                    np.sin(leg_ang) * direction[1],
-                                    -np.cos(leg_ang)], axis=1)
-        knee = hip + thigh
-        shank_ang = leg_ang * 0.7
-        shank = l_shank * np.stack([np.sin(shank_ang) * direction[0],
-                                    np.sin(shank_ang) * direction[1],
-                                    -np.cos(shank_ang)], axis=1)
-        ankle = knee + shank
-        joints_world[f"shoulder_{side}"] = sh
-        joints_world[f"elbow_{side}"] = el
-        joints_world[f"wrist_{side}"] = wr
-        joints_world[f"hip_{side}"] = hip
-        joints_world[f"knee_{side}"] = knee
-        joints_world[f"ankle_{side}"] = ankle
+        knee = hip + _limb(0.245 * p.height, leg_ang, *direction[:2])
+        ankle = knee + _limb(0.246 * p.height, leg_ang * 0.7, *direction[:2])
+        sides.append(np.stack([sh, el, wr, hip, knee, ankle], axis=1))
+    # (n, 12, 3), the sides interleaved into REQUIRED_JOINTS' joint-major order
+    joints = np.stack(sides, axis=2).reshape(n_frames, len(REQUIRED_JOINTS), 3)
 
     # pinhole camera fixed at the origin, aimed at the subject mid-path
     c = np.array([0.0, 0.0, cam.hover_height])
@@ -312,34 +291,30 @@ def _render_keypoints(p, cam, arm, duration, clock_offset,
     right /= np.linalg.norm(right)
     up = np.cross(right, fwd)
 
-    # one noise draw per (frame, joint, axis) in the joints_world order
-    noise = rng.normal(0.0, p.kp_noise, (n_frames, len(joints_world), 2))
-    uv = _project(joints_world, c, fwd, right, up, noise)
+    # one noise draw per (frame, side, joint, axis), the order the session
+    # goldens fix, put in joint order
+    noise = rng.normal(0.0, p.kp_noise, (n_frames, 2, 6, 2))
+    uv = _project(joints, c, fwd, right, up,
+                  noise.transpose(0, 2, 1, 3).reshape(joints.shape[:2] + (2,)))
     # a joint projected outside the image is not detected
     seen = ((uv >= 0.0) & (uv < RESOLUTION)).all(axis=2)
     return KeypointSeries(tf + clock_offset, uv, seen.astype(float),
                           frame_rate=cam.fps)
 
 
-def _project(joints_world: dict[str, np.ndarray], c: np.ndarray,
-             fwd: np.ndarray, right: np.ndarray, up: np.ndarray,
+def _project(joints: np.ndarray, c: np.ndarray, fwd: np.ndarray,
+             right: np.ndarray, up: np.ndarray,
              noise: np.ndarray) -> np.ndarray:
-    """(n, J, 2) pixels, joints in `REQUIRED_JOINTS` order, of the (n, 3)
-    world trajectories seen by the pinhole camera at `c` with unit axes
-    `fwd`, `right`, `up`, plus `noise[:, j]` on the j-th trajectory."""
+    """(n, J, 2) pixels of the (n, J, 3) world joints seen by the pinhole
+    camera at `c` with unit axes `fwd`, `right`, `up`, plus `noise`."""
     w_px, h_px = RESOLUTION
-    uv = np.empty((len(noise), len(REQUIRED_JOINTS), 2))
-    for j, (name, traj) in enumerate(joints_world.items()):
-        col = JOINT_INDEX[name]
-        # (n, 1, 3) @ (3, 1) is each frame's own 3-term dot product, bit for
-        # bit; einsum or (n, 3) @ (3,) may sum in another order
-        rel = (traj - c)[:, None, :]
-        depth = (rel @ fwd[:, None])[:, 0, 0]
-        uv[:, col, 0] = (w_px / 2 + FOCAL_PX * (rel @ right[:, None])[:, 0, 0]
-                         / depth + noise[:, j, 0])
-        uv[:, col, 1] = (h_px / 2 - FOCAL_PX * (rel @ up[:, None])[:, 0, 0]
-                         / depth + noise[:, j, 1])
-    return uv
+    # (..., 1, 3) @ (3, 1) is each joint's own 3-term dot product, bit for
+    # bit; einsum or (..., 3) @ (3,) may sum in another order
+    rel = (joints - c)[..., None, :]
+    depth = (rel @ fwd[:, None])[..., 0, 0]
+    u = w_px / 2 + FOCAL_PX * (rel @ right[:, None])[..., 0, 0] / depth
+    v = h_px / 2 - FOCAL_PX * (rel @ up[:, None])[..., 0, 0] / depth
+    return np.stack([u, v], axis=2) + noise
 
 
 def generate_attack(spec, cam: CameraModel = CameraModel(),

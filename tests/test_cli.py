@@ -305,6 +305,15 @@ def _enroll_edited(tmp_path, data, edit):
                  "--out", str(tmp_path / "m")])
 
 
+def test_enroll_manifest_without_subjects_is_io_error(tmp_path, capsys,
+                                                     enroll_data):
+    # as a subjects value that is not a list is: no empty cohort stands in
+    assert _enroll_edited(tmp_path, enroll_data,
+                          lambda m: m.pop("subjects")) == EXIT_IO
+    assert "subjects list" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
 def test_enroll_refuses_a_v1_data_directory(tmp_path, capsys, enroll_data):
     # and v2 and v3 ones: a data directory of an older format is refused by
     # name
@@ -397,45 +406,81 @@ def test_enroll_unwritable_output_is_io_error(tmp_path):
                  str(data), "--subject", "0", "--out", str(out)]) == EXIT_IO
 
 
-@pytest.mark.parametrize("meta, truncate", [
-    ("{not json", False),
-    ('{"consistency_model": "c.model", "gait_model": "c.model"}', False),
-    ('["c.model"]', False),
-    ('{"consistency_model": "c.model", "gait_model": "absent.model", '
-     '"feature_mask": [1, 1]}', False),
-    ('{"consistency_model": "c.model", "gait_model": "c.model", '
-     '"feature_mask": [1, 1]}', True),
-    ('{"consistency_model": "c.model", "gait_model": "c.model", '
-     '"feature_mask": [1, 1]}', False),
-    ('{"consistency_model": "c.model", "gait_model": "c.model", '
-     '"feature_mask": [1, 1, 1, 0, 0, 0]}', False),
-    ('{"consistency_model": "c.model", "gait_model": "c.model", '
-     '"feature_mask": [1, "1", 0, 0, 0, 0]}', False),
-    ("[" * 100000, False),
-    ('{"consistency_model": "c.model", "gait_model": "c.model", '
-     '"feature_mask": [1, 1, 0, 0, 0, 0]}', False),
+CONS, GAIT = "subject00_consistency.model", "subject00_gait.model"
+
+
+def _write_model(path, width):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(serialize_model(fit_ocsvm_fixed(
+        np.random.default_rng(width).normal(size=(20, width)),
+        nu=0.1, gamma=0.5)))
+
+
+def _write_meta(models, consistency=CONS, gait=GAIT, **extra):
+    (models / "subject00_enrollment.json").write_text(json.dumps(
+        {"consistency_model": consistency, "gait_model": gait, **extra}))
+
+
+@pytest.mark.parametrize("meta, models", [
+    ("{not json", "whole"),
+    ('{"consistency_model": "CONS", "gait_model": "GAIT"}', "whole"),
+    ('["CONS"]', "whole"),
+    ('{"consistency_model": "CONS", "gait_model": "GAIT", '
+     '"feature_mask": [1, 1]}', "no_gait_file"),
+    ('{"consistency_model": "CONS", "gait_model": "GAIT", '
+     '"feature_mask": [1, 1]}', "truncated"),
+    ('{"consistency_model": "CONS", "gait_model": "GAIT", '
+     '"feature_mask": [1, 1]}', "whole"),
+    ('{"consistency_model": "CONS", "gait_model": "GAIT", '
+     '"feature_mask": [1, 1, 1, 0, 0, 0]}', "whole"),
+    ('{"consistency_model": "CONS", "gait_model": "GAIT", '
+     '"feature_mask": [1, "1", 0, 0, 0, 0]}', "whole"),
+    ("[" * 100000, "whole"),
+    ('{"consistency_model": "CONS", "gait_model": "GAIT", '
+     '"feature_mask": [1, 1, 0, 0, 0, 0]}', "whole"),
 ], ids=["bad_json", "no_mask", "not_an_object", "missing_model",
         "truncated_model", "short_mask", "mask_wider_than_model",
         "non_integer_mask", "deep_nesting", "gait_model_not_30_wide"])
-def test_load_enrollment_failures_are_io_failures(tmp_path, meta, truncate):
+def test_load_enrollment_failures_are_io_failures(tmp_path, meta, models):
+    # both models are 2 wide, so only the consistency model fits its mask
     blob = serialize_model(fit_ocsvm_fixed(
         np.random.default_rng(0).normal(size=(20, 2)), nu=0.1, gamma=0.5))
-    (tmp_path / "c.model").write_bytes(blob[:50] if truncate else blob)
-    (tmp_path / "subject00_enrollment.json").write_text(meta)
+    (tmp_path / CONS).write_bytes(blob[:50] if models == "truncated"
+                                  else blob)
+    if models != "no_gait_file":
+        (tmp_path / GAIT).write_bytes(blob)
+    (tmp_path / "subject00_enrollment.json").write_text(
+        meta.replace('"CONS"', f'"{CONS}"').replace('"GAIT"', f'"{GAIT}"'))
     with pytest.raises(IoFailure):
         load_enrollment(tmp_path, 0)
 
 
 def test_load_enrollment_accepts_mask_of_model_width(tmp_path):
-    rng = np.random.default_rng(0)
-    for name, width in (("c.model", 2), ("g.model", 30)):
-        (tmp_path / name).write_bytes(serialize_model(fit_ocsvm_fixed(
-            rng.normal(size=(20, width)), nu=0.1, gamma=0.5)))
-    (tmp_path / "subject00_enrollment.json").write_text(json.dumps(
-        {"consistency_model": "c.model", "gait_model": "g.model",
-         "feature_mask": [0, 1, 0, 0, 1, 0]}))
+    _write_model(tmp_path / CONS, 2)
+    _write_model(tmp_path / GAIT, 30)
+    _write_meta(tmp_path, feature_mask=[0, 1, 0, 0, 1, 0])
     mask = load_enrollment(tmp_path, 0).feature_mask
     assert mask.tolist() == [False, True, False, False, True, False]
+
+
+@pytest.mark.parametrize("where", ["relative", "absolute", "other_subject"])
+def test_load_enrollment_opens_only_the_names_enroll_writes(tmp_path, where):
+    # a valid gait model outside its name: the JSON may not point at it
+    models = tmp_path / "models"
+    _write_model(models / CONS, 2)
+    elsewhere = {"relative": tmp_path / "elsewhere" / "g.model",
+                 "absolute": tmp_path / "elsewhere" / "g.model",
+                 "other_subject": models / "subject01_gait.model"}[where]
+    _write_model(elsewhere, 30)
+    name = {"relative": "../elsewhere/g.model", "absolute": str(elsewhere),
+            "other_subject": elsewhere.name}[where]
+    _write_meta(models, gait=name, feature_mask=[0, 1, 0, 0, 1, 0])
+    with pytest.raises(IoFailure, match="must be named"):
+        load_enrollment(models, 0)
+    # the same files under enroll's names load
+    elsewhere.rename(models / GAIT)
+    _write_meta(models, feature_mask=[0, 1, 0, 0, 1, 0])
+    assert load_enrollment(models, 0).gait_model is not None
 
 
 def test_missing_config_file_is_io_error(tmp_path):
@@ -488,13 +533,34 @@ def test_readme_commands_parse():
 def test_evaluate_names_enroll_sessions_too_few_to_train(
         tmp_path, capsys, session_calls, sessions, seed, subject):
     cfg = _write_config(tmp_path, {"cohort_size": 2, "seed": seed,
-                                   "enroll_sessions": sessions})
+                                   "enroll_sessions": sessions,
+                                   "attack_trials": 1})
     assert main(["evaluate", "--config", cfg,
                  "--out", str(tmp_path / "x")]) == EXIT_CONFIG
     assert (f"enroll_sessions {sessions} is too few to enroll subject "
             f"{subject}" in capsys.readouterr().err)
     # every subject enrolls before any trial capture is made
     assert session_calls == [10 + k for k in range(sessions)] * (subject + 1)
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("payload, message", [
+    # a victim's second attack trial would take the victim as attacker
+    ({"cohort_size": 2, "attack_trials": 2},
+     "attack_trials 2 must be below cohort_size 2"),
+    ({"cohort_size": 3, "attack_trials": 5},
+     "attack_trials 5 must be below cohort_size 3"),
+    # enrollment session 50 would be genuine trial 0's capture
+    ({"cohort_size": 2, "attack_trials": 1, "enroll_sessions": 51},
+     "enroll_sessions 51 exceeds 50"),
+], ids=["self_attack", "attacks_beyond_cohort", "enrollment_leak"])
+def test_evaluate_refuses_trials_that_reuse_a_subject_or_capture(
+        tmp_path, capsys, session_calls, payload, message):
+    cfg = _write_config(tmp_path, payload)
+    assert main(["evaluate", "--config", cfg,
+                 "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert session_calls == []
     assert not (tmp_path / "x").exists()
 
 

@@ -208,20 +208,18 @@ def test_cohort_rejects_sizes_below_one(size):
 
 # --- batched synthesis against per-sample references ---------------------------
 
-def _project_per_frame(joints_world, c, fwd, right, up, noise):
+def _project_per_frame(joints, c, fwd, right, up, noise):
     """Reference: one scalar dot product per (frame, joint, axis)."""
     w_px, h_px = synth.RESOLUTION
-    uv = np.empty((len(noise), len(REQUIRED_JOINTS), 2))
-    for j, (name, traj) in enumerate(joints_world.items()):
-        col = JOINT_INDEX[name]
-        rel = traj - c
-        for k in range(len(noise)):
-            d = rel[k]
+    uv = np.empty(joints.shape[:2] + (2,))
+    for k in range(joints.shape[0]):
+        for j in range(joints.shape[1]):
+            d = joints[k, j] - c
             depth = float(d @ fwd)
-            uv[k, col, 0] = (w_px / 2 + synth.FOCAL_PX * float(d @ right)
-                             / depth + noise[k, j, 0])
-            uv[k, col, 1] = (h_px / 2 - synth.FOCAL_PX * float(d @ up)
-                             / depth + noise[k, j, 1])
+            uv[k, j, 0] = (w_px / 2 + synth.FOCAL_PX * float(d @ right)
+                           / depth + noise[k, j, 0])
+            uv[k, j, 1] = (h_px / 2 - synth.FOCAL_PX * float(d @ up)
+                           / depth + noise[k, j, 1])
     return uv
 
 
