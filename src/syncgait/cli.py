@@ -50,6 +50,8 @@ ATTACK_SPECS = {
         attacker, victim, fidelity),
 }
 ATTACK_KINDS = tuple(ATTACK_SPECS)
+# cmd_evaluate makes each capture once, from the base config's camera and
+# duration, so no key here may change a capture
 SCENARIO_KEYS = ("loss_rate", "attacks", "fidelity")
 MANIFEST_FORMAT = "gaitsync-v4"   # the session files' version
 
@@ -57,7 +59,7 @@ MANIFEST_FORMAT = "gaitsync-v4"   # the session files' version
 @dataclass
 class ExperimentConfig:
     """Resolved knobs for one experiment: the config file's values, then
-    the `--seed` and `--loss-rate` flags.
+    the command-line flags that name a field.
 
     Construction also builds the session settings each trial runs with
     (`session`), the camera the sessions are synthesized through
@@ -95,6 +97,8 @@ class ExperimentConfig:
             raise ValueError("trial counts must be >= 1")
         if not 0.0 <= self.fidelity <= 1.0:
             raise ValueError("fidelity must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         self.attacks = tuple(self.attacks)
         for a in self.attacks:
             if a not in ATTACK_KINDS:
@@ -121,7 +125,8 @@ class ExperimentConfig:
         check_walk(self.duration, self.camera)
 
     @classmethod
-    def load(cls, path: str | None, overrides: dict) -> "ExperimentConfig":
+    def load(cls, path: str | None, flags: dict) -> "ExperimentConfig":
+        known = {f.name for f in dataclasses.fields(cls)}
         data: dict = {}
         if path is not None:
             try:
@@ -132,11 +137,11 @@ class ExperimentConfig:
                 raise ValueError(f"config is not valid JSON: {exc!r}") from exc
             if not isinstance(data, dict):
                 raise ValueError("config must be a JSON object")
-            known = {f.name for f in dataclasses.fields(cls)}
             unknown = set(data) - known
             if unknown:
                 raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        data.update({k: v for k, v in overrides.items() if v is not None})
+        data.update({k: v for k, v in flags.items()
+                     if k in known and v is not None})
         return cls(**data)
 
     def to_dict(self) -> dict:
@@ -211,12 +216,11 @@ def cmd_synth(cfg: ExperimentConfig, out: Path) -> int:
         for k in range(cfg.sessions_per_subject):
             imu, kp, gt = generate_session(subject, cfg.camera, cfg.duration,
                                            cfg.clock_offset, seed_offset=k)
-            stem = f"subject{si:02d}_session{k:02d}"
-            write_imu_npy(out / f"{stem}_imu.npy", imu)
-            write_keypoint_npy(out / f"{stem}_keypoints.npy", kp)
+            imu_name, kp_name = _session_names(si, k)
+            write_imu_npy(out / imu_name, imu)
+            write_keypoint_npy(out / kp_name, kp)
             entry["sessions"].append({
-                "imu": f"{stem}_imu.npy",
-                "keypoints": f"{stem}_keypoints.npy",
+                "imu": imu_name, "keypoints": kp_name,
                 "clock_offset": gt.clock_offset,
                 "cycle_boundaries": [round(b, 6)
                                      for b in gt.cycle_boundaries],
@@ -256,19 +260,25 @@ def cmd_enroll(cfg: ExperimentConfig, data_dir: Path, subject: int,
     try:
         imu_rate = float(manifest["imu_rate"])
         fps = float(manifest["config"]["fps"])
-        entries = [(data_dir / sess["imu"], data_dir / sess["keypoints"],
-                    float(sess["clock_offset"]))
-                   for sess in subjects[subject]["sessions"]]
+        entries = [(s["imu"], s["keypoints"], float(s["clock_offset"]))
+                   for s in subjects[subject]["sessions"]]
     except (AttributeError, KeyError, TypeError, ValueError,
             OverflowError) as exc:
         raise IoFailure(f"malformed manifest: {exc!r}") from exc
     if not all(math.isfinite(offset) for _, _, offset in entries):
         raise IoFailure("malformed manifest: clock_offset must be finite")
-    sessions = [(read_imu_npy(imu_path, sample_rate=imu_rate),
-                 read_keypoint_npy(kp_path, frame_rate=fps),
+    for k, entry in enumerate(entries):
+        if entry[:2] != (names := _session_names(subject, k)):
+            raise IoFailure(f"session {k} files must be named {names}")
+    sessions = [(read_imu_npy(data_dir / imu_name, sample_rate=imu_rate),
+                 read_keypoint_npy(data_dir / kp_name, frame_rate=fps),
                  ClockOffsetEstimate(clock_offset, 1e-6, 0.005))
-                for imu_path, kp_path, clock_offset in entries]
-    enrollment = enroll(sessions, seed=cfg.seed)
+                for imu_name, kp_name, clock_offset in entries]
+    try:
+        enrollment = enroll(sessions, seed=cfg.seed)
+    except TooFewSamples as exc:
+        raise ValueError(f"session count {len(sessions)} is too few to "
+                         f"enroll subject {subject}: {exc}") from exc
 
     cons_name, gait_name = _model_names(subject)
     _write_bytes(out / cons_name,
@@ -286,6 +296,12 @@ def cmd_enroll(cfg: ExperimentConfig, data_dir: Path, subject: int,
     _write_json(out / f"subject{subject:02d}_enrollment.json", meta)
     print(f"enrolled subject {subject}: {cons_name}, {gait_name}")
     return EXIT_OK
+
+
+def _session_names(subject: int, k: int) -> tuple[str, str]:
+    """The only session file names synth writes and enroll opens."""
+    stem = f"subject{subject:02d}_session{k:02d}"
+    return f"{stem}_imu.npy", f"{stem}_keypoints.npy"
 
 
 def _model_names(subject: int) -> tuple[str, str]:
@@ -467,14 +483,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_OVERRIDE_KEYS = ("seed", "loss_rate")
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = ExperimentConfig.load(
-            args.config, {k: getattr(args, k, None) for k in _OVERRIDE_KEYS})
+        cfg = ExperimentConfig.load(args.config, vars(args))
         out = Path(args.out)
         if args.command == "synth":
             return cmd_synth(cfg, out)

@@ -8,6 +8,7 @@ segment FFT and one whole-row FFT per side and row-wise correlations.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -20,28 +21,20 @@ from .errors import (DegenerateChannel, DegenerateClass, PairTooShort,
                      SyncGaitError)
 from .posture import estimate_band
 from .series import groups
-from .syncing import COMMON_RATE, MIN_OVERLAP_S, AlignedPair
+from .syncing import COMMON_RATE, MIN_OVERLAP_SAMPLES, AlignedPair
 
 MAX_LAG_S = 0.5
 FISHER_SELECT_THRESHOLD = 0.7
 FEATURE_NAMES = ("pcc", "spearman", "mae", "sync", "coh", "specdiff")
 
 
-@dataclass(frozen=True)
-class FeatureVector:
+class FeatureVector(namedtuple("FeatureVector", FEATURE_NAMES)):
     """One pair's features by name: its compute_features row, as_array."""
 
-    pcc: float
-    spearman: float
-    mae: float
-    sync_lag_score: float
-    coherence_mean: float
-    spectral_diff: float
+    __slots__ = ()
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.pcc, self.spearman, self.mae,
-                         self.sync_lag_score, self.coherence_mean,
-                         self.spectral_diff])
+        return np.array(self)
 
 
 @dataclass(frozen=True)
@@ -71,7 +64,7 @@ def _band_bins(freqs: np.ndarray, band: tuple[float, float]) -> np.ndarray:
 def _pair_error(pair: AlignedPair) -> SyncGaitError | None:
     """The error a pair too short or too flat to score raises, else None."""
     a, b = pair.imu_speed, pair.video_speed
-    if len(a) < int(MIN_OVERLAP_S * COMMON_RATE):
+    if len(a) < MIN_OVERLAP_SAMPLES:
         return PairTooShort(f"{len(a)} samples")
     if a.std() == 0 or b.std() == 0:
         return DegenerateChannel("zero-variance channel")

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.signal import find_peaks
 
 from .errors import CycleTooShort, NoCyclesFound, SeriesTooShort
-from .orientation import GRAVITY, ahrs_stream, rotation_matrices
+from .orientation import GRAVITY_WORLD, ahrs_stream, rotation_matrices
 from .series import (ImuSeries, by_shape, require_squarable,
                      wavelet_denoise)
 
@@ -67,7 +67,7 @@ def imu_chains(imus: list[ImuSeries]) -> list[ImuChain]:
                 for imu, b in zip(imus, blocks)]
     # x - 0.0 is x: only the vertical loses gravity
     return [ImuChain(d, (rotation_matrices(ahrs_stream(d)) @ d.acc[:, :, None])
-                     [:, :, 0] - (0.0, 0.0, GRAVITY)) for d in denoised]
+                     [:, :, 0] - GRAVITY_WORLD) for d in denoised]
 
 
 def imu_chain(imu: ImuSeries) -> ImuChain:

@@ -198,6 +198,7 @@ def ahrs_stream(imu: ImuSeries) -> np.ndarray:
 
 
 GRAVITY = 9.81
+GRAVITY_WORLD = np.array([0.0, 0.0, GRAVITY])   # m/s^2, world z is up
 
 
 def integrate_velocity(a_world: np.ndarray, f_s: float) -> np.ndarray:

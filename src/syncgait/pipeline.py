@@ -38,7 +38,7 @@ from .posture import (ARM_CHAIN, AdctConfig, adaptive_bandpass, adct_smooth,
 from .series import (JOINT_INDEX, MISSING_CONF, ImuSeries, KeypointSeries,
                      Series1D, by_shape, fill_gaps, normalize,
                      require_squarable)
-from .syncing import (COMMON_RATE, MIN_OVERLAP_S, AlignedPair,
+from .syncing import (COMMON_RATE, MIN_OVERLAP_SAMPLES, AlignedPair,
                       ClockOffsetEstimate, align)
 
 MISALIGN_SHIFTS_S = (0.3, 0.55, 0.8)  # surrogate-negative video shifts
@@ -150,7 +150,7 @@ def _window_pairs(pair: AlignedPair) -> list[AlignedPair]:
     them so the boundary covers short-window variance."""
     out = [pair]
     n = len(pair.imu_speed)
-    w = int(MIN_OVERLAP_S * COMMON_RATE)
+    w = MIN_OVERLAP_SAMPLES
     step = max(w // 2, 1)
     if n >= w + step:
         for a in range(0, n - w + 1, step):

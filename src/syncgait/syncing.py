@@ -17,6 +17,7 @@ COMMON_RATE = 50.0           # Hz, the aligned channels' grid
 # The shortest aligned overlap, in seconds, that is scored: enrollment's
 # sub-window length, so no verification is shorter than what the model saw.
 MIN_OVERLAP_S = 3.0
+MIN_OVERLAP_SAMPLES = int(MIN_OVERLAP_S * COMMON_RATE)
 # The shortest session, in seconds, that a capture, a synthesized session
 # or an experiment config may ask for.
 MIN_SESSION_S = 3.0
@@ -127,7 +128,7 @@ def align(imu: Series1D, video: Series1D, offset: ClockOffsetEstimate,
         right = np.abs(t_ok[np.clip(idx, 0, len(t_ok) - 1)] - grid)
         src_period = np.median(np.diff(t_src)) if len(t_src) > 1 else half
         keep &= np.minimum(left, right) <= max(half, src_period)
-    if keep.sum() < MIN_OVERLAP_S * COMMON_RATE:
+    if keep.sum() < MIN_OVERLAP_SAMPLES:
         raise InsufficientOverlap("too few temporally matched pairs")
 
     return AlignedPair(imu_g[keep], vid_g[keep])

@@ -11,14 +11,14 @@ projection of the walking body as seen from the hovering camera.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidDuration
 from .gait import MAX_PERIOD_S, MIN_PERIOD_S, cycle_boundaries
-from .orientation import (GRAVITY, EulerAngles, Quaternion,
+from .orientation import (GRAVITY_WORLD, EulerAngles, Quaternion,
                           euler_to_quaternion, rotation_matrices)
 from .series import REQUIRED_JOINTS, ImuSeries, KeypointSeries
 from .syncing import MIN_SESSION_S
@@ -27,7 +27,9 @@ WALK_SPEED = 1.2          # m/s, approach speed
 IMU_RATE = 100.0          # Hz, phone IMU sample rate
 FOCAL_PX = 2000.0         # camera focal length, px
 RESOLUTION = (2704, 1520)  # camera image width, height, px
-GRAVITY_WORLD = np.array([0.0, 0.0, GRAVITY])
+# the SubjectParams fields that shape a walk: finite, and blended by mimicry
+SHAPE_FIELDS = ("cycle_period", "swing_amplitude", "swing_phase",
+                "swing_azimuth", "elbow_flexion", "arm_length", "height")
 
 
 @dataclass(frozen=True)
@@ -51,27 +53,18 @@ class SubjectParams:
         if not (0 <= self.imu_noise < math.inf
                 and 0 <= self.kp_noise < math.inf):
             raise ValueError("noise std must be finite and non-negative")
-        for name in ("swing_amplitude", "swing_phase", "swing_azimuth",
-                     "elbow_flexion", "arm_length", "height"):
+        for name in SHAPE_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
     def blend(self, other: "SubjectParams", w: float) -> "SubjectParams":
-        """Linear interpolation of gait-shaping parameters toward `other`."""
+        """The walk's shape and phone tilt interpolated toward `other`."""
         def mix(a, b):
             return (1 - w) * a + w * b
-        tilt = EulerAngles(mix(self.phone_tilt.roll, other.phone_tilt.roll),
-                           mix(self.phone_tilt.pitch, other.phone_tilt.pitch),
-                           mix(self.phone_tilt.yaw, other.phone_tilt.yaw))
-        return replace(self,
-                       cycle_period=mix(self.cycle_period, other.cycle_period),
-                       swing_amplitude=mix(self.swing_amplitude, other.swing_amplitude),
-                       swing_phase=mix(self.swing_phase, other.swing_phase),
-                       swing_azimuth=mix(self.swing_azimuth, other.swing_azimuth),
-                       elbow_flexion=mix(self.elbow_flexion, other.elbow_flexion),
-                       arm_length=mix(self.arm_length, other.arm_length),
-                       height=mix(self.height, other.height),
-                       phone_tilt=tilt)
+        tilt = map(mix, astuple(self.phone_tilt), astuple(other.phone_tilt))
+        return replace(self, phone_tilt=EulerAngles(*tilt), **{
+            name: mix(getattr(self, name), getattr(other, name))
+            for name in SHAPE_FIELDS})
 
 
 @dataclass(frozen=True)

@@ -373,6 +373,52 @@ def test_enroll_fps_outside_the_kalman_range_is_config_error(
     assert f"frame rate {fps} Hz" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, name", [
+    ("imu", "absolute"), ("imu", "../elsewhere/x_imu.npy"),
+    ("keypoints", "subject01_session00_keypoints.npy"),
+    ("keypoints", "subject00_session01_keypoints.npy")],
+    ids=["absolute", "parent_dir", "other_subject", "other_session"])
+def test_enroll_opens_only_the_session_names_synth_writes(
+        tmp_path, capsys, enroll_data, field, name):
+    # every name leads to a valid session file that enroll would load
+    elsewhere = tmp_path / "elsewhere" / "x_imu.npy"
+    elsewhere.parent.mkdir()
+    shutil.copy(enroll_data / "subject00_session00_imu.npy", elsewhere)
+    if name == "absolute":
+        name = str(elsewhere)
+
+    def edit(manifest):
+        manifest["subjects"][0]["sessions"][0][field] = name
+    assert _enroll_edited(tmp_path, enroll_data, edit) == EXIT_IO
+    assert ("session 0 files must be named ('subject00_session00_imu.npy', "
+            "'subject00_session00_keypoints.npy')" in capsys.readouterr().err)
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_enroll_names_a_session_count_too_few_to_train(tmp_path, capsys,
+                                                       enroll_data, count):
+    def edit(manifest):
+        del manifest["subjects"][0]["sessions"][count:]
+    assert _enroll_edited(tmp_path, enroll_data, edit) == EXIT_CONFIG
+    assert (f"session count {count} is too few to enroll subject 0"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "enroll", "evaluate"])
+def test_negative_seed_is_config_error_and_writes_nothing(
+        tmp_path, capsys, enroll_data, command):
+    data = (["--data", str(enroll_data), "--subject", "0"]
+            if command == "enroll" else [])
+    assert main([command, "--seed", "-1", *data,
+                 "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+    with pytest.raises(ValueError, match="seed"):
+        ExperimentConfig(seed=-1)
+
+
 @pytest.mark.parametrize("fault", ["subnormal_keypoints", "short_imu"])
 def test_enroll_with_one_faulty_session_file_is_config_error(
         tmp_path, capsys, enroll_data, fault):

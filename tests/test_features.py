@@ -180,6 +180,8 @@ def test_feature_vector_array_order_matches_names():
     assert list(f.as_array()) == [1, 2, 3, 4, 5, 6]
     assert FEATURE_NAMES == ("pcc", "spearman", "mae", "sync", "coh",
                              "specdiff")
+    assert FeatureVector._fields == FEATURE_NAMES
+    assert f.sync == 4 and f.specdiff == 6
 
 
 # --- Fisher selection ----------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ from syncgait.errors import InvalidDuration
 from syncgait.gait import cycle_boundaries
 from syncgait.orientation import Quaternion, euler_to_quaternion
 from syncgait.series import JOINT_INDEX, REQUIRED_JOINTS
-from syncgait.synth import (IMU_RATE, CameraModel, HijackAttack, MimicryAttack,
-                            RelayAttack, SubjectParams, generate_attack,
-                            generate_session, make_cohort)
+from syncgait.synth import (IMU_RATE, SHAPE_FIELDS, CameraModel, HijackAttack,
+                            MimicryAttack, RelayAttack, SubjectParams,
+                            generate_attack, generate_session, make_cohort)
 
 
 def test_generation_is_deterministic():
@@ -176,6 +177,23 @@ def test_mimicry_fidelity_blends_parameters():
     assert np.allclose(diffs, 1.5, atol=0.08)   # halfway period
     with pytest.raises(ValueError):
         MimicryAttack(attacker, victim, 1.5)
+
+
+@pytest.mark.parametrize("w", [0.0, 0.3, 1.0])
+def test_blend_mixes_every_shape_field_and_tilt_angle(w):
+    a, b = make_cohort(2, seed=21)
+    b = replace(b, imu_noise=0.2, kp_noise=0.9)
+    out = a.blend(b, w)
+    pairs = [(getattr(out, n), getattr(a, n), getattr(b, n))
+             for n in SHAPE_FIELDS]
+    pairs += [(getattr(out.phone_tilt, n), getattr(a.phone_tilt, n),
+               getattr(b.phone_tilt, n)) for n in ("roll", "pitch", "yaw")]
+    assert len(pairs) == 10
+    for got, x, y in pairs:
+        assert got == (1 - w) * x + w * y
+    # the noise and the seed stay those of the subject blended from
+    assert (out.imu_noise, out.kp_noise, out.seed) == (
+        a.imu_noise, a.kp_noise, a.seed)
 
 
 def test_unknown_attack_spec_rejected():
