@@ -35,7 +35,7 @@ from .pipeline import Enrollment, enroll
 from .protocol import ChannelModel, SessionConfig, SessionState, run_session
 from .synth import (IMU_RATE, CameraModel, HijackAttack, MimicryAttack,
                     RelayAttack, check_walk, generate_attack,
-                    generate_session, make_cohort)
+                    generate_session, make_cohort, shared_walks)
 from .syncing import ClockOffsetEstimate
 
 EXIT_OK = 0
@@ -50,8 +50,9 @@ ATTACK_SPECS = {
         attacker, victim, fidelity),
 }
 ATTACK_KINDS = tuple(ATTACK_SPECS)
-# cmd_evaluate makes each capture once, from the base config's camera and
-# duration, so no key here may change a capture
+# cmd_evaluate makes each capture once, and each subject's walk once, from
+# the base config's camera, duration and clock offset, so no key here may
+# change a capture
 SCENARIO_KEYS = ("loss_rate", "attacks", "fidelity")
 MANIFEST_FORMAT = "gaitsync-v4"   # the session files' version
 
@@ -201,6 +202,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 # --- synth -------------------------------------------------------------------
 
+@shared_walks()
 def cmd_synth(cfg: ExperimentConfig, out: Path) -> int:
     cohort = make_cohort(cfg.cohort_size, seed=cfg.seed)
     try:
@@ -272,7 +274,7 @@ def cmd_enroll(cfg: ExperimentConfig, data_dir: Path, subject: int,
             raise IoFailure(f"session {k} files must be named {names}")
     sessions = [(read_imu_npy(data_dir / imu_name, sample_rate=imu_rate),
                  read_keypoint_npy(data_dir / kp_name, frame_rate=fps),
-                 ClockOffsetEstimate(clock_offset, 1e-6, 0.005))
+                 ClockOffsetEstimate.known(clock_offset))
                 for imu_name, kp_name, clock_offset in entries]
     try:
         enrollment = enroll(sessions, seed=cfg.seed)
@@ -355,12 +357,14 @@ def _run_trial(cfg: ExperimentConfig, enrollment: Enrollment,
             "fused": min(cons, rec.gait_score)}
 
 
+@shared_walks()
 def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
     """Enroll every subject, then run the trials subject by subject. Each
     genuine capture, and each distinct attack spec of a trial, is
     synthesized once and run under every config (the base one and each
     scenario's) that lists its kind; the configs differ in SCENARIO_KEYS
-    only."""
+    only. Every capture is its walk plus its own noise, and the run
+    computes each walk (a subject's, or a mimicry blend's) once."""
     # a victim's attack trials take distinct other subjects, and enrollment
     # captures (seed offsets 10..59) stay clear of genuine ones (60..)
     if cfg.attack_trials >= cfg.cohort_size:
@@ -369,7 +373,7 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
     if cfg.enroll_sessions > 50:
         raise ValueError(f"enroll_sessions {cfg.enroll_sessions} exceeds 50")
     cohort = make_cohort(cfg.cohort_size, seed=cfg.seed)
-    offset = ClockOffsetEstimate(cfg.clock_offset, 1e-6, 0.005)
+    offset = ClockOffsetEstimate.known(cfg.clock_offset)
 
     enrollments = []
     for si, subject in enumerate(cohort):

@@ -37,6 +37,12 @@ class ClockOffsetEstimate:
         if self.variance < 0:
             raise ValueError("variance must be non-negative")
 
+    @classmethod
+    def known(cls, offset: float) -> "ClockOffsetEstimate":
+        """An offset read from a manifest or a config, not measured: a
+        1 ms standard deviation and a 5 ms round trip."""
+        return cls(offset, 1e-6, 0.005)
+
 
 @dataclass
 class AlignedPair:

@@ -6,11 +6,20 @@ The arm is a shoulder-elbow-wrist chain of phase-locked sinusoids; the phone
 rides the wrist, so the accelerometer and gyroscope follow from the
 analytic wrist trajectory and phone orientation. Keypoints are the pinhole
 projection of the walking body as seen from the hovering camera.
+
+A session is its subject's walk plus its own noise. The walk (the clean IMU
+twin, the frame times and the noise-free pixels) depends only on the
+subject, the camera, the duration and the clock offset; the noise is drawn
+from the subject's seed and the session's seed offset. Inside
+`shared_walks()`, which each CLI command run opens, every walk is computed
+once and its sessions share it; outside it, each session computes its own.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import astuple, dataclass, field, replace
 from functools import cached_property
 
@@ -109,16 +118,17 @@ class MimicryAttack:
             raise ValueError("fidelity must lie in [0,1]")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroundTruth:
-    """What the generator knows about a session.
+    """What the generator knows about a walk, shared by every session
+    recorded from it.
 
-    `clean` is the noise-free twin of the IMU stream. `cycle_boundaries`
-    (seconds, phone clock) are its cycle cuts, computed on first read and
-    then kept: the instants a perfect sensor would segment, so any
-    deviation on the noisy stream measures noise robustness. A twin that
-    cannot be segmented raises its `SyncGaitError` where the cuts are read,
-    not when the session is generated.
+    `clean` is the noise-free twin of the IMU streams; its arrays are
+    read-only. `cycle_boundaries` (seconds, phone clock) are its cycle
+    cuts, computed on first read and then kept: the instants a perfect
+    sensor would segment, so any deviation on a noisy stream measures noise
+    robustness. A twin that cannot be segmented raises its `SyncGaitError`
+    where the cuts are read, not when the session is generated.
     """
 
     clean: ImuSeries        # noise-free twin of the IMU stream
@@ -192,17 +202,44 @@ def check_walk(duration: float, cam: CameraModel) -> None:
                               f"{cam.horizontal_distance} m away")
 
 
-def generate_session(p: SubjectParams, cam: CameraModel = CameraModel(),
-                     duration: float = 8.0, clock_offset: float = 0.0,
-                     seed_offset: int = 0) -> tuple[ImuSeries, KeypointSeries, GroundTruth]:
-    """One walking session: paired IMU and keypoint streams + ground truth.
+@dataclass(frozen=True)
+class _Walk:
+    """The noise-free part of a session, with read-only arrays."""
 
-    Keypoint timestamps run on the drone clock (phone clock + clock_offset).
-    seed_offset varies the noise stream without changing the subject. The
-    ground truth keeps the noise-free twin stream and segments it only when
-    its `cycle_boundaries` are first read, so this runs no AHRS."""
+    truth: GroundTruth
+    frame_t: np.ndarray     # (n,) frame times, drone clock
+    uv: np.ndarray          # (n, 12, 2) noise-free pixels
+
+
+# the walk table of the enclosing shared_walks() scope, None outside one
+_WALKS: ContextVar[dict | None] = ContextVar("synth_walks", default=None)
+
+
+@contextmanager
+def shared_walks():
+    """A scope in which each walk is computed once: every session of one
+    (subject, camera, duration, clock offset) reuses its walk and its
+    `GroundTruth`. The walks are dropped when the scope ends."""
+    token = _WALKS.set({})
+    try:
+        yield
+    finally:
+        _WALKS.reset(token)
+
+
+def _walk(p: SubjectParams, cam: CameraModel, duration: float,
+          clock_offset: float) -> _Walk:
+    walks, key = _WALKS.get(), (p, cam, duration, clock_offset)
+    if walks is None:
+        return _make_walk(*key)
+    if key not in walks:
+        walks[key] = _make_walk(*key)
+    return walks[key]
+
+
+def _make_walk(p: SubjectParams, cam: CameraModel, duration: float,
+               clock_offset: float) -> _Walk:
     check_walk(duration, cam)
-    rng = np.random.default_rng((p.seed, seed_offset))
     arm = _ArmModel(p, math.radians(cam.horizontal_angle))
 
     n = int(round(duration * IMU_RATE))
@@ -219,18 +256,45 @@ def generate_session(p: SubjectParams, cam: CameraModel = CameraModel(),
                             np.zeros(n)], axis=1)
     acc = (r_t @ (a_world + GRAVITY_WORLD)[:, :, None])[:, :, 0]
     gyro = (r_t @ omega_world[:, :, None])[:, :, 0]
-    clean = ImuSeries(t=t.copy(), acc=acc.copy(), gyro=gyro.copy(),
-                      sample_rate=IMU_RATE)
-    acc += rng.normal(0.0, p.imu_noise, acc.shape)
-    gyro += rng.normal(0.0, p.imu_noise * 0.05, gyro.shape)
+
+    frame_t, uv = _render_keypoints(p, cam, arm, duration, clock_offset)
+    for a in (t, acc, gyro, frame_t, uv):
+        a.flags.writeable = False
+    clean = ImuSeries(t=t, acc=acc, gyro=gyro, sample_rate=IMU_RATE)
+    return _Walk(GroundTruth(clean, clock_offset), frame_t, uv)
+
+
+def generate_session(p: SubjectParams, cam: CameraModel = CameraModel(),
+                     duration: float = 8.0, clock_offset: float = 0.0,
+                     seed_offset: int = 0) -> tuple[ImuSeries, KeypointSeries, GroundTruth]:
+    """One walking session: paired IMU and keypoint streams + ground truth.
+
+    The session is the subject's walk plus noise drawn from
+    (p.seed, seed_offset), so seed_offset varies the noise without changing
+    the subject. Keypoint timestamps run on the drone clock (phone clock +
+    clock_offset). The timestamps are the walk's read-only arrays; acc, gyro
+    and the pixels are the session's own. The ground truth keeps the
+    noise-free twin stream and segments it only when its `cycle_boundaries`
+    are first read, so this runs no AHRS."""
+    walk = _walk(p, cam, duration, clock_offset)
+    clean = walk.truth.clean
+    rng = np.random.default_rng((p.seed, seed_offset))
+    n = len(clean)
+    acc = clean.acc + rng.normal(0.0, p.imu_noise, (n, 3))
+    gyro = clean.gyro + rng.normal(0.0, p.imu_noise * 0.05, (n, 3))
     # the former magnetometer's noise, drawn and discarded so that the
     # keypoint noise drawn after it stays the same
     rng.normal(0.0, p.imu_noise * 2.0, (n, 3))
-    imu = ImuSeries(t=t, acc=acc, gyro=gyro, sample_rate=IMU_RATE)
-
-    kp = _render_keypoints(p, cam, arm, duration, clock_offset, rng)
-
-    return imu, kp, GroundTruth(clean, clock_offset)
+    # one noise draw per (frame, side, joint, axis), the order the session
+    # goldens fix, put in joint order
+    noise = rng.normal(0.0, p.kp_noise, (len(walk.frame_t), 2, 6, 2))
+    uv = walk.uv + noise.transpose(0, 2, 1, 3).reshape(walk.uv.shape)
+    # a joint projected outside the image is not detected
+    seen = ((uv >= 0.0) & (uv < RESOLUTION)).all(axis=2)
+    return (ImuSeries(t=clean.t, acc=acc, gyro=gyro, sample_rate=IMU_RATE),
+            KeypointSeries(walk.frame_t, uv, seen.astype(float),
+                           frame_rate=cam.fps),
+            walk.truth)
 
 
 def _limb(length: float, ang: np.ndarray, dx: float, dy: float) -> np.ndarray:
@@ -241,8 +305,9 @@ def _limb(length: float, ang: np.ndarray, dx: float, dy: float) -> np.ndarray:
     return length * np.stack([s * dx, s * dy, -np.cos(ang)], axis=1)
 
 
-def _render_keypoints(p, cam, arm, duration, clock_offset,
-                      rng) -> KeypointSeries:
+def _render_keypoints(p, cam, arm, duration,
+                      clock_offset) -> tuple[np.ndarray, np.ndarray]:
+    """Drone-clock frame times (n,) and noise-free pixels (n, 12, 2)."""
     n_frames = int(round(duration * cam.fps))
     tf = np.arange(n_frames) / cam.fps      # phone-clock sampling instants
     # body base walks toward the camera; camera sits at the world origin
@@ -283,23 +348,13 @@ def _render_keypoints(p, cam, arm, duration, clock_offset,
     right = np.cross(fwd, np.array([0.0, 0.0, 1.0]))
     right /= np.linalg.norm(right)
     up = np.cross(right, fwd)
-
-    # one noise draw per (frame, side, joint, axis), the order the session
-    # goldens fix, put in joint order
-    noise = rng.normal(0.0, p.kp_noise, (n_frames, 2, 6, 2))
-    uv = _project(joints, c, fwd, right, up,
-                  noise.transpose(0, 2, 1, 3).reshape(joints.shape[:2] + (2,)))
-    # a joint projected outside the image is not detected
-    seen = ((uv >= 0.0) & (uv < RESOLUTION)).all(axis=2)
-    return KeypointSeries(tf + clock_offset, uv, seen.astype(float),
-                          frame_rate=cam.fps)
+    return tf + clock_offset, _project(joints, c, fwd, right, up)
 
 
 def _project(joints: np.ndarray, c: np.ndarray, fwd: np.ndarray,
-             right: np.ndarray, up: np.ndarray,
-             noise: np.ndarray) -> np.ndarray:
+             right: np.ndarray, up: np.ndarray) -> np.ndarray:
     """(n, J, 2) pixels of the (n, J, 3) world joints seen by the pinhole
-    camera at `c` with unit axes `fwd`, `right`, `up`, plus `noise`."""
+    camera at `c` with unit axes `fwd`, `right`, `up`."""
     w_px, h_px = RESOLUTION
     # (..., 1, 3) @ (3, 1) is each joint's own 3-term dot product, bit for
     # bit; einsum or (..., 3) @ (3,) may sum in another order
@@ -307,7 +362,7 @@ def _project(joints: np.ndarray, c: np.ndarray, fwd: np.ndarray,
     depth = (rel @ fwd[:, None])[..., 0, 0]
     u = w_px / 2 + FOCAL_PX * (rel @ right[:, None])[..., 0, 0] / depth
     v = h_px / 2 - FOCAL_PX * (rel @ up[:, None])[..., 0, 0] / depth
-    return np.stack([u, v], axis=2) + noise
+    return np.stack([u, v], axis=2)
 
 
 def generate_attack(spec, cam: CameraModel = CameraModel(),

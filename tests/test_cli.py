@@ -192,7 +192,7 @@ def test_enroll_from_files_equals_enroll_in_memory(tmp_path):
         imu, kp, gt = generate_session(subject, config.camera, config.duration,
                                        config.clock_offset, seed_offset=k)
         sessions.append((imu, kp,
-                         ClockOffsetEstimate(gt.clock_offset, 1e-6, 0.005)))
+                         ClockOffsetEstimate.known(gt.clock_offset)))
     expected, got = enroll(sessions, seed=5), load_enrollment(models, 0)
     for name in ("consistency_model", "gait_model"):
         assert (serialize_model(getattr(got, name))

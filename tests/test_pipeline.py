@@ -23,7 +23,7 @@ from syncgait.synth import (CameraModel, HijackAttack, RelayAttack,
                             make_cohort)
 
 OFFSET = 0.08
-EST = ClockOffsetEstimate(OFFSET, 1e-6, 0.005)
+EST = ClockOffsetEstimate.known(OFFSET)
 
 
 @pytest.fixture(scope="module")
@@ -119,8 +119,7 @@ def test_consistency_vector_sensible_for_genuine_pair(session):
 def test_wrong_offset_breaks_consistency(session):
     imu, kp, _ = session
     good = consistency_vector(imu, kp, EST)
-    bad = consistency_vector(imu, kp, ClockOffsetEstimate(OFFSET + 0.45,
-                                                          1e-6, 0.005))
+    bad = consistency_vector(imu, kp, ClockOffsetEstimate.known(OFFSET + 0.45))
     assert bad.pcc < good.pcc - 0.2
 
 

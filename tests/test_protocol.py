@@ -69,7 +69,7 @@ OFFSET = 0.08
 @pytest.fixture(scope="module")
 def enrolled_subject():
     subject = SubjectParams(seed=21)
-    est = ClockOffsetEstimate(OFFSET, 1e-6, 0.005)
+    est = ClockOffsetEstimate.known(OFFSET)
     sessions = []
     for k in range(12):
         imu, kp, _ = generate_session(subject, clock_offset=OFFSET,
@@ -142,7 +142,7 @@ def test_short_stream_fails_the_session_with_a_named_reason(
 def test_one_pass_scores_equal_per_view_scores_on_partial_views(
         enrolled_subject):
     subject, enrollment = enrolled_subject
-    est = ClockOffsetEstimate(OFFSET, 1e-6, 0.005)
+    est = ClockOffsetEstimate.known(OFFSET)
     imu, kp, _ = generate_session(subject, clock_offset=OFFSET,
                                   seed_offset=506)
     # IMU chunk 20 and keypoint chunks 30-31 (0.1 s each) lost
@@ -168,7 +168,7 @@ def test_one_pass_scores_equal_per_view_scores_on_complete_views(
         enrolled_subject):
     # nothing lost: the phone's score is the drone's, computed once
     subject, enrollment = enrolled_subject
-    est = ClockOffsetEstimate(OFFSET, 1e-6, 0.005)
+    est = ClockOffsetEstimate.known(OFFSET)
     imu, kp, _ = generate_session(subject, clock_offset=OFFSET,
                                   seed_offset=506)
     imu_valid = np.ones(len(imu), dtype=bool)
@@ -215,7 +215,7 @@ def test_an_attempt_prepares_each_stream_once(enrolled_subject, monkeypatch,
                          (pipeline, "video_speed_channel"),
                          (pipeline, "compute_features")):
         spy(module, name)
-    attempt_scores(enrollment, ClockOffsetEstimate(OFFSET, 1e-6, 0.005),
+    attempt_scores(enrollment, ClockOffsetEstimate.known(OFFSET),
                    imu, kp, imu_valid, kp_valid)
     assert calls == {"imu_chain": chains, "imu_speed_channel": channels,
                      "video_speed_channel": channels,
@@ -283,7 +283,7 @@ _FAILURE_REASONS = ({"verification", "no sync exchange"}
 def capture():
     """One genuine capture and its subject's enrollment from 6 sessions."""
     subject = make_cohort(2, seed=21)[0]
-    est = ClockOffsetEstimate(OFFSET, 1e-6, 0.005)
+    est = ClockOffsetEstimate.known(OFFSET)
     sessions = [generate_session(subject, clock_offset=OFFSET,
                                  seed_offset=100 + k)[:2] + (est,)
                 for k in range(6)]

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from syncgait import gait, protocol, synth
+from syncgait import cli, gait, protocol, synth
 from syncgait.cli import EXIT_CONFIG, main
 from syncgait.errors import InvalidDuration
 from syncgait.gait import cycle_boundaries
@@ -226,7 +226,7 @@ def test_cohort_rejects_sizes_below_one(size):
 
 # --- batched synthesis against per-sample references ---------------------------
 
-def _project_per_frame(joints, c, fwd, right, up, noise):
+def _project_per_frame(joints, c, fwd, right, up):
     """Reference: one scalar dot product per (frame, joint, axis)."""
     w_px, h_px = synth.RESOLUTION
     uv = np.empty(joints.shape[:2] + (2,))
@@ -234,10 +234,8 @@ def _project_per_frame(joints, c, fwd, right, up, noise):
         for j in range(joints.shape[1]):
             d = joints[k, j] - c
             depth = float(d @ fwd)
-            uv[k, j, 0] = (w_px / 2 + synth.FOCAL_PX * float(d @ right)
-                           / depth + noise[k, j, 0])
-            uv[k, j, 1] = (h_px / 2 - synth.FOCAL_PX * float(d @ up)
-                           / depth + noise[k, j, 1])
+            uv[k, j, 0] = w_px / 2 + synth.FOCAL_PX * float(d @ right) / depth
+            uv[k, j, 1] = h_px / 2 - synth.FOCAL_PX * float(d @ up) / depth
     return uv
 
 
@@ -347,3 +345,114 @@ def test_evaluate_runs_the_ahrs_once_per_scored_view(tmp_path, monkeypatch,
     # one attempt per trial, each scoring one IMU view (nothing stayed lost)
     assert attempts == [True] * (2 * (1 + 3))
     assert len(ahrs_calls) == 2 * 4 + len(attempts)
+
+
+# --- a command run computes each walk once ---------------------------------------
+
+def _walk_captures(cam, clock_offset, duration):
+    """Sessions of two subjects at several seed offsets, then one capture
+    of each attack."""
+    a, b = make_cohort(2, seed=9)
+    sessions = [generate_session(p, cam, duration, clock_offset,
+                                 seed_offset=k)
+                for p in (a, b) for k in (0, 1, 7)]
+    return sessions + [
+        generate_attack(spec, cam, duration, clock_offset, seed_offset=5)
+        for spec in (RelayAttack(a, b), HijackAttack(b),
+                     MimicryAttack(b, a, 0.5))]
+
+
+def _capture_bytes(capture):
+    imu, kp, gt = capture
+    arrays = (imu.t, imu.acc, imu.gyro, kp.t, kp.uv, kp.conf, gt.clean.t,
+              gt.clean.acc, gt.clean.gyro)
+    return ([a.tobytes() for a in arrays], gt.clock_offset,
+            gt.cycle_boundaries)
+
+
+# (camera, clock offset, duration): two cameras and frame rates, and walks
+# that differ only in their clock offset or only in their duration
+WALK_CASES = [(CameraModel(fps=30.0, horizontal_distance=12.0), 0.08, 4.0),
+              (CameraModel(horizontal_angle=30.0), 0.08, 4.0),
+              (CameraModel(horizontal_angle=30.0), 0.0, 4.0),
+              (CameraModel(horizontal_angle=30.0), 0.08, 3.5)]
+
+
+def test_sessions_of_shared_walks_equal_one_shot_sessions(ahrs_calls):
+    one_shot = [_capture_bytes(c) for case in WALK_CASES
+                for c in _walk_captures(*case)]
+    assert len(ahrs_calls) == 9 * len(WALK_CASES)
+    with synth.shared_walks():
+        shared = [c for case in WALK_CASES for c in _walk_captures(*case)]
+    assert [_capture_bytes(c) for c in shared] == one_shot
+    # three walks per case (a, b and the mimicry blend), each segmented once
+    assert len({id(gt) for _, _, gt in shared}) == 3 * len(WALK_CASES)
+    assert len(ahrs_calls) == 12 * len(WALK_CASES)
+
+
+def test_shared_walk_is_read_only_and_sessions_own_their_noise():
+    p = SubjectParams(seed=4)
+    with synth.shared_walks():
+        imu, kp, gt = generate_session(p, duration=4.0, seed_offset=0)
+        for a in (imu.t, kp.t, gt.clean.t, gt.clean.acc, gt.clean.gyro):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        with pytest.raises(AttributeError):
+            gt.clock_offset = 1.0
+        imu.acc[:] = 0.0
+        kp.uv[:] = 0.0
+        later = generate_session(p, duration=4.0, seed_offset=1)
+        assert later[2] is gt
+    one_shot = generate_session(p, duration=4.0, seed_offset=1)
+    assert _capture_bytes(later) == _capture_bytes(one_shot)
+    assert gt.clean.acc.tobytes() == one_shot[2].clean.acc.tobytes()
+
+
+@pytest.fixture
+def walks_built(monkeypatch):
+    """Counts the walks synthesized (one phone attitude track each) and
+    the sessions recorded."""
+    counts = {"walks": 0, "sessions": 0}
+    quaternions, session = synth._phone_quaternions, synth.generate_session
+
+    def counted_walk(*args):
+        counts["walks"] += 1
+        return quaternions(*args)
+
+    def counted_session(*args, **kwargs):
+        counts["sessions"] += 1
+        return session(*args, **kwargs)
+    monkeypatch.setattr(synth, "_phone_quaternions", counted_walk)
+    monkeypatch.setattr(synth, "generate_session", counted_session)
+    monkeypatch.setattr(cli, "generate_session", counted_session)
+    return counts
+
+
+def test_evaluate_builds_each_walk_once_per_run(tmp_path, walks_built):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"cohort_size": 2, "enroll_sessions": 6,
+                               "genuine_trials": 2, "attack_trials": 1,
+                               "loss_rate": 0.3}))
+    args = ["evaluate", "--config", str(cfg), "--seed", "5", "--out"]
+    assert main(args + [str(tmp_path / "a")]) == 0
+    # 12 enrollment sessions, 4 genuine captures and 8 attack recordings
+    # (relay 2, hijack 1, mimicry 1 per victim) from 4 walks: the two
+    # subjects' and the two mimicry blends'
+    assert walks_built == {"walks": 4, "sessions": 24}
+    # the next run computes its own walks
+    assert main(args + [str(tmp_path / "b")]) == 0
+    assert walks_built == {"walks": 8, "sessions": 48}
+
+
+def test_synth_segments_each_subject_walk_once(tmp_path, ahrs_calls):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"cohort_size": 3, "sessions_per_subject": 6,
+                               "duration": 4.0}))
+    assert main(["synth", "--config", str(cfg),
+                 "--out", str(tmp_path / "data")]) == 0
+    assert len(ahrs_calls) == 3
+    manifest = json.loads((tmp_path / "data" / "manifest.json").read_text())
+    for subject in manifest["subjects"]:
+        cuts = [s["cycle_boundaries"] for s in subject["sessions"]]
+        assert len(cuts) == 6 and cuts == cuts[:1] * 6
