@@ -2,8 +2,10 @@
 consistency features -> per-user models and signed decision scores.
 
 The video chain calibrates one array track of the phone's arm (gap fill,
-adaptive DCT smoothing, cooperative Kalman), differentiates its wrist and
-band-passes. The IMU chain is denoise, orientation, gravity removal,
+adaptive DCT smoothing, cooperative Kalman) to its wrist, the one joint
+read, then differentiates and band-passes it. The elbow and shoulder enter
+only through the Kalman limb coupling of gated frames; a fully measured
+track runs the wrist's two recursions from the shared gain table. The IMU chain is denoise, orientation, gravity removal,
 velocity integration, gait-band band-pass, magnitude. A stream too short
 for a stage is SeriesTooShort at the first stage that needs the length.
 A batch of streams (`gait.imu_chains`, `imu_speed_channels`,
@@ -58,20 +60,24 @@ def _joint_tracks(kp: KeypointSeries,
 
 
 def _calibrated_arms(kps: list[KeypointSeries]) -> list[tuple]:
-    """calibrate_keypoints of each track; one adct_smooth per (frames, fps)."""
+    """calibrate_keypoints of each track: the (n, 2) wrist and its (n,)
+    mask. One adct_smooth per (frames, fps) smooths all six arm columns,
+    since the elbow and shoulder feed the limb coupling of gated frames."""
     require_squarable("keypoint", *(kp.uv for kp in kps))
     tracks = [_joint_tracks(kp, ARM_CHAIN) for kp in kps]
     arms = by_shape(adct_smooth, [t.reshape(len(t), -1) for t, _ in tracks],
                     [kp.frame_rate for kp in kps])
-    return [(mjckf_correct(arm.reshape(t.shape), m, kp.frame_rate), m)
+    return [(mjckf_correct(arm.reshape(t.shape), m, kp.frame_rate), m[:, 0])
             for kp, arm, (t, m) in zip(kps, arms, tracks)]
 
 
 def calibrate_keypoints(kp: KeypointSeries) -> tuple[np.ndarray, np.ndarray]:
-    """The calibrated (n, 3, 2) ARM_CHAIN track, the phone's arm, and its
-    (n, 3) measured mask: each joint gap-filled, the six pixel columns
-    smoothed by adaptive DCT, and the chain corrected by the cooperative
-    Kalman pass, which bridges the unmeasured frames."""
+    """The calibrated (n, 2) wrist of the phone's arm and its (n,)
+    measured mask: each ARM_CHAIN joint gap-filled, the six pixel columns
+    smoothed by adaptive DCT, and the cooperative Kalman pass, which
+    bridges the unmeasured frames, run to the wrist. The elbow and shoulder
+    enter only through the limb coupling of gated frames; a fully measured
+    track runs the wrist's two recursions from the shared gain table."""
     return _calibrated_arms([kp])[0]
 
 
@@ -94,12 +100,12 @@ def video_speed_channels(kps: list[KeypointSeries]) -> list[tuple]:
     scales = by_shape(adct_smooth, [_torso_length(kp) for kp in kps], rates,
                       AdctConfig(f_base=0.02, alpha=0.0))
     vels = by_shape(adaptive_bandpass,
-                    [np.gradient(track[:, 0], kp.t, axis=0)
+                    [np.gradient(wrist, kp.t, axis=0)
                      / np.maximum(scale, 1e-6)[:, None]
-                     for kp, (track, _), scale in zip(kps, calibrated, scales)],
+                     for kp, (wrist, _), scale in zip(kps, calibrated, scales)],
                     rates)
     return [(normalize(Series1D(np.hypot(vel[:, 0], vel[:, 1]),
-                                float(kp.t[0]), kp.frame_rate)), measured[:, 0])
+                                float(kp.t[0]), kp.frame_rate)), measured)
             for kp, vel, (_, measured) in zip(kps, vels, calibrated)]
 
 

@@ -3,7 +3,10 @@
 The gait band (GAIT_BAND_LO to GAIT_BAND_HI, capped below a low rate's
 Nyquist) and its zero-phase Butterworth band-pass, the energy band of a
 given power spectrum, entropy-adaptive DCT smoothing, and multi-joint
-cooperative Kalman correction for occlusion bridging.
+cooperative Kalman correction (MJCKF) for occlusion bridging. The MJCKF's
+output is the wrist: the elbow and shoulder enter only through the limb
+coupling of gated frames, and a fully measured track runs the wrist's two
+scalar recursions from the frame interval's shared gain table.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 from scipy.fft import dct, idct
@@ -292,77 +296,105 @@ def _measured_gains(dt: float) -> tuple[np.ndarray, np.ndarray]:
     return table
 
 
+@functools.lru_cache(maxsize=4)
+def _channel_gains(dt: float) -> tuple[tuple[tuple[float, ...], ...], ...]:
+    """(position gains, velocity gains) of each ARM_CHAIN position channel
+    (wrist u, wrist v, elbow u, ...) through `_measured_gains(dt)`'s table,
+    as Python floats, for the scalar recursions of fully measured frames.
+    Shared by every call: read-only tuples."""
+    gains, _ = _measured_gains(dt)
+    return tuple((tuple(gains[:, 4 * j + k, 2 * j + k].tolist()),
+                  tuple(gains[:, 4 * j + 2 + k, 2 * j + k].tolist()))
+                 for j in range(len(ARM_CHAIN)) for k in range(2))
+
+
+def _measured_run(meas: list[list[float]], gains: tuple, dt: float
+                  ) -> tuple[list[list[float]], list[tuple[float, float]]]:
+    """Each channel's fully measured frames, from frame 0, as a scalar
+    (position, velocity) recursion: the same sums as F @ x and
+    K @ (z - H x), whose other terms are exact zeros. Past the end of the
+    gain table its last entry holds. Returns each channel's positions and
+    its final (position, velocity)."""
+    positions, ends = [], []
+    for z_all, (gain_p, gain_v) in zip(meas, gains):
+        p, v = z_all[0], 0.0       # the state starts at frame 0 at rest
+        out = []
+        for z, gp, gv in zip(z_all, chain(gain_p, repeat(gain_p[-1])),
+                             chain(gain_v, repeat(gain_v[-1]))):
+            e = z - p
+            p += gp * e
+            v += gv * e
+            out.append(p)
+            p += dt * v            # the next frame's prediction
+        positions.append(out)
+        ends.append((out[-1], v))
+    return positions, ends
+
+
 def mjckf_correct(track: np.ndarray, measured: np.ndarray,
                   frame_rate: float) -> np.ndarray:
-    """The (n, 3, 2) ARM_CHAIN pixel track corrected by a cooperative
-    Kalman pass; `measured` (n, 3) marks the detections to update on.
+    """The calibrated (n, 2) wrist of the (n, 3, 2) ARM_CHAIN pixel track,
+    by a cooperative Kalman pass; `measured` (n, 3) marks the detections to
+    update on.
 
-    Unmeasured joints are predicted only, bridging occlusions, and the
-    limb-length coupling constrains the frames that miss a joint.
+    A fully measured track runs only the wrist's two scalar recursions from
+    the frame interval's shared gain table: with every joint measured the
+    joints never couple. From the first gated frame on, the whole chain
+    runs: unmeasured joints are predicted only, bridging occlusions, and the
+    limb-length coupling, which alone reads the elbow and shoulder,
+    constrains the frames that miss a joint.
     """
+    nj, shape = len(ARM_CHAIN), np.shape(track)
+    if shape[1:] != (nj, 2) or np.shape(measured) != shape[:2]:
+        raise ValueError(f"need an (n, {nj}, 2) track and an (n, {nj}) "
+                         f"measured mask, got {shape} and "
+                         f"{np.shape(measured)}")
     n = len(track)
     if n < 3:
         raise SeriesTooShort("need >= 3 frames")
-    seg = track[:, 1:] - track[:, :-1]
-    # the matmul form equals np.linalg.norm of each segment bit for bit
-    limbs = np.sqrt((seg[..., None, :] @ seg[..., :, None])[..., 0, 0])
     dt = 1.0 / frame_rate
     # the process noise takes dt ** 4 and PROCESS_NOISE / dt ** 3
     if not _DT_RANGE[0] < dt < _DT_RANGE[1]:
         raise DegenerateSeries(f"frame rate {frame_rate} Hz leaves the "
                                "Kalman noise terms outside the float range")
-    filt = _ChainFilter(track[0], limbs[0], dt)
-    rows = np.array([4 * j + k for j in range(filt.nj) for k in range(2)])
-    pos = np.empty((n, len(rows)))
-
-    # The fully measured prefix needs only the state update, with the frame
-    # interval's shared gain table. Each gain couples one position only to
-    # itself and its velocity, so the prefix runs as six scalar (position,
-    # velocity) recursions on Python floats: the same sums as F @ x and
-    # K @ (z - H x), whose other terms are exact zeros.
     gains, covs = _measured_gains(dt)
     gated = ~measured.all(axis=1)
     head = int(gated.argmax()) if gated.any() else n
     if len(gains) == GAIN_TABLE_MAX:   # never settled: the full update past it
         head = min(head, len(gains))
+    if head == n:
+        wrist, _ = _measured_run(track[:, 0].T.tolist(),
+                                 _channel_gains(dt)[:2], dt)
+        return np.array(wrist).T
+
+    seg = track[:, 1:] - track[:, :-1]
+    # the matmul form equals np.linalg.norm of each segment bit for bit
+    limbs = np.sqrt((seg[..., None, :] @ seg[..., :, None])[..., 0, 0])
+    filt = _ChainFilter(track[0], limbs[0], dt)
+    wrist = np.empty((n, 2))
     if head > 0:
-        steps = np.minimum(np.arange(head), len(gains) - 1)
-        chan = np.arange(len(rows))
-        gain_p = gains[:, rows, chan][steps].T.tolist()
-        gain_v = gains[:, rows + 2, chan][steps].T.tolist()
-        meas = track[:head].reshape(head, -1).T.tolist()
-        x = filt.x.tolist()
-        for c, r in enumerate(rows.tolist()):
-            p, v = x[r], x[r + 2]
-            out = []
-            for idx, (z, gp, gv) in enumerate(zip(meas[c], gain_p[c], gain_v[c])):
-                if idx > 0:
-                    p += dt * v
-                e = z - p
-                p += gp * e
-                v += gv * e
-                out.append(p)
-            pos[:head, c] = out
-            x[r], x[r + 2] = p, v
-        filt.x = np.array(x)
+        prefix, ends = _measured_run(track[:head].reshape(head, -1).T.tolist(),
+                                     _channel_gains(dt), dt)
+        wrist[:head] = np.array(prefix[:2]).T
+        # per joint: u, v positions then u, v velocities
+        filt.x = np.array(ends).reshape(nj, 2, 2).transpose(0, 2, 1).ravel()
         filt.P = covs[min(head, len(covs)) - 1]
-    if head < n:
         # the limb lengths steer only the coupling of gated frames
         for idx in range(head):
-            for j in range(filt.nj - 1):
+            for j in range(nj - 1):
                 filt.refresh_limb(j, limbs[idx, j])
 
     for idx in range(head, n):
         if idx > 0:
             filt.predict()
-        seen = {j: track[idx, j] for j in range(filt.nj) if measured[idx, j]}
+        seen = {j: track[idx, j] for j in range(nj) if measured[idx, j]}
         filt.update_positions(seen)
-        if len(seen) < filt.nj:
+        if len(seen) < nj:
             # limb-length coupling constrains only occluded frames;
             # fully measured frames need no cooperative correction
             filt.update_coupling()
-        for j in range(filt.nj - 1):
+        for j in range(nj - 1):
             if measured[idx, j] and measured[idx, j + 1]:
                 filt.refresh_limb(j, limbs[idx, j])
-        pos[idx] = filt.x[rows]
-    return pos.reshape(track.shape)
+        wrist[idx] = filt.x[:2]
+    return wrist

@@ -9,12 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syncgait.errors import DegenerateSeries, InvalidBand, SeriesTooShort
-from syncgait import posture
+from syncgait import pipeline, posture
+from syncgait.pipeline import calibrate_keypoints
 from syncgait.posture import (ARM_CHAIN, GAIN_TABLE_MAX, AdctConfig,
-                              _ChainFilter, _measured_gains, adaptive_bandpass,
-                              adct_cutoff, adct_smooth, column_entropies,
-                              estimate_band, histogram_entropy, mjckf_correct)
-from syncgait.series import Series1D
+                              _ChainFilter, _channel_gains, _measured_gains,
+                              adaptive_bandpass, adct_cutoff, adct_smooth,
+                              column_entropies, estimate_band,
+                              histogram_entropy, mjckf_correct)
+from syncgait.series import JOINT_INDEX, KeypointSeries, Series1D
+from syncgait.synth import SubjectParams, generate_session
 
 
 # --- histogram entropy ---------------------------------------------------------
@@ -273,9 +276,9 @@ def _arm_track(n=240, fps=60.0, occlude=()):
     return track, measured, wr
 
 
-def _wrist_errors(track, truth, frames):
+def _wrist_errors(wrist, truth, frames):
     frames = sorted(frames)
-    d = track[frames, 0] - truth[frames]
+    d = wrist[frames] - truth[frames]
     return np.hypot(d[:, 0], d[:, 1])
 
 
@@ -347,22 +350,89 @@ MJCKF_CASES = {
 @pytest.mark.parametrize("case", MJCKF_CASES)
 def test_mjckf_equals_per_frame_filter_bit_for_bit(case):
     args = MJCKF_CASES[case]()
-    assert mjckf_correct(*args).tobytes() == _per_frame_mjckf(*args).tobytes()
+    assert (mjckf_correct(*args).tobytes()
+            == _per_frame_mjckf(*args)[:, 0].tobytes())
 
 
 @pytest.fixture
 def short_gain_table(monkeypatch):
     _measured_gains.cache_clear()
+    _channel_gains.cache_clear()
     monkeypatch.setattr(posture, "GAIN_TABLE_MAX", 20)
     yield
     _measured_gains.cache_clear()
+    _channel_gains.cache_clear()
 
 
 def test_mjckf_past_an_unsettled_gain_table_runs_the_full_update(
         short_gain_table):
     args = _gated(n=120)
     assert len(_measured_gains(1.0 / 60.0)[0]) == 20
-    assert mjckf_correct(*args).tobytes() == _per_frame_mjckf(*args).tobytes()
+    assert (mjckf_correct(*args).tobytes()
+            == _per_frame_mjckf(*args)[:, 0].tobytes())
+
+
+MALFORMED_MJCKF_INPUTS = {
+    "all_true_two_column_mask": ((120, 3, 2), (120, 2), None),
+    "two_joint_track": ((120, 2, 2), (120, 2), None),
+    "one_column_mask": ((120, 3, 2), (120,), None),
+    "gated_two_column_mask": ((120, 3, 2), (120, 2), (50, 1)),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_MJCKF_INPUTS)
+def test_mjckf_refuses_a_track_or_mask_of_the_wrong_shape(case):
+    track_shape, mask_shape, gate = MALFORMED_MJCKF_INPUTS[case]
+    measured = np.ones(mask_shape, dtype=bool)
+    if gate is not None:
+        measured[gate] = False
+    with pytest.raises(ValueError, match=r"\(n, 3, 2\) track.*\(n, 3\)"):
+        mjckf_correct(np.zeros(track_shape), measured, 60.0)
+
+
+def test_mjckf_of_a_fully_measured_track_reads_only_the_wrist():
+    track, measured, fps = _gated()
+    other = track.copy()
+    other[:, 1:] = np.random.default_rng(1).normal(300, 50, (len(track), 2, 2))
+    assert (mjckf_correct(other, measured, fps).tobytes()
+            == mjckf_correct(track, measured, fps).tobytes())
+
+
+def test_mjckf_of_a_fully_measured_track_builds_no_chain_filter(monkeypatch):
+    track, measured, fps = _gated()
+    _measured_gains(1.0 / fps)     # the shared tables, built once per interval
+    _channel_gains(1.0 / fps)
+
+    def refuse(*args):
+        raise AssertionError("_ChainFilter constructed")
+
+    monkeypatch.setattr(posture, "_ChainFilter", refuse)
+    assert mjckf_correct(track, measured, fps).shape == (len(track), 2)
+
+
+def test_mjckf_coupling_of_a_gated_elbow_frame_reads_the_shoulder():
+    track, measured, fps = _gated(slice(150, 151), (1,))
+    other = track.copy()
+    other[:, 2] += (7.0, -3.0)
+    assert (mjckf_correct(other, measured, fps).tobytes()
+            != mjckf_correct(track, measured, fps).tobytes())
+
+
+def test_calibrated_wrist_of_a_gapped_capture_equals_the_per_frame_filter():
+    # no workload capture has a gated frame, so this is the gated path's
+    # end-to-end check: gap fill, the six-column smoothing, then the MJCKF
+    _, kp, _ = generate_session(SubjectParams(seed=41), seed_offset=7)
+    conf = kp.conf.copy()
+    conf[200:212, JOINT_INDEX["wrist_r"]] = 0.0
+    conf[300:303, JOINT_INDEX["shoulder_r"]] = 0.0
+    gapped = KeypointSeries(kp.t, kp.uv, conf, kp.frame_rate)
+    wrist, measured = calibrate_keypoints(gapped)
+    assert not measured[200:212].any() and measured[:200].all()
+    track, mask = pipeline._joint_tracks(gapped, ARM_CHAIN)
+    arm = adct_smooth(Series1D(track.reshape(len(track), -1),
+                               rate=kp.frame_rate)).values
+    reference = _per_frame_mjckf(arm.reshape(track.shape), mask, kp.frame_rate)
+    assert wrist.tobytes() == reference[:, 0].tobytes()
 
 
 @pytest.mark.parametrize("fps", [5.0, 30.0, 60.0, 1000.0])
