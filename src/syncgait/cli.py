@@ -23,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IoFailure, SyncGaitError, TooFewSamples
+from .errors import (InsufficientOverlap, IoFailure, SyncGaitError,
+                     TooFewSamples)
 from .io import read_imu_npy, read_keypoint_npy, write_imu_npy, \
     write_keypoint_npy
 from .metrics import evaluate as score_evaluate
@@ -36,7 +37,7 @@ from .protocol import ChannelModel, SessionConfig, SessionState, run_session
 from .synth import (IMU_RATE, CameraModel, HijackAttack, MimicryAttack,
                     RelayAttack, check_walk, generate_attack,
                     generate_session, make_cohort, shared_walks)
-from .syncing import ClockOffsetEstimate
+from .syncing import MIN_OVERLAP_S, ClockOffsetEstimate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -205,10 +206,6 @@ def _write_json(path: Path, payload: dict) -> None:
 @shared_walks()
 def cmd_synth(cfg: ExperimentConfig, out: Path) -> int:
     cohort = make_cohort(cfg.cohort_size, seed=cfg.seed)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
     manifest = {"format": MANIFEST_FORMAT, "config": cfg.to_dict(),
                 "config_sha256": cfg.digest(), "imu_rate": IMU_RATE,
                 "subjects": []}
@@ -218,6 +215,11 @@ def cmd_synth(cfg: ExperimentConfig, out: Path) -> int:
         for k in range(cfg.sessions_per_subject):
             imu, kp, gt = generate_session(subject, cfg.camera, cfg.duration,
                                            cfg.clock_offset, seed_offset=k)
+            if si == k == 0:    # a config synth refuses writes nothing
+                try:
+                    out.mkdir(parents=True, exist_ok=True)
+                except OSError as exc:
+                    raise IoFailure(str(exc)) from exc
             imu_name, kp_name = _session_names(si, k)
             write_imu_npy(out / imu_name, imu)
             write_keypoint_npy(out / kp_name, kp)
@@ -388,6 +390,11 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
         except TooFewSamples as exc:
             raise ValueError(f"enroll_sessions {cfg.enroll_sessions} is too "
                              f"few to enroll subject {si}: {exc}") from exc
+        except InsufficientOverlap as exc:
+            raise ValueError(f"duration {cfg.duration} s at fps {cfg.fps} is "
+                             f"too short to align subject {si}'s enrollment "
+                             f"captures (MIN_OVERLAP_S {MIN_OVERLAP_S} s): "
+                             f"{exc}") from exc
 
     configs = (cfg, *cfg.scenario_configs)
     trials = [([], {kind: [] for kind in c.attacks}) for c in configs]

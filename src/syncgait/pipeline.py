@@ -3,11 +3,13 @@ consistency features -> per-user models and signed decision scores.
 
 The video chain calibrates one array track of the phone's arm (gap fill,
 adaptive DCT smoothing, cooperative Kalman) to its wrist, the one joint
-read, then differentiates and band-passes it. The elbow and shoulder enter
-only through the Kalman limb coupling of gated frames; a fully measured
-track runs the wrist's two recursions from the shared gain table. The IMU chain is denoise, orientation, gravity removal,
-velocity integration, gait-band band-pass, magnitude. A stream too short
-for a stage is SeriesTooShort at the first stage that needs the length.
+read, then differentiates and band-passes it. A fully measured track runs
+the wrist's two Kalman recursions from the shared gain table; a track with
+a gated frame runs the whole chain from frame 0, and its limb coupling
+alone reads the elbow and shoulder. The IMU chain is denoise, orientation,
+gravity removal, velocity integration, gait-band band-pass, magnitude. A
+stream too short for a stage is SeriesTooShort at the first stage that
+needs the length.
 A batch of streams (`gait.imu_chains`, `imu_speed_channels`,
 `video_speed_channels`) runs each column-wise stage once per (length,
 rate) shape; a one-stream entry point is the batch of one. An IMU is taken
@@ -62,7 +64,8 @@ def _joint_tracks(kp: KeypointSeries,
 def _calibrated_arms(kps: list[KeypointSeries]) -> list[tuple]:
     """calibrate_keypoints of each track: the (n, 2) wrist and its (n,)
     mask. One adct_smooth per (frames, fps) smooths all six arm columns,
-    since the elbow and shoulder feed the limb coupling of gated frames."""
+    since the elbow and shoulder feed the limb coupling of a track with a
+    gated frame, which runs the whole Kalman chain from frame 0."""
     require_squarable("keypoint", *(kp.uv for kp in kps))
     tracks = [_joint_tracks(kp, ARM_CHAIN) for kp in kps]
     arms = by_shape(adct_smooth, [t.reshape(len(t), -1) for t, _ in tracks],
@@ -75,9 +78,10 @@ def calibrate_keypoints(kp: KeypointSeries) -> tuple[np.ndarray, np.ndarray]:
     """The calibrated (n, 2) wrist of the phone's arm and its (n,)
     measured mask: each ARM_CHAIN joint gap-filled, the six pixel columns
     smoothed by adaptive DCT, and the cooperative Kalman pass, which
-    bridges the unmeasured frames, run to the wrist. The elbow and shoulder
-    enter only through the limb coupling of gated frames; a fully measured
-    track runs the wrist's two recursions from the shared gain table."""
+    bridges the unmeasured frames, run to the wrist. A fully measured track
+    runs the wrist's two recursions from the shared gain table; a track
+    with a gated frame runs the whole chain from frame 0, where the elbow
+    and shoulder enter through the limb coupling."""
     return _calibrated_arms([kp])[0]
 
 

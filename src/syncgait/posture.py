@@ -4,9 +4,10 @@ The gait band (GAIT_BAND_LO to GAIT_BAND_HI, capped below a low rate's
 Nyquist) and its zero-phase Butterworth band-pass, the energy band of a
 given power spectrum, entropy-adaptive DCT smoothing, and multi-joint
 cooperative Kalman correction (MJCKF) for occlusion bridging. The MJCKF's
-output is the wrist: the elbow and shoulder enter only through the limb
-coupling of gated frames, and a fully measured track runs the wrist's two
-scalar recursions from the frame interval's shared gain table.
+output is the wrist: a fully measured track runs the wrist's two scalar
+recursions from the shared gain table, and a track with a gated frame (an
+arm joint not measured) runs the whole chain, whose limb coupling alone
+reads the elbow and shoulder.
 """
 
 from __future__ import annotations
@@ -269,66 +270,50 @@ _DT_RANGE = (sys.float_info.min ** 0.25, sys.float_info.max ** 0.25)
 
 
 @functools.lru_cache(maxsize=4)
-def _measured_gains(dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gain K (m, 12, 6) and covariance P (m, 12, 12) after the update of
-    each fully measured frame, starting from P0 = 25 I.
+def _wrist_gains(dt: float) -> tuple[tuple, bool]:
+    """The wrist's (position gains, velocity gains) of u and of v after the
+    update of each fully measured frame, starting from P0 = 25 I, and
+    whether the table settled.
 
     With every joint measured, the covariance recursion does not depend on
-    the measurements, so all streams at one frame interval share it. The
-    table ends at the first covariance that repeats its predecessor bit for
-    bit; every later frame has the last entry. A table GAIN_TABLE_MAX long
-    never reached that fixed point. The arrays are shared: read-only.
+    the measurements, so all streams at one frame interval share it, and
+    each gain ties a position only to itself and its velocity. The table
+    ends at the first covariance that repeats its predecessor bit for bit;
+    every later frame has the last entry. A table GAIN_TABLE_MAX long never
+    settled. Shared by every call: read-only tuples of Python floats.
     """
     nj = len(ARM_CHAIN)
     filt = _ChainFilter(np.zeros((nj, 2)), np.zeros(nj - 1), dt)
     all_measured = dict.fromkeys(range(nj), np.zeros(2))
-    gains, covs = [], []
-    for idx in range(GAIN_TABLE_MAX):
-        if idx > 0:
-            filt.predict()
-        gains.append(filt.update_positions(all_measured))
-        covs.append(filt.P)
-        if idx > 0 and covs[-1].tobytes() == covs[-2].tobytes():
+    gains, last = [], None
+    for _ in range(GAIN_TABLE_MAX):
+        gains.append(filt.update_positions(all_measured)[:4, :2])
+        if filt.P.tobytes() == last:
             break
-    table = np.stack(gains), np.stack(covs)
-    for a in table:
-        a.flags.writeable = False
-    return table
+        last = filt.P.tobytes()
+        filt.predict()
+    table = np.array(gains)
+    return (tuple((tuple(table[:, k, k].tolist()),
+                   tuple(table[:, 2 + k, k].tolist())) for k in range(2)),
+            len(gains) < GAIN_TABLE_MAX)
 
 
-@functools.lru_cache(maxsize=4)
-def _channel_gains(dt: float) -> tuple[tuple[tuple[float, ...], ...], ...]:
-    """(position gains, velocity gains) of each ARM_CHAIN position channel
-    (wrist u, wrist v, elbow u, ...) through `_measured_gains(dt)`'s table,
-    as Python floats, for the scalar recursions of fully measured frames.
-    Shared by every call: read-only tuples."""
-    gains, _ = _measured_gains(dt)
-    return tuple((tuple(gains[:, 4 * j + k, 2 * j + k].tolist()),
-                  tuple(gains[:, 4 * j + 2 + k, 2 * j + k].tolist()))
-                 for j in range(len(ARM_CHAIN)) for k in range(2))
-
-
-def _measured_run(meas: list[list[float]], gains: tuple, dt: float
-                  ) -> tuple[list[list[float]], list[tuple[float, float]]]:
-    """Each channel's fully measured frames, from frame 0, as a scalar
-    (position, velocity) recursion: the same sums as F @ x and
-    K @ (z - H x), whose other terms are exact zeros. Past the end of the
-    gain table its last entry holds. Returns each channel's positions and
-    its final (position, velocity)."""
-    positions, ends = [], []
-    for z_all, (gain_p, gain_v) in zip(meas, gains):
-        p, v = z_all[0], 0.0       # the state starts at frame 0 at rest
-        out = []
-        for z, gp, gv in zip(z_all, chain(gain_p, repeat(gain_p[-1])),
-                             chain(gain_v, repeat(gain_v[-1]))):
-            e = z - p
-            p += gp * e
-            v += gv * e
-            out.append(p)
-            p += dt * v            # the next frame's prediction
-        positions.append(out)
-        ends.append((out[-1], v))
-    return positions, ends
+def _wrist_run(z_all: list[float], gain_p: tuple[float, ...],
+               gain_v: tuple[float, ...], dt: float) -> list[float]:
+    """One wrist coordinate's positions over fully measured frames, from
+    frame 0, as a scalar (position, velocity) recursion: the same sums as
+    F @ x and K @ (z - H x), whose other terms are exact zeros. Past the
+    end of the gain table its last entry holds."""
+    p, v = z_all[0], 0.0       # the state starts at frame 0 at rest
+    out = []
+    for z, gp, gv in zip(z_all, chain(gain_p, repeat(gain_p[-1])),
+                         chain(gain_v, repeat(gain_v[-1]))):
+        e = z - p
+        p += gp * e
+        v += gv * e
+        out.append(p)
+        p += dt * v            # the next frame's prediction
+    return out
 
 
 def mjckf_correct(track: np.ndarray, measured: np.ndarray,
@@ -337,12 +322,13 @@ def mjckf_correct(track: np.ndarray, measured: np.ndarray,
     by a cooperative Kalman pass; `measured` (n, 3) marks the detections to
     update on.
 
-    A fully measured track runs only the wrist's two scalar recursions from
-    the frame interval's shared gain table: with every joint measured the
-    joints never couple. From the first gated frame on, the whole chain
-    runs: unmeasured joints are predicted only, bridging occlusions, and the
-    limb-length coupling, which alone reads the elbow and shoulder,
-    constrains the frames that miss a joint.
+    With every joint measured the joints never couple, so a fully measured
+    track runs only the wrist's two scalar recursions from the frame
+    interval's shared gain table. Any other track (one with a gated frame,
+    or at an interval whose table never settled) runs the whole chain frame
+    by frame from frame 0: unmeasured joints are predicted only, bridging
+    occlusions, and the limb-length coupling, which alone reads the elbow
+    and shoulder, constrains the frames that miss a joint.
     """
     nj, shape = len(ARM_CHAIN), np.shape(track)
     if shape[1:] != (nj, 2) or np.shape(measured) != shape[:2]:
@@ -357,34 +343,17 @@ def mjckf_correct(track: np.ndarray, measured: np.ndarray,
     if not _DT_RANGE[0] < dt < _DT_RANGE[1]:
         raise DegenerateSeries(f"frame rate {frame_rate} Hz leaves the "
                                "Kalman noise terms outside the float range")
-    gains, covs = _measured_gains(dt)
-    gated = ~measured.all(axis=1)
-    head = int(gated.argmax()) if gated.any() else n
-    if len(gains) == GAIN_TABLE_MAX:   # never settled: the full update past it
-        head = min(head, len(gains))
-    if head == n:
-        wrist, _ = _measured_run(track[:, 0].T.tolist(),
-                                 _channel_gains(dt)[:2], dt)
-        return np.array(wrist).T
+    gains, settled = _wrist_gains(dt)
+    if settled and measured.all():
+        return np.array([_wrist_run(z, *gain, dt) for z, gain
+                         in zip(track[:, 0].T.tolist(), gains)]).T
 
     seg = track[:, 1:] - track[:, :-1]
     # the matmul form equals np.linalg.norm of each segment bit for bit
     limbs = np.sqrt((seg[..., None, :] @ seg[..., :, None])[..., 0, 0])
     filt = _ChainFilter(track[0], limbs[0], dt)
     wrist = np.empty((n, 2))
-    if head > 0:
-        prefix, ends = _measured_run(track[:head].reshape(head, -1).T.tolist(),
-                                     _channel_gains(dt), dt)
-        wrist[:head] = np.array(prefix[:2]).T
-        # per joint: u, v positions then u, v velocities
-        filt.x = np.array(ends).reshape(nj, 2, 2).transpose(0, 2, 1).ravel()
-        filt.P = covs[min(head, len(covs)) - 1]
-        # the limb lengths steer only the coupling of gated frames
-        for idx in range(head):
-            for j in range(nj - 1):
-                filt.refresh_limb(j, limbs[idx, j])
-
-    for idx in range(head, n):
+    for idx in range(n):
         if idx > 0:
             filt.predict()
         seen = {j: track[idx, j] for j in range(nj) if measured[idx, j]}

@@ -25,7 +25,8 @@ from syncgait.pipeline import enroll
 from syncgait.protocol import SessionConfig
 from syncgait.series import JOINT_INDEX, ImuSeries, KeypointSeries
 from syncgait.synth import SubjectParams, generate_session
-from syncgait.syncing import MIN_SESSION_S, ClockOffsetEstimate
+from syncgait.syncing import (MIN_OVERLAP_S, MIN_SESSION_S,
+                              ClockOffsetEstimate)
 
 FAST_SYNTH = {"cohort_size": 2, "sessions_per_subject": 2, "duration": 4.0}
 FAST_ENROLL = {"cohort_size": 2, "sessions_per_subject": 4, "duration": 8.0}
@@ -82,6 +83,16 @@ def test_walk_reaching_the_camera_is_config_error_and_writes_nothing(
     assert not (tmp_path / "out").exists()
     # the longest walk the goldens take, 14.4 m of 18
     assert ExperimentConfig(duration=12.0).duration == 12.0
+
+
+@pytest.mark.parametrize("offset", [1e17, 1e300])
+def test_synth_refusing_a_clock_offset_is_config_error_and_writes_nothing(
+        tmp_path, capsys, offset):
+    cfg = _write_config(tmp_path, {"cohort_size": 2, "clock_offset": offset})
+    assert main(["synth", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "strictly increasing" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("text", [
@@ -587,6 +598,19 @@ def test_evaluate_names_enroll_sessions_too_few_to_train(
             f"{subject}" in capsys.readouterr().err)
     # every subject enrolls before any trial capture is made
     assert session_calls == [10 + k for k in range(sessions)] * (subject + 1)
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("fps, overlap", [(60.0, 2.983), (10.0, 2.9)])
+def test_evaluate_names_a_duration_too_short_to_align(tmp_path, capsys, fps,
+                                                      overlap):
+    cfg = _write_config(tmp_path, {"cohort_size": 2, "attack_trials": 1,
+                                   "duration": 3, "fps": fps})
+    assert main(["evaluate", "--config", cfg,
+                 "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"duration 3 s at fps {fps} is too short to align subject 0" in err
+    assert f"(MIN_OVERLAP_S {MIN_OVERLAP_S} s): overlap {overlap:.3f} s" in err
     assert not (tmp_path / "x").exists()
 
 

@@ -12,10 +12,9 @@ from syncgait.errors import DegenerateSeries, InvalidBand, SeriesTooShort
 from syncgait import pipeline, posture
 from syncgait.pipeline import calibrate_keypoints
 from syncgait.posture import (ARM_CHAIN, GAIN_TABLE_MAX, AdctConfig,
-                              _ChainFilter, _channel_gains, _measured_gains,
-                              adaptive_bandpass, adct_cutoff, adct_smooth,
-                              column_entropies, estimate_band,
-                              histogram_entropy, mjckf_correct)
+                              _ChainFilter, _wrist_gains, adaptive_bandpass,
+                              adct_cutoff, adct_smooth, column_entropies,
+                              estimate_band, histogram_entropy, mjckf_correct)
 from syncgait.series import JOINT_INDEX, KeypointSeries, Series1D
 from syncgait.synth import SubjectParams, generate_session
 
@@ -343,6 +342,8 @@ MJCKF_CASES = {
     "whole_arm_gap_after_fixed_point": lambda: _gated(slice(200, 260)),
     "scattered_30pct": lambda: _scattered(),
     "30_fps": lambda: _gated(n=200, fps=30.0),
+    "10_fps": lambda: _gated(n=100, fps=10.0),
+    "10_fps_wrist_gap": lambda: _gated(slice(40, 46), (0,), n=100, fps=10.0),
     "3_frames": lambda: _gated(n=3),
 }
 
@@ -356,18 +357,17 @@ def test_mjckf_equals_per_frame_filter_bit_for_bit(case):
 
 @pytest.fixture
 def short_gain_table(monkeypatch):
-    _measured_gains.cache_clear()
-    _channel_gains.cache_clear()
+    _wrist_gains.cache_clear()
     monkeypatch.setattr(posture, "GAIN_TABLE_MAX", 20)
     yield
-    _measured_gains.cache_clear()
-    _channel_gains.cache_clear()
+    _wrist_gains.cache_clear()
 
 
 def test_mjckf_past_an_unsettled_gain_table_runs_the_full_update(
         short_gain_table):
     args = _gated(n=120)
-    assert len(_measured_gains(1.0 / 60.0)[0]) == 20
+    wrist, settled = _wrist_gains(1.0 / 60.0)
+    assert not settled and len(wrist[0][0]) == 20
     assert (mjckf_correct(*args).tobytes()
             == _per_frame_mjckf(*args)[:, 0].tobytes())
 
@@ -400,8 +400,7 @@ def test_mjckf_of_a_fully_measured_track_reads_only_the_wrist():
 
 def test_mjckf_of_a_fully_measured_track_builds_no_chain_filter(monkeypatch):
     track, measured, fps = _gated()
-    _measured_gains(1.0 / fps)     # the shared tables, built once per interval
-    _channel_gains(1.0 / fps)
+    _wrist_gains(1.0 / fps)     # the shared table, built once per interval
 
     def refuse(*args):
         raise AssertionError("_ChainFilter constructed")
@@ -435,22 +434,45 @@ def test_calibrated_wrist_of_a_gapped_capture_equals_the_per_frame_filter():
     assert wrist.tobytes() == reference[:, 0].tobytes()
 
 
+def _chain_gains(fps, m):
+    """Gain K (m, 12, 6) and covariance P (m, 12, 12) of the whole chain's
+    filter after the update of each of m fully measured frames."""
+    nj = len(ARM_CHAIN)
+    filt = _ChainFilter(np.zeros((nj, 2)), np.zeros(nj - 1), 1.0 / fps)
+    gains, covs = [], []
+    for idx in range(m):
+        if idx > 0:
+            filt.predict()
+        gains.append(filt.update_positions(
+            dict.fromkeys(range(nj), np.zeros(2))))
+        covs.append(filt.P)
+    return np.stack(gains), np.stack(covs)
+
+
 @pytest.mark.parametrize("fps", [5.0, 30.0, 60.0, 1000.0])
 def test_measured_gains_reach_a_fixed_point_and_are_read_only(fps):
-    gains, covs = _measured_gains(1.0 / fps)
-    assert 2 <= len(gains) == len(covs) < GAIN_TABLE_MAX
-    assert covs[-1].tobytes() == covs[-2].tobytes()
-    assert gains.shape[1:] == (12, 6) and covs.shape[1:] == (12, 12)
-    for table in (gains, covs):
-        with pytest.raises(ValueError):
-            table[0, 0, 0] = 0.0
+    wrist, settled = _wrist_gains(1.0 / fps)
+    m = len(wrist[0][0])
+    assert settled and 2 <= m < GAIN_TABLE_MAX
+    assert [len(g) for pair in wrist for g in pair] == [m] * 4
+    # the table ends at the first covariance that repeats its predecessor
+    gains, covs = _chain_gains(fps, m)
+    repeats = [covs[i].tobytes() == covs[i - 1].tobytes() for i in range(1, m)]
+    assert repeats == [False] * (m - 2) + [True]
+    for k, (gain_p, gain_v) in enumerate(wrist):
+        assert gain_p == tuple(gains[:, k, k].tolist())
+        assert gain_v == tuple(gains[:, 2 + k, k].tolist())
+    assert _wrist_gains(1.0 / fps) is _wrist_gains(1.0 / fps)
+    with pytest.raises(TypeError):
+        wrist[0][0][0] = 0.0
 
 
 @pytest.mark.parametrize("fps", [5.0, 30.0, 60.0, 1000.0])
 def test_measured_gains_couple_each_position_only_to_itself(fps):
     # position (j, k) feeds state rows 4j+k (position) and 4j+2+k
-    # (velocity) alone: the fully measured frames are six scalar filters
-    gains, _ = _measured_gains(1.0 / fps)
+    # (velocity) alone: the fully measured frames are six scalar filters,
+    # which is why the wrist's two recursions are exact
+    gains, _ = _chain_gains(fps, len(_wrist_gains(1.0 / fps)[0][0]))
     coupled = np.zeros(gains.shape[1:], dtype=bool)
     for j in range(len(ARM_CHAIN)):
         for k in range(2):
