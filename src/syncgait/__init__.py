@@ -14,7 +14,7 @@ from .features import (FEATURE_NAMES, FeatureVector, FisherReport,
 from .gait import (GaitCycle, ImuChain, cycle_boundaries,
                    cycle_feature_rows, gait_representation, imu_chain,
                    imu_chains, normalize_cycle, segment_cycles)
-from .metrics import EvalReport, evaluate, fuse, roc_points_csv
+from .metrics import EvalReport, evaluate, roc_points_csv
 from .orientation import (EulerAngles, Quaternion, ahrs_stream,
                           euler_to_quaternion, integrate_velocity,
                           quaternion_to_euler)

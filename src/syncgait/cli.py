@@ -33,7 +33,7 @@ from .classify import deserialize_model, serialize_model
 from .features import FEATURE_NAMES
 from .gait import CYCLE_FEATURE_COUNT
 from .pipeline import Enrollment, enroll
-from .protocol import ChannelModel, SessionConfig, SessionState, run_session
+from .protocol import ChannelModel, DecisionRecord, SessionConfig, run_session
 from .synth import (IMU_RATE, CameraModel, HijackAttack, MimicryAttack,
                     RelayAttack, check_walk, generate_attack,
                     generate_session, make_cohort, shared_walks)
@@ -278,11 +278,9 @@ def cmd_enroll(cfg: ExperimentConfig, data_dir: Path, subject: int,
                  read_keypoint_npy(data_dir / kp_name, frame_rate=fps),
                  ClockOffsetEstimate.known(clock_offset))
                 for imu_name, kp_name, clock_offset in entries]
-    try:
-        enrollment = enroll(sessions, seed=cfg.seed)
-    except TooFewSamples as exc:
-        raise ValueError(f"session count {len(sessions)} is too few to "
-                         f"enroll subject {subject}: {exc}") from exc
+    enrollment = _enroll_subject(sessions, cfg.seed, subject,
+                                 f"session count {len(sessions)}",
+                                 "the sessions' synth duration")
 
     cons_name, gait_name = _model_names(subject)
     _write_bytes(out / cons_name,
@@ -300,6 +298,22 @@ def cmd_enroll(cfg: ExperimentConfig, data_dir: Path, subject: int,
     _write_json(out / f"subject{subject:02d}_enrollment.json", meta)
     print(f"enrolled subject {subject}: {cons_name}, {gait_name}")
     return EXIT_OK
+
+
+def _enroll_subject(sessions: list, seed: int, subject: int, count: str,
+                    duration: str) -> Enrollment:
+    """enroll(sessions), with too few sessions or sessions too short to
+    align refused as a ValueError naming `count` or `duration`, the knob
+    behind them."""
+    try:
+        return enroll(sessions, seed=seed)
+    except TooFewSamples as exc:
+        raise ValueError(f"{count} is too few to enroll subject {subject}: "
+                         f"{exc}") from exc
+    except InsufficientOverlap as exc:
+        raise ValueError(f"{duration} is too short to align subject "
+                         f"{subject}'s enrollment captures (MIN_OVERLAP_S "
+                         f"{MIN_OVERLAP_S} s): {exc}") from exc
 
 
 def _session_names(subject: int, k: int) -> tuple[str, str]:
@@ -345,18 +359,16 @@ def load_enrollment(out: Path, subject: int) -> Enrollment:
 
 # --- evaluate ----------------------------------------------------------------
 
+# a trial whose session made no decision: rejected, -1.0 on every score
+NO_DECISION = DecisionRecord(attempt=0, consistency_score_drone=-1.0,
+                             consistency_score_phone=-1.0, gait_score=-1.0)
+
+
 def _run_trial(cfg: ExperimentConfig, enrollment: Enrollment,
-               imu, kp, seed: int) -> dict:
+               imu, kp, seed: int) -> DecisionRecord:
     result = run_session(cfg.session, enrollment,
                          lambda attempt: imu, lambda attempt: kp, seed=seed)
-    if result.record is None:
-        return {"accepted": False, "consistency": -1.0, "gait": -1.0,
-                "fused": -1.0}
-    rec = result.record
-    cons = min(rec.consistency_score_drone, rec.consistency_score_phone)
-    return {"accepted": result.state == SessionState.ACCEPTED,
-            "consistency": cons, "gait": rec.gait_score,
-            "fused": min(cons, rec.gait_score)}
+    return result.record or NO_DECISION
 
 
 @shared_walks()
@@ -385,16 +397,9 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
                                           cfg.clock_offset,
                                           seed_offset=10 + k)
             sessions.append((imu, kp, offset))
-        try:
-            enrollments.append(enroll(sessions, seed=cfg.seed))
-        except TooFewSamples as exc:
-            raise ValueError(f"enroll_sessions {cfg.enroll_sessions} is too "
-                             f"few to enroll subject {si}: {exc}") from exc
-        except InsufficientOverlap as exc:
-            raise ValueError(f"duration {cfg.duration} s at fps {cfg.fps} is "
-                             f"too short to align subject {si}'s enrollment "
-                             f"captures (MIN_OVERLAP_S {MIN_OVERLAP_S} s): "
-                             f"{exc}") from exc
+        enrollments.append(_enroll_subject(
+            sessions, cfg.seed, si, f"enroll_sessions {cfg.enroll_sessions}",
+            f"duration {cfg.duration} s at fps {cfg.fps}"))
 
     configs = (cfg, *cfg.scenario_configs)
     trials = [([], {kind: [] for kind in c.attacks}) for c in configs]
@@ -438,28 +443,28 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def _summary(genuine: list[dict],
-             attacks: dict[str, list[dict]]) -> tuple[dict, dict]:
-    all_attacks = [t for trials in attacks.values() for t in trials]
-    rocs = {name: score_evaluate([t[name] for t in genuine],
-                                 [t[name] for t in all_attacks])
-            for name in ("consistency", "gait", "fused")}
+def _summary(genuine: list[DecisionRecord],
+             attacks: dict[str, list[DecisionRecord]]) -> tuple[dict, dict]:
+    all_attacks = [r for records in attacks.values() for r in records]
+    rocs = {name: score_evaluate([getattr(r, field) for r in genuine],
+                                 [getattr(r, field) for r in all_attacks])
+            for name, field in (("consistency", "consistency"),
+                                ("gait", "gait_score"), ("fused", "fused"))}
     return {"genuine": _rates(genuine),
-            "attacks": {kind: _rates(trials)
-                        for kind, trials in attacks.items()},
+            "attacks": {kind: _rates(records)
+                        for kind, records in attacks.items()},
             "scores": {name: rep.to_dict()
                        for name, rep in rocs.items()}}, rocs
 
 
-def _rates(trials: list[dict]) -> dict:
-    n = len(trials)
+def _rates(records: list[DecisionRecord]) -> dict:
+    n = len(records)
     return {
         "n": n,
-        "accept_rate": sum(t["accepted"] for t in trials) / n,
-        "consistency_pass_rate": sum(t["consistency"] >= 0
-                                     for t in trials) / n,
-        "gait_pass_rate": sum(t["gait"] >= 0 for t in trials) / n,
-        "fused_pass_rate": sum(t["fused"] >= 0 for t in trials) / n,
+        "accept_rate": sum(r.accepted for r in records) / n,
+        "consistency_pass_rate": sum(r.consistency_pass for r in records) / n,
+        "gait_pass_rate": sum(r.gait_pass for r in records) / n,
+        "fused_pass_rate": sum(r.fused >= 0 for r in records) / n,
     }
 
 

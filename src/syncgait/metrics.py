@@ -1,4 +1,4 @@
-"""Biometric evaluation: FAR/FRR sweep, EER, BAC, ROC/AUC, decision fusion.
+"""Biometric evaluation of a score stream: FAR/FRR sweep, EER, BAC, ROC/AUC.
 
 Rates are ratios of integer counts, so EER (with its crossing interpolation)
 and the trapezoidal AUC are computed in exact rational arithmetic and only
@@ -13,11 +13,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EmptyScores
-
-
-def fuse(consistency: bool, gait: bool) -> bool:
-    """Accept only when verification and authentication both pass."""
-    return bool(consistency) and bool(gait)
 
 
 @dataclass

@@ -3,9 +3,9 @@
 A session walks through hello, clock synchronization, chunked cross-exchange
 of the two sensor streams, and dual verification: both peers check the
 cross-modal consistency of what they hold, and the phone side additionally
-checks the gait signature. The transport drops and delays messages
-independently in both directions; every delivered or dropped message is
-logged to a transcript.
+checks the gait signature; `DecisionRecord` fuses the three checks. The
+transport drops and delays messages independently in both directions; every
+delivered or dropped message is logged to a transcript.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import EnrollmentMissing, SyncGaitError
 from .gait import imu_chain
-from .metrics import fuse
 from .pipeline import Enrollment, consistency_score, gait_score
 from .series import ImuSeries, KeypointSeries, fill_gaps
 from .syncing import (MIN_SESSION_S, SYNC_EXCHANGE_PERIOD,
@@ -72,8 +71,12 @@ class SessionConfig:
                              f">= {MIN_SESSION_S} s")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecisionRecord:
+    """An attempt's fused decision: accepted iff all three scores are >= 0.
+    `consistency` (the weaker peer's) and `fused` (the weaker of that and
+    gait) are score streams, and `fused >= 0` exactly when accepted."""
+
     attempt: int
     consistency_score_drone: float
     consistency_score_phone: float
@@ -81,7 +84,7 @@ class DecisionRecord:
 
     @property
     def accepted(self) -> bool:
-        return fuse(self.consistency_pass, self.gait_pass)
+        return self.consistency_pass and self.gait_pass
 
     @property
     def consistency_pass(self) -> bool:
@@ -91,6 +94,14 @@ class DecisionRecord:
     @property
     def gait_pass(self) -> bool:
         return self.gait_score >= 0
+
+    @property
+    def consistency(self) -> float:
+        return min(self.consistency_score_drone, self.consistency_score_phone)
+
+    @property
+    def fused(self) -> float:
+        return min(self.consistency, self.gait_score)
 
 
 @dataclass

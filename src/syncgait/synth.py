@@ -7,12 +7,13 @@ rides the wrist, so the accelerometer and gyroscope follow from the
 analytic wrist trajectory and phone orientation. Keypoints are the pinhole
 projection of the walking body as seen from the hovering camera.
 
-A session is its subject's walk plus its own noise. The walk (the clean IMU
-twin, the frame times and the noise-free pixels) depends only on the
-subject, the camera, the duration and the clock offset; the noise is drawn
-from the subject's seed and the session's seed offset. Inside
-`shared_walks()`, which each CLI command run opens, every walk is computed
-once and its sessions share it; outside it, each session computes its own.
+A session is its subject's walk plus its own noise. The walk's
+`GroundTruth` (the clean IMU twin, the frame times and the noise-free
+pixels) depends only on the subject, the camera, the duration and the
+clock offset; the noise is drawn from the subject's seed and the session's
+seed offset. Inside `shared_walks()`, which each CLI command run opens,
+every walk is computed once and its sessions share it; outside it, each
+session computes its own.
 """
 
 from __future__ import annotations
@@ -87,11 +88,14 @@ class CameraModel:
     fps: float = 60.0
 
     def __post_init__(self):
-        if not (0 < self.hover_height < math.inf
-                and 0 < self.horizontal_distance < math.inf
+        h, d = self.hover_height, self.horizontal_distance
+        # the projection squares the camera's offsets from the walk; they
+        # are multiplied here, since ** raises OverflowError on overflow
+        if not (0 < h and 0 < d and h * h + d * d < math.inf
                 and abs(self.horizontal_angle) < math.inf):
             raise ValueError("camera geometry must be finite, its height and "
-                             "distance positive")
+                             "distance positive and their squares' sum "
+                             "finite")
         if not 10 <= self.fps <= 60:
             raise ValueError("fps outside supported range")
 
@@ -120,19 +124,21 @@ class MimicryAttack:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """What the generator knows about a walk, shared by every session
-    recorded from it.
+    """A walk's noise-free truth, shared by every session recorded from it;
+    its arrays are read-only.
 
-    `clean` is the noise-free twin of the IMU streams; its arrays are
-    read-only. `cycle_boundaries` (seconds, phone clock) are its cycle
-    cuts, computed on first read and then kept: the instants a perfect
-    sensor would segment, so any deviation on a noisy stream measures noise
-    robustness. A twin that cannot be segmented raises its `SyncGaitError`
-    where the cuts are read, not when the session is generated.
+    `cycle_boundaries` (seconds, phone clock) are the cycle cuts of the
+    `clean` twin, computed on first read and then kept: the instants a
+    perfect sensor would segment, so any deviation on a noisy stream
+    measures noise robustness. A twin that cannot be segmented raises its
+    `SyncGaitError` where the cuts are read, not when the session is
+    generated.
     """
 
     clean: ImuSeries        # noise-free twin of the IMU stream
     clock_offset: float     # drone clock minus phone clock, s
+    frame_t: np.ndarray     # (n,) frame times, drone clock
+    uv: np.ndarray          # (n, 12, 2) noise-free pixels
 
     @cached_property
     def cycle_boundaries(self) -> list[float]:
@@ -202,15 +208,6 @@ def check_walk(duration: float, cam: CameraModel) -> None:
                               f"{cam.horizontal_distance} m away")
 
 
-@dataclass(frozen=True)
-class _Walk:
-    """The noise-free part of a session, with read-only arrays."""
-
-    truth: GroundTruth
-    frame_t: np.ndarray     # (n,) frame times, drone clock
-    uv: np.ndarray          # (n, 12, 2) noise-free pixels
-
-
 # the walk table of the enclosing shared_walks() scope, None outside one
 _WALKS: ContextVar[dict | None] = ContextVar("synth_walks", default=None)
 
@@ -218,8 +215,8 @@ _WALKS: ContextVar[dict | None] = ContextVar("synth_walks", default=None)
 @contextmanager
 def shared_walks():
     """A scope in which each walk is computed once: every session of one
-    (subject, camera, duration, clock offset) reuses its walk and its
-    `GroundTruth`. The walks are dropped when the scope ends."""
+    (subject, camera, duration, clock offset) reuses its `GroundTruth`.
+    The walks are dropped when the scope ends."""
     token = _WALKS.set({})
     try:
         yield
@@ -228,7 +225,7 @@ def shared_walks():
 
 
 def _walk(p: SubjectParams, cam: CameraModel, duration: float,
-          clock_offset: float) -> _Walk:
+          clock_offset: float) -> GroundTruth:
     walks, key = _WALKS.get(), (p, cam, duration, clock_offset)
     if walks is None:
         return _make_walk(*key)
@@ -238,7 +235,7 @@ def _walk(p: SubjectParams, cam: CameraModel, duration: float,
 
 
 def _make_walk(p: SubjectParams, cam: CameraModel, duration: float,
-               clock_offset: float) -> _Walk:
+               clock_offset: float) -> GroundTruth:
     check_walk(duration, cam)
     arm = _ArmModel(p, math.radians(cam.horizontal_angle))
 
@@ -261,7 +258,7 @@ def _make_walk(p: SubjectParams, cam: CameraModel, duration: float,
     for a in (t, acc, gyro, frame_t, uv):
         a.flags.writeable = False
     clean = ImuSeries(t=t, acc=acc, gyro=gyro, sample_rate=IMU_RATE)
-    return _Walk(GroundTruth(clean, clock_offset), frame_t, uv)
+    return GroundTruth(clean, clock_offset, frame_t, uv)
 
 
 def generate_session(p: SubjectParams, cam: CameraModel = CameraModel(),
@@ -276,8 +273,8 @@ def generate_session(p: SubjectParams, cam: CameraModel = CameraModel(),
     and the pixels are the session's own. The ground truth keeps the
     noise-free twin stream and segments it only when its `cycle_boundaries`
     are first read, so this runs no AHRS."""
-    walk = _walk(p, cam, duration, clock_offset)
-    clean = walk.truth.clean
+    truth = _walk(p, cam, duration, clock_offset)
+    clean = truth.clean
     rng = np.random.default_rng((p.seed, seed_offset))
     n = len(clean)
     acc = clean.acc + rng.normal(0.0, p.imu_noise, (n, 3))
@@ -287,14 +284,14 @@ def generate_session(p: SubjectParams, cam: CameraModel = CameraModel(),
     rng.normal(0.0, p.imu_noise * 2.0, (n, 3))
     # one noise draw per (frame, side, joint, axis), the order the session
     # goldens fix, put in joint order
-    noise = rng.normal(0.0, p.kp_noise, (len(walk.frame_t), 2, 6, 2))
-    uv = walk.uv + noise.transpose(0, 2, 1, 3).reshape(walk.uv.shape)
+    noise = rng.normal(0.0, p.kp_noise, (len(truth.frame_t), 2, 6, 2))
+    uv = truth.uv + noise.transpose(0, 2, 1, 3).reshape(truth.uv.shape)
     # a joint projected outside the image is not detected
     seen = ((uv >= 0.0) & (uv < RESOLUTION)).all(axis=2)
     return (ImuSeries(t=clean.t, acc=acc, gyro=gyro, sample_rate=IMU_RATE),
-            KeypointSeries(walk.frame_t, uv, seen.astype(float),
+            KeypointSeries(truth.frame_t, uv, seen.astype(float),
                            frame_rate=cam.fps),
-            walk.truth)
+            truth)
 
 
 def _limb(length: float, ang: np.ndarray, dx: float, dy: float) -> np.ndarray:

@@ -13,12 +13,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from syncgait import cli, synth
+from syncgait import cli, protocol, synth
 from syncgait.classify import fit_ocsvm_fixed, serialize_model
 from syncgait.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, MANIFEST_FORMAT,
                           ExperimentConfig, build_parser, load_enrollment,
                           main)
-from syncgait.errors import InvalidDuration, IoFailure
+from syncgait.errors import InsufficientOverlap, InvalidDuration, IoFailure
 from syncgait.io import (read_imu_npy, read_keypoint_npy, write_imu_npy,
                          write_keypoint_npy)
 from syncgait.pipeline import enroll
@@ -83,6 +83,23 @@ def test_walk_reaching_the_camera_is_config_error_and_writes_nothing(
     assert not (tmp_path / "out").exists()
     # the longest walk the goldens take, 14.4 m of 18
     assert ExperimentConfig(duration=12.0).duration == 12.0
+
+
+@pytest.mark.parametrize("geometry", [{"distance": 1e300},
+                                      {"hover_height": 1e200}],
+                         ids=["distance", "height"])
+@pytest.mark.parametrize("command", ["synth", "evaluate"])
+def test_camera_whose_squares_overflow_is_config_error_before_synthesis(
+        tmp_path, capsys, session_calls, geometry, command):
+    # the projection would overflow to inf with a numpy RuntimeWarning (an
+    # error under this suite's warning filter) and then fail on its pixels
+    cfg = _write_config(tmp_path, dict(geometry, cohort_size=3,
+                                       attack_trials=1))
+    assert main([command, "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "camera geometry" in capsys.readouterr().err
+    assert session_calls == []
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("offset", [1e17, 1e300])
@@ -417,6 +434,20 @@ def test_enroll_names_a_session_count_too_few_to_train(tmp_path, capsys,
     assert not (tmp_path / "m").exists()
 
 
+def test_enroll_names_a_duration_too_short_to_align(tmp_path, capsys):
+    cfg = _write_config(tmp_path, dict(FAST_ENROLL, duration=3))
+    assert main(["synth", "--config", cfg,
+                 "--out", str(tmp_path / "data")]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["enroll", "--data", str(tmp_path / "data"), "--subject",
+                 "0", "--out", str(tmp_path / "m")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert ("the sessions' synth duration is too short to align subject 0"
+            in err)
+    assert f"(MIN_OVERLAP_S {MIN_OVERLAP_S} s): overlap 2.983 s" in err
+    assert not (tmp_path / "m").exists()
+
+
 @pytest.mark.parametrize("command", ["synth", "enroll", "evaluate"])
 def test_negative_seed_is_config_error_and_writes_nothing(
         tmp_path, capsys, enroll_data, command):
@@ -664,6 +695,23 @@ def test_evaluate_scenarios_equal_separate_flagged_runs(tmp_path):
         alone = _evaluate_report(tmp_path, f"alone{i}",
                                  dict(TINY_EVALUATE, **entry))
         assert scenario == alone
+
+
+def test_evaluate_counts_a_trial_without_a_decision_as_rejected(
+        tmp_path, monkeypatch):
+    # every attempt fails before it is scored, so no session makes a
+    # decision: each trial is rejected and reads -1.0 on every score stream
+    def no_scores(*args):
+        raise InsufficientOverlap("no scores")
+    monkeypatch.setattr(protocol, "attempt_scores", no_scores)
+    report = _evaluate_report(tmp_path, "x", TINY_EVALUATE)
+    for rates in (report["genuine"], *report["attacks"].values()):
+        assert rates == {"n": 2, "accept_rate": 0.0,
+                         "consistency_pass_rate": 0.0,
+                         "gait_pass_rate": 0.0, "fused_pass_rate": 0.0}
+    for name in ("consistency", "gait", "fused"):
+        assert (tmp_path / "x" / f"roc_{name}.csv").read_text() == (
+            "threshold,far,tar\n-2,1,1\n-1,1,1\n0,0,0\n")
 
 
 def test_evaluate_without_scenarios_keeps_its_config_and_digest():

@@ -1,5 +1,4 @@
-"""EER/AUC/BAC evaluation against an exhaustive-threshold oracle, and the
-AND-fusion decision rule."""
+"""EER/AUC/BAC evaluation against an exhaustive-threshold oracle."""
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syncgait.errors import EmptyScores
-from syncgait.metrics import EvalReport, evaluate, fuse, roc_points_csv
+from syncgait.metrics import EvalReport, evaluate, roc_points_csv
 
 
 def oracle_rates(genuine, impostor):
@@ -100,26 +99,6 @@ def test_rates_are_valid_probabilities(g, i):
     # FAR is non-increasing, FRR non-decreasing in the threshold
     assert np.all(np.diff(rep.far_curve) <= 1e-12)
     assert np.all(np.diff(rep.frr_curve) >= -1e-12)
-
-
-# --- fusion ----------------------------------------------------------------------
-
-def test_fuse_truth_table():
-    assert fuse(True, True) is True
-    assert fuse(True, False) is False
-    assert fuse(False, True) is False
-    assert fuse(False, False) is False
-
-
-@given(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1,
-                max_size=200))
-def test_fused_far_never_exceeds_module_fars(decisions):
-    # conjunction fusion: the fused accept count is bounded by each module's
-    n = len(decisions)
-    cons_far = sum(c for c, _ in decisions) / n
-    gait_far = sum(g for _, g in decisions) / n
-    fused_far = sum(fuse(c, g) for c, g in decisions) / n
-    assert fused_far <= min(cons_far, gait_far) + 1e-12
 
 
 def test_roc_csv_format():

@@ -1,5 +1,6 @@
 """Lossy-channel model, retransmission, and the session state machine."""
 
+import itertools
 import json
 import warnings
 
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 from syncgait import gait as gait_module
 from syncgait import pipeline, protocol
 from syncgait.errors import EnrollmentMissing, SyncGaitError
-from syncgait.protocol import (ARQ_ROUNDS, ChannelModel, SessionConfig,
-                               SessionState, _received_imu,
+from syncgait.protocol import (ARQ_ROUNDS, ChannelModel, DecisionRecord,
+                               SessionConfig, SessionState, _received_imu,
                                _received_keypoints, attempt_scores,
                                exchange_with_arq, inject_loss, run_session)
 from syncgait.pipeline import (Enrollment, consistency_score, enroll,
@@ -466,3 +467,43 @@ def test_video_shorter_than_the_minimum_overlap_is_never_accepted(
     else:
         assert result.state == SessionState.FAILED
         assert outcome == "failed" or reasons == [outcome]
+
+
+# --- the fused decision ------------------------------------------------------
+
+def _record(drone, phone, gait):
+    return DecisionRecord(attempt=1, consistency_score_drone=drone,
+                          consistency_score_phone=phone, gait_score=gait)
+
+
+def test_decision_record_truth_table():
+    # accepted only when both peers' consistency checks and the gait check
+    # pass; a score of exactly 0 passes
+    for drone, phone, gait in itertools.product((-0.5, 0.0, 0.5), repeat=3):
+        passes = (drone >= 0 and phone >= 0, gait >= 0)
+        rec = _record(drone, phone, gait)
+        assert (rec.consistency_pass, rec.gait_pass) == passes
+        assert rec.accepted is all(passes)
+
+
+_SCORE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(_SCORE, _SCORE, _SCORE)
+def test_decision_record_score_streams_state_the_fused_rule(drone, phone,
+                                                            gait):
+    rec = _record(drone, phone, gait)
+    assert rec.accepted == all(s >= 0 for s in (drone, phone, gait))
+    assert rec.consistency == min(drone, phone)
+    assert rec.fused == min(rec.consistency, gait)
+    assert (rec.fused >= 0) == rec.accepted
+
+
+@given(st.lists(st.tuples(_SCORE, _SCORE, _SCORE), min_size=1,
+                max_size=200))
+def test_fused_far_never_exceeds_module_fars(scores):
+    # conjunction fusion: the fused accept count is bounded by each module's
+    records = [_record(*s) for s in scores]
+    accepted = sum(r.accepted for r in records)
+    assert accepted <= sum(r.consistency_pass for r in records)
+    assert accepted <= sum(r.gait_pass for r in records)

@@ -149,6 +149,21 @@ def test_camera_model_validation():
             CameraModel(**geometry)
 
 
+@pytest.mark.parametrize("geometry", [
+    {"horizontal_distance": 1e300}, {"hover_height": 1e200},
+    {"hover_height": 1.3e154, "horizontal_distance": 1.3e154}])
+def test_camera_model_refuses_a_geometry_whose_squares_overflow(geometry):
+    with pytest.raises(ValueError, match="squares"):
+        CameraModel(**geometry)
+
+
+def test_camera_model_just_inside_the_overflow_synthesizes_cleanly():
+    # 1.3e154 squared is finite: the walk projects with no overflow warning
+    _, kp, _ = generate_session(SubjectParams(), CameraModel(
+        horizontal_distance=1.3e154), duration=3.0)
+    assert np.isfinite(kp.uv).all()
+
+
 # --- attacks ---------------------------------------------------------------------
 
 def test_relay_mixes_two_subjects():
