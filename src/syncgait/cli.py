@@ -281,6 +281,11 @@ def cmd_enroll(cfg: ExperimentConfig, data_dir: Path, subject: int,
     enrollment = _enroll_subject(sessions, cfg.seed, subject,
                                  f"session count {len(sessions)}",
                                  "the sessions' synth duration")
+    # after the fit, so that a frame rate the Kalman filter cannot run
+    # stays a configuration error naming the rate
+    for (imu, kp, _), (imu_name, kp_name, _) in zip(sessions, entries):
+        _check_step(data_dir / imu_name, imu.t, "imu_rate", imu_rate)
+        _check_step(data_dir / kp_name, kp.t, "fps", fps)
 
     cons_name, gait_name = _model_names(subject)
     _write_bytes(out / cons_name,
@@ -298,6 +303,18 @@ def cmd_enroll(cfg: ExperimentConfig, data_dir: Path, subject: int,
     _write_json(out / f"subject{subject:02d}_enrollment.json", meta)
     print(f"enrolled subject {subject}: {cons_name}, {gait_name}")
     return EXIT_OK
+
+
+def _check_step(path: Path, t: np.ndarray, name: str, rate: float) -> None:
+    """IoFailure unless the median timestamp step of a file of two or more
+    rows lies within 1 % of 1 / rate, the manifest's `name`."""
+    if len(t) < 2:
+        return
+    with np.errstate(over="ignore"):
+        step = float(np.median(np.diff(t)))
+    if not abs(step * rate - 1.0) <= 0.01:
+        raise IoFailure(f"{path}: manifest {name} {rate:g} does not match "
+                        f"the median timestamp step {step:.6g} s")
 
 
 def _enroll_subject(sessions: list, seed: int, subject: int, count: str,

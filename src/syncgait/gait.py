@@ -1,9 +1,9 @@
 """The IMU chain, gait segmentation and the 6-channel cycle representation.
 
 A batch of streams runs the column-wise wavelet denoise once per (length,
-rate) shape, then the AHRS and rotation per stream. Cycles are cut at
-prominent local minima of the world-frame vertical acceleration, then each
-cycle's phone-frame (a_x, a_y, a_z, ω_x, ω_y, ω_z) channels are
+rate) shape, then the attitude scan and rotation per stream. Cycles are cut
+at prominent local minima of the world-frame vertical acceleration, then
+each cycle's phone-frame (a_x, a_y, a_z, ω_x, ω_y, ω_z) channels are
 interpolated to a fixed length. The channels read no attitude, so a cycle
 does not depend on the walking direction's compass heading. Cuts are
 sample indices; the cut instants are their grid times t[0] + i / rate, so
@@ -48,16 +48,17 @@ class ImuChain:
     (n, 3) world-frame acceleration less gravity. The gait cycles read the
     phone-frame (a_x, a_y, a_z, ω_x, ω_y, ω_z) of `denoised`; the speed
     channel and the cycle cuts read `a_world`. So a session denoises, runs
-    the AHRS and rotates once per stream."""
+    the attitude scan and rotates once per stream."""
 
     denoised: ImuSeries
     a_world: np.ndarray
 
 
 def imu_chains(imus: list[ImuSeries]) -> list[ImuChain]:
-    """Each stream denoised, run through the AHRS and rotated into the world
-    frame. The acc | gyro columns of the streams of one (length, rate) are
-    denoised in one call. A stream too short to denoise is SeriesTooShort."""
+    """Each stream denoised, run through the attitude scan and rotated into
+    the world frame. The acc | gyro columns of the streams of one (length,
+    rate) are denoised in one call. A stream too short to denoise is
+    SeriesTooShort."""
     require_squarable("IMU", *(b for imu in imus for b in (imu.acc, imu.gyro)))
     blocks = by_shape(wavelet_denoise,
                       [np.hstack([imu.acc, imu.gyro]) for imu in imus],

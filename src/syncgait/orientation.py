@@ -1,11 +1,12 @@
 """Quaternion attitude estimation and frame transformations.
 
-The AHRS is the 6-axis (IMU) form of Madgwick, Harrison & Vaidyanathan
-(2011): gyro integration corrected toward gravity by gradient descent, with
-explicit gyroscope bias feedback. Gravity fixes roll and pitch only, so the
-heading is relative. Conventions: the quaternion q maps phone-frame vectors
-into the world frame, v_world = q * v_phone * q^-1, with world z up and
-yaw 0 at the first sample.
+The attitude is the gyro integrated as an associative prefix product, then
+levelled once per capture so that its mean world acceleration points up.
+Gravity fixes roll and pitch only, so the heading is relative: the
+levelling rotation has yaw 0, so the attitude before the first gyro step
+has yaw 0, and nothing downstream reads the heading. Conventions: the
+quaternion q maps phone-frame vectors into the world frame,
+v_world = q * v_phone * q^-1, with world z up.
 """
 
 from __future__ import annotations
@@ -16,11 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSeries, NonUnitQuaternion
-from .series import ImuSeries
+from .series import ImuSeries, require_squarable
 
 UNIT_NORM_TOL = 1e-3
-AHRS_BETA = 0.1     # gradient-correction gain
-AHRS_ZETA = 0.01    # gyro-bias feedback gain
 
 
 @dataclass(frozen=True)
@@ -89,8 +88,8 @@ def rotation_matrices(q: np.ndarray) -> np.ndarray:
 
 def euler_to_quaternion(e: EulerAngles) -> Quaternion:
     """Inverse of quaternion_to_euler on the principal domain; the phone
-    tilt of `synth` and the gravity-only start of `initial_orientation`
-    are built with it."""
+    tilt of `synth` and the levelling rotation of `ahrs_stream` are built
+    with it."""
     qx = Quaternion(math.cos(e.roll / 2), math.sin(e.roll / 2), 0, 0)
     qy = Quaternion(math.cos(-e.pitch / 2), 0, math.sin(-e.pitch / 2), 0)
     qz = Quaternion(math.cos(e.yaw / 2), 0, 0, math.sin(e.yaw / 2))
@@ -105,96 +104,39 @@ def rotate_to_world(q: Quaternion, v_phone: np.ndarray) -> np.ndarray:
     return np.array([r.q1, r.q2, r.q3])
 
 
-def initial_orientation(a: np.ndarray) -> Quaternion:
-    """The roll and pitch of one stationary accelerometer sample, at yaw 0,
-    with Python float fields. Zero gravity or a norm that is not finite is
-    DegenerateSeries."""
-    up = np.asarray(a, dtype=float)
-    with np.errstate(over="ignore"):
-        na = np.linalg.norm(up)
-    if not 0 < na < math.inf:
-        raise DegenerateSeries(f"no attitude from |a| = {na}")
-    up = up / na
-    pitch = math.asin(max(-1.0, min(1.0, up[0])))
-    return euler_to_quaternion(EulerAngles(math.atan2(up[1], up[2]), pitch, 0.0))
-
-
 def ahrs_stream(imu: ImuSeries) -> np.ndarray:
-    """(n, 4) quaternions (q0, q1, q2, q3), one per sample: the AHRS run on
-    the accelerometer and gyro from the gravity attitude of the first sample
-    and zero gyro bias. A sample whose |a| overflows is DegenerateSeries.
+    """(n, 4) quaternions (q0, q1, q2, q3), one per sample: the gyro
+    integrated as one prefix product, then levelled once on gravity.
 
-    Each step integrates the gyro, less its bias estimate, corrected by the
-    normalized gradient of the gravity objective R^T(q) (0, 0, 1) - a / |a|
-    (gain AHRS_BETA); the angular error drives the gyro-bias estimate (gain
-    AHRS_ZETA). Only a zero accelerometer, with no gravity to correct
-    against, falls back to gyro-only integration.
-
-    Every sample's gravity direction a / |a| is computed before the loop.
-    The squares in |a| are `float_power`, the C `pow` that Python's `a0 ** 2`
-    calls, which differs from numpy's `a * a` in the last bit on a few
-    samples. The loop runs on Python floats: a numpy scalar in the state
-    would make every step's arithmetic numpy-scalar, about 3x slower.
+    Sample k's step is the unit quaternion (1, w_k dt / 2) / |.|, and
+    attitude k the product p_0 p_1 ... p_k. Quaternion products are
+    associative, so the n products are one Hillis-Steele scan (Blelloch
+    1990) of ceil(log2 n) array passes. A walk at steady speed averages its
+    arm and body accelerations to about zero, so one rotation, the same for
+    every sample, turns the capture's mean world acceleration straight up.
+    Samples that overflow when squared, or a mean world acceleration that
+    is zero, are DegenerateSeries.
     """
-    q = initial_orientation(imu.acc[0])
-    w, x, y, z = q.q0, q.q1, q.q2, q.q3
-    bx_b = by_b = bz_b = 0.0
-    dt = 1.0 / float(imu.sample_rate)
-    beta, zeta, sqrt = AHRS_BETA, AHRS_ZETA, math.sqrt
-    with np.errstate(over="ignore"):
-        sq = np.float_power(imu.acc, 2.0)
-        na = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])[:, None]
-    if not np.isfinite(na).all():
-        raise DegenerateSeries("accelerometer samples too large to square")
-    up = np.divide(imu.acc, na, out=np.zeros_like(imu.acc), where=na > 0)
-    out = []
-    append = out.append
-    for ux, uy, uz, g0, g1, g2, gyro_only in np.hstack(
-            [up, imu.gyro, na == 0.0]).tolist():
-        s0 = s1 = s2 = s3 = 0.0
-        if not gyro_only:
-            # error e = R^T(q) r - a / |a| and its gradient J^T e, written
-            # out for the constant reference r = (0, 0, 1)
-            ex = 2.0 * (x * z - w * y) - ux
-            ey = 2.0 * (w * x + y * z) - uy
-            ez = 1.0 - 2.0 * (x * x + y * y) - uz
-            ve = x * ex + y * ey + z * ez
-            s0 = -2.0 * (y * ex - x * ey)
-            s1 = 2.0 * w * ey + 2.0 * (z * ex - 2.0 * ez * x)
-            s2 = -2.0 * w * ex + 2.0 * (z * ey - 2.0 * ez * y)
-            s3 = 2.0 * (ve + z * ez - 2.0 * ez * z)
-            ns = sqrt(s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3)
-            if ns > 0:
-                s0 /= ns
-                s1 /= ns
-                s2 /= ns
-                s3 /= ns
-            else:
-                s0 = s1 = s2 = s3 = 0.0
-            # angular error 2 q^-1 * s drives bias feedback
-            bx_b += zeta * (2.0 * (w * s1 - x * s0 - y * s3 + z * s2)) * dt
-            by_b += zeta * (2.0 * (w * s2 + x * s3 - y * s0 - z * s1)) * dt
-            bz_b += zeta * (2.0 * (w * s3 - x * s2 + y * s1 - z * s0)) * dt
-
-        # with no gravity s is zero, and subtracting 0.0 changes no value
-        gx = g0 - bx_b
-        gy = g1 - by_b
-        gz = g2 - bz_b
-        qd0 = 0.5 * (-x * gx - y * gy - z * gz) - beta * s0
-        qd1 = 0.5 * (w * gx + y * gz - z * gy) - beta * s1
-        qd2 = 0.5 * (w * gy - x * gz + z * gx) - beta * s2
-        qd3 = 0.5 * (w * gz + x * gy - y * gx) - beta * s3
-        w += qd0 * dt
-        x += qd1 * dt
-        y += qd2 * dt
-        z += qd3 * dt
-        n = sqrt(w * w + x * x + y * y + z * z)
-        w /= n
-        x /= n
-        y /= n
-        z /= n
-        append((w, x, y, z))
-    return np.array(out)
+    require_squarable("IMU", imu.acc, imu.gyro)
+    steps = np.hstack([np.ones((len(imu), 1)),
+                       imu.gyro * (0.5 / imu.sample_rate)])
+    q = steps / np.linalg.norm(steps, axis=1, keepdims=True)
+    shift = 1
+    while shift < len(q):
+        p = Quaternion(*q[:-shift].T) * Quaternion(*q[shift:].T)
+        q[shift:] = np.column_stack([p.q0, p.q1, p.q2, p.q3])
+        shift *= 2
+    # the summed world acceleration points where the mean does
+    up = (rotation_matrices(q) @ imu.acc[:, :, None]).sum(axis=0)[:, 0]
+    norm = np.linalg.norm(up)
+    if not 0 < norm < math.inf:
+        raise DegenerateSeries(f"no level: the world accelerations sum to "
+                               f"a vector of norm {norm}")
+    ux, uy, uz = up / norm
+    level = euler_to_quaternion(EulerAngles(
+        math.atan2(uy, uz), math.atan2(ux, math.hypot(uy, uz)), 0.0))
+    p = level * Quaternion(*q.T)
+    return np.column_stack([p.q0, p.q1, p.q2, p.q3])
 
 
 GRAVITY = 9.81

@@ -15,13 +15,12 @@ A batch of streams (`gait.imu_chains`, `imu_speed_channels`,
 rate) shape; a one-stream entry point is the batch of one. An IMU is taken
 as an `ImuSeries` or its `ImuChain`, so a caller that scores one IMU view
 several times (the consistency and gait checks of an attempt) runs its
-denoise and AHRS once. The features of m pairs are one (m, 6) array.
+denoise and attitude scan once. The features of m pairs are one (m, 6) array.
 
 The pipeline takes no settings: each stage reads its module's constants
-(`posture.ARM_CHAIN` and the MJCKF noise levels, the AHRS gains in
-`orientation`, `series.DENOISE_LEVELS`, the `gait` period bounds,
-`syncing.COMMON_RATE`, the OC-SVM grids and calibration in `classify`) and
-the enrollment constants below.
+(`posture.ARM_CHAIN` and the MJCKF noise levels, `series.DENOISE_LEVELS`,
+the `gait` period bounds, `syncing.COMMON_RATE`, the OC-SVM grids and
+calibration in `classify`) and the enrollment constants below.
 """
 
 from __future__ import annotations

@@ -189,8 +189,8 @@ def attempt_scores(enrollment: Enrollment, offset: ClockOffsetEstimate,
     arrived against its own `kp`; the phone scores its own `imu` against the
     keypoints as they arrived and checks the gait on `imu`. A receiver's
     view is built only for a stream that lost samples. Each IMU view's
-    chain (denoise and AHRS) is run once and shared by the scores that
-    read it. When both views are complete the phone's score is the
+    chain (denoise and attitude scan) is run once and shared by the scores
+    that read it. When both views are complete the phone's score is the
     drone's, computed once (on the uniform IMU speed grid an all-valid mask
     drops no aligned point), so an attempt runs one IMU chain and one
     speed channel of each stream. When one view is partial the phone's

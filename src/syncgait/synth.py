@@ -272,7 +272,7 @@ def generate_session(p: SubjectParams, cam: CameraModel = CameraModel(),
     clock_offset). The timestamps are the walk's read-only arrays; acc, gyro
     and the pixels are the session's own. The ground truth keeps the
     noise-free twin stream and segments it only when its `cycle_boundaries`
-    are first read, so this runs no AHRS."""
+    are first read, so this runs no attitude scan."""
     truth = _walk(p, cam, duration, clock_offset)
     clean = truth.clean
     rng = np.random.default_rng((p.seed, seed_offset))

@@ -381,6 +381,23 @@ def test_enroll_non_finite_rate_is_io_error(tmp_path, enroll_data, field,
     assert _enroll_edited(tmp_path, enroll_data, edit) == EXIT_IO
 
 
+@pytest.mark.parametrize("field, value, step", [
+    ("fps", 30, "0.0166667"), ("fps", 10, "0.0166667"),
+    ("imu_rate", 5, "0.01")])
+def test_enroll_rate_that_disagrees_with_the_files_is_io_error(
+        tmp_path, capsys, enroll_data, field, value, step):
+    # the files are at 60 fps and 100 Hz: a manifest rate off by more
+    # than 1 % of the median timestamp step is refused, and nothing written
+    def edit(manifest):
+        (manifest if field == "imu_rate" else manifest["config"])[field] = value
+    assert _enroll_edited(tmp_path, enroll_data, edit) == EXIT_IO
+    err = capsys.readouterr().err
+    assert (f"session00_{'imu' if field == 'imu_rate' else 'keypoints'}.npy: "
+            f"manifest {field} {value} does not match the median timestamp "
+            f"step {step} s") in err
+    assert not (tmp_path / "m").exists()
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
                          ids=["nan", "inf", "minus_inf"])
 def test_enroll_non_finite_clock_offset_is_io_error(tmp_path, capsys,
@@ -617,7 +634,7 @@ def test_readme_commands_parse():
 @pytest.mark.parametrize("sessions, seed, subject", [
     pytest.param(1, 1, 0, id="1-1"), pytest.param(2, 3, 0, id="2-3"),
     # subject 0 enrolls from two sessions, subject 1 cannot
-    pytest.param(2, 1, 1, id="2-1")])
+    pytest.param(2, 7, 1, id="2-7")])
 def test_evaluate_names_enroll_sessions_too_few_to_train(
         tmp_path, capsys, session_calls, sessions, seed, subject):
     cfg = _write_config(tmp_path, {"cohort_size": 2, "seed": seed,

@@ -3,8 +3,10 @@ from them and `evaluate`'s report, byte for byte.
 
 The report digest was recorded before the synthesizer's unread kinematics
 and one-value settings were deleted, the model digests when the session
-files became exact binary matrices; any change to what the program writes,
-down to the last printed digit, shows here.
+files became exact binary matrices. The manifest, report and model digests
+were re-captured when the attitude became the levelled prefix product of
+the gyro: the manifest carries cycle cuts made through it. Any change to
+what the program writes, down to the last printed digit, shows here.
 """
 
 import hashlib
@@ -19,24 +21,24 @@ EVALUATE_CONFIG = {"cohort_size": 2, "enroll_sessions": 6, "genuine_trials": 1,
 
 SYNTH_SHA256 = {
     "manifest.json":
-        "bd8a4822ba537d96b9be74a54434677547ccd02683f6fb25b412921ca150d8eb",
+        "d90769466ead1d917ac1c52fd62c5c4086cc466d5bfaa3fbef7d530603e0440e",
     "subject01_session00_imu.npy":
         "d36e4e107b148de83282c35d06a8cb55892696f3acf2aedab8c0ae832c05a3ae",
     "subject01_session00_keypoints.npy":
         "b267ec745fc36b2f4126c455af71e6de7d4a83bb75b48221b3f08ea9ee45fd3a",
 }
 REPORT_SHA256 = (
-    "2e75017390c7d5d59871e905243e3b10e574767546e4f4a37152b35b47abc9f5")
+    "c28bbffe6df9f1a1c0d6fd611da6cba5b8b03197af9e7f12992e1fb9f6a3f66e")
 # enroll subject 0 from its synthesized sessions: the models depend on every
 # value the session files carry, so they pin the readers' round trip
 ENROLL_CONFIG = {"cohort_size": 2, "sessions_per_subject": 6}
 ENROLL_SHA256 = {
     "subject00_consistency.model":
-        "6a716adc2eefca621fe54db5d17e26b66b7ffd0382f05f72b4baa6ffe47f6f68",
+        "c2aeafbc51542fa6aa40c781b6fbc71ea9ffee056516ead12244fa1b406a0306",
     "subject00_gait.model":
-        "bf6d69899c9984cfe289bd7d7bf6b08c88444ece022d13d2cd2824c17dfba1f0",
+        "17693c1cf91db1155aa2a7816d5ae043bec38d01a6f8d7cb902031b4559c033e",
     "subject00_enrollment.json":
-        "929338649cb546295797e55e0d9360df6173ee10c0b0263fb0d1d98b2e872f86",
+        "5a99d41b860961bcbd7259d2c25f37725dbf925b16deed94ca4b09eb2fd7bdff",
 }
 
 

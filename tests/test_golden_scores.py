@@ -5,6 +5,8 @@ chain per score, and the consistency scores, models and transcripts were
 re-captured when the AHRS became 6-axis. The enrollment model and the
 consistency scores of two sessions were re-captured when the Welch spectra
 and correlations became numpy row operations (at most 5e-16 relative).
+Every value was re-captured when the attitude became the levelled prefix
+product of the gyro.
 Restructuring how the chains are computed and shared must reproduce them
 exactly: the float.hex() of each score, the session state and attempt
 count, the transcript, and the serialized models.
@@ -27,7 +29,7 @@ SUBJECT = SubjectParams(seed=21)
 IMPOSTOR = SubjectParams(cycle_period=1.1, swing_amplitude=0.55, seed=99)
 
 ENROLLMENT_SHA256 = (
-    "1fd0caaf6a8beb94a52548908e3ac6c2000c362e1ca7338080b20ae2f5bcd096")
+    "1d5b1a7269d6cb6322e280dd80d09213dd9d7be9f53d4e35387693a92694bc8f")
 
 # name -> (subject, capture seed_offset base, loss rate, session seed,
 #          retransmission rounds or None for the default,
@@ -35,25 +37,25 @@ ENROLLMENT_SHA256 = (
 SESSIONS = {
     "genuine_loss0": (
         SUBJECT, 500, 0.0, 1, None, "accepted", 1,
-        ("0x1.b8b359469775ep-2", "0x1.b8b359469775ep-2",
-         "0x1.c40d2ad6c85c0p-5"),
-        "4a6e543a436a80fed9c0e5750c599412e02ba67ac45436b02a85a087b1986a81"),
+        ("0x1.a34c750aca1bap-2", "0x1.a34c750aca1bap-2",
+         "0x1.d9335850ef5a0p-5"),
+        "a2e73137c7f0f269db6bc27da92e73cd046a98b2201d315113887fc82629049c"),
     "genuine_loss03": (
         SUBJECT, 510, 0.3, 2, None, "accepted", 1,
-        ("0x1.b9bb58e559306p-2", "0x1.b9bb58e559306p-2",
-         "0x1.c9ac1386875f0p-5"),
-        "88fb0825cd11e2600e77c35e250973cd04f42671c67c9ccb70acdf32ab42c7fe"),
+        ("0x1.a2dd14cf9e6bap-2", "0x1.a2dd14cf9e6bap-2",
+         "0x1.cfdbd6b6ea650p-5"),
+        "c3f16a08feeb5a4040bd745dec3c7abec5b9abe21c0c29f335db3179ec9fb9be"),
     # no retransmission: both receivers hold a view with lost chunks
     "genuine_partial_views": (
         SUBJECT, 520, 0.3, 3, 0, "accepted", 1,
-        ("0x1.b88fe9335c2c2p-2", "0x1.f91a280fcd5b0p-3",
-         "0x1.36650d75513d0p-5"),
-        "d5af9b5e97576bc3c3146f71ab76898c7fbb42aea59ffb90b555d4e2aaa5ec35"),
+        ("0x1.a422c78e351cap-2", "0x1.b4bafaeaa33acp-3",
+         "0x1.21100db4df4a0p-5"),
+        "2544784e4b167d7b9c76cdcf75c9884a2d78824a9478c4be8238ee4014d2e090"),
     "impostor_three_attempts": (
         IMPOSTOR, 530, 0.3, 4, None, "failed", 3,
-        ("0x1.95bfafdb55dd6p-2", "0x1.95bfafdb55dd6p-2",
-         "-0x1.7c445ac01a910p-1"),
-        "50a6c2ac702b7aa4b505a72949437351bc7228c856b942f4629b45785be4d295"),
+        ("0x1.29bd6d5073932p-2", "0x1.29bd6d5073932p-2",
+         "-0x1.7b283f4cf29f8p-1"),
+        "9a6015b5f50947bef352df77d066aa974047554cb5e0a5bd019a7a591d6adb81"),
 }
 
 

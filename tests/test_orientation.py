@@ -1,4 +1,4 @@
-"""Quaternion algebra, Euler extraction, attitude filter, velocity
+"""Quaternion algebra, Euler extraction, the attitude scan, velocity
 integration. Rotation results are checked against an independent
 Rodrigues-formula oracle."""
 
@@ -10,14 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syncgait.errors import DegenerateSeries, NonUnitQuaternion
-from syncgait.orientation import (AHRS_BETA, AHRS_ZETA, EulerAngles,
-                                  Quaternion, ahrs_stream,
-                                  euler_to_quaternion,
-                                  initial_orientation, integrate_velocity,
+from syncgait.orientation import (EulerAngles, Quaternion, ahrs_stream,
+                                  euler_to_quaternion, integrate_velocity,
                                   quaternion_to_euler, rotate_to_world,
                                   rotation_matrices)
 from syncgait.series import ImuSeries
-from syncgait.synth import CameraModel, SubjectParams, generate_session
 
 
 def rodrigues(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -141,9 +138,10 @@ def test_integrate_velocity_validates_args():
         integrate_velocity(np.ones((4, 3)), 0.0)
 
 
-# --- attitude filter -----------------------------------------------------------
+# --- the attitude scan -------------------------------------------------------
 
 GRAVITY_WORLD = np.array([0.0, 0.0, 9.81])
+TILT = EulerAngles(0.3, -0.2, 0.9)
 
 
 def _static_imu(q: Quaternion, n: int, rate: float = 100.0,
@@ -157,24 +155,63 @@ def _static_imu(q: Quaternion, n: int, rate: float = 100.0,
     return ImuSeries(np.arange(n) / rate, acc, gyro)
 
 
+def _vertical(quats: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    return (rotation_matrices(quats) @ acc[:, :, None])[:, 2, 0]
+
+
+def _two_axis_walk(bias: float) -> tuple[ImuSeries, np.ndarray]:
+    """8 s at 100 Hz of a tilted phone that swings by th about its y axis
+    and rolls by rho about its x axis, both at 1 Hz, with attitude
+    q = tilt * qy(th) * qx(rho), on a wrist whose world acceleration
+    averages to zero over the whole periods. The gyro is the body rate
+    (rho', th' cos rho, -th' sin rho) plus a constant bias of size `bias`.
+    Returns the stream and its true (n, 4) attitude."""
+    t = np.arange(800) / 100.0
+    w = 2 * math.pi
+    th, th_d = 0.6 * np.sin(w * t), 0.6 * w * np.cos(w * t)
+    rho, rho_d = 0.6 * np.sin(w * t + 1), 0.6 * w * np.cos(w * t + 1)
+    zero = np.zeros_like(t)
+    q = (euler_to_quaternion(TILT)
+         * Quaternion(np.cos(th / 2), zero, np.sin(th / 2), zero)
+         * Quaternion(np.cos(rho / 2), np.sin(rho / 2), zero, zero))
+    quats = np.column_stack([q.q0, q.q1, q.q2, q.q3])
+    a_world = np.column_stack([3.0 * np.sin(w * t), np.sin(w * t + 0.5),
+                               2.0 * np.sin(2 * w * t)])
+    acc = (rotation_matrices(quats).transpose(0, 2, 1)
+           @ (a_world + GRAVITY_WORLD)[:, :, None])[:, :, 0]
+    gyro = np.column_stack([rho_d, th_d * np.cos(rho), -th_d * np.sin(rho)])
+    gyro += bias * np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0)
+    return ImuSeries(t, acc, gyro), quats
+
+
 def test_ahrs_recovers_static_orientation():
-    # gravity fixes roll and pitch; the heading is relative, so the filter
-    # starts at yaw 0 and a phone at rest keeps it to second order
-    true_q = euler_to_quaternion(EulerAngles(0.3, -0.2, 0.9))
-    imu = _static_imu(true_q, 400)
-    quats = ahrs_stream(imu)
+    # gravity fixes roll and pitch through accelerometer noise; the heading
+    # is relative, and the levelling rotation gives yaw 0
+    quats = ahrs_stream(_static_imu(euler_to_quaternion(TILT), 400,
+                                    noise=0.05))
     assert quats.shape == (400, 4)
-    e_est = quaternion_to_euler(Quaternion(*quats[-1]))
-    e_true = quaternion_to_euler(true_q)
-    assert e_est.roll == pytest.approx(e_true.roll, abs=0.02)
-    assert e_est.pitch == pytest.approx(e_true.pitch, abs=0.02)
-    assert e_est.yaw == pytest.approx(0.0, abs=1e-6)
+    e = quaternion_to_euler(Quaternion(*quats[-1]))
+    assert (e.roll, e.pitch) == pytest.approx((TILT.roll, TILT.pitch),
+                                              abs=0.01)
+    assert e.yaw == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("q", [
+    axis_angle_quaternion(np.array([1.0, 0, 0]), math.pi),
+    axis_angle_quaternion(np.array([0, 1.0, 0]), math.pi / 2),
+    axis_angle_quaternion(np.array([1.0, 2, 3]), 2.5)],
+    ids=["upside_down", "on_its_side", "any"])
+def test_ahrs_stream_levels_a_phone_at_rest_in_any_pose(q):
+    # gravity comes out straight up, whatever way up the phone lies
+    imu = _static_imu(q, 50)
+    g = rotation_matrices(ahrs_stream(imu)) @ imu.acc[:, :, None]
+    assert np.allclose(g[:, :, 0], GRAVITY_WORLD, atol=1e-12)
 
 
 def test_ahrs_stream_integrates_the_gyro_alone_at_a_zero_accelerometer():
-    # a level start at rest, then a zero accelerometer turning about z:
-    # with no gravity to correct against, the step integrates the gyro
-    # alone and advances yaw by w*dt, with no warning from the a / |a| pass
+    # a level phone at rest, then a zero accelerometer turning about z: the
+    # zero sample adds nothing to the level, and the gyro advances yaw by
+    # w*dt
     imu = ImuSeries(np.arange(2) / 100.0, [[0.0, 0.0, 9.81], [0.0, 0.0, 0.0]],
                     [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     quats = ahrs_stream(imu)
@@ -183,17 +220,63 @@ def test_ahrs_stream_integrates_the_gyro_alone_at_a_zero_accelerometer():
         0.01, abs=1e-6)
 
 
-def test_ahrs_keeps_the_gravity_correction_without_a_field():
-    # a tilted first sample, then a level phone at rest: the gravity step
-    # levels roll and pitch; gyro-only integration would hold the tilt
-    tilted = _matrix(euler_to_quaternion(EulerAngles(0.3, -0.2, 0.9))).T
-    acc = np.tile(GRAVITY_WORLD, (401, 1))
-    acc[0] = tilted @ GRAVITY_WORLD
-    imu = ImuSeries(np.arange(401) / 100.0, acc, np.zeros((401, 3)))
+@pytest.mark.parametrize("n", [1, 2, 3, 800])
+def test_ahrs_stream_equals_a_sequential_product_up_to_one_level(n):
+    # the scan against p_0, p_0 p_1, ... multiplied one sample at a time:
+    # they differ only by the levelling rotation, the same for every sample
+    imu, _ = _two_axis_walk(0.01)
+    imu = ImuSeries(imu.t[:n], imu.acc[:n], imu.gyro[:n])
+    running, sequential = Quaternion(), []
+    for g in imu.gyro.tolist():
+        running = running * Quaternion(1.0, *(0.5 * v / 100.0 for v in g)
+                                       ).normalized()
+        sequential.append(running)
     quats = ahrs_stream(imu)
-    assert abs(quaternion_to_euler(Quaternion(*quats[0])).roll) > 0.2
-    e = quaternion_to_euler(Quaternion(*quats[-1]))
-    assert (e.roll, e.pitch) == pytest.approx((0.0, 0.0), abs=0.01)
+    level = Quaternion(*quats[0]) * sequential[0].conjugate()
+    expected = np.array([(p.q0, p.q1, p.q2, p.q3)
+                         for p in (level * s for s in sequential)])
+    assert np.abs(quats - expected).max() < 1e-12
+
+
+# the vertical's RMS error of the Madgwick filter (AHRS_BETA 0.1,
+# AHRS_ZETA 0.01) that ahrs_stream replaced, on _two_axis_walk(bias)
+MADGWICK_VERTICAL_RMS = {0.0: 0.0820, 0.01: 0.0942}   # m/s^2
+SCAN_VERTICAL_RMS_BOUND = 0.05   # m/s^2; the scan reads 0.028 and 0.037
+
+
+@pytest.mark.parametrize("bias", MADGWICK_VERTICAL_RMS)
+def test_ahrs_stream_tracks_the_vertical_of_a_two_axis_turn(bias):
+    imu, truth = _two_axis_walk(bias)
+    error = _vertical(ahrs_stream(imu), imu.acc) - _vertical(truth, imu.acc)
+    rms = math.sqrt(np.mean(error ** 2))
+    assert rms < SCAN_VERTICAL_RMS_BOUND < MADGWICK_VERTICAL_RMS[bias]
+
+
+def test_initial_orientation_identity_case():
+    # the first attitude of a level phone at rest
+    quats = ahrs_stream(_static_imu(Quaternion(), 20))
+    assert np.allclose(_matrix(Quaternion(*quats[0])), np.eye(3), atol=1e-9)
+
+
+def test_initial_orientation_without_a_heading_aligns_on_gravity():
+    # the first attitude has the roll and pitch of gravity and yaw 0
+    quats = ahrs_stream(_static_imu(euler_to_quaternion(TILT), 20))
+    e = quaternion_to_euler(Quaternion(*quats[0]))
+    assert (e.roll, e.pitch) == pytest.approx((TILT.roll, TILT.pitch),
+                                              abs=1e-9)
+    assert e.yaw == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("a", [
+    np.zeros((20, 3)), np.full((20, 3), 1e-200), np.full((20, 3), 1e200),
+    np.array([[0.0, 0.0, 9.81], [0.0, 0.0, -9.81]])])
+def test_initial_orientation_rejects_degenerate_gravity_or_norms(a):
+    # a phone at rest with no gravity, gravity too small to square (its
+    # norm reads 0) or too large to square has no up to level on; nor has
+    # a stream whose samples have a direction but whose mean has none
+    n = len(a)
+    with pytest.raises(DegenerateSeries):
+        ahrs_stream(ImuSeries(np.arange(n) / 100.0, a, np.zeros((n, 3))))
 
 
 @pytest.mark.parametrize("big", [[1e200, 0.0, 0.0], [1e154, 1e154, 1e154]],
@@ -203,178 +286,3 @@ def test_ahrs_stream_refuses_samples_too_large_to_square(big):
     acc[5] = big
     with pytest.raises(DegenerateSeries):
         ahrs_stream(ImuSeries(np.arange(20) / 100.0, acc, np.zeros((20, 3))))
-
-
-def _rot_inv(w, vx, vy, vz, rx, ry, rz):
-    """R^T(q) r = r - 2w (v x r) + 2 v x (v x r), plain floats."""
-    cx = vy * rz - vz * ry
-    cy = vz * rx - vx * rz
-    cz = vx * ry - vy * rx
-    dx = vy * cz - vz * cy
-    dy = vz * cx - vx * cz
-    dz = vx * cy - vy * cx
-    return (rx - 2 * w * cx + 2 * dx,
-            ry - 2 * w * cy + 2 * dy,
-            rz - 2 * w * cz + 2 * dz)
-
-
-def _grad_term(w, vx, vy, vz, rx, ry, rz, ex, ey, ez):
-    """J^T e for the objective component u(q) = R^T(q) r, plain floats."""
-    cx = vy * rz - vz * ry
-    cy = vz * rx - vx * rz
-    cz = vx * ry - vy * rx
-    g0 = -2.0 * (cx * ex + cy * ey + cz * ez)
-    rex = ry * ez - rz * ey
-    rey = rz * ex - rx * ez
-    rez = rx * ey - ry * ex
-    ve = vx * ex + vy * ey + vz * ez
-    vr = vx * rx + vy * ry + vz * rz
-    re = rx * ex + ry * ey + rz * ez
-    g1 = -2.0 * w * rex + 2.0 * (ve * rx + vr * ex - 2.0 * re * vx)
-    g2 = -2.0 * w * rey + 2.0 * (ve * ry + vr * ey - 2.0 * re * vy)
-    g3 = -2.0 * w * rez + 2.0 * (ve * rz + vr * ez - 2.0 * re * vz)
-    return g0, g1, g2, g3
-
-
-def _general_form_step(w, x, y, z, bx_b, by_b, bz_b, a, g, dt):
-    """Reference: the step with the gravity reference (0, 0, 1) passed
-    through the general objective R^T(q) r and its gradient J^T e."""
-    a0, a1, a2 = a
-    na = math.sqrt(a0 ** 2 + a1 ** 2 + a2 ** 2)
-    gyro_only = na == 0.0
-    s0 = s1 = s2 = s3 = 0.0
-    if not gyro_only:
-        ax, ay, az = a0 / na, a1 / na, a2 / na
-        ugx, ugy, ugz = _rot_inv(w, x, y, z, 0.0, 0.0, 1.0)
-        s0, s1, s2, s3 = _grad_term(w, x, y, z, 0.0, 0.0, 1.0,
-                                    ugx - ax, ugy - ay, ugz - az)
-        ns = math.sqrt(s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3)
-        if ns > 0:
-            s0, s1, s2, s3 = s0 / ns, s1 / ns, s2 / ns, s3 / ns
-        else:
-            s0 = s1 = s2 = s3 = 0.0
-        we_x = 2.0 * (w * s1 - x * s0 - y * s3 + z * s2)
-        we_y = 2.0 * (w * s2 + x * s3 - y * s0 - z * s1)
-        we_z = 2.0 * (w * s3 - x * s2 + y * s1 - z * s0)
-        bx_b += AHRS_ZETA * we_x * dt
-        by_b += AHRS_ZETA * we_y * dt
-        bz_b += AHRS_ZETA * we_z * dt
-    gx = g[0] - bx_b
-    gy = g[1] - by_b
-    gz = g[2] - bz_b
-    qd0 = 0.5 * (-x * gx - y * gy - z * gz) - AHRS_BETA * s0
-    qd1 = 0.5 * (w * gx + y * gz - z * gy) - AHRS_BETA * s1
-    qd2 = 0.5 * (w * gy - x * gz + z * gx) - AHRS_BETA * s2
-    qd3 = 0.5 * (w * gz + x * gy - y * gx) - AHRS_BETA * s3
-    w += qd0 * dt
-    x += qd1 * dt
-    y += qd2 * dt
-    z += qd3 * dt
-    n = math.sqrt(w * w + x * x + y * y + z * z)
-    return w / n, x / n, y / n, z / n, bx_b, by_b, bz_b, gyro_only
-
-
-def _with_zero_accelerometer(imu: ImuSeries, rows: slice) -> ImuSeries:
-    acc = imu.acc.copy()
-    acc[rows] = 0.0
-    return ImuSeries(imu.t, acc, imu.gyro, sample_rate=imu.sample_rate)
-
-
-def _walk(angle: float) -> ImuSeries:
-    return generate_session(SubjectParams(seed=3),
-                            CameraModel(horizontal_angle=angle),
-                            duration=4.0)[0]
-
-
-AHRS_STREAMS = {
-    "tilted_at_rest": lambda: _static_imu(
-        euler_to_quaternion(EulerAngles(0.3, -0.2, 0.9)), 300, noise=0.05),
-    "upside_down": lambda: _static_imu(
-        axis_angle_quaternion(np.array([1.0, 2, 3]), 2.5), 300, noise=0.05),
-    "level_exact": lambda: _static_imu(Quaternion(), 100),
-    **{f"walk_heading_{angle}": (lambda angle=angle: _walk(angle))
-       for angle in (0, 90, 180)},
-    "walk_zero_accelerometer_mid_stream": lambda: _with_zero_accelerometer(
-        _walk(90), slice(150, 153)),
-}
-
-
-@pytest.mark.parametrize("stream", AHRS_STREAMS)
-def test_ahrs_step_equals_the_general_form_step_bit_for_bit(stream):
-    # ahrs_stream's loop against the general-form step run sample by
-    # sample from the same start; the a / |a| pass and the inlined step
-    # must give the same bits
-    imu = AHRS_STREAMS[stream]()
-    q = initial_orientation(imu.acc[0])
-    state = (q.q0, q.q1, q.q2, q.q3, 0.0, 0.0, 0.0)
-    stepped, modes = [], []
-    for a, g in zip(imu.acc.tolist(), imu.gyro.tolist()):
-        *state, gyro_only = _general_form_step(*state, a, g,
-                                               1.0 / imu.sample_rate)
-        stepped.append(state[:4])
-        modes.append(gyro_only)
-    assert any(modes) == (stream == "walk_zero_accelerometer_mid_stream")
-    assert ahrs_stream(imu).tobytes() == np.array(stepped).tobytes()
-
-
-def test_initial_orientation_identity_case():
-    q = initial_orientation(GRAVITY_WORLD)
-    assert np.allclose(_matrix(q), np.eye(3), atol=1e-9)
-
-
-def test_initial_orientation_without_a_heading_aligns_on_gravity():
-    e_true = EulerAngles(0.3, -0.2, 0.9)
-    r = _matrix(euler_to_quaternion(e_true))
-    q = initial_orientation(r.T @ GRAVITY_WORLD)
-    assert [type(v) for v in (q.q0, q.q1, q.q2, q.q3)] == [float] * 4
-    e = quaternion_to_euler(q)
-    assert (e.roll, e.pitch) == pytest.approx((e_true.roll, e_true.pitch),
-                                              abs=1e-9)
-    assert e.yaw == 0.0
-
-
-@pytest.mark.parametrize("a", [np.zeros(3), np.full(3, 1e-200),
-                               np.full(3, 1e200)])
-def test_initial_orientation_rejects_degenerate_gravity_or_norms(a):
-    with pytest.raises(DegenerateSeries):
-        initial_orientation(a)
-
-
-# --- the filter state stays Python floats -------------------------------------
-
-@pytest.mark.parametrize("q", [
-    euler_to_quaternion(EulerAngles(0.3, -0.2, 0.9)),
-    axis_angle_quaternion(np.array([1.0, 0, 0]), 2.8),
-    axis_angle_quaternion(np.array([0, 1.0, 0]), 2.8),
-    axis_angle_quaternion(np.array([0, 0, 1.0]), 2.8),
-], ids=["trace", "r00", "r11", "r22"])
-def test_initial_orientation_returns_python_floats(q):
-    # the largest diagonal entry of each attitude's matrix names its case
-    q0 = initial_orientation(_matrix(q).T @ GRAVITY_WORLD)
-    assert [type(v) for v in (q0.q0, q0.q1, q0.q2, q0.q3)] == [float] * 4
-    e0, e = quaternion_to_euler(q0), quaternion_to_euler(q)
-    assert (e0.roll, e0.pitch) == pytest.approx((e.roll, e.pitch), abs=1e-9)
-    assert e0.yaw == 0.0
-
-
-@pytest.mark.parametrize("rate", [100.0, np.float64(100.0)],
-                         ids=["float_rate", "numpy_rate"])
-def test_every_ahrs_step_runs_on_python_floats(monkeypatch, rate):
-    # the initial attitude takes one square root and each step two, of
-    # |s|^2 and of |q|^2; a numpy scalar anywhere in the state would reach
-    # them as np.float64
-    imu = _static_imu(axis_angle_quaternion(np.array([1.0, 2, 3]), 2.5), 20,
-                      noise=0.1)
-    imu = ImuSeries(imu.t, imu.acc, imu.gyro + 0.05, sample_rate=rate)
-    reference = ahrs_stream(ImuSeries(imu.t, imu.acc, imu.gyro,
-                                      sample_rate=100.0))
-    types = []
-
-    def spy(v, sqrt=math.sqrt):
-        types.append(type(v))
-        return sqrt(v)
-
-    monkeypatch.setattr(math, "sqrt", spy)
-    quats = ahrs_stream(imu)
-    assert types == [float] * (1 + 2 * 20)
-    assert quats.tobytes() == reference.tobytes()
