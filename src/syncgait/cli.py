@@ -278,13 +278,16 @@ def cmd_enroll(cfg: ExperimentConfig, data_dir: Path, subject: int,
                  read_keypoint_npy(data_dir / kp_name, frame_rate=fps),
                  ClockOffsetEstimate.known(clock_offset))
                 for imu_name, kp_name, clock_offset in entries]
+    # before the fit, so that a wrong IMU rate is named, not blamed on a
+    # failed alignment
+    for (imu, _, _), (imu_name, _, _) in zip(sessions, entries):
+        _check_step(data_dir / imu_name, imu.t, "imu_rate", imu_rate)
     enrollment = _enroll_subject(sessions, cfg.seed, subject,
                                  f"session count {len(sessions)}",
                                  "the sessions' synth duration")
-    # after the fit, so that a frame rate the Kalman filter cannot run
-    # stays a configuration error naming the rate
-    for (imu, kp, _), (imu_name, kp_name, _) in zip(sessions, entries):
-        _check_step(data_dir / imu_name, imu.t, "imu_rate", imu_rate)
+    # after the fit, so that a frame rate the Kalman pass cannot run stays
+    # a configuration error naming the rate
+    for (_, kp, _), (_, kp_name, _) in zip(sessions, entries):
         _check_step(data_dir / kp_name, kp.t, "fps", fps)
 
     cons_name, gait_name = _model_names(subject)

@@ -1,15 +1,12 @@
 """End-to-end composition: raw paired streams -> speed channels -> aligned
 consistency features -> per-user models and signed decision scores.
 
-The video chain calibrates one array track of the phone's arm (gap fill,
-adaptive DCT smoothing, cooperative Kalman) to its wrist, the one joint
-read, then differentiates and band-passes it. A fully measured track runs
-the wrist's two Kalman recursions from the shared gain table; a track with
-a gated frame runs the whole chain from frame 0, and its limb coupling
-alone reads the elbow and shoulder. The IMU chain is denoise, orientation,
-gravity removal, velocity integration, gait-band band-pass, magnitude. A
-stream too short for a stage is SeriesTooShort at the first stage that
-needs the length.
+The video chain calibrates the track of the phone's wrist, the one arm
+joint read (gap fill across its lost frames, adaptive DCT smoothing, the
+wrist's Kalman pass), then differentiates and band-passes it. The IMU
+chain is denoise, orientation, gravity removal, velocity integration,
+gait-band band-pass, magnitude. A stream too short for a stage is
+SeriesTooShort at the first stage that needs the length.
 A batch of streams (`gait.imu_chains`, `imu_speed_channels`,
 `video_speed_channels`) runs each column-wise stage once per (length,
 rate) shape; a one-stream entry point is the batch of one. An IMU is taken
@@ -18,9 +15,9 @@ several times (the consistency and gait checks of an attempt) runs its
 denoise and attitude scan once. The features of m pairs are one (m, 6) array.
 
 The pipeline takes no settings: each stage reads its module's constants
-(`posture.ARM_CHAIN` and the MJCKF noise levels, `series.DENOISE_LEVELS`,
-the `gait` period bounds, `syncing.COMMON_RATE`, the OC-SVM grids and
-calibration in `classify`) and the enrollment constants below.
+(the MJCKF noise levels, `series.DENOISE_LEVELS`, the `gait` period
+bounds, `syncing.COMMON_RATE`, the OC-SVM grids and calibration in
+`classify`) and the constants below.
 """
 
 from __future__ import annotations
@@ -36,14 +33,14 @@ from .features import (FeatureVector, FisherReport, compute_features,
 from .gait import (ImuChain, as_chain, cycle_feature_rows,
                    gait_representation, imu_chains)
 from .orientation import integrate_velocity
-from .posture import (ARM_CHAIN, AdctConfig, adaptive_bandpass, adct_smooth,
-                      mjckf_correct)
+from .posture import AdctConfig, adaptive_bandpass, adct_smooth, mjckf_correct
 from .series import (JOINT_INDEX, MISSING_CONF, ImuSeries, KeypointSeries,
                      Series1D, by_shape, fill_gaps, normalize,
                      require_squarable)
 from .syncing import (COMMON_RATE, MIN_OVERLAP_SAMPLES, AlignedPair,
                       ClockOffsetEstimate, align)
 
+PHONE_WRIST = "wrist_r"    # the joint that carries the phone
 MISALIGN_SHIFTS_S = (0.3, 0.55, 0.8)  # surrogate-negative video shifts
 GAIT_RHO_MARGIN = 0.05
 
@@ -60,28 +57,23 @@ def _joint_tracks(kp: KeypointSeries,
     return track, measured
 
 
-def _calibrated_arms(kps: list[KeypointSeries]) -> list[tuple]:
-    """calibrate_keypoints of each track: the (n, 2) wrist and its (n,)
-    mask. One adct_smooth per (frames, fps) smooths all six arm columns,
-    since the elbow and shoulder feed the limb coupling of a track with a
-    gated frame, which runs the whole Kalman chain from frame 0."""
+def _calibrated_wrists(kps: list[KeypointSeries]) -> list[tuple]:
+    """calibrate_keypoints of each track; one adct_smooth per (frames, fps)
+    smooths the wrists' pixel columns."""
     require_squarable("keypoint", *(kp.uv for kp in kps))
-    tracks = [_joint_tracks(kp, ARM_CHAIN) for kp in kps]
-    arms = by_shape(adct_smooth, [t.reshape(len(t), -1) for t, _ in tracks],
-                    [kp.frame_rate for kp in kps])
-    return [(mjckf_correct(arm.reshape(t.shape), m, kp.frame_rate), m[:, 0])
-            for kp, arm, (t, m) in zip(kps, arms, tracks)]
+    tracks = [_joint_tracks(kp, (PHONE_WRIST,)) for kp in kps]
+    wrists = by_shape(adct_smooth, [t[:, 0] for t, _ in tracks],
+                      [kp.frame_rate for kp in kps])
+    return [(mjckf_correct(wrist, kp.frame_rate), m[:, 0])
+            for kp, wrist, (_, m) in zip(kps, wrists, tracks)]
 
 
 def calibrate_keypoints(kp: KeypointSeries) -> tuple[np.ndarray, np.ndarray]:
-    """The calibrated (n, 2) wrist of the phone's arm and its (n,)
-    measured mask: each ARM_CHAIN joint gap-filled, the six pixel columns
-    smoothed by adaptive DCT, and the cooperative Kalman pass, which
-    bridges the unmeasured frames, run to the wrist. A fully measured track
-    runs the wrist's two recursions from the shared gain table; a track
-    with a gated frame runs the whole chain from frame 0, where the elbow
-    and shoulder enter through the limb coupling."""
-    return _calibrated_arms([kp])[0]
+    """The calibrated (n, 2) wrist of the phone's arm and its (n,) measured
+    mask: the PHONE_WRIST track linearly interpolated across its unmeasured
+    frames, its two pixel columns smoothed by adaptive DCT, then the
+    wrist's Kalman pass (`posture.mjckf_correct`)."""
+    return _calibrated_wrists([kp])[0]
 
 
 def _torso_length(kp: KeypointSeries) -> np.ndarray:
@@ -98,7 +90,7 @@ def video_speed_channels(kps: list[KeypointSeries]) -> list[tuple]:
     the approaching subject, are band-passed in the gait band before the
     magnitude, which strips the translation drift. A frame whose wrist is
     not measured is invalid. Tracks of one (frames, fps) share each call."""
-    calibrated = _calibrated_arms(kps)
+    calibrated = _calibrated_wrists(kps)
     rates = [kp.frame_rate for kp in kps]
     scales = by_shape(adct_smooth, [_torso_length(kp) for kp in kps], rates,
                       AdctConfig(f_base=0.02, alpha=0.0))

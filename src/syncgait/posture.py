@@ -2,12 +2,10 @@
 
 The gait band (GAIT_BAND_LO to GAIT_BAND_HI, capped below a low rate's
 Nyquist) and its zero-phase Butterworth band-pass, the energy band of a
-given power spectrum, entropy-adaptive DCT smoothing, and multi-joint
-cooperative Kalman correction (MJCKF) for occlusion bridging. The MJCKF's
-output is the wrist: a fully measured track runs the wrist's two scalar
-recursions from the shared gain table, and a track with a gated frame (an
-arm joint not measured) runs the whole chain, whose limb coupling alone
-reads the elbow and shoulder.
+given power spectrum, entropy-adaptive DCT smoothing, and the Kalman
+pass over the phone's wrist (`mjckf_correct`): two scalar constant-velocity
+recursions, one per pixel coordinate, from a gain table that every track at
+one frame rate shares.
 """
 
 from __future__ import annotations
@@ -29,14 +27,6 @@ GAIT_BAND_LO = 0.3
 GAIT_BAND_HI = 5.0
 BAND_ENERGY_FRAC = 0.9    # spectral energy share the estimated band holds
 BUTTER_ORDER = 4
-
-# The calibrated arm: the phone rides on the right wrist. Joints run from the
-# wrist up, the order of the cooperative Kalman chain.
-ARM_CHAIN = ("wrist_r", "elbow_r", "shoulder_r")
-PROCESS_NOISE = 2.0        # px^2, velocity random walk per frame
-MEASUREMENT_NOISE = 4.0    # px^2
-COUPLING_NOISE_FACTOR = 4.0
-LIMB_ADAPT_RATE = 0.05     # per-frame weight of a measured limb length
 
 
 @dataclass(frozen=True)
@@ -190,120 +180,57 @@ def adaptive_bandpass(s: Series1D) -> Series1D:
     return Series1D(filtfilt(b, a, s.values, axis=0), s.t0, s.rate)
 
 
-# --- multi-joint cooperative Kalman filtering --------------------------------
+# --- the wrist's Kalman pass (MJCKF) ------------------------------------------
 
-
-class _ChainFilter:
-    """Constant-velocity EKF over one joint chain with inter-joint distance
-    pseudo-measurements as the cooperative coupling."""
-
-    def __init__(self, positions: np.ndarray, limb: np.ndarray, dt: float):
-        self.nj = len(positions)
-        self.dim = 4 * self.nj
-        self.x = np.zeros(self.dim)
-        for j, (u, v) in enumerate(positions):
-            self.x[4 * j:4 * j + 2] = (u, v)
-        self.eye = np.eye(self.dim)
-        self.P = self.eye * 25.0
-        f = np.array([[1, 0, dt, 0], [0, 1, 0, dt], [0, 0, 1, 0], [0, 0, 0, 1]],
-                     dtype=float)
-        self.F = np.kron(np.eye(self.nj), f)
-        # white-acceleration discretization; the acceleration PSD scales with
-        # the cube of the frame rate so tracking stiffness is fps-independent
-        qa = PROCESS_NOISE / dt ** 3
-        qb = np.array([[dt ** 4 / 4, 0, dt ** 3 / 2, 0],
-                       [0, dt ** 4 / 4, 0, dt ** 3 / 2],
-                       [dt ** 3 / 2, 0, dt ** 2, 0],
-                       [0, dt ** 3 / 2, 0, dt ** 2]]) * qa
-        self.Q = np.kron(np.eye(self.nj), qb)
-        self.limb = limb.copy()
-
-    def pos(self, j: int) -> np.ndarray:
-        return self.x[4 * j:4 * j + 2]
-
-    def predict(self):
-        self.x = self.F @ self.x
-        self.P = self.F @ self.P @ self.F.T + self.Q
-
-    def update_positions(self, measured: dict[int, np.ndarray]) -> np.ndarray | None:
-        """Update on the measured joints' positions; returns the gain."""
-        if not measured:
-            return None
-        rows = [4 * j + k for j in measured for k in range(2)]
-        h = self.eye[rows]
-        z = np.concatenate(list(measured.values()))
-        r = np.eye(len(z)) * MEASUREMENT_NOISE
-        return self._kalman_update(h, z - h @ self.x, r)
-
-    def update_coupling(self):
-        """EKF update on inter-joint distances toward the limb-length estimate."""
-        for j in range(self.nj - 1):
-            d = self.pos(j + 1) - self.pos(j)
-            dist = np.linalg.norm(d)
-            if dist < 1e-9:
-                continue
-            grad = d / dist
-            h = np.zeros((1, self.dim))
-            h[0, 4 * j:4 * j + 2] = -grad
-            h[0, 4 * (j + 1):4 * (j + 1) + 2] = grad
-            r = np.array([[MEASUREMENT_NOISE * COUPLING_NOISE_FACTOR]])
-            self._kalman_update(h, np.array([self.limb[j] - dist]), r)
-
-    def refresh_limb(self, j: int, dist: float):
-        self.limb[j] = ((1 - LIMB_ADAPT_RATE) * self.limb[j]
-                        + LIMB_ADAPT_RATE * dist)
-
-    def _kalman_update(self, h: np.ndarray, innov: np.ndarray,
-                       r: np.ndarray) -> np.ndarray:
-        s = h @ self.P @ h.T + r
-        k = self.P @ h.T @ np.linalg.inv(s)
-        self.x = self.x + k @ innov
-        self.P = (self.eye - k @ h) @ self.P
-        return k
-
-
-# Longest gain table; at every frame rate from 5 to 1000 fps the table ends
-# at its fixed point after 50-180 entries.
+PROCESS_NOISE = 2.0        # px^2, velocity random walk per frame
+MEASUREMENT_NOISE = 4.0    # px^2
+# Longest gain table. At 979 of the integer frame rates from 5 to 1000 fps
+# the table ends at its fixed point after 50-183 entries; at the other 17
+# (12 fps among them) the covariance never repeats bit for bit.
 GAIN_TABLE_MAX = 1024
 # frame intervals whose fourth power is a finite normal float
 _DT_RANGE = (sys.float_info.min ** 0.25, sys.float_info.max ** 0.25)
 
 
 @functools.lru_cache(maxsize=4)
-def _wrist_gains(dt: float) -> tuple[tuple, bool]:
-    """The wrist's (position gains, velocity gains) of u and of v after the
-    update of each fully measured frame, starting from P0 = 25 I, and
-    whether the table settled.
+def _wrist_gains(dt: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The (position gains, velocity gains) of one pixel coordinate's
+    constant-velocity Kalman filter after the update of each frame, starting
+    from P0 = 25 I.
 
-    With every joint measured, the covariance recursion does not depend on
-    the measurements, so all streams at one frame interval share it, and
-    each gain ties a position only to itself and its velocity. The table
-    ends at the first covariance that repeats its predecessor bit for bit;
-    every later frame has the last entry. A table GAIN_TABLE_MAX long never
-    settled. Shared by every call: read-only tuples of Python floats.
+    The covariance recursion does not depend on the measurements, so every
+    coordinate of every track at one frame interval shares it. The table
+    ends at the first covariance that repeats its predecessor bit for bit,
+    or after GAIN_TABLE_MAX entries; every later frame has the last entry.
+    Shared by every call: read-only tuples of Python floats.
     """
-    nj = len(ARM_CHAIN)
-    filt = _ChainFilter(np.zeros((nj, 2)), np.zeros(nj - 1), dt)
-    all_measured = dict.fromkeys(range(nj), np.zeros(2))
-    gains, last = [], None
+    f = np.array([[1.0, dt], [0.0, 1.0]])
+    # white-acceleration discretization; the acceleration PSD scales with
+    # the cube of the frame rate so tracking stiffness is fps-independent
+    q = np.array([[dt ** 4 / 4, dt ** 3 / 2],
+                  [dt ** 3 / 2, dt ** 2]]) * (PROCESS_NOISE / dt ** 3)
+    eye = np.eye(2)
+    h = eye[:1]
+    cov, gains, last = eye * 25.0, [], None
     for _ in range(GAIN_TABLE_MAX):
-        gains.append(filt.update_positions(all_measured)[:4, :2])
-        if filt.P.tobytes() == last:
+        s = h @ cov @ h.T + np.eye(1) * MEASUREMENT_NOISE
+        k = cov @ h.T @ np.linalg.inv(s)
+        cov = (eye - k @ h) @ cov
+        gains.append(k[:, 0])
+        if cov.tobytes() == last:
             break
-        last = filt.P.tobytes()
-        filt.predict()
-    table = np.array(gains)
-    return (tuple((tuple(table[:, k, k].tolist()),
-                   tuple(table[:, 2 + k, k].tolist())) for k in range(2)),
-            len(gains) < GAIN_TABLE_MAX)
+        last = cov.tobytes()
+        cov = f @ cov @ f.T + q
+    gain_p, gain_v = np.array(gains).T.tolist()
+    return tuple(gain_p), tuple(gain_v)
 
 
 def _wrist_run(z_all: list[float], gain_p: tuple[float, ...],
                gain_v: tuple[float, ...], dt: float) -> list[float]:
-    """One wrist coordinate's positions over fully measured frames, from
-    frame 0, as a scalar (position, velocity) recursion: the same sums as
-    F @ x and K @ (z - H x), whose other terms are exact zeros. Past the
-    end of the gain table its last entry holds."""
+    """One wrist coordinate's filtered positions from frame 0, as a scalar
+    (position, velocity) recursion: the same sums as F @ x and
+    K @ (z - H x), whose other terms are exact zeros. Past the end of the
+    gain table its last entry holds."""
     p, v = z_all[0], 0.0       # the state starts at frame 0 at rest
     out = []
     for z, gp, gv in zip(z_all, chain(gain_p, repeat(gain_p[-1])),
@@ -316,54 +243,25 @@ def _wrist_run(z_all: list[float], gain_p: tuple[float, ...],
     return out
 
 
-def mjckf_correct(track: np.ndarray, measured: np.ndarray,
-                  frame_rate: float) -> np.ndarray:
-    """The calibrated (n, 2) wrist of the (n, 3, 2) ARM_CHAIN pixel track,
-    by a cooperative Kalman pass; `measured` (n, 3) marks the detections to
-    update on.
+def mjckf_correct(wrist: np.ndarray, frame_rate: float) -> np.ndarray:
+    """The calibrated (n, 2) pixel track of the phone's wrist: each
+    coordinate's constant-velocity Kalman recursion from frame 0, every
+    frame an update, with the frame interval's shared gain table.
 
-    With every joint measured the joints never couple, so a fully measured
-    track runs only the wrist's two scalar recursions from the frame
-    interval's shared gain table. Any other track (one with a gated frame,
-    or at an interval whose table never settled) runs the whole chain frame
-    by frame from frame 0: unmeasured joints are predicted only, bridging
-    occlusions, and the limb-length coupling, which alone reads the elbow
-    and shoulder, constrains the frames that miss a joint.
+    The name is the paper's multi-joint cooperative Kalman filter (MJCKF)
+    stage, which this pass now stands for, as `orientation.ahrs_stream`
+    names the attitude scan: frames the detector lost arrive bridged by
+    `pipeline.calibrate_keypoints`' gap fill, not by the filter.
     """
-    nj, shape = len(ARM_CHAIN), np.shape(track)
-    if shape[1:] != (nj, 2) or np.shape(measured) != shape[:2]:
-        raise ValueError(f"need an (n, {nj}, 2) track and an (n, {nj}) "
-                         f"measured mask, got {shape} and "
-                         f"{np.shape(measured)}")
-    n = len(track)
-    if n < 3:
+    if np.ndim(wrist) != 2 or np.shape(wrist)[1] != 2:
+        raise ValueError(f"need an (n, 2) wrist track, got {np.shape(wrist)}")
+    if len(wrist) < 3:
         raise SeriesTooShort("need >= 3 frames")
     dt = 1.0 / frame_rate
     # the process noise takes dt ** 4 and PROCESS_NOISE / dt ** 3
     if not _DT_RANGE[0] < dt < _DT_RANGE[1]:
         raise DegenerateSeries(f"frame rate {frame_rate} Hz leaves the "
                                "Kalman noise terms outside the float range")
-    gains, settled = _wrist_gains(dt)
-    if settled and measured.all():
-        return np.array([_wrist_run(z, *gain, dt) for z, gain
-                         in zip(track[:, 0].T.tolist(), gains)]).T
-
-    seg = track[:, 1:] - track[:, :-1]
-    # the matmul form equals np.linalg.norm of each segment bit for bit
-    limbs = np.sqrt((seg[..., None, :] @ seg[..., :, None])[..., 0, 0])
-    filt = _ChainFilter(track[0], limbs[0], dt)
-    wrist = np.empty((n, 2))
-    for idx in range(n):
-        if idx > 0:
-            filt.predict()
-        seen = {j: track[idx, j] for j in range(nj) if measured[idx, j]}
-        filt.update_positions(seen)
-        if len(seen) < nj:
-            # limb-length coupling constrains only occluded frames;
-            # fully measured frames need no cooperative correction
-            filt.update_coupling()
-        for j in range(nj - 1):
-            if measured[idx, j] and measured[idx, j + 1]:
-                filt.refresh_limb(j, limbs[idx, j])
-        wrist[idx] = filt.x[:2]
-    return wrist
+    gains = _wrist_gains(dt)
+    return np.array([_wrist_run(z, *gains, dt)
+                     for z in wrist.T.tolist()]).T

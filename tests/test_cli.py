@@ -398,6 +398,19 @@ def test_enroll_rate_that_disagrees_with_the_files_is_io_error(
     assert not (tmp_path / "m").exists()
 
 
+def test_enroll_names_an_imu_rate_far_above_the_files_rate(tmp_path, capsys,
+                                                         enroll_data):
+    # at 1e6 Hz the streams would overlap by 0.001 s: the rate is named
+    # before any alignment can blame the duration
+    def edit(manifest):
+        manifest["imu_rate"] = 1e6
+    assert _enroll_edited(tmp_path, enroll_data, edit) == EXIT_IO
+    err = capsys.readouterr().err
+    assert "manifest imu_rate 1e+06 does not match" in err
+    assert "duration" not in err
+    assert not (tmp_path / "m").exists()
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
                          ids=["nan", "inf", "minus_inf"])
 def test_enroll_non_finite_clock_offset_is_io_error(tmp_path, capsys,

@@ -6,7 +6,9 @@ re-captured when the AHRS became 6-axis. The enrollment model and the
 consistency scores of two sessions were re-captured when the Welch spectra
 and correlations became numpy row operations (at most 5e-16 relative).
 Every value was re-captured when the attitude became the levelled prefix
-product of the gyro.
+product of the gyro. The partial-view session's phone score and transcript
+were re-captured when the wrist's Kalman pass replaced the cooperative
+chain filter on tracks with lost frames.
 Restructuring how the chains are computed and shared must reproduce them
 exactly: the float.hex() of each score, the session state and attempt
 count, the transcript, and the serialized models.
@@ -48,9 +50,9 @@ SESSIONS = {
     # no retransmission: both receivers hold a view with lost chunks
     "genuine_partial_views": (
         SUBJECT, 520, 0.3, 3, 0, "accepted", 1,
-        ("0x1.a422c78e351cap-2", "0x1.b4bafaeaa33acp-3",
+        ("0x1.a422c78e351cap-2", "0x1.a0abd57e531e0p-2",
          "0x1.21100db4df4a0p-5"),
-        "2544784e4b167d7b9c76cdcf75c9884a2d78824a9478c4be8238ee4014d2e090"),
+        "a778b891bee0cb1dff569e30fce3c65eb58fa4c815dc3da5f54f2b077f6f7872"),
     "impostor_three_attempts": (
         IMPOSTOR, 530, 0.3, 4, None, "failed", 3,
         ("0x1.29bd6d5073932p-2", "0x1.29bd6d5073932p-2",

@@ -1,5 +1,5 @@
 """Adaptive DCT smoothing, entropy cutoff, band estimation, gait band-pass
-filtering, and cooperative Kalman occlusion bridging."""
+filtering, and the wrist's Kalman pass."""
 
 import math
 
@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from syncgait.errors import DegenerateSeries, InvalidBand, SeriesTooShort
 from syncgait import pipeline, posture
 from syncgait.pipeline import calibrate_keypoints
-from syncgait.posture import (ARM_CHAIN, GAIN_TABLE_MAX, AdctConfig,
-                              _ChainFilter, _wrist_gains, adaptive_bandpass,
-                              adct_cutoff, adct_smooth, column_entropies,
-                              estimate_band, histogram_entropy, mjckf_correct)
-from syncgait.series import JOINT_INDEX, KeypointSeries, Series1D
+from syncgait.posture import (GAIN_TABLE_MAX, AdctConfig, _wrist_gains,
+                              adaptive_bandpass, adct_cutoff, adct_smooth,
+                              column_entropies, estimate_band,
+                              histogram_entropy, mjckf_correct)
+from syncgait.series import JOINT_INDEX, KeypointSeries, Series1D, fill_gaps
 from syncgait.synth import SubjectParams, generate_session
 
 
@@ -256,23 +256,22 @@ def test_adaptive_bandpass_rejects_band_beyond_nyquist():
         adaptive_bandpass(Series1D(np.zeros(100), rate=0.5))
 
 
-# --- cooperative Kalman occlusion bridging ----------------------------------------
+# --- the wrist's Kalman pass (MJCKF) -------------------------------------------
 
-def _arm_track(n=240, fps=60.0, occlude=()):
-    """Synthetic swinging ARM_CHAIN track (n, 3, 2), wrist noisy, and its
-    measured mask with the selected wrist frames unmeasured; plus the true
-    wrist."""
+def _wrist_track(n=240, fps=60.0, occlude=()):
+    """Synthetic swinging wrist (n, 2) with 0.5 px of noise, linearly
+    interpolated across the occluded frames as calibrate_keypoints feeds
+    it; plus the true wrist."""
     t = np.arange(n) / fps
-    sh = np.stack([400 + 0 * t, 300 + 0 * t], axis=1)
-    el = sh + 60 * np.stack([np.sin(2 * np.pi * 0.7 * t) * 0.4 + 0.2,
-                             np.cos(2 * np.pi * 0.7 * t) * 0.1 + 0.9], axis=1)
+    el = np.stack([400 + 60 * (np.sin(2 * np.pi * 0.7 * t) * 0.4 + 0.2),
+                   300 + 60 * (np.cos(2 * np.pi * 0.7 * t) * 0.1 + 0.9)],
+                  axis=1)
     wr = el + 55 * np.stack([np.sin(2 * np.pi * 0.7 * t) * 0.8 + 0.1,
                              np.cos(2 * np.pi * 0.7 * t) * 0.2 + 0.9], axis=1)
-    noise = np.random.default_rng(0).normal(0, 0.5, (n, 2, 2))[:, 1]
-    track = np.stack([wr + noise, el, sh], axis=1)
-    measured = np.ones((n, len(ARM_CHAIN)), dtype=bool)
-    measured[sorted(occlude), 0] = False
-    return track, measured, wr
+    measured = np.ones(n, dtype=bool)
+    measured[sorted(occlude)] = False
+    noisy = wr + np.random.default_rng(0).normal(0, 0.5, (n, 2, 2))[:, 1]
+    return fill_gaps(t, noisy, measured), wr
 
 
 def _wrist_errors(wrist, truth, frames):
@@ -282,199 +281,199 @@ def _wrist_errors(wrist, truth, frames):
 
 
 def test_mjckf_bridges_occlusion():
+    # the gap fill bridges the lost frames, and the Kalman pass keeps them
     occluded = set(range(100, 112))
-    track, measured, truth = _arm_track(occlude=occluded)
-    errs = _wrist_errors(mjckf_correct(track, measured, 60.0), truth,
-                         occluded)
+    track, truth = _wrist_track(occlude=occluded)
+    errs = _wrist_errors(mjckf_correct(track, 60.0), truth, occluded)
     assert max(errs) < 25.0          # bridged, not teleported to (0,0)
     assert np.mean(errs) < 12.0
 
 
 def test_mjckf_leaves_clean_tracks_close():
-    track, measured, truth = _arm_track()
-    errs = _wrist_errors(mjckf_correct(track, measured, 60.0), truth,
+    track, truth = _wrist_track()
+    errs = _wrist_errors(mjckf_correct(track, 60.0), truth,
                          range(20, len(truth)))
     assert np.mean(errs) < 3.0
 
 
-def _per_frame_mjckf(track, measured, frame_rate):
-    """Reference: the full predict/update per frame, no shared gains."""
-    nj = len(ARM_CHAIN)
-    limb = np.array([np.linalg.norm(track[0, j + 1] - track[0, j])
-                     for j in range(nj - 1)])
-    filt = _ChainFilter(track[0], limb, 1.0 / frame_rate)
-    out = np.empty_like(track)
-    for idx in range(len(track)):
-        if idx > 0:
-            filt.predict()
-        seen = {j: track[idx, j] for j in range(nj) if measured[idx, j]}
-        filt.update_positions(seen)
-        if len(seen) < nj:
-            filt.update_coupling()
-        for j in range(nj - 1):
-            if j in seen and j + 1 in seen:
-                filt.refresh_limb(j, float(np.linalg.norm(
-                    seen[j + 1] - seen[j])))
-        for j in range(nj):
-            out[idx, j] = filt.pos(j)
+def _per_frame_mjckf(wrist, frame_rate):
+    """Reference: each coordinate's 2-state constant-velocity predict and
+    update per frame, with its own covariance and no shared gains."""
+    dt = 1.0 / frame_rate
+    f = np.array([[1.0, dt], [0.0, 1.0]])
+    q = np.array([[dt ** 4 / 4, dt ** 3 / 2],
+                  [dt ** 3 / 2, dt ** 2]]) * (posture.PROCESS_NOISE / dt ** 3)
+    eye = np.eye(2)
+    h = eye[:1]
+    out = np.empty_like(wrist)
+    for c in range(2):
+        x, cov = np.array([wrist[0, c], 0.0]), eye * 25.0
+        for idx, z in enumerate(wrist[:, c]):
+            if idx > 0:
+                x, cov = f @ x, f @ cov @ f.T + q
+            k = cov @ h.T @ np.linalg.inv(
+                h @ cov @ h.T + np.eye(1) * posture.MEASUREMENT_NOISE)
+            x = x + k @ (z - h @ x)
+            cov = (eye - k @ h) @ cov
+            out[idx, c] = x[0]
     return out
 
 
-def _gated(frames=slice(0, 0), joints=(0, 1, 2), n=300, fps=60.0):
-    """MJCKF inputs with the given ARM_CHAIN joints (0 wrist, 1 elbow,
-    2 shoulder) unmeasured over the given frames."""
-    track, measured, _ = _arm_track(n, fps)
-    measured[frames, list(joints)] = False
-    return track, measured, fps
+def _gapped(frames=(), n=300, fps=60.0):
+    """mjckf_correct inputs: the wrist interpolated across the given
+    frames."""
+    return _wrist_track(n, fps, frames)[0], fps
 
 
 def _scattered(share=0.3, seed=4):
-    track, measured, _ = _arm_track(300)
-    drop = np.random.default_rng(seed).random(measured.shape) < share
-    return track, measured & ~drop, 60.0
+    drop = np.random.default_rng(seed).random(300) < share
+    return _gapped(np.flatnonzero(drop))
 
 
 MJCKF_CASES = {
-    "fully_measured": lambda: _gated(),
-    "gated_at_frame_0": lambda: _gated(slice(0, 4)),
-    "wrist_gap_before_fixed_point": lambda: _gated(slice(30, 60), (0,)),
-    "shoulder_gap_at_88": lambda: _gated(slice(88, 91), (2,)),
-    "whole_arm_gap_after_fixed_point": lambda: _gated(slice(200, 260)),
+    "fully_measured": lambda: _gapped(),
+    "gated_at_frame_0": lambda: _gapped(range(0, 4)),
+    "wrist_gap_before_fixed_point": lambda: _gapped(range(30, 60)),
+    "whole_arm_gap_after_fixed_point": lambda: _gapped(range(200, 260)),
     "scattered_30pct": lambda: _scattered(),
-    "30_fps": lambda: _gated(n=200, fps=30.0),
-    "10_fps": lambda: _gated(n=100, fps=10.0),
-    "10_fps_wrist_gap": lambda: _gated(slice(40, 46), (0,), n=100, fps=10.0),
-    "3_frames": lambda: _gated(n=3),
+    "30_fps": lambda: _gapped(n=200, fps=30.0),
+    "10_fps": lambda: _gapped(n=100, fps=10.0),
+    "10_fps_wrist_gap": lambda: _gapped(range(40, 46), n=100, fps=10.0),
+    "3_frames": lambda: _gapped(n=3),
 }
 
 
 @pytest.mark.parametrize("case", MJCKF_CASES)
 def test_mjckf_equals_per_frame_filter_bit_for_bit(case):
     args = MJCKF_CASES[case]()
-    assert (mjckf_correct(*args).tobytes()
-            == _per_frame_mjckf(*args)[:, 0].tobytes())
+    assert mjckf_correct(*args).tobytes() == _per_frame_mjckf(*args).tobytes()
 
 
-@pytest.fixture
-def short_gain_table(monkeypatch):
-    _wrist_gains.cache_clear()
-    monkeypatch.setattr(posture, "GAIN_TABLE_MAX", 20)
-    yield
-    _wrist_gains.cache_clear()
+def test_mjckf_past_an_unsettled_gain_table_matches_the_per_frame_filter():
+    # at 12 fps the covariance never repeats bit for bit, so the table
+    # stops at GAIN_TABLE_MAX and its last entry holds from there on
+    fps, n = 12.0, GAIN_TABLE_MAX + 500
+    gain_p, gain_v = _wrist_gains(1.0 / fps)
+    assert len(gain_p) == len(gain_v) == GAIN_TABLE_MAX
+    track, _ = _wrist_track(n, fps)
+    wrist, reference = mjckf_correct(track, fps), _per_frame_mjckf(track, fps)
+    head = slice(0, GAIN_TABLE_MAX)
+    assert wrist[head].tobytes() == reference[head].tobytes()
+    np.testing.assert_allclose(wrist, reference, rtol=0, atol=1e-10)
 
 
-def test_mjckf_past_an_unsettled_gain_table_runs_the_full_update(
-        short_gain_table):
-    args = _gated(n=120)
-    wrist, settled = _wrist_gains(1.0 / 60.0)
-    assert not settled and len(wrist[0][0]) == 20
-    assert (mjckf_correct(*args).tobytes()
-            == _per_frame_mjckf(*args)[:, 0].tobytes())
+@pytest.mark.parametrize("shape", [(120, 2, 2), (120, 3, 2), (120,), (120, 3)],
+                         ids=["two_joint_track", "arm_chain_track",
+                              "one_column", "three_columns"])
+def test_mjckf_refuses_a_wrist_track_of_the_wrong_shape(shape):
+    with pytest.raises(ValueError, match=r"\(n, 2\) wrist track"):
+        mjckf_correct(np.zeros(shape), 60.0)
 
 
-MALFORMED_MJCKF_INPUTS = {
-    "all_true_two_column_mask": ((120, 3, 2), (120, 2), None),
-    "two_joint_track": ((120, 2, 2), (120, 2), None),
-    "one_column_mask": ((120, 3, 2), (120,), None),
-    "gated_two_column_mask": ((120, 3, 2), (120, 2), (50, 1)),
-}
+def _capture():
+    _, kp, _ = generate_session(SubjectParams(seed=41), seed_offset=7)
+    return kp
 
 
-@pytest.mark.parametrize("case", MALFORMED_MJCKF_INPUTS)
-def test_mjckf_refuses_a_track_or_mask_of_the_wrong_shape(case):
-    track_shape, mask_shape, gate = MALFORMED_MJCKF_INPUTS[case]
-    measured = np.ones(mask_shape, dtype=bool)
-    if gate is not None:
-        measured[gate] = False
-    with pytest.raises(ValueError, match=r"\(n, 3, 2\) track.*\(n, 3\)"):
-        mjckf_correct(np.zeros(track_shape), measured, 60.0)
+def _with(kp, conf=None, uv=None):
+    return KeypointSeries(kp.t, kp.uv if uv is None else uv,
+                          kp.conf if conf is None else conf, kp.frame_rate)
 
 
 def test_mjckf_of_a_fully_measured_track_reads_only_the_wrist():
-    track, measured, fps = _gated()
-    other = track.copy()
-    other[:, 1:] = np.random.default_rng(1).normal(300, 50, (len(track), 2, 2))
-    assert (mjckf_correct(other, measured, fps).tobytes()
-            == mjckf_correct(track, measured, fps).tobytes())
-
-
-def test_mjckf_of_a_fully_measured_track_builds_no_chain_filter(monkeypatch):
-    track, measured, fps = _gated()
-    _wrist_gains(1.0 / fps)     # the shared table, built once per interval
-
-    def refuse(*args):
-        raise AssertionError("_ChainFilter constructed")
-
-    monkeypatch.setattr(posture, "_ChainFilter", refuse)
-    assert mjckf_correct(track, measured, fps).shape == (len(track), 2)
-
-
-def test_mjckf_coupling_of_a_gated_elbow_frame_reads_the_shoulder():
-    track, measured, fps = _gated(slice(150, 151), (1,))
-    other = track.copy()
-    other[:, 2] += (7.0, -3.0)
-    assert (mjckf_correct(other, measured, fps).tobytes()
-            != mjckf_correct(track, measured, fps).tobytes())
+    # the elbow and shoulder, moved or lost, leave the calibrated wrist as
+    # it was
+    kp = _capture()
+    uv, conf = kp.uv.copy(), kp.conf.copy()
+    for name in ("elbow_r", "shoulder_r"):
+        uv[:, JOINT_INDEX[name]] += (7.0, -3.0)
+        conf[150:151, JOINT_INDEX[name]] = 0.0
+    wrist, measured = calibrate_keypoints(kp)
+    other, other_measured = calibrate_keypoints(_with(kp, conf, uv))
+    assert other.tobytes() == wrist.tobytes()
+    assert measured.all() and other_measured.all()
 
 
 def test_calibrated_wrist_of_a_gapped_capture_equals_the_per_frame_filter():
-    # no workload capture has a gated frame, so this is the gated path's
-    # end-to-end check: gap fill, the six-column smoothing, then the MJCKF
-    _, kp, _ = generate_session(SubjectParams(seed=41), seed_offset=7)
+    # no workload capture has a lost frame, so this is the gap fill's
+    # end-to-end check: gap fill, the two-column smoothing, then the MJCKF
+    kp = _capture()
     conf = kp.conf.copy()
     conf[200:212, JOINT_INDEX["wrist_r"]] = 0.0
     conf[300:303, JOINT_INDEX["shoulder_r"]] = 0.0
-    gapped = KeypointSeries(kp.t, kp.uv, conf, kp.frame_rate)
-    wrist, measured = calibrate_keypoints(gapped)
-    assert not measured[200:212].any() and measured[:200].all()
-    track, mask = pipeline._joint_tracks(gapped, ARM_CHAIN)
-    arm = adct_smooth(Series1D(track.reshape(len(track), -1),
-                               rate=kp.frame_rate)).values
-    reference = _per_frame_mjckf(arm.reshape(track.shape), mask, kp.frame_rate)
-    assert wrist.tobytes() == reference[:, 0].tobytes()
+    wrist, measured = calibrate_keypoints(_with(kp, conf))
+    assert not measured[200:212].any()
+    assert measured[:200].all() and measured[212:].all()
+    j = JOINT_INDEX[pipeline.PHONE_WRIST]
+    filled = fill_gaps(kp.t, kp.uv[:, j], measured)
+    smooth = adct_smooth(Series1D(filled, rate=kp.frame_rate)).values
+    assert wrist.tobytes() == mjckf_correct(smooth, kp.frame_rate).tobytes()
+    assert wrist.tobytes() == _per_frame_mjckf(smooth, kp.frame_rate).tobytes()
 
 
-def _chain_gains(fps, m):
-    """Gain K (m, 12, 6) and covariance P (m, 12, 12) of the whole chain's
-    filter after the update of each of m fully measured frames."""
-    nj = len(ARM_CHAIN)
-    filt = _ChainFilter(np.zeros((nj, 2)), np.zeros(nj - 1), 1.0 / fps)
-    gains, covs = [], []
-    for idx in range(m):
-        if idx > 0:
-            filt.predict()
-        gains.append(filt.update_positions(
-            dict.fromkeys(range(nj), np.zeros(2))))
-        covs.append(filt.P)
+def _chain_gains(fps):
+    """Reference: the gains K (m, 12, 6) of the 12-state filter over the
+    wrist, elbow and shoulder after the update of each fully measured
+    frame, and its covariances P (m, 12, 12), to the first P that repeats
+    its predecessor bit for bit or GAIN_TABLE_MAX frames."""
+    dt = 1.0 / fps
+    f = np.array([[1, 0, dt, 0], [0, 1, 0, dt], [0, 0, 1, 0], [0, 0, 0, 1]],
+                 dtype=float)
+    qb = np.array([[dt ** 4 / 4, 0, dt ** 3 / 2, 0],
+                   [0, dt ** 4 / 4, 0, dt ** 3 / 2],
+                   [dt ** 3 / 2, 0, dt ** 2, 0],
+                   [0, dt ** 3 / 2, 0, dt ** 2]]) * (posture.PROCESS_NOISE
+                                                     / dt ** 3)
+    big_f, q, eye = np.kron(np.eye(3), f), np.kron(np.eye(3), qb), np.eye(12)
+    h = eye[[4 * j + k for j in range(3) for k in range(2)]]
+    r = np.eye(6) * posture.MEASUREMENT_NOISE
+    cov, gains, covs = eye * 25.0, [], []
+    for _ in range(GAIN_TABLE_MAX):
+        k = cov @ h.T @ np.linalg.inv(h @ cov @ h.T + r)
+        cov = (eye - k @ h) @ cov
+        gains.append(k)
+        covs.append(cov)
+        if len(covs) > 1 and cov.tobytes() == covs[-2].tobytes():
+            break
+        cov = big_f @ cov @ big_f.T + q
     return np.stack(gains), np.stack(covs)
+
+
+@pytest.mark.parametrize("fps", [10.0, 12.0, 30.0, 59.94, 60.0])
+def test_wrist_gains_equal_the_whole_chain_table_bit_for_bit(fps):
+    # length included: the 2-state covariance repeats at the same frame as
+    # the 12-state one, or neither does within GAIN_TABLE_MAX frames
+    gain_p, gain_v = _wrist_gains(1.0 / fps)
+    gains, _ = _chain_gains(fps)
+    for k in range(2):
+        assert gain_p == tuple(gains[:, k, k].tolist())
+        assert gain_v == tuple(gains[:, 2 + k, k].tolist())
 
 
 @pytest.mark.parametrize("fps", [5.0, 30.0, 60.0, 1000.0])
 def test_measured_gains_reach_a_fixed_point_and_are_read_only(fps):
-    wrist, settled = _wrist_gains(1.0 / fps)
-    m = len(wrist[0][0])
-    assert settled and 2 <= m < GAIN_TABLE_MAX
-    assert [len(g) for pair in wrist for g in pair] == [m] * 4
+    gain_p, gain_v = _wrist_gains(1.0 / fps)
+    m = len(gain_p)
+    assert 2 <= m < GAIN_TABLE_MAX and len(gain_v) == m
     # the table ends at the first covariance that repeats its predecessor
-    gains, covs = _chain_gains(fps, m)
-    repeats = [covs[i].tobytes() == covs[i - 1].tobytes() for i in range(1, m)]
+    gains, covs = _chain_gains(fps)
+    repeats = [covs[i].tobytes() == covs[i - 1].tobytes()
+               for i in range(1, len(covs))]
     assert repeats == [False] * (m - 2) + [True]
-    for k, (gain_p, gain_v) in enumerate(wrist):
-        assert gain_p == tuple(gains[:, k, k].tolist())
-        assert gain_v == tuple(gains[:, 2 + k, k].tolist())
+    assert gain_p == tuple(gains[:, 0, 0].tolist())
     assert _wrist_gains(1.0 / fps) is _wrist_gains(1.0 / fps)
     with pytest.raises(TypeError):
-        wrist[0][0][0] = 0.0
+        gain_p[0] = 0.0
 
 
 @pytest.mark.parametrize("fps", [5.0, 30.0, 60.0, 1000.0])
 def test_measured_gains_couple_each_position_only_to_itself(fps):
     # position (j, k) feeds state rows 4j+k (position) and 4j+2+k
-    # (velocity) alone: the fully measured frames are six scalar filters,
-    # which is why the wrist's two recursions are exact
-    gains, _ = _chain_gains(fps, len(_wrist_gains(1.0 / fps)[0][0]))
+    # (velocity) alone: the 12-state filter of fully measured frames is six
+    # 2-state filters, which is why one coordinate's recursion is exact
+    gains, _ = _chain_gains(fps)
     coupled = np.zeros(gains.shape[1:], dtype=bool)
-    for j in range(len(ARM_CHAIN)):
+    for j in range(3):
         for k in range(2):
             coupled[4 * j + k, 2 * j + k] = True
             coupled[4 * j + 2 + k, 2 * j + k] = True
