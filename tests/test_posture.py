@@ -439,7 +439,7 @@ def _chain_gains(fps):
     return np.stack(gains), np.stack(covs)
 
 
-@pytest.mark.parametrize("fps", [10.0, 12.0, 30.0, 59.94, 60.0])
+@pytest.mark.parametrize("fps", [5.0, 10.0, 12.0, 30.0, 59.94, 60.0, 1000.0])
 def test_wrist_gains_equal_the_whole_chain_table_bit_for_bit(fps):
     # length included: the 2-state covariance repeats at the same frame as
     # the 12-state one, or neither does within GAIN_TABLE_MAX frames
@@ -460,7 +460,9 @@ def test_measured_gains_reach_a_fixed_point_and_are_read_only(fps):
     repeats = [covs[i].tobytes() == covs[i - 1].tobytes()
                for i in range(1, len(covs))]
     assert repeats == [False] * (m - 2) + [True]
-    assert gain_p == tuple(gains[:, 0, 0].tolist())
+    for k in range(2):
+        assert gain_p == tuple(gains[:, k, k].tolist())
+        assert gain_v == tuple(gains[:, 2 + k, k].tolist())
     assert _wrist_gains(1.0 / fps) is _wrist_gains(1.0 / fps)
     with pytest.raises(TypeError):
         gain_p[0] = 0.0
