@@ -15,7 +15,7 @@ from .gait import (GaitCycle, ImuChain, cycle_boundaries,
                    cycle_feature_rows, gait_representation, imu_chain,
                    imu_chains, normalize_cycle, segment_cycles)
 from .metrics import EvalReport, evaluate, roc_points_csv
-from .orientation import (EulerAngles, Quaternion, ahrs_stream,
+from .orientation import (EulerAngles, Quaternion, ahrs_stream, ahrs_streams,
                           euler_to_quaternion, integrate_velocity,
                           quaternion_to_euler)
 from .pipeline import (Enrollment, aligned_speeds, consistency_score,

@@ -2,8 +2,12 @@
 
 Four time-domain features (Pearson, Spearman, MAE, synchronization-lag
 score) and two frequency-domain features (band-limited coherence mean,
-spectral difference) of each aligned speed pair in a batch, from one
-segment FFT and one whole-row FFT per side and row-wise correlations.
+spectral difference) of each aligned speed pair in a batch. The pairs of
+one length run as one group, in array passes: one std per side, one
+segment FFT and one whole-row FFT per side, row-wise correlations and
+ranks, and the in-band sums as row reductions. The IMU side (FFTs, ranks,
+gait band) runs once per distinct IMU array of the group. Only the band's
+two-pointer scan and the sync lag's correlation run once per row.
 """
 
 from __future__ import annotations
@@ -54,21 +58,16 @@ def _sync_lag_score(a: np.ndarray, b: np.ndarray) -> float:
     return 1.0 - abs(lag) / max_lag
 
 
-def _band_bins(freqs: np.ndarray, band: tuple[float, float]) -> np.ndarray:
-    mask = (freqs >= band[0]) & (freqs <= band[1])
-    if not mask.any():
-        mask = freqs > 0
-    return mask
+_NPER = int(2 * COMMON_RATE)   # Welch segments of 2 s; pairs are >= 3 s
+_WELCH_FREQS = np.fft.rfftfreq(_NPER, d=1.0 / COMMON_RATE)
+_WINDOW = get_window("hann", _NPER)
+_WINDOW *= np.sqrt(1 / (COMMON_RATE * (_WINDOW * _WINDOW).sum()))   # density
+_WELCH_FREQS.flags.writeable = _WINDOW.flags.writeable = False
 
-
-def _pair_error(pair: AlignedPair) -> SyncGaitError | None:
-    """The error a pair too short or too flat to score raises, else None."""
-    a, b = pair.imu_speed, pair.video_speed
-    if len(a) < MIN_OVERLAP_SAMPLES:
-        return PairTooShort(f"{len(a)} samples")
-    if a.std() == 0 or b.std() == 0:
-        return DegenerateChannel("zero-variance channel")
-    return None
+# one length group's spectral pass, one row per pair: Pearson r, Spearman
+# rho, Welch coherence and IMU power at _WELCH_FREQS, both centred FFT
+# magnitudes, and the (lo, hi) gait band of the IMU row
+_Spectra = namedtuple("_Spectra", "pcc rho coh pxx spec_a spec_b band")
 
 
 def _correlation(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -78,58 +77,99 @@ def _correlation(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.clip(r, -1.0, 1.0)
 
 
-def _spectra(a: np.ndarray, b: np.ndarray) -> list[tuple]:
-    """Per row of the equal-length rows a, b (m, n): Pearson r, Spearman
-    rho, the Welch frequencies, coherence and IMU power, and both centred
-    FFT magnitudes. The Welch spectra come from one FFT per side of the
-    rows' mean-removed, Hann-windowed 2 s segments at half overlap; a bin
-    where either side has no Welch power has coherence 0, not 0 / 0."""
-    nper = int(2 * COMMON_RATE)   # pairs are at least 3 s long
-    win = get_window("hann", nper)
-    win *= np.sqrt(1 / (COMMON_RATE * (win * win).sum()))   # density scale
+def _ranks(x: np.ndarray) -> np.ndarray:
+    """rankdata(x, axis=1), from one stable argsort unless a row has ties
+    (or a NaN), which scipy's average ranks then settle."""
+    order = np.argsort(x, axis=1, kind="stable")
+    ordered = np.take_along_axis(x, order, axis=1)
+    if not (ordered[:, 1:] > ordered[:, :-1]).all():
+        return rankdata(x, axis=1)
+    ranks = np.empty(x.shape)
+    np.put_along_axis(ranks, order, np.arange(1.0, x.shape[1] + 1), axis=1)
+    return ranks
 
-    def segment_fft(x: np.ndarray) -> np.ndarray:
-        seg = sliding_window_view(x, nper, axis=1)[:, ::nper // 2]
-        return np.fft.rfft((seg - seg.mean(axis=2, keepdims=True)) * win)
-    fa, fb = segment_fft(a), segment_fft(b)
+
+def _segment_fft(x: np.ndarray) -> np.ndarray:
+    """The rfft of each row's mean-removed, Hann-windowed 2 s segments at
+    half overlap: (m, segments, bins)."""
+    seg = sliding_window_view(x, _NPER, axis=1)[:, ::_NPER // 2]
+    return np.fft.rfft((seg - seg.mean(axis=2, keepdims=True)) * _WINDOW)
+
+
+def _spectra(a: np.ndarray, b: np.ndarray, imu: np.ndarray) -> _Spectra:
+    """The _Spectra of the equal-length pairs whose video rows are b (m, n)
+    and whose IMU rows are a[imu], a (u, n) holding each distinct IMU row
+    once. The IMU side (its segment and whole-row FFTs, its ranks and its
+    band) is computed once per row of a. The Welch spectra are averaged
+    over the segments; a bin where either side has no Welch power has
+    coherence 0, not 0 / 0."""
+    fa, fb = _segment_fft(a), _segment_fft(b)
     pxx = (fa.real ** 2 + fa.imag ** 2).mean(axis=1)
     pyy = (fb.real ** 2 + fb.imag ** 2).mean(axis=1)
-    pxy = (fa.conj() * fb).mean(axis=1)
+    pxy = (fa[imu].conj() * fb).mean(axis=1)
     for p in (pxx, pyy, pxy):   # one-sided: every bin but DC and Nyquist
         p[:, 1:-1] *= 2
+    pxx = pxx[imu]
     power = (pxx > 0) & (pyy > 0)
     coh = np.zeros_like(pxx)
     coh[power] = np.abs(pxy[power]) ** 2 / pxx[power] / pyy[power]
-    freqs = np.fft.rfftfreq(nper, d=1.0 / COMMON_RATE)
-    pcc = _correlation(a, b)
-    rho = _correlation(rankdata(a, axis=1), rankdata(b, axis=1))
     spec_a = np.abs(np.fft.rfft(a - a.mean(axis=1, keepdims=True)))
     spec_b = np.abs(np.fft.rfft(b - b.mean(axis=1, keepdims=True)))
-    return [(pcc[r], rho[r], freqs, coh[r], pxx[r], spec_a[r], spec_b[r])
-            for r in range(len(a))]
+    band = np.array([estimate_band(s ** 2, a.shape[1], COMMON_RATE)
+                     for s in spec_a])
+    return _Spectra(_correlation(a[imu], b),
+                   _correlation(_ranks(a)[imu], _ranks(b)),
+                   coh, pxx, spec_a[imu], spec_b, band[imu])
 
 
-def _features(pair: AlignedPair, pcc: float, spearman: float,
-              freqs_c: np.ndarray, coh: np.ndarray, pxx: np.ndarray,
-              spec_a: np.ndarray, spec_b: np.ndarray) -> list[float]:
-    """One pair's feature row, FEATURE_NAMES order, from its row of
-    _spectra."""
-    a, b = pair.imu_speed, pair.video_speed
-    band = estimate_band(spec_a ** 2, len(a), COMMON_RATE)
-    cb = _band_bins(freqs_c, band)
-    # power-weighted so empty bins inside the band cannot dilute the score
-    w = pxx[cb]
-    coh_mean = float((coh[cb] * w).sum() / w.sum()) if w.sum() > 0 else 0.0
+def _bands(freqs: np.ndarray, band: np.ndarray):
+    """Each row's bins of `freqs` inside its (lo, hi) band, every bin but DC
+    when none is: per distinct band width, the rows and the index that
+    gathers their bins left-aligned into one (rows, width) block. A band is
+    a contiguous run of bins, so each block row sums as its slice does."""
+    start = np.searchsorted(freqs, band[:, 0], "left")
+    stop = np.searchsorted(freqs, band[:, 1], "right")
+    none = stop <= start
+    start, stop = np.where(none, 1, start), np.where(none, len(freqs), stop)
+    for width, rows in groups((stop - start).tolist()).items():
+        rows = np.array(rows)
+        yield rows, (rows[:, None], start[rows, None] + np.arange(width))
 
-    bins = _band_bins(np.fft.rfftfreq(len(a), d=1.0 / COMMON_RATE), band)
-    sa, sb = spec_a[bins], spec_b[bins]
-    na, nb = np.linalg.norm(sa), np.linalg.norm(sb)
-    if na == 0 or nb == 0:
-        raise DegenerateChannel("empty spectrum in gait band")
-    spec_diff = float(np.linalg.norm(sa / na - sb / nb))
 
-    return [pcc, spearman, np.mean(np.abs(a - b)), _sync_lag_score(a, b),
-            coh_mean, spec_diff]
+def _norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row: the square root of BLAS's row dot, which
+    a vector-vector matmul runs as norm's 1-D x.dot(x) does."""
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
+
+
+def _group_features(a: np.ndarray, b: np.ndarray,
+                    imu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The feature rows of the equal-length pairs (b, a[imu]) of _spectra,
+    and the mask of the rows whose gait band holds an empty spectrum on
+    either side (their coherence and spectral difference read 0)."""
+    s = _spectra(a, b, imu)
+    coh_mean = np.zeros(len(b))
+    for rows, at in _bands(_WELCH_FREQS, s.band):
+        # power-weighted so empty bins inside the band cannot dilute it
+        w = s.pxx[at]
+        total = w.sum(axis=1)
+        coh_mean[rows] = np.divide((s.coh[at] * w).sum(axis=1), total,
+                                   out=np.zeros(len(rows)), where=total > 0)
+    spec_diff = np.zeros(len(b))
+    empty = np.zeros(len(b), dtype=bool)
+    for rows, at in _bands(np.fft.rfftfreq(b.shape[1], d=1.0 / COMMON_RATE),
+                           s.band):
+        sa, sb = s.spec_a[at], s.spec_b[at]
+        na, nb = _norms(sa), _norms(sb)
+        bad = (na == 0) | (nb == 0)
+        empty[rows] = bad
+        ok = ~bad
+        spec_diff[rows[ok]] = _norms(sa[ok] / na[ok, None]
+                                     - sb[ok] / nb[ok, None])
+    a = a[imu]
+    sync = [_sync_lag_score(x, y) for x, y in zip(a, b)]
+    return np.column_stack([s.pcc, s.rho, np.abs(a - b).mean(axis=1), sync,
+                            coh_mean, spec_diff]), empty
 
 
 def compute_features(pairs: Sequence[AlignedPair]) -> np.ndarray:
@@ -137,24 +177,38 @@ def compute_features(pairs: Sequence[AlignedPair]) -> np.ndarray:
     pair in order and columns in FEATURE_NAMES order, the spectral ones in
     the band estimated from the pair's IMU channel.
 
-    The pairs of one length are stacked into rows that share one segment
-    FFT and one whole-row FFT per side and row-wise Pearson and Spearman
-    (_spectra); the band (from the IMU row's FFT), sync lag, MAE and band
-    sums are per pair. Each row is bit for bit what its pair gives alone,
-    and a batch raises the error of its first pair that cannot be scored.
+    The pairs of one length are one group that runs one array pass
+    (_group_features): one std per row and side, one segment FFT and one
+    whole-row FFT per side, row-wise Pearson and Spearman, and the band
+    sums as row reductions. A group's IMU rows are stacked once per
+    distinct IMU array, by identity. Each row is bit for bit what its pair
+    gives alone, and a batch raises the error of its first pair, in input
+    order, that is too short, flat or empty in its gait band.
     """
     pairs = list(pairs)
-    bad = next((i for i, p in enumerate(pairs) if _pair_error(p)),
-               len(pairs))
-    rows: dict[int, tuple] = {}
-    for idx in groups([len(p.imu_speed) for p in pairs[:bad]]).values():
-        rows.update(zip(idx, _spectra(
-            np.stack([pairs[i].imu_speed for i in idx]),
-            np.stack([pairs[i].video_speed for i in idx]))))
-    out = [_features(pairs[i], *rows[i]) for i in range(bad)]
-    if bad < len(pairs):
-        raise _pair_error(pairs[bad])
-    return np.array(out, dtype=float).reshape(-1, len(FEATURE_NAMES))
+    out = np.empty((len(pairs), len(FEATURE_NAMES)))
+    errors: dict[int, SyncGaitError] = {}
+    for n, idx in groups([len(p.imu_speed) for p in pairs]).items():
+        if n < MIN_OVERLAP_SAMPLES:
+            errors[idx[0]] = PairTooShort(f"{n} samples")
+            continue
+        # a holds each distinct IMU array once, and imu is each pair's row
+        _, first, imu = np.unique([id(pairs[i].imu_speed) for i in idx],
+                                  return_index=True, return_inverse=True)
+        a = np.stack([pairs[idx[k]].imu_speed for k in first])
+        b = np.stack([pairs[i].video_speed for i in idx])
+        flat = (a.std(axis=1) == 0)[imu] | (b.std(axis=1) == 0)
+        idx = np.array(idx)
+        errors.update((i, DegenerateChannel("zero-variance channel"))
+                      for i in idx[flat].tolist())
+        idx = idx[~flat]
+        rows, empty = _group_features(a, b[~flat], imu[~flat])
+        out[idx] = rows
+        errors.update((i, DegenerateChannel("empty spectrum in gait band"))
+                      for i in idx[empty].tolist())
+    if errors:
+        raise errors[min(errors)]
+    return out
 
 
 def fisher_select(g: np.ndarray, i: np.ndarray) -> FisherReport:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSeries, NonUnitQuaternion
-from .series import ImuSeries, require_squarable
+from .series import ImuSeries, groups, require_squarable
 
 UNIT_NORM_TOL = 1e-3
 
@@ -104,30 +104,45 @@ def rotate_to_world(q: Quaternion, v_phone: np.ndarray) -> np.ndarray:
     return np.array([r.q1, r.q2, r.q3])
 
 
-def ahrs_stream(imu: ImuSeries) -> np.ndarray:
-    """(n, 4) quaternions (q0, q1, q2, q3), one per sample: the gyro
-    integrated as one prefix product, then levelled once on gravity.
+def ahrs_streams(imus: list[ImuSeries]) -> list[np.ndarray]:
+    """(n, 4) quaternions (q0, q1, q2, q3) of each stream, one per sample:
+    its gyro integrated as one prefix product, then levelled once on
+    gravity.
 
     Sample k's step is the unit quaternion (1, w_k dt / 2) / |.|, and
     attitude k the product p_0 p_1 ... p_k. Quaternion products are
     associative, so the n products are one Hillis-Steele scan (Blelloch
-    1990) of ceil(log2 n) array passes. A walk at steady speed averages its
-    arm and body accelerations to about zero, so one rotation, the same for
-    every sample, turns the capture's mean world acceleration straight up.
-    Samples that overflow when squared, or a mean world acceleration that
-    is zero, are DegenerateSeries.
+    1990) of ceil(log2 n) array passes. The steps of the streams of one
+    length form one (4, k, n) block that each pass runs over; the products
+    are element-wise, so each stream's attitude is bit for bit its own
+    scan's. A walk at steady speed averages its arm and body accelerations
+    to about zero, so one rotation per stream, the same for every sample,
+    turns its mean world acceleration straight up. Samples that overflow
+    when squared, or a mean world acceleration that is zero, are
+    DegenerateSeries.
     """
-    require_squarable("IMU", imu.acc, imu.gyro)
-    steps = np.hstack([np.ones((len(imu), 1)),
-                       imu.gyro * (0.5 / imu.sample_rate)])
-    q = steps / np.linalg.norm(steps, axis=1, keepdims=True)
-    shift = 1
-    while shift < len(q):
-        p = Quaternion(*q[:-shift].T) * Quaternion(*q[shift:].T)
-        q[shift:] = np.column_stack([p.q0, p.q1, p.q2, p.q3])
-        shift *= 2
+    require_squarable("IMU", *(b for imu in imus for b in (imu.acc, imu.gyro)))
+    out: list = [None] * len(imus)
+    for n, idx in groups([len(imu) for imu in imus]).items():
+        steps = np.stack([np.hstack([np.ones((n, 1)), imus[i].gyro
+                                     * (0.5 / imus[i].sample_rate)])
+                          for i in idx], axis=1)             # (n, k, 4)
+        q = (steps / np.linalg.norm(steps, axis=2, keepdims=True)).T.copy()
+        shift = 1
+        while shift < n:
+            p = Quaternion(*q[..., :-shift]) * Quaternion(*q[..., shift:])
+            q[..., shift:] = (p.q0, p.q1, p.q2, p.q3)
+            shift *= 2
+        for k, i in enumerate(idx):
+            out[i] = _levelled(q[:, k], imus[i].acc)
+    return out
+
+
+def _levelled(q: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """The (4, n) attitude q turned by the one rotation that points the
+    summed world acceleration of `acc` up, as (n, 4)."""
     # the summed world acceleration points where the mean does
-    up = (rotation_matrices(q) @ imu.acc[:, :, None]).sum(axis=0)[:, 0]
+    up = (rotation_matrices(q.T) @ acc[:, :, None]).sum(axis=0)[:, 0]
     norm = np.linalg.norm(up)
     if not 0 < norm < math.inf:
         raise DegenerateSeries(f"no level: the world accelerations sum to "
@@ -135,8 +150,13 @@ def ahrs_stream(imu: ImuSeries) -> np.ndarray:
     ux, uy, uz = up / norm
     level = euler_to_quaternion(EulerAngles(
         math.atan2(uy, uz), math.atan2(ux, math.hypot(uy, uz)), 0.0))
-    p = level * Quaternion(*q.T)
+    p = level * Quaternion(*q)
     return np.column_stack([p.q0, p.q1, p.q2, p.q3])
+
+
+def ahrs_stream(imu: ImuSeries) -> np.ndarray:
+    """The attitude of one stream: ahrs_streams of it alone."""
+    return ahrs_streams([imu])[0]
 
 
 GRAVITY = 9.81

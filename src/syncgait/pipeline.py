@@ -9,10 +9,13 @@ gait-band band-pass, magnitude. A stream too short for a stage is
 SeriesTooShort at the first stage that needs the length.
 A batch of streams (`gait.imu_chains`, `imu_speed_channels`,
 `video_speed_channels`) runs each column-wise stage once per (length,
-rate) shape; a one-stream entry point is the batch of one. An IMU is taken
-as an `ImuSeries` or its `ImuChain`, so a caller that scores one IMU view
-several times (the consistency and gait checks of an attempt) runs its
-denoise and attitude scan once. The features of m pairs are one (m, 6) array.
+rate) shape and the attitude scan once per length; a one-stream entry
+point is the batch of one. An IMU is taken as an `ImuSeries` or its
+`ImuChain`, so a caller that scores one IMU view several times (the
+consistency and gait checks of an attempt) runs its denoise and attitude
+scan once. The features of m pairs are one (m, 6) array, one array pass
+per pair length, and a session's cycles are resampled once per cycle
+length.
 
 The pipeline takes no settings: each stage reads its module's constants
 (the MJCKF noise levels, `series.DENOISE_LEVELS`, the `gait` period

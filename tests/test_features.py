@@ -10,8 +10,9 @@ from scipy.signal import csd, welch
 from scipy.stats import pearsonr, spearmanr
 
 from syncgait.errors import DegenerateChannel, DegenerateClass, PairTooShort
-from syncgait.features import (FEATURE_NAMES, FeatureVector, _spectra,
-                               compute_features, fisher_select)
+from syncgait import features
+from syncgait.features import (_WELCH_FREQS, FEATURE_NAMES, FeatureVector,
+                               _spectra, compute_features, fisher_select)
 from syncgait.pipeline import _shifted_pairs, _window_pairs
 from syncgait.syncing import COMMON_RATE, AlignedPair
 
@@ -93,6 +94,66 @@ def test_batch_equals_one_pair_at_a_time_bit_for_bit():
     assert compute_features([]).shape == (0, len(FEATURE_NAMES))
 
 
+def _per_pair_sums(pair):
+    """Reference: one pair's MAE, coherence mean and spectral difference
+    from its own spectra, by a boolean band mask and np.linalg.norm."""
+    a, b = pair.imu_speed, pair.video_speed
+    s = _spectra(a[None], b[None], np.zeros(1, dtype=int))
+
+    def in_band(freqs):
+        mask = (freqs >= s.band[0, 0]) & (freqs <= s.band[0, 1])
+        return mask if mask.any() else freqs > 0
+    cb = in_band(_WELCH_FREQS)
+    w = s.pxx[0, cb]
+    coh = (s.coh[0, cb] * w).sum() / w.sum() if w.sum() > 0 else 0.0
+    bins = in_band(np.fft.rfftfreq(len(a), d=1.0 / COMMON_RATE))
+    sa, sb = s.spec_a[0, bins], s.spec_b[0, bins]
+    diff = np.linalg.norm(sa / np.linalg.norm(sa) - sb / np.linalg.norm(sb))
+    return [np.mean(np.abs(a - b)), coh, diff]
+
+
+def test_a_shuffled_batch_of_three_lengths_equals_each_pair_alone(
+        monkeypatch):
+    # a session's full pair and its shifted pairs share one IMU array; a
+    # quantised video channel has rank ties; the bands differ in width
+    pairs = _session_pairs()
+    x = _gait_like(237, f=1.1, seed=5)
+    other = AlignedPair(x, np.roll(x, 3) + _gait_like(237, seed=6, noise=0.4))
+    pairs += _window_pairs(other) + _shifted_pairs(other)
+    pairs.append(AlignedPair(_gait_like(seed=7), np.round(
+        4 * _gait_like(seed=8, f=1.6)) / 4))
+    order = np.random.default_rng(9).permutation(len(pairs))
+    pairs = [pairs[i] for i in order]
+    assert {len(p.imu_speed) for p in pairs} == {150, 237, 400}
+    seen = {"groups": [], "rankdata": 0, "widths": set()}
+    real_spectra, real_bands, real_rankdata = (
+        features._spectra, features._bands, features.rankdata)
+
+    def spectra(a, b, imu):
+        seen["groups"].append((len(a), len(b)))
+        return real_spectra(a, b, imu)
+
+    def bands(freqs, band):
+        for rows, at in real_bands(freqs, band):
+            seen["widths"].add(at[1].shape[1])
+            yield rows, at
+
+    def rankdata(*args, **kwargs):
+        seen["rankdata"] += 1
+        return real_rankdata(*args, **kwargs)
+    monkeypatch.setattr(features, "_spectra", spectra)
+    monkeypatch.setattr(features, "_bands", bands)
+    monkeypatch.setattr(features, "rankdata", rankdata)
+    batch = compute_features(pairs)
+    assert len(seen["groups"]) == 3
+    assert any(imu_rows < rows for imu_rows, rows in seen["groups"])
+    assert seen["rankdata"] > 0 and len(seen["widths"]) > 2
+    alone = np.vstack([compute_features([p]) for p in pairs])
+    assert batch.tobytes() == alone.tobytes()
+    sums = np.array([_per_pair_sums(p) for p in pairs])
+    assert batch[:, [MAE, COH, SPECDIFF]].tobytes() == sums.tobytes()
+
+
 @pytest.mark.parametrize("m", [1, 4])
 def test_equal_length_pairs_take_four_ffts_in_all(m, monkeypatch):
     # one segment FFT and one whole-row FFT per side for the whole batch;
@@ -122,13 +183,15 @@ def test_spectra_match_scipy(n, rows):
     _, pyy = welch(b, **kw)
     _, pxy = csd(a, b, **kw)
     coh = np.abs(pxy) ** 2 / pxx / pyy
-    for r, (pcc, rho, f, c, p, _, _) in enumerate(_spectra(a, b)):
-        np.testing.assert_array_equal(f, freqs)
-        np.testing.assert_allclose(p, pxx[r], rtol=1e-14, atol=0)
-        np.testing.assert_allclose(c, coh[r], rtol=1e-14, atol=0)
-        assert pcc == pytest.approx(pearsonr(a[r], b[r])[0], rel=1e-14)
-        assert rho == pytest.approx(spearmanr(a[r], b[r])[0], rel=1e-14)
-        assert pcc <= 1.0 and rho <= 1.0
+    # the group pass, one row per pair, each pair with its own IMU row
+    s = _spectra(a, b, np.arange(rows))
+    np.testing.assert_array_equal(_WELCH_FREQS, freqs)
+    for r in range(rows):
+        np.testing.assert_allclose(s.pxx[r], pxx[r], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(s.coh[r], coh[r], rtol=1e-14, atol=0)
+        assert s.pcc[r] == pytest.approx(pearsonr(a[r], b[r])[0], rel=1e-14)
+        assert s.rho[r] == pytest.approx(spearmanr(a[r], b[r])[0], rel=1e-14)
+        assert s.pcc[r] <= 1.0 and s.rho[r] <= 1.0
     assert len(np.unique(b[0])) < n
 
 

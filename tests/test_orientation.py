@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from syncgait.errors import DegenerateSeries, NonUnitQuaternion
 from syncgait.orientation import (EulerAngles, Quaternion, ahrs_stream,
-                                  euler_to_quaternion, integrate_velocity,
-                                  quaternion_to_euler, rotate_to_world,
-                                  rotation_matrices)
+                                  ahrs_streams, euler_to_quaternion,
+                                  integrate_velocity, quaternion_to_euler,
+                                  rotate_to_world, rotation_matrices)
 from syncgait.series import ImuSeries
 
 
@@ -236,6 +236,23 @@ def test_ahrs_stream_equals_a_sequential_product_up_to_one_level(n):
     expected = np.array([(p.q0, p.q1, p.q2, p.q3)
                          for p in (level * s for s in sequential)])
     assert np.abs(quats - expected).max() < 1e-12
+
+
+def test_ahrs_streams_of_two_lengths_and_rates_equal_each_stream_alone():
+    # the streams of one length share one (4, k, n) scan, whatever their
+    # rates; its products are element-wise, so each stream's attitude is
+    # bit for bit its own scan's
+    imu, _ = _two_axis_walk(0.01)
+    streams = [ImuSeries(np.arange(n) / rate, imu.acc[s:s + n],
+                         imu.gyro[s:s + n], sample_rate=rate)
+               for n, s, rate in [(517, 0, 100.0), (300, 40, 50.0),
+                                  (517, 200, 50.0), (300, 7, 100.0),
+                                  (300, 300, 100.0)]]
+    batch = ahrs_streams(streams)
+    assert [len(q) for q in batch] == [517, 300, 517, 300, 300]
+    for q, stream in zip(batch, streams):
+        assert q.tobytes() == ahrs_stream(stream).tobytes()
+    assert ahrs_streams([]) == []
 
 
 # the vertical's RMS error of the Madgwick filter (AHRS_BETA 0.1,

@@ -348,7 +348,7 @@ def test_enroll_designs_each_filter_once_and_batches_the_spectra(
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
     spy(posture, "butter", lambda order, band, *_: tuple(band))
-    spy(features, "_spectra", lambda a, b: a.shape)
+    spy(features, "_spectra", lambda a, b, imu: b.shape)
     spy(pipeline, "compute_features",
         lambda pairs: Counter(len(p.imu_speed) for p in pairs))
     posture._butter_band.cache_clear()

@@ -313,14 +313,15 @@ def test_batched_attacks_equal_per_sample_references(monkeypatch, kind):
 
 @pytest.fixture
 def ahrs_calls(monkeypatch):
-    """Counts the AHRS runs of the gait chain, the one caller of ahrs_stream."""
+    """Counts the streams whose attitude the gait chain scans, one entry per
+    stream of each ahrs_streams batch (the chain is its one caller)."""
     calls = []
-    real = gait.ahrs_stream
+    real = gait.ahrs_streams
 
-    def counted(imu):
-        calls.append(len(imu))
-        return real(imu)
-    monkeypatch.setattr(gait, "ahrs_stream", counted)
+    def counted(imus):
+        calls.extend(len(imu) for imu in imus)
+        return real(imus)
+    monkeypatch.setattr(gait, "ahrs_streams", counted)
     return calls
 
 
