@@ -298,11 +298,9 @@ def cmd_enroll(cfg: ExperimentConfig, data_dir: Path, subject: int,
             "config_sha256": cfg.digest(),
             "feature_mask": enrollment.feature_mask.astype(int).tolist(),
             "consistency_model": cons_name,
-            "gait_model": gait_name}
-    if enrollment.fisher is not None:
-        meta["fisher"] = {n: float(s) for n, s in
-                          zip(FEATURE_NAMES,
-                              enrollment.fisher.normalized)}
+            "gait_model": gait_name,
+            "fisher": {n: float(s) for n, s in
+                       zip(FEATURE_NAMES, enrollment.fisher.normalized)}}
     _write_json(out / f"subject{subject:02d}_enrollment.json", meta)
     print(f"enrolled subject {subject}: {cons_name}, {gait_name}")
     return EXIT_OK

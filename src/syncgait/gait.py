@@ -19,7 +19,7 @@ from scipy.signal import find_peaks
 
 from .errors import CycleTooShort, NoCyclesFound, SeriesTooShort
 from .orientation import GRAVITY_WORLD, ahrs_streams, rotation_matrices
-from .series import (ImuSeries, by_shape, groups, require_squarable,
+from .series import (ImuSeries, by_shape, require_squarable,
                      wavelet_denoise)
 
 CYCLE_LENGTH = 150  # samples; 1.5 s at 100 Hz
@@ -168,52 +168,26 @@ def segment_cycles(imu: ImuSeries | ImuChain) -> list[tuple[float, float]]:
     return [(a, b) for _, _, a, b in _cycles(as_chain(imu))]
 
 
-_GRID = np.linspace(0.0, 1.0, CYCLE_LENGTH)
-_GRID.flags.writeable = False
-
-
-def _resample(raw: np.ndarray) -> np.ndarray:
-    """The rows of raw (..., L) linearly interpolated from L to CYCLE_LENGTH
-    equal steps of [0, 1], all rows in one pass, as a fresh C-contiguous
-    array. It is np.interp's own arithmetic, so each finite row is bit for
-    bit np.interp(_GRID, linspace(0, 1, L), row): slope * (x - xp[j]) +
-    fp[j] on the knot interval [xp[j], xp[j + 1]) of x, and fp[j] where x
-    is the knot xp[j] or at or past the last one."""
-    length = raw.shape[-1]
-    if length < 2:
-        raise CycleTooShort("need >= 2 samples per cycle")
-    xp = np.linspace(0.0, 1.0, length)
-    j = np.searchsorted(xp, _GRID, "right") - 1
-    lo = np.minimum(j, length - 2)
-    slope = (raw[..., lo + 1] - raw[..., lo]) / (xp[lo + 1] - xp[lo])
-    at_knot = (xp[j] == _GRID) | (j == length - 1)
-    # the gathers along the last axis come out strided; a strided row would
-    # sum in another order in the per-channel statistics
-    return np.ascontiguousarray(np.where(
-        at_knot, raw[..., j], slope * (_GRID - xp[lo]) + raw[..., lo]))
-
-
 def normalize_cycle(raw: np.ndarray, t_start: float = 0.0,
                     t_end: float = 1.5) -> GaitCycle:
     """Per-channel linear interpolation onto CYCLE_LENGTH equal steps."""
-    return GaitCycle(_resample(np.asarray(raw, dtype=float)), t_start, t_end)
+    raw = np.asarray(raw, dtype=float)
+    if raw.shape[1] < 2:
+        raise CycleTooShort("need >= 2 samples per cycle")
+    x_old = np.linspace(0.0, 1.0, raw.shape[1])
+    x_new = np.linspace(0.0, 1.0, CYCLE_LENGTH)
+    channels = np.vstack([np.interp(x_new, x_old, row) for row in raw])
+    return GaitCycle(channels=channels, t_start=t_start, t_end=t_end)
 
 
 def gait_representation(imu: ImuSeries | ImuChain) -> list[GaitCycle]:
     """Full IMU gait pipeline: denoise, segment on the world-frame vertical,
     normalize the phone-frame acceleration and angular rate of each cycle,
-    sliced from cut to cut sample, both included. The cycles of one length
-    are resampled in one pass."""
+    sliced from cut to cut sample, both included."""
     chain = as_chain(imu)
     phone = np.hstack([chain.denoised.acc, chain.denoised.gyro]).T   # (6, n)
-    cycles = _cycles(chain)
-    out: list = [None] * len(cycles)
-    for idx in groups([j - i for i, j, _, _ in cycles]).values():
-        block = _resample(np.stack([phone[:, cycles[k][0]:cycles[k][1] + 1]
-                                    for k in idx]))
-        for k, channels in zip(idx, block):
-            out[k] = GaitCycle(channels, *cycles[k][2:])
-    return out
+    return [normalize_cycle(phone[:, i:j + 1], t_start, t_end)
+            for i, j, t_start, t_end in _cycles(chain)]
 
 
 CYCLE_FEATURE_COUNT = 30  # 6 channels x 5 statistics

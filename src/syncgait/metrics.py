@@ -67,16 +67,15 @@ def evaluate(scores_genuine, scores_impostor) -> EvalReport:
 
 
 def _eer_exact(far: list[Fraction], frr: list[Fraction]) -> Fraction:
-    """FAR = FRR point; thresholds ascend so FAR - FRR is non-increasing."""
+    """FAR = FRR point; thresholds ascend so FAR - FRR is non-increasing.
+    The sweep opens at FAR 1, FRR 0 and closes at FAR 0, FRR 1, so its
+    first non-positive FAR - FRR exists and has a predecessor."""
     diff = [fa - fr for fa, fr in zip(far, frr)]
-    for k, d in enumerate(diff):
-        if d <= 0:
-            if d == 0 or k == 0:
-                return (far[k] + frr[k]) / 2
-            d0, d1 = diff[k - 1], diff[k]
-            w = d0 / (d0 - d1)
-            return (1 - w) * far[k - 1] + w * far[k]
-    return (far[-1] + frr[-1]) / 2
+    k = next(k for k, d in enumerate(diff) if d <= 0)
+    if diff[k] == 0:
+        return (far[k] + frr[k]) / 2
+    w = diff[k - 1] / (diff[k - 1] - diff[k])
+    return (1 - w) * far[k - 1] + w * far[k]
 
 
 def _auc_exact(fa_counts: list[int], fr_counts: list[int],

@@ -14,8 +14,7 @@ point is the batch of one. An IMU is taken as an `ImuSeries` or its
 `ImuChain`, so a caller that scores one IMU view several times (the
 consistency and gait checks of an attempt) runs its denoise and attitude
 scan once. The features of m pairs are one (m, 6) array, one array pass
-per pair length, and a session's cycles are resampled once per cycle
-length.
+per pair length, and a session's cycles are resampled one at a time.
 
 The pipeline takes no settings: each stage reads its module's constants
 (the MJCKF noise levels, `series.DENOISE_LEVELS`, the `gait` period

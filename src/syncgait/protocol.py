@@ -196,9 +196,8 @@ def attempt_scores(enrollment: Enrollment, offset: ClockOffsetEstimate,
     speed channel of each stream. When one view is partial the phone's
     score recomputes one channel of the sender's own stream: the video
     channel when only IMU chunks were lost, the IMU speed channel when only
-    keypoints were (about 1.7 and 0.23 ms of process time for an 8 s
-    capture on a 2-core x86 VM). The scores equal consistency_score and
-    gait_score on the views.
+    keypoints were, a small share of the attempt's time. The scores equal
+    consistency_score and gait_score on the views.
     """
     imu_whole, kp_whole = imu_valid.all(), kp_valid.all()
     chain = imu_chain(imu if imu_whole else _received_imu(imu, imu_valid))

@@ -342,21 +342,14 @@ def test_enroll_manifest_without_subjects_is_io_error(tmp_path, capsys,
     assert not (tmp_path / "m").exists()
 
 
-def test_enroll_refuses_a_v1_data_directory(tmp_path, capsys, enroll_data):
-    # and v2 and v3 ones: a data directory of an older format is refused by
-    # name
-    for version in ("gaitsync-v1", "gaitsync-v2", "gaitsync-v3"):
-        shutil.rmtree(tmp_path / "data", ignore_errors=True)
-        assert _enroll_edited(tmp_path, enroll_data,
-                              lambda m: m.update(format=version)) == EXIT_IO
-        assert f"{version!r}" in capsys.readouterr().err
-        assert not (tmp_path / "m").exists()
-
-
-@pytest.mark.parametrize("version", ["gaitsync-v9", "", 2, None],
-                         ids=["newer", "empty", "number", "absent"])
+@pytest.mark.parametrize(
+    "version", ["gaitsync-v9", "", 2, None,
+                "gaitsync-v1", "gaitsync-v2", "gaitsync-v3"],
+    ids=["newer", "empty", "number", "absent",
+         "gaitsync-v1", "gaitsync-v2", "gaitsync-v3"])
 def test_enroll_manifest_of_another_format_is_io_error(tmp_path, capsys,
                                                        enroll_data, version):
+    # a data directory of an older format is refused by name, as any other
     def edit(manifest):
         if version is None:
             del manifest["format"]
@@ -364,6 +357,7 @@ def test_enroll_manifest_of_another_format_is_io_error(tmp_path, capsys,
             manifest["format"] = version
     assert _enroll_edited(tmp_path, enroll_data, edit) == EXIT_IO
     assert f"format {version!r}" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, None],

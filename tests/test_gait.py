@@ -8,7 +8,6 @@ from syncgait import gait
 from syncgait.errors import CycleTooShort, NoCyclesFound, SeriesTooShort
 from syncgait.gait import (CYCLE_LENGTH, MAX_PERIOD_S, MIN_PERIOD_S,
                            PROMINENCE, GaitCycle, _boundaries_from_vertical,
-                           _resample,
                            cycle_feature_rows, gait_representation, imu_chain,
                            normalize_cycle, segment_cycles)
 from syncgait.pipeline import gait_vectors
@@ -161,25 +160,6 @@ def test_normalize_cycle_fixed_length_and_endpoints():
     assert cyc.channels.shape == (6, CYCLE_LENGTH)
     assert cyc.channels[0, 0] == pytest.approx(0.0)
     assert cyc.channels[0, -1] == pytest.approx(1.0)
-
-
-def test_resampling_equals_np_interp_at_every_length():
-    # one pass over a block of cycles gives np.interp's bits on each row,
-    # knots, the last sample and all, in C order so that the per-channel
-    # statistics sum each row as they would a fresh array; at a knot
-    # np.interp returns the sample itself, a -0.0 included
-    rng = np.random.default_rng(8)
-    grid = np.linspace(0.0, 1.0, CYCLE_LENGTH)
-    for length in range(2, 260):
-        raw = rng.normal(size=(2, 6, length)) * 10.0 ** rng.integers(
-            -3, 4, size=(2, 6, 1))
-        raw[0, :, 0] = -0.0
-        block = _resample(raw)
-        assert block.shape == (2, 6, CYCLE_LENGTH)
-        assert block.flags.c_contiguous
-        want = [np.interp(grid, np.linspace(0.0, 1.0, length), row)
-                for row in raw.reshape(-1, length)]
-        assert block.tobytes() == np.array(want).tobytes()
 
 
 def test_gait_representation_resamples_each_cut_as_np_interp():

@@ -71,7 +71,7 @@ def _keypoints(t, conf=None):
     return KeypointSeries(t, uv, conf)
 
 
-def test_keypoint_frame_fills_required_joints(tmp_path):
+def test_read_keypoint_npy_places_each_joints_columns(tmp_path):
     # each joint's u, v and confidence columns land in its JOINT_INDEX slot
     path = tmp_path / "kp.npy"
     row = np.zeros((1, 1 + 3 * NJ))
@@ -85,7 +85,7 @@ def test_keypoint_frame_fills_required_joints(tmp_path):
         assert [*kp.uv[0, j], kp.conf[0, j]] == expected
 
 
-def test_keypoint_frame_rejects_bad_confidence():
+def test_keypoint_series_rejects_bad_confidence():
     for bad in (1.5, -0.1, np.nan):
         conf = np.ones((3, NJ))
         conf[1, JOINT_INDEX["wrist_r"]] = bad
