@@ -1,13 +1,10 @@
 """One-class classifier: OC-SVM (dual solver) and its model file format.
 
 The OC-SVM dual  min 1/2 a'Ka  s.t. 0 <= a_i <= 1/(nu n), sum a = 1  is solved
-by SMO-style pairwise coordinate updates to a KKT tolerance. Hyperparameters
-come from a deterministic grid search scored on held-out genuine acceptance
-at a fixed synthetic-outlier rejection rate. nu only sets the box bound, so
-the search solves each gamma's nus in ascending order on one kernel, and a
-grid point whose bound lies above the last solve's peak alpha by more than
-1e-8 reuses that solve: the bound never acted on it, so the model is the
-same bit for bit.
+by SMO-style pairwise coordinate updates to a KKT tolerance. The gait model
+fits at the fixed GAIT_NU and GAIT_GAMMA; the consistency model fits at
+CALIBRATED_NU and CALIBRATED_GAMMA and then calibrates its threshold against
+known negatives.
 """
 
 from __future__ import annotations
@@ -21,9 +18,8 @@ from .errors import TooFewSamples
 
 KKT_TOL = 1e-4
 MAX_ITER = 20000
-NU_GRID = (0.01, 0.05, 0.1, 0.2)
-GAMMA_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
-OUTLIER_REJECTION_TARGET = 0.95
+GAIT_NU = 0.01           # train_ocsvm hyperparameters
+GAIT_GAMMA = 0.1
 CALIBRATED_NU = 0.1      # train_ocsvm_calibrated hyperparameters
 CALIBRATED_GAMMA = 0.1
 CALIBRATED_STD_FLOOR = 0.2   # Scaler.fit std_floor of the positives
@@ -72,24 +68,19 @@ class OcSvmModel:
         return float(self.dual_coef @ k[:, 0] - self.rho)
 
     def scores(self, x: np.ndarray) -> np.ndarray:
-        return self.decision(self.scaler.transform(np.asarray(x, dtype=float)))
-
-    def decision(self, z: np.ndarray) -> np.ndarray:
-        """Decision values of already z-scored rows."""
+        z = self.scaler.transform(np.asarray(x, dtype=float))
         k = _rbf(self.support_vectors, z, self.gamma)
         return self.dual_coef @ k - self.rho
 
 
-def _solve_ocsvm_dual(k: np.ndarray, c: float) -> tuple[np.ndarray, float]:
+def _solve_ocsvm_dual(k: np.ndarray, c: float) -> np.ndarray:
     """Pairwise coordinate descent on the OC-SVM dual (sum alpha = 1) with
-    box bound c, to a KKT gap of KKT_TOL or MAX_ITER steps. Returns alpha
-    and its peak, the largest value any step gave an alpha, from 1/n on.
+    box bound c, to a KKT gap of KKT_TOL or MAX_ITER steps; returns alpha.
 
     The scalar step runs on Python floats, the same IEEE operations the
     numpy scalars gave, so alpha is bit for bit the same."""
     n = len(k)
     alpha = np.full(n, 1.0 / n)   # feasible, since nu <= 1 gives c >= 1/n
-    peak = 1.0 / n
     diag = k.diagonal().tolist()
     for _ in range(MAX_ITER):
         grad = k @ alpha
@@ -105,16 +96,27 @@ def _solve_ocsvm_dual(k: np.ndarray, c: float) -> tuple[np.ndarray, float]:
         step = gap / denom if denom > 1e-12 else a_i
         step = min(step, a_i, c - a_j)
         alpha[i] = a_i - step
-        alpha[j] = a_j = a_j + step
-        peak = max(peak, a_j)
-    return alpha, peak
+        alpha[j] = a_j + step
+    return alpha
 
 
-def _ocsvm_model(z: np.ndarray, k: np.ndarray, alpha: np.ndarray, nu: float,
-                 gamma: float, scaler: Scaler) -> OcSvmModel:
-    """The model of a solved dual on the z-scored rows z with kernel k."""
-    sv = alpha > 1e-10
+def fit_ocsvm_fixed(x: np.ndarray, nu: float, gamma: float,
+                    scaler: Scaler | None = None) -> OcSvmModel:
+    """Train one OC-SVM at fixed hyperparameters on raw feature rows;
+    nu, the bound on the outlier fraction, must lie in (0, 1]."""
+    if not 0 < nu <= 1:
+        raise ValueError(f"nu must lie in (0, 1], got {nu}")
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if scaler is None:
+        scaler = Scaler.fit(x)
+    z = scaler.transform(x)
+    # the given gamma is dimensionless; the kernel width scales with the
+    # feature count so squared distances stay O(1) regardless of dimensionality
+    gamma = gamma / z.shape[1]
+    k = _rbf(z, z, gamma)
     c = 1.0 / (nu * len(z))
+    alpha = _solve_ocsvm_dual(k, c)
+    sv = alpha > 1e-10
     decision = k @ alpha
     margin = (alpha > 1e-8) & (alpha < c - 1e-8)
     # rho at the low edge of the margin band so free SVs score >= 0 despite
@@ -130,76 +132,13 @@ def _ocsvm_model(z: np.ndarray, k: np.ndarray, alpha: np.ndarray, nu: float,
                       nu=nu, gamma=gamma, scaler=scaler)
 
 
-def fit_ocsvm_fixed(x: np.ndarray, nu: float, gamma: float,
-                    scaler: Scaler | None = None) -> OcSvmModel:
-    """Train one OC-SVM at fixed hyperparameters on raw feature rows;
-    nu, the bound on the outlier fraction, must lie in (0, 1]."""
-    if not 0 < nu <= 1:
-        raise ValueError(f"nu must lie in (0, 1], got {nu}")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if scaler is None:
-        scaler = Scaler.fit(x)
-    z = scaler.transform(x)
-    # grid gamma is dimensionless; the kernel width scales with the feature
-    # count so squared distances stay O(1) regardless of dimensionality
-    gamma = gamma / z.shape[1]
-    k = _rbf(z, z, gamma)
-    alpha, _ = _solve_ocsvm_dual(k, 1.0 / (nu * len(z)))
-    return _ocsvm_model(z, k, alpha, nu, gamma, scaler)
-
-
-def train_ocsvm(train: np.ndarray, seed: int = 0) -> OcSvmModel:
-    """Grid search over NU_GRID x GAMMA_GRID: maximize held-out genuine
-    acceptance subject to a fixed rejection rate on synthetic uniform
-    outliers over the feature hypercube.
-
-    nu only sets the dual's box bound c = 1/(nu n). So each gamma's kernel
-    is built once and its nus are solved in ascending order (descending c):
-    a grid point takes the last solve's alpha and score when that solve's
-    peak alpha lies below its own c - 1e-8, since then no bound mask, step
-    clamp or rho mask reads differently and the model differs only in its
-    nu field. The best point is picked in nu-major order as before."""
+def train_ocsvm(train: np.ndarray) -> OcSvmModel:
+    """The gait model: an OC-SVM on at least 10 raw feature rows, fit at
+    GAIT_NU and GAIT_GAMMA."""
     x = np.atleast_2d(np.asarray(train, dtype=float))
     if len(x) < 10:
         raise TooFewSamples(f"need >= 10 training vectors, got {len(x)}")
-    rng = np.random.default_rng(seed)
-    scaler = Scaler.fit(x)
-    z_all = scaler.transform(x)
-
-    n_hold = max(2, len(x) // 5)
-    order = rng.permutation(len(x))
-    hold, fit_idx = order[:n_hold], order[n_hold:]
-
-    lo = z_all.min(axis=0) - 3.0
-    hi = z_all.max(axis=0) + 3.0
-    outliers = rng.uniform(lo, hi, size=(200, x.shape[1]))
-
-    z_fit = scaler.transform(x[fit_idx])
-    z_hold = scaler.transform(x[hold])
-    z_out = scaler.transform(scaler.mean + outliers * scaler.std)
-    n = len(z_fit)
-    keys = {}
-    for gamma in GAMMA_GRID:
-        g = gamma / z_fit.shape[1]
-        k = _rbf(z_fit, z_fit, g)
-        peak = np.inf
-        for nu in sorted(NU_GRID):
-            c = 1.0 / (nu * n)
-            if not peak < c - 1e-8:
-                alpha, peak = _solve_ocsvm_dual(k, c)
-                model = _ocsvm_model(z_fit, k, alpha, nu, g, scaler)
-                accept = float(np.mean(model.decision(z_hold) >= 0))
-                reject = float(np.mean(model.decision(z_out) < 0))
-                feasible = reject >= OUTLIER_REJECTION_TARGET
-                key = (feasible, accept if feasible else accept + reject)
-            keys[nu, gamma] = key
-    best = None
-    for nu in NU_GRID:
-        for gamma in GAMMA_GRID:
-            if best is None or keys[nu, gamma] > best[0]:
-                best = (keys[nu, gamma], nu, gamma)
-    _, nu, gamma = best
-    return fit_ocsvm_fixed(x, nu, gamma, scaler=scaler)
+    return fit_ocsvm_fixed(x, GAIT_NU, GAIT_GAMMA)
 
 
 def train_ocsvm_calibrated(positives: np.ndarray,

@@ -282,7 +282,7 @@ def cmd_enroll(cfg: ExperimentConfig, data_dir: Path, subject: int,
     # failed alignment
     for (imu, _, _), (imu_name, _, _) in zip(sessions, entries):
         _check_step(data_dir / imu_name, imu.t, "imu_rate", imu_rate)
-    enrollment = _enroll_subject(sessions, cfg.seed, subject,
+    enrollment = _enroll_subject(sessions, subject,
                                  f"session count {len(sessions)}",
                                  "the sessions' synth duration")
     # after the fit, so that a frame rate the Kalman pass cannot run stays
@@ -318,13 +318,13 @@ def _check_step(path: Path, t: np.ndarray, name: str, rate: float) -> None:
                         f"the median timestamp step {step:.6g} s")
 
 
-def _enroll_subject(sessions: list, seed: int, subject: int, count: str,
+def _enroll_subject(sessions: list, subject: int, count: str,
                     duration: str) -> Enrollment:
     """enroll(sessions), with too few sessions or sessions too short to
     align refused as a ValueError naming `count` or `duration`, the knob
     behind them."""
     try:
-        return enroll(sessions, seed=seed)
+        return enroll(sessions)
     except TooFewSamples as exc:
         raise ValueError(f"{count} is too few to enroll subject {subject}: "
                          f"{exc}") from exc
@@ -416,7 +416,7 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
                                           seed_offset=10 + k)
             sessions.append((imu, kp, offset))
         enrollments.append(_enroll_subject(
-            sessions, cfg.seed, si, f"enroll_sessions {cfg.enroll_sessions}",
+            sessions, si, f"enroll_sessions {cfg.enroll_sessions}",
             f"duration {cfg.duration} s at fps {cfg.fps}"))
 
     configs = (cfg, *cfg.scenario_configs)

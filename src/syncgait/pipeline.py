@@ -18,8 +18,8 @@ per pair length, and a session's cycles are resampled one at a time.
 
 The pipeline takes no settings: each stage reads its module's constants
 (the MJCKF noise levels, `series.DENOISE_LEVELS`, the `gait` period
-bounds, `syncing.COMMON_RATE`, the OC-SVM grids and calibration in
-`classify`) and the constants below.
+bounds, `syncing.COMMON_RATE`, the OC-SVM hyperparameters and calibration
+in `classify`) and the constants below.
 """
 
 from __future__ import annotations
@@ -199,7 +199,9 @@ def enroll(sessions: list[tuple[ImuSeries, KeypointSeries, ClockOffsetEstimate]]
     The consistency model is calibrated against misaligned surrogate
     negatives (time-shifted channel pairings of the same sessions), so its
     threshold separates "streams agree" from "streams disagree" rather than
-    hugging this user's training cloud.
+    hugging this user's training cloud. Enrollment draws no random numbers:
+    `seed` is accepted and ignored, kept only for the callers that still
+    pass it.
     """
     chains = imu_chains([imu for imu, _, _ in sessions])
     imu_speeds = imu_speed_channels(chains)
@@ -221,7 +223,7 @@ def enroll(sessions: list[tuple[ImuSeries, KeypointSeries, ClockOffsetEstimate]]
     if mask.sum() < 2:   # degenerate selection: keep the two strongest
         mask = fisher.normalized >= np.sort(fisher.normalized)[-2]
     cons = train_ocsvm_calibrated(pos[:, mask], neg[:, mask])
-    gait = train_ocsvm(np.vstack(gaits), seed=seed)
+    gait = train_ocsvm(np.vstack(gaits))
     # fresh-session cycles sit slightly outside the enrollment cloud while
     # other subjects score far below; widen the boundary by a fixed margin
     # that absorbs the generalization gap without approaching impostors

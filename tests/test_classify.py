@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syncgait import classify
-from syncgait.classify import (GAMMA_GRID, KKT_TOL, MAX_ITER, NU_GRID,
-                               OUTLIER_REJECTION_TARGET, OcSvmModel, Scaler,
-                               deserialize_model, fit_ocsvm_fixed,
-                               serialize_model, train_ocsvm,
+from syncgait.classify import (GAIT_GAMMA, GAIT_NU, KKT_TOL, MAX_ITER,
+                               OcSvmModel, Scaler, deserialize_model,
+                               fit_ocsvm_fixed, serialize_model, train_ocsvm,
                                train_ocsvm_calibrated)
 from syncgait.errors import TooFewSamples
 
@@ -69,9 +68,9 @@ def test_ocsvm_accepts_center_rejects_far_point():
     assert model.score(x.mean(axis=0) + 50.0) < 0
 
 
-def test_train_ocsvm_grid_search_rejects_uniform_outliers():
+def test_train_ocsvm_rejects_far_outliers():
     x = _blob(n=120, seed=7)
-    model = train_ocsvm(x, seed=0)
+    model = train_ocsvm(x)
     rng = np.random.default_rng(0)
     outliers = rng.uniform(-8, 8, size=(300, x.shape[1]))
     far = outliers[np.linalg.norm(outliers, axis=1) > 5]
@@ -84,70 +83,22 @@ def test_train_ocsvm_needs_ten_samples():
         train_ocsvm(np.zeros((9, 3)))
 
 
-# --- shared grid: the per-point search it replaces ------------------------------
+# --- the gait model: one fit at the fixed hyperparameters ------------------------
 
-def _per_point_train_ocsvm(train, seed):
-    """Reference grid search: one `fit_ocsvm_fixed` at every (nu, gamma),
-    in nu-major order, as `train_ocsvm` ran before it shared solves."""
-    x = np.atleast_2d(np.asarray(train, dtype=float))
-    rng = np.random.default_rng(seed)
-    scaler = Scaler.fit(x)
-    z_all = scaler.transform(x)
-    n_hold = max(2, len(x) // 5)
-    order = rng.permutation(len(x))
-    hold, fit_idx = order[:n_hold], order[n_hold:]
-    lo = z_all.min(axis=0) - 3.0
-    hi = z_all.max(axis=0) + 3.0
-    outliers = rng.uniform(lo, hi, size=(200, x.shape[1]))
-    best = None
-    for nu in NU_GRID:
-        for gamma in GAMMA_GRID:
-            model = fit_ocsvm_fixed(x[fit_idx], nu, gamma, scaler=scaler)
-            accept = float(np.mean(model.scores(x[hold]) >= 0))
-            reject = float(np.mean(model.scores(scaler.mean
-                                                + outliers * scaler.std) < 0))
-            feasible = reject >= OUTLIER_REJECTION_TARGET
-            key = (feasible, accept if feasible else accept + reject)
-            if best is None or key > best[0]:
-                best = (key, nu, gamma)
-    _, nu, gamma = best
-    return fit_ocsvm_fixed(x, nu, gamma, scaler=scaler)
-
-
-_GRID_SETS = {
+_TRAIN_SETS = {
     "blob": _blob(n=80, seed=0),
     "small": _blob(n=12, dim=3, seed=1),
     "two_clusters": np.vstack([_blob(n=30, dim=3, seed=3),
                                _blob(n=10, dim=3, seed=4) + 6.0]),
-    # heavy tails: the bound binds at nu 0.2, which is also the best point
     "heavy_tails": np.random.default_rng(0).standard_t(2, size=(30, 2)),
 }
 
 
-@pytest.mark.parametrize("name", list(_GRID_SETS))
-def test_shared_grid_models_equal_the_per_point_grid(name, monkeypatch):
-    x = _GRID_SETS[name]
-    solved = []   # the nu of each dual solve, read back from its bound
-
-    def spy(k, c):
-        solved.append(round(1.0 / (c * len(k)), 6))
-        return solve(k, c)
-
-    solve = classify._solve_ocsvm_dual
-    monkeypatch.setattr(classify, "_solve_ocsvm_dual", spy)
-    shared = serialize_model(train_ocsvm(x, seed=0))
-    monkeypatch.undo()
-    assert shared == serialize_model(_per_point_train_ocsvm(x, seed=0))
-    grid = solved[:-1]   # the last solve is the final fit on every row
-    assert len(grid) < len(NU_GRID) * len(GAMMA_GRID)   # a solve was reused
-    # each gamma's solves start at the smallest nu; one that skips a nu
-    # solved afresh after a reuse because the larger nu's bound binds
-    nus = sorted(NU_GRID)
-    starts = [i for i, nu in enumerate(grid) if nu == nus[0]]
-    per_gamma = [grid[a:b] for a, b in zip(starts, starts[1:] + [len(grid)])]
-    assert len(per_gamma) == len(GAMMA_GRID)
-    if name != "small":
-        assert any(g != nus[:len(g)] for g in per_gamma)
+@pytest.mark.parametrize("name", list(_TRAIN_SETS))
+def test_train_ocsvm_is_the_fit_at_the_gait_constants(name):
+    x = _TRAIN_SETS[name]
+    assert (serialize_model(train_ocsvm(x))
+            == serialize_model(fit_ocsvm_fixed(x, GAIT_NU, GAIT_GAMMA)))
 
 
 # --- solver step: Python floats against numpy scalars ---------------------------
@@ -199,10 +150,9 @@ _FLAT_PAIR = np.array([[1.0, 1.0, 0.0, 0.0],
     (_rbf_of(_blob(n=12, dim=3, seed=4), 0.1), 0.2, "clamped"),
     (_FLAT_PAIR, 0.25, "flat")], ids=["free", "bound_active", "zero_denom"])
 def test_python_float_step_equals_numpy_scalar_step(k, nu, branch):
-    alpha, peak = classify._solve_ocsvm_dual(k, 1.0 / (nu * len(k)))
+    alpha = classify._solve_ocsvm_dual(k, 1.0 / (nu * len(k)))
     want, flat, clamped = _numpy_scalar_dual(k, nu)
     assert alpha.tobytes() == want.tobytes()
-    assert peak >= alpha.max()
     assert {"flat": flat > 0, "clamped": clamped > 0}.get(branch, True)
 
 
