@@ -6,6 +6,15 @@ given power spectrum, entropy-adaptive DCT smoothing, and the Kalman
 pass over the phone's wrist (`mjckf_correct`): two scalar constant-velocity
 recursions, one per pixel coordinate, from a gain table that every track at
 one frame rate shares.
+
+The band-pass keeps its filter state: each rate's Butterworth design and
+its step-response initial state (`lfilter_zi`, Gustafsson 1996) are
+solved once and cached read-only, and `adaptive_bandpass` runs the
+forward-backward pass itself. It builds the same odd extension, starts
+both `lfilter` passes from the same scaled state and cuts out the same
+middle as `scipy.signal.filtfilt(b, a, x, axis=0)` at its default padding,
+with the same array operations, so its output is that call's bit for bit;
+it skips only filtfilt's per-call re-solve of the state and its checks.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from itertools import chain, repeat
 
 import numpy as np
 from scipy.fft import dct, idct
-from scipy.signal import butter, filtfilt
+from scipy.signal import butter, lfilter, lfilter_zi
 
 from .errors import DegenerateSeries, InvalidBand, SeriesTooShort
 from .series import Series1D
@@ -154,14 +163,16 @@ def estimate_band(power: np.ndarray, n: int,
 @functools.lru_cache(maxsize=8)
 def _butter_band(rate: float) -> tuple[np.ndarray, ...]:
     """The BUTTER_ORDER band-pass design (b, a) of the gait band at one
-    rate, GAIT_BAND_LO to min(GAIT_BAND_HI, 0.45 rate); shared by every
-    call: read-only. A rate too low to hold that band is InvalidBand."""
+    rate, GAIT_BAND_LO to min(GAIT_BAND_HI, 0.45 rate), and its step-
+    response initial state zi = lfilter_zi(b, a); shared by every call:
+    read-only. A rate too low to hold that band is InvalidBand."""
     f_hi = min(GAIT_BAND_HI, 0.45 * rate)
     if not GAIT_BAND_LO < f_hi:
         raise InvalidBand(f"no gait band below {f_hi} Hz at {rate} Hz")
     nyq = rate / 2
-    design = butter(BUTTER_ORDER, [GAIT_BAND_LO / nyq, f_hi / nyq],
-                    btype="band")
+    b, a = butter(BUTTER_ORDER, [GAIT_BAND_LO / nyq, f_hi / nyq],
+                  btype="band")
+    design = (b, a, lfilter_zi(b, a))
     for c in design:
         c.flags.writeable = False
     return design
@@ -170,14 +181,22 @@ def _butter_band(rate: float) -> tuple[np.ndarray, ...]:
 def adaptive_bandpass(s: Series1D) -> Series1D:
     """Zero-phase Butterworth gait band-pass (forward-backward) along axis 0
     of the (n,) or (n, k) values: all columns in one pass, each bit for bit
-    what filtering it alone gives. The filter is designed once per rate. A
-    series no longer than the forward-backward edge padding is
-    SeriesTooShort."""
-    b, a = _butter_band(s.rate)
+    what filtering it alone gives, and the whole bit for bit
+    `filtfilt(b, a, values, axis=0)`: the odd extension by padlen at each
+    end, a forward and a backward `lfilter` each started from zi times its
+    first sample, and the middle cut back out. A series no longer than the
+    edge padding is SeriesTooShort."""
+    b, a, zi = _butter_band(s.rate)
     padlen = 3 * max(len(b), len(a))   # filtfilt's edge padding
     if len(s) <= padlen:
         raise SeriesTooShort(f"need > {padlen} samples")
-    return Series1D(filtfilt(b, a, s.values, axis=0), s.t0, s.rate)
+    x = s.values
+    ext = np.concatenate((2 * x[:1] - x[padlen:0:-1], x,
+                          2 * x[-1:] - x[-2:-padlen - 2:-1]))
+    zi = zi.reshape((-1,) + (1,) * (x.ndim - 1))
+    y, _ = lfilter(b, a, ext, axis=0, zi=zi * ext[:1])
+    y, _ = lfilter(b, a, y[::-1], axis=0, zi=zi * y[-1:])
+    return Series1D(y[::-1][padlen:-padlen], s.t0, s.rate)
 
 
 # --- the wrist's Kalman pass (MJCKF) ------------------------------------------

@@ -2,6 +2,13 @@
 
 Two-way clock-offset estimation with Kalman drift tracking, and alignment
 of both speed channels onto one timeline.
+
+The (offset, drift) track is the 2x2 matrix Kalman recursion written out on
+Python floats: every product and sum is the one numpy's matmul forms, in
+its order, and the terms that multiply by an exact 0 or 1 of F = [[1, dt],
+[0, 1]], H = [1, 0] or I are left out only where neither the value nor the
+sign of a zero changes. So each tracked offset and variance is the matrix
+form's bit for bit, without a dozen numpy calls on 2x2 arrays per exchange.
 """
 
 from __future__ import annotations
@@ -75,29 +82,40 @@ def two_way_offset(t1: float, t2: float, t3: float, t4: float) -> ClockOffsetEst
 def kalman_track_offset(estimates: list[ClockOffsetEstimate]
                         ) -> list[ClockOffsetEstimate]:
     """Kalman filter over (offset, drift rate) with constant drift, one
-    estimate per SYNC_EXCHANGE_PERIOD."""
+    estimate per SYNC_EXCHANGE_PERIOD.
+
+    The matrix recursion x = F x, P = F P F' + Q, K = P H' / s,
+    x += K (z - H x), P = (I - K H) P, with F = [[1, dt], [0, 1]] and
+    H = [1, 0], written out on the four floats of P and the two of x;
+    bit for bit the numpy matrix form for finite estimates."""
     if not estimates:
         raise ValueError("need at least one estimate")
     if len(estimates) == 1:
         return list(estimates)
 
-    x = np.array([estimates[0].offset, 0.0])
-    p = np.diag([max(estimates[0].variance, 1e-12), 1e-6])
     dt = SYNC_EXCHANGE_PERIOD
-    f = np.array([[1.0, dt], [0.0, 1.0]])
-    q = DRIFT_NOISE * np.array([[dt ** 3 / 3, dt ** 2 / 2], [dt ** 2 / 2, dt]])
-    h = np.array([[1.0, 0.0]])
+    q00 = DRIFT_NOISE * (dt ** 3 / 3)
+    q01 = DRIFT_NOISE * (dt ** 2 / 2)
+    q11 = DRIFT_NOISE * dt
+    first = estimates[0]
+    x0, x1 = first.offset, 0.0
+    p00, p01, p10, p11 = max(first.variance, 1e-12), 0.0, 0.0, 1e-6
 
-    out = [ClockOffsetEstimate(float(x[0]), float(p[0, 0]), estimates[0].round_trip)]
+    out = [ClockOffsetEstimate(float(x0), float(p00), first.round_trip)]
     for est in estimates[1:]:
-        x = f @ x
-        p = f @ p @ f.T + q
-        r = max(est.variance, 1e-12)
-        s = float(p[0, 0] + r)
-        k = (p @ h.T / s).ravel()
-        x = x + k * (est.offset - x[0])
-        p = (np.eye(2) - np.outer(k, h.ravel())) @ p
-        out.append(ClockOffsetEstimate(float(x[0]), float(p[0, 0]), est.round_trip))
+        x0 = x0 + dt * x1
+        f00, f01 = p00 + dt * p10, p01 + dt * p11           # F P
+        p00, p01 = f00 + f01 * dt + q00, f01 + q01          # (F P) F' + Q
+        p10, p11 = p10 + p11 * dt + q01, p11 + q11
+        s = p00 + max(est.variance, 1e-12)
+        k0, k1 = p00 / s, p10 / s
+        innovation = est.offset - x0
+        x0, x1 = x0 + k0 * innovation, x1 + k1 * innovation
+        # (I - K H) P; the matrix form's p01 is g p01 + 0 p11, which turns
+        # a -0 into +0, and the next F P adds dt p11 to it, which does too
+        g = 1.0 - k0
+        p00, p01, p10, p11 = g * p00, g * p01, p10 - k1 * p00, p11 - k1 * p01
+        out.append(ClockOffsetEstimate(float(x0), float(p00), est.round_trip))
     return out
 
 

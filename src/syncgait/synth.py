@@ -287,7 +287,9 @@ def generate_session(p: SubjectParams, cam: CameraModel = CameraModel(),
     noise = rng.normal(0.0, p.kp_noise, (len(truth.frame_t), 2, 6, 2))
     uv = truth.uv + noise.transpose(0, 2, 1, 3).reshape(truth.uv.shape)
     # a joint projected outside the image is not detected
-    seen = ((uv >= 0.0) & (uv < RESOLUTION)).all(axis=2)
+    u, v = uv[..., 0], uv[..., 1]
+    width, height = RESOLUTION
+    seen = (u >= 0.0) & (u < width) & (v >= 0.0) & (v < height)
     return (ImuSeries(t=clean.t, acc=acc, gyro=gyro, sample_rate=IMU_RATE),
             KeypointSeries(truth.frame_t, uv, seen.astype(float),
                            frame_rate=cam.fps),

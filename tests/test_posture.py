@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import filtfilt
 
 from syncgait.errors import DegenerateSeries, InvalidBand, SeriesTooShort
 from syncgait import pipeline, posture
@@ -245,8 +246,27 @@ def test_adaptive_bandpass_designs_each_filter_once():
     adaptive_bandpass(Series1D(np.cos(np.arange(300) / 5.0), rate=60.0))
     info = posture._butter_band.cache_info()
     assert (info.misses, info.hits) == (1, 1)
-    b, a = posture._butter_band(60.0)
-    assert not b.flags.writeable and not a.flags.writeable
+    b, a, zi = posture._butter_band(60.0)
+    assert not (b.flags.writeable or a.flags.writeable or zi.flags.writeable)
+
+
+@pytest.mark.parametrize("rate", [10.0, 30.0, 60.0, 100.0, 200.0])
+@pytest.mark.parametrize("length", ["padlen+1", "padlen+2", 480, 800, 1201])
+def test_adaptive_bandpass_is_scipy_filtfilt_bit_for_bit(rate, length):
+    # the cached initial state and the hand-built odd extension must give
+    # filtfilt's default "pad" method exactly; a scipy release that changes
+    # its default padding or initial state fails here
+    b, a, _ = posture._butter_band(rate)
+    padlen = 3 * max(len(b), len(a))
+    n = {"padlen+1": padlen + 1, "padlen+2": padlen + 2}.get(length, length)
+    rng = np.random.default_rng(n)
+    walk = rng.normal(size=(n, 3)).cumsum(axis=0)
+    with_constant = np.column_stack([walk[:, 0], np.full(n, 2.5), walk[:, 1]])
+    for x in (walk[:, 0], walk[:, :1], walk, with_constant):
+        got = adaptive_bandpass(Series1D(x, rate=rate)).values
+        want = filtfilt(b, a, x, axis=0)
+        assert got.shape == want.shape == x.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_adaptive_bandpass_rejects_band_beyond_nyquist():

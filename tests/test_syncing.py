@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from syncgait.errors import InsufficientOverlap, NegativeRoundTrip
 from syncgait.series import Series1D
 from syncgait.pipeline import imu_speed_channel
-from syncgait.syncing import (AlignedPair, ClockOffsetEstimate, align,
+from syncgait.protocol import ChannelModel
+from syncgait.syncing import (DRIFT_NOISE, SYNC_EXCHANGE_PERIOD, AlignedPair,
+                              ClockOffsetEstimate, align,
                               kalman_track_offset, two_way_offset)
 from syncgait.synth import SubjectParams, generate_session
 
@@ -82,6 +84,66 @@ def test_kalman_variance_shrinks():
 def test_kalman_requires_estimates():
     with pytest.raises(ValueError):
         kalman_track_offset([])
+
+
+def _matrix_track_offset(estimates):
+    """Reference: the (offset, drift) Kalman recursion in numpy 2x2 matrix
+    form, as `kalman_track_offset` ran it before it was written out."""
+    if len(estimates) == 1:
+        return list(estimates)
+    x = np.array([estimates[0].offset, 0.0])
+    p = np.diag([max(estimates[0].variance, 1e-12), 1e-6])
+    dt = SYNC_EXCHANGE_PERIOD
+    f = np.array([[1.0, dt], [0.0, 1.0]])
+    q = DRIFT_NOISE * np.array([[dt ** 3 / 3, dt ** 2 / 2], [dt ** 2 / 2, dt]])
+    h = np.array([[1.0, 0.0]])
+    out = [ClockOffsetEstimate(float(x[0]), float(p[0, 0]),
+                               estimates[0].round_trip)]
+    for est in estimates[1:]:
+        x = f @ x
+        p = f @ p @ f.T + q
+        r = max(est.variance, 1e-12)
+        s = float(p[0, 0] + r)
+        k = (p @ h.T / s).ravel()
+        x = x + k * (est.offset - x[0])
+        p = (np.eye(2) - np.outer(k, h.ravel())) @ p
+        out.append(ClockOffsetEstimate(float(x[0]), float(p[0, 0]),
+                                       est.round_trip))
+    return out
+
+
+def _sync_exchanges(rng, n, clock_offset, delay_scale):
+    """n two-way exchanges as the protocol's time sync makes them: one per
+    SYNC_EXCHANGE_PERIOD, each way delayed by the channel's delay times
+    delay_scale, the remote side replying 1 ms after it received."""
+    channel = ChannelModel()
+    out = []
+    for seq in range(n):
+        t1 = 3.0 + seq * SYNC_EXCHANGE_PERIOD
+        t2 = t1 + delay_scale * channel.delay(rng) + clock_offset
+        t3 = t2 + 0.001
+        t4 = t3 - clock_offset + delay_scale * channel.delay(rng)
+        out.append(two_way_offset(t1, t2, t3, t4))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 16])
+@pytest.mark.parametrize("clock_offset", [0.08, -0.35])
+@pytest.mark.parametrize("delay_scale", [1.0, 1e-4])
+def test_kalman_track_offset_is_the_matrix_recursion_bit_for_bit(
+        n, clock_offset, delay_scale):
+    # at delay_scale 1e-4 every round trip is under 2 us, so every variance
+    # lies under the 1e-12 floor
+    for seed in range(20):
+        estimates = _sync_exchanges(np.random.default_rng(seed), n,
+                                    clock_offset, delay_scale)
+        if delay_scale < 1:
+            assert all(e.variance < 1e-12 for e in estimates)
+        got = kalman_track_offset(estimates)
+        want = _matrix_track_offset(estimates)
+        assert [(e.offset.hex(), e.variance.hex(), e.round_trip)
+                for e in got] == [(e.offset.hex(), e.variance.hex(),
+                                   e.round_trip) for e in want]
 
 
 # --- alignment -----------------------------------------------------------------
