@@ -19,15 +19,17 @@ from .orientation import (EulerAngles, Quaternion, ahrs_stream, ahrs_streams,
                           euler_to_quaternion, integrate_velocity,
                           quaternion_to_euler)
 from .pipeline import (Enrollment, aligned_speeds, consistency_score,
-                       consistency_vector, enroll, gait_score, gait_vectors,
-                       imu_speed_channel, imu_speed_channels,
-                       video_speed_channel, video_speed_channels)
+                       consistency_scores, consistency_vector, enroll,
+                       gait_score, gait_vectors, imu_speed_channel,
+                       imu_speed_channels, video_speed_channel,
+                       video_speed_channels)
 from .posture import (AdctConfig, adaptive_bandpass, adct_cutoff,
                       adct_smooth, estimate_band, histogram_entropy,
                       mjckf_correct)
 from .protocol import (ChannelModel, DecisionRecord, SessionConfig,
                        SessionResult, SessionState, attempt_scores,
-                       exchange_with_arq, inject_loss, run_session)
+                       exchange_with_arq, inject_loss, run_session,
+                       run_sessions)
 from .series import JOINT_INDEX, ImuSeries, KeypointSeries, Series1D
 from .syncing import (AlignedPair, ClockOffsetEstimate, align,
                       kalman_track_offset, two_way_offset)

@@ -33,7 +33,8 @@ from .classify import deserialize_model, serialize_model
 from .features import FEATURE_NAMES
 from .gait import CYCLE_FEATURE_COUNT
 from .pipeline import Enrollment, enroll
-from .protocol import ChannelModel, DecisionRecord, SessionConfig, run_session
+from .protocol import (ChannelModel, DecisionRecord, SessionConfig,
+                       run_sessions)
 from .synth import (IMU_RATE, CameraModel, HijackAttack, MimicryAttack,
                     RelayAttack, check_walk, generate_attack,
                     generate_session, make_cohort, shared_walks)
@@ -382,21 +383,18 @@ NO_DECISION = DecisionRecord(attempt=0, consistency_score_drone=-1.0,
                              consistency_score_phone=-1.0, gait_score=-1.0)
 
 
-def _run_trial(cfg: ExperimentConfig, enrollment: Enrollment,
-               imu, kp, seed: int) -> DecisionRecord:
-    result = run_session(cfg.session, enrollment,
-                         lambda attempt: imu, lambda attempt: kp, seed=seed)
-    return result.record or NO_DECISION
-
-
 @shared_walks()
 def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
     """Enroll every subject, then run the trials subject by subject. Each
     genuine capture, and each distinct attack spec of a trial, is
     synthesized once and run under every config (the base one and each
     scenario's) that lists its kind; the configs differ in SCENARIO_KEYS
-    only. Every capture is its walk plus its own noise, and the run
-    computes each walk (a subject's, or a mimicry blend's) once."""
+    only. A subject's trials under one config, genuine then attack, run as
+    one run_sessions batch, so their attempts share each chain stage and
+    feature pass; each trial's record is what it gives alone, and only one
+    subject's captures are held at a time. Every capture is its walk plus
+    its own noise, and the run computes each walk (a subject's, or a
+    mimicry blend's) once."""
     # a victim's attack trials take distinct other subjects, and enrollment
     # captures (seed offsets 10..59) stay clear of genuine ones (60..)
     if cfg.attack_trials >= cfg.cohort_size:
@@ -422,28 +420,35 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
     configs = (cfg, *cfg.scenario_configs)
     trials = [([], {kind: [] for kind in c.attacks}) for c in configs]
     for si, (victim, enrollment) in enumerate(zip(cohort, enrollments)):
+        # per config, (records, (imu, kp), seed) of each of its trials
+        queues = [[] for _ in configs]
         for k in range(cfg.genuine_trials):
-            imu, kp, _ = generate_session(victim, cfg.camera, cfg.duration,
-                                          cfg.clock_offset,
-                                          seed_offset=60 + k)
-            for c, (genuine, _) in zip(configs, trials):
-                genuine.append(_run_trial(c, enrollment, imu, kp,
-                                          seed=c.seed * 100000 + si * 100 + k))
+            capture = generate_session(victim, cfg.camera, cfg.duration,
+                                       cfg.clock_offset,
+                                       seed_offset=60 + k)[:2]
+            for c, queue, (genuine, _) in zip(configs, queues, trials):
+                queue.append((genuine, capture,
+                              c.seed * 100000 + si * 100 + k))
         for k in range(cfg.attack_trials):
             attacker = cohort[(si + 1 + k) % cfg.cohort_size]
             captures = {}
-            for c, (_, attacks) in zip(configs, trials):
+            for c, queue, (_, attacks) in zip(configs, queues, trials):
                 for kind in c.attacks:
                     spec = ATTACK_SPECS[kind](victim, attacker, c.fidelity)
                     if spec not in captures:
                         captures[spec] = generate_attack(
                             spec, cfg.camera, cfg.duration, cfg.clock_offset,
-                            seed_offset=900 + 10 * si + k)
-                    imu, kp, _ = captures[spec]
-                    attacks[kind].append(_run_trial(
-                        c, enrollment, imu, kp,
-                        seed=c.seed * 100000 + 7000 + si * 100 + k * 10
-                        + ATTACK_KINDS.index(kind)))
+                            seed_offset=900 + 10 * si + k)[:2]
+                    queue.append((attacks[kind], captures[spec],
+                                  c.seed * 100000 + 7000 + si * 100 + k * 10
+                                  + ATTACK_KINDS.index(kind)))
+        for c, queue in zip(configs, queues):
+            results = run_sessions(c.session, [
+                (enrollment, lambda attempt, imu=imu: imu,
+                 lambda attempt, kp=kp: kp, seed)
+                for _, (imu, kp), seed in queue])
+            for (records, _, _), result in zip(queue, results):
+                records.append(result.record or NO_DECISION)
 
     (base, rocs), *scenarios = [_summary(*t) for t in trials]
     report = {"config": cfg.to_dict(), "config_sha256": cfg.digest(), **base}

@@ -10,11 +10,14 @@ SeriesTooShort at the first stage that needs the length.
 A batch of streams (`gait.imu_chains`, `imu_speed_channels`,
 `video_speed_channels`) runs each column-wise stage once per (length,
 rate) shape and the attitude scan once per length; a one-stream entry
-point is the batch of one. An IMU is taken as an `ImuSeries` or its
-`ImuChain`, so a caller that scores one IMU view several times (the
-consistency and gait checks of an attempt) runs its denoise and attitude
-scan once. The features of m pairs are one (m, 6) array, one array pass
-per pair length, and a session's cycles are resampled one at a time.
+point is the batch of one. `consistency_scores` scores a batch of
+captures through those batches and one feature pass, and
+`consistency_score` is its batch of one. An IMU is taken as an
+`ImuSeries` or its `ImuChain`, so a caller that scores one IMU view
+several times (the consistency and gait checks of an attempt) runs its
+denoise and attitude scan once. The features of m pairs are one (m, 6)
+array, one array pass per pair length, and a session's cycles are
+resampled one at a time.
 
 The pipeline takes no settings: each stage reads its module's constants
 (the MJCKF noise levels, `series.DENOISE_LEVELS`, the `gait` period
@@ -130,14 +133,23 @@ def imu_speed_channel(imu: ImuSeries | ImuChain) -> Series1D:
     return imu_speed_channels([as_chain(imu)])[0]
 
 
+def _aligned_pairs(captures: list[tuple]) -> list[AlignedPair]:
+    """Both speed channels of each (imu, kp, offset, imu_valid) capture on
+    one timeline: the IMU channels of the batch first, then the video
+    channels, then each pair aligned."""
+    imu_speeds = imu_speed_channels([as_chain(imu) for imu, *_ in captures])
+    videos = video_speed_channels([kp for _, kp, _, _ in captures])
+    return [align(speed, video, offset, imu_valid=imu_valid,
+                  video_valid=video_valid)
+            for speed, (video, video_valid), (_, _, offset, imu_valid)
+            in zip(imu_speeds, videos, captures)]
+
+
 def aligned_speeds(imu: ImuSeries | ImuChain, kp: KeypointSeries,
                    offset: ClockOffsetEstimate,
                    imu_valid: np.ndarray | None = None) -> AlignedPair:
     """Both speed channels on one timeline, the IMU's computed first."""
-    imu_speed = imu_speed_channel(imu)
-    video_speed, video_valid = video_speed_channel(kp)
-    return align(imu_speed, video_speed, offset,
-                 imu_valid=imu_valid, video_valid=video_valid)
+    return _aligned_pairs([(imu, kp, offset, imu_valid)])[0]
 
 
 def consistency_vector(imu: ImuSeries | ImuChain, kp: KeypointSeries,
@@ -204,11 +216,8 @@ def enroll(sessions: list[tuple[ImuSeries, KeypointSeries, ClockOffsetEstimate]]
     pass it.
     """
     chains = imu_chains([imu for imu, _, _ in sessions])
-    imu_speeds = imu_speed_channels(chains)
-    videos = video_speed_channels([kp for _, kp, _ in sessions])
-    pairs = [align(speed, video, offset, video_valid=valid)
-             for speed, (video, valid), (_, _, offset)
-             in zip(imu_speeds, videos, sessions)]
+    pairs = _aligned_pairs([(chain, kp, offset, None)
+                            for chain, (_, kp, offset) in zip(chains, sessions)])
     pos_pairs = [w for pair in pairs for w in _window_pairs(pair)]
     neg_pairs = [s for pair in pairs for s in _shifted_pairs(pair)]
     gaits = [gait_vectors(chain) for chain in chains]
@@ -232,12 +241,23 @@ def enroll(sessions: list[tuple[ImuSeries, KeypointSeries, ClockOffsetEstimate]]
                       feature_mask=mask, fisher=fisher)
 
 
+def consistency_scores(captures: list[tuple]) -> list[float]:
+    """Consistency decision value of each paired capture, an `(enrollment,
+    imu, kp, offset, imu_valid)` tuple. The batch runs each chain's
+    column-wise stages once per shape and one feature pass, each value bit
+    for bit its capture's alone; a raw IMU stream runs its own chain."""
+    rows = compute_features(_aligned_pairs([capture[1:]
+                                            for capture in captures]))
+    return [enrollment.consistency_model.score(row[enrollment.feature_mask])
+            for (enrollment, *_), row in zip(captures, rows)]
+
+
 def consistency_score(enrollment: Enrollment, imu: ImuSeries | ImuChain,
                       kp: KeypointSeries, offset: ClockOffsetEstimate,
                       imu_valid: np.ndarray | None = None) -> float:
-    """Consistency decision value of one paired capture."""
-    row = compute_features([aligned_speeds(imu, kp, offset, imu_valid)])[0]
-    return enrollment.consistency_model.score(row[enrollment.feature_mask])
+    """Consistency decision value of one paired capture: the batch of one
+    of consistency_scores."""
+    return consistency_scores([(enrollment, imu, kp, offset, imu_valid)])[0]
 
 
 def gait_score(enrollment: Enrollment, imu: ImuSeries | ImuChain) -> float:

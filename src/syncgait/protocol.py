@@ -6,6 +6,12 @@ cross-modal consistency of what they hold, and the phone side additionally
 checks the gait signature; `DecisionRecord` fuses the three checks. The
 transport drops and delays messages independently in both directions; every
 delivered or dropped message is logged to a transcript.
+
+`run_sessions` runs a batch of sessions in lockstep and scores the
+attempts of each round that reach verification as one `attempt_scores`
+batch: they share each stream chain's column-wise stages and one feature
+pass. Each session keeps its own rng, clock and transcript, so it ends
+exactly as it does alone, and `run_session` is the batch of one.
 """
 
 from __future__ import annotations
@@ -17,8 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EnrollmentMissing, SyncGaitError
-from .gait import imu_chain
-from .pipeline import Enrollment, consistency_score, gait_score
+from .gait import imu_chain, imu_chains
+from .pipeline import (Enrollment, consistency_score, consistency_scores,
+                       gait_score)
 from .series import ImuSeries, KeypointSeries, fill_gaps
 from .syncing import (MIN_SESSION_S, SYNC_EXCHANGE_PERIOD,
                       ClockOffsetEstimate, kalman_track_offset,
@@ -179,37 +186,56 @@ def _received_keypoints(kp: KeypointSeries,
     return KeypointSeries(kp.t, kp.uv, conf, kp.frame_rate)
 
 
-def attempt_scores(enrollment: Enrollment, offset: ClockOffsetEstimate,
-                   imu: ImuSeries, kp: KeypointSeries, imu_valid: np.ndarray,
-                   kp_valid: np.ndarray) -> tuple[float, float, float]:
-    """Drone consistency, phone consistency and gait scores of one attempt.
+def attempt_scores(attempts: list[tuple]) -> list[tuple[float, float, float]]:
+    """Drone consistency, phone consistency and gait scores of each attempt.
 
+    An attempt is `(enrollment, offset, imu, kp, imu_valid, kp_valid)`:
     `imu_valid` and `kp_valid` mark the samples of the phone's `imu` and the
     drone's `kp` that reached the other peer. The drone scores the IMU as it
     arrived against its own `kp`; the phone scores its own `imu` against the
     keypoints as they arrived and checks the gait on `imu`. A receiver's
-    view is built only for a stream that lost samples. Each IMU view's
-    chain (denoise and attitude scan) is run once and shared by the scores
-    that read it. When both views are complete the phone's score is the
-    drone's, computed once (on the uniform IMU speed grid an all-valid mask
-    drops no aligned point), so an attempt runs one IMU chain and one
-    speed channel of each stream. When one view is partial the phone's
-    score recomputes one channel of the sender's own stream: the video
-    channel when only IMU chunks were lost, the IMU speed channel when only
-    keypoints were, a small share of the attempt's time. The scores equal
-    consistency_score and gait_score on the views.
+    view is built only for a stream that lost samples.
+
+    The drone views of the batch run one `imu_chains` call and one
+    `consistency_scores` batch. When both views of an attempt are complete
+    the phone's score is the drone's, computed once (on the uniform IMU
+    speed grid an all-valid mask drops no aligned point). An attempt left
+    with a partial view, which the ARQ makes rare, scores the phone's view
+    alone, on its own chain when IMU chunks were lost. The gait check then
+    runs once per own chain. So a batch of one raises the error of the
+    attempt's first failing stage, and each score is bit for bit
+    consistency_score and gait_score on its views.
     """
-    imu_whole, kp_whole = imu_valid.all(), kp_valid.all()
-    chain = imu_chain(imu if imu_whole else _received_imu(imu, imu_valid))
-    s_drone = consistency_score(enrollment, chain, kp, offset,
-                                imu_valid=imu_valid)
-    if imu_whole and kp_whole:
-        return s_drone, s_drone, gait_score(enrollment, chain)
-    if not imu_whole:
-        chain = imu_chain(imu)
-    kp_view = kp if kp_whole else _received_keypoints(kp, kp_valid)
-    s_phone = consistency_score(enrollment, chain, kp_view, offset)
-    return s_drone, s_phone, gait_score(enrollment, chain)
+    chains = imu_chains([imu if imu_valid.all()
+                         else _received_imu(imu, imu_valid)
+                         for _, _, imu, _, imu_valid, _ in attempts])
+    drone = consistency_scores(
+        [(enrollment, chain, kp, offset, imu_valid)
+         for (enrollment, offset, _, kp, imu_valid, _), chain
+         in zip(attempts, chains)])
+    out = []
+    for (enrollment, offset, imu, kp, imu_valid, kp_valid), chain, s_drone \
+            in zip(attempts, chains, drone):
+        imu_whole, kp_whole = imu_valid.all(), kp_valid.all()
+        s_phone = s_drone
+        if not (imu_whole and kp_whole):
+            if not imu_whole:
+                chain = imu_chain(imu)
+            kp_view = kp if kp_whole else _received_keypoints(kp, kp_valid)
+            s_phone = consistency_score(enrollment, chain, kp_view, offset)
+        out.append((s_drone, s_phone, gait_score(enrollment, chain)))
+    return out
+
+
+def _scored(attempts: list[tuple]) -> list:
+    """attempt_scores of each attempt, or the SyncGaitError that scoring it
+    alone raises: a batch that raises is re-scored one attempt at a time."""
+    try:
+        return attempt_scores(attempts)
+    except SyncGaitError as exc:
+        if len(attempts) == 1:
+            return [exc]
+    return [r for attempt in attempts for r in _scored([attempt])]
 
 
 def _time_sync(cfg: SessionConfig, rng: np.random.Generator,
@@ -245,16 +271,12 @@ def _time_sync(cfg: SessionConfig, rng: np.random.Generator,
     return tracked[-1]
 
 
-def run_session(cfg: SessionConfig, enrollment: Enrollment,
-                imu_source, keypoint_source, seed: int = 0) -> SessionResult:
-    """Simulate one full mutual-authentication session with retries.
-
-    imu_source(attempt) and keypoint_source(attempt) supply the raw streams
-    captured during the given attempt (phone clock / drone clock).
-    """
-    if enrollment is None or enrollment.consistency_model is None \
-            or enrollment.gait_model is None:
-        raise EnrollmentMissing("both user models are required")
+def _session(cfg: SessionConfig, enrollment: Enrollment, imu_source,
+             keypoint_source, seed: int):
+    """One session with retries, as run_sessions drives it: a generator
+    that yields each attempt reaching VERIFY, as attempt_scores takes it,
+    is sent back its scores or the SyncGaitError scoring it raised, and
+    returns the SessionResult."""
     rng = np.random.default_rng(seed)
     log = _Transcript()
     t = 0.0
@@ -287,13 +309,12 @@ def run_session(cfg: SessionConfig, enrollment: Enrollment,
                     retransmit_rounds=rounds)
 
         log.log(t, "phone", "state", state=SessionState.VERIFY.value)
-        try:
-            s_drone, s_phone, s_gait = attempt_scores(
-                enrollment, offset, imu, kp, *valid)
-        except SyncGaitError as exc:
+        scores = yield (enrollment, offset, imu, kp, *valid)
+        if isinstance(scores, SyncGaitError):
             log.log(t, "phone", "attempt_failed",
-                    reason=type(exc).__name__)
+                    reason=type(scores).__name__)
             continue
+        s_drone, s_phone, s_gait = scores
 
         record = DecisionRecord(
             attempt=attempt,
@@ -314,3 +335,47 @@ def run_session(cfg: SessionConfig, enrollment: Enrollment,
     log.log(t, "phone", "state", state=SessionState.FAILED.value)
     return SessionResult(SessionState.FAILED, record,
                          cfg.max_attempts, log.events)
+
+
+def run_sessions(cfg: SessionConfig,
+                 sessions: list[tuple]) -> list[SessionResult]:
+    """Simulate full mutual-authentication sessions with retries, in
+    lockstep.
+
+    Each session is `(enrollment, imu_source, keypoint_source, seed)`:
+    imu_source(attempt) and keypoint_source(attempt) supply the raw streams
+    captured during the given attempt (phone clock / drone clock). Each
+    session keeps its own rng, clock and transcript, so its result is byte
+    for byte what it gives alone. In each round every unfinished session
+    runs to its next attempt that reaches VERIFY, and those attempts are
+    scored as one attempt_scores batch; a batch that raises is re-scored
+    one attempt at a time, so each session logs its own failure reason.
+    """
+    for enrollment, *_ in sessions:
+        if enrollment is None or enrollment.consistency_model is None \
+                or enrollment.gait_model is None:
+            raise EnrollmentMissing("both user models are required")
+    runs = [_session(cfg, *session) for session in sessions]
+    results = [None] * len(runs)
+    replies = [None] * len(runs)    # what each run is sent when it resumes
+    live = range(len(runs))
+    while True:
+        waiting = []
+        for i in live:
+            try:
+                waiting.append((i, runs[i].send(replies[i])))
+            except StopIteration as end:
+                results[i] = end.value
+        if not waiting:
+            return results
+        for (i, _), reply in zip(waiting, _scored([a for _, a in waiting])):
+            replies[i] = reply
+        live = [i for i, _ in waiting]
+
+
+def run_session(cfg: SessionConfig, enrollment: Enrollment,
+                imu_source, keypoint_source, seed: int = 0) -> SessionResult:
+    """Simulate one full mutual-authentication session with retries: the
+    batch of one of run_sessions."""
+    return run_sessions(cfg, [(enrollment, imu_source, keypoint_source,
+                               seed)])[0]

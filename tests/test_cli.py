@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from syncgait import cli, protocol, synth
+from syncgait import cli, pipeline, protocol, synth
 from syncgait.classify import fit_ocsvm_fixed, serialize_model
 from syncgait.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, MANIFEST_FORMAT,
                           ExperimentConfig, build_parser, load_enrollment,
@@ -712,9 +712,10 @@ def test_evaluate_scenarios_equal_separate_flagged_runs(tmp_path):
 
 def test_evaluate_counts_a_trial_without_a_decision_as_rejected(
         tmp_path, monkeypatch):
-    # every attempt fails before it is scored, so no session makes a
-    # decision: each trial is rejected and reads -1.0 on every score stream
-    def no_scores(*args):
+    # every batch, and so every attempt re-scored alone, fails before it is
+    # scored: no session makes a decision, so each trial is rejected and
+    # reads -1.0 on every score stream
+    def no_scores(attempts):
         raise InsufficientOverlap("no scores")
     monkeypatch.setattr(protocol, "attempt_scores", no_scores)
     report = _evaluate_report(tmp_path, "x", TINY_EVALUATE)
@@ -725,6 +726,28 @@ def test_evaluate_counts_a_trial_without_a_decision_as_rejected(
     for name in ("consistency", "gait", "fused"):
         assert (tmp_path / "x" / f"roc_{name}.csv").read_text() == (
             "threshold,far,tar\n-2,1,1\n-1,1,1\n0,0,0\n")
+
+
+def test_evaluate_scores_each_subjects_trials_of_a_config_as_one_batch(
+        tmp_path, monkeypatch):
+    # one feature pass per enrollment, and one per (subject, config): each
+    # subject's genuine and attack trials of a config run as one batch
+    calls = []
+    real = pipeline.compute_features
+
+    def counted(pairs):
+        calls.append(len(pairs))
+        return real(pairs)
+    monkeypatch.setattr(pipeline, "compute_features", counted)
+    report = _evaluate_report(tmp_path, "x",
+                              dict(TINY_EVALUATE, scenarios=SCENARIOS))
+    cohort, configs = TINY_EVALUATE["cohort_size"], 1 + len(SCENARIOS)
+    assert len(calls) == cohort + cohort * configs
+    # each batch holds a subject's trials of its config, one pair apiece
+    trials = [run["genuine"]["n"]
+              + sum(attack["n"] for attack in run["attacks"].values())
+              for run in (report, *report["scenarios"])]
+    assert calls[cohort:] == [n // cohort for n in trials] * cohort
 
 
 def test_evaluate_without_scenarios_keeps_its_config_and_digest():

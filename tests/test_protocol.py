@@ -1,5 +1,6 @@
 """Lossy-channel model, retransmission, and the session state machine."""
 
+import functools
 import itertools
 import json
 import warnings
@@ -152,8 +153,8 @@ def test_one_pass_scores_equal_per_view_scores_on_partial_views(
     kp_valid = np.ones(len(kp), dtype=bool)
     kp_valid[180:192] = False
 
-    drone, phone, gait = attempt_scores(
-        enrollment, est, imu, kp, imu_valid, kp_valid)
+    [(drone, phone, gait)] = attempt_scores(
+        [(enrollment, est, imu, kp, imu_valid, kp_valid)])
     assert drone.hex() == consistency_score(
         enrollment, _received_imu(imu, imu_valid), kp, est,
         imu_valid=imu_valid).hex()
@@ -173,8 +174,8 @@ def test_one_pass_scores_equal_per_view_scores_on_complete_views(
     imu, kp, _ = generate_session(subject, clock_offset=OFFSET,
                                   seed_offset=506)
     imu_valid = np.ones(len(imu), dtype=bool)
-    drone, phone, gait = attempt_scores(
-        enrollment, est, imu, kp, imu_valid, np.ones(len(kp), dtype=bool))
+    [(drone, phone, gait)] = attempt_scores(
+        [(enrollment, est, imu, kp, imu_valid, np.ones(len(kp), dtype=bool))])
     assert drone.hex() == consistency_score(
         enrollment, imu, kp, est, imu_valid=imu_valid).hex()
     assert phone.hex() == consistency_score(enrollment, imu, kp, est).hex()
@@ -187,7 +188,8 @@ def test_an_attempt_prepares_each_stream_once(enrolled_subject, monkeypatch,
                                               lost, chains, channels):
     # a complete attempt runs one IMU chain, one speed channel per stream
     # and one single-pair feature batch; a partial view adds its own chain
-    # (IMU lost) and one channel of each stream for the phone's score
+    # (IMU lost) and one channel of each stream for the phone's score.
+    # Each batch call counts its streams, as the ahrs_calls fixture does
     subject, enrollment = enrolled_subject
     imu, kp, _ = generate_session(subject, clock_offset=OFFSET,
                                   seed_offset=506)
@@ -197,30 +199,105 @@ def test_an_attempt_prepares_each_stream_once(enrolled_subject, monkeypatch,
         imu_valid[200:210] = False
     if lost == "keypoints":
         kp_valid[180:192] = False
-    calls = {"imu_chain": 0, "imu_speed_channel": 0,
-             "video_speed_channel": 0, "compute_features": []}
+    calls = {"imu_chains": 0, "imu_speed_channels": 0,
+             "video_speed_channels": 0, "compute_features": []}
 
     def spy(module, name):
         real = getattr(module, name)
 
-        def counted(*args, **kwargs):
+        def counted(batch):
             if name == "compute_features":
-                calls[name].append(len(args[0]))
+                calls[name].append(len(batch))
             else:
-                calls[name] += 1
-            return real(*args, **kwargs)
+                calls[name] += len(batch)
+            return real(batch)
         monkeypatch.setattr(module, name, counted)
-    # gait.imu_chain too: a raw stream reaching as_chain would count
-    for module, name in ((protocol, "imu_chain"), (gait_module, "imu_chain"),
-                         (pipeline, "imu_speed_channel"),
-                         (pipeline, "video_speed_channel"),
+    # gait.imu_chains too: imu_chain and a raw stream reaching as_chain
+    # call it there
+    for module, name in ((protocol, "imu_chains"), (gait_module, "imu_chains"),
+                         (pipeline, "imu_speed_channels"),
+                         (pipeline, "video_speed_channels"),
                          (pipeline, "compute_features")):
         spy(module, name)
-    attempt_scores(enrollment, ClockOffsetEstimate.known(OFFSET),
-                   imu, kp, imu_valid, kp_valid)
-    assert calls == {"imu_chain": chains, "imu_speed_channel": channels,
-                     "video_speed_channel": channels,
+    attempt_scores([(enrollment, ClockOffsetEstimate.known(OFFSET),
+                     imu, kp, imu_valid, kp_valid)])
+    assert calls == {"imu_chains": chains, "imu_speed_channels": channels,
+                     "video_speed_channels": channels,
                      "compute_features": [1] * channels}
+
+
+def _partial(result) -> bool:
+    """Whether an exchange of the session left a receiver a partial view."""
+    return any(e["detail"]["chunks"] < e["detail"]["sent"]
+               for e in result.transcript
+               if "retransmit_rounds" in e.get("detail", {}))
+
+
+SCORE_FIELDS = ("consistency_score_drone", "consistency_score_phone",
+                "gait_score")
+
+
+def test_run_sessions_gives_each_session_what_it_gives_alone(
+        enrolled_subject, monkeypatch):
+    # one lockstep batch under two enrollments: four genuine sessions
+    # accepted at attempt 1, a relay rejected at all three attempts, and a
+    # session rejected twice whose third capture is too short to band-pass,
+    # so its last round fails on its named reason beside the relay's scored
+    # attempt. One retransmission round leaves some receivers a partial
+    # view, as in the golden partial-view session, so complete and partial
+    # views share the batches
+    monkeypatch.setattr(protocol, "exchange_with_arq",
+                        functools.partial(protocol.exchange_with_arq,
+                                          rounds=1))
+    subject, enrollment = enrolled_subject
+    other = SubjectParams(cycle_period=1.1, swing_amplitude=0.55, seed=99)
+    est = ClockOffsetEstimate.known(OFFSET)
+    enrollment_b = enroll([(*generate_session(other, clock_offset=OFFSET,
+                                              seed_offset=100 + k)[:2], est)
+                           for k in range(8)])
+    relays = [generate_attack(RelayAttack(subject, other), clock_offset=OFFSET,
+                              seed_offset=540 + a)[:2] for a in range(3)]
+    imu, kp = relays[2]
+    relays_then_short = relays[:2] + [(
+        ImuSeries(imu.t[:20], imu.acc[:20], imu.gyro[:20],
+                  sample_rate=imu.sample_rate), kp)]
+    sessions = [(enrollment, *_session_sources(subject, seed_offset=520), 11),
+                (enrollment_b, *_session_sources(other, seed_offset=521), 12)]
+    for captures, seed in ((relays, 13), (relays_then_short, 14)):
+        sessions.append((enrollment,
+                         lambda a, c=captures: c[a - 1][0],
+                         lambda a, c=captures: c[a - 1][1], seed))
+    sessions += [(enrollment, *_session_sources(subject, seed_offset=522), 15),
+                 (enrollment_b, *_session_sources(other, seed_offset=523), 16)]
+    cfg = SessionConfig(clock_offset=OFFSET,
+                        channel=ChannelModel(loss_rate=0.1))
+
+    batches = []
+    real = protocol.attempt_scores
+
+    def spy(attempts):
+        batches.append(len(attempts))
+        return real(attempts)
+    monkeypatch.setattr(protocol, "attempt_scores", spy)
+    batch = protocol.run_sessions(cfg, sessions)
+    # rounds of 6 and 2 attempts; the third round's pair raises and each
+    # attempt is re-scored alone
+    assert batches == [6, 2, 2, 1, 1]
+    alone = [run_session(cfg, *session) for session in sessions]
+
+    assert [(r.state.value, r.attempts) for r in alone] == [
+        ("accepted", 1), ("accepted", 1), ("failed", 3), ("failed", 3),
+        ("accepted", 1), ("accepted", 1)]
+    assert [[e["detail"]["reason"] for e in r.transcript
+             if e["event"] == "attempt_failed"] for r in alone[2:4]] == [
+        ["verification"] * 3, ["verification"] * 2 + ["SeriesTooShort"]]
+    assert alone[3].record.attempt == 2
+    assert {_partial(r) for r in alone} == {True, False}
+    for got, want in zip(batch, alone):
+        assert got.transcript_jsonl() == want.transcript_jsonl()
+        assert (got.state, got.attempts) == (want.state, want.attempts)
+        assert [getattr(got.record, f).hex() for f in SCORE_FIELDS] == \
+            [getattr(want.record, f).hex() for f in SCORE_FIELDS]
 
 
 def test_session_requires_enrollment():

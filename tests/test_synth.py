@@ -350,9 +350,9 @@ def test_evaluate_runs_the_ahrs_once_per_scored_view(tmp_path, monkeypatch,
     attempts = []
     real = protocol.attempt_scores
 
-    def spy(enrollment, offset, imu, kp, imu_valid, kp_valid):
-        attempts.append(bool(imu_valid.all()))
-        return real(enrollment, offset, imu, kp, imu_valid, kp_valid)
+    def spy(batch):
+        attempts.extend(bool(imu_valid.all()) for *_, imu_valid, _ in batch)
+        return real(batch)
     monkeypatch.setattr(protocol, "attempt_scores", spy)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
