@@ -361,7 +361,10 @@ def load_enrollment(out: Path, subject: int) -> Enrollment:
         cons = deserialize_model((out / names[0]).read_bytes())
         gait = deserialize_model((out / names[1]).read_bytes())
         mask = meta["feature_mask"]
-        if not (isinstance(mask, list) and len(mask) == len(FEATURE_NAMES)
+        if isinstance(mask, list) and len(mask) != len(FEATURE_NAMES):
+            raise ValueError(f"found {len(mask)} feature mask entries, "
+                             f"expected one per feature of {FEATURE_NAMES}")
+        if not (isinstance(mask, list)
                 and all(type(v) is int and v in (0, 1) for v in mask)
                 and sum(mask) == cons.support_vectors.shape[1]):
             raise ValueError(f"feature mask {mask!r} does not fit the "

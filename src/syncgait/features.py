@@ -1,13 +1,12 @@
 """Cross-modal consistency features and Fisher-score selection.
 
-Four time-domain features (Pearson, Spearman, MAE, synchronization-lag
-score) and two frequency-domain features (band-limited coherence mean,
-spectral difference) of each aligned speed pair in a batch. The pairs of
-one length run as one group, in array passes: one std per side, one
-segment FFT and one whole-row FFT per side, row-wise correlations and
-ranks, and the in-band sums as row reductions. The IMU side (FFTs, ranks,
-gait band) runs once per distinct IMU array of the group. Only the band's
-two-pointer scan and the sync lag's correlation run once per row.
+Two time-domain features (Pearson r, mean absolute difference) and one
+frequency-domain feature (band-limited coherence mean) of each aligned
+speed pair in a batch. The pairs of one length run as one group, in array
+passes: one std per side, one segment FFT per side and one whole-row FFT
+of the IMU side, row-wise correlations, and the in-band sums as row
+reductions. The IMU side (FFTs, gait band) runs once per distinct IMU
+array of the group. Only the band's two-pointer scan runs once per row.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import get_window
-from scipy.stats import rankdata
 
 from .errors import (DegenerateChannel, DegenerateClass, PairTooShort,
                      SyncGaitError)
@@ -27,9 +25,8 @@ from .posture import estimate_band
 from .series import groups
 from .syncing import COMMON_RATE, MIN_OVERLAP_SAMPLES, AlignedPair
 
-MAX_LAG_S = 0.5
 FISHER_SELECT_THRESHOLD = 0.7
-FEATURE_NAMES = ("pcc", "spearman", "mae", "sync", "coh", "specdiff")
+FEATURE_NAMES = ("pcc", "mae", "coh")
 
 
 class FeatureVector(namedtuple("FeatureVector", FEATURE_NAMES)):
@@ -47,27 +44,16 @@ class FisherReport:
     selected: np.ndarray
 
 
-def _sync_lag_score(a: np.ndarray, b: np.ndarray) -> float:
-    max_lag = max(int(round(MAX_LAG_S * COMMON_RATE)), 1)
-    az = a - a.mean()
-    bz = b - b.mean()
-    full = np.correlate(az, bz, mode="full")
-    center = len(a) - 1
-    window = full[center - max_lag:center + max_lag + 1]
-    lag = int(np.argmax(window)) - max_lag
-    return 1.0 - abs(lag) / max_lag
-
-
 _NPER = int(2 * COMMON_RATE)   # Welch segments of 2 s; pairs are >= 3 s
 _WELCH_FREQS = np.fft.rfftfreq(_NPER, d=1.0 / COMMON_RATE)
 _WINDOW = get_window("hann", _NPER)
 _WINDOW *= np.sqrt(1 / (COMMON_RATE * (_WINDOW * _WINDOW).sum()))   # density
 _WELCH_FREQS.flags.writeable = _WINDOW.flags.writeable = False
 
-# one length group's spectral pass, one row per pair: Pearson r, Spearman
-# rho, Welch coherence and IMU power at _WELCH_FREQS, both centred FFT
-# magnitudes, and the (lo, hi) gait band of the IMU row
-_Spectra = namedtuple("_Spectra", "pcc rho coh pxx spec_a spec_b band")
+# one length group's spectral pass, one row per pair: Pearson r, Welch
+# coherence and IMU power at _WELCH_FREQS, and the (lo, hi) gait band of
+# the IMU row
+_Spectra = namedtuple("_Spectra", "pcc coh pxx band")
 
 
 def _correlation(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -75,18 +61,6 @@ def _correlation(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     x, y = x - x.mean(axis=1, keepdims=True), y - y.mean(axis=1, keepdims=True)
     r = (x * y).sum(axis=1) / np.sqrt((x * x).sum(axis=1) * (y * y).sum(axis=1))
     return np.clip(r, -1.0, 1.0)
-
-
-def _ranks(x: np.ndarray) -> np.ndarray:
-    """rankdata(x, axis=1), from one stable argsort unless a row has ties
-    (or a NaN), which scipy's average ranks then settle."""
-    order = np.argsort(x, axis=1, kind="stable")
-    ordered = np.take_along_axis(x, order, axis=1)
-    if not (ordered[:, 1:] > ordered[:, :-1]).all():
-        return rankdata(x, axis=1)
-    ranks = np.empty(x.shape)
-    np.put_along_axis(ranks, order, np.arange(1.0, x.shape[1] + 1), axis=1)
-    return ranks
 
 
 def _segment_fft(x: np.ndarray) -> np.ndarray:
@@ -99,10 +73,10 @@ def _segment_fft(x: np.ndarray) -> np.ndarray:
 def _spectra(a: np.ndarray, b: np.ndarray, imu: np.ndarray) -> _Spectra:
     """The _Spectra of the equal-length pairs whose video rows are b (m, n)
     and whose IMU rows are a[imu], a (u, n) holding each distinct IMU row
-    once. The IMU side (its segment and whole-row FFTs, its ranks and its
-    band) is computed once per row of a. The Welch spectra are averaged
-    over the segments; a bin where either side has no Welch power has
-    coherence 0, not 0 / 0."""
+    once. The IMU side (its segment FFT, and the whole-row FFT its band is
+    read from) is computed once per row of a. The Welch spectra are
+    averaged over the segments; a bin where either side has no Welch power
+    has coherence 0, not 0 / 0."""
     fa, fb = _segment_fft(a), _segment_fft(b)
     pxx = (fa.real ** 2 + fa.imag ** 2).mean(axis=1)
     pyy = (fb.real ** 2 + fb.imag ** 2).mean(axis=1)
@@ -114,12 +88,9 @@ def _spectra(a: np.ndarray, b: np.ndarray, imu: np.ndarray) -> _Spectra:
     coh = np.zeros_like(pxx)
     coh[power] = np.abs(pxy[power]) ** 2 / pxx[power] / pyy[power]
     spec_a = np.abs(np.fft.rfft(a - a.mean(axis=1, keepdims=True)))
-    spec_b = np.abs(np.fft.rfft(b - b.mean(axis=1, keepdims=True)))
     band = np.array([estimate_band(s ** 2, a.shape[1], COMMON_RATE)
                      for s in spec_a])
-    return _Spectra(_correlation(a[imu], b),
-                   _correlation(_ranks(a)[imu], _ranks(b)),
-                   coh, pxx, spec_a[imu], spec_b, band[imu])
+    return _Spectra(_correlation(a[imu], b), coh, pxx, band[imu])
 
 
 def _bands(freqs: np.ndarray, band: np.ndarray):
@@ -136,17 +107,9 @@ def _bands(freqs: np.ndarray, band: np.ndarray):
         yield rows, (rows[:, None], start[rows, None] + np.arange(width))
 
 
-def _norms(x: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each row: the square root of BLAS's row dot, which
-    a vector-vector matmul runs as norm's 1-D x.dot(x) does."""
-    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
-
-
 def _group_features(a: np.ndarray, b: np.ndarray,
-                    imu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The feature rows of the equal-length pairs (b, a[imu]) of _spectra,
-    and the mask of the rows whose gait band holds an empty spectrum on
-    either side (their coherence and spectral difference read 0)."""
+                    imu: np.ndarray) -> np.ndarray:
+    """The feature rows of the equal-length pairs (b, a[imu]) of _spectra."""
     s = _spectra(a, b, imu)
     coh_mean = np.zeros(len(b))
     for rows, at in _bands(_WELCH_FREQS, s.band):
@@ -155,35 +118,22 @@ def _group_features(a: np.ndarray, b: np.ndarray,
         total = w.sum(axis=1)
         coh_mean[rows] = np.divide((s.coh[at] * w).sum(axis=1), total,
                                    out=np.zeros(len(rows)), where=total > 0)
-    spec_diff = np.zeros(len(b))
-    empty = np.zeros(len(b), dtype=bool)
-    for rows, at in _bands(np.fft.rfftfreq(b.shape[1], d=1.0 / COMMON_RATE),
-                           s.band):
-        sa, sb = s.spec_a[at], s.spec_b[at]
-        na, nb = _norms(sa), _norms(sb)
-        bad = (na == 0) | (nb == 0)
-        empty[rows] = bad
-        ok = ~bad
-        spec_diff[rows[ok]] = _norms(sa[ok] / na[ok, None]
-                                     - sb[ok] / nb[ok, None])
-    a = a[imu]
-    sync = [_sync_lag_score(x, y) for x, y in zip(a, b)]
-    return np.column_stack([s.pcc, s.rho, np.abs(a - b).mean(axis=1), sync,
-                            coh_mean, spec_diff]), empty
+    return np.column_stack([s.pcc, np.abs(a[imu] - b).mean(axis=1),
+                            coh_mean])
 
 
 def compute_features(pairs: Sequence[AlignedPair]) -> np.ndarray:
-    """The (m, 6) consistency features of m aligned speed pairs, one row per
-    pair in order and columns in FEATURE_NAMES order, the spectral ones in
-    the band estimated from the pair's IMU channel.
+    """The (m, 3) consistency features of m aligned speed pairs, one row per
+    pair in order and columns in FEATURE_NAMES order, the coherence in the
+    band estimated from the pair's IMU channel.
 
     The pairs of one length are one group that runs one array pass
-    (_group_features): one std per row and side, one segment FFT and one
-    whole-row FFT per side, row-wise Pearson and Spearman, and the band
+    (_group_features): one std per row and side, one segment FFT per side
+    and one whole-row FFT of the IMU side, row-wise Pearson, and the band
     sums as row reductions. A group's IMU rows are stacked once per
     distinct IMU array, by identity. Each row is bit for bit what its pair
     gives alone, and a batch raises the error of its first pair, in input
-    order, that is too short, flat or empty in its gait band.
+    order, that is too short or flat.
     """
     pairs = list(pairs)
     out = np.empty((len(pairs), len(FEATURE_NAMES)))
@@ -201,11 +151,7 @@ def compute_features(pairs: Sequence[AlignedPair]) -> np.ndarray:
         idx = np.array(idx)
         errors.update((i, DegenerateChannel("zero-variance channel"))
                       for i in idx[flat].tolist())
-        idx = idx[~flat]
-        rows, empty = _group_features(a, b[~flat], imu[~flat])
-        out[idx] = rows
-        errors.update((i, DegenerateChannel("empty spectrum in gait band"))
-                      for i in idx[empty].tolist())
+        out[idx[~flat]] = _group_features(a, b[~flat], imu[~flat])
     if errors:
         raise errors[min(errors)]
     return out

@@ -15,7 +15,7 @@ captures through those batches and one feature pass, and
 `consistency_score` is its batch of one. An IMU is taken as an
 `ImuSeries` or its `ImuChain`, so a caller that scores one IMU view
 several times (the consistency and gait checks of an attempt) runs its
-denoise and attitude scan once. The features of m pairs are one (m, 6)
+denoise and attitude scan once. The features of m pairs are one (m, 3)
 array, one array pass per pair length, and a session's cycles are
 resampled one at a time.
 
@@ -154,7 +154,7 @@ def aligned_speeds(imu: ImuSeries | ImuChain, kp: KeypointSeries,
 
 def consistency_vector(imu: ImuSeries | ImuChain, kp: KeypointSeries,
                        offset: ClockOffsetEstimate) -> FeatureVector:
-    """The 6-feature cross-modal consistency vector for one session."""
+    """The 3-feature cross-modal consistency vector for one session."""
     row = compute_features([aligned_speeds(imu, kp, offset)])[0]
     return FeatureVector(*row.tolist())
 

@@ -533,22 +533,30 @@ def _write_meta(models, consistency=CONS, gait=GAIT, **extra):
     ('{"consistency_model": "CONS", "gait_model": "GAIT", '
      '"feature_mask": [1, 1]}', "whole"),
     ('{"consistency_model": "CONS", "gait_model": "GAIT", '
-     '"feature_mask": [1, 1, 1, 0, 0, 0]}', "whole"),
+     '"feature_mask": [1, 1, 1]}', "whole"),
     ('{"consistency_model": "CONS", "gait_model": "GAIT", '
-     '"feature_mask": [1, "1", 0, 0, 0, 0]}', "whole"),
+     '"feature_mask": [1, "1", 0]}', "whole"),
     ("[" * 100000, "whole"),
     ('{"consistency_model": "CONS", "gait_model": "GAIT", '
-     '"feature_mask": [1, 1, 0, 0, 0, 0]}', "whole"),
+     '"feature_mask": [1, 1, 0]}', "whole"),
+    # a model directory of the six-feature format, which loads if its
+    # mask is read by width alone
+    ('{"consistency_model": "CONS", "gait_model": "GAIT", '
+     '"feature_mask": [1, 0, 1, 0, 0, 0]}', "gait_30_wide"),
 ], ids=["bad_json", "no_mask", "not_an_object", "missing_model",
         "truncated_model", "short_mask", "mask_wider_than_model",
-        "non_integer_mask", "deep_nesting", "gait_model_not_30_wide"])
+        "non_integer_mask", "deep_nesting", "gait_model_not_30_wide",
+        "six_entry_mask"])
 def test_load_enrollment_failures_are_io_failures(tmp_path, meta, models):
-    # both models are 2 wide, so only the consistency model fits its mask
+    # both models are 2 wide, so only the consistency model fits its mask,
+    # unless the gait model is 30 wide
     blob = serialize_model(fit_ocsvm_fixed(
         np.random.default_rng(0).normal(size=(20, 2)), nu=0.1, gamma=0.5))
     (tmp_path / CONS).write_bytes(blob[:50] if models == "truncated"
                                   else blob)
-    if models != "no_gait_file":
+    if models == "gait_30_wide":
+        _write_model(tmp_path / GAIT, 30)
+    elif models != "no_gait_file":
         (tmp_path / GAIT).write_bytes(blob)
     (tmp_path / "subject00_enrollment.json").write_text(
         meta.replace('"CONS"', f'"{CONS}"').replace('"GAIT"', f'"{GAIT}"'))
@@ -559,9 +567,19 @@ def test_load_enrollment_failures_are_io_failures(tmp_path, meta, models):
 def test_load_enrollment_accepts_mask_of_model_width(tmp_path):
     _write_model(tmp_path / CONS, 2)
     _write_model(tmp_path / GAIT, 30)
-    _write_meta(tmp_path, feature_mask=[0, 1, 0, 0, 1, 0])
+    _write_meta(tmp_path, feature_mask=[0, 1, 1])
     mask = load_enrollment(tmp_path, 0).feature_mask
-    assert mask.tolist() == [False, True, False, False, True, False]
+    assert mask.tolist() == [False, True, True]
+
+
+def test_load_enrollment_names_the_mask_length_it_expects(tmp_path):
+    _write_model(tmp_path / CONS, 2)
+    _write_model(tmp_path / GAIT, 30)
+    _write_meta(tmp_path, feature_mask=[1, 0, 1, 0, 0, 0])
+    with pytest.raises(IoFailure, match=r"found 6 feature mask entries, "
+                       r"expected one per feature of \('pcc', 'mae', "
+                       r"'coh'\)"):
+        load_enrollment(tmp_path, 0)
 
 
 @pytest.mark.parametrize("where", ["relative", "absolute", "other_subject"])
@@ -575,12 +593,12 @@ def test_load_enrollment_opens_only_the_names_enroll_writes(tmp_path, where):
     _write_model(elsewhere, 30)
     name = {"relative": "../elsewhere/g.model", "absolute": str(elsewhere),
             "other_subject": elsewhere.name}[where]
-    _write_meta(models, gait=name, feature_mask=[0, 1, 0, 0, 1, 0])
+    _write_meta(models, gait=name, feature_mask=[0, 1, 1])
     with pytest.raises(IoFailure, match="must be named"):
         load_enrollment(models, 0)
     # the same files under enroll's names load
     elsewhere.rename(models / GAIT)
-    _write_meta(models, feature_mask=[0, 1, 0, 0, 1, 0])
+    _write_meta(models, feature_mask=[0, 1, 1])
     assert load_enrollment(models, 0).gait_model is not None
 
 

@@ -5,8 +5,10 @@ The report digest was recorded before the synthesizer's unread kinematics
 and one-value settings were deleted, the model digests when the session
 files became exact binary matrices. The manifest, report and model digests
 were re-captured when the attitude became the levelled prefix product of
-the gyro: the manifest carries cycle cuts made through it. Any change to
-what the program writes, down to the last printed digit, shows here.
+the gyro: the manifest carries cycle cuts made through it. The enrollment
+JSON digest was re-captured when the consistency features went from six to
+three, since its mask and Fisher scores list them. Any change to what the
+program writes, down to the last printed digit, shows here.
 """
 
 import hashlib
@@ -38,7 +40,7 @@ ENROLL_SHA256 = {
     "subject00_gait.model":
         "17693c1cf91db1155aa2a7816d5ae043bec38d01a6f8d7cb902031b4559c033e",
     "subject00_enrollment.json":
-        "5a99d41b860961bcbd7259d2c25f37725dbf925b16deed94ca4b09eb2fd7bdff",
+        "9a51712d0a49141988567db1044a52bc8519bcb54c957838d7225d351aa5d0fb",
 }
 
 

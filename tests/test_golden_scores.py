@@ -8,7 +8,10 @@ and correlations became numpy row operations (at most 5e-16 relative).
 Every value was re-captured when the attitude became the levelled prefix
 product of the gyro. The partial-view session's phone score and transcript
 were re-captured when the wrist's Kalman pass replaced the cooperative
-chain filter on tracks with lost frames.
+chain filter on tracks with lost frames. The enrollment model, every
+consistency score and every transcript were re-captured when the
+consistency features went from six to three (pcc, mae, coh); the gait
+scores, states and attempt counts did not move.
 Restructuring how the chains are computed and shared must reproduce them
 exactly: the float.hex() of each score, the session state and attempt
 count, the transcript, and the serialized models.
@@ -31,7 +34,7 @@ SUBJECT = SubjectParams(seed=21)
 IMPOSTOR = SubjectParams(cycle_period=1.1, swing_amplitude=0.55, seed=99)
 
 ENROLLMENT_SHA256 = (
-    "1d5b1a7269d6cb6322e280dd80d09213dd9d7be9f53d4e35387693a92694bc8f")
+    "2287daed3e831d82df6e8c59c9cb3d5487f3081af01c261d237014b631a4967a")
 
 # name -> (subject, capture seed_offset base, loss rate, session seed,
 #          retransmission rounds or None for the default,
@@ -39,25 +42,25 @@ ENROLLMENT_SHA256 = (
 SESSIONS = {
     "genuine_loss0": (
         SUBJECT, 500, 0.0, 1, None, "accepted", 1,
-        ("0x1.a34c750aca1bap-2", "0x1.a34c750aca1bap-2",
+        ("0x1.d719ada6e50c4p-2", "0x1.d719ada6e50c4p-2",
          "0x1.d9335850ef5a0p-5"),
-        "a2e73137c7f0f269db6bc27da92e73cd046a98b2201d315113887fc82629049c"),
+        "1c9bb10d6e2427d0ac598ccec135d3241ec72cb51e2788764e98299364088dd0"),
     "genuine_loss03": (
         SUBJECT, 510, 0.3, 2, None, "accepted", 1,
-        ("0x1.a2dd14cf9e6bap-2", "0x1.a2dd14cf9e6bap-2",
+        ("0x1.d74e7812996c2p-2", "0x1.d74e7812996c2p-2",
          "0x1.cfdbd6b6ea650p-5"),
-        "c3f16a08feeb5a4040bd745dec3c7abec5b9abe21c0c29f335db3179ec9fb9be"),
+        "85f223c27abbc3ad68b14ed9b80077649fccaa7762e4fcbb052ee7e2ba4687cf"),
     # no retransmission: both receivers hold a view with lost chunks
     "genuine_partial_views": (
         SUBJECT, 520, 0.3, 3, 0, "accepted", 1,
-        ("0x1.a422c78e351cap-2", "0x1.a0abd57e531e0p-2",
+        ("0x1.d764aa16fb7f6p-2", "0x1.d2aa1f3556376p-2",
          "0x1.21100db4df4a0p-5"),
-        "a778b891bee0cb1dff569e30fce3c65eb58fa4c815dc3da5f54f2b077f6f7872"),
+        "4d66b3b58326129b85ffd9e8b985f8d51c1fe3b54d121c54c97ee893728f7da8"),
     "impostor_three_attempts": (
         IMPOSTOR, 530, 0.3, 4, None, "failed", 3,
-        ("0x1.29bd6d5073932p-2", "0x1.29bd6d5073932p-2",
+        ("0x1.3b50c49619840p-2", "0x1.3b50c49619840p-2",
          "-0x1.7b283f4cf29f8p-1"),
-        "9a6015b5f50947bef352df77d066aa974047554cb5e0a5bd019a7a591d6adb81"),
+        "473325f1cd5971e0adcc3b4bcf6b01a30ee5ff0dd91d3e503b456ae3abe02f3c"),
 }
 
 

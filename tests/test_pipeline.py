@@ -112,7 +112,7 @@ def test_consistency_vector_sensible_for_genuine_pair(session):
     imu, kp, _ = session
     vec = consistency_vector(imu, kp, EST)
     assert vec.pcc > 0.55
-    assert vec.sync > 0.8
+    assert vec.coh > 0.8
     # the named vector is the pair's row of the feature array
     row = features.compute_features([aligned_speeds(imu, kp, EST)])
     assert vec.as_array().tobytes() == row[0].tobytes()
