@@ -20,9 +20,9 @@ from .orientation import (EulerAngles, Quaternion, ahrs_stream, ahrs_streams,
                           quaternion_to_euler)
 from .pipeline import (Enrollment, aligned_speeds, consistency_score,
                        consistency_scores, consistency_vector, enroll,
-                       gait_score, gait_vectors, imu_speed_channel,
-                       imu_speed_channels, video_speed_channel,
-                       video_speed_channels)
+                       enroll_subjects, gait_score, gait_vectors,
+                       imu_speed_channel, imu_speed_channels,
+                       video_speed_channel, video_speed_channels)
 from .posture import (AdctConfig, adaptive_bandpass, adct_cutoff,
                       adct_smooth, estimate_band, histogram_entropy,
                       mjckf_correct)

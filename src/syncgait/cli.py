@@ -32,7 +32,7 @@ from .metrics import roc_points_csv
 from .classify import deserialize_model, serialize_model
 from .features import FEATURE_NAMES
 from .gait import CYCLE_FEATURE_COUNT
-from .pipeline import Enrollment, enroll
+from .pipeline import Enrollment, enroll, enroll_subjects
 from .protocol import (ChannelModel, DecisionRecord, SessionConfig,
                        run_sessions)
 from .synth import (IMU_RATE, CameraModel, HijackAttack, MimicryAttack,
@@ -388,16 +388,18 @@ NO_DECISION = DecisionRecord(attempt=0, consistency_score_drone=-1.0,
 
 @shared_walks()
 def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
-    """Enroll every subject, then run the trials subject by subject. Each
-    genuine capture, and each distinct attack spec of a trial, is
-    synthesized once and run under every config (the base one and each
-    scenario's) that lists its kind; the configs differ in SCENARIO_KEYS
-    only. A subject's trials under one config, genuine then attack, run as
-    one run_sessions batch, so their attempts share each chain stage and
-    feature pass; each trial's record is what it gives alone, and only one
-    subject's captures are held at a time. Every capture is its walk plus
-    its own noise, and the run computes each walk (a subject's, or a
-    mimicry blend's) once."""
+    """Enroll the cohort as one enroll_subjects batch, then run the trials.
+    A batch that raises is enrolled again subject by subject, so the error
+    names the first subject that fails alone. Each genuine capture, and
+    each distinct attack spec of a trial, is synthesized once and run under
+    every config (the base one and each scenario's) that lists its kind;
+    the configs differ in SCENARIO_KEYS only. Every subject's trials under
+    one config, subject by subject and genuine then attack, run as one
+    run_sessions batch, so their attempts share each chain stage and
+    feature pass; each trial's record is what it gives alone, and every
+    capture of the run is held until its config's batch runs. Every
+    capture is its walk plus its own noise, and the run computes each walk
+    (a subject's, or a mimicry blend's) once."""
     # a victim's attack trials take distinct other subjects, and enrollment
     # captures (seed offsets 10..59) stay clear of genuine ones (60..)
     if cfg.attack_trials >= cfg.cohort_size:
@@ -408,29 +410,29 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
     cohort = make_cohort(cfg.cohort_size, seed=cfg.seed)
     offset = ClockOffsetEstimate.known(cfg.clock_offset)
 
-    enrollments = []
-    for si, subject in enumerate(cohort):
-        sessions = []
-        for k in range(cfg.enroll_sessions):
-            imu, kp, _ = generate_session(subject, cfg.camera, cfg.duration,
-                                          cfg.clock_offset,
-                                          seed_offset=10 + k)
-            sessions.append((imu, kp, offset))
-        enrollments.append(_enroll_subject(
-            sessions, si, f"enroll_sessions {cfg.enroll_sessions}",
-            f"duration {cfg.duration} s at fps {cfg.fps}"))
+    sessions = [[(*generate_session(subject, cfg.camera, cfg.duration,
+                                    cfg.clock_offset,
+                                    seed_offset=10 + k)[:2], offset)
+                 for k in range(cfg.enroll_sessions)] for subject in cohort]
+    try:
+        enrollments = enroll_subjects(sessions)
+    except SyncGaitError:   # name the first subject that fails alone
+        enrollments = [_enroll_subject(
+            own, si, f"enroll_sessions {cfg.enroll_sessions}",
+            f"duration {cfg.duration} s at fps {cfg.fps}")
+            for si, own in enumerate(sessions)]
 
     configs = (cfg, *cfg.scenario_configs)
     trials = [([], {kind: [] for kind in c.attacks}) for c in configs]
+    # per config, (records, enrollment, (imu, kp), seed) of each trial
+    queues = [[] for _ in configs]
     for si, (victim, enrollment) in enumerate(zip(cohort, enrollments)):
-        # per config, (records, (imu, kp), seed) of each of its trials
-        queues = [[] for _ in configs]
         for k in range(cfg.genuine_trials):
             capture = generate_session(victim, cfg.camera, cfg.duration,
                                        cfg.clock_offset,
                                        seed_offset=60 + k)[:2]
             for c, queue, (genuine, _) in zip(configs, queues, trials):
-                queue.append((genuine, capture,
+                queue.append((genuine, enrollment, capture,
                               c.seed * 100000 + si * 100 + k))
         for k in range(cfg.attack_trials):
             attacker = cohort[(si + 1 + k) % cfg.cohort_size]
@@ -442,16 +444,16 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
                         captures[spec] = generate_attack(
                             spec, cfg.camera, cfg.duration, cfg.clock_offset,
                             seed_offset=900 + 10 * si + k)[:2]
-                    queue.append((attacks[kind], captures[spec],
+                    queue.append((attacks[kind], enrollment, captures[spec],
                                   c.seed * 100000 + 7000 + si * 100 + k * 10
                                   + ATTACK_KINDS.index(kind)))
-        for c, queue in zip(configs, queues):
-            results = run_sessions(c.session, [
-                (enrollment, lambda attempt, imu=imu: imu,
-                 lambda attempt, kp=kp: kp, seed)
-                for _, (imu, kp), seed in queue])
-            for (records, _, _), result in zip(queue, results):
-                records.append(result.record or NO_DECISION)
+    for c, queue in zip(configs, queues):
+        results = run_sessions(c.session, [
+            (enrollment, lambda attempt, imu=imu: imu,
+             lambda attempt, kp=kp: kp, seed)
+            for _, enrollment, (imu, kp), seed in queue])
+        for (records, *_), result in zip(queue, results):
+            records.append(result.record or NO_DECISION)
 
     (base, rocs), *scenarios = [_summary(*t) for t in trials]
     report = {"config": cfg.to_dict(), "config_sha256": cfg.digest(), **base}

@@ -12,12 +12,14 @@ A batch of streams (`gait.imu_chains`, `imu_speed_channels`,
 rate) shape and the attitude scan once per length; a one-stream entry
 point is the batch of one. `consistency_scores` scores a batch of
 captures through those batches and one feature pass, and
-`consistency_score` is its batch of one. An IMU is taken as an
-`ImuSeries` or its `ImuChain`, so a caller that scores one IMU view
-several times (the consistency and gait checks of an attempt) runs its
-denoise and attitude scan once. The features of m pairs are one (m, 3)
-array, one array pass per pair length, and a session's cycles are
-resampled one at a time.
+`consistency_score` is its batch of one. `enroll_subjects` enrolls a cohort
+the same way, one chain batch and one feature pass over every subject's
+sessions, then each subject's selection and fits on its own rows; `enroll`
+is its batch of one. An IMU is taken as an `ImuSeries` or its
+`ImuChain`, so a caller that scores one IMU view several times (the
+consistency and gait checks of an attempt) runs its denoise and attitude
+scan once. The features of m pairs are one (m, 3) array, one array pass
+per pair length, and a session's cycles are resampled one at a time.
 
 The pipeline takes no settings: each stage reads its module's constants
 (the MJCKF noise levels, `series.DENOISE_LEVELS`, the `gait` period
@@ -28,6 +30,7 @@ in `classify`) and the constants below.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -204,26 +207,44 @@ class Enrollment:
     fisher: FisherReport | None = None
 
 
-def enroll(sessions: list[tuple[ImuSeries, KeypointSeries, ClockOffsetEstimate]],
-           seed: int = 0) -> Enrollment:
-    """Train both one-class models from genuine enrollment sessions.
+def enroll_subjects(sessions_by_subject: list[list[tuple]]) -> list[Enrollment]:
+    """Train both one-class models of each subject from its genuine
+    enrollment sessions, `(imu, kp, offset)` tuples.
 
     The consistency model is calibrated against misaligned surrogate
     negatives (time-shifted channel pairings of the same sessions), so its
     threshold separates "streams agree" from "streams disagree" rather than
-    hugging this user's training cloud. Enrollment draws no random numbers:
-    `seed` is accepted and ignored, kept only for the callers that still
-    pass it.
+    hugging this user's training cloud. Enrollment draws no random numbers.
+
+    The cohort runs one `imu_chains` call, one `_aligned_pairs` batch and
+    one feature pass over every subject's windows and shifted pairs; then
+    each subject runs its own Fisher selection and two fits. Each
+    enrollment is bit for bit what the subject's sessions give alone, and
+    a batch raises the error of its first failing stage.
     """
+    sessions = [s for own in sessions_by_subject for s in own]
     chains = imu_chains([imu for imu, _, _ in sessions])
     pairs = _aligned_pairs([(chain, kp, offset, None)
                             for chain, (_, kp, offset) in zip(chains, sessions)])
-    pos_pairs = [w for pair in pairs for w in _window_pairs(pair)]
-    neg_pairs = [s for pair in pairs for s in _shifted_pairs(pair)]
     gaits = [gait_vectors(chain) for chain in chains]
-    # one batch: the pairs of one length share their spectral passes
-    rows = compute_features(pos_pairs + neg_pairs)
-    pos, neg = rows[:len(pos_pairs)], rows[len(pos_pairs):]
+    ends = list(accumulate(len(own) for own in sessions_by_subject))
+    subjects = [slice(start, end) for start, end in zip([0, *ends], ends)]
+    pos = [[w for pair in pairs[own] for w in _window_pairs(pair)]
+           for own in subjects]
+    neg = [[s for pair in pairs[own] for s in _shifted_pairs(pair)]
+           for own in subjects]
+    # one batch, each subject's windows then its shifted pairs: the pairs
+    # of one length share their spectral passes
+    sides = [side for both in zip(pos, neg) for side in both]
+    rows = compute_features([pair for side in sides for pair in side])
+    parts = np.split(rows, list(accumulate(map(len, sides)))[:-1])
+    return [_fit(p, n, gaits[own])
+            for p, n, own in zip(parts[0::2], parts[1::2], subjects)]
+
+
+def _fit(pos: np.ndarray, neg: np.ndarray, gaits: list) -> Enrollment:
+    """One subject's Fisher selection and its two fits, from its window
+    rows `pos`, its shifted rows `neg` and its sessions' gait rows."""
     if len(pos) < 2 or len(neg) < 2:
         raise TooFewSamples("enrollment sessions yield too few feature "
                             "windows; record more or longer sessions")
@@ -239,6 +260,14 @@ def enroll(sessions: list[tuple[ImuSeries, KeypointSeries, ClockOffsetEstimate]]
     gait.rho -= GAIT_RHO_MARGIN
     return Enrollment(consistency_model=cons, gait_model=gait,
                       feature_mask=mask, fisher=fisher)
+
+
+def enroll(sessions: list[tuple[ImuSeries, KeypointSeries, ClockOffsetEstimate]],
+           seed: int = 0) -> Enrollment:
+    """The models of one subject: the batch of one of enroll_subjects.
+    `seed` is accepted and ignored, kept only for the callers that still
+    pass it."""
+    return enroll_subjects([sessions])[0]
 
 
 def consistency_scores(captures: list[tuple]) -> list[float]:

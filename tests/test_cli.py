@@ -658,8 +658,9 @@ def test_evaluate_names_enroll_sessions_too_few_to_train(
                  "--out", str(tmp_path / "x")]) == EXIT_CONFIG
     assert (f"enroll_sessions {sessions} is too few to enroll subject "
             f"{subject}" in capsys.readouterr().err)
-    # every subject enrolls before any trial capture is made
-    assert session_calls == [10 + k for k in range(sessions)] * (subject + 1)
+    # the cohort enrolls as one batch, so every subject's enrollment
+    # captures are made, and no trial capture is, before the error
+    assert session_calls == [10 + k for k in range(sessions)] * 2
     assert not (tmp_path / "x").exists()
 
 
@@ -746,10 +747,10 @@ def test_evaluate_counts_a_trial_without_a_decision_as_rejected(
             "threshold,far,tar\n-2,1,1\n-1,1,1\n0,0,0\n")
 
 
-def test_evaluate_scores_each_subjects_trials_of_a_config_as_one_batch(
-        tmp_path, monkeypatch):
-    # one feature pass per enrollment, and one per (subject, config): each
-    # subject's genuine and attack trials of a config run as one batch
+def test_evaluate_scores_each_configs_trials_as_one_batch(tmp_path,
+                                                         monkeypatch):
+    # one feature pass for the cohort's enrollment, and one per config:
+    # every subject's genuine and attack trials of a config run as one batch
     calls = []
     real = pipeline.compute_features
 
@@ -759,13 +760,12 @@ def test_evaluate_scores_each_subjects_trials_of_a_config_as_one_batch(
     monkeypatch.setattr(pipeline, "compute_features", counted)
     report = _evaluate_report(tmp_path, "x",
                               dict(TINY_EVALUATE, scenarios=SCENARIOS))
-    cohort, configs = TINY_EVALUATE["cohort_size"], 1 + len(SCENARIOS)
-    assert len(calls) == cohort + cohort * configs
-    # each batch holds a subject's trials of its config, one pair apiece
+    assert len(calls) == 1 + 1 + len(SCENARIOS)
+    # each batch holds every trial of its config, one pair apiece
     trials = [run["genuine"]["n"]
               + sum(attack["n"] for attack in run["attacks"].values())
               for run in (report, *report["scenarios"])]
-    assert calls[cohort:] == [n // cohort for n in trials] * cohort
+    assert calls[1:] == trials
 
 
 def test_evaluate_without_scenarios_keeps_its_config_and_digest():

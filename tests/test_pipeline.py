@@ -13,7 +13,7 @@ from syncgait.errors import (DegenerateSeries, SeriesTooShort,
 from syncgait.gait import imu_chain, imu_chains
 from syncgait.pipeline import (aligned_speeds, calibrate_keypoints,
                                consistency_score, consistency_vector, enroll,
-                               gait_score, imu_speed_channel,
+                               enroll_subjects, gait_score, imu_speed_channel,
                                imu_speed_channels, video_speed_channel,
                                video_speed_channels)
 from syncgait.protocol import (ChannelModel, _received_imu,
@@ -331,6 +331,33 @@ def test_several_faulty_sessions_raise_the_earliest_stage_error(subject):
 def test_enroll_of_no_sessions_is_too_few_samples():
     with pytest.raises(TooFewSamples):
         enroll([])
+
+
+def test_enroll_subjects_gives_each_subject_what_enroll_gives_alone(subject):
+    # 6 sessions of 8 s, 7 of 10 s and 6 of 8 s: two length groups
+    cohort = [[generate_session(s, duration=duration, clock_offset=OFFSET,
+                                seed_offset=600 + k)[:2] + (EST,)
+               for k in range(count)]
+              for s, count, duration in zip(make_cohort(3, seed=17),
+                                            (6, 7, 6), (8.0, 10.0, 8.0))]
+    enrollments = enroll_subjects(cohort)
+    assert len(enrollments) == len(cohort)
+    for sessions, batched in zip(cohort, enrollments):
+        alone = enroll(sessions)
+        for model in ("consistency_model", "gait_model"):
+            assert (serialize_model(getattr(batched, model))
+                    == serialize_model(getattr(alone, model)))
+        assert batched.feature_mask.tolist() == alone.feature_mask.tolist()
+        assert (batched.fisher.normalized.tobytes()
+                == alone.fisher.normalized.tobytes())
+    assert enroll_subjects([]) == []
+    # one short session trains nothing alone, and sinks the batch it sits in
+    few = [generate_session(subject, clock_offset=OFFSET,
+                            duration=3.5)[:2] + (EST,)]
+    with pytest.raises(TooFewSamples):
+        enroll(few)
+    with pytest.raises(TooFewSamples):
+        enroll_subjects([cohort[0], few, cohort[2]])
 
 
 def test_enroll_designs_each_filter_once_and_batches_the_spectra(
