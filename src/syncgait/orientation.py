@@ -21,6 +21,16 @@ from .series import ImuSeries, groups, require_squarable
 
 UNIT_NORM_TOL = 1e-3
 
+# Component c of the Hamilton product a * b sums row c's terms (sign, i, j),
+# sign * a_i * b_j, left to right, the first one positive. Quaternion.__mul__
+# and the attitude scan both read it, so both round alike.
+_HAMILTON = (
+    ((1, 0, 0), (-1, 1, 1), (-1, 2, 2), (-1, 3, 3)),
+    ((1, 0, 1), (1, 1, 0), (1, 2, 3), (-1, 3, 2)),
+    ((1, 0, 2), (-1, 1, 3), (1, 2, 0), (1, 3, 1)),
+    ((1, 0, 3), (1, 1, 2), (-1, 2, 1), (1, 3, 0)),
+)
+
 
 @dataclass(frozen=True)
 class Quaternion:
@@ -44,14 +54,15 @@ class Quaternion:
         return Quaternion(self.q0, -self.q1, -self.q2, -self.q3)
 
     def __mul__(self, other: "Quaternion") -> "Quaternion":
-        a0, a1, a2, a3 = self.q0, self.q1, self.q2, self.q3
-        b0, b1, b2, b3 = other.q0, other.q1, other.q2, other.q3
-        return Quaternion(
-            a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-        )
+        a = (self.q0, self.q1, self.q2, self.q3)
+        b = (other.q0, other.q1, other.q2, other.q3)
+        out = []
+        for (_, i, j), *rest in _HAMILTON:
+            r = a[i] * b[j]
+            for sign, i, j in rest:
+                r = r + a[i] * b[j] if sign > 0 else r - a[i] * b[j]
+            out.append(r)
+        return Quaternion(*out)
 
 
 @dataclass(frozen=True)
@@ -62,8 +73,12 @@ class EulerAngles:
 
 
 def _check_unit(q: Quaternion) -> None:
-    if abs(q.norm() - 1.0) > UNIT_NORM_TOL:
-        raise NonUnitQuaternion(f"|q| = {q.norm():.6f}")
+    try:
+        n = q.norm()
+    except OverflowError:   # a float's square past the float range
+        n = math.inf
+    if not abs(n - 1.0) <= UNIT_NORM_TOL:   # a NaN norm fails too
+        raise NonUnitQuaternion(f"|q| = {n:.6f}")
 
 
 def quaternion_to_euler(q: Quaternion) -> EulerAngles:
@@ -113,13 +128,15 @@ def ahrs_streams(imus: list[ImuSeries]) -> list[np.ndarray]:
     attitude k the product p_0 p_1 ... p_k. Quaternion products are
     associative, so the n products are one Hillis-Steele scan (Blelloch
     1990) of ceil(log2 n) array passes. The steps of the streams of one
-    length form one (4, k, n) block that each pass runs over; the products
-    are element-wise, so each stream's attitude is bit for bit its own
-    scan's. A walk at steady speed averages its arm and body accelerations
-    to about zero, so one rotation per stream, the same for every sample,
-    turns its mean world acceleration straight up. Samples that overflow
-    when squared, or a mean world acceleration that is zero, are
-    DegenerateSeries.
+    length form one (4, n, k) block, streams last, so the operands q[:, :-s]
+    and q[:, s:] of a pass are contiguous. A pass writes each component, its
+    terms in Quaternion.__mul__'s order, with out= into a second buffer;
+    then the two swap. The products are element-wise, so each stream's
+    attitude is bit for bit its own scan's. A walk at steady speed averages
+    its arm and body accelerations to about zero, so one rotation per
+    stream, the same for every sample, turns its mean world acceleration
+    straight up. Samples that overflow when squared, or a mean world
+    acceleration that is zero, are DegenerateSeries.
     """
     require_squarable("IMU", *(b for imu in imus for b in (imu.acc, imu.gyro)))
     out: list = [None] * len(imus)
@@ -127,14 +144,22 @@ def ahrs_streams(imus: list[ImuSeries]) -> list[np.ndarray]:
         steps = np.stack([np.hstack([np.ones((n, 1)), imus[i].gyro
                                      * (0.5 / imus[i].sample_rate)])
                           for i in idx], axis=1)             # (n, k, 4)
-        q = (steps / np.linalg.norm(steps, axis=2, keepdims=True)).T.copy()
+        q = (steps / np.linalg.norm(steps, axis=2, keepdims=True)
+             ).transpose(2, 0, 1).copy()                     # (4, n, k)
+        nxt, term = np.empty_like(q), np.empty(q.shape[1:])
         shift = 1
         while shift < n:
-            p = Quaternion(*q[..., :-shift]) * Quaternion(*q[..., shift:])
-            q[..., shift:] = (p.q0, p.q1, p.q2, p.q3)
+            nxt[:, :shift] = q[:, :shift]
+            a, b, t = list(q[:, :-shift]), list(q[:, shift:]), term[shift:]
+            for r, ((_, i, j), *rest) in zip(nxt[:, shift:], _HAMILTON):
+                np.multiply(a[i], b[j], out=r)
+                for sign, i, j in rest:
+                    np.multiply(a[i], b[j], out=t)
+                    (np.add if sign > 0 else np.subtract)(r, t, out=r)
+            q, nxt = nxt, q
             shift *= 2
         for k, i in enumerate(idx):
-            out[i] = _levelled(q[:, k], imus[i].acc)
+            out[i] = _levelled(q[:, :, k], imus[i].acc)
     return out
 
 
@@ -172,8 +197,8 @@ def integrate_velocity(a_world: np.ndarray, f_s: float) -> np.ndarray:
     rectangle rule does not.
     """
     a = np.atleast_2d(np.asarray(a_world, dtype=float))
-    if f_s <= 0:
-        raise ValueError("f_s must be positive")
+    if not 0 < f_s < math.inf:
+        raise ValueError("f_s must be positive and finite")
     if a.shape[0] == 0:
         return a.copy()
     cum = np.cumsum(a, axis=0)

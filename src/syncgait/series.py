@@ -153,24 +153,27 @@ _DB2_HI = np.array([_DB2_LO[3], -_DB2_LO[2], _DB2_LO[1], -_DB2_LO[0]])
 
 
 def _dwt_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One db2 level along axis 0 of (n,) or (n, k) values. The taps are
-    gathered into 4-wide rows of one 2-D product: the 3-D (k, m, 4) @ (4,)
-    form and einsum round differently from a column alone."""
-    n = len(x)
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(4)[None, :]) % n
-    win = np.moveaxis(x[idx], 1, -1)   # (n // 2, ..., 4)
-    rows = win.reshape(-1, 4)
-    return ((rows @ _DB2_LO).reshape(win.shape[:-1]),
-            (rows @ _DB2_HI).reshape(win.shape[:-1]))
+    """One db2 level along axis 0 of (n,) or (n, k) values, n even. The taps
+    x[2j..2j+3] (periodized) fill one C-contiguous (n/2 * k, 4) operand of
+    one 2-D product per filter: a 3-D (k, m, 4) @ (4,) form, einsum or a
+    strided operand rounds differently from a column alone."""
+    rows = np.empty((len(x) // 2, *x.shape[1:], 4))
+    rows[..., 0], rows[..., 1] = x[0::2], x[1::2]
+    rows[:-1, ..., 2], rows[:-1, ..., 3] = x[2::2], x[3::2]
+    rows[-1, ..., 2], rows[-1, ..., 3] = x[0], x[1]
+    flat = rows.reshape(-1, 4)
+    return ((flat @ _DB2_LO).reshape(rows.shape[:-1]),
+            (flat @ _DB2_HI).reshape(rows.shape[:-1]))
 
 
 def _idwt_step(approx: np.ndarray, detail: np.ndarray) -> np.ndarray:
     """Transpose of _dwt_step: coefficient k spreads its 4 taps onto
     samples 2k..2k+3 (periodized), so each sample sums two taps."""
-    taps = approx[..., None] * _DB2_LO + detail[..., None] * _DB2_HI
+    t0, t1, t2, t3 = (approx * lo + detail * hi
+                      for lo, hi in zip(_DB2_LO, _DB2_HI))
     out = np.empty((2 * len(approx), *approx.shape[1:]))
-    out[0::2] = taps[..., 0] + np.roll(taps[..., 2], 1, axis=0)
-    out[1::2] = taps[..., 1] + np.roll(taps[..., 3], 1, axis=0)
+    out[2::2], out[0] = t0[1:] + t2[:-1], t0[0] + t2[-1]
+    out[3::2], out[1] = t1[1:] + t3[:-1], t1[0] + t3[-1]
     return out
 
 

@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syncgait.errors import DegenerateSeries, NonUnitQuaternion
-from syncgait.orientation import (EulerAngles, Quaternion, ahrs_stream,
-                                  ahrs_streams, euler_to_quaternion,
-                                  integrate_velocity, quaternion_to_euler,
-                                  rotate_to_world, rotation_matrices)
+from syncgait.orientation import (EulerAngles, Quaternion, _levelled,
+                                  ahrs_stream, ahrs_streams,
+                                  euler_to_quaternion, integrate_velocity,
+                                  quaternion_to_euler, rotate_to_world,
+                                  rotation_matrices)
 from syncgait.series import ImuSeries
 
 
@@ -68,6 +69,16 @@ def test_quaternion_multiplication_composes_rotations():
 def test_rotate_rejects_non_unit_quaternion():
     with pytest.raises(NonUnitQuaternion):
         rotate_to_world(Quaternion(2.0, 0, 0, 0), np.array([1.0, 0, 0]))
+
+
+@pytest.mark.parametrize("q0", [math.nan, 1e200],
+                         ids=["nan", "norm_overflows"])
+def test_unit_checks_refuse_a_nan_or_overflowing_norm(q0):
+    # a NaN norm fails no "> tol" test, and 1e200 ** 2 overflows a float
+    with pytest.raises(NonUnitQuaternion):
+        rotate_to_world(Quaternion(q0, 0, 0, 0), np.array([1.0, 0, 0]))
+    with pytest.raises(NonUnitQuaternion):
+        quaternion_to_euler(Quaternion(q0, 0, 0, 0))
 
 
 def test_euler_extraction_analytic_quaternions():
@@ -134,8 +145,10 @@ def test_integrate_velocity_starts_at_zero():
 
 
 def test_integrate_velocity_validates_args():
-    with pytest.raises(ValueError):
-        integrate_velocity(np.ones((4, 3)), 0.0)
+    # a NaN rate gave NaN velocities and an infinite one zeros
+    for f_s in (0.0, -100.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            integrate_velocity(np.ones((4, 3)), f_s)
 
 
 # --- the attitude scan -------------------------------------------------------
@@ -239,7 +252,7 @@ def test_ahrs_stream_equals_a_sequential_product_up_to_one_level(n):
 
 
 def test_ahrs_streams_of_two_lengths_and_rates_equal_each_stream_alone():
-    # the streams of one length share one (4, k, n) scan, whatever their
+    # the streams of one length share one (4, n, k) scan, whatever their
     # rates; its products are element-wise, so each stream's attitude is
     # bit for bit its own scan's
     imu, _ = _two_axis_walk(0.01)
@@ -253,6 +266,56 @@ def test_ahrs_streams_of_two_lengths_and_rates_equal_each_stream_alone():
     for q, stream in zip(batch, streams):
         assert q.tobytes() == ahrs_stream(stream).tobytes()
     assert ahrs_streams([]) == []
+
+
+def _hamilton(a, b):
+    """Reference Hamilton product a * b of component tuples, written out."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0)
+
+
+def _ahrs_streams_per_pass(imus: list[ImuSeries]) -> list[np.ndarray]:
+    """Reference ahrs_streams of streams of one length: a (4, k, n) step
+    block, each pass one written-out product over fresh arrays."""
+    n = len(imus[0])
+    steps = np.stack([np.hstack([np.ones((n, 1)), imu.gyro
+                                 * (0.5 / imu.sample_rate)])
+                      for imu in imus], axis=1)
+    q = (steps / np.linalg.norm(steps, axis=2, keepdims=True)).T.copy()
+    shift = 1
+    while shift < n:
+        q[..., shift:] = _hamilton(q[..., :-shift], q[..., shift:])
+        shift *= 2
+    return [_levelled(q[:, k], imu.acc) for k, imu in enumerate(imus)]
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+@pytest.mark.parametrize("n", [2, 3, 17, 800])
+def test_ahrs_streams_scan_is_the_per_pass_product_bit_for_bit(n, k):
+    # steps (1, w dt / 2) / |.| of gyros up to 200 rad/s cover the half of
+    # the unit sphere with q0 > 0, not only small turns
+    rng = np.random.default_rng(10 * n + k)
+    imus = [ImuSeries(np.arange(n) / 100.0,
+                      rng.normal(0.0, 3.0, (n, 3)) + [0.0, 0.0, 9.81],
+                      rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-2, 2.3))
+            for _ in range(k)]
+    for got, want in zip(ahrs_streams(imus), _ahrs_streams_per_pass(imus),
+                         strict=True):
+        assert got.shape == want.shape == (n, 4)
+        assert got.tobytes() == want.tobytes()
+    # Quaternion.__mul__ is the written-out product too, on arrays and floats
+    a, b = rng.normal(size=(2, 4, n))
+    p = Quaternion(*a) * Quaternion(*b)
+    assert np.array((p.q0, p.q1, p.q2, p.q3)).tobytes() == np.array(
+        _hamilton(a, b)).tobytes()
+    p = Quaternion(*a[:, 0].tolist()) * Quaternion(*b[:, 0].tolist())
+    assert {type(c) for c in (p.q0, p.q1, p.q2, p.q3)} == {float}
+    assert np.array((p.q0, p.q1, p.q2, p.q3)).tobytes() == np.array(
+        _hamilton(a[:, 0].tolist(), b[:, 0].tolist())).tobytes()
 
 
 # the vertical's RMS error of the Madgwick filter (AHRS_BETA 0.1,

@@ -12,7 +12,8 @@ from syncgait.io import read_keypoint_npy
 from syncgait.series import (DENOISE_LEVELS, JOINT_INDEX, REQUIRED_JOINTS,
                              ImuSeries, KeypointSeries, Series1D, fill_gaps, normalize,
                              wavelet_decompose, wavelet_denoise,
-                             wavelet_reconstruct, _DB2_HI, _DB2_LO)
+                             wavelet_reconstruct, _DB2_HI, _DB2_LO,
+                             _dwt_step, _idwt_step)
 
 NJ = len(REQUIRED_JOINTS)
 
@@ -144,6 +145,43 @@ def test_db2_filter_orthonormality():
     assert np.isclose(_DB2_HI.sum(), 0.0)
     assert np.isclose(_DB2_HI @ np.arange(4.0), 0.0, atol=1e-12)
     assert np.isclose(_DB2_LO.sum(), np.sqrt(2.0))
+
+
+def _dwt_step_gathered(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference db2 level: the taps gathered by a fancy index, then moved
+    last by a moveaxis copy into C-contiguous (n/2 * k, 4) rows."""
+    n = len(x)
+    idx = (2 * np.arange(n // 2)[:, None] + np.arange(4)[None, :]) % n
+    win = np.moveaxis(x[idx], 1, -1)   # (n // 2, ..., 4)
+    rows = win.reshape(-1, 4)
+    return ((rows @ _DB2_LO).reshape(win.shape[:-1]),
+            (rows @ _DB2_HI).reshape(win.shape[:-1]))
+
+
+def _idwt_step_rolled(approx: np.ndarray, detail: np.ndarray) -> np.ndarray:
+    """Reference inverse level: a (..., 4) broadcast of the taps, then the
+    periodic shift by np.roll."""
+    taps = approx[..., None] * _DB2_LO + detail[..., None] * _DB2_HI
+    out = np.empty((2 * len(approx), *approx.shape[1:]))
+    out[0::2] = taps[..., 0] + np.roll(taps[..., 2], 1, axis=0)
+    out[1::2] = taps[..., 1] + np.roll(taps[..., 3], 1, axis=0)
+    return out
+
+
+@pytest.mark.parametrize("cols", [(), (1,), (6,), (72,)],
+                         ids=["1d", "k1", "k6", "k72"])
+@pytest.mark.parametrize("n", [4, 16, 50, 100, 200, 400, 800])
+def test_db2_steps_are_the_gather_and_roll_forms_bit_for_bit(n, cols):
+    # a strided or 3-D tap operand rounds 1-D and single columns differently
+    rng = np.random.default_rng(n + sum(cols))
+    x = rng.normal(size=(n, *cols)) * rng.uniform(0.05, 5.0, cols)
+    for got, want in zip(_dwt_step(x), _dwt_step_gathered(x)):
+        assert got.shape == want.shape == (n // 2, *cols)
+        assert got.tobytes() == want.tobytes()
+    approx, detail = rng.normal(size=(2, n, *cols))
+    got, want = _idwt_step(approx, detail), _idwt_step_rolled(approx, detail)
+    assert got.shape == want.shape == (2 * n, *cols)
+    assert got.tobytes() == want.tobytes()
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1),
