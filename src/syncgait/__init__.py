@@ -12,17 +12,17 @@ from .errors import SyncGaitError
 from .features import (FEATURE_NAMES, FeatureVector, FisherReport,
                        compute_features, fisher_select)
 from .gait import (GaitCycle, ImuChain, cycle_boundaries,
-                   cycle_feature_rows, gait_representation, imu_chain,
-                   imu_chains, normalize_cycle, segment_cycles)
+                   cycle_feature_rows, gait_representation, imu_chains,
+                   normalize_cycle, segment_cycles)
 from .metrics import EvalReport, evaluate, roc_points_csv
 from .orientation import (EulerAngles, Quaternion, ahrs_stream, ahrs_streams,
                           euler_to_quaternion, integrate_velocity,
                           quaternion_to_euler)
-from .pipeline import (Enrollment, aligned_speeds, consistency_score,
-                       consistency_scores, consistency_vector, enroll,
-                       enroll_subjects, gait_score, gait_vectors,
-                       imu_speed_channel, imu_speed_channels,
-                       video_speed_channel, video_speed_channels)
+from .pipeline import (Enrollment, consistency_score, consistency_scores,
+                       consistency_vector, enroll, enroll_subjects,
+                       gait_score, gait_vectors, imu_speed_channel,
+                       imu_speed_channels, video_speed_channel,
+                       video_speed_channels)
 from .posture import (AdctConfig, adaptive_bandpass, adct_cutoff,
                       adct_smooth, estimate_band, histogram_entropy,
                       mjckf_correct)

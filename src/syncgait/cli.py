@@ -279,10 +279,16 @@ def cmd_enroll(cfg: ExperimentConfig, data_dir: Path, subject: int,
                  read_keypoint_npy(data_dir / kp_name, frame_rate=fps),
                  ClockOffsetEstimate.known(clock_offset))
                 for imu_name, kp_name, clock_offset in entries]
-    # before the fit, so that a wrong IMU rate is named, not blamed on a
-    # failed alignment
-    for (imu, _, _), (imu_name, _, _) in zip(sessions, entries):
+    # before the fit, so that a wrong IMU rate or clock offset is named, not
+    # blamed on a failed alignment; synth starts each keypoint file at its
+    # IMU file's first timestamp plus the offset
+    for (imu, kp, _), (imu_name, kp_name, offset) in zip(sessions, entries):
         _check_step(data_dir / imu_name, imu.t, "imu_rate", imu_rate)
+        gap = float(kp.t[0]) - offset - float(imu.t[0])
+        if not abs(gap) * fps <= 0.5:
+            raise IoFailure(f"{data_dir / kp_name}: manifest clock_offset "
+                            f"{offset:g} s puts its first frame {gap:+.6g} s "
+                            f"from its IMU file's first sample")
     enrollment = _enroll_subject(sessions, subject,
                                  f"session count {len(sessions)}",
                                  "the sessions' synth duration")

@@ -5,8 +5,8 @@ frequency-domain feature (band-limited coherence mean) of each aligned
 speed pair in a batch. The pairs of one length run as one group, in array
 passes: one std per side, one segment FFT per side and one whole-row FFT
 of the IMU side, row-wise correlations, and the in-band sums as row
-reductions. The IMU side (FFTs, gait band) runs once per distinct IMU
-array of the group. Only the band's two-pointer scan runs once per row.
+reductions. The IMU side (its FFTs and the gait band's two-pointer scan)
+runs once per distinct IMU array of the group.
 """
 
 from __future__ import annotations

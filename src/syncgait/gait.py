@@ -1,13 +1,13 @@
 """The IMU chain, gait segmentation and the 6-channel cycle representation.
 
 A batch of streams runs the column-wise wavelet denoise once per (length,
-rate) shape, then the attitude scan and rotation per stream. Cycles are cut
-at prominent local minima of the world-frame vertical acceleration, then
-each cycle's phone-frame (a_x, a_y, a_z, ω_x, ω_y, ω_z) channels are
-interpolated to a fixed length. The channels read no attitude, so a cycle
-does not depend on the walking direction's compass heading. Cuts are
-sample indices; the cut instants are their grid times t[0] + i / rate, so
-the chain reads no recorded timestamp after t[0].
+rate) shape and the attitude scan once per length, then the rotation per
+stream. Cycles are cut at prominent local minima of the world-frame
+vertical acceleration, then each cycle's phone-frame (a_x, a_y, a_z, ω_x,
+ω_y, ω_z) channels are interpolated to a fixed length. The channels read
+no attitude, so a cycle does not depend on the walking direction's compass
+heading. Cuts are sample indices; the cut instants are their grid times
+t[0] + i / rate, so the chain reads no recorded timestamp after t[0].
 """
 
 from __future__ import annotations
@@ -72,14 +72,10 @@ def imu_chains(imus: list[ImuSeries]) -> list[ImuChain]:
             for d, q in zip(denoised, ahrs_streams(denoised))]
 
 
-def imu_chain(imu: ImuSeries) -> ImuChain:
-    """The chain of one stream: imu_chains of it alone."""
-    return imu_chains([imu])[0]
-
-
 def as_chain(imu: ImuSeries | ImuChain) -> ImuChain:
-    """The prepared chain of a raw stream; a prepared chain passes through."""
-    return imu if isinstance(imu, ImuChain) else imu_chain(imu)
+    """The prepared chain of a raw stream, imu_chains of it alone; a
+    prepared chain passes through."""
+    return imu if isinstance(imu, ImuChain) else imu_chains([imu])[0]
 
 
 def _boundaries_from_vertical(v: np.ndarray, rate: float) -> list[int]:

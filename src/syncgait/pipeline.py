@@ -9,17 +9,16 @@ gait-band band-pass, magnitude. A stream too short for a stage is
 SeriesTooShort at the first stage that needs the length.
 A batch of streams (`gait.imu_chains`, `imu_speed_channels`,
 `video_speed_channels`) runs each column-wise stage once per (length,
-rate) shape and the attitude scan once per length; a one-stream entry
-point is the batch of one. `consistency_scores` scores a batch of
-captures through those batches and one feature pass, and
-`consistency_score` is its batch of one. `enroll_subjects` enrolls a cohort
-the same way, one chain batch and one feature pass over every subject's
-sessions, then each subject's selection and fits on its own rows; `enroll`
-is its batch of one. An IMU is taken as an `ImuSeries` or its
-`ImuChain`, so a caller that scores one IMU view several times (the
-consistency and gait checks of an attempt) runs its denoise and attitude
-scan once. The features of m pairs are one (m, 3) array, one array pass
-per pair length, and a session's cycles are resampled one at a time.
+rate) shape and the attitude scan once per length. The batch stages take
+prepared `ImuChain`s: `consistency_scores` scores captures in one video
+channel batch and one feature pass, and `enroll_subjects` enrolls a cohort
+in one chain batch and one feature pass, then fits each subject on its own
+rows (`enroll` is its batch of one). The single-capture entry points
+(`consistency_score`, `consistency_vector`, the gait scores) take an
+`ImuSeries` or its `ImuChain` and build the one chain they need, so an
+attempt's consistency and gait checks share one denoise and attitude scan.
+The features of m pairs are one (m, 3) array, one array pass per pair
+length, and a session's cycles are resampled one at a time.
 
 The pipeline takes no settings: each stage reads its module's constants
 (the MJCKF noise levels, `series.DENOISE_LEVELS`, the `gait` period
@@ -137,10 +136,10 @@ def imu_speed_channel(imu: ImuSeries | ImuChain) -> Series1D:
 
 
 def _aligned_pairs(captures: list[tuple]) -> list[AlignedPair]:
-    """Both speed channels of each (imu, kp, offset, imu_valid) capture on
-    one timeline: the IMU channels of the batch first, then the video
+    """Both speed channels of each (chain, kp, offset, imu_valid) capture
+    on one timeline: the IMU channels of the batch first, then the video
     channels, then each pair aligned."""
-    imu_speeds = imu_speed_channels([as_chain(imu) for imu, *_ in captures])
+    imu_speeds = imu_speed_channels([chain for chain, *_ in captures])
     videos = video_speed_channels([kp for _, kp, _, _ in captures])
     return [align(speed, video, offset, imu_valid=imu_valid,
                   video_valid=video_valid)
@@ -148,17 +147,11 @@ def _aligned_pairs(captures: list[tuple]) -> list[AlignedPair]:
             in zip(imu_speeds, videos, captures)]
 
 
-def aligned_speeds(imu: ImuSeries | ImuChain, kp: KeypointSeries,
-                   offset: ClockOffsetEstimate,
-                   imu_valid: np.ndarray | None = None) -> AlignedPair:
-    """Both speed channels on one timeline, the IMU's computed first."""
-    return _aligned_pairs([(imu, kp, offset, imu_valid)])[0]
-
-
 def consistency_vector(imu: ImuSeries | ImuChain, kp: KeypointSeries,
                        offset: ClockOffsetEstimate) -> FeatureVector:
     """The 3-feature cross-modal consistency vector for one session."""
-    row = compute_features([aligned_speeds(imu, kp, offset)])[0]
+    row = compute_features(_aligned_pairs([(as_chain(imu), kp, offset,
+                                            None)]))[0]
     return FeatureVector(*row.tolist())
 
 
@@ -266,15 +259,16 @@ def enroll(sessions: list[tuple[ImuSeries, KeypointSeries, ClockOffsetEstimate]]
            seed: int = 0) -> Enrollment:
     """The models of one subject: the batch of one of enroll_subjects.
     `seed` is accepted and ignored, kept only for the callers that still
-    pass it."""
+    pass it: tests/test_acceptance.py:77, tests/test_golden_scores.py and
+    the benchmark's verify set-up."""
     return enroll_subjects([sessions])[0]
 
 
 def consistency_scores(captures: list[tuple]) -> list[float]:
     """Consistency decision value of each paired capture, an `(enrollment,
-    imu, kp, offset, imu_valid)` tuple. The batch runs each chain's
-    column-wise stages once per shape and one feature pass, each value bit
-    for bit its capture's alone; a raw IMU stream runs its own chain."""
+    chain, kp, offset, imu_valid)` tuple whose IMU is a prepared `ImuChain`.
+    The batch runs the video channels' column-wise stages once per shape
+    and one feature pass, each value bit for bit its capture's alone."""
     rows = compute_features(_aligned_pairs([capture[1:]
                                             for capture in captures]))
     return [enrollment.consistency_model.score(row[enrollment.feature_mask])
@@ -285,8 +279,9 @@ def consistency_score(enrollment: Enrollment, imu: ImuSeries | ImuChain,
                       kp: KeypointSeries, offset: ClockOffsetEstimate,
                       imu_valid: np.ndarray | None = None) -> float:
     """Consistency decision value of one paired capture: the batch of one
-    of consistency_scores."""
-    return consistency_scores([(enrollment, imu, kp, offset, imu_valid)])[0]
+    of consistency_scores, on the chain of `imu`."""
+    return consistency_scores([(enrollment, as_chain(imu), kp, offset,
+                                imu_valid)])[0]
 
 
 def gait_score(enrollment: Enrollment, imu: ImuSeries | ImuChain) -> float:

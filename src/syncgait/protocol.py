@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EnrollmentMissing, SyncGaitError
-from .gait import imu_chain, imu_chains
+from .gait import imu_chains
 from .pipeline import (Enrollment, consistency_score, consistency_scores,
                        gait_score)
 from .series import ImuSeries, KeypointSeries, fill_gaps
@@ -220,7 +220,7 @@ def attempt_scores(attempts: list[tuple]) -> list[tuple[float, float, float]]:
         s_phone = s_drone
         if not (imu_whole and kp_whole):
             if not imu_whole:
-                chain = imu_chain(imu)
+                chain = imu_chains([imu])[0]
             kp_view = kp if kp_whole else _received_keypoints(kp, kp_valid)
             s_phone = consistency_score(enrollment, chain, kp_view, offset)
         out.append((s_drone, s_phone, gait_score(enrollment, chain)))

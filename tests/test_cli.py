@@ -221,7 +221,7 @@ def test_enroll_from_files_equals_enroll_in_memory(tmp_path):
                                        config.clock_offset, seed_offset=k)
         sessions.append((imu, kp,
                          ClockOffsetEstimate.known(gt.clock_offset)))
-    expected, got = enroll(sessions, seed=5), load_enrollment(models, 0)
+    expected, got = enroll(sessions), load_enrollment(models, 0)
     for name in ("consistency_model", "gait_model"):
         assert (serialize_model(getattr(got, name))
                 == serialize_model(getattr(expected, name)))
@@ -403,6 +403,26 @@ def test_enroll_non_finite_clock_offset_is_io_error(tmp_path, capsys,
         manifest["subjects"][0]["sessions"][1]["clock_offset"] = value
     assert _enroll_edited(tmp_path, enroll_data, edit) == EXIT_IO
     assert "clock_offset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shift, code", [
+    (0.004, EXIT_OK), (0.5, EXIT_IO), (100.0, EXIT_IO)])
+def test_enroll_clock_offset_that_disagrees_with_the_files_is_io_error(
+        tmp_path, capsys, enroll_data, shift, code):
+    # synth starts each keypoint file at its IMU file's first timestamp plus
+    # the offset, and enroll allows half a frame (1/120 s at 60 fps). Shifted
+    # 0.5 s, the offsets would train a consistency model that reads a
+    # genuine capture as inconsistent; shifted 100 s, the failed alignment
+    # would be blamed on the sessions' duration
+    def edit(manifest):
+        for session in manifest["subjects"][0]["sessions"]:
+            session["clock_offset"] += shift
+    assert _enroll_edited(tmp_path, enroll_data, edit) == code
+    if code == EXIT_IO:
+        assert ("session00_keypoints.npy: manifest clock_offset "
+                f"{0.08 + shift:g} s puts its first frame {-shift:+.6g} s "
+                "from its IMU file's first sample") in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
 
 
 @pytest.mark.parametrize("fps", [1e-200, 1e200], ids=["tiny", "huge"])

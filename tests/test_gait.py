@@ -8,7 +8,7 @@ from syncgait import gait
 from syncgait.errors import CycleTooShort, NoCyclesFound, SeriesTooShort
 from syncgait.gait import (CYCLE_LENGTH, MAX_PERIOD_S, MIN_PERIOD_S,
                            PROMINENCE, GaitCycle, _boundaries_from_vertical,
-                           cycle_feature_rows, gait_representation, imu_chain,
+                           cycle_feature_rows, gait_representation, imu_chains,
                            normalize_cycle, segment_cycles)
 from syncgait.pipeline import gait_vectors
 from syncgait.series import ImuSeries
@@ -129,7 +129,7 @@ def test_cut_search_equals_the_per_anchor_comb(duration):
     for seed in range(3):
         imu, _, _ = generate_session(SubjectParams(seed=seed), cam,
                                      duration=duration, seed_offset=seed)
-        v = imu_chain(imu).a_world[:, 2]
+        v = imu_chains([imu])[0].a_world[:, 2]
         cuts = _boundaries_from_vertical(v, imu.sample_rate)
         assert cuts == _comb_reference(v, imu.sample_rate)
         assert {type(c) for c in cuts} == {int}
@@ -146,7 +146,7 @@ def test_cut_search_takes_the_first_of_tied_minima_as_the_comb_does(rate):
 def test_a_cycle_at_a_period_bound_is_kept_from_any_start(monkeypatch, cut):
     # 80 and 250 samples at 100 Hz are MIN_PERIOD_S and MAX_PERIOD_S exactly;
     # from these starts the difference of the cut instants misses the bound
-    chain = imu_chain(_sine_imu())
+    [chain] = imu_chains([_sine_imu()])
     rate = chain.denoised.sample_rate
     assert rate == 100.0 and chain.denoised.t[0] == 0.0
     monkeypatch.setattr(gait, "_cuts",
@@ -164,7 +164,7 @@ def test_normalize_cycle_fixed_length_and_endpoints():
 
 def test_gait_representation_resamples_each_cut_as_np_interp():
     imu = generate_session(SubjectParams(seed=2), duration=12.0)[0]
-    chain = imu_chain(imu)
+    [chain] = imu_chains([imu])
     phone = np.hstack([chain.denoised.acc, chain.denoised.gyro]).T
     cycles = gait_representation(chain)
     cuts = gait._cycles(chain)
@@ -263,7 +263,7 @@ def test_imu_chain_of_a_stream_too_short_to_denoise_raises():
     imu = _sine_imu(duration=0.15)
     assert len(imu) == 15
     with pytest.raises(SeriesTooShort):
-        imu_chain(imu)
+        imu_chains([imu])
 
 
 @pytest.mark.parametrize("clock", ["jitter", "drift"])

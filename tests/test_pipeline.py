@@ -10,10 +10,10 @@ from syncgait import features, gait, pipeline, posture
 from syncgait.classify import serialize_model
 from syncgait.errors import (DegenerateSeries, SeriesTooShort,
                              SyncGaitError, TooFewSamples)
-from syncgait.gait import imu_chain, imu_chains
-from syncgait.pipeline import (aligned_speeds, calibrate_keypoints,
-                               consistency_score, consistency_vector, enroll,
-                               enroll_subjects, gait_score, imu_speed_channel,
+from syncgait.gait import imu_chains
+from syncgait.pipeline import (calibrate_keypoints, consistency_score,
+                               consistency_vector, enroll, enroll_subjects,
+                               gait_score, imu_speed_channel,
                                imu_speed_channels, video_speed_channel,
                                video_speed_channels)
 from syncgait.protocol import (ChannelModel, _received_imu,
@@ -47,7 +47,7 @@ def enrollment(subject):
         imu, kp, _ = generate_session(subject, clock_offset=OFFSET,
                                       seed_offset=200 + k)
         sessions.append((imu, kp, EST))
-    return enroll(sessions, seed=0)
+    return enroll(sessions)
 
 
 def test_imu_speed_channel_is_periodic_at_gait_rate(session, subject):
@@ -63,7 +63,7 @@ def test_imu_speed_channel_is_periodic_at_gait_rate(session, subject):
 
 @pytest.mark.parametrize("psi", [0.3, 1.5, 3.0])
 def test_imu_speed_channel_ignores_a_turn_about_the_vertical(session, psi):
-    chain = imu_chain(session[0])
+    [chain] = imu_chains([session[0]])
     c, s = np.cos(psi), np.sin(psi)
     rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     turned = dataclasses.replace(chain, a_world=chain.a_world @ rz.T)
@@ -76,7 +76,7 @@ def test_imu_speed_channel_ignores_a_turn_about_the_vertical(session, psi):
 
 def test_video_speed_channel_matches_imu_channel(session):
     imu, kp, _ = session
-    pair = aligned_speeds(imu, kp, EST)
+    [pair] = pipeline._aligned_pairs([(*imu_chains([imu]), kp, EST, None)])
     r = np.corrcoef(pair.imu_speed, pair.video_speed)[0, 1]
     assert r > 0.6
 
@@ -114,7 +114,8 @@ def test_consistency_vector_sensible_for_genuine_pair(session):
     assert vec.pcc > 0.55
     assert vec.coh > 0.8
     # the named vector is the pair's row of the feature array
-    row = features.compute_features([aligned_speeds(imu, kp, EST)])
+    row = features.compute_features(
+        pipeline._aligned_pairs([(*imu_chains([imu]), kp, EST, None)]))
     assert vec.as_array().tobytes() == row[0].tobytes()
 
 
@@ -206,7 +207,7 @@ def test_each_stream_makes_one_call_per_column_wise_stage(subject, session,
                                                           monkeypatch):
     imu, kp, _ = session
     calls = _spy_column_wise_stages(monkeypatch)
-    imu_chain(imu)
+    imu_chains([imu])
     assert calls == [("wavelet_denoise", (len(imu), 6))]
     calls.clear()
     video_speed_channel(kp)
@@ -222,7 +223,7 @@ def test_each_stream_makes_one_call_per_column_wise_stage(subject, session,
                                  seed_offset=300 + k)[:2] + (EST,)
                 for k in range(m)]
     calls.clear()
-    enroll(sessions, seed=0)
+    enroll(sessions)
     n, frames = len(sessions[0][0]), len(sessions[0][1])
     assert Counter(calls) == Counter({
         ("wavelet_denoise", (n, 6 * m)): 1,
@@ -237,7 +238,7 @@ def test_each_stream_makes_one_call_per_column_wise_stage(subject, session,
              for k, (duration, fps) in enumerate(
                  [(6.0, 60.0), (8.0, 30.0), (6.0, 60.0), (8.0, 60.0)])]
     calls.clear()
-    enroll(mixed, seed=0)
+    enroll(mixed)
     assert Counter(calls) == Counter({
         ("wavelet_denoise", (600, 12)): 1, ("wavelet_denoise", (800, 12)): 1,
         ("adaptive_bandpass", (600, 6)): 1,
@@ -275,7 +276,7 @@ def test_batched_chains_equal_one_stream_at_a_time(subject):
     imus, kps = _mixed_batch(subject)
     chains = imu_chains(imus)
     for imu, chain in zip(imus, chains):
-        alone = imu_chain(imu)
+        [alone] = imu_chains([imu])
         for name in ("t", "acc", "gyro"):
             assert (getattr(chain.denoised, name).tobytes()
                     == getattr(alone.denoised, name).tobytes())
@@ -380,7 +381,7 @@ def test_enroll_designs_each_filter_once_and_batches_the_spectra(
     spy(pipeline, "compute_features",
         lambda pairs: Counter(len(p.imu_speed) for p in pairs))
     posture._butter_band.cache_clear()
-    enroll(sessions, seed=0)
+    enroll(sessions)
     # one design per rate: the IMU's 100 Hz and the video's 60 fps
     assert len(calls["butter"]) == len(set(calls["butter"])) == 2
     # one spectra call per pair length, with a row for each pair of it
@@ -414,7 +415,7 @@ def test_keypoint_views_that_lost_30pct_of_chunks_pass_consistency():
     for v, victim in enumerate(cohort):
         enrollment = enroll([generate_session(victim, clock_offset=OFFSET,
                                               seed_offset=10 + k)[:2] + (EST,)
-                             for k in range(8)], seed=0)
+                             for k in range(8)])
         for k in range(3):
             imu, kp, _ = generate_session(victim, clock_offset=OFFSET,
                                           seed_offset=60 + k)

@@ -77,7 +77,7 @@ def enrolled_subject():
         imu, kp, _ = generate_session(subject, clock_offset=OFFSET,
                                       seed_offset=100 + k)
         sessions.append((imu, kp, est))
-    return subject, enroll(sessions, seed=0)
+    return subject, enroll(sessions)
 
 
 def _session_sources(subject, seed_offset=500):
@@ -187,9 +187,10 @@ def test_one_pass_scores_equal_per_view_scores_on_complete_views(
 def test_an_attempt_prepares_each_stream_once(enrolled_subject, monkeypatch,
                                               lost, chains, channels):
     # a complete attempt runs one IMU chain, one speed channel per stream
-    # and one single-pair feature batch; a partial view adds its own chain
-    # (IMU lost) and one channel of each stream for the phone's score.
-    # Each batch call counts its streams, as the ahrs_calls fixture does
+    # and one single-capture scoring and feature batch; a partial view adds
+    # its own chain (IMU lost), one channel of each stream and one more
+    # single-capture batch for the phone's score. Each batch call counts its
+    # streams, as the ahrs_calls fixture does
     subject, enrollment = enrolled_subject
     imu, kp, _ = generate_session(subject, clock_offset=OFFSET,
                                   seed_offset=506)
@@ -200,30 +201,35 @@ def test_an_attempt_prepares_each_stream_once(enrolled_subject, monkeypatch,
     if lost == "keypoints":
         kp_valid[180:192] = False
     calls = {"imu_chains": 0, "imu_speed_channels": 0,
-             "video_speed_channels": 0, "compute_features": []}
+             "video_speed_channels": 0, "compute_features": [],
+             "consistency_scores": []}
 
     def spy(module, name):
         real = getattr(module, name)
 
         def counted(batch):
-            if name == "compute_features":
+            if isinstance(calls[name], list):
                 calls[name].append(len(batch))
             else:
                 calls[name] += len(batch)
             return real(batch)
         monkeypatch.setattr(module, name, counted)
-    # gait.imu_chains too: imu_chain and a raw stream reaching as_chain
-    # call it there
+    # gait.imu_chains too: a raw stream reaching as_chain calls it there;
+    # the phone's partial view reaches pipeline.consistency_scores through
+    # consistency_score
     for module, name in ((protocol, "imu_chains"), (gait_module, "imu_chains"),
                          (pipeline, "imu_speed_channels"),
                          (pipeline, "video_speed_channels"),
-                         (pipeline, "compute_features")):
+                         (pipeline, "compute_features"),
+                         (protocol, "consistency_scores"),
+                         (pipeline, "consistency_scores")):
         spy(module, name)
     attempt_scores([(enrollment, ClockOffsetEstimate.known(OFFSET),
                      imu, kp, imu_valid, kp_valid)])
     assert calls == {"imu_chains": chains, "imu_speed_channels": channels,
                      "video_speed_channels": channels,
-                     "compute_features": [1] * channels}
+                     "compute_features": [1] * channels,
+                     "consistency_scores": [1] * channels}
 
 
 def _partial(result) -> bool:
@@ -367,7 +373,7 @@ def capture():
                 for k in range(6)]
     imu, kp, _ = generate_session(subject, clock_offset=OFFSET,
                                   seed_offset=503)
-    return enroll(sessions, seed=0), imu, kp
+    return enroll(sessions), imu, kp
 
 
 def _one_attempt(enrollment, imu, kp):

@@ -19,10 +19,12 @@ each j the victim meets one capture of each attack:
 - hijack: j's own streams;
 - mimicry at fidelity 0.5 and 0.9: j's walk blended toward v's.
 
-Every score is computed directly, with `ClockOffsetEstimate.known(0.08)`.
-"Fused" means that both the consistency and the gait score are >= 0.
-The table prints one row per cohort and their sum, then the median genuine
-consistency and gait scores of each cohort.
+Every capture is scored directly, with `ClockOffsetEstimate.known(0.08)`,
+as one `protocol.attempt_scores` batch of complete views (nothing lost, so
+the phone's consistency score is the drone's). "Fused" means that both the
+consistency and the gait score are >= 0. The table prints one row per
+cohort and their sum, then the median genuine consistency and gait scores
+of each cohort.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from syncgait.gait import imu_chains
-from syncgait.pipeline import consistency_scores, enroll_subjects, gait_score
+from syncgait.pipeline import enroll_subjects
+from syncgait.protocol import attempt_scores
 from syncgait.synth import (CameraModel, HijackAttack, MimicryAttack,
                             RelayAttack, generate_attack, generate_session,
                             make_cohort, shared_walks)
@@ -89,14 +91,13 @@ def score_cohort(seed: int) -> dict[str, list[tuple[float, float]]]:
                                   CLOCK_OFFSET,
                                   seed_offset=900 + 10 * v + j)[:2])
                 for kind, spec in ATTACKS.items()]
-    chains = imu_chains([imu for _, _, imu, _ in captures])
-    cons = consistency_scores([(enrollment, chain, kp, offset, None)
-                               for (_, enrollment, _, kp), chain
-                               in zip(captures, chains)])
+    attempts = attempt_scores([
+        (enrollment, offset, imu, kp, np.ones(len(imu), dtype=bool),
+         np.ones(len(kp), dtype=bool))
+        for _, enrollment, imu, kp in captures])
     scores: dict[str, list[tuple[float, float]]] = {}
-    for (kind, enrollment, _, _), chain, c in zip(captures, chains, cons):
-        scores.setdefault(kind, []).append(
-            (c, gait_score(enrollment, chain)))
+    for (kind, *_), (cons, _, gait) in zip(captures, attempts):
+        scores.setdefault(kind, []).append((cons, gait))
     return scores
 
 
