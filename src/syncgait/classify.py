@@ -134,7 +134,13 @@ def fit_ocsvm_fixed(x: np.ndarray, nu: float, gamma: float,
 
 def train_ocsvm(train: np.ndarray) -> OcSvmModel:
     """The gait model: an OC-SVM on at least 10 raw feature rows, fit at
-    GAIT_NU and GAIT_GAMMA."""
+    GAIT_NU and GAIT_GAMMA.
+
+    Below 1/GAIT_NU = 100 rows the box bound 1/(GAIT_NU n) exceeds 1, and no
+    dual coefficient can reach it, since they sum to 1: GAIT_NU binds on no
+    enrollment here (24-48 gait rows), and the fit is the hard-margin one.
+    `serialize_model` still writes nu, so changing GAIT_NU moves the model
+    bytes."""
     x = np.atleast_2d(np.asarray(train, dtype=float))
     if len(x) < 10:
         raise TooFewSamples(f"need >= 10 training vectors, got {len(x)}")

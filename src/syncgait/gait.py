@@ -12,6 +12,7 @@ t[0] + i / rate, so the chain reads no recorded timestamp after t[0].
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,15 +165,34 @@ def segment_cycles(imu: ImuSeries | ImuChain) -> list[tuple[float, float]]:
     return [(a, b) for _, _, a, b in _cycles(as_chain(imu))]
 
 
+def _unit_grid(m: int) -> np.ndarray:
+    """np.linspace(0, 1, m), read-only."""
+    grid = np.linspace(0.0, 1.0, m)
+    grid.flags.writeable = False
+    return grid
+
+
+_CYCLE_GRID = _unit_grid(CYCLE_LENGTH)
+# the source grid of each cycle length, shared by every cycle of that length;
+# a cycle of at most MAX_PERIOD_S at 100 Hz has 251 samples. At most 64 grids
+# of at most 512 samples are held: 256 KiB
+_source_grid = functools.lru_cache(maxsize=64)(_unit_grid)
+_CACHED_GRID_MAX = 512
+
+
 def normalize_cycle(raw: np.ndarray, t_start: float = 0.0,
                     t_end: float = 1.5) -> GaitCycle:
-    """Per-channel linear interpolation onto CYCLE_LENGTH equal steps."""
+    """Per-channel linear interpolation onto CYCLE_LENGTH equal steps: each
+    row `np.interp` from the source grid `np.linspace(0, 1, m)` of its m
+    samples onto `np.linspace(0, 1, CYCLE_LENGTH)`. The target grid is
+    built once, a source grid of up to 512 samples once per length, and
+    both are shared read-only."""
     raw = np.asarray(raw, dtype=float)
-    if raw.shape[1] < 2:
+    m = raw.shape[1]
+    if m < 2:
         raise CycleTooShort("need >= 2 samples per cycle")
-    x_old = np.linspace(0.0, 1.0, raw.shape[1])
-    x_new = np.linspace(0.0, 1.0, CYCLE_LENGTH)
-    channels = np.vstack([np.interp(x_new, x_old, row) for row in raw])
+    x_old = _source_grid(m) if m <= _CACHED_GRID_MAX else _unit_grid(m)
+    channels = np.array([np.interp(_CYCLE_GRID, x_old, row) for row in raw])
     return GaitCycle(channels=channels, t_start=t_start, t_end=t_end)
 
 

@@ -60,6 +60,25 @@ class ChannelModel:
     def dropped(self, rng: np.random.Generator) -> bool:
         return bool(rng.random() < self.loss_rate)
 
+    def send(self, chunks, rng: np.random.Generator,
+             delays: list | None = None) -> list:
+        """Send each of `chunks` once, in order, and return the lost ones.
+
+        The channel's draw order: each transmission draws its loss
+        (`dropped`), then a delivered chunk draws its delay (`delay`), from
+        the generator's bound methods. The delivered chunks' delays are
+        appended to `delays` in order when it is given, else dropped."""
+        random, normal, loss_rate = rng.random, rng.normal, self.loss_rate
+        lost = []
+        for i in chunks:
+            if random() < loss_rate:
+                lost.append(i)
+                continue
+            delay = max(0.0, DELAY_MEAN_S + DELAY_JITTER_S * normal())
+            if delays is not None:
+                delays.append(delay)
+        return lost
+
 
 @dataclass
 class SessionConfig:
@@ -134,24 +153,28 @@ class _Transcript:
         self.events.append(entry)
 
 
+def _count(name: str, value) -> int:
+    """`value` as an int; anything but an int >= 0 is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < 0:
+        raise ValueError(f"{name} must be an int >= 0, got {value!r}")
+    return int(value)
+
+
 def inject_loss(n: int, channel: ChannelModel,
                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Which of n chunks survive the channel and when they arrive.
+    """Which of n chunks survive one transmission each and when they arrive.
 
-    Returns the (n,) delivered mask and the arrival delays of the delivered
-    chunks in index order; arrival order is monotone (a transport with
-    in-order delivery), drops are independent.
+    The chunks are sent in index order through `ChannelModel.send`: each
+    draws its loss, then a delivered chunk its delay. Returns the (n,)
+    delivered mask and the arrival delays of the delivered chunks in index
+    order; arrival order is monotone (a transport with in-order delivery),
+    drops are independent.
     """
-    got = np.zeros(n, dtype=bool)
-    arrivals = []
-    t_arr = 0.0
-    for i in range(n):
-        if channel.dropped(rng):
-            continue
-        t_arr = max(t_arr, channel.delay(rng))
-        got[i] = True
-        arrivals.append(t_arr)
-    return got, np.array(arrivals)
+    n, delays = _count("n", n), []
+    got = np.ones(n, dtype=bool)
+    got[channel.send(range(n), rng, delays)] = False
+    return got, np.maximum.accumulate(np.array(delays))
 
 
 def exchange_with_arq(n: int, channel: ChannelModel,
@@ -159,13 +182,19 @@ def exchange_with_arq(n: int, channel: ChannelModel,
                       rounds: int = ARQ_ROUNDS) -> tuple[np.ndarray, int]:
     """Selective-repeat transfer of n chunks: the initial burst plus up to
     `rounds` retransmission rounds for whatever is still missing, in index
-    order. Returns the (n,) delivered mask and the rounds actually used."""
-    got, _ = inject_loss(n, channel, rng)
+    order. Returns the (n,) delivered mask and the rounds actually used.
+
+    Every transmission goes through `ChannelModel.send`, as in inject_loss:
+    it draws its loss, then a delivered chunk draws its delay. The transfer
+    drops each delay and carries only the list of chunks still missing."""
+    n, rounds = _count("n", n), _count("rounds", rounds)
+    missing = channel.send(range(n), rng)
     used = 0
-    while not got.all() and used < rounds:
+    while missing and used < rounds:
         used += 1
-        missing = np.flatnonzero(~got)
-        got[missing[inject_loss(len(missing), channel, rng)[0]]] = True
+        missing = channel.send(missing, rng)
+    got = np.ones(n, dtype=bool)
+    got[missing] = False
     return got, used
 
 
@@ -198,13 +227,14 @@ def attempt_scores(attempts: list[tuple]) -> list[tuple[float, float, float]]:
 
     The drone views of the batch run one `imu_chains` call and one
     `consistency_scores` batch. When both views of an attempt are complete
-    the phone's score is the drone's, computed once (on the uniform IMU
-    speed grid an all-valid mask drops no aligned point). An attempt left
-    with a partial view, which the ARQ makes rare, scores the phone's view
-    alone, on its own chain when IMU chunks were lost. The gait check then
-    runs once per own chain. So a batch of one raises the error of the
-    attempt's first failing stage, and each score is bit for bit
-    consistency_score and gait_score on its views.
+    the phone's score is the drone's, computed once (`align` treats an
+    all-valid mask as no mask, since on a uniform timeline it keeps every
+    aligned point). An attempt left with a partial view, which the ARQ
+    makes rare, scores the phone's view alone, on its own chain when IMU
+    chunks were lost. The gait check then runs once per own chain. So a
+    batch of one raises the error of the attempt's first failing stage, and
+    each score is bit for bit consistency_score and gait_score on its
+    views.
     """
     chains = imu_chains([imu if imu_valid.all()
                          else _received_imu(imu, imu_valid)

@@ -125,9 +125,26 @@ def align(imu: Series1D, video: Series1D, offset: ClockOffsetEstimate,
     """Shift the video timeline by the tracked offset and co-register both
     channels on a COMMON_RATE grid; grid points without a valid source sample
     within half a sample period on both sides are dropped.
+
+    A validity mask has one entry per sample of its channel. Only a partial
+    mask is tested grid point by grid point: a channel is a uniform
+    timeline, so with every sample valid each grid point inside the overlap
+    lies within half a source step of a sample and is kept, as it is with
+    no mask.
     """
     t_imu = imu.times
     t_video = video.times - offset.offset
+    partial = []
+    for name, t_src, valid in (("imu_valid", t_imu, imu_valid),
+                               ("video_valid", t_video, video_valid)):
+        if valid is None:
+            continue
+        valid = np.asarray(valid, dtype=bool)
+        if valid.shape != t_src.shape:
+            raise ValueError(f"{name} has shape {valid.shape} for "
+                             f"{len(t_src)} samples")
+        if not valid.all():
+            partial.append((t_src, valid))
     lo = max(t_imu[0], t_video[0])
     hi = min(t_imu[-1], t_video[-1])
     if hi - lo < MIN_OVERLAP_S:
@@ -140,10 +157,8 @@ def align(imu: Series1D, video: Series1D, offset: ClockOffsetEstimate,
 
     keep = np.ones(n, dtype=bool)
     half = 0.5 / COMMON_RATE
-    for t_src, valid in ((t_imu, imu_valid), (t_video, video_valid)):
-        if valid is None:
-            continue
-        t_ok = t_src[np.asarray(valid, dtype=bool)]
+    for t_src, valid in partial:
+        t_ok = t_src[valid]
         if len(t_ok) == 0:
             keep[:] = False
             break

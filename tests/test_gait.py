@@ -178,6 +178,29 @@ def test_gait_representation_resamples_each_cut_as_np_interp():
         assert (cycle.t_start, cycle.t_end) == (t_start, t_end)
 
 
+def test_normalize_cycle_is_the_two_linspace_form_for_every_length():
+    rng = np.random.default_rng(0)
+    for m in [*range(2, 301), 511, 512, 513, 1000]:
+        raw = rng.normal(size=(6, m))
+        want = np.vstack([np.interp(np.linspace(0.0, 1.0, CYCLE_LENGTH),
+                                    np.linspace(0.0, 1.0, m), row)
+                          for row in raw])
+        channels = normalize_cycle(raw).channels
+        assert channels.flags.c_contiguous
+        assert channels.tobytes() == want.tobytes()
+
+
+def test_normalize_cycle_grids_are_shared_read_only():
+    grids = [gait._CYCLE_GRID, gait._source_grid(120)]
+    assert gait._source_grid(120) is grids[1]
+    for grid in grids:
+        with pytest.raises(ValueError):
+            grid[0] = 1.0
+    # the cache's bound: at most maxsize grids of _CACHED_GRID_MAX floats
+    assert (gait._source_grid.cache_info().maxsize * gait._CACHED_GRID_MAX
+            * 8 < 0.5e6)
+
+
 def test_normalize_cycle_too_short():
     with pytest.raises(CycleTooShort):
         normalize_cycle(np.zeros((6, 1)))

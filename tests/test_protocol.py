@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from syncgait import gait as gait_module
 from syncgait import pipeline, protocol
 from syncgait.errors import EnrollmentMissing, SyncGaitError
-from syncgait.protocol import (ARQ_ROUNDS, ChannelModel, DecisionRecord,
-                               SessionConfig, SessionState, _received_imu,
+from syncgait.protocol import (ARQ_ROUNDS, DELAY_JITTER_S, DELAY_MEAN_S,
+                               ChannelModel, DecisionRecord, SessionConfig,
+                               SessionState, _received_imu,
                                _received_keypoints, attempt_scores,
                                exchange_with_arq, inject_loss, run_session)
 from syncgait.pipeline import (Enrollment, consistency_score, enroll,
@@ -61,6 +62,91 @@ def test_exchange_with_arq_no_loss_uses_no_rounds():
     got, rounds = exchange_with_arq(50, ChannelModel(loss_rate=0.0), rng)
     assert got.shape == (50,) and got.all()
     assert rounds == 0
+
+
+def _arrival_list_inject_loss(n, loss_rate, rng):
+    """Reference: inject_loss as it was written before the channel's `send`,
+    one chunk at a time with a running arrival list."""
+    got = np.zeros(n, dtype=bool)
+    arrivals = []
+    t_arr = 0.0
+    for i in range(n):
+        if bool(rng.random() < loss_rate):
+            continue
+        t_arr = max(t_arr, max(0.0, DELAY_MEAN_S
+                               + DELAY_JITTER_S * rng.normal()))
+        got[i] = True
+        arrivals.append(t_arr)
+    return got, np.array(arrivals)
+
+
+def _arrival_list_arq(n, loss_rate, rng, rounds):
+    """Reference: exchange_with_arq as it was written before, each round an
+    inject_loss call whose arrivals are thrown away."""
+    got, _ = _arrival_list_inject_loss(n, loss_rate, rng)
+    used = 0
+    while not got.all() and used < rounds:
+        used += 1
+        missing = np.flatnonzero(~got)
+        got[missing[_arrival_list_inject_loss(len(missing), loss_rate,
+                                              rng)[0]]] = True
+    return got, used
+
+
+@pytest.mark.parametrize("rounds", [0, 1, 3, 20])
+@pytest.mark.parametrize("loss", [0.0, 0.3, 0.6])
+def test_exchange_with_arq_is_the_arrival_list_form_bit_for_bit(loss,
+                                                                rounds):
+    channel = ChannelModel(loss_rate=loss)
+    for seed, n in itertools.product(range(50), (1, 7, 80, 200)):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, used = exchange_with_arq(n, channel, rng, rounds=rounds)
+        want, want_used = _arrival_list_arq(n, loss, ref_rng, rounds)
+        assert got.dtype == bool and np.array_equal(got, want)
+        assert used == want_used
+        assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.3, 0.6])
+def test_inject_loss_is_the_arrival_list_form_bit_for_bit(loss):
+    channel = ChannelModel(loss_rate=loss)
+    for seed, n in itertools.product(range(20), (0, 1, 7, 80)):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, arrivals = inject_loss(n, channel, rng)
+        want, want_arrivals = _arrival_list_inject_loss(n, loss, ref_rng)
+        assert got.dtype == bool and np.array_equal(got, want)
+        assert arrivals.dtype == want_arrivals.dtype
+        assert arrivals.tobytes() == want_arrivals.tobytes()
+        assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("n, rounds, name", [
+    (-1, 20, "n"), (2.5, 20, "n"), (True, 20, "n"),
+    (80, -1, "rounds"), (80, 2.5, "rounds"), (80, "3", "rounds")])
+def test_exchange_with_arq_counts_must_be_ints_at_least_zero(n, rounds,
+                                                             name):
+    # before the check, rounds=-1 returned the burst's view and reported 0
+    # rounds, rounds=2.5 ran 3 rounds, n=-1 raised numpy's unnamed error
+    with pytest.raises(ValueError, match=rf"^{name} must be an int >= 0"):
+        exchange_with_arq(n, ChannelModel(loss_rate=0.6),
+                          np.random.default_rng(0), rounds=rounds)
+
+
+@pytest.mark.parametrize("n", [-1, 2.5])
+def test_inject_loss_count_must_be_an_int_at_least_zero(n):
+    with pytest.raises(ValueError, match=r"^n must be an int >= 0"):
+        inject_loss(n, ChannelModel(loss_rate=0.6), np.random.default_rng(0))
+
+
+def test_numpy_int_counts_are_accepted():
+    channel = ChannelModel(loss_rate=0.6)
+    got, rounds = exchange_with_arq(np.int64(80), channel,
+                                    np.random.default_rng(0),
+                                    rounds=np.int64(3))
+    want, want_rounds = exchange_with_arq(80, channel,
+                                          np.random.default_rng(0), rounds=3)
+    assert np.array_equal(got, want) and rounds == want_rounds == 3
+    assert exchange_with_arq(0, channel, np.random.default_rng(0))[1] == 0
 
 
 # --- full sessions -----------------------------------------------------------

@@ -9,8 +9,9 @@ from syncgait.errors import InsufficientOverlap, NegativeRoundTrip
 from syncgait.series import Series1D
 from syncgait.pipeline import imu_speed_channel
 from syncgait.protocol import ChannelModel
-from syncgait.syncing import (DRIFT_NOISE, SYNC_EXCHANGE_PERIOD, AlignedPair,
-                              ClockOffsetEstimate, align,
+from syncgait.syncing import (COMMON_RATE, DRIFT_NOISE, MIN_OVERLAP_S,
+                              MIN_OVERLAP_SAMPLES, SYNC_EXCHANGE_PERIOD,
+                              AlignedPair, ClockOffsetEstimate, align,
                               kalman_track_offset, two_way_offset)
 from syncgait.synth import SubjectParams, generate_session
 
@@ -191,6 +192,80 @@ def test_align_drops_invalid_spans():
     pair_masked = align(a, b, ClockOffsetEstimate(0.0, 1e-6, 0.004),
                         imu_valid=valid)
     assert len(pair_masked.imu_speed) < len(pair_full.imu_speed)
+
+
+@pytest.mark.parametrize("name", ["imu_valid", "video_valid"])
+@pytest.mark.parametrize("entries", [10, 900])
+@pytest.mark.parametrize("partial", [False, True])
+def test_align_refuses_a_mask_of_the_wrong_length(name, entries, partial):
+    a = Series1D(np.sin(np.arange(800) / 10.0), t0=0.0, rate=100.0)
+    b = Series1D(np.cos(np.arange(800) / 10.0), t0=0.0, rate=100.0)
+    mask = np.ones(entries, dtype=bool)
+    mask[0] = not partial
+    with pytest.raises(ValueError, match=rf"{name} .*\({entries},\).* 800 "):
+        align(a, b, ClockOffsetEstimate(0.0, 1e-6, 0.004), **{name: mask})
+
+
+def _nearest_sample_align(imu, video, offset, imu_valid, video_valid):
+    """Reference: align as it was written before the all-valid skip, every
+    given mask tested grid point by grid point."""
+    t_imu = imu.times
+    t_video = video.times - offset.offset
+    lo = max(t_imu[0], t_video[0])
+    hi = min(t_imu[-1], t_video[-1])
+    if hi - lo < MIN_OVERLAP_S:
+        raise InsufficientOverlap(f"overlap {hi - lo:.3f} s")
+    n = int(np.floor((hi - lo) * COMMON_RATE)) + 1
+    grid = lo + np.arange(n) / COMMON_RATE
+    imu_g = np.interp(grid, t_imu, imu.values)
+    vid_g = np.interp(grid, t_video, video.values)
+    keep = np.ones(n, dtype=bool)
+    half = 0.5 / COMMON_RATE
+    for t_src, valid in ((t_imu, imu_valid), (t_video, video_valid)):
+        t_ok = t_src[np.asarray(valid, dtype=bool)]
+        if len(t_ok) == 0:
+            keep[:] = False
+            break
+        idx = np.searchsorted(t_ok, grid)
+        left = np.abs(grid - t_ok[np.clip(idx - 1, 0, len(t_ok) - 1)])
+        right = np.abs(t_ok[np.clip(idx, 0, len(t_ok) - 1)] - grid)
+        src_period = np.median(np.diff(t_src)) if len(t_src) > 1 else half
+        keep &= np.minimum(left, right) <= max(half, src_period)
+    if keep.sum() < MIN_OVERLAP_SAMPLES:
+        raise InsufficientOverlap("too few temporally matched pairs")
+    return AlignedPair(imu_g[keep], vid_g[keep])
+
+
+def _outcome(f, *args, **kwargs):
+    """The aligned arrays' bytes, or the type of the error raised."""
+    try:
+        pair = f(*args, **kwargs)
+    except InsufficientOverlap as exc:
+        return type(exc)
+    return pair.imu_speed.tobytes(), pair.video_speed.tobytes()
+
+
+@given(imu_rate=st.floats(10.0, 200.0), video_rate=st.floats(10.0, 200.0),
+       imu_s=st.floats(2.0, 12.0), video_s=st.floats(2.0, 12.0),
+       t0=st.floats(-1e4, 1e4), lag=st.floats(-1.0, 1.0),
+       offset=st.floats(-2.0, 2.0), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=300, deadline=None)
+def test_all_valid_masks_align_as_no_masks_and_as_the_nearest_sample_test(
+        imu_rate, video_rate, imu_s, video_s, t0, lag, offset, seed):
+    rng = np.random.default_rng(seed)
+    imu = Series1D(rng.normal(size=max(int(imu_s * imu_rate), 1)), t0,
+                   imu_rate)
+    video = Series1D(rng.normal(size=max(int(video_s * video_rate), 1)),
+                     t0 + offset + lag, video_rate)
+    est = ClockOffsetEstimate(offset, 1e-6, 0.004)
+    whole = (np.ones(len(imu), dtype=bool), np.ones(len(video), dtype=bool))
+    want = _outcome(_nearest_sample_align, imu, video, est, *whole)
+    assert _outcome(align, imu, video, est, *whole) == want
+    assert _outcome(align, imu, video, est) == want
+    # a partial mask still takes the nearest-sample test
+    partial = tuple(m & (rng.random(len(m)) > 0.1) for m in whole)
+    assert (_outcome(align, imu, video, est, *partial)
+            == _outcome(_nearest_sample_align, imu, video, est, *partial))
 
 
 def test_aligned_pair_length_check():
