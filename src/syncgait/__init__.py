@@ -18,11 +18,11 @@ from .metrics import EvalReport, evaluate, roc_points_csv
 from .orientation import (EulerAngles, Quaternion, ahrs_stream, ahrs_streams,
                           euler_to_quaternion, integrate_velocity,
                           quaternion_to_euler)
-from .pipeline import (Enrollment, consistency_score, consistency_scores,
-                       consistency_vector, enroll, enroll_subjects,
-                       gait_score, gait_vectors, imu_speed_channel,
-                       imu_speed_channels, video_speed_channel,
-                       video_speed_channels)
+from .pipeline import (Capture, Enrollment, consistency_score,
+                       consistency_scores, consistency_vector, enroll,
+                       enroll_subjects, gait_score, gait_vectors,
+                       imu_speed_channel, imu_speed_channels,
+                       video_speed_channel, video_speed_channels)
 from .posture import (AdctConfig, adaptive_bandpass, adct_cutoff,
                       adct_smooth, estimate_band, histogram_entropy,
                       mjckf_correct)

@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (InsufficientOverlap, IoFailure, SyncGaitError,
-                     TooFewSamples)
+from .errors import (DegenerateSeries, InsufficientOverlap, IoFailure,
+                     SyncGaitError, TooFewSamples)
 from .io import read_imu_npy, read_keypoint_npy, write_imu_npy, \
     write_keypoint_npy
 from .metrics import evaluate as score_evaluate
@@ -32,9 +32,11 @@ from .metrics import roc_points_csv
 from .classify import deserialize_model, serialize_model
 from .features import FEATURE_NAMES
 from .gait import CYCLE_FEATURE_COUNT
-from .pipeline import Enrollment, enroll, enroll_subjects
+from .pipeline import (PHONE_WRIST, Capture, Enrollment, enroll,
+                       enroll_subjects)
 from .protocol import (ChannelModel, DecisionRecord, SessionConfig,
                        run_sessions)
+from .series import JOINT_INDEX, MISSING_CONF, require_squarable
 from .synth import (IMU_RATE, CameraModel, HijackAttack, MimicryAttack,
                     RelayAttack, check_walk, generate_attack,
                     generate_session, make_cohort, shared_walks)
@@ -279,17 +281,29 @@ def cmd_enroll(cfg: ExperimentConfig, data_dir: Path, subject: int,
                  read_keypoint_npy(data_dir / kp_name, frame_rate=fps),
                  ClockOffsetEstimate.known(clock_offset))
                 for imu_name, kp_name, clock_offset in entries]
-    # before the fit, so that a wrong IMU rate or clock offset is named, not
-    # blamed on a failed alignment; synth starts each keypoint file at its
-    # IMU file's first timestamp plus the offset
+    # before the fit, so that a wrong IMU rate or clock offset, or a file no
+    # stage can use, is named, not blamed on a failed alignment or a knob;
+    # synth starts each keypoint file at its IMU file's first timestamp plus
+    # the offset
+    wrist = JOINT_INDEX[PHONE_WRIST]
     for (imu, kp, _), (imu_name, kp_name, offset) in zip(sessions, entries):
         _check_step(data_dir / imu_name, imu.t, "imu_rate", imu_rate)
+        for name, blocks, path in (("IMU", (imu.acc, imu.gyro), imu_name),
+                                   ("keypoint", (kp.uv,), kp_name)):
+            try:
+                require_squarable(name, *blocks)
+            except DegenerateSeries as exc:
+                raise IoFailure(f"{data_dir / path}: {exc}") from exc
+        if not (kp.conf[:, wrist] >= MISSING_CONF).any():
+            raise IoFailure(f"{data_dir / kp_name}: the phone's wrist "
+                            f"{PHONE_WRIST} is never detected (confidence "
+                            f">= {MISSING_CONF})")
         gap = float(kp.t[0]) - offset - float(imu.t[0])
         if not abs(gap) * fps <= 0.5:
             raise IoFailure(f"{data_dir / kp_name}: manifest clock_offset "
                             f"{offset:g} s puts its first frame {gap:+.6g} s "
                             f"from its IMU file's first sample")
-    enrollment = _enroll_subject(sessions, subject,
+    enrollment = _enroll_subject(lambda: enroll(sessions), subject,
                                  f"session count {len(sessions)}",
                                  "the sessions' synth duration")
     # after the fit, so that a frame rate the Kalman pass cannot run stays
@@ -325,13 +339,13 @@ def _check_step(path: Path, t: np.ndarray, name: str, rate: float) -> None:
                         f"the median timestamp step {step:.6g} s")
 
 
-def _enroll_subject(sessions: list, subject: int, count: str,
+def _enroll_subject(fit, subject: int, count: str,
                     duration: str) -> Enrollment:
-    """enroll(sessions), with too few sessions or sessions too short to
-    align refused as a ValueError naming `count` or `duration`, the knob
-    behind them."""
+    """fit(), the enrollment of one subject, with too few sessions or
+    sessions too short to align refused as a ValueError naming `count` or
+    `duration`, the knob behind them."""
     try:
-        return enroll(sessions)
+        return fit()
     except TooFewSamples as exc:
         raise ValueError(f"{count} is too few to enroll subject {subject}: "
                          f"{exc}") from exc
@@ -416,15 +430,16 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
     cohort = make_cohort(cfg.cohort_size, seed=cfg.seed)
     offset = ClockOffsetEstimate.known(cfg.clock_offset)
 
-    sessions = [[(*generate_session(subject, cfg.camera, cfg.duration,
-                                    cfg.clock_offset,
-                                    seed_offset=10 + k)[:2], offset)
+    sessions = [[Capture(*generate_session(subject, cfg.camera, cfg.duration,
+                                           cfg.clock_offset,
+                                           seed_offset=10 + k)[:2], offset)
                  for k in range(cfg.enroll_sessions)] for subject in cohort]
     try:
         enrollments = enroll_subjects(sessions)
     except SyncGaitError:   # name the first subject that fails alone
         enrollments = [_enroll_subject(
-            own, si, f"enroll_sessions {cfg.enroll_sessions}",
+            lambda: enroll_subjects([own])[0], si,
+            f"enroll_sessions {cfg.enroll_sessions}",
             f"duration {cfg.duration} s at fps {cfg.fps}")
             for si, own in enumerate(sessions)]
 

@@ -10,10 +10,11 @@ SeriesTooShort at the first stage that needs the length.
 A batch of streams (`gait.imu_chains`, `imu_speed_channels`,
 `video_speed_channels`) runs each column-wise stage once per (length,
 rate) shape and the attitude scan once per length. The batch stages take
-prepared `ImuChain`s: `consistency_scores` scores captures in one video
-channel batch and one feature pass, and `enroll_subjects` enrolls a cohort
-in one chain batch and one feature pass, then fits each subject on its own
-rows (`enroll` is its batch of one). The single-capture entry points
+`Capture` records: `consistency_scores` scores captures whose `imu` is a
+prepared `ImuChain` in one video channel batch and one feature pass, and
+`enroll_subjects` enrolls a cohort in one chain batch and one feature pass,
+then fits each subject on its own rows (`enroll`, of `(imu, kp, offset)`
+triples, is its batch of one). The single-capture entry points
 (`consistency_score`, `consistency_vector`, the gait scores) take an
 `ImuSeries` or its `ImuChain` and build the one chain they need, so an
 attempt's consistency and gait checks share one denoise and attitude scan.
@@ -28,7 +29,7 @@ in `classify`) and the constants below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass, replace
 from itertools import accumulate
 
 import numpy as np
@@ -135,23 +136,23 @@ def imu_speed_channel(imu: ImuSeries | ImuChain) -> Series1D:
     return imu_speed_channels([as_chain(imu)])[0]
 
 
-def _aligned_pairs(captures: list[tuple]) -> list[AlignedPair]:
-    """Both speed channels of each (chain, kp, offset, imu_valid) capture
-    on one timeline: the IMU channels of the batch first, then the video
-    channels, then each pair aligned."""
-    imu_speeds = imu_speed_channels([chain for chain, *_ in captures])
-    videos = video_speed_channels([kp for _, kp, _, _ in captures])
-    return [align(speed, video, offset, imu_valid=imu_valid,
+def _aligned_pairs(captures: list[Capture]) -> list[AlignedPair]:
+    """Both speed channels of each capture, its `imu` a prepared `ImuChain`
+    and its IMU samples masked by `imu_valid`, on one timeline: the IMU
+    channels of the batch first, then the video channels, then each pair."""
+    imu_speeds = imu_speed_channels([c.imu for c in captures])
+    videos = video_speed_channels([c.kp for c in captures])
+    return [align(speed, video, c.offset, imu_valid=c.imu_valid,
                   video_valid=video_valid)
-            for speed, (video, video_valid), (_, _, offset, imu_valid)
+            for speed, (video, video_valid), c
             in zip(imu_speeds, videos, captures)]
 
 
 def consistency_vector(imu: ImuSeries | ImuChain, kp: KeypointSeries,
                        offset: ClockOffsetEstimate) -> FeatureVector:
     """The 3-feature cross-modal consistency vector for one session."""
-    row = compute_features(_aligned_pairs([(as_chain(imu), kp, offset,
-                                            None)]))[0]
+    row = compute_features(_aligned_pairs([Capture(as_chain(imu), kp,
+                                                   offset)]))[0]
     return FeatureVector(*row.tolist())
 
 
@@ -200,9 +201,26 @@ class Enrollment:
     fisher: FisherReport | None = None
 
 
-def enroll_subjects(sessions_by_subject: list[list[tuple]]) -> list[Enrollment]:
-    """Train both one-class models of each subject from its genuine
-    enrollment sessions, `(imu, kp, offset)` tuples.
+@dataclass(frozen=True)
+class Capture:
+    """One paired capture, as every batch stage takes it: the phone's `imu`
+    (an `ImuSeries`, or its `ImuChain` once `imu_chains` has run), the
+    drone's keypoints `kp` and their clock `offset`, all three required;
+    then, by name, the masks of the samples that reached the other peer
+    (None: all of them) and the `enrollment` it is scored against."""
+
+    imu: ImuSeries | ImuChain
+    kp: KeypointSeries
+    offset: ClockOffsetEstimate
+    _: KW_ONLY
+    imu_valid: np.ndarray | None = None
+    kp_valid: np.ndarray | None = None
+    enrollment: Enrollment | None = None
+
+
+def enroll_subjects(cohort: list[list[Capture]]) -> list[Enrollment]:
+    """Train both one-class models of each subject of `cohort` from the
+    captures of its genuine enrollment sessions, each `imu` as recorded.
 
     The consistency model is calibrated against misaligned surrogate
     negatives (time-shifted channel pairings of the same sessions), so its
@@ -215,12 +233,12 @@ def enroll_subjects(sessions_by_subject: list[list[tuple]]) -> list[Enrollment]:
     enrollment is bit for bit what the subject's sessions give alone, and
     a batch raises the error of its first failing stage.
     """
-    sessions = [s for own in sessions_by_subject for s in own]
-    chains = imu_chains([imu for imu, _, _ in sessions])
-    pairs = _aligned_pairs([(chain, kp, offset, None)
-                            for chain, (_, kp, offset) in zip(chains, sessions)])
+    captures = [c for own in cohort for c in own]
+    chains = imu_chains([c.imu for c in captures])
+    pairs = _aligned_pairs([replace(c, imu=chain)
+                            for c, chain in zip(captures, chains)])
     gaits = [gait_vectors(chain) for chain in chains]
-    ends = list(accumulate(len(own) for own in sessions_by_subject))
+    ends = list(accumulate(len(own) for own in cohort))
     subjects = [slice(start, end) for start, end in zip([0, *ends], ends)]
     pos = [[w for pair in pairs[own] for w in _window_pairs(pair)]
            for own in subjects]
@@ -261,18 +279,17 @@ def enroll(sessions: list[tuple[ImuSeries, KeypointSeries, ClockOffsetEstimate]]
     `seed` is accepted and ignored, kept only for the callers that still
     pass it: tests/test_acceptance.py:77, tests/test_golden_scores.py and
     the benchmark's verify set-up."""
-    return enroll_subjects([sessions])[0]
+    return enroll_subjects([[Capture(*session) for session in sessions]])[0]
 
 
-def consistency_scores(captures: list[tuple]) -> list[float]:
-    """Consistency decision value of each paired capture, an `(enrollment,
-    chain, kp, offset, imu_valid)` tuple whose IMU is a prepared `ImuChain`.
-    The batch runs the video channels' column-wise stages once per shape
-    and one feature pass, each value bit for bit its capture's alone."""
-    rows = compute_features(_aligned_pairs([capture[1:]
-                                            for capture in captures]))
-    return [enrollment.consistency_model.score(row[enrollment.feature_mask])
-            for (enrollment, *_), row in zip(captures, rows)]
+def consistency_scores(captures: list[Capture]) -> list[float]:
+    """Consistency decision value of each capture against its `enrollment`,
+    its `imu` a prepared `ImuChain` aligned on the samples `imu_valid`
+    marks. The batch runs the video channels' column-wise stages once per
+    shape and one feature pass, each value bit for bit its capture's alone."""
+    rows = compute_features(_aligned_pairs(captures))
+    return [c.enrollment.consistency_model.score(row[c.enrollment.feature_mask])
+            for c, row in zip(captures, rows)]
 
 
 def consistency_score(enrollment: Enrollment, imu: ImuSeries | ImuChain,
@@ -280,8 +297,9 @@ def consistency_score(enrollment: Enrollment, imu: ImuSeries | ImuChain,
                       imu_valid: np.ndarray | None = None) -> float:
     """Consistency decision value of one paired capture: the batch of one
     of consistency_scores, on the chain of `imu`."""
-    return consistency_scores([(enrollment, as_chain(imu), kp, offset,
-                                imu_valid)])[0]
+    return consistency_scores([Capture(as_chain(imu), kp, offset,
+                                       imu_valid=imu_valid,
+                                       enrollment=enrollment)])[0]
 
 
 def gait_score(enrollment: Enrollment, imu: ImuSeries | ImuChain) -> float:

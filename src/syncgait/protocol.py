@@ -8,24 +8,25 @@ transport drops and delays messages independently in both directions; every
 delivered or dropped message is logged to a transcript.
 
 `run_sessions` runs a batch of sessions in lockstep and scores the
-attempts of each round that reach verification as one `attempt_scores`
-batch: they share each stream chain's column-wise stages and one feature
-pass. Each session keeps its own rng, clock and transcript, so it ends
-exactly as it does alone, and `run_session` is the batch of one.
+attempts of each round that reach verification, a `pipeline.Capture`
+apiece, as one `attempt_scores` batch: they share each stream chain's
+column-wise stages and one feature pass. Each session keeps its own rng,
+clock and transcript, so it ends exactly as it does alone, and
+`run_session` is the batch of one.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import EnrollmentMissing, SyncGaitError
 from .gait import imu_chains
-from .pipeline import (Enrollment, consistency_score, consistency_scores,
-                       gait_score)
+from .pipeline import (Capture, Enrollment, consistency_score,
+                       consistency_scores, gait_score)
 from .series import ImuSeries, KeypointSeries, fill_gaps
 from .syncing import (MIN_SESSION_S, SYNC_EXCHANGE_PERIOD,
                       ClockOffsetEstimate, kalman_track_offset,
@@ -215,15 +216,13 @@ def _received_keypoints(kp: KeypointSeries,
     return KeypointSeries(kp.t, kp.uv, conf, kp.frame_rate)
 
 
-def attempt_scores(attempts: list[tuple]) -> list[tuple[float, float, float]]:
-    """Drone consistency, phone consistency and gait scores of each attempt.
-
-    An attempt is `(enrollment, offset, imu, kp, imu_valid, kp_valid)`:
-    `imu_valid` and `kp_valid` mark the samples of the phone's `imu` and the
-    drone's `kp` that reached the other peer. The drone scores the IMU as it
-    arrived against its own `kp`; the phone scores its own `imu` against the
-    keypoints as they arrived and checks the gait on `imu`. A receiver's
-    view is built only for a stream that lost samples.
+def attempt_scores(attempts: list[Capture]) -> list[tuple[float, float, float]]:
+    """Drone consistency, phone consistency and gait scores of each attempt
+    `Capture`. The drone scores the IMU as it arrived (`imu_valid`) against
+    its own `kp`; the phone scores its own `imu` against the keypoints as
+    they arrived (`kp_valid`) and checks the gait on `imu`, each against the
+    attempt's `enrollment`. A receiver's view is built only for a stream
+    that lost samples.
 
     The drone views of the batch run one `imu_chains` call and one
     `consistency_scores` batch. When both views of an attempt are complete
@@ -236,28 +235,28 @@ def attempt_scores(attempts: list[tuple]) -> list[tuple[float, float, float]]:
     each score is bit for bit consistency_score and gait_score on its
     views.
     """
-    chains = imu_chains([imu if imu_valid.all()
-                         else _received_imu(imu, imu_valid)
-                         for _, _, imu, _, imu_valid, _ in attempts])
-    drone = consistency_scores(
-        [(enrollment, chain, kp, offset, imu_valid)
-         for (enrollment, offset, _, kp, imu_valid, _), chain
-         in zip(attempts, chains)])
+    whole = [[valid is None or valid.all()
+              for valid in (a.imu_valid, a.kp_valid)] for a in attempts]
+    chains = imu_chains([a.imu if imu_whole
+                         else _received_imu(a.imu, a.imu_valid)
+                         for a, (imu_whole, _) in zip(attempts, whole)])
+    drone = consistency_scores([replace(a, imu=chain)
+                                for a, chain in zip(attempts, chains)])
     out = []
-    for (enrollment, offset, imu, kp, imu_valid, kp_valid), chain, s_drone \
-            in zip(attempts, chains, drone):
-        imu_whole, kp_whole = imu_valid.all(), kp_valid.all()
+    for a, (imu_whole, kp_whole), chain, s_drone \
+            in zip(attempts, whole, chains, drone):
         s_phone = s_drone
         if not (imu_whole and kp_whole):
             if not imu_whole:
-                chain = imu_chains([imu])[0]
-            kp_view = kp if kp_whole else _received_keypoints(kp, kp_valid)
-            s_phone = consistency_score(enrollment, chain, kp_view, offset)
-        out.append((s_drone, s_phone, gait_score(enrollment, chain)))
+                chain = imu_chains([a.imu])[0]
+            kp_view = a.kp if kp_whole else _received_keypoints(a.kp,
+                                                                a.kp_valid)
+            s_phone = consistency_score(a.enrollment, chain, kp_view, a.offset)
+        out.append((s_drone, s_phone, gait_score(a.enrollment, chain)))
     return out
 
 
-def _scored(attempts: list[tuple]) -> list:
+def _scored(attempts: list[Capture]) -> list:
     """attempt_scores of each attempt, or the SyncGaitError that scoring it
     alone raises: a batch that raises is re-scored one attempt at a time."""
     try:
@@ -304,9 +303,9 @@ def _time_sync(cfg: SessionConfig, rng: np.random.Generator,
 def _session(cfg: SessionConfig, enrollment: Enrollment, imu_source,
              keypoint_source, seed: int):
     """One session with retries, as run_sessions drives it: a generator
-    that yields each attempt reaching VERIFY, as attempt_scores takes it,
-    is sent back its scores or the SyncGaitError scoring it raised, and
-    returns the SessionResult."""
+    that yields the `Capture` of each attempt reaching VERIFY, is sent back
+    its scores or the SyncGaitError scoring it raised, and returns the
+    SessionResult."""
     rng = np.random.default_rng(seed)
     log = _Transcript()
     t = 0.0
@@ -339,7 +338,8 @@ def _session(cfg: SessionConfig, enrollment: Enrollment, imu_source,
                     retransmit_rounds=rounds)
 
         log.log(t, "phone", "state", state=SessionState.VERIFY.value)
-        scores = yield (enrollment, offset, imu, kp, *valid)
+        scores = yield Capture(imu, kp, offset, imu_valid=valid[0],
+                               kp_valid=valid[1], enrollment=enrollment)
         if isinstance(scores, SyncGaitError):
             log.log(t, "phone", "attempt_failed",
                     reason=type(scores).__name__)

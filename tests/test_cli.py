@@ -518,6 +518,41 @@ def test_enroll_with_one_faulty_session_file_is_config_error(
     assert not (tmp_path / "m").exists()
 
 
+@pytest.mark.parametrize("fault, name, message", [
+    ("huge_imu", "subject00_session02_imu.npy",
+     "IMU samples too large to square"),
+    ("huge_keypoints", "subject00_session02_keypoints.npy",
+     "keypoint samples too large to square"),
+    ("wrist_never_detected", "subject00_session02_keypoints.npy",
+     "the phone's wrist wrist_r is never detected (confidence >= 0.3)")])
+def test_enroll_names_a_session_file_no_stage_can_use(
+        tmp_path, capsys, enroll_data, fault, name, message):
+    # samples scaled to a peak of 1e300 square past the float range, and a
+    # keypoint file whose phone wrist is below MISSING_CONF on every frame
+    # gives no video channel: each is an I/O error naming its file, not a
+    # configuration error blaming the samples or the sessions' duration
+    copy = tmp_path / "data"
+    shutil.copytree(enroll_data, copy)
+    path = copy / name
+    if fault == "huge_imu":
+        imu = read_imu_npy(path)
+        peak = max(np.abs(imu.acc).max(), np.abs(imu.gyro).max())
+        write_imu_npy(path, ImuSeries(imu.t, imu.acc * (1e300 / peak),
+                                      imu.gyro * (1e300 / peak)))
+    else:
+        kp = read_keypoint_npy(path)
+        uv, conf = kp.uv, kp.conf.copy()
+        if fault == "huge_keypoints":
+            uv = uv * (1e300 / np.abs(uv).max())
+        else:
+            conf[:, JOINT_INDEX["wrist_r"]] = 0.0
+        write_keypoint_npy(path, KeypointSeries(kp.t, uv, conf))
+    assert main(["enroll", "--data", str(copy), "--subject", "0",
+                 "--out", str(tmp_path / "m")]) == EXIT_IO
+    assert f"I/O error: {path}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
 def test_enroll_unwritable_output_is_io_error(tmp_path):
     cfg = _write_config(tmp_path, FAST_ENROLL)
     data = tmp_path / "data"

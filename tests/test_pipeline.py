@@ -11,9 +11,9 @@ from syncgait.classify import serialize_model
 from syncgait.errors import (DegenerateSeries, SeriesTooShort,
                              SyncGaitError, TooFewSamples)
 from syncgait.gait import imu_chains
-from syncgait.pipeline import (calibrate_keypoints, consistency_score,
-                               consistency_vector, enroll, enroll_subjects,
-                               gait_score, imu_speed_channel,
+from syncgait.pipeline import (Capture, calibrate_keypoints,
+                               consistency_score, consistency_vector, enroll,
+                               enroll_subjects, gait_score, imu_speed_channel,
                                imu_speed_channels, video_speed_channel,
                                video_speed_channels)
 from syncgait.protocol import (ChannelModel, _received_imu,
@@ -76,7 +76,7 @@ def test_imu_speed_channel_ignores_a_turn_about_the_vertical(session, psi):
 
 def test_video_speed_channel_matches_imu_channel(session):
     imu, kp, _ = session
-    [pair] = pipeline._aligned_pairs([(*imu_chains([imu]), kp, EST, None)])
+    [pair] = pipeline._aligned_pairs([Capture(imu_chains([imu])[0], kp, EST)])
     r = np.corrcoef(pair.imu_speed, pair.video_speed)[0, 1]
     assert r > 0.6
 
@@ -115,7 +115,7 @@ def test_consistency_vector_sensible_for_genuine_pair(session):
     assert vec.coh > 0.8
     # the named vector is the pair's row of the feature array
     row = features.compute_features(
-        pipeline._aligned_pairs([(*imu_chains([imu]), kp, EST, None)]))
+        pipeline._aligned_pairs([Capture(imu_chains([imu])[0], kp, EST)]))
     assert vec.as_array().tobytes() == row[0].tobytes()
 
 
@@ -334,6 +334,26 @@ def test_enroll_of_no_sessions_is_too_few_samples():
         enroll([])
 
 
+def _captures(sessions):
+    """The `Capture` of each `(imu, kp, offset)` session."""
+    return [Capture(imu, kp, offset) for imu, kp, offset in sessions]
+
+
+def test_a_capture_is_refused_when_built_without_a_required_field(session):
+    # the streams and the offset are required, the rest only by name; a
+    # built capture is not edited in place
+    imu, kp, _ = session
+    with pytest.raises(TypeError, match="offset"):
+        Capture(imu, kp)
+    with pytest.raises(TypeError):
+        Capture(imu, kp, EST, np.ones(len(imu), dtype=bool))
+    capture = Capture(imu, kp, EST)
+    assert (capture.imu_valid, capture.kp_valid, capture.enrollment) == (
+        None, None, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        capture.offset = ClockOffsetEstimate.known(0.0)
+
+
 def test_enroll_subjects_gives_each_subject_what_enroll_gives_alone(subject):
     # 6 sessions of 8 s, 7 of 10 s and 6 of 8 s: two length groups
     cohort = [[generate_session(s, duration=duration, clock_offset=OFFSET,
@@ -341,7 +361,7 @@ def test_enroll_subjects_gives_each_subject_what_enroll_gives_alone(subject):
                for k in range(count)]
               for s, count, duration in zip(make_cohort(3, seed=17),
                                             (6, 7, 6), (8.0, 10.0, 8.0))]
-    enrollments = enroll_subjects(cohort)
+    enrollments = enroll_subjects([_captures(own) for own in cohort])
     assert len(enrollments) == len(cohort)
     for sessions, batched in zip(cohort, enrollments):
         alone = enroll(sessions)
@@ -358,7 +378,8 @@ def test_enroll_subjects_gives_each_subject_what_enroll_gives_alone(subject):
     with pytest.raises(TooFewSamples):
         enroll(few)
     with pytest.raises(TooFewSamples):
-        enroll_subjects([cohort[0], few, cohort[2]])
+        enroll_subjects([_captures(own) for own in (cohort[0], few,
+                                                    cohort[2])])
 
 
 def test_enroll_designs_each_filter_once_and_batches_the_spectra(

@@ -18,8 +18,8 @@ from syncgait.protocol import (ARQ_ROUNDS, DELAY_JITTER_S, DELAY_MEAN_S,
                                SessionState, _received_imu,
                                _received_keypoints, attempt_scores,
                                exchange_with_arq, inject_loss, run_session)
-from syncgait.pipeline import (Enrollment, consistency_score, enroll,
-                               gait_score)
+from syncgait.pipeline import (Capture, Enrollment, consistency_score,
+                               enroll, gait_score)
 from syncgait.series import JOINT_INDEX, ImuSeries, KeypointSeries
 from syncgait.syncing import ClockOffsetEstimate
 from syncgait.synth import (CameraModel, RelayAttack, SubjectParams,
@@ -240,7 +240,8 @@ def test_one_pass_scores_equal_per_view_scores_on_partial_views(
     kp_valid[180:192] = False
 
     [(drone, phone, gait)] = attempt_scores(
-        [(enrollment, est, imu, kp, imu_valid, kp_valid)])
+        [Capture(imu, kp, est, imu_valid=imu_valid, kp_valid=kp_valid,
+                 enrollment=enrollment)])
     assert drone.hex() == consistency_score(
         enrollment, _received_imu(imu, imu_valid), kp, est,
         imu_valid=imu_valid).hex()
@@ -261,7 +262,9 @@ def test_one_pass_scores_equal_per_view_scores_on_complete_views(
                                   seed_offset=506)
     imu_valid = np.ones(len(imu), dtype=bool)
     [(drone, phone, gait)] = attempt_scores(
-        [(enrollment, est, imu, kp, imu_valid, np.ones(len(kp), dtype=bool))])
+        [Capture(imu, kp, est, imu_valid=imu_valid,
+                 kp_valid=np.ones(len(kp), dtype=bool),
+                 enrollment=enrollment)])
     assert drone.hex() == consistency_score(
         enrollment, imu, kp, est, imu_valid=imu_valid).hex()
     assert phone.hex() == consistency_score(enrollment, imu, kp, est).hex()
@@ -310,8 +313,9 @@ def test_an_attempt_prepares_each_stream_once(enrolled_subject, monkeypatch,
                          (protocol, "consistency_scores"),
                          (pipeline, "consistency_scores")):
         spy(module, name)
-    attempt_scores([(enrollment, ClockOffsetEstimate.known(OFFSET),
-                     imu, kp, imu_valid, kp_valid)])
+    attempt_scores([Capture(imu, kp, ClockOffsetEstimate.known(OFFSET),
+                            imu_valid=imu_valid, kp_valid=kp_valid,
+                            enrollment=enrollment)])
     assert calls == {"imu_chains": chains, "imu_speed_channels": channels,
                      "video_speed_channels": channels,
                      "compute_features": [1] * channels,

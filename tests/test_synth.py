@@ -351,7 +351,7 @@ def test_evaluate_runs_the_ahrs_once_per_scored_view(tmp_path, monkeypatch,
     real = protocol.attempt_scores
 
     def spy(batch):
-        attempts.extend(bool(imu_valid.all()) for *_, imu_valid, _ in batch)
+        attempts.extend(bool(a.imu_valid.all()) for a in batch)
         return real(batch)
     monkeypatch.setattr(protocol, "attempt_scores", spy)
     cfg = tmp_path / "config.json"

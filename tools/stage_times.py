@@ -21,7 +21,8 @@ import numpy as np
 from syncgait.features import compute_features
 from syncgait.gait import cycle_feature_rows, gait_representation, imu_chains
 from syncgait.orientation import ahrs_streams, rotation_matrices
-from syncgait.pipeline import enroll, imu_speed_channels, video_speed_channels
+from syncgait.pipeline import (Capture, enroll_subjects, imu_speed_channels,
+                               video_speed_channels)
 from syncgait.protocol import (CHUNK_S, ChannelModel, SessionConfig,
                                _time_sync, _Transcript, exchange_with_arq)
 from syncgait.series import ImuSeries, Series1D, wavelet_denoise
@@ -37,10 +38,10 @@ def main() -> None:
     offset = ClockOffsetEstimate.known(0.08)
     cfg = SessionConfig(channel=ChannelModel(0.3), clock_offset=0.08,
                         sample_duration=8.0)
-    enrollment = enroll([(*generate_session(subject, duration=8.0,
-                                            clock_offset=0.08,
-                                            seed_offset=10 + k)[:2], offset)
-                         for k in range(6)])
+    sessions = [generate_session(subject, duration=8.0, clock_offset=0.08,
+                                 seed_offset=10 + k) for k in range(6)]
+    [enrollment] = enroll_subjects([[Capture(imu, kp, offset)
+                                     for imu, kp, _ in sessions]])
     imu, kp, _ = generate_session(subject, duration=8.0, clock_offset=0.08,
                                   seed_offset=60)
     rng = np.random.default_rng(0)

@@ -20,8 +20,9 @@ each j the victim meets one capture of each attack:
 - mimicry at fidelity 0.5 and 0.9: j's walk blended toward v's.
 
 Every capture is scored directly, with `ClockOffsetEstimate.known(0.08)`,
-as one `protocol.attempt_scores` batch of complete views (nothing lost, so
-the phone's consistency score is the drone's). "Fused" means that both the
+as one `protocol.attempt_scores` batch of `pipeline.Capture` records whose
+`imu_valid` and `kp_valid` are None: nothing was lost, so the phone's
+consistency score is the drone's. "Fused" means that both the
 consistency and the gait score are >= 0. The table prints one row per
 cohort and their sum, then the median genuine consistency and gait scores
 of each cohort.
@@ -33,7 +34,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from syncgait.pipeline import enroll_subjects
+from syncgait.pipeline import Capture, enroll_subjects
 from syncgait.protocol import attempt_scores
 from syncgait.synth import (CameraModel, HijackAttack, MimicryAttack,
                             RelayAttack, generate_attack, generate_session,
@@ -73,30 +74,32 @@ def score_cohort(seed: int) -> dict[str, list[tuple[float, float]]]:
     cam, offset = CameraModel(), ClockOffsetEstimate.known(CLOCK_OFFSET)
     cohort = make_cohort(COHORT_SIZE, seed=seed)
 
-    def session(subject, seed_offset):
-        return generate_session(subject, cam, DURATION, CLOCK_OFFSET,
-                                seed_offset=seed_offset)[:2]
+    def capture(subject, seed_offset, enrollment=None):
+        imu, kp, _ = generate_session(subject, cam, DURATION, CLOCK_OFFSET,
+                                      seed_offset=seed_offset)
+        return Capture(imu, kp, offset, enrollment=enrollment)
 
     enrollments = enroll_subjects([
-        [(*session(subject, 10 + k), offset) for k in range(ENROLL_SESSIONS)]
+        [capture(subject, 10 + k) for k in range(ENROLL_SESSIONS)]
         for subject in cohort])
-    captures = []    # (kind, enrollment, imu, kp)
+    kinds, captures = [], []
     for v, (victim, enrollment) in enumerate(zip(cohort, enrollments)):
-        captures += [("genuine", enrollment, *session(victim, 60 + k))
-                     for k in range(GENUINE_SESSIONS)]
+        for k in range(GENUINE_SESSIONS):
+            kinds.append("genuine")
+            captures.append(capture(victim, 60 + k, enrollment))
         for j in ((v + 1 + k) % COHORT_SIZE for k in range(ATTACKERS)):
-            captures += [
-                (kind, enrollment,
-                 *generate_attack(spec(victim, cohort[j]), cam, DURATION,
-                                  CLOCK_OFFSET,
-                                  seed_offset=900 + 10 * v + j)[:2])
-                for kind, spec in ATTACKS.items()]
-    attempts = attempt_scores([
-        (enrollment, offset, imu, kp, np.ones(len(imu), dtype=bool),
-         np.ones(len(kp), dtype=bool))
-        for _, enrollment, imu, kp in captures])
+            for kind, spec in ATTACKS.items():
+                imu, kp, _ = generate_attack(spec(victim, cohort[j]), cam,
+                                             DURATION, CLOCK_OFFSET,
+                                             seed_offset=900 + 10 * v + j)
+                kinds.append(kind)
+                captures.append(Capture(imu, kp, offset,
+                                        enrollment=enrollment))
+    # every sample of every capture arrived, so the phone's consistency
+    # score is the drone's
+    attempts = attempt_scores(captures)
     scores: dict[str, list[tuple[float, float]]] = {}
-    for (kind, *_), (cons, _, gait) in zip(captures, attempts):
+    for kind, (cons, _, gait) in zip(kinds, attempts):
         scores.setdefault(kind, []).append((cons, gait))
     return scores
 
